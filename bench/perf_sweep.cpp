@@ -1,11 +1,10 @@
 // Macro performance sweep: the measured perf gauge of the repository.
 //
-// Unlike bench/perf_model and bench/perf_sim this needs no google-benchmark
-// — it times three representative workloads with steady_clock and reports
-// throughput, so it builds and runs everywhere (including CI, which gates
-// on it via tools/check_perf.sh):
+// It needs no benchmark library — it times representative workloads with
+// steady_clock and reports throughput, so it builds and runs everywhere
+// (including CI, which gates on it via tools/check_perf.sh):
 //
-//   engine     raw calendar overhead: a self-rescheduling event chain
+//   engine     raw engine overhead: a self-rescheduling event chain
 //              (events/sec through sim::Engine alone);
 //   sim        the DES hot path end-to-end: a wavefront grid executed
 //              serially through the batch runner (events/sec across every
@@ -81,7 +80,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Raw calendar throughput: `chains` interleaved self-rescheduling events.
+/// Raw engine throughput: `chains` interleaved self-rescheduling events.
 struct EngineResult {
   double events = 0.0;
   double wall_s = 0.0;
@@ -123,7 +122,7 @@ SectionResult sim_section(const wave::Context& ctx, bool quick) {
 
   // The processor axis reaches toward the paper's system sizes (Fig 6
   // validates at 6400-65536 ranks): the large-P points are where a
-  // validation sweep actually spends its time, and where calendar and
+  // validation sweep actually spends its time, and where heap and
   // pool behaviour is exercised at depth.
   runner::SweepGrid grid;
   grid.base().app = core::benchmarks::sweep3d(s3);
@@ -510,9 +509,9 @@ int main(int argc, char** argv) {
   runner::print_header(
       "Perf sweep", "measured throughput of the evaluation pipeline",
       "the simulator spends its time in protocol steps, not in the "
-      "allocator: steady-state event dispatch is allocation-free, so "
-      "events/sec stays flat as the grid grows and analytic sweeps scale "
-      "with cores via chunked scheduling");
+      "allocator: steady-state event dispatch is allocation-free, "
+      "per-event cost grows only with the log of the pending depth, and "
+      "analytic sweeps scale with cores via chunked scheduling");
 
   const EngineResult eng = engine_section(quick ? 400'000 : 2'000'000);
   const SectionResult sim = sim_section(ctx, quick);

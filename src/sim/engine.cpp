@@ -1,55 +1,12 @@
 #include "sim/engine.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <limits>
 
-#include "common/contracts.h"
-
 namespace wave::sim {
 
-// ---- calendar-queue internals ----------------------------------------------
-//
-// The pending set is a calendar queue (R. Brown, CACM 1988, adapted): an
-// array of buckets each covering `width_` µs of simulated time, indexed by
-// absolute bucket number modulo the array size. Steady-state cost is O(1)
-// amortized per event: insert writes into the bucket's inline cache line
-// (overflow chains through recycled nodes, local to that bucket);
-// remove-min scans the cursor bucket and otherwise skips empties through
-// the occupancy bitmap a word at a time. The structure self-calibrates:
-// when scans or cursor long-jumps accumulate debt, the queue rebuilds with
-// a width estimated from the live inter-event time distribution.
-// Correctness never depends on the calibration — removal always returns
-// the exact global (time, seq) minimum, so event order (and therefore
-// every simulation result) is identical to a totally-ordered heap's.
-
-namespace {
-constexpr std::size_t kNpos = ~std::size_t{0};
-constexpr unsigned __int128 kNoEntry = ~static_cast<unsigned __int128>(0);
-// Rebuild triggers: wasted-scan budget and cursor long-jump budget.
-constexpr std::size_t kScanDebtLimit = 8192;
-constexpr std::size_t kRescueDebtLimit = 64;
-// A bucket with a chain this long contributes scan debt.
-constexpr std::size_t kCrowdedChain = 8;
-}  // namespace
-
-void Engine::set_buckets(std::size_t nbuckets) {
-  if (nbuckets == counts_.size()) {
-    std::fill(counts_.begin(), counts_.end(), std::uint8_t{0});
-    std::fill(heads_.begin(), heads_.end(), kNilChain);
-    std::fill(occupied_.begin(), occupied_.end(), 0);
-  } else {
-    data_.resize(nbuckets * kBucketCap);
-    counts_.assign(nbuckets, 0);
-    heads_.assign(nbuckets, kNilChain);
-    occupied_.assign(nbuckets / 64, 0);
-  }
-  chain_.clear();
-  chain_free_.clear();
-  bucket_mask_ = nbuckets - 1;
-}
-
 void Engine::reserve(std::size_t events) {
+  heap_.reserve(events);
   free_slots_.reserve(events);
   while (task_slots_ < events) {
     task_chunks_.push_back(std::make_unique<InlineTask[]>(kTaskChunkSize));
@@ -61,30 +18,6 @@ void Engine::reserve(std::size_t events) {
       free_slots_.push_back(static_cast<std::uint32_t>(task_slots_ + i));
     task_slots_ += kTaskChunkSize;
   }
-  std::size_t want = kMinBuckets;
-  while (want < events / 2 && want < kMaxBuckets) want *= 2;
-  if (want > counts_.size()) rebuild(want);
-}
-
-std::size_t Engine::next_occupied_distance(std::size_t from) const {
-  const std::size_t word_mask = occupied_.size() - 1;
-  std::size_t word = from >> 6;
-  const std::uint64_t first =
-      occupied_[word] & (~std::uint64_t{0} << (from & 63));
-  if (first != 0)
-    return (word << 6) + static_cast<std::size_t>(std::countr_zero(first)) -
-           from;
-  const std::size_t nbits = occupied_.size() << 6;
-  for (std::size_t k = 1; k <= word_mask + 1; ++k) {
-    word = (word + 1) & word_mask;
-    if (occupied_[word] != 0) {
-      const std::size_t pos =
-          (word << 6) +
-          static_cast<std::size_t>(std::countr_zero(occupied_[word]));
-      return pos >= from ? pos - from : pos + nbits - from;
-    }
-  }
-  return kNpos;
 }
 
 std::uint32_t Engine::grow_task_slab() {
@@ -98,58 +31,6 @@ std::uint32_t Engine::grow_task_slab() {
   return slot;
 }
 
-Engine::BucketMin Engine::bucket_min(std::size_t phys) const {
-  const Entry* line = &data_[phys * kBucketCap];
-  const std::uint8_t n = counts_[phys];
-  BucketMin loc{line[0], 0, kNilChain};
-  for (std::uint8_t i = 1; i < n; ++i) {
-    if (line[i] < loc.entry) {
-      loc.entry = line[i];
-      loc.inline_i = i;
-    }
-  }
-  std::uint32_t prev = kNilChain;
-  for (std::uint32_t i = heads_[phys]; i != kNilChain;
-       prev = i, i = chain_[i].next) {
-    if (chain_[i].entry < loc.entry) {
-      loc.entry = chain_[i].entry;
-      loc.inline_i = kNilChain;
-      loc.chain_prev = prev;
-    }
-  }
-  return loc;
-}
-
-void Engine::remove_from_bucket(std::size_t phys, const BucketMin& loc) {
-  if (loc.inline_i != kNilChain) {
-    const std::uint8_t n = counts_[phys];
-    Entry* line = &data_[phys * kBucketCap];
-    line[loc.inline_i] = line[n - 1];
-    const std::uint32_t head = heads_[phys];
-    if (head != kNilChain) {
-      // Keep the invariant "chain non-empty => line full": refill the
-      // freed inline slot from the chain head.
-      line[n - 1] = chain_[head].entry;
-      heads_[phys] = chain_[head].next;
-      chain_free_.push_back(head);
-    } else {
-      counts_[phys] = n - 1;
-      if (n == 1) clear_bit(phys);
-    }
-  } else {
-    std::uint32_t victim;
-    if (loc.chain_prev == kNilChain) {
-      victim = heads_[phys];
-      heads_[phys] = chain_[victim].next;
-    } else {
-      victim = chain_[loc.chain_prev].next;
-      chain_[loc.chain_prev].next = chain_[victim].next;
-    }
-    chain_free_.push_back(victim);
-  }
-  --pending_;
-}
-
 void Engine::note_trace_truncated() {
   trace_truncated_ = true;
   std::fprintf(stderr,
@@ -158,229 +39,49 @@ void Engine::note_trace_truncated() {
                trace_cap_);
 }
 
-void Engine::rebuild(std::size_t nbuckets) {
-  ++rebuilds_;
-  // Gather every pending entry (scratch reuse keeps rebuilds allocation-
-  // light once warm).
-  scratch_.clear();
-  scratch_.reserve(pending_);
-  for (std::size_t phys = 0; phys < counts_.size(); ++phys) {
-    for (std::uint8_t i = 0; i < counts_[phys]; ++i)
-      scratch_.push_back(data_[phys * kBucketCap + i]);
-    for (std::uint32_t i = heads_[phys]; i != kNilChain; i = chain_[i].next)
-      scratch_.push_back(chain_[i].entry);
-  }
-  for (Entry e : far_) scratch_.push_back(e);
-  far_.clear();
-
-  // Width from the live distribution: the 10th-to-90th-percentile span of
-  // a sorted time sample divided by the events it covers, targeting ~one
-  // entry per bucket (the inline capacity absorbs clustering). Percentile
-  // trimming keeps a handful of far-future stragglers from stretching
-  // every bucket, and a span (unlike per-gap statistics) is immune to
-  // ULP-noise gaps between almost-equal times. A fully degenerate sample
-  // (everything equal) carries no information — the old width survives.
-  if (scratch_.size() >= 2) {
-    const std::size_t stride = std::max<std::size_t>(1, scratch_.size() / 256);
-    sample_.clear();
-    for (std::size_t i = 0; i < scratch_.size(); i += stride)
-      sample_.push_back(entry_time(scratch_[i]));
-    std::sort(sample_.begin(), sample_.end());
-    const std::size_t k = sample_.size();
-    double span = sample_[k - 1 - k / 10] - sample_[k / 10];
-    double covered = static_cast<double>(scratch_.size()) * 0.8;
-    if (span <= 0.0) {  // >80% ties: fall back to the full span
-      span = sample_[k - 1] - sample_[0];
-      covered = static_cast<double>(scratch_.size());
-    }
-    if (span > 0.0) {
-      const double w = std::clamp(span / covered, 1e-12, 1e12);
-      width_ = w;
-      inv_width_ = 1.0 / w;
-    }
-  }
-
-  // Re-anchor the epoch at the clock so bucket indices restart near zero.
-  // The cursor must start at now_'s bucket (bucket 0), NOT at the earliest
-  // pending entry: future insertions only promise time >= now_, and an
-  // entry behind the cursor would be unreachable until a rescue.
-  epoch_ = now_;
-  set_buckets(nbuckets);
-  cur_ = 0;
-  // place() bypasses insert()'s growth trigger: a rebuild must never
-  // re-enter itself (pending_ is unchanged by a rebuild).
-  for (Entry e : scratch_) place(e);
+Engine::Entry Engine::pop_min() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  const Entry top = heap_.back();
+  heap_.pop_back();
+  return top;
 }
 
-Engine::Entry Engine::remove_min() {
-  // Fast path: hop to the next occupied bucket (usually the cursor bucket
-  // itself or one bitmap step away) and pop its minimum when the bucket
-  // has no overflow chain and is due this year — the overwhelmingly
-  // common case once the width is calibrated.
-  std::uint64_t abs = cur_;
-  std::size_t phys = static_cast<std::size_t>(abs) & bucket_mask_;
-  if (counts_[phys] == 0) {
-    const std::size_t d = next_occupied_distance(phys);
-    if (d == kNpos) return remove_min_slow();
-    abs += d;
-    phys = static_cast<std::size_t>(abs) & bucket_mask_;
-  }
-  const std::uint8_t n = counts_[phys];
-  if (heads_[phys] == kNilChain) {
-    Entry* line = &data_[phys * kBucketCap];
-    Entry best = line[0];
-    std::size_t best_i = 0;
-    for (std::uint8_t i = 1; i < n; ++i) {
-      if (line[i] < best) {
-        best = line[i];
-        best_i = i;
-      }
-    }
-    if (bucket_of(entry_time(best)) == abs) {
-      line[best_i] = line[n - 1];
-      counts_[phys] = n - 1;
-      if (n == 1) clear_bit(phys);
-      cur_ = abs;
-      --pending_;
-      return best;
-    }
-  }
-  return remove_min_slow();
-}
-
-Engine::Entry Engine::remove_min_slow() {
-  while (true) {
-    const std::size_t nbuckets = bucket_mask_ + 1;
-
-    // Walk occupied buckets in absolute order for at most one full wrap,
-    // looking for the earliest same-year entry.
-    std::uint64_t abs = cur_;
-    std::uint64_t walked = 0;
-    Entry fallback = kNoEntry;
-    while (walked < nbuckets) {
-      const std::size_t d =
-          next_occupied_distance(static_cast<std::size_t>(abs) & bucket_mask_);
-      if (d == kNpos) break;  // bitmap empty: everything lives in far_
-      abs += d;
-      walked += d;
-      if (walked >= nbuckets) break;  // full circle
-      const std::size_t phys = static_cast<std::size_t>(abs) & bucket_mask_;
-      const BucketMin loc = bucket_min(phys);
-      if (heads_[phys] != kNilChain) {
-        std::size_t len = 0;
-        for (std::uint32_t i = heads_[phys]; i != kNilChain;
-             i = chain_[i].next)
-          ++len;
-        if (len > kCrowdedChain) scan_debt_ += len;
-      }
-      if (bucket_of(entry_time(loc.entry)) == abs) {
-        remove_from_bucket(phys, loc);
-        cur_ = abs;
-        if (scan_debt_ > kScanDebtLimit) {
-          scan_debt_ = 0;
-          rebuild(nbuckets);
-        } else if (pending_ < nbuckets / 4 && nbuckets > kMinBuckets) {
-          rebuild(nbuckets / 2);
-        }
-        return loc.entry;
-      }
-      // The bucket's earliest entry is a whole number of years ahead (it
-      // shares the physical slot): note it and move on.
-      fallback = std::min(fallback, loc.entry);
-      abs += 1;
-      walked += 1;
-    }
-
-    // Nothing due within a year of the cursor. Jump — or, when the true
-    // minimum is unreachable (in far_, or jumps keep happening because the
-    // width is grossly miscalibrated), rebuild around the live set.
-    ++rescue_debt_;
-    if (!far_.empty()) {
-      Entry far_min = kNoEntry;
-      for (Entry e : far_) far_min = std::min(far_min, e);
-      if (far_min < fallback) {
-        rebuild(nbuckets);
-        continue;
-      }
-    }
-    WAVE_EXPECTS_MSG(fallback != kNoEntry,
-                     "remove_min on an empty calendar");
-    if (rescue_debt_ > kRescueDebtLimit) {
-      rescue_debt_ = 0;
-      rebuild(nbuckets);
-      continue;
-    }
-    const std::uint64_t b = bucket_of(entry_time(fallback));
-    cur_ = b == kFarBucket ? cur_ : b;
-  }
+void Engine::execute(Entry e) {
+  const std::uint32_t slot = entry_slot(e);
+  now_ = entry_time(e);
+  ++processed_;
+  record(e);
+  // Invoke in place (chunk addresses are stable even if the callback grows
+  // the slab) with a fused invoke+destroy — one dispatch per event, no
+  // per-event task move. The slot is recycled only after the callback
+  // returns, so a reschedule cannot overwrite a running task.
+  task(slot).consume();
+  free_slots_.push_back(slot);
 }
 
 // ---- public scheduling API --------------------------------------------------
 
 usec Engine::run() {
-  while (pending_ != 0) {
-    const Entry top = remove_min();
-    const std::uint32_t slot = entry_slot(top);
-    now_ = entry_time(top);
-    ++processed_;
-    record(top);
-    // Invoke in place (chunk addresses are stable even if the callback
-    // grows the slab) with a fused invoke+destroy — one dispatch per
-    // event, no per-event task move. The slot is recycled only after the
-    // callback returns, so a reschedule cannot overwrite a running task.
-    task(slot).consume();
-    free_slots_.push_back(slot);
-  }
+  while (!heap_.empty()) execute(pop_min());
   return now_;
 }
 
 usec Engine::run_until(usec limit) {
-  while (pending_ != 0) {
-    const Entry top = remove_min();
-    if (entry_time(top) > limit) {
-      // Past the horizon: push the identical entry back (same sequence
-      // number, so ordering — and determinism — are unaffected).
-      insert(top);
-      rewind_cursor();
-      break;
-    }
-    const std::uint32_t slot = entry_slot(top);
-    now_ = entry_time(top);
-    ++processed_;
-    record(top);
-    task(slot).consume();
-    free_slots_.push_back(slot);
-  }
-  if (now_ < limit && pending_ == 0) now_ = limit;
+  while (!heap_.empty() && entry_time(heap_.front()) <= limit)
+    execute(pop_min());
+  if (now_ < limit && heap_.empty()) now_ = limit;
   return now_;
 }
 
 usec Engine::run_before(usec limit) {
-  while (pending_ != 0) {
-    const Entry top = remove_min();
-    if (entry_time(top) >= limit) {
-      // At or past the horizon: push the identical entry back (same
-      // sequence number, so ordering — and determinism — are unaffected).
-      insert(top);
-      rewind_cursor();
-      break;
-    }
-    const std::uint32_t slot = entry_slot(top);
-    now_ = entry_time(top);
-    ++processed_;
-    record(top);
-    task(slot).consume();
-    free_slots_.push_back(slot);
-  }
+  while (!heap_.empty() && entry_time(heap_.front()) < limit)
+    execute(pop_min());
   return now_;
 }
 
-usec Engine::next_event_time() {
-  if (pending_ == 0) return std::numeric_limits<usec>::infinity();
-  const Entry top = remove_min();
-  insert(top);
-  rewind_cursor();
-  return entry_time(top);
+usec Engine::next_event_time() const {
+  return heap_.empty() ? std::numeric_limits<usec>::infinity()
+                       : entry_time(heap_.front());
 }
 
 }  // namespace wave::sim

@@ -12,17 +12,19 @@
 // executed (time, seq) stream so tests can prove parallel and serial
 // schedules identical.
 //
-// Steady-state scheduling is allocation-free and O(1) amortized per event:
+// Steady-state scheduling is allocation-free and O(log pending) per event:
 // callbacks are InlineTask (fixed inline storage, task.h) kept in a slab
-// of recycled slots, and the pending set is a self-calibrating calendar
-// queue — an array of time buckets of adaptive width — instead of a
-// binary heap, so cost does not grow with the number of pending events
-// (docs/PERFORMANCE.md has the design and the measurements).
+// of recycled slots, and the pending set is a binary heap
+// (std::push_heap/pop_heap) of 16-byte integer keys that name their slab
+// slot, so heap sifts move keys, never tasks (docs/PERFORMANCE.md has the
+// measurements).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -38,11 +40,8 @@ using common::usec;
 class Engine {
  public:
   // Simulations with any concurrency immediately outgrow tiny geometric
-  // doublings, so start the calendar at a useful size.
-  Engine() {
-    set_buckets(kMinBuckets);
-    reserve(256);
-  }
+  // doublings, so start with a useful capacity.
+  Engine() { reserve(256); }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -59,7 +58,7 @@ class Engine {
   /// Schedules `fn` `delay` µs from now (delay >= 0).
   void after(usec delay, InlineTask fn);
 
-  /// Pre-allocates calendar capacity for `events` pending events.
+  /// Pre-allocates capacity for `events` pending events.
   void reserve(std::size_t events);
 
   /// Runs events until the calendar drains. Returns the final clock value.
@@ -77,23 +76,17 @@ class Engine {
   usec run_before(usec limit);
 
   /// Time of the earliest pending event without executing it, or +infinity
-  /// when the calendar is empty. Non-const: implemented as an exact
-  /// remove-min + re-insert of the identical entry (same sequence number),
-  /// so event order is unaffected.
-  usec next_event_time();
+  /// when the calendar is empty.
+  usec next_event_time() const;
 
   /// Number of events executed so far (performance metric).
   std::uint64_t events_processed() const { return processed_; }
-
-  /// Calendar rebuilds so far (growth, shrink and debt-triggered
-  /// recalibrations alike) — an observability counter; rebuilds are cold.
-  std::uint64_t calendar_rebuilds() const { return rebuilds_; }
 
   /// High-water mark of pending events (peak calendar occupancy).
   std::size_t max_pending() const { return max_pending_; }
 
   /// True when no events remain.
-  bool drained() const { return pending_ == 0; }
+  bool drained() const { return heap_.empty(); }
 
   /// One executed event in a captured trace: the exact simulated time and
   /// the global FIFO sequence number the run loop dispatched. Two engines
@@ -140,10 +133,6 @@ class Engine {
   using Entry = unsigned __int128;
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
-  static constexpr std::size_t kMinBuckets = 1024;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 18;
-  /// Inline entries per bucket: 4 × 16 bytes = one cache line.
-  static constexpr std::size_t kBucketCap = 4;
 
   static Entry pack(usec time, std::uint64_t key) {
     // + 0.0 turns a -0.0 input into +0.0 so the bit pattern orders right.
@@ -157,55 +146,16 @@ class Engine {
   static std::uint32_t entry_slot(Entry e) {
     return static_cast<std::uint32_t>(e) & (kMaxSlots - 1);
   }
-
-  /// Absolute bucket index of time `t` (relative to the rebuild epoch), or
-  /// kFarBucket when the index overflows (the entry then lives in far_).
-  static constexpr std::uint64_t kFarBucket = ~std::uint64_t{0};
-  std::uint64_t bucket_of(usec t) const {
-    const double d = (t - epoch_) * inv_width_;
-    return d >= 9.0e18 ? kFarBucket : static_cast<std::uint64_t>(d);
+  static std::uint64_t entry_seq(Entry e) {
+    return static_cast<std::uint64_t>(e) >> kSlotBits;
   }
 
-  void insert(Entry e);
-  /// Appends `e` to its bucket (or far_) without growth checks.
-  void place(Entry e);
   /// Cold path of at(): adds a task chunk; returns the first fresh slot.
   std::uint32_t grow_task_slab();
-  Entry remove_min();
-  /// General removal: occupied-bucket walk merged with far_ candidates.
-  Entry remove_min_slow();
-  /// Minimum entry of physical bucket `phys` (inline + overflow chain);
-  /// `where` encodes the location for remove_from_bucket.
-  struct BucketMin {
-    Entry entry;
-    std::uint32_t inline_i;  // kNilChain when the min is a chain node
-    std::uint32_t chain_prev;
-  };
-  BucketMin bucket_min(std::size_t phys) const;
-  void remove_from_bucket(std::size_t phys, const BucketMin& loc);
-  /// Re-buckets everything into `nbuckets` buckets with a width
-  /// recalibrated from the live event-time distribution.
-  void rebuild(std::size_t nbuckets);
-  void set_buckets(std::size_t nbuckets);
-  void set_bit(std::size_t phys) {
-    occupied_[phys >> 6] |= std::uint64_t{1} << (phys & 63);
-  }
-  void clear_bit(std::size_t phys) {
-    occupied_[phys >> 6] &= ~(std::uint64_t{1} << (phys & 63));
-  }
-  /// Circular distance from physical bucket `from` to the next occupied
-  /// bucket (0 when `from` itself is occupied); npos when all are empty.
-  std::size_t next_occupied_distance(std::size_t from) const;
-
-  /// After a pop-and-reinsert peek (run_until / run_before boundary,
-  /// next_event_time), the cursor sits at the *peeked* entry's bucket.
-  /// remove_min's fast path assumes no pending entry is ever behind the
-  /// cursor — true while inserts come from event execution (time >= now_,
-  /// cursor ~ bucket_of(now_)), violated once the cursor has jumped ahead
-  /// and a later insert lands between now_ and the peeked entry (the
-  /// parallel runtime's barrier ingestion does exactly that). Rewinding to
-  /// now_'s bucket restores the invariant: every legal insert is >= now_.
-  void rewind_cursor() { cur_ = std::min(cur_, bucket_of(now_)); }
+  /// Removes and returns the earliest pending entry (heap must be non-empty).
+  Entry pop_min();
+  /// Advances the clock to `e` and runs its task in place.
+  void execute(Entry e);
 
   /// The task slab: chunked so addresses are stable while a task runs —
   /// the run loop invokes tasks in place (no per-event move) and recycles
@@ -218,58 +168,21 @@ class Engine {
                        [slot & (kTaskChunkSize - 1)];
   }
 
-  // Calendar-queue pending set. Physical bucket p holds the entries of
-  // absolute time-bucket abs ≡ p (mod nbuckets); an entry a whole number
-  // of "years" ahead shares the slot and is skipped by the abs check.
-  // Storage is flat — kBucketCap entries inline per bucket (one cache
-  // line: data_[p*kBucketCap..], count in counts_[p]) — so the hot path
-  // never chases a per-bucket heap block. When a bucket overflows its
-  // cache line, the excess chains through recycled ChainNode slots
-  // (heads_[p] -> chain_), so crowding stays local to that bucket.
-  // Invariant: a bucket's chain is non-empty only while its inline line
-  // is full (removal refills the line from the chain), so the occupancy
-  // bitmap over inline counts covers chained entries too. occupied_ lets
-  // draining skip empties a word at a time. far_ holds the rare entries
-  // whose bucket index overflows. The InlineTask callables live in a
-  // slab indexed by recycled slot ids; calendar operations never move a
-  // task.
-  static constexpr std::uint32_t kNilChain = ~std::uint32_t{0};
-  struct ChainNode {
-    Entry entry;
-    std::uint32_t next;
-  };
-  std::vector<Entry> data_;
-  std::vector<std::uint8_t> counts_;
-  std::vector<std::uint32_t> heads_;
-  std::vector<ChainNode> chain_;
-  std::vector<std::uint32_t> chain_free_;
-  std::vector<std::uint64_t> occupied_;
-  std::vector<Entry> far_;
-  std::vector<Entry> scratch_;   // rebuild workspace (reused)
-  std::vector<usec> sample_;     // width-calibration workspace (reused)
+  // The pending set: a min-heap (std::greater) of entries, so heap_[0] is
+  // the exact (time, seq) minimum. The InlineTask callables live in a slab
+  // indexed by recycled slot ids; heap operations never move a task.
+  std::vector<Entry> heap_;
   std::vector<std::unique_ptr<InlineTask[]>> task_chunks_;
   std::size_t task_slots_ = 0;  // slots ever created (chunks * chunk size)
   std::vector<std::uint32_t> free_slots_;
-  double width_ = 1.0;
-  double inv_width_ = 1.0;
-  usec epoch_ = 0.0;  // time of absolute bucket 0 (re-anchored on rebuild)
-  std::uint64_t cur_ = 0;        // absolute bucket of the last-popped event
-  std::size_t bucket_mask_ = 0;  // buckets_.size() - 1 (power of two)
-  std::size_t pending_ = 0;      // entries in buckets_ plus far_
-  std::size_t scan_debt_ = 0;    // wasted scan work since last calibration
-  std::size_t rescue_debt_ = 0;  // cursor long-jumps since last calibration
   usec now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::uint64_t rebuilds_ = 0;
   std::size_t max_pending_ = 0;
   std::vector<TraceEvent>* trace_ = nullptr;
   std::size_t trace_cap_ = kDefaultTraceCap;
   bool trace_truncated_ = false;
 
-  static std::uint64_t entry_seq(Entry e) {
-    return static_cast<std::uint64_t>(e) >> kSlotBits;
-  }
   /// Cold path of record(): flags truncation and prints the one-time
   /// stderr marker (out of line so the header stays <cstdio>-free).
   void note_trace_truncated();
@@ -284,46 +197,9 @@ class Engine {
 };
 
 // ---- inline hot path --------------------------------------------------------
-// at()/insert()/place() are inline so call sites (the MPI protocol above
-// all else) construct each InlineTask directly into its slab slot and the
-// whole schedule path compiles into the caller — no per-event indirect
-// relocation.
-
-[[gnu::always_inline]] inline void Engine::place(Entry e) {
-  const std::uint64_t b = bucket_of(entry_time(e));
-  if (b == kFarBucket) {
-    far_.push_back(e);
-    return;
-  }
-  const std::size_t phys = static_cast<std::size_t>(b) & bucket_mask_;
-  const std::uint8_t n = counts_[phys];
-  if (n < kBucketCap) {
-    data_[phys * kBucketCap + n] = e;
-    counts_[phys] = n + 1;
-    if (n == 0) set_bit(phys);
-  } else {
-    // Inline line full: push onto this bucket's overflow chain.
-    std::uint32_t idx;
-    if (chain_free_.empty()) {
-      idx = static_cast<std::uint32_t>(chain_.size());
-      chain_.push_back(ChainNode{e, heads_[phys]});
-    } else {
-      idx = chain_free_.back();
-      chain_free_.pop_back();
-      chain_[idx] = ChainNode{e, heads_[phys]};
-    }
-    heads_[phys] = idx;
-  }
-}
-
-inline void Engine::insert(Entry e) {
-  ++pending_;
-  if (pending_ > max_pending_) max_pending_ = pending_;
-  if (pending_ > bucket_mask_ + 1 && bucket_mask_ + 1 < kMaxBuckets) {
-    rebuild(2 * (bucket_mask_ + 1));
-  }
-  place(e);
-}
+// at() is inline so call sites (the MPI protocol above all else) construct
+// each InlineTask directly into its slab slot and the whole schedule path
+// compiles into the caller — no per-event indirect relocation.
 
 [[gnu::always_inline]] inline void Engine::at(usec time, InlineTask fn) {
   WAVE_EXPECTS_MSG(time >= now_, "cannot schedule events in the past");
@@ -337,7 +213,9 @@ inline void Engine::insert(Entry e) {
   task(slot) = std::move(fn);
   WAVE_EXPECTS_MSG(next_seq_ < (std::uint64_t{1} << (64 - kSlotBits)),
                    "event sequence number overflow");
-  insert(pack(time, next_seq_++ << kSlotBits | slot));
+  heap_.push_back(pack(time, next_seq_++ << kSlotBits | slot));
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  max_pending_ = std::max(max_pending_, heap_.size());
 }
 
 inline void Engine::after(usec delay, InlineTask fn) {

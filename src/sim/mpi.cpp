@@ -684,13 +684,9 @@ void World::publish_metrics() {
   obs::MetricsRegistry& reg = *parallel_.metrics;
   reg.counter("sim_events_total").add(events_processed());
   reg.counter("sim_messages_total").add(messages_delivered());
-  std::uint64_t rebuilds = 0;
   std::size_t max_pending = 0;
-  for (const auto& engine : engines_) {
-    rebuilds += engine->calendar_rebuilds();
+  for (const auto& engine : engines_)
     max_pending = std::max(max_pending, engine->max_pending());
-  }
-  reg.counter("sim_calendar_rebuilds_total").add(rebuilds);
   reg.gauge("sim_max_pending_events")
       .set_max(static_cast<std::int64_t>(max_pending));
   reg.counter("sim_window_rounds_total").add(window_rounds_);

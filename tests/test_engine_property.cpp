@@ -1,12 +1,11 @@
-// Property tests for the calendar-queue Engine against a trivially-correct
+// Property tests for the heap-ordered Engine against a trivially-correct
 // reference: a std::priority_queue ordered by (time, seq).
 //
 // The engine's ordering contract — events pop in exact (time,
 // insertion-seq) order, equal times FIFO by seq — is what every layer
 // above leans on, up to the parallel runtime's bitwise-determinism
-// guarantee. The calendar implementation earns that contract with
-// distinctly non-trivial machinery (bucketed years, a cursor fast path, a
-// far-future overflow list, epoch rebuilds, pop-and-reinsert peeks), so
+// guarantee. The engine earns that contract through a packed 128-bit key
+// (time bits | seq | slab slot) and a task slab indexed by that slot, so
 // these tests drive it in lockstep with a model whose correctness is
 // obvious and require the two to agree on every single event.
 //
@@ -17,15 +16,16 @@
 // engine spawns on execution, the model on pop; both assign the next seq
 // in their own spawn order, so any ordering divergence desynchronizes the
 // (time, seq) streams and fails loudly at the first differing event.
-// Four stream shapes target the calendar's distinct regimes:
-//   - uniform:    deltas spread across many buckets (steady advance)
-//   - clustered:  dense bursts + occasional jumps (bucket overflow chains)
-//   - equal-time: zero deltas (FIFO tie-breaking within one bucket entry)
-//   - far-future: rare ~1e12 deltas (the far_ overflow list and rebuilds)
-// A fifth test drives the engine the way the parallel runtime does —
+// Four stream shapes stress distinct key patterns:
+//   - uniform:    deltas spread over a wide time range (steady advance)
+//   - clustered:  dense bursts + occasional jumps (near-equal times)
+//   - equal-time: zero deltas (FIFO tie-breaking by seq alone)
+//   - far-future: rare ~1e12 deltas (large exponents in the time bits)
+// Two deep inputs schedule 65,536 roots up front, so the pending depth
+// exceeds what the serial wavefront reaches at P = 16,384 (~24k events).
+// A last test drives the engine the way the parallel runtime does —
 // next_event_time() peeks, run_before() windows, and fresh injections
-// between windows at times *behind* the peeked event — which is exactly
-// the access pattern that once left the cursor ahead of a pending entry.
+// between windows at times *behind* the peeked event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -53,7 +53,7 @@ double unit(std::uint64_t& state) {
 
 enum class Shape { kUniform, kClustered, kEqualTime, kFarFuture };
 
-/// The child-delay distribution: one shape per calendar regime. Shared by
+/// The child-delay distribution: one per stream shape. Shared by
 /// both executors, so they consume the rng stream identically.
 double delta_for(Shape shape, std::uint64_t& rng) {
   const double select = unit(rng);
@@ -185,6 +185,7 @@ void run_shape(Shape shape, std::uint64_t seed, int roots, int depth,
 
   ASSERT_GE(trace.size(), min_events)
       << "stream too small to be meaningful — retune roots/depth";
+  EXPECT_GE(driver.engine().max_pending(), static_cast<std::size_t>(roots));
   expect_identical(expected, trace);
 }
 
@@ -206,13 +207,21 @@ TEST(EngineProperty, FarFutureOutliersMatchPriorityQueue) {
   run_shape(Shape::kFarFuture, 0x5eed0004, 5000, 63, 100000);
 }
 
+TEST(EngineProperty, DeepUniformStreamMatchesPriorityQueue) {
+  run_shape(Shape::kUniform, 0x5eed0006, 1 << 16, 8, 400000);
+}
+
+TEST(EngineProperty, DeepEqualTimeBurstsMatchPriorityQueue) {
+  run_shape(Shape::kEqualTime, 0x5eed0007, 1 << 16, 8, 400000);
+}
+
 // The parallel runtime's access pattern: peek the earliest event, run a
 // bounded window, then ingest new work at times that may fall *between*
-// the clock and the peeked event. The peek's pop-and-reinsert moves the
-// calendar cursor to the peeked entry's bucket; a subsequent insert behind
-// it must still pop first (the cursor-rewind invariant — this test fails
-// on the unfixed fast path by popping events out of order). The model is
-// drained window-by-window in lockstep so injection seqs stay aligned.
+// the clock and the peeked event. This guards the semantics the LP runtime
+// relies on: next_event_time() leaves the pending set untouched,
+// run_before() stops strictly below its limit without advancing the clock,
+// and an event injected behind the peeked one still pops first. The model
+// is drained window-by-window in lockstep so injection seqs stay aligned.
 TEST(EngineProperty, WindowedDrivingWithMidWindowInsertsStaysOrdered) {
   DualDriver driver(Shape::kUniform);
   std::uint64_t rng = 0x5eed0005;
@@ -227,9 +236,8 @@ TEST(EngineProperty, WindowedDrivingWithMidWindowInsertsStaysOrdered) {
   int injections = 2000;
   while (!engine.drained()) {
     const double nt = engine.next_event_time();
-    // Land two fresh events inside [now, nt) — strictly behind the entry
-    // the peek just cycled through the calendar — then one past the
-    // window, all with live subtrees.
+    // Land two fresh events inside [now, nt) — strictly behind the peeked
+    // entry — then one past the window, all with live subtrees.
     if (injections > 0) {
       injections -= 3;
       const double now = engine.now();

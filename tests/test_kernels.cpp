@@ -94,13 +94,10 @@ TEST(TransportTile, RejectsBadConstruction) {
                wave::common::contract_error);
 }
 
-TEST(MeasureWg, PositiveAndScalesWithAngles) {
-  const double wg6 = wk::measure_wg_transport(6, 1000, 2);
-  const double wg12 = wk::measure_wg_transport(12, 1000, 2);
-  EXPECT_GT(wg6, 0.0);
-  // Twice the angles should cost roughly twice the work per cell (within
-  // generous timing noise bounds).
-  EXPECT_GT(wg12, wg6);
+// The scaling-with-angles check compares two wall-clock measurements, so it
+// lives in the RUN_SERIAL timing binary (tests/serial/test_wg_timing.cpp).
+TEST(MeasureWg, Positive) {
+  EXPECT_GT(wk::measure_wg_transport(6, 1000, 2), 0.0);
 }
 
 TEST(StencilPlane, RelaxationReducesResidual) {

@@ -1,11 +1,12 @@
 // Byte-identical pinned record fixtures for the hot-path optimizations.
 //
 // tests/data/*.csv were generated with the PRE-optimization implementation
-// (std::function events, shared_ptr messages, unordered_map channels,
-// binary-heap calendar) on the reference sweeps of
-// runner/reference_grids.h. The pooled, calendar-queue implementation must
-// reproduce them to the byte: every simulated timestamp, contention
-// counter and event count — not approximately, exactly. This is the
+// (std::function events, shared_ptr messages, unordered_map channels, a
+// binary heap of 56-byte events) on the reference sweeps of
+// runner/reference_grids.h. The pooled implementation — slab-recycled
+// tasks under a binary heap of 16-byte packed keys — must reproduce them
+// to the byte: every simulated timestamp, contention counter and event
+// count — not approximately, exactly. This is the
 // determinism contract of docs/ARCHITECTURE.md applied across
 // implementations, and it is what lets perf work land without re-blessing
 // any validation number.

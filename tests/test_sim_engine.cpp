@@ -111,11 +111,10 @@ TEST(FifoResource, ZeroDurationIsAllowed) {
 }
 
 TEST(EngineStress, HundredThousandEventChurnIsExact) {
-  // 100k-event calendar churn: 64 interleaved self-rescheduling chains
-  // (steady near-future traffic, the DES pattern) plus a band of far
-  // events. events_processed and the final clock are pinned — any
-  // calendar implementation change (slab recycling, bucket calibration,
-  // rescue paths) must leave both untouched.
+  // 100k-event churn: 64 interleaved self-rescheduling chains (steady
+  // near-future traffic, the DES pattern) plus a band of far events.
+  // events_processed and the final clock are pinned — any change to the
+  // pending set or the task slab must leave both untouched.
   ws::Engine e;
   constexpr int kChains = 64;
   constexpr int kPerChain = 1562;           // 64 * 1562 = 99'968
@@ -144,7 +143,8 @@ TEST(EngineStress, HundredThousandEventChurnIsExact) {
     });
   }
 
-  // Split the run so run_until's peek path is exercised under load too.
+  // Split the run so run_until's stop-at-limit path is exercised under
+  // load too.
   e.run_until(1000.0);
   EXPECT_GT(e.events_processed(), 0u);
   EXPECT_FALSE(e.drained());
@@ -161,8 +161,8 @@ TEST(EngineStress, HundredThousandEventChurnIsExact) {
 
 TEST(EngineStress, EqualTimeBurstPreservesFifoAtScale) {
   // A World-startup-shaped burst: thousands of events at the same
-  // instant must run in exact insertion order (the seq tie-break) no
-  // matter how the calendar buckets them.
+  // instant must run in exact insertion order (the seq tie-break), since
+  // a heap by itself is not stable.
   ws::Engine e;
   std::vector<int> order;
   order.reserve(4096);

@@ -36,6 +36,11 @@ struct ValidationCase {
   double error_bound;
 };
 
+// Without a printer gtest lists the raw bytes of the case — the address
+// of `name` included — after each test name, so ctest's names changed
+// with every relink. Print the case name instead.
+void PrintTo(const ValidationCase& vc, std::ostream* os) { *os << vc.name; }
+
 class ModelValidation : public ::testing::TestWithParam<ValidationCase> {};
 
 TEST_P(ModelValidation, LuWithinBound) {
