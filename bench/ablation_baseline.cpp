@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid grid;
   grid.base().machine = core::MachineConfig::xt4_dual_core();
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   grid.apps({{"LU 162^3 (nfull=2)", core::benchmarks::lu()},
              {"Sweep3D 256^3 (nfull=2, ndiag=2)",
               core::benchmarks::sweep3d(s3)},

@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   grid.base().app = core::benchmarks::chimaera();
   grid.base().machine = core::MachineConfig::xt4_dual_core();
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   grid.processors({64, 256, 1024, 4096});
 
   auto records = runner::BatchRunner(ctx, runner::options_from_cli(cli))

@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid grid;
   grid.base().app = core::benchmarks::sweep3d(cfg);
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   grid.processors({256, 1024});
   grid.axis("node_shape", {{"1x1", shape(1, 1)},
                            {"1x2", shape(1, 2)},

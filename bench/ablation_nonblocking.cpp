@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid grid;
   grid.base().app = core::benchmarks::chimaera();
   runner::apply_comm_model_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   grid.machines({{"XT4", core::MachineConfig::xt4_dual_core()},
                  {"SP/2", core::MachineConfig::sp2_single_core()}});
   grid.processors({64, 256});

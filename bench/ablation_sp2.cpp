@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid htile_grid;
   htile_grid.base().app = core::benchmarks::sweep3d_20m();
   runner::apply_comm_model_cli(cli, ctx, htile_grid);
-  runner::apply_sim_threads_cli(cli, htile_grid);
   htile_grid.processors({1024, 4096});
   htile_grid.machines(machines);
 
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid sync_grid;
   sync_grid.base().app = core::benchmarks::sweep3d_20m();
   runner::apply_comm_model_cli(cli, ctx, sync_grid);
-  runner::apply_sim_threads_cli(cli, sync_grid);
   sync_grid.processors({256, 1024, 4096});
   sync_grid.machines(machines);
 

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid grid;
   grid.base().machine = core::MachineConfig::xt4_dual_core();
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   grid.values("Htile", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
   grid.axis("config",
             {{"Chimaera_240^3_P4K",

@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   grid.base().app = app;
   grid.base().machine = core::MachineConfig::xt4_dual_core();
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   std::vector<int> procs;
   for (int p = 256; p <= 131072; p *= 2) procs.push_back(p);
   grid.processors(procs);

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid grid;
   grid.base().app = core::benchmarks::sweep3d(cfg);
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   std::vector<double> nodes;
   for (int n = 8192; n <= 131072; n *= 2) nodes.push_back(n);
   grid.values("nodes", nodes);

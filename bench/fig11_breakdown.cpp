@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   grid.base().app = core::benchmarks::chimaera();
   grid.base().machine = core::MachineConfig::xt4_dual_core();
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   std::vector<int> procs;
   for (int p = 1024; p <= 32768; p *= 2) procs.push_back(p);
   grid.processors(procs);

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid grid;
   grid.base().machine = core::MachineConfig::xt4_dual_core();
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   grid.processors({1024, 4096, 16384, 65536});
   grid.axis("design",
             {{"sequential_groups",

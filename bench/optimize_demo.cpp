@@ -7,8 +7,7 @@
 //   optimize_demo --workload=wavefront --processors=256,512,1024 \
 //                 --objective=node-hours --search=beam --budget=200
 //
-// Flags beyond the shared runner set (--threads, --sim-threads,
-// --list-*):
+// Flags beyond the shared runner set (--threads, --list-*):
 //   --objective=time|node-hours|efficiency   what "best" means
 //   --search=auto|exhaustive|beam            search strategy
 //   --machines=a,b,c       machine axis (catalog names or *.cfg paths;
@@ -115,8 +114,6 @@ int main(int argc, char** argv) {
       // "all cores" (0), like the shared runner flags. The facade itself
       // stays strict — Optimize::run() rejects negatives with a Status.
       .threads(std::max(0, static_cast<int>(cli.get_int("threads", 0))))
-      .sim_threads(
-          std::max(0, static_cast<int>(cli.get_int("sim-threads", 0))))
       .seed(static_cast<std::uint64_t>(cli.get_int("seed", 2008)));
   if (cli.has("app")) search.app(cli.get("app", ""));
   if (cli.has("machines")) search.machines(split_list(cli.get("machines", "")));

@@ -21,12 +21,6 @@
 //              (events/sec per workload — how each rank-program shape
 //              loads the fabric; registry-driven, so a newly registered
 //              workload shows up here without touching this file);
-//   sim:parallel  the LP-partitioned engine on a P=1024 wavefront at 8
-//              worker threads vs the serial engine on the identical
-//              scenario (events/sec both ways plus the speedup — the
-//              engine-scaling number, gated by tools/check_perf.sh on
-//              runners with >= 8 hardware threads and skipped loudly,
-//              never silently, on smaller ones);
 //   service    the facade's memoizing EvalService: cold analytic
 //              evaluations/sec vs cache-hit lookups/sec on the same query
 //              mix, plus the hit speedup (the production-traffic number —
@@ -55,7 +49,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/batch_solver.h"
@@ -223,40 +216,6 @@ double rate(double amount, double wall_s) {
   return wall_s > 0.0 ? amount / wall_s : 0.0;
 }
 
-/// Engine scaling: the identical P=1024 wavefront scenario through the
-/// serial single-calendar engine and through the LP-partitioned engine at
-/// kParallelThreads workers. The determinism contract makes the two runs
-/// event-for-event comparable, so events/sec is a clean speedup gauge.
-/// The scenario is the same in --quick and full runs (key-set parity:
-/// both modes must emit every JSON key) — it is already the smallest
-/// decomposition the scaling gate is meaningful on.
-struct ParallelPerf {
-  static constexpr int kThreads = 8;
-  double events = 0.0;
-  double serial_wall_s = 0.0;
-  double parallel_wall_s = 0.0;
-};
-
-ParallelPerf sim_parallel_section(const wave::Context& ctx) {
-  const auto workload =
-      workloads::get_workload(ctx.workload_registry(), "wavefront");
-  const core::MachineConfig machine = core::MachineConfig::xt4_dual_core();
-  ParallelPerf perf;
-  for (const int threads : {0, ParallelPerf::kThreads}) {
-    workloads::WorkloadInputs in;
-    in.grid = wave::topo::Grid(32, 32);  // P = 1024
-    in.iterations = 1;
-    in.parallel.threads = threads;
-    const auto start = std::chrono::steady_clock::now();
-    const workloads::SimOutput res =
-        workload->simulate(machine, ctx.comm_model_registry(), in);
-    const double wall = seconds_since(start);
-    perf.events = static_cast<double>(res.events);
-    (threads == 0 ? perf.serial_wall_s : perf.parallel_wall_s) = wall;
-  }
-  return perf;
-}
-
 /// Instrumentation overhead: the identical serial wavefront scenario run
 /// three ways — plain, with a obs::MetricsRegistry attached (the
 /// always-on production surface: engine counters published post-run,
@@ -296,8 +255,8 @@ ObsPerf obs_section(const wave::Context& ctx, bool quick) {
       workloads::WorkloadInputs in;
       in.grid = wave::topo::Grid(side, side);
       in.iterations = 1;
-      if (mode != kPlain) in.parallel.metrics = &registry;
-      if (mode == kTraced) in.parallel.trace = &capture;
+      if (mode != kPlain) in.observers.metrics = &registry;
+      if (mode == kTraced) in.observers.trace = &capture;
       const auto start = std::chrono::steady_clock::now();
       const workloads::SimOutput res =
           workload->simulate(machine, ctx.comm_model_registry(), in);
@@ -520,7 +479,6 @@ int main(int argc, char** argv) {
   const SectionResult model_batch =
       model_section(ctx, quick, threads, /*batch_route=*/true);
   const std::vector<WorkloadPerf> wl = workloads_section(ctx, quick);
-  const ParallelPerf par = sim_parallel_section(ctx);
   const ServiceResult svc = service_section(ctx, quick);
   const ObsPerf obs = obs_section(ctx, quick);
   const OptimizePerf opt = optimize_section(ctx, quick);
@@ -566,25 +524,6 @@ int main(int argc, char** argv) {
                    common::Table::num(rate(w.events, w.wall_s) / 1e6, 2) +
                        " M events/s"});
   }
-  const double par_serial = rate(par.events, par.serial_wall_s);
-  const double par_parallel = rate(par.events, par.parallel_wall_s);
-  const double par_speedup = par_serial > 0.0 ? par_parallel / par_serial : 0.0;
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
-  table.add_row({"sim:serial-ref",
-                 common::Table::integer(static_cast<long long>(par.events)) +
-                     " events",
-                 common::Table::num(par.serial_wall_s, 3),
-                 common::Table::num(par_serial / 1e6, 2) +
-                     " M events/s (P=1024 wavefront)"});
-  table.add_row(
-      {"sim:parallel",
-       common::Table::integer(static_cast<long long>(par.events)) + " events",
-       common::Table::num(par.parallel_wall_s, 3),
-       common::Table::num(par_parallel / 1e6, 2) + " M events/s (" +
-           common::Table::integer(ParallelPerf::kThreads) + " threads, " +
-           common::Table::num(par_speedup, 2) + "x serial, " +
-           common::Table::integer(static_cast<long long>(hardware_threads)) +
-           " hw threads)"});
   const double svc_cold = rate(svc.cold_evals, svc.cold_wall_s);
   const double svc_hot = rate(svc.hits, svc.hit_wall_s);
   table.add_row({"service:cold",
@@ -684,11 +623,6 @@ int main(int argc, char** argv) {
         "  \"service_cold_evals_per_sec\": %lld,\n"
         "  \"service_hits_per_sec\": %lld,\n"
         "  \"service_hit_speedup\": %.6g,\n"
-        "  \"hardware_threads\": %u,\n"
-        "  \"sim_parallel_threads\": %d,\n"
-        "  \"sim_serial_events_per_sec\": %lld,\n"
-        "  \"sim_parallel_events_per_sec\": %lld,\n"
-        "  \"sim_parallel_speedup\": %.6g,\n"
         "  \"obs_uninstrumented_des_events_per_sec\": %lld,\n"
         "  \"obs_instrumented_des_events_per_sec\": %lld,\n"
         "  \"obs_traced_des_events_per_sec\": %lld,\n"
@@ -706,8 +640,7 @@ int main(int argc, char** argv) {
         std::llround(model_batch_rate), model_batch.points,
         model_batch.wall_s, batch_speedup, std::llround(svc_cold),
         std::llround(svc_hot), svc_cold > 0.0 ? svc_hot / svc_cold : 0.0,
-        hardware_threads, ParallelPerf::kThreads, std::llround(par_serial),
-        std::llround(par_parallel), par_speedup, std::llround(obs_plain),
+        std::llround(obs_plain),
         std::llround(obs_instr), std::llround(obs_traced),
         static_cast<unsigned long long>(obs.spans), opt.candidates,
         std::llround(opt_scalar), std::llround(opt_batch), opt_speedup,

@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   // runner/reference_grids.cpp where the fixture test can reuse it.
   runner::SweepGrid grid = runner::runner_scaling_grid(cli.has("full"));
   runner::apply_comm_model_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   // --workload reroutes every point through the registry contract (the
   // default, "wavefront", keeps the sweep on its pinned evaluators).
   runner::apply_workload_cli(cli, ctx, grid);

@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   runner::SweepGrid grid;
   grid.base().machine = core::MachineConfig::xt4_dual_core();
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   grid.apps({{"LU 162^3", core::benchmarks::lu()},
              {full ? "Sweep3D 1000^3" : "Sweep3D 512^3",
               core::benchmarks::sweep3d(s3)},

@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   std::printf("Sweep-structure design study at P = 4096, Htile = 2:\n");
   runner::SweepGrid designs;
   runner::apply_machine_cli(cli, ctx, designs);
-  runner::apply_sim_threads_cli(cli, designs);
   designs.apps({{"barrier-heavy (every sweep completes)",
                  make_app(barrier_heavy, 2.0)},
                 {"chained corners (Sweep3D-style)", make_app(chained, 2.0)},
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
   std::printf("Htile scan for the chained design at P = 4096:\n");
   runner::SweepGrid htile_grid;
   runner::apply_machine_cli(cli, ctx, htile_grid);
-  runner::apply_sim_threads_cli(cli, htile_grid);
   htile_grid.processors({4096});
   htile_grid.values("Htile", {1, 2, 4, 8, 16},
                     [&](runner::Scenario& s, double h) {
@@ -123,7 +121,6 @@ int main(int argc, char** argv) {
   // equations — verify it holds for *your* code's structure).
   runner::SweepGrid check;
   runner::apply_machine_cli(cli, ctx, check);
-  runner::apply_sim_threads_cli(cli, check);
   check.base().app = make_app(chained, best_h);
   check.processors({256});
   const auto checked = batch.run(check, [&ctx](const runner::Scenario& s) {

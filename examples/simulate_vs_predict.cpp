@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   grid.base().app = app;
   grid.base().machine = core::MachineConfig::xt4_dual_core();
   runner::apply_machine_cli(cli, ctx, grid);
-  runner::apply_sim_threads_cli(cli, grid);
   grid.processors({16, 64, 256, 1024});
 
   const auto records = runner::BatchRunner(ctx, runner::options_from_cli(cli))

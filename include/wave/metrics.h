@@ -1,11 +1,11 @@
 // Observability snapshot types of the `wave::` facade.
 //
-// Every instrumented subsystem (the DES engine, the parallel runtime, the
-// batch runner, the EvalService cache, the wave-serve daemon) reports
-// through a registry of named counters, gauges and log2-bucket histograms
-// (src/obs/). This header carries the *snapshot* of such a registry across
-// the facade boundary: a plain, copyable value listing every metric by
-// name, plus renderers to Prometheus-style exposition text and JSON.
+// Every instrumented subsystem (the DES engine, the batch runner, the
+// EvalService cache, the wave-serve daemon) reports through a registry
+// of named counters, gauges and log2-bucket histograms (src/obs/). This
+// header carries the *snapshot* of such a registry across the facade
+// boundary: a plain, copyable value listing every metric by name, plus
+// renderers to Prometheus-style exposition text and JSON.
 //
 // The observability contract (docs/OBSERVABILITY.md): metrics are strictly
 // inert — attaching or detaching a registry never changes a simulation

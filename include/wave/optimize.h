@@ -168,9 +168,6 @@ class Optimize {
   Optimize& top_k(int count);
   /// DES repetitions per finalist (results are per iteration).
   Optimize& iterations(int count);
-  /// Parallel-DES workers per finalist (0 = the serial engine; the
-  /// parallel engine's results are bit-identical at any value >= 1).
-  Optimize& sim_threads(int count);
   /// Scoring threads (0 = all cores; results are bit-identical at any
   /// value by the determinism contract).
   Optimize& threads(int count);
@@ -217,7 +214,6 @@ class Optimize {
   int ranking_size_ = 10;
   int top_k_ = 3;
   int iterations_ = 1;
-  int sim_threads_ = 0;
   int threads_ = 0;
   std::uint64_t seed_ = 2008;
 };

@@ -112,11 +112,9 @@ class Query {
   Query& grid(int columns, int rows);
   /// DES repetitions (results are per iteration).
   Query& iterations(int count);
-  /// Worker threads for the parallel DES engine (Engine::Simulation only).
-  /// 0 — the default — is the serial single-calendar engine; >= 1 runs
-  /// the LP-partitioned engine on that many workers. Results are
-  /// bit-identical at any value (the determinism contract), so this is
-  /// purely a wall-clock knob for large simulations.
+  /// Compatibility shim: every simulation runs on the one serial engine,
+  /// so any count >= 0 gives the same Result and the same cache key. A
+  /// negative count still fails evaluation with kInvalidArgument.
   Query& sim_threads(int count);
   Query& engine(Engine engine);
   /// Workload-specific knob (see Context::workloads() for each schema).

@@ -99,7 +99,6 @@ runner::Scenario scenario_from(const Context& ctx, const Query& query) {
   s.iterations = query.iteration_count();
   WAVE_EXPECTS_MSG(query.sim_thread_count() >= 0,
                    "sim_threads must be >= 0");
-  s.sim_threads = query.sim_thread_count();
   s.engine = to_runner_engine(query.engine_choice());
   s.params = query.params();
   return s;

@@ -47,7 +47,7 @@ std::uint64_t fnv1a(const std::string& text) {
 /// mapping one name onto different machines never alias).
 std::string key_text(const Query& query,
                      const runner::Scenario& scenario) {
-  std::string key = "wave-scenario/1\n";
+  std::string key = "wave-scenario/2\n";
   key += "workload=" + scenario.workload + "\n";
   key += "engine=" + to_string(query.engine_choice()) + "\n";
   key += std::string("validate=") +
@@ -55,12 +55,6 @@ std::string key_text(const Query& query,
   key += "grid=" + std::to_string(scenario.grid.n()) + "x" +
          std::to_string(scenario.grid.m()) + "\n";
   key += "iterations=" + std::to_string(scenario.iterations) + "\n";
-  // Collapsed to serial-vs-LP: worker counts within the LP engine are
-  // result-identical by the determinism contract, but the serial engine
-  // may resolve exact-time resource ties differently than the LP envelope
-  // order (tests/test_sim_parallel.cpp), so the engine family is identity.
-  key += std::string("lp_engine=") +
-         (scenario.sim_threads > 0 ? "1" : "0") + "\n";
   key += "comm_override=" + scenario.comm_model + "\n";
   key += "app=" + query.app_preset() + "\n";
   key += "wg=" + exact(query.wg_override()) + "\n";
@@ -188,6 +182,9 @@ std::string EvalService::canonical_key(const Query& query) const {
 }
 
 Expected<Result> EvalService::evaluate(const Query& query) {
+  // The latency histograms cover the whole call: resolution and key
+  // construction are most of a hit's cost.
+  const auto t0 = std::chrono::steady_clock::now();
   runner::Scenario scenario;
   try {
     scenario = api::scenario_from(*impl_->ctx, query);
@@ -199,7 +196,6 @@ Expected<Result> EvalService::evaluate(const Query& query) {
   const std::uint64_t hash = fnv1a(key);
   Impl::Shard& shard = impl_->shard_for(hash);
   const std::size_t shard_idx = impl_->shard_index(hash);
-  const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_us = [&t0] {
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now() - t0)

@@ -182,11 +182,6 @@ Optimize& Optimize::iterations(int count) {
   return *this;
 }
 
-Optimize& Optimize::sim_threads(int count) {
-  sim_threads_ = count;
-  return *this;
-}
-
 Optimize& Optimize::threads(int count) {
   threads_ = count;
   return *this;
@@ -252,7 +247,6 @@ Expected<OptimizeResult> Optimize::run() const {
     options.top_k = top_k_;
     options.rerank = top_k_ > 0;
     options.iterations = iterations_;
-    options.sim_threads = sim_threads_;
     options.threads = threads_;
     options.seed = seed_;
 

@@ -20,24 +20,22 @@ void write_chrome_trace(std::ostream& out, const SpanCapture& capture) {
   out << "{\"traceEvents\":[";
   bool first = true;
   char buf[256];
-  for (std::size_t lp = 0; lp < capture.buffers().size(); ++lp) {
-    for (const Span& s : capture.buffers()[lp].spans()) {
-      if (!first) out << ",";
-      first = false;
-      // ts/dur are already microseconds — the trace-event unit — so the
-      // simulated clock maps onto the viewer's axis unscaled.
-      std::snprintf(buf, sizeof buf,
-                    "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.17g,"
-                    "\"dur\":%.17g,\"pid\":%zu,\"tid\":%d,"
-                    "\"args\":{\"peer\":%d,\"bytes\":%.17g}}",
-                    to_string(s.kind), s.begin_us, s.end_us - s.begin_us, lp,
-                    s.rank, s.peer, s.bytes);
-      out << buf;
-    }
+  for (const Span& s : capture.buffer().spans()) {
+    if (!first) out << ",";
+    first = false;
+    // ts/dur are already microseconds — the trace-event unit — so the
+    // simulated clock maps onto the viewer's axis unscaled.
+    std::snprintf(buf, sizeof buf,
+                  "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.17g,"
+                  "\"dur\":%.17g,\"pid\":0,\"tid\":%d,"
+                  "\"args\":{\"peer\":%d,\"bytes\":%.17g}}",
+                  to_string(s.kind), s.begin_us, s.end_us - s.begin_us,
+                  s.rank, s.peer, s.bytes);
+    out << buf;
   }
   if (capture.truncated()) {
     if (!first) out << ",";
-    out << "{\"name\":\"trace truncated: per-LP span cap reached\","
+    out << "{\"name\":\"trace truncated: span cap reached\","
            "\"ph\":\"i\",\"ts\":0,\"pid\":0,\"tid\":0,\"s\":\"g\"}";
   }
   out << "],\"displayTimeUnit\":\"ms\"}\n";

@@ -1,12 +1,12 @@
 // Structured execution-timeline tracing: per-rank compute/send/recv/wait
-// spans in *simulated* time, captured per logical process and written as
-// Chrome trace-event JSON (chrome://tracing, https://ui.perfetto.dev).
+// spans in *simulated* time, written as Chrome trace-event JSON
+// (chrome://tracing, https://ui.perfetto.dev).
 //
-// Capture model: a SpanCapture owns one single-writer SpanBuffer per LP
-// (the parallel runtime's unit of thread ownership — the serial engine is
-// one LP), so recording never synchronizes. Buffers are bounded: past the
-// per-LP cap spans are dropped and the capture is marked truncated, so a
-// P=4096 trace degrades loudly instead of exhausting memory. A capture
+// Capture model: a SpanCapture owns one single-writer SpanBuffer, filled
+// by the one simulation that claimed it, so recording never synchronizes.
+// The buffer is bounded: past the cap spans are dropped and the capture is
+// marked truncated, so a P=4096 trace degrades loudly instead of
+// exhausting memory. A capture
 // attaches to exactly one World per reset (try_claim), because a threaded
 // sweep may run many simulations concurrently and interleaved timelines
 // from different scenarios would be meaningless.
@@ -46,12 +46,12 @@ struct Span {
 /// @brief "compute" / "send" / ... — the trace-event `name` vocabulary.
 const char* to_string(Span::Kind kind);
 
-/// @brief A bounded, single-writer span log (one per LP; the owning worker
-///   thread is the only writer while a simulation runs).
+/// @brief A bounded, single-writer span log (the simulation's thread is
+///   the only writer while it runs).
 class SpanBuffer {
  public:
-  /// 1M spans (~40 MB) per LP by default — ample for every shipped
-  /// scenario, bounded for pathological ones.
+  /// 1M spans (~40 MB) by default — ample for every shipped scenario,
+  /// bounded for pathological ones.
   static constexpr std::size_t kDefaultCap = 1u << 20;
 
   explicit SpanBuffer(std::size_t cap = kDefaultCap) : cap_(cap) {}
@@ -79,12 +79,12 @@ class SpanBuffer {
   bool truncated_ = false;
 };
 
-/// @brief A whole-simulation capture: per-LP buffers plus the claim token
-///   that binds it to one World at a time.
+/// @brief A whole-simulation capture: one span buffer plus the claim
+///   token that binds it to one World at a time.
 class SpanCapture {
  public:
-  explicit SpanCapture(std::size_t cap_per_lp = SpanBuffer::kDefaultCap)
-      : cap_per_lp_(cap_per_lp) {}
+  explicit SpanCapture(std::size_t cap = SpanBuffer::kDefaultCap)
+      : buffer_(cap) {}
 
   /// First claimant wins; a capture riding a threaded sweep traces the
   /// first simulation that reaches it and leaves the rest untraced (the
@@ -94,39 +94,25 @@ class SpanCapture {
     return claimed_.compare_exchange_strong(expected, true);
   }
 
-  /// Drops previous spans and sizes the capture for `lp_count` buffers.
-  /// Called by the claiming World before its run; not thread-safe against
-  /// concurrent record() (the claim token serializes captures).
-  void reset(std::size_t lp_count) {
-    buffers_.clear();
-    buffers_.reserve(lp_count);
-    for (std::size_t i = 0; i < lp_count; ++i)
-      buffers_.emplace_back(cap_per_lp_);
-  }
+  /// Drops previous spans. Called by the claiming World before its run;
+  /// not thread-safe against concurrent record() (the claim token
+  /// serializes captures).
+  void reset() { buffer_.clear(); }
 
-  SpanBuffer& lp(std::size_t i) { return buffers_[i]; }
-  const std::vector<SpanBuffer>& buffers() const { return buffers_; }
+  SpanBuffer& buffer() { return buffer_; }
+  const SpanBuffer& buffer() const { return buffer_; }
 
   bool claimed() const { return claimed_.load(); }
-  bool truncated() const {
-    for (const SpanBuffer& b : buffers_)
-      if (b.truncated()) return true;
-    return false;
-  }
-  std::size_t total_spans() const {
-    std::size_t n = 0;
-    for (const SpanBuffer& b : buffers_) n += b.spans().size();
-    return n;
-  }
+  bool truncated() const { return buffer_.truncated(); }
+  std::size_t total_spans() const { return buffer_.spans().size(); }
 
  private:
-  std::vector<SpanBuffer> buffers_;
-  std::size_t cap_per_lp_;
+  SpanBuffer buffer_;
   std::atomic<bool> claimed_{false};
 };
 
 /// @brief Writes the capture as Chrome trace-event JSON: one complete
-///   ("ph":"X") event per span, pid = logical process, tid = rank, ts/dur
+///   ("ph":"X") event per span, pid 0, tid = rank, ts/dur
 ///   in (simulated) microseconds, args carrying peer and bytes. A
 ///   truncated capture gets a final metadata event saying so — the file
 ///   never lies silently about coverage.

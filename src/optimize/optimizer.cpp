@@ -124,7 +124,6 @@ Optimizer::Optimizer(const wave::Context& ctx, std::string workload,
   WAVE_EXPECTS_MSG(options_.ranking_size >= 1, "ranking size must be >= 1");
   WAVE_EXPECTS_MSG(options_.top_k >= 0, "top-k must be >= 0");
   WAVE_EXPECTS_MSG(options_.iterations >= 1, "iterations must be >= 1");
-  WAVE_EXPECTS_MSG(options_.sim_threads >= 0, "sim threads must be >= 0");
   WAVE_EXPECTS_MSG(options_.threads >= 0, "threads must be >= 0");
 
   const auto wl = workloads::get_workload(ctx.workload_registry(), workload_);
@@ -467,7 +466,6 @@ SearchResult Optimizer::run() const {
       const Scored& s = out.ranking[i];
       workloads::WorkloadInputs in = scalar_inputs(s.candidate);
       in.iterations = options_.iterations;
-      in.parallel.threads = options_.sim_threads;
       const workloads::SimOutput sim = workload->simulate(
           eff[s.candidate.machine * num_comms + s.candidate.comm], registry,
           in);

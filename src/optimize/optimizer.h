@@ -61,7 +61,6 @@ struct Options {
   int top_k = 3;          ///< finalists re-ranked with the DES engine
   bool rerank = true;     ///< run the DES re-rank at all
   int iterations = 1;     ///< DES repetitions per finalist
-  int sim_threads = 0;    ///< parallel-DES workers per finalist (0=serial)
   int threads = 0;        ///< scoring threads (0 = all cores)
   std::uint64_t seed = 2008;  ///< beam sampling seed
 };

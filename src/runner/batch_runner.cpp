@@ -32,13 +32,10 @@ Metrics model_metrics(const wave::Context& ctx, const Scenario& s) {
 
 Metrics sim_metrics(const wave::Context& ctx, const Scenario& s) {
   const core::MachineConfig machine = s.effective_machine();
-  sim::ParallelOptions parallel;
-  parallel.threads = s.sim_threads;
-  parallel.metrics = s.metrics;
-  parallel.trace = s.trace;
   const workloads::SimRunResult res = workloads::simulate_wavefront(
       s.app, machine, s.grid, s.iterations,
-      workloads::protocol_for(machine, ctx.comm_model_registry()), parallel);
+      workloads::protocol_for(machine, ctx.comm_model_registry()),
+      {s.metrics, s.trace});
   return {{"sim_iter_us", res.time_per_iteration},
           {"sim_makespan_us", res.makespan},
           {"sim_events", static_cast<double>(res.events)},
@@ -56,9 +53,7 @@ workloads::WorkloadInputs workload_inputs(const Scenario& s) {
   if (s.app.nx > 0.0) in.app = s.app;
   in.grid = s.grid;
   in.iterations = s.iterations;
-  in.parallel.threads = s.sim_threads;
-  in.parallel.metrics = s.metrics;
-  in.parallel.trace = s.trace;
+  in.observers = {s.metrics, s.trace};
   in.params = s.params;
   return in;
 }

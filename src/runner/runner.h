@@ -3,11 +3,6 @@
 // sinks (sinks.h). The bench/ and examples/ drivers include this one
 // header and share the same CLI conventions:
 //   --threads N          worker threads for the batch (default: all cores)
-//   --sim-threads N      worker threads for the parallel DES engine inside
-//                        each simulation point (default 0 = the serial
-//                        single-calendar engine). Results are identical at
-//                        any value — the determinism contract — so this
-//                        only changes wall-clock time.
 //   --csv                emit the rendered table as CSV
 //   --json               emit the raw record set as JSON
 //   --machine=<name|file>  replace the driver's base machine with a
@@ -44,20 +39,6 @@ namespace wave::runner {
 inline BatchRunner::Options options_from_cli(const common::Cli& cli) {
   return BatchRunner::Options(
       static_cast<int>(cli.get_int("threads", 0)));
-}
-
-/// @brief Applies the shared --sim-threads=N flag: sets the base
-///   scenario's DES worker-thread count (Scenario::sim_threads), which the
-///   canned simulation evaluators hand to the parallel engine. Call after
-///   the driver sets its defaults.
-inline void apply_sim_threads_cli(const common::Cli& cli, Scenario& base) {
-  base.sim_threads = static_cast<int>(
-      cli.get_int("sim-threads", base.sim_threads));
-}
-
-/// @brief Convenience overload targeting the sweep's base scenario.
-inline void apply_sim_threads_cli(const common::Cli& cli, SweepGrid& grid) {
-  apply_sim_threads_cli(cli, grid.base());
 }
 
 /// @brief The context a stand-alone driver evaluates under: a fresh

@@ -55,15 +55,9 @@ struct Scenario {
   topo::Grid grid{1, 1};  ///< processor decomposition
   Engine engine = Engine::Model;
   int iterations = 1;  ///< DES iterations for Engine::Simulation
-  /// Worker threads for the parallel DES engine (Engine::Simulation only).
-  /// 0 = the serial single-calendar engine; >= 1 partitions nodes into
-  /// logical processes (sim/parallel_options.h). Results are identical at
-  /// any value by the determinism contract — this is a wall-clock knob,
-  /// so it is deliberately NOT a sweep axis label.
-  int sim_threads = 0;
 
   /// Optional (non-owning) observability hooks, forwarded into the DES
-  /// runtime's ParallelOptions. Strictly inert by the instrumentation
+  /// run's sim::Observers. Strictly inert by the instrumentation
   /// contract (docs/OBSERVABILITY.md): attaching them never changes a
   /// result, a CSV record, or the point's identity/seed. Both must
   /// outlive the evaluation.

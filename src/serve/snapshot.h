@@ -31,8 +31,10 @@ namespace wave::serve {
 
 class FaultPlan;
 
-/// @brief The snapshot format version this build writes and reads.
-constexpr std::uint32_t kSnapshotVersion = 1;
+/// @brief The snapshot format version this build writes and reads. Bumped
+///   whenever the cache-key text changes (version 2: `wave-scenario/2`
+///   keys), so an old image fails to load instead of silently missing.
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// @brief Serializes `entries` into the in-memory snapshot image (header,
 ///   checksum and all). Exposed separately from write_snapshot so tests

@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <cstdio>
-#include <limits>
 
 namespace wave::sim {
 
@@ -71,17 +70,6 @@ usec Engine::run_until(usec limit) {
     execute(pop_min());
   if (now_ < limit && heap_.empty()) now_ = limit;
   return now_;
-}
-
-usec Engine::run_before(usec limit) {
-  while (!heap_.empty() && entry_time(heap_.front()) < limit)
-    execute(pop_min());
-  return now_;
-}
-
-usec Engine::next_event_time() const {
-  return heap_.empty() ? std::numeric_limits<usec>::infinity()
-                       : entry_time(heap_.front());
 }
 
 }  // namespace wave::sim

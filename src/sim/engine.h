@@ -5,12 +5,9 @@
 // times are µs of simulated time, matching the LogGP models.
 //
 // Each Engine instance is single-threaded by design — determinism is a
-// requirement (every validation bench must be exactly reproducible). The
-// parallel runtime (mpi.h World) runs one Engine per logical process and
-// coordinates them with conservative window barriers; run_before() and
-// next_event_time() exist for that loop, and set_trace() records the
-// executed (time, seq) stream so tests can prove parallel and serial
-// schedules identical.
+// requirement (every validation bench must be exactly reproducible).
+// set_trace() records the executed (time, seq) stream so tests can prove
+// two schedules identical.
 //
 // Steady-state scheduling is allocation-free and O(log pending) per event:
 // callbacks are InlineTask (fixed inline storage, task.h) kept in a slab
@@ -67,17 +64,6 @@ class Engine {
   /// Runs until the calendar drains or the clock reaches `limit` (events
   /// after `limit` stay queued). Returns the final clock value.
   usec run_until(usec limit);
-
-  /// Runs every event with time strictly below `limit`; events at or after
-  /// `limit` stay queued. Unlike run_until, the clock is NOT advanced to
-  /// `limit` when the calendar drains early — now() stays at the last
-  /// executed event, so a window-synchronized caller can take the global
-  /// makespan as the max over engines. Returns the final clock value.
-  usec run_before(usec limit);
-
-  /// Time of the earliest pending event without executing it, or +infinity
-  /// when the calendar is empty.
-  usec next_event_time() const;
 
   /// Number of events executed so far (performance metric).
   std::uint64_t events_processed() const { return processed_; }

@@ -26,22 +26,9 @@ struct Mpi::Message {
   bool dma_started = false;    // on-chip large transfer kicked off
   usec send_ready = 0.0;       // sender-side CPU phase completion time
   usec match_time = 0.0;
-  // Cross-LP rendezvous only: the sender shard's PendingSend*, opaque on
-  // this shard, echoed back in the ACK envelope. Non-null marks a message
-  // whose sender lives on another LP.
-  void* peer = nullptr;
 
   Completion sender;    // blocked sender's completion (rendezvous paths)
   Completion receiver;  // matched, blocked receiver's completion
-};
-
-/// Sender-shard half of a cross-LP rendezvous send: parked between the
-/// REQ envelope going out and the ACK envelope coming back. Pooled like
-/// Message; released when the ACK effect event runs.
-struct Mpi::PendingSend {
-  int src = -1, dst = -1;
-  int bytes = 0;
-  Completion done;  // blocked sender's completion
 };
 
 Mpi::Mpi(Engine& engine, loggp::MachineParams params,
@@ -166,11 +153,6 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
   WAVE_EXPECTS_MSG(src != dst, "self-sends are not modelled");
   WAVE_EXPECTS(bytes >= 0);
 
-  if (remote_send(src, dst)) {
-    post_send_remote(src, dst, bytes, std::move(done), std::move(cpu_done));
-    return;
-  }
-
   // Dirty acquire + explicit init of every field: a recycled message's
   // sender/receiver tasks are always empty (complete_receive moved them
   // out before release), so no InlineTask reset machinery runs here.
@@ -189,7 +171,6 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
   msg->dma_started = false;
   msg->send_ready = 0.0;
   msg->match_time = 0.0;
-  msg->peer = nullptr;
 
   Channel& ch = channel(src, dst);
   ch.unmatched.push_back(msg);
@@ -267,163 +248,6 @@ void Mpi::post_recv(int dst, int src, F done) {
   }
 }
 
-// ---- LP sharding ------------------------------------------------------------
-
-void Mpi::bind_shard(int lp, int n_lps, const std::vector<int>& lp_of_node) {
-  WAVE_EXPECTS(lp >= 0 && lp < n_lps);
-  WAVE_EXPECTS_MSG(lp_of_node.size() == nic_.size(),
-                   "lp_of_node must cover every node");
-  lp_ = lp;
-  n_lps_ = n_lps;
-  lp_of_node_ = &lp_of_node;
-  outbox_.resize(static_cast<std::size_t>(n_lps));
-}
-
-void Mpi::emit(int dst_lp, Envelope e) {
-  e.src_lp = lp_;
-  e.seq = env_seq_++;
-  outbox_[static_cast<std::size_t>(dst_lp)].push_back(e);
-}
-
-void Mpi::post_send_remote(int src, int dst, int bytes, Completion done,
-                           Completion cpu_done) {
-  // Mirror of post_send's off-node arm with every receiver-side step
-  // re-expressed as an envelope. No Message exists on this shard — the
-  // channel, and therefore matching, live with the receiver.
-  const usec now = engine_.now();
-  const int src_node = node_of_rank_[src];
-  const bool large = bytes > params_.eager_limit_bytes;
-  FifoResource& nic = nic_[src_node];
-  const usec inject_done = nic.reserve(now, params_.off.o) + params_.off.o;
-  if (cpu_done) engine_.at(inject_done, std::move(cpu_done));
-  if (!large) {
-    // Eager: MPI_Send returns after o; the payload departs then. The
-    // sender-side half of schedule_offnode_data runs here; the receiver
-    // half (rx-bus window + deliver) ships in the envelope.
-    engine_.at(inject_done, std::move(done));
-    const usec i_window = interference(bytes);
-    const usec departure = tx_bus_[src_node].reserve(inject_done, i_window);
-    const usec tail = departure + static_cast<double>(bytes) * params_.off.G +
-                      params_.off.L;
-    Envelope e{};
-    e.kind = Envelope::kEagerData;
-    e.src = src;
-    e.dst = dst;
-    e.bytes = bytes;
-    e.order = now;
-    e.rstart = std::max(0.0, tail - i_window);
-    e.tail = tail;
-    emit(lp_of_rank(dst), e);
-  } else {
-    // Rendezvous: the blocked sender parks here until the ACK envelope
-    // comes back; the REQ's receiver-side event ships now.
-    PendingSend* ps = pending_sends_.acquire_dirty();
-    ps->src = src;
-    ps->dst = dst;
-    ps->bytes = bytes;
-    ps->done = std::move(done);
-    Envelope e{};
-    e.kind = Envelope::kRdvReq;
-    e.src = src;
-    e.dst = dst;
-    e.bytes = bytes;
-    e.order = now;
-    e.effect = inject_done + params_.off.L + params_.off.oh;
-    e.token = ps;
-    emit(lp_of_rank(dst), e);
-  }
-}
-
-void Mpi::ingest(const Envelope& e) {
-  switch (e.kind) {
-    case Envelope::kEagerData:
-    case Envelope::kRdvReq: {
-      // Receiver-side message creation, exactly as post_send would have
-      // done at time e.order on the serial engine.
-      Message* msg = messages_.acquire_dirty();
-      msg->src = e.src;
-      msg->dst = e.dst;
-      msg->src_node = node_of_rank_[e.src];
-      msg->dst_node = node_of_rank_[e.dst];
-      msg->bytes = e.bytes;
-      msg->on_chip = false;
-      msg->large = e.kind == Envelope::kRdvReq;
-      msg->delivered = false;
-      msg->req_arrived = false;
-      msg->acked = false;
-      msg->matched = false;
-      msg->dma_started = false;
-      msg->send_ready = 0.0;
-      msg->match_time = 0.0;
-      msg->peer = e.token;  // non-null only for kRdvReq
-      Channel& ch = channel(e.src, e.dst);
-      ch.unmatched.push_back(msg);
-      if (e.kind == Envelope::kEagerData) {
-        // The rx-bus window reservation happens here, at the barrier, but
-        // in e.order order across all senders — the serial call order.
-        const usec i_window = interference(e.bytes);
-        const usec ready =
-            rx_bus_[msg->dst_node].reserve(e.rstart, i_window) + i_window;
-        engine_.at(std::max(ready, e.tail), [this, msg] { deliver(msg); });
-      } else {
-        engine_.at(e.effect, [this, msg] {
-          msg->req_arrived = true;
-          maybe_ack(msg);
-        });
-      }
-      // A receive may already be queued waiting on this channel. (For a
-      // rendezvous message the match alone has no effect: the REQ event
-      // above fires the ACK, as in the serial fabric.)
-      if (!ch.waiting_recvs.empty()) {
-        Completion recv = ch.waiting_recvs.pop_front();
-        WAVE_ENSURES(!ch.unmatched.empty());
-        Message* head = ch.unmatched.pop_front();
-        match(head, std::move(recv), e.order);
-      }
-      break;
-    }
-    case Envelope::kRdvAck: {
-      // Back on the sender shard: replay the serial ACK-arrival event —
-      // sender-side CPU phase, MPI_Send return, and the data departure,
-      // whose receiver half ships as a kRdvData envelope.
-      auto* ps = static_cast<PendingSend*>(e.token);
-      engine_.at(e.effect, [this, ps, peer = e.msg] {
-        Completion sender = std::move(ps->done);
-        const usec hold = params_.off.o + protocol_.rendezvous_sync;
-        const int src_node = node_of_rank_[ps->src];
-        const usec cpu_done = nic_[src_node].reserve(engine_.now(), hold) + hold;
-        engine_.at(cpu_done, std::move(sender));
-        const usec i_window = interference(ps->bytes);
-        const usec departure = tx_bus_[src_node].reserve(cpu_done, i_window);
-        const usec tail = departure +
-                          static_cast<double>(ps->bytes) * params_.off.G +
-                          params_.off.L;
-        Envelope d{};
-        d.kind = Envelope::kRdvData;
-        d.src = ps->src;
-        d.dst = ps->dst;
-        d.bytes = ps->bytes;
-        d.order = engine_.now();
-        d.rstart = std::max(0.0, tail - i_window);
-        d.tail = tail;
-        d.msg = peer;
-        emit(lp_of_rank(ps->dst), d);
-        pending_sends_.release(ps);
-      });
-      break;
-    }
-    case Envelope::kRdvData: {
-      // Receiver half of schedule_offnode_data for the parked message.
-      auto* msg = static_cast<Message*>(e.msg);
-      const usec i_window = interference(e.bytes);
-      const usec ready =
-          rx_bus_[msg->dst_node].reserve(e.rstart, i_window) + i_window;
-      engine_.at(std::max(ready, e.tail), [this, msg] { deliver(msg); });
-      break;
-    }
-  }
-}
-
 void Mpi::match(Message* msg, Completion recv, usec time) {
   WAVE_ENSURES(!msg->matched);
   msg->matched = true;
@@ -448,22 +272,6 @@ void Mpi::match(Message* msg, Completion recv, usec time) {
 void Mpi::maybe_ack(Message* msg) {
   if (!msg->matched || !msg->req_arrived || msg->acked) return;
   msg->acked = true;
-  if (msg->peer) {
-    // Cross-LP: the ACK's effect happens on the sender's shard. Ship it as
-    // an envelope; the serial engine would have scheduled the identical
-    // event at now + L + oh via the branch below.
-    Envelope e{};
-    e.kind = Envelope::kRdvAck;
-    e.src = msg->src;
-    e.dst = msg->dst;
-    e.bytes = msg->bytes;
-    e.order = engine_.now();
-    e.effect = engine_.now() + params_.off.L + params_.off.oh;
-    e.token = msg->peer;
-    e.msg = msg;
-    emit(lp_of_rank(msg->src), e);
-    return;
-  }
   // ACK wire time L (+oh); on arrival MPI_Send returns (occupancy o + h,
   // eq. 4a) and the sender-side NIC copy (the second o of eq. 2) starts.
   // A LogGPS-style protocol additionally charges the synchronization cost
@@ -569,152 +377,38 @@ Process allreduce(RankCtx ctx, int bytes) {
 }
 
 World::World(loggp::MachineParams params, std::vector<int> node_of_rank,
-             Mpi::ProtocolOptions protocol, ParallelOptions parallel)
-    : parallel_(parallel) {
-  WAVE_EXPECTS_MSG(!node_of_rank.empty(), "need at least one rank");
-  int max_node = 0;
-  for (int node : node_of_rank) max_node = std::max(max_node, node);
-  const int nodes = max_node + 1;
-  int n_lps = 1;
-  if (parallel_.threads > 0) {
-    // The partition depends only on the node count and lp_grouping —
-    // never on the thread count — so every thread count replays the same
-    // per-LP schedule. Ranks sharing a node always share an LP, keeping
-    // all on-chip traffic shard-local.
-    const int group = parallel_.lp_grouping > 0 ? parallel_.lp_grouping
-                                                : (nodes + 15) / 16;
-    n_lps = (nodes + group - 1) / group;
-    lp_of_node_.resize(static_cast<std::size_t>(nodes));
-    for (int n = 0; n < nodes; ++n) lp_of_node_[n] = n / group;
-  } else {
-    lp_of_node_.assign(static_cast<std::size_t>(nodes), 0);
-  }
-  lookahead_ = params.off.L;
-  engines_.reserve(static_cast<std::size_t>(n_lps));
-  mpis_.reserve(static_cast<std::size_t>(n_lps));
-  for (int l = 0; l < n_lps; ++l) {
-    engines_.push_back(std::make_unique<Engine>());
-    mpis_.push_back(std::make_unique<Mpi>(*engines_.back(), params,
-                                          node_of_rank, protocol));
-  }
-  if (n_lps > 1) {
-    WAVE_EXPECTS_MSG(lookahead_ > 0.0,
-                     "parallel worlds need off-node latency L > 0 "
-                     "(the conservative lookahead bound)");
-    for (int l = 0; l < n_lps; ++l)
-      mpis_[static_cast<std::size_t>(l)]->bind_shard(l, n_lps, lp_of_node_);
-  }
-}
+             Mpi::ProtocolOptions protocol, Observers observers)
+    : observers_(observers),
+      mpi_(engine_, params, std::move(node_of_rank), protocol) {}
 
-void World::spawn(std::string name, Process process, int rank) {
+void World::spawn(std::string name, Process process) {
   WAVE_EXPECTS_MSG(!started_, "cannot spawn after run()");
   WAVE_EXPECTS_MSG(process.valid(), "cannot spawn an empty process");
-  int lp = 0;
-  if (lp_count() > 1) {
-    WAVE_EXPECTS_MSG(rank >= 0 && rank < mpis_.front()->size(),
-                     "parallel worlds need spawn(name, process, rank)");
-    lp = lp_of_rank(rank);
-  }
   processes_.emplace_back(std::move(name), std::move(process));
-  process_lp_.push_back(lp);
-}
-
-void World::reserve_events(std::size_t events) {
-  if (lp_count() == 1) {
-    engines_.front()->reserve(events);
-    return;
-  }
-  const std::size_t per = events / engines_.size() + 64;
-  for (auto& engine : engines_) engine->reserve(per);
-}
-
-std::uint64_t World::events_processed() const {
-  std::uint64_t total = 0;
-  for (const auto& engine : engines_) total += engine->events_processed();
-  return total;
-}
-
-std::uint64_t World::messages_delivered() const {
-  std::uint64_t total = 0;
-  for (const auto& mpi : mpis_) total += mpi->messages_delivered();
-  return total;
-}
-
-usec World::bus_wait_total() const {
-  // Each node's buses are touched by exactly one shard (its owner), so
-  // querying the owner per node — in the serial fabric's node order —
-  // reproduces its floating-point sum term for term.
-  usec total = 0.0;
-  const int nodes = mpis_.front()->node_count();
-  for (int n = 0; n < nodes; ++n)
-    total += mpis_[static_cast<std::size_t>(lp_of_node_[n])]->tx_bus_wait(n);
-  for (int n = 0; n < nodes; ++n)
-    total += mpis_[static_cast<std::size_t>(lp_of_node_[n])]->rx_bus_wait(n);
-  return total;
-}
-
-usec World::nic_wait_total() const {
-  usec total = 0.0;
-  const int nodes = mpis_.front()->node_count();
-  for (int n = 0; n < nodes; ++n)
-    total += mpis_[static_cast<std::size_t>(lp_of_node_[n])]->nic_wait(n);
-  return total;
-}
-
-usec World::mpi_busy(int rank) const {
-  return mpis_[static_cast<std::size_t>(lp_of_rank(rank))]->mpi_busy(rank);
-}
-
-usec World::mpi_busy_mean() const {
-  // Per rank in global rank order — the serial fabric's iteration.
-  usec sum = 0.0;
-  const int ranks = mpis_.front()->size();
-  for (int r = 0; r < ranks; ++r) sum += mpi_busy(r);
-  return sum / static_cast<double>(ranks);
-}
-
-void World::capture_traces(std::vector<std::vector<Engine::TraceEvent>>* sink) {
-  WAVE_EXPECTS(sink != nullptr);
-  sink->resize(engines_.size());
-  for (std::size_t i = 0; i < engines_.size(); ++i)
-    engines_[i]->set_trace(&(*sink)[i]);
 }
 
 void World::publish_metrics() {
-  obs::MetricsRegistry& reg = *parallel_.metrics;
-  reg.counter("sim_events_total").add(events_processed());
-  reg.counter("sim_messages_total").add(messages_delivered());
-  std::size_t max_pending = 0;
-  for (const auto& engine : engines_)
-    max_pending = std::max(max_pending, engine->max_pending());
+  obs::MetricsRegistry& reg = *observers_.metrics;
+  reg.counter("sim_events_total").add(engine_.events_processed());
+  reg.counter("sim_messages_total").add(mpi_.messages_delivered());
   reg.gauge("sim_max_pending_events")
-      .set_max(static_cast<std::int64_t>(max_pending));
-  reg.counter("sim_window_rounds_total").add(window_rounds_);
-  reg.counter("sim_envelopes_total").add(envelopes_routed_);
-  obs::Histogram& barrier = reg.histogram("sim_barrier_wait_us");
-  for (double us : barrier_wait_us_) barrier.observe(us);
+      .set_max(static_cast<std::int64_t>(engine_.max_pending()));
 }
 
 usec World::run() {
   WAVE_EXPECTS_MSG(!started_, "a World can only run once");
   started_ = true;
   // Claim the span capture (first World wins when one capture is shared
-  // across a sweep) and fan its per-LP buffers out to the shards. This is
-  // pure observation: recording never touches event order or results.
-  if (parallel_.trace != nullptr && parallel_.trace->try_claim()) {
-    parallel_.trace->reset(engines_.size());
-    for (std::size_t i = 0; i < mpis_.size(); ++i)
-      mpis_[i]->set_tracer(&parallel_.trace->lp(i));
+  // across a sweep). This is pure observation: recording never touches
+  // event order or results.
+  if (observers_.trace != nullptr && observers_.trace->try_claim()) {
+    observers_.trace->reset();
+    mpi_.set_tracer(&observers_.trace->buffer());
   }
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    Process& proc = processes_[i].second;
-    engines_[static_cast<std::size_t>(process_lp_[i])]->at(
-        0.0, [p = &proc] { p->start(); });
-  }
-  const usec makespan =
-      lp_count() == 1 ? engines_.front()->run()
-                      : run_windows(std::min(parallel_.threads, lp_count()));
-  if (parallel_.metrics != nullptr) publish_metrics();
+  for (auto& [name, proc] : processes_)
+    engine_.at(0.0, [p = &proc] { p->start(); });
+  const usec makespan = engine_.run();
+  if (observers_.metrics != nullptr) publish_metrics();
   for (auto& [name, proc] : processes_) {
     if (proc.exception()) std::rethrow_exception(proc.exception());
   }

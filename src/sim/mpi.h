@@ -36,8 +36,8 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -47,7 +47,7 @@
 #include "loggp/params.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
-#include "sim/parallel_options.h"
+#include "sim/observers.h"
 #include "sim/process.h"
 #include "sim/resource.h"
 #include "sim/task.h"
@@ -96,10 +96,9 @@ class Mpi {
 
   /// Installs (or, with nullptr, removes) a span sink: every awaitable
   /// operation posted through a RankCtx records a timed obs::Span into it
-  /// (simulated clock, docs/OBSERVABILITY.md). The sink must be
-  /// single-writer — one per LP shard, which the parallel runtime's
-  /// ownership already guarantees — and outlive the simulation. Strictly
-  /// inert: detached, the cost is a null test per operation.
+  /// (simulated clock, docs/OBSERVABILITY.md). The sink must outlive the
+  /// simulation. Strictly inert: detached, the cost is a null test per
+  /// operation.
   void set_tracer(obs::SpanBuffer* tracer) { tracer_ = tracer; }
   obs::SpanBuffer* tracer() const { return tracer_; }
 
@@ -185,64 +184,6 @@ class Mpi {
   /// passed to wait() exactly once; unwaited tokens are reclaimed only
   /// when the Mpi is destroyed.
   RequestHandle make_request() { return requests_.acquire(); }
-
-  // ---- Logical-process sharding (the parallel World's wire format) ----
-  //
-  // In parallel mode the World builds one Mpi per logical process (LP) —
-  // each a full fabric over the same placement, but only exercising the
-  // resources of its own node group. A send whose destination lives on
-  // another LP cannot touch that LP's channels or buses directly; instead
-  // the sender shard runs its local protocol half and emits an Envelope:
-  // one receiver-side protocol step, stamped with `order`, the simulated
-  // time at which the serial engine would have performed it. The World
-  // exchanges envelopes at window barriers; the receiver shard applies
-  // them sorted by (order, src_lp, seq), which replays the serial
-  // engine's call order exactly. Every envelope's scheduled effect is
-  // provably >= order + L (one wire latency), which is what makes a
-  // window of width L safe to run without intermediate synchronization.
-
-  struct Envelope {
-    enum Kind : int {
-      kEagerData,  // eager payload: create message, reserve rx bus, deliver
-      kRdvReq,     // rendezvous request: create message, REQ event at effect
-      kRdvAck,     // rendezvous ACK back to the sender shard (effect event)
-      kRdvData     // rendezvous payload for an already-created message
-    };
-    Kind kind;
-    int src, dst, bytes;
-    usec order;   // serial-equivalent call time (sender shard's clock)
-    usec effect;  // scheduled event time (kRdvReq / kRdvAck)
-    usec rstart;  // receiver-bus window start (data kinds)
-    usec tail;    // wire tail-arrival time (data kinds)
-    void* token;  // sender-shard PendingSend*: opaque off its own shard
-    void* msg;    // receiver-shard Message*: opaque off its own shard
-    int src_lp;
-    std::uint64_t seq;  // per-shard emission counter (deterministic ties)
-  };
-
-  /// Joins this fabric to a parallel World as shard `lp` of `n_lps`.
-  /// `lp_of_node` (owned by the caller, outliving this Mpi) maps every
-  /// node to its LP. Unbound (the default), the fabric is the serial
-  /// engine: every rank is local and no envelope code runs.
-  void bind_shard(int lp, int n_lps, const std::vector<int>& lp_of_node);
-
-  /// This shard's LP id, or -1 when unbound (serial).
-  int lp() const { return lp_; }
-  /// The LP owning `rank`'s node (0 when unbound).
-  int lp_of_rank(int rank) const {
-    return lp_ < 0 ? 0 : (*lp_of_node_)[node_of_rank_[rank]];
-  }
-
-  /// Envelopes emitted for `dst_lp` since last cleared. The World's
-  /// barrier loop gathers these from every shard, sorts, and feeds them
-  /// to the destination shard's ingest().
-  std::vector<Envelope>& outbox(int dst_lp) {
-    return outbox_[static_cast<std::size_t>(dst_lp)];
-  }
-
-  /// Applies one incoming envelope (must be addressed to this shard, in
-  /// (order, src_lp, seq) order within the barrier).
-  void ingest(const Envelope& e);
 
   struct IsendAwaitable {
     Mpi* mpi;
@@ -389,17 +330,8 @@ class Mpi {
     return WaitAwaitable{this, request, rank, tracer_};
   }
 
-  /// Per-node resource introspection (node order is how the serial
-  /// aggregate loops iterate; the parallel World uses these to rebuild the
-  /// byte-identical sums from the owning shards).
-  int node_count() const { return static_cast<int>(nic_.size()); }
-  usec tx_bus_wait(int node) const { return tx_bus_[node].wait_total(); }
-  usec rx_bus_wait(int node) const { return rx_bus_[node].wait_total(); }
-  usec nic_wait(int node) const { return nic_[node].wait_total(); }
-
  private:
   struct Message;
-  struct PendingSend;
   /// Type-erased protocol continuation; inline storage keeps the hot path
   /// out of the allocator (task.h static_asserts every capture fits).
   using Completion = InlineTask;
@@ -416,21 +348,6 @@ class Mpi {
                    std::coroutine_handle<> h);
   void post_send(int src, int dst, int bytes, Completion done,
                  Completion cpu_done = Completion());
-  /// Off-node send to a rank owned by another LP: the sender-side protocol
-  /// half runs here, the receiver-side half ships as an Envelope.
-  void post_send_remote(int src, int dst, int bytes, Completion done,
-                        Completion cpu_done);
-  /// True when a `src` -> `dst` send must go through the envelope path:
-  /// any *off-node* send on a sharded fabric, even when both nodes live in
-  /// this LP. Off-node receiver-side bus reservations must all be applied
-  /// at barriers in (order, src_lp, seq) order — mixing synchronous
-  /// same-LP reservations with barrier-deferred cross-LP ones would
-  /// reorder them against the serial call order. The conservative bound
-  /// is unchanged: every off-node effect is >= order + L.
-  bool remote_send(int src, int dst) const {
-    return lp_ >= 0 && node_of_rank_[src] != node_of_rank_[dst];
-  }
-  void emit(int dst_lp, Envelope e);
 
   /// Wraps a small completion so the span from now to execution is charged
   /// to `rank`'s MPI occupancy. Applied before type erasure so the wrapper
@@ -476,15 +393,8 @@ class Mpi {
   // Recycled protocol objects (see pool.h): allocation-free after warm-up.
   common::SlabPool<Message> messages_;
   common::SlabPool<Request> requests_;
-  common::SlabPool<PendingSend> pending_sends_;  // cross-LP rendezvous
   std::vector<usec> mpi_busy_;  // per rank: total MPI-operation occupancy
   std::uint64_t delivered_ = 0;
-  // LP-shard state (inert while lp_ == -1, the serial default).
-  int lp_ = -1;
-  int n_lps_ = 1;
-  const std::vector<int>* lp_of_node_ = nullptr;
-  std::vector<std::vector<Envelope>> outbox_;  // indexed by destination LP
-  std::uint64_t env_seq_ = 0;
   // Optional span sink (see set_tracer); observation-only by contract.
   obs::SpanBuffer* tracer_ = nullptr;
 };
@@ -536,89 +446,35 @@ class RankCtx {
 /// must call this with the same payload. Requires power-of-two world size.
 Process allreduce(RankCtx ctx, int bytes);
 
-/// Convenience owner of the engine(s), fabric(s), and top-level rank
+/// Convenience owner of the engine, the fabric, and the top-level rank
 /// processes; detects deadlock (unfinished processes after the event
-/// calendars drain) and propagates rank exceptions.
-///
-/// With ParallelOptions{} (the default) this is the classic serial world:
-/// one Engine, one Mpi, byte-for-byte the historical behavior. With
-/// parallel.threads >= 1 the node set is partitioned into logical
-/// processes — each LP an (Engine, Mpi shard) pair — advanced in
-/// conservative windows of width L (the comm backend's off-node latency)
-/// on a pool of min(threads, LPs) workers. The determinism contract
-/// extends across modes: the LP partition depends only on the node count
-/// and lp_grouping (never on threads), cross-LP effects are applied in
-/// serial-equivalent order at window barriers, and aggregate metrics are
-/// accumulated in the serial engine's exact iteration order — so every
-/// thread count produces identical results (docs/ARCHITECTURE.md, and
-/// tests/test_sim_parallel.cpp proves it per workload).
+/// calendar drains) and propagates rank exceptions.
 class World {
  public:
   World(loggp::MachineParams params, std::vector<int> node_of_rank,
         Mpi::ProtocolOptions protocol = Mpi::ProtocolOptions(),
-        ParallelOptions parallel = ParallelOptions());
+        Observers observers = Observers());
 
-  /// The first (in serial mode: only) LP's engine / fabric. Parallel-mode
-  /// callers should prefer the World-level aggregates below.
-  Engine& engine() { return *engines_.front(); }
-  Mpi& mpi() { return *mpis_.front(); }
-  /// A rank's view, bound to the shard owning the rank's node.
-  RankCtx ctx(int rank) {
-    return RankCtx(*mpis_[static_cast<std::size_t>(lp_of_rank(rank))], rank);
-  }
+  Engine& engine() { return engine_; }
+  Mpi& mpi() { return mpi_; }
+  RankCtx ctx(int rank) { return RankCtx(mpi_, rank); }
 
-  /// Registers a top-level process. `rank` pins the process to its rank's
-  /// logical process — required in parallel worlds (rank programs must run
-  /// on the shard that owns their node); ignored by the serial engine.
-  void spawn(std::string name, Process process, int rank = -1);
+  /// Registers a top-level process, started at time 0 in spawn order.
+  void spawn(std::string name, Process process);
 
   /// Runs to completion. Returns the simulated makespan (µs). Throws
   /// std::runtime_error naming blocked processes on deadlock, and rethrows
   /// the first process exception if any occurred.
   usec run();
 
-  /// Logical processes in this world (1 in serial mode).
-  int lp_count() const { return static_cast<int>(engines_.size()); }
-  int lp_of_rank(int rank) const {
-    return lp_of_node_[static_cast<std::size_t>(
-        mpis_.front()->node_of(rank))];
-  }
-
-  /// Pre-sizes the calendars for ~`events` total pending events (split
-  /// across LPs in parallel mode).
-  void reserve_events(std::size_t events);
-
-  // Aggregates across LPs. Each is accumulated in the serial engine's
-  // exact iteration order (per node, or per rank), so floating-point sums
-  // are byte-identical to the serial fabric's.
-  std::uint64_t events_processed() const;
-  std::uint64_t messages_delivered() const;
-  usec bus_wait_total() const;
-  usec nic_wait_total() const;
-  usec mpi_busy(int rank) const;
-  usec mpi_busy_mean() const;
-
-  /// Test mode: records every executed event's (time, seq) stream per LP
-  /// into `*sink` (resized to lp_count()). Install before run().
-  void capture_traces(std::vector<std::vector<Engine::TraceEvent>>* sink);
-
  private:
-  usec run_windows(int workers);
-  /// Publishes post-run engine/runtime counters into parallel_.metrics.
+  /// Publishes post-run engine/fabric counters into observers_.metrics.
   void publish_metrics();
 
-  ParallelOptions parallel_;
-  // Parallel-runtime observability tallies (filled by run_windows when
-  // parallel_.metrics is attached; published by publish_metrics).
-  std::uint64_t window_rounds_ = 0;
-  std::uint64_t envelopes_routed_ = 0;
-  std::vector<double> barrier_wait_us_;  // per worker, wall-clock
-  usec lookahead_ = 0.0;  // window width: the comm backend's off-node L
-  std::vector<int> lp_of_node_;
-  std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<std::unique_ptr<Mpi>> mpis_;
+  Observers observers_;
+  Engine engine_;
+  Mpi mpi_;
   std::vector<std::pair<std::string, Process>> processes_;
-  std::vector<int> process_lp_;  // which LP starts each process
   bool started_ = false;
 };
 

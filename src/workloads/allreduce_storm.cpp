@@ -93,10 +93,9 @@ SimOutput AllreduceStormWorkload::simulate(const core::MachineConfig& machine,
   std::vector<int> node_of_rank(static_cast<std::size_t>(spec.ranks));
   for (int r = 0; r < spec.ranks; ++r) node_of_rank[r] = r / spec.cores_per_node;
   sim::World world(machine.loggp, std::move(node_of_rank), protocol,
-                   in.parallel);
+                   in.observers);
   for (int r = 0; r < spec.ranks; ++r)
-    world.spawn("rank" + std::to_string(r), storm_rank(world.ctx(r), spec),
-                r);
+    world.spawn("rank" + std::to_string(r), storm_rank(world.ctx(r), spec));
   return collect_run(world, in.iterations);
 }
 

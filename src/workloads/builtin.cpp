@@ -17,11 +17,11 @@ SimOutput collect_run(sim::World& world, int iterations) {
   SimOutput out;
   out.makespan_us = world.run();
   out.time_us = out.makespan_us / iterations;
-  out.events = world.events_processed();
-  out.messages = world.messages_delivered();
-  out.bus_wait_us = world.bus_wait_total();
-  out.nic_wait_us = world.nic_wait_total();
-  out.mpi_busy_us = world.mpi_busy_mean();
+  out.events = world.engine().events_processed();
+  out.messages = world.mpi().messages_delivered();
+  out.bus_wait_us = world.mpi().bus_wait_total();
+  out.nic_wait_us = world.mpi().nic_wait_total();
+  out.mpi_busy_us = world.mpi().mpi_busy_mean();
   return out;
 }
 
@@ -82,7 +82,7 @@ SimOutput WavefrontWorkload::simulate(const core::MachineConfig& machine,
                                       const WorkloadInputs& in) const {
   return to_sim_output(simulate_wavefront(in.app, machine, in.grid,
                                           in.iterations, protocol,
-                                          in.parallel));
+                                          in.observers));
 }
 
 // ---- pingpong ---------------------------------------------------------
@@ -148,7 +148,7 @@ SimOutput PingpongWorkload::simulate(const core::MachineConfig& machine,
   const PingPongKnobs knobs(in);
   const PingPongRun run =
       pingpong_run(machine.loggp, protocol, knobs.on_chip, knobs.bytes,
-                   knobs.reps, in.parallel);
+                   knobs.reps, in.observers);
   SimOutput out;
   out.time_us = run.half_rtt;  // per-message, the quantity the model predicts
   out.makespan_us = run.makespan;

@@ -117,10 +117,9 @@ SimOutput Halo2dWorkload::simulate(const core::MachineConfig& machine,
   for (int r = 0; r < in.grid.size(); ++r)
     node_of_rank[r] = node_map.node_of(in.grid.coord_of(r));
   sim::World world(machine.loggp, std::move(node_of_rank), protocol,
-                   in.parallel);
+                   in.observers);
   for (int r = 0; r < in.grid.size(); ++r)
-    world.spawn("rank" + std::to_string(r), halo_rank(world.ctx(r), spec, r),
-                r);
+    world.spawn("rank" + std::to_string(r), halo_rank(world.ctx(r), spec, r));
   return collect_run(world, in.iterations);
 }
 

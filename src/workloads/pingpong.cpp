@@ -37,18 +37,18 @@ usec pingpong_half_rtt(const loggp::MachineParams& params, bool on_chip,
 PingPongRun pingpong_run(const loggp::MachineParams& params,
                          const sim::ProtocolOptions& protocol, bool on_chip,
                          int bytes, int reps,
-                         const sim::ParallelOptions& parallel) {
+                         const sim::Observers& observers) {
   WAVE_EXPECTS(bytes >= 0);
   WAVE_EXPECTS(reps >= 1);
   const std::vector<int> placement =
       on_chip ? std::vector<int>{0, 0} : std::vector<int>{0, 1};
-  sim::World world(params, placement, protocol, parallel);
+  sim::World world(params, placement, protocol, observers);
   PingPongRun run;
-  world.spawn("ping", pinger(world.ctx(0), bytes, reps, &run.half_rtt), 0);
-  world.spawn("pong", ponger(world.ctx(1), bytes, reps), 1);
+  world.spawn("ping", pinger(world.ctx(0), bytes, reps, &run.half_rtt));
+  world.spawn("pong", ponger(world.ctx(1), bytes, reps));
   run.makespan = world.run();
-  run.events = world.events_processed();
-  run.messages = world.messages_delivered();
+  run.events = world.engine().events_processed();
+  run.messages = world.mpi().messages_delivered();
   return run;
 }
 
@@ -60,7 +60,7 @@ usec allreduce_sim_time(const loggp::MachineParams& params, int ranks,
   sim::World world(params, std::move(placement));
   for (int r = 0; r < ranks; ++r)
     world.spawn("rank" + std::to_string(r),
-                sim::allreduce(world.ctx(r), bytes), r);
+                sim::allreduce(world.ctx(r), bytes));
   return world.run();
 }
 

@@ -34,12 +34,11 @@ struct PingPongRun {
 
 /// As pingpong_half_rtt, with explicit protocol options (so the run can
 /// mirror a comm backend's rendezvous assumptions) and full run statistics.
-/// `parallel` selects the engine (identical results by contract; off-node
-/// placement puts the two ranks on distinct LPs when partitioned).
+/// `observers` are inert instrumentation hooks (sim/observers.h).
 PingPongRun pingpong_run(const loggp::MachineParams& params,
                          const sim::ProtocolOptions& protocol, bool on_chip,
                          int bytes, int reps = 10,
-                         const sim::ParallelOptions& parallel = {});
+                         const sim::Observers& observers = {});
 
 /// Simulated MPI_Allreduce completion time for `ranks` ranks packed
 /// `cores_per_node` per node. Requires power-of-two `ranks`.

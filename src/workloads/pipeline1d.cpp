@@ -54,7 +54,7 @@ SimOutput Pipeline1dWorkload::simulate(const core::MachineConfig& machine,
                                        const WorkloadInputs& in) const {
   return to_sim_output(simulate_wavefront(chain_app(in), machine,
                                           chain_grid(in), in.iterations,
-                                          protocol, in.parallel));
+                                          protocol, in.observers));
 }
 
 }  // namespace wave::workloads

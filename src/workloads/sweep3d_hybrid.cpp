@@ -216,11 +216,10 @@ SimOutput Sweep3dHybridWorkload::simulate(const core::MachineConfig& machine,
   std::vector<int> node_of_rank(static_cast<std::size_t>(spec.grid.size()));
   for (int r = 0; r < spec.grid.size(); ++r) node_of_rank[r] = r;
   sim::World world(machine.loggp, std::move(node_of_rank), protocol,
-                   in.parallel);
-  world.reserve_events(static_cast<std::size_t>(spec.grid.size()) * 8 + 256);
+                   in.observers);
+  world.engine().reserve(static_cast<std::size_t>(spec.grid.size()) * 8 + 256);
   for (int r = 0; r < spec.grid.size(); ++r)
-    world.spawn("rank" + std::to_string(r),
-                hybrid_rank(world.ctx(r), spec, r), r);
+    world.spawn("rank" + std::to_string(r), hybrid_rank(world.ctx(r), spec, r));
   return collect_run(world, in.iterations);
 }
 

@@ -149,7 +149,7 @@ SimRunResult simulate_wavefront(const core::AppParams& app,
                                 const core::MachineConfig& machine,
                                 const topo::Grid& grid, int iterations,
                                 const sim::ProtocolOptions& protocol,
-                                const sim::ParallelOptions& parallel) {
+                                const sim::Observers& observers) {
   machine.validate();
   const WavefrontSpec spec = make_spec(app, grid, iterations);
 
@@ -159,24 +159,24 @@ SimRunResult simulate_wavefront(const core::AppParams& app,
     node_of_rank[r] = node_map.node_of(grid.coord_of(r));
 
   sim::World world(machine.loggp, std::move(node_of_rank), protocol,
-                   parallel);
+                   observers);
   // Pre-size the calendars from the decomposition: each rank keeps only a
   // handful of events in flight (receives pending, one protocol step per
   // outstanding message), so a small multiple of P covers the steady
   // state and the warm-up never reallocates mid-run.
-  world.reserve_events(static_cast<std::size_t>(grid.size()) * 8 + 256);
+  world.engine().reserve(static_cast<std::size_t>(grid.size()) * 8 + 256);
   for (int r = 0; r < grid.size(); ++r)
     world.spawn("rank" + std::to_string(r),
-                wavefront_rank(world.ctx(r), spec, r), r);
+                wavefront_rank(world.ctx(r), spec, r));
 
   SimRunResult result;
   result.makespan = world.run();
   result.time_per_iteration = result.makespan / iterations;
-  result.events = world.events_processed();
-  result.messages = world.messages_delivered();
-  result.bus_wait = world.bus_wait_total();
-  result.nic_wait = world.nic_wait_total();
-  result.mpi_busy_mean = world.mpi_busy_mean();
+  result.events = world.engine().events_processed();
+  result.messages = world.mpi().messages_delivered();
+  result.bus_wait = world.mpi().bus_wait_total();
+  result.nic_wait = world.mpi().nic_wait_total();
+  result.mpi_busy_mean = world.mpi().mpi_busy_mean();
   return result;
 }
 
@@ -184,7 +184,7 @@ SimRunResult simulate_wavefront(const core::AppParams& app,
                                 const core::MachineConfig& machine,
                                 const loggp::CommModelRegistry& registry,
                                 const topo::Grid& grid, int iterations,
-                                const sim::ParallelOptions& parallel) {
+                                const sim::Observers& observers) {
   // Mirror the machine's analytic comm-backend assumptions in the
   // mechanistic protocol (e.g. LogGPS charges its synchronization cost on
   // the rendezvous path), so "measurement" and model stay comparable.
@@ -192,18 +192,18 @@ SimRunResult simulate_wavefront(const core::AppParams& app,
   protocol.rendezvous_sync =
       machine.make_comm_model(registry)->rendezvous_sync();
   return simulate_wavefront(app, machine, grid, iterations, protocol,
-                            parallel);
+                            observers);
 }
 
 SimRunResult simulate_wavefront(const core::AppParams& app,
                                 const core::MachineConfig& machine,
                                 const loggp::CommModelRegistry& registry,
                                 int processors, int iterations,
-                                const sim::ParallelOptions& parallel) {
+                                const sim::Observers& observers) {
   WAVE_EXPECTS(processors >= 1);
   return simulate_wavefront(app, machine, registry,
                             topo::closest_to_square(processors), iterations,
-                            parallel);
+                            observers);
 }
 
 }  // namespace wave::workloads

@@ -71,14 +71,13 @@ struct SimRunResult {
 /// Builds the world (placing ranks on nodes in cx × cy rectangles) under
 /// the given protocol options — resolved by the caller from the machine's
 /// comm backend (protocol_for in builtin.h) — runs the simulation, and
-/// returns timing plus contention counters. `parallel` selects the engine
-/// (serial by default; see sim/parallel_options.h) — results are identical
-/// either way by the determinism contract.
+/// returns timing plus contention counters. `observers` are inert
+/// instrumentation hooks (sim/observers.h).
 SimRunResult simulate_wavefront(const core::AppParams& app,
                                 const core::MachineConfig& machine,
                                 const topo::Grid& grid, int iterations,
                                 const sim::ProtocolOptions& protocol,
-                                const sim::ParallelOptions& parallel = {});
+                                const sim::Observers& observers = {});
 
 /// Convenience: resolves the protocol options from the machine's comm
 /// backend as registered in `registry` (a wave::Context's scoped registry,
@@ -87,7 +86,7 @@ SimRunResult simulate_wavefront(const core::AppParams& app,
                                 const core::MachineConfig& machine,
                                 const loggp::CommModelRegistry& registry,
                                 const topo::Grid& grid, int iterations = 1,
-                                const sim::ParallelOptions& parallel = {});
+                                const sim::Observers& observers = {});
 
 /// Convenience: closest-to-square decomposition of `processors`, protocol
 /// resolved from `registry` as above.
@@ -95,6 +94,6 @@ SimRunResult simulate_wavefront(const core::AppParams& app,
                                 const core::MachineConfig& machine,
                                 const loggp::CommModelRegistry& registry,
                                 int processors, int iterations = 1,
-                                const sim::ParallelOptions& parallel = {});
+                                const sim::Observers& observers = {});
 
 }  // namespace wave::workloads

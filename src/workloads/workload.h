@@ -30,7 +30,7 @@
 #include "core/app_params.h"
 #include "core/machine.h"
 #include "loggp/comm_model.h"
-#include "sim/parallel_options.h"
+#include "sim/observers.h"
 #include "topology/grid.h"
 
 namespace wave::loggp {
@@ -58,10 +58,9 @@ struct WorkloadInputs {
   core::AppParams app = default_app();
   topo::Grid grid{1, 1};
   int iterations = 1;  ///< DES repetitions; results are per iteration
-  /// Engine selection for the DES path (serial by default). By the
-  /// determinism contract this cannot change any output — simulate() at
-  /// any thread count must produce the byte-identical SimOutput.
-  sim::ParallelOptions parallel;
+  /// Inert instrumentation hooks for the DES path: attaching them never
+  /// changes a SimOutput.
+  sim::Observers observers;
   std::map<std::string, double> params;
 
   /// Numeric knob with a fallback (the schema default).

@@ -3,6 +3,7 @@
 // contract at the API boundary.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -220,6 +221,45 @@ TEST(ApiQuery, ErrorsAreStatusesNotExceptions) {
   const auto unbound = wave::Query().run();
   ASSERT_FALSE(unbound.ok());
   EXPECT_EQ(unbound.status().code(), wave::StatusCode::kFailedPrecondition);
+}
+
+// Query::sim_threads is a compatibility shim: every count >= 0 runs the
+// one serial engine, so the Results are bit-identical; negatives are still
+// rejected as a Status.
+TEST(ApiQuery, SimThreadsShimRunsTheSerialEngine) {
+  const wave::Context ctx;
+  const wave::Query base = ctx.query()
+                               .machine("xt4-dual")
+                               .processors(64)
+                               .engine(wave::Engine::Simulation);
+  const auto bits = [](const wave::Result& r) {
+    std::string out;
+    const auto append = [&out](double v) {
+      char buf[sizeof v];
+      std::memcpy(buf, &v, sizeof v);
+      out.append(buf, sizeof v);
+    };
+    for (double v : {r.time_us, r.comm_us, r.model_us, r.sim_us,
+                     r.divergence_pct})
+      append(v);
+    for (const auto& [name, value] : r.terms) {
+      out += name;
+      append(value);
+    }
+    return out;
+  };
+  const auto serial = wave::Query(base).sim_threads(0).run();
+  ASSERT_TRUE(serial.ok()) << serial.status().to_string();
+  EXPECT_GT(serial.value().term_or("sim_events", 0.0), 0.0);
+  for (int threads : {1, 4}) {
+    const auto r = wave::Query(base).sim_threads(threads).run();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(bits(r.value()), bits(serial.value())) << "threads=" << threads;
+  }
+
+  const auto negative = wave::Query(base).sim_threads(-1).run();
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), wave::StatusCode::kInvalidArgument);
 }
 
 // ---- Study round-trip against the pre-facade runner --------------------

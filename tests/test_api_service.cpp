@@ -4,6 +4,8 @@
 // queries.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -73,6 +75,52 @@ TEST(EvalService, SimulationResultsAreCachedToo) {
   ASSERT_TRUE(b.ok());
   expect_bit_identical(a.value(), b.value());
   EXPECT_EQ(service.stats().hits, 1u);
+}
+
+// The sim_threads shim does not enter the cache key: every count runs the
+// same serial engine, so the second query is a hit on the first's entry.
+TEST(EvalService, SimThreadsShimSharesOneCacheEntry) {
+  const wave::Context ctx;
+  wave::EvalService service(ctx);
+  const wave::Query q = ctx.query()
+                            .machine("xt4-dual")
+                            .processors(64)
+                            .engine(wave::Engine::Simulation);
+  const auto a = service.evaluate(wave::Query(q).sim_threads(0));
+  const auto b = service.evaluate(wave::Query(q).sim_threads(4));
+  ASSERT_TRUE(a.ok()) << a.status().to_string();
+  ASSERT_TRUE(b.ok()) << b.status().to_string();
+  expect_bit_identical(a.value(), b.value());
+  EXPECT_EQ(service.stats().misses, 1u);
+  EXPECT_EQ(service.stats().hits, 1u);
+}
+
+// The hit histogram times the whole evaluate() call — scenario resolution
+// and key construction included — so its sum accounts for nearly all of
+// the wall time a caller measures around the same hits.
+TEST(EvalService, HitLatencyHistogramCoversTheWholeCall) {
+  const wave::Context ctx;
+  wave::EvalService service(ctx);
+  const wave::Query q = ctx.query().machine("xt4-dual").processors(256);
+  ASSERT_TRUE(service.evaluate(q).ok());  // the one miss
+
+  constexpr int kHits = 2000;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kHits; ++i) ASSERT_TRUE(service.evaluate(q).ok());
+  const double wall_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+
+  double hit_sum_us = 0.0;
+  std::uint64_t hit_count = 0;
+  for (const auto& h : service.metrics().histograms) {
+    if (h.name.find("_hit_latency_us") == std::string::npos) continue;
+    hit_sum_us += h.sum;
+    hit_count += h.count;
+  }
+  EXPECT_EQ(hit_count, static_cast<std::uint64_t>(kHits));
+  EXPECT_GE(hit_sum_us, 0.8 * wall_us)
+      << "histograms saw " << hit_sum_us << " us of " << wall_us << " us";
 }
 
 TEST(EvalService, DistinctQueriesHaveDistinctKeys) {

@@ -3,7 +3,7 @@
 //
 // The engine's ordering contract — events pop in exact (time,
 // insertion-seq) order, equal times FIFO by seq — is what every layer
-// above leans on, up to the parallel runtime's bitwise-determinism
+// above leans on, up to the pinned fixtures' bitwise-determinism
 // guarantee. The engine earns that contract through a packed 128-bit key
 // (time bits | seq | slab slot) and a task slab indexed by that slot, so
 // these tests drive it in lockstep with a model whose correctness is
@@ -23,13 +23,9 @@
 //   - far-future: rare ~1e12 deltas (large exponents in the time bits)
 // Two deep inputs schedule 65,536 roots up front, so the pending depth
 // exceeds what the serial wavefront reaches at P = 16,384 (~24k events).
-// A last test drives the engine the way the parallel runtime does —
-// next_event_time() peeks, run_before() windows, and fresh injections
-// between windows at times *behind* the peeked event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <queue>
 #include <vector>
 
@@ -97,7 +93,7 @@ struct ModelAfter {
 /// identical (time, rng, depth) on both sides in the same call order, so
 /// insertion seqs start aligned. From there each side unrolls the event
 /// tree itself — the engine in engine_spawn() on execution, the model in
-/// drain_model_before() on pop — assigning child seqs in its own spawn
+/// drain_model_all() on pop — assigning child seqs in its own spawn
 /// order. Matching pop order keeps the counters in lockstep; any engine
 /// misordering desynchronizes them and the trace comparison fails.
 class DualDriver {
@@ -109,12 +105,11 @@ class DualDriver {
     engine_.at(time, [this, rng, depth] { engine_spawn(rng, depth); });
   }
 
-  /// Pops every model event with time < limit, appending the expected
-  /// (time, seq) stream to `out` and spawning children exactly as the
-  /// engine does on execution.
-  void drain_model_before(double limit,
-                          std::vector<ws::Engine::TraceEvent>& out) {
-    while (!model_.empty() && model_.top().time < limit) {
+  /// Pops every model event, returning the expected (time, seq) stream
+  /// and spawning children exactly as the engine does on execution.
+  std::vector<ws::Engine::TraceEvent> drain_model_all() {
+    std::vector<ws::Engine::TraceEvent> out;
+    while (!model_.empty()) {
       ModelEvent e = model_.top();
       model_.pop();
       out.push_back({e.time, e.seq});
@@ -127,11 +122,6 @@ class DualDriver {
                      child_rng, e.depth - 1});
       }
     }
-  }
-
-  std::vector<ws::Engine::TraceEvent> drain_model_all() {
-    std::vector<ws::Engine::TraceEvent> out;
-    drain_model_before(std::numeric_limits<double>::infinity(), out);
     return out;
   }
 
@@ -213,45 +203,4 @@ TEST(EngineProperty, DeepUniformStreamMatchesPriorityQueue) {
 
 TEST(EngineProperty, DeepEqualTimeBurstsMatchPriorityQueue) {
   run_shape(Shape::kEqualTime, 0x5eed0007, 1 << 16, 8, 400000);
-}
-
-// The parallel runtime's access pattern: peek the earliest event, run a
-// bounded window, then ingest new work at times that may fall *between*
-// the clock and the peeked event. This guards the semantics the LP runtime
-// relies on: next_event_time() leaves the pending set untouched,
-// run_before() stops strictly below its limit without advancing the clock,
-// and an event injected behind the peeked one still pops first. The model
-// is drained window-by-window in lockstep so injection seqs stay aligned.
-TEST(EngineProperty, WindowedDrivingWithMidWindowInsertsStaysOrdered) {
-  DualDriver driver(Shape::kUniform);
-  std::uint64_t rng = 0x5eed0005;
-  for (int r = 0; r < 200; ++r)
-    driver.schedule(unit(rng) * 1000.0, next_u64(rng), 40);
-
-  std::vector<ws::Engine::TraceEvent> trace;
-  std::vector<ws::Engine::TraceEvent> expected;
-  ws::Engine& engine = driver.engine();
-  engine.set_trace(&trace);
-
-  int injections = 2000;
-  while (!engine.drained()) {
-    const double nt = engine.next_event_time();
-    // Land two fresh events inside [now, nt) — strictly behind the peeked
-    // entry — then one past the window, all with live subtrees.
-    if (injections > 0) {
-      injections -= 3;
-      const double now = engine.now();
-      driver.schedule(now + (nt - now) * 0.25, next_u64(rng), 6);
-      driver.schedule(now + (nt - now) * 0.75, next_u64(rng), 6);
-      driver.schedule(nt + 5.0 + unit(rng), next_u64(rng), 6);
-    }
-    const double horizon = nt + 2.0;
-    engine.run_before(horizon);
-    driver.drain_model_before(horizon, expected);
-  }
-  driver.drain_model_before(std::numeric_limits<double>::infinity(),
-                            expected);
-
-  ASSERT_GE(trace.size(), 10000u);
-  expect_identical(expected, trace);
 }

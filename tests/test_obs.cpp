@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/json.h"
-#include "sim/parallel_options.h"
 #include "wave/wave.h"
 #include "workloads/registry.h"
 
@@ -49,8 +48,8 @@ ww::SimOutput traced_wavefront(const wave::Context& ctx, int processors,
   ww::WorkloadInputs in;
   in.grid = wave::topo::closest_to_square(processors);
   in.iterations = 1;
-  in.parallel.trace = capture;
-  in.parallel.metrics = registry;
+  in.observers.trace = capture;
+  in.observers.metrics = registry;
   return workload->simulate(wave::core::MachineConfig::xt4_dual_core(),
                             ctx.comm_model_registry(), in);
 }
@@ -347,21 +346,6 @@ TEST(ObsInertness, MetricsAndTracingDoNotPerturbTheSimulation) {
     }
   }
   EXPECT_TRUE(saw_events);
-}
-
-TEST(ObsInertness, ParallelOptionsIdentityIgnoresObservers) {
-  // Engine-configuration equality must not change when instrumentation is
-  // attached — observers are not part of a scenario's semantic identity,
-  // so a traced re-run can never look like a different configuration.
-  wave::sim::ParallelOptions a;
-  wave::sim::ParallelOptions b;
-  wo::MetricsRegistry reg;
-  wo::SpanCapture cap;
-  b.metrics = &reg;
-  b.trace = &cap;
-  EXPECT_TRUE(a == b);
-  b.threads = 4;
-  EXPECT_FALSE(a == b);  // real knobs still differentiate
 }
 
 // ---- facade surfaces ---------------------------------------------------

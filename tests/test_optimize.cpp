@@ -124,23 +124,21 @@ TEST(OptimizeDeterminism, SameSeedByteIdenticalAtAnyThreadCount) {
   ASSERT_FALSE(reference.empty());
 }
 
-// The DES engine's contract: the serial engine (sim_threads 0) and the
-// LP-partitioned engine are separately deterministic, and the parallel
-// engine is byte-identical at any worker count >= 1.
-TEST(OptimizeDeterminism, FinalistsByteIdenticalAcrossSimThreads) {
+// The DES re-rank is deterministic: finalists simulated from a 1-thread
+// and a 4-thread search are byte-identical.
+TEST(OptimizeDeterminism, FinalistsByteIdenticalAcrossThreads) {
   const wave::Context ctx;
-  auto job = [&](int threads, int sim_threads) {
+  auto job = [&](int threads) {
     return ctx.optimize()
         .machines({"xt4-dual"})
         .processors({64})
         .strategy(wave::SearchStrategy::Exhaustive)
         .top_k(2)
         .threads(threads)
-        .sim_threads(sim_threads)
         .run();
   };
-  auto a = job(1, 1);
-  auto b = job(4, 2);
+  auto a = job(1);
+  auto b = job(4);
   ASSERT_TRUE(a.ok()) << a.status().to_string();
   ASSERT_TRUE(b.ok()) << b.status().to_string();
   ASSERT_EQ(a.value().finalists.size(), 2u);

@@ -104,6 +104,12 @@ TEST(ServeSnapshot, EveryCorruptionClassIsRejectedWithItsOwnDiagnosis) {
   bad_version[8] = 99;  // version u32 sits right after the 8-byte magic
   expect_rejected(bad_version, "unsupported version 99");
 
+  // Version-1 images hold `wave-scenario/1` keys, which no query maps to
+  // any more: they must fail loudly, not load and silently never hit.
+  std::string version_one = image;
+  version_one[8] = 1;
+  expect_rejected(version_one, "unsupported version 1 ");
+
   std::string flipped = image;
   flipped[flipped.size() - 1] ^= 0x40;  // payload bit flip
   expect_rejected(flipped, "checksum mismatch");

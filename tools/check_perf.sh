@@ -7,8 +7,8 @@
 # CI runs this in the perf-smoke job.
 #
 # Usage: tools/check_perf.sh BENCH.json fresh_quick.json [fresh_serve.json] \
-#            [min_ratio] [min_batch_speedup] [min_parallel_speedup] \
-#            [min_obs_ratio] [min_optimize_speedup]
+#            [min_ratio] [min_batch_speedup] [min_obs_ratio] \
+#            [min_optimize_speedup]
 #   BENCH.json        committed trajectory (its "quick" and "serve_quick"
 #                     sections are the references)
 #   fresh_quick.json  output of `bench/perf_sweep --quick --out=...`
@@ -23,10 +23,6 @@
 #   min_batch_speedup default 10 — the fresh run's batch-routed model
 #                     points/sec must beat its own scalar points/sec by
 #                     this factor (within-file, machine-independent)
-#   min_parallel_speedup default 2.5 — the LP engine at 8 threads must
-#                     beat the serial engine on the same P=1024 wavefront
-#                     (within-file; enforced only when the runner has >= 8
-#                     hardware threads, skipped with a message otherwise)
 #   min_obs_ratio     default 0.90 — the instrumented DES run (always-on
 #                     metrics registry attached) must keep at least this
 #                     fraction of the uninstrumented events/sec
@@ -45,8 +41,8 @@
 # > 0 — machine-independent proof the admission control works), and
 # cross-machine, throughput >= 0.5x / p99 <= 4x the committed serve_quick
 # reference — the cross-machine pair only on runners with >= 8 hardware
-# threads (PR7-style loud skip below that: a 1-core runner measures the
-# scheduler, not the daemon).
+# threads (loud skip below that: a 1-core runner measures the scheduler,
+# not the daemon).
 #
 # Every gated key must exist in the fresh file — a missing key exits 2, so
 # a gate can never silently pass because perf_sweep stopped emitting it.
@@ -110,7 +106,7 @@ fi
 # same process on the same candidates (best-of-N rounds), so this is
 # within-file and machine-independent: it catches "the optimizer's scoring
 # quietly degraded to per-point evaluation", not jitter.
-min_optimize_speedup="${8:-10}"
+min_optimize_speedup="${7:-10}"
 fresh_opt_scalar=$(awk -F': ' '$1 ~ /^[[:space:]]*"optimize_scalar_candidates_per_sec"$/ { gsub(/[,\r]/, "", $2); print $2 }' "$fresh")
 fresh_opt_batch=$(awk -F': ' '$1 ~ /^[[:space:]]*"optimize_batch_candidates_per_sec"$/ { gsub(/[,\r]/, "", $2); print $2 }' "$fresh")
 
@@ -130,44 +126,6 @@ if [ "$ok" -ne 1 ]; then
   exit 1
 fi
 
-# Engine-scaling gate: the LP-partitioned engine at 8 worker threads must
-# beat the serial engine by min_parallel_speedup on the same P=1024
-# wavefront (within-file, so machine-independent) — but only on runners
-# with enough hardware threads to express the parallelism. On smaller
-# runners the ratio gate is SKIPPED WITH A MESSAGE; the keys themselves
-# are mandatory on every runner (a missing key is a tooling regression and
-# exits 2 — gates must never silently skip because a key vanished).
-min_parallel_speedup="${6:-2.5}"
-fresh_hw=$(awk -F': ' '$1 ~ /^[[:space:]]*"hardware_threads"$/ { gsub(/[,\r]/, "", $2); print $2 }' "$fresh")
-fresh_par_threads=$(awk -F': ' '$1 ~ /^[[:space:]]*"sim_parallel_threads"$/ { gsub(/[,\r]/, "", $2); print $2 }' "$fresh")
-fresh_serial=$(awk -F': ' '$1 ~ /^[[:space:]]*"sim_serial_events_per_sec"$/ { gsub(/[,\r]/, "", $2); print $2 }' "$fresh")
-fresh_par=$(awk -F': ' '$1 ~ /^[[:space:]]*"sim_parallel_events_per_sec"$/ { gsub(/[,\r]/, "", $2); print $2 }' "$fresh")
-
-if [ -z "$fresh_hw" ] || [ -z "$fresh_par_threads" ] || \
-   [ -z "$fresh_serial" ] || [ -z "$fresh_par" ]; then
-  echo "check_perf: could not extract engine-scaling keys" \
-       "(hardware_threads='$fresh_hw', sim_parallel_threads='$fresh_par_threads'," \
-       "serial='$fresh_serial', parallel='$fresh_par')" >&2
-  exit 2
-fi
-
-par_ratio=$(awk "BEGIN { printf \"%.2f\", $fresh_par / $fresh_serial }")
-if [ "$fresh_hw" -ge "$fresh_par_threads" ]; then
-  echo "engine scaling: parallel $fresh_par vs serial $fresh_serial events/sec" \
-       "(${par_ratio}x at $fresh_par_threads threads, minimum ${min_parallel_speedup}x," \
-       "$fresh_hw hardware threads)"
-  ok=$(awk "BEGIN { print ($fresh_par >= $min_parallel_speedup * $fresh_serial) ? 1 : 0 }")
-  if [ "$ok" -ne 1 ]; then
-    echo "PERF REGRESSION: parallel engine events/sec fell below" \
-         "${min_parallel_speedup}x serial at $fresh_par_threads threads" >&2
-    exit 1
-  fi
-else
-  echo "engine scaling: SKIPPED ratio gate — runner has $fresh_hw hardware" \
-       "thread(s), fewer than the $fresh_par_threads the benchmark drives" \
-       "(measured ${par_ratio}x; keys present and checked)"
-fi
-
 # Observability-overhead gate (PR9): the instrumented run (the always-on
 # metrics registry attached) must stay within 10% of the plain run on the
 # identical serial wavefront. Both numbers come from the same process, so
@@ -178,7 +136,7 @@ fi
 # (obs_traced_des_events_per_sec) is reported by perf_sweep but not gated
 # — full timeline capture is a diagnostic mode with documented overhead
 # (docs/OBSERVABILITY.md).
-min_obs_ratio="${7:-0.90}"
+min_obs_ratio="${6:-0.90}"
 fresh_obs_plain=$(awk -F': ' '$1 ~ /^[[:space:]]*"obs_uninstrumented_des_events_per_sec"$/ { gsub(/[,\r]/, "", $2); print $2 }' "$fresh")
 fresh_obs_instr=$(awk -F': ' '$1 ~ /^[[:space:]]*"obs_instrumented_des_events_per_sec"$/ { gsub(/[,\r]/, "", $2); print $2 }' "$fresh")
 
@@ -203,8 +161,8 @@ fi
 # must actually shed and degrade — rates of exactly 0 mean the admission
 # control or the degrade path broke, on any machine. Then cross-machine
 # throughput/p99 against the committed serve_quick reference, enforced
-# only on runners with >= 8 hardware threads (same rationale and the same
-# loud skip as the engine-scaling gate above).
+# only on runners with >= 8 hardware threads (below that the gate is
+# skipped with a message, never silently).
 if [ -z "$fresh_serve" ]; then
   echo "serve: SKIPPED all serve gates — no fresh serve_load file supplied" \
        "(pass one as the third argument; CI always does)"

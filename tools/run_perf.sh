@@ -88,13 +88,6 @@ quick_batch=$(metric "$tmp_quick" model_batch_points_per_sec)
 svc_cold=$(metric "$tmp_full" service_cold_evals_per_sec)
 svc_hits=$(metric "$tmp_full" service_hits_per_sec)
 svc_speedup=$(metric "$tmp_full" service_hit_speedup)
-hw_threads=$(metric "$tmp_full" hardware_threads)
-par_threads=$(metric "$tmp_full" sim_parallel_threads)
-par_serial=$(metric "$tmp_full" sim_serial_events_per_sec)
-par_events=$(metric "$tmp_full" sim_parallel_events_per_sec)
-par_speedup=$(metric "$tmp_full" sim_parallel_speedup)
-quick_par_serial=$(metric "$tmp_quick" sim_serial_events_per_sec)
-quick_par_events=$(metric "$tmp_quick" sim_parallel_events_per_sec)
 obs_plain=$(metric "$tmp_full" obs_uninstrumented_des_events_per_sec)
 obs_instr=$(metric "$tmp_full" obs_instrumented_des_events_per_sec)
 obs_traced=$(metric "$tmp_full" obs_traced_des_events_per_sec)
@@ -157,16 +150,14 @@ cat > "$out" <<EOF
   "machine": "$(uname -m) $(uname -s | tr 'A-Z' 'a-z'), $(getconf _NPROCESSORS_ONLN 2>/dev/null || echo '?') hardware thread(s)",
   "baseline_label": "pre-PR3 allocating hot path @ 23832a9",
   "baseline": {"des_events_per_sec": $base_des, "engine_events_per_sec": $base_engine, "model_points_per_sec": $base_model},
-  "current_label": "this checkout (PR3 pooled hot path + PR4 workload subsystem + PR5 facade + PR6 batch solver + PR7 parallel engine + PR8 serve daemon + PR9 observability + PR10 auto-configurator), measured by this run",
-  "current": {"des_events_per_sec": $full_des, "engine_events_per_sec": $full_engine, "model_points_per_sec": $full_model, "model_batch_points_per_sec": $full_batch, "sim_serial_events_per_sec": $par_serial, "sim_parallel_events_per_sec": $par_events},
-  "quick": {"des_events_per_sec": $quick_des, "engine_events_per_sec": $quick_engine, "model_points_per_sec": $quick_model, "model_batch_points_per_sec": $quick_batch, "sim_serial_events_per_sec": $quick_par_serial, "sim_parallel_events_per_sec": $quick_par_events, "obs_uninstrumented_des_events_per_sec": $quick_obs_plain, "obs_instrumented_des_events_per_sec": $quick_obs_instr, "optimize_scalar_candidates_per_sec": $quick_opt_scalar, "optimize_batch_candidates_per_sec": $quick_opt_batch},
+  "current_label": "this checkout (PR3 pooled hot path + PR4 workload subsystem + PR5 facade + PR6 batch solver + PR8 serve daemon + PR9 observability + PR10 auto-configurator), measured by this run",
+  "current": {"des_events_per_sec": $full_des, "engine_events_per_sec": $full_engine, "model_points_per_sec": $full_model, "model_batch_points_per_sec": $full_batch},
+  "quick": {"des_events_per_sec": $quick_des, "engine_events_per_sec": $quick_engine, "model_points_per_sec": $quick_model, "model_batch_points_per_sec": $quick_batch, "obs_uninstrumented_des_events_per_sec": $quick_obs_plain, "obs_instrumented_des_events_per_sec": $quick_obs_instr, "optimize_scalar_candidates_per_sec": $quick_opt_scalar, "optimize_batch_candidates_per_sec": $quick_opt_batch},
   "workloads_label": "per-workload DES events/sec, full grid (PR4 registry sweep)",
   "workloads_events_per_sec": {$workloads_json},
   "service_label": "EvalService memoization, full grid (PR5 facade): cold analytic evals/sec vs cache-hit lookups/sec on the same query mix",
   "service": {"cold_evals_per_sec": $svc_cold, "hits_per_sec": $svc_hits, "hit_speedup": $svc_speedup},
   "batch_label": "PR6 batch solver: batch-routed vs scalar analytic points/sec on the same grid, this run",
-  "parallel_label": "PR7 LP-partitioned engine: P=1024 wavefront at $par_threads worker threads vs the serial engine, this run/machine ($hw_threads hardware thread(s) — the speedup is only meaningful when hardware_threads >= sim_parallel_threads; tools/check_perf.sh applies the same condition)",
-  "parallel": {"threads": $par_threads, "hardware_threads": $hw_threads, "sim_serial_events_per_sec": $par_serial, "sim_parallel_events_per_sec": $par_events, "speedup": $par_speedup},
   "serve_label": "PR8 wave-serve daemon (bench/serve_load): closed-loop capacity probe, open-loop mixed stream at half capacity (p50/p99 end-to-end latency), and a DES overload burst (shed/degrade rates); $serve_workers worker(s) on this machine — absolute qps/latency are machine-bound, the cross-machine gate in tools/check_perf.sh only fires at >= 8 hardware threads",
   "serve": {"serve_workers": $serve_workers, "serve_capacity_qps": $serve_capacity, "serve_offered_qps": $serve_offered, "serve_throughput_qps": $serve_tput, "serve_p50_us": $serve_p50, "serve_p99_us": $serve_p99, "serve_shed_rate": $serve_shed, "serve_degrade_rate": $serve_degrade},
   "serve_quick": {"serve_throughput_qps": $q_serve_tput, "serve_p50_us": $q_serve_p50, "serve_p99_us": $q_serve_p99, "serve_shed_rate": $q_serve_shed, "serve_degrade_rate": $q_serve_degrade},
