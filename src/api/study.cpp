@@ -182,7 +182,7 @@ Expected<StudyResult> Study::run() const {
 
     const runner::BatchRunner batch(ctx,
                                     runner::BatchRunner::Options(threads_));
-    const std::vector<runner::RunRecord> records =
+    std::vector<runner::RunRecord> records =
         validate_ ? batch.run(grid,
                               [&ctx](const runner::Scenario& s) {
                                 return runner::workload_model_vs_sim_metrics(
@@ -192,11 +192,11 @@ Expected<StudyResult> Study::run() const {
 
     StudyResult out;
     out.rows.reserve(records.size());
-    for (const runner::RunRecord& r : records) {
+    for (runner::RunRecord& r : records) {
       StudyRow row;
       row.index = r.index;
-      row.labels = r.labels;
-      row.metrics = r.metrics;
+      row.labels = std::move(r.labels);
+      row.metrics = std::move(r.metrics);
       out.rows.push_back(std::move(row));
     }
     return out;

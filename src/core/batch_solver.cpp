@@ -4,6 +4,7 @@
 
 #include "common/statistics.h"
 #include "kernels/batch_terms.h"
+#include "kernels/fill_recurrence.h"
 #include "loggp/collectives.h"
 #include "loggp/contention.h"
 #include "loggp/stencil.h"
@@ -51,10 +52,10 @@ std::uint32_t BatchEval::add_machine(const MachineConfig& machine) {
 }
 
 // The body below is core/solver.cpp's evaluate() with the per-cell virtual
-// calls and node-map divisions replaced by table lookups. Comments mark
-// the substitutions; everything else — in particular every TimeSplit
-// operation and its order — is kept identical so results match the scalar
-// path bit for bit.
+// calls and node-map divisions replaced by table lookups and the r2 loop
+// replaced by kernels::fill_recurrence. Comments mark the substitutions;
+// every TimeSplit operation and its order is kept identical so results
+// match the scalar path bit for bit.
 void BatchEval::evaluate_terms(const BatchPoint& point, BatchScratch& scratch,
                                ModelResult& res) const {
   const AppEntry& ae = apps_[point.app];
@@ -91,65 +92,43 @@ void BatchEval::evaluate_terms(const BatchPoint& point, BatchScratch& scratch,
   // Within one row, columns i-1 and i share a node iff they fall in the
   // same cx-wide tile column; within one column, rows j-1 and j share a
   // node iff they fall in the same cy-tall tile row. Every on-chip/off-node
-  // decision of the recurrence is one of these pairs.
-  scratch.col_pair_.assign(static_cast<std::size_t>(n) + 1, 0);
-  scratch.row_pair_.assign(static_cast<std::size_t>(m) + 1, 0);
-  for (int i = 2; i <= n; ++i)
-    scratch.col_pair_[i] = (i - 2) / machine.cx == (i - 1) / machine.cx;
-  for (int j = 2; j <= m; ++j)
-    scratch.row_pair_[j] = (j - 2) / machine.cy == (j - 1) / machine.cy;
+  // decision of the recurrence is one of these pairs. A counter that wraps
+  // at cx (cy) marks the tile boundaries, so no division is needed.
+  auto fill_parity = [](std::vector<std::uint8_t>& pair, int count,
+                        int tile) {
+    pair.resize(static_cast<std::size_t>(count) + 1);
+    for (int k = 2, pos = 0; k <= count; ++k) {
+      if (++pos == tile) pos = 0;
+      pair[k] = pos != 0;  // == ((k - 2) / tile == (k - 1) / tile)
+    }
+  };
+  fill_parity(scratch.col_pair_, n, machine.cx);
+  fill_parity(scratch.row_pair_, m, machine.cy);
 
   // The Table 1/2/6 message costs the r2 recurrence can touch,
   // pre-evaluated for both placements, indexed [off-node=0, on-chip=1]:
   // exactly the doubles the scalar path's virtual calls return.
-  const usec total_ew[2] = {comm.total(res.msg_bytes_ew, Placement::OffNode),
-                            comm.total(res.msg_bytes_ew, Placement::OnChip)};
-  const usec recv_ns[2] = {comm.recv(res.msg_bytes_ns, Placement::OffNode),
-                           comm.recv(res.msg_bytes_ns, Placement::OnChip)};
-  const usec send_ew[2] = {send_cost(res.msg_bytes_ew, Placement::OffNode),
-                           send_cost(res.msg_bytes_ew, Placement::OnChip)};
-  const usec total_ns[2] = {comm.total(res.msg_bytes_ns, Placement::OffNode),
-                            comm.total(res.msg_bytes_ns, Placement::OnChip)};
-
-  // (r2a)/(r2b): the pipeline-fill recurrence, now pure adds and compares.
-  scratch.start_.resize(static_cast<std::size_t>(n) * m);
-  auto start_at = [&](int i, int j) -> TimeSplit& {
-    return scratch.start_[static_cast<std::size_t>(j - 1) * n + (i - 1)];
-  };
-  const TimeSplit w_term{res.w, 0.0};
-  const std::uint8_t* col_pair = scratch.col_pair_.data();
-  const std::uint8_t* row_pair = scratch.row_pair_.data();
-
-  for (int j = 1; j <= m; ++j) {
-    for (int i = 1; i <= n; ++i) {
-      if (i == 1 && j == 1) {
-        start_at(1, 1) = TimeSplit{res.wpre, 0.0};
-        continue;
-      }
-      TimeSplit best{-1.0, 0.0};
-      if (i > 1) {
-        // West message arrives last: its full TotalComm, then the queued
-        // north message still costs its Receive processing.
-        TimeSplit cand = start_at(i - 1, j) + w_term;
-        cand += comm_term(total_ew[col_pair[i]]);
-        if (j > 1) cand += comm_term(recv_ns[row_pair[j]]);
-        if (cand.total > best.total) best = cand;
-      }
-      if (j > 1) {
-        // North message arrives last: the sender (i,j-1) first sends East
-        // (if it has an east neighbour), then sends South to us.
-        TimeSplit cand = start_at(i, j - 1) + w_term;
-        if (i < n) cand += comm_term(send_ew[col_pair[i + 1]]);
-        cand += comm_term(total_ns[row_pair[j]]);
-        if (cand.total > best.total) best = cand;
-      }
-      start_at(i, j) = best;
-    }
+  kernels::FillCosts costs;
+  costs.w = res.w;
+  costs.wpre = res.wpre;
+  for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
+    const int on_chip = where == Placement::OnChip;
+    costs.total_ew[on_chip] = comm.total(res.msg_bytes_ew, where);
+    costs.recv_ns[on_chip] = comm.recv(res.msg_bytes_ns, where);
+    costs.send_ew[on_chip] = send_cost(res.msg_bytes_ew, where);
+    costs.total_ns[on_chip] = comm.total(res.msg_bytes_ns, where);
   }
 
+  // (r2a)/(r2b): the pipeline-fill recurrence as a wavefront of skewed row
+  // blocks (kernels/fill_recurrence.h); the buffer ends holding row m.
+  scratch.row_.resize(static_cast<std::size_t>(n) + 1);
+  kernels::fill_recurrence(costs, scratch.col_pair_.data(),
+                           scratch.row_pair_.data(), n, m,
+                           scratch.row_.data());
+
   // (r3a)/(r3b): fill times to the main-diagonal corner and the far corner.
-  res.t_diagfill = start_at(1, m);
-  res.t_fullfill = start_at(n, m);
+  res.t_diagfill = TimeSplit{scratch.row_[1].total, scratch.row_[1].comm};
+  res.t_fullfill = TimeSplit{scratch.row_[n].total, scratch.row_[n].comm};
   if (machine.synchronization_terms) {
     res.t_diagfill += comm_term((m - 1) * machine.loggp.off.L);
     res.t_fullfill +=

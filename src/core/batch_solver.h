@@ -22,8 +22,13 @@
 //    placement-parity bitmaps, because on a cx x cy node rectangle the
 //    east/west placement of a message depends only on which column pair
 //    it crosses and the north/south placement only on which row pair
-//    (topology/node_map.h). The inner loop is pure TimeSplit adds and
-//    compares: no virtual calls, no divisions;
+//    (topology/node_map.h). The bitmaps are built with a wrapping counter,
+//    not a division per column;
+//  * the recurrence itself runs as a wavefront (src/kernels/
+//    fill_recurrence.h): row 1 is one register-held chain, rows 2..m go
+//    in skewed blocks of eight so each block carries eight independent
+//    west chains, and only the block's last row is stored, into one
+//    (n+1)-entry row buffer. No virtual calls, no divisions, no n*m table;
 //  * the r5 roll-up over a whole batch runs as element-wise loops over
 //    structure-of-arrays doubles (src/kernels/batch_terms.h), which the
 //    compiler vectorizes.
@@ -32,7 +37,9 @@
 // every point. The plan only pre-evaluates the exact double values the
 // scalar path's virtual calls would return and replays them in the scalar
 // path's exact TimeSplit operation order; no term is algebraically
-// reassociated. tests/test_batch_solver.cpp enforces this with memcmp.
+// reassociated. The wavefront schedule changes when each cell runs, never
+// what it computes. tests/test_batch_solver.cpp enforces this with memcmp,
+// on pinned grids, on every block edge and on seeded random draws.
 //
 // Thread-safety: add_app()/add_machine() mutate the plan and must finish
 // before evaluation starts; evaluate_point() and evaluate() are const and
@@ -45,6 +52,7 @@
 #include <vector>
 
 #include "core/solver.h"
+#include "kernels/fill_recurrence.h"
 
 namespace wave::core {
 
@@ -55,16 +63,17 @@ struct BatchPoint {
   topo::Grid grid{1, 1};
 };
 
-/// Reusable per-thread workspace for evaluate_point: the r2 DP table and
-/// the two placement-parity bitmaps. Keeping it outside the call makes the
-/// hot loop allocation-free after the first (largest-grid) point.
+/// Reusable per-thread workspace for evaluate_point: the r2 row buffer
+/// (n+1 entries; the recurrence keeps only one row in memory) and the two
+/// placement-parity bitmaps. Keeping it outside the call makes the hot loop
+/// allocation-free after the first (largest-grid) point.
 class BatchScratch {
  public:
   BatchScratch() = default;
 
  private:
   friend class BatchEval;
-  std::vector<TimeSplit> start_;
+  std::vector<kernels::FillTime> row_;  ///< [i] = StartP(i, current row)
   std::vector<std::uint8_t> col_pair_;  ///< [i] = columns i-1,i share a node
   std::vector<std::uint8_t> row_pair_;  ///< [j] = rows j-1,j share a node
 };

@@ -8,10 +8,14 @@
 // batch-off record sets serialize identically at any thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/batch_solver.h"
 #include "core/benchmarks.h"
 #include "core/solver.h"
@@ -144,33 +148,123 @@ TEST(BatchSolver, ByteIdenticalAcrossBackendsAndSyncTerms) {
 TEST(BatchSolver, ByteIdenticalOnEdgeGrids) {
   // Degenerate decompositions: a single processor (no fill, no comm), a
   // one-row pipeline, a one-column stack, and a tall-node machine where
-  // the row-parity table does the work.
+  // the row-parity table does the work. The recurrence runs in skewed
+  // blocks of kernels::kFillRows rows, so the rest hit every block
+  // remainder, both ramps and grids narrower than a block, on node
+  // rectangles up to 4x2, with blocking and non-blocking sends.
   wc::BatchEval plan(kCtx.comm_model_registry());
-  const std::uint32_t app = plan.add_app(wb::chimaera());
-  const std::uint32_t dual = plan.add_machine(wc::MachineConfig::xt4_dual_core());
-  const std::uint32_t quad = plan.add_machine(wc::MachineConfig::xt4_with_cores(8, 2));
+  std::vector<std::uint32_t> apps;
+  for (const bool nonblocking : {false, true}) {
+    wc::AppParams app = wb::chimaera();
+    app.nonblocking_sends = nonblocking;
+    apps.push_back(plan.add_app(app));
+  }
+  std::vector<std::uint32_t> machines = {
+      plan.add_machine(wc::MachineConfig::xt4_dual_core()),
+      plan.add_machine(wc::MachineConfig::xt4_with_cores(8, 2))};
+  for (const auto& [cx, cy] : {std::pair{1, 1}, std::pair{2, 1},
+                               std::pair{1, 2}, std::pair{2, 2},
+                               std::pair{4, 2}}) {
+    wc::MachineConfig m = wc::MachineConfig::xt4_dual_core();
+    m.cx = cx;
+    m.cy = cy;
+    machines.push_back(plan.add_machine(m));
+  }
 
   wc::BatchScratch scratch;
   wc::ModelResult batch;
-  for (const std::uint32_t machine : {dual, quad}) {
-    for (const wave::topo::Grid grid :
-         {wave::topo::Grid(1, 1), wave::topo::Grid(64, 1),
-          wave::topo::Grid(1, 64), wave::topo::Grid(2, 2),
-          wave::topo::Grid(128, 32)}) {
-      wc::BatchPoint p;
-      p.app = app;
-      p.machine = machine;
-      p.grid = grid;
-      plan.evaluate_point(p, scratch, batch);
-      const wc::ModelResult scalar =
-          wc::Solver(plan.app(app), plan.machine(machine),
-                     kCtx.comm_model_registry())
-              .evaluate(grid);
-      expect_identical(scalar, batch,
-                       "grid " + std::to_string(grid.n()) + "x" +
-                           std::to_string(grid.m()));
+  for (const std::uint32_t app : apps) {
+    for (const std::uint32_t machine : machines) {
+      for (const wave::topo::Grid grid :
+           {wave::topo::Grid(1, 1), wave::topo::Grid(64, 1),
+            wave::topo::Grid(1, 64), wave::topo::Grid(2, 2),
+            wave::topo::Grid(128, 32), wave::topo::Grid(1, 17),
+            wave::topo::Grid(3, 17), wave::topo::Grid(7, 8),
+            wave::topo::Grid(8, 9), wave::topo::Grid(9, 8),
+            wave::topo::Grid(2, 10), wave::topo::Grid(40, 17)}) {
+        wc::BatchPoint p;
+        p.app = app;
+        p.machine = machine;
+        p.grid = grid;
+        plan.evaluate_point(p, scratch, batch);
+        const wc::ModelResult scalar =
+            wc::Solver(plan.app(app), plan.machine(machine),
+                       kCtx.comm_model_registry())
+                .evaluate(grid);
+        const wc::MachineConfig& mc = plan.machine(machine);
+        expect_identical(
+            scalar, batch,
+            "grid " + std::to_string(grid.n()) + "x" +
+                std::to_string(grid.m()) + " on " + std::to_string(mc.cx) +
+                "x" + std::to_string(mc.cy) + " nodes, nonblocking " +
+                std::to_string(plan.app(app).nonblocking_sends));
+      }
     }
   }
+}
+
+TEST(BatchSolver, RandomDrawsMatchScalar) {
+  // Seeded draws over every axis that changes which doubles the plan
+  // hoists or which cells the skewed schedule visits: grid shape, node
+  // rectangle, synchronization terms, non-blocking sends, comm backend and
+  // application. Each draw is compared through evaluate_point and, as one
+  // batch, through evaluate()/at(k).
+  constexpr int kDraws = 3000;
+  wave::common::Rng rng(14);
+  const std::vector<std::string> backends =
+      wave::loggp::comm_model_names(kCtx.comm_model_registry());
+  const std::pair<int, int> nodes[] = {{1, 1}, {2, 1}, {1, 2}, {2, 2},
+                                       {4, 1}, {1, 4}, {4, 2}, {8, 2}};
+  const std::pair<const char*, wc::AppParams> apps[] = {
+      {"LU", wb::lu()}, {"Sweep3D", wb::sweep3d_20m()},
+      {"Chimaera", wb::chimaera()}};
+  auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+
+  wc::BatchEval plan(kCtx.comm_model_registry());
+  wc::BatchScratch scratch;
+  wc::ModelResult batch;
+  std::vector<wc::BatchPoint> points;
+  std::vector<wc::ModelResult> scalars;
+  std::vector<std::string> labels;
+  for (int d = 0; d < kDraws; ++d) {
+    const auto& [app_name, base] = apps[pick(std::size(apps))];
+    wc::AppParams app = base;
+    app.nonblocking_sends = rng.uniform_int(0, 1) != 0;
+    wc::MachineConfig machine = wc::MachineConfig::xt4_dual_core();
+    const auto [cx, cy] = nodes[pick(std::size(nodes))];
+    machine.cx = cx;
+    machine.cy = cy;
+    machine.synchronization_terms = rng.uniform_int(0, 1) != 0;
+    machine.comm_model = backends[pick(backends.size())];
+    const wave::topo::Grid grid(static_cast<int>(rng.uniform_int(1, 40)),
+                                static_cast<int>(rng.uniform_int(1, 40)));
+
+    labels.push_back(
+        "draw " + std::to_string(d) + ": " + app_name + " " +
+        std::to_string(grid.n()) + "x" + std::to_string(grid.m()) + " on " +
+        std::to_string(cx) + "x" + std::to_string(cy) + " nodes, " +
+        machine.comm_model + ", sync " +
+        std::to_string(machine.synchronization_terms) + ", nonblocking " +
+        std::to_string(app.nonblocking_sends));
+    scalars.push_back(
+        wc::Solver(app, machine, kCtx.comm_model_registry()).evaluate(grid));
+    wc::BatchPoint p;
+    p.app = plan.add_app(app);
+    p.machine = plan.add_machine(machine);
+    p.grid = grid;
+    points.push_back(p);
+    plan.evaluate_point(p, scratch, batch);
+    expect_identical(scalars.back(), batch, labels.back());
+    if (HasFailure()) return;  // the first mismatching draw is reported
+  }
+
+  const wc::BatchResults soa = plan.evaluate(points);
+  ASSERT_EQ(soa.size(), points.size());
+  for (std::size_t k = 0; k < points.size() && !HasFailure(); ++k)
+    expect_identical(scalars[k], soa.at(k), labels[k] + " (SoA)");
 }
 
 TEST(BatchSolver, AddAppAndAddMachineMemoizePerAxisValue) {
