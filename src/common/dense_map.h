@@ -1,11 +1,10 @@
 // Open-addressed hash map with 64-bit keys for hot-path lookups.
 //
 // std::unordered_map pays a node allocation per insert and a pointer chase
-// per lookup; for the MPI channel table — hit on every message post — that
-// is measurable. DenseMap64 stores keys and values in flat parallel arrays
-// with linear probing and a power-of-two capacity, pre-sizable so a
-// simulation of known rank count never rehashes. Erase is deliberately not
-// provided (channels live for the whole simulation).
+// per lookup. DenseMap64 stores keys and values in flat parallel arrays
+// with linear probing and a power-of-two capacity, pre-sizable so a known
+// key count never rehashes. Erase is deliberately not provided: the
+// EvalService cache it backs drops a whole shard at once.
 #pragma once
 
 #include <cstddef>

@@ -14,6 +14,7 @@ namespace wave::sim {
 /// complete_receive, after which no event references it.
 struct Mpi::Message {
   int src = -1, dst = -1;
+  Message* next = nullptr;           // inbox link while unmatched
   int src_node = -1, dst_node = -1;  // cached placement (hot-path lookups)
   int bytes = 0;
   bool on_chip = false;
@@ -50,14 +51,7 @@ Mpi::Mpi(Engine& engine, loggp::MachineParams params,
   rx_bus_.resize(static_cast<std::size_t>(max_node) + 1);
   nic_.resize(static_cast<std::size_t>(max_node) + 1);
   mpi_busy_.assign(node_of_rank_.size(), 0.0);
-  // Near-neighbour workloads materialize O(ranks) of the ranks^2 possible
-  // channels (4 neighbours in each direction plus ~2 log2 P collective
-  // partners per rank); pre-size for the common wavefront footprint —
-  // enough that a pure-neighbour run never rehashes, while collective-
-  // heavy runs pay at most a couple of amortized rehashes — capped so
-  // degenerate huge worlds don't balloon the empty table.
-  channels_.reserve_keys(
-      std::min<std::size_t>(node_of_rank_.size() * 24 + 64, 1u << 20));
+  inbox_.resize(node_of_rank_.size());
 }
 
 Mpi::~Mpi() = default;
@@ -91,10 +85,20 @@ usec Mpi::nic_wait_total() const {
   return total;
 }
 
-Mpi::Channel& Mpi::channel(int src, int dst) {
-  const auto key =
-      static_cast<std::uint64_t>(src) << 32U | static_cast<std::uint32_t>(dst);
-  return channels_[key];
+template <typename Node>
+Node* Mpi::take_oldest(Fifo<Node>& fifo, int src) {
+  std::uint64_t scanned = 0;
+  Node* prev = nullptr;
+  Node* node = fifo.head;
+  for (; node != nullptr; prev = node, node = node->next) {
+    ++scanned;
+    if (node->src != src) continue;
+    (prev != nullptr ? prev->next : fifo.head) = node->next;
+    if (fifo.tail == node) fifo.tail = prev;
+    break;
+  }
+  max_match_scan_ = std::max(max_match_scan_, scanned);
+  return node;
 }
 
 usec Mpi::interference(int bytes) const {
@@ -172,9 +176,6 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
   msg->send_ready = 0.0;
   msg->match_time = 0.0;
 
-  Channel& ch = channel(src, dst);
-  ch.unmatched.push_back(msg);
-
   const usec now = engine_.now();
   if (msg->on_chip) {
     if (!msg->large) {
@@ -196,8 +197,8 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
       msg->sender = std::move(done);
       msg->send_ready = now + params_.on.o;
       if (cpu_done) engine_.at(msg->send_ready, std::move(cpu_done));
-      // A freshly posted message cannot be matched yet; the waiting-recv
-      // check at the bottom of this function starts the DMA via match().
+      // If a receive is already posted, the match at the bottom of this
+      // function starts the DMA.
     }
   } else {
     // Off-node sends serialize their CPU/NIC phase on the node's MPI
@@ -220,12 +221,15 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
     }
   }
 
-  // A receive may already be queued waiting on this channel.
-  if (!ch.waiting_recvs.empty()) {
-    Completion recv = ch.waiting_recvs.pop_front();
-    WAVE_ENSURES(!ch.unmatched.empty());
-    Message* head = ch.unmatched.pop_front();
-    match(head, std::move(recv), now);
+  // Match the oldest receive already posted for this source, if any;
+  // otherwise the message waits in the receiver's inbox.
+  Inbox& inbox = inbox_[dst];
+  if (PostedRecv* posted = take_oldest(inbox.posted, src)) {
+    Completion recv = std::move(posted->done);
+    posted_recvs_.release(posted);
+    match(msg, std::move(recv), now);
+  } else {
+    inbox.unmatched.push_back(msg);
   }
 }
 
@@ -239,12 +243,15 @@ void Mpi::post_recv(int dst, int src, F done) {
     mpi_busy_[dst] += engine_.now() - t0;
     inner();
   };
-  Channel& ch = channel(src, dst);
-  if (!ch.unmatched.empty()) {
-    Message* msg = ch.unmatched.pop_front();
+  Inbox& inbox = inbox_[dst];
+  if (Message* msg = take_oldest(inbox.unmatched, src)) {
     match(msg, std::move(busy_done), engine_.now());
   } else {
-    ch.waiting_recvs.push_back(std::move(busy_done));
+    // Dirty acquire: a released node's completion was moved out.
+    PostedRecv* posted = posted_recvs_.acquire_dirty();
+    posted->src = src;
+    posted->done = std::move(busy_done);
+    inbox.posted.push_back(posted);
   }
 }
 
@@ -393,6 +400,8 @@ void World::publish_metrics() {
   reg.counter("sim_messages_total").add(mpi_.messages_delivered());
   reg.gauge("sim_max_pending_events")
       .set_max(static_cast<std::int64_t>(engine_.max_pending()));
+  reg.gauge("sim_max_match_scan")
+      .set_max(static_cast<std::int64_t>(mpi_.max_match_scan()));
 }
 
 usec World::run() {

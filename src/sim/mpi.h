@@ -27,11 +27,15 @@
 // pipelined wavefront schedules — including their stalls — are simulated
 // faithfully.
 //
-// The fabric is allocation-free in steady state: messages and isend
-// requests are recycled through per-Mpi slab pools, protocol completions
-// are InlineTask (task.h) instead of std::function, and the (src, dst) ->
-// channel table is a dense open-addressed map pre-sized from the rank
-// count (docs/PERFORMANCE.md).
+// The fabric is allocation-free in steady state: messages, posted
+// receives and isend requests are recycled through per-Mpi slab pools, and
+// protocol completions are InlineTask (task.h) instead of std::function.
+// Matching works like a real MPI library's: each destination rank has one
+// inbox holding an unexpected-message FIFO and a posted-receive FIFO, both
+// intrusive lists. A send takes the oldest posted receive for its source,
+// a receive the oldest unmatched message from its source, so every
+// (src, dst) pair stays FIFO. Wavefront traffic keeps both lists short;
+// the longest scan is reported as max_match_scan() (docs/PERFORMANCE.md).
 #pragma once
 
 #include <coroutine>
@@ -41,9 +45,7 @@
 #include <vector>
 
 #include "common/contracts.h"
-#include "common/dense_map.h"
 #include "common/pool.h"
-#include "common/ring_queue.h"
 #include "loggp/params.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
@@ -93,6 +95,10 @@ class Mpi {
   usec nic_wait_total() const;
   /// Messages fully delivered so far.
   std::uint64_t messages_delivered() const { return delivered_; }
+  /// Longest inbox scan any send or receive has made so far, counting
+  /// every entry it visited, the one it matched included. Long scans mean
+  /// many senders queued at one receiver (fan-in).
+  std::uint64_t max_match_scan() const { return max_match_scan_; }
 
   /// Installs (or, with nullptr, removes) a span sink: every awaitable
   /// operation posted through a RankCtx records a timed obs::Span into it
@@ -335,9 +341,28 @@ class Mpi {
   /// Type-erased protocol continuation; inline storage keeps the hot path
   /// out of the allocator (task.h static_asserts every capture fits).
   using Completion = InlineTask;
-  struct Channel {
-    common::RingQueue<Message*> unmatched;  // send order
-    common::RingQueue<Completion> waiting_recvs;
+  /// A receive posted before its message arrived.
+  struct PostedRecv {
+    int src = -1;
+    PostedRecv* next = nullptr;
+    Completion done;
+  };
+  /// Intrusive singly linked FIFO over nodes with `src` and `next` fields.
+  template <typename Node>
+  struct Fifo {
+    Node* head = nullptr;
+    Node* tail = nullptr;
+    void push_back(Node* node) {
+      node->next = nullptr;
+      (tail != nullptr ? tail->next : head) = node;
+      tail = node;
+    }
+  };
+  /// One destination rank's matching state. At most one of the two lists
+  /// holds entries for any given source.
+  struct Inbox {
+    Fifo<Message> unmatched;   // sent, no receive posted yet; send order
+    Fifo<PostedRecv> posted;   // posted, no message yet; post order
   };
 
   void start_send(int src, int dst, int bytes, std::coroutine_handle<> h);
@@ -371,7 +396,9 @@ class Mpi {
   void complete_receive(Message* msg, Completion recv);
   usec recv_overhead(const Message& msg) const;
   usec interference(int bytes) const;
-  Channel& channel(int src, int dst);
+  /// Unlinks and returns the oldest node from `src`, or nullptr.
+  template <typename Node>
+  Node* take_oldest(Fifo<Node>& fifo, int src);
 
   Engine& engine_;
   loggp::MachineParams params_;
@@ -385,16 +412,14 @@ class Mpi {
   std::vector<FifoResource> tx_bus_;
   std::vector<FifoResource> rx_bus_;
   std::vector<FifoResource> nic_;  // per node: NIC/MPI engine (CPU o phases)
-  // Dense (src, dst) -> channel table, pre-sized from the rank count:
-  // wavefront traffic is near-neighbour, so only O(ranks) of the ranks^2
-  // possible channels ever exist — but each is hit per message, so the
-  // lookup is flat open addressing instead of a node-based hash map.
-  common::DenseMap64<Channel> channels_;
+  std::vector<Inbox> inbox_;  // per destination rank
   // Recycled protocol objects (see pool.h): allocation-free after warm-up.
   common::SlabPool<Message> messages_;
+  common::SlabPool<PostedRecv> posted_recvs_;
   common::SlabPool<Request> requests_;
   std::vector<usec> mpi_busy_;  // per rank: total MPI-operation occupancy
   std::uint64_t delivered_ = 0;
+  std::uint64_t max_match_scan_ = 0;
   // Optional span sink (see set_tracer); observation-only by contract.
   obs::SpanBuffer* tracer_ = nullptr;
 };
@@ -468,7 +493,8 @@ class World {
   usec run();
 
  private:
-  /// Publishes post-run engine/fabric counters into observers_.metrics.
+  /// Publishes post-run engine/fabric counters and health gauges into
+  /// observers_.metrics.
   void publish_metrics();
 
   Observers observers_;

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "loggp/collectives.h"
 #include "loggp/backends.h"
+#include "obs/metrics.h"
 #include "sim/mpi.h"
 #include "workloads/pingpong.h"
 
@@ -125,6 +127,139 @@ TEST(MpiSemantics, DeadlockIsDetectedAndNamed) {
     EXPECT_NE(what.find("deadlock"), std::string::npos);
     EXPECT_NE(what.find("rank0"), std::string::npos);
   }
+}
+
+// ---- matching: per-receiver inboxes keep every (src, dst) pair FIFO ----
+
+namespace {
+
+// Isends `sizes` to rank 0 back to back, then waits for all of them.
+ws::Process isend_burst(ws::RankCtx ctx, std::vector<int> sizes) {
+  std::vector<ws::Mpi::RequestHandle> requests;
+  for (int bytes : sizes) {
+    requests.push_back(ctx.make_request());
+    co_await ctx.isend(0, bytes, requests.back());
+  }
+  for (auto* request : requests) co_await ctx.wait(request);
+}
+
+// Computes until `post_at`, then receives from each of `sources` in turn,
+// recording how long each blocking receive took.
+ws::Process timed_receives(ws::RankCtx ctx, double post_at,
+                           std::vector<int> sources,
+                           std::vector<double>* durations) {
+  co_await ctx.compute(post_at);
+  for (int src : sources) {
+    const double t0 = ctx.mpi().engine().now();
+    co_await ctx.recv(src);
+    durations->push_back(ctx.mpi().engine().now() - t0);
+  }
+}
+
+// One node per rank, so every message is off-node and uncontended.
+std::vector<int> one_rank_per_node(int ranks) {
+  std::vector<int> nodes(ranks);
+  for (int r = 0; r < ranks; ++r) nodes[r] = r;
+  return nodes;
+}
+
+// A blocking receive of an already-arrived message costs its processing
+// overhead o (eager) or the full rendezvous completion of eq. (4b).
+double recv_after_arrival(int bytes) {
+  return bytes > kXt4.eager_limit_bytes
+             ? kModel.recv(bytes, wl::Placement::OffNode)
+             : kXt4.off.o;
+}
+
+}  // namespace
+
+TEST(MpiMatching, FanInMatchesEachSourceInSendOrder) {
+  // 32 senders each isend an eager message, then a rendezvous message
+  // whose size names the sender. Rank 0 receives only after everything
+  // has arrived, and in reverse arrival order, so each receive walks past
+  // the other senders' messages in its inbox.
+  constexpr int kSenders = 32;
+  constexpr int kEager = 512;
+  auto rendezvous_bytes = [](int src) { return 2048 + 64 * src; };
+
+  wave::obs::MetricsRegistry metrics;
+  ws::World world(kXt4, one_rank_per_node(kSenders + 1), {},
+                  {.metrics = &metrics});
+  std::vector<int> sources;
+  for (int src = kSenders; src >= 1; --src) {
+    sources.push_back(src);
+    sources.push_back(src);
+  }
+  std::vector<double> durations;
+  world.spawn("rank0",
+              timed_receives(world.ctx(0), 1000.0, sources, &durations));
+  for (int src = 1; src <= kSenders; ++src)
+    world.spawn("rank" + std::to_string(src),
+                isend_burst(world.ctx(src), {kEager, rendezvous_bytes(src)}));
+  world.run();
+
+  ASSERT_EQ(durations.size(), sources.size());  // every receive completed
+  for (std::size_t k = 0; k < sources.size(); k += 2) {
+    const int src = sources[k];
+    EXPECT_NEAR(durations[k], recv_after_arrival(kEager), 1e-9)
+        << "first receive from " << src;
+    EXPECT_NEAR(durations[k + 1], recv_after_arrival(rendezvous_bytes(src)),
+                1e-6)
+        << "second receive from " << src;
+  }
+  // The first receive skipped 31 other senders' messages.
+  EXPECT_GE(world.mpi().max_match_scan(), 31u);
+  EXPECT_EQ(metrics.gauge("sim_max_match_scan").value(),
+            static_cast<std::int64_t>(world.mpi().max_match_scan()));
+}
+
+TEST(MpiMatching, InterleavedSourcesStayFifoPerPair) {
+  // Ranks 1 and 2 each send three messages of distinct sizes; rank 0
+  // drains rank 2 first. The receive times identify which message each
+  // receive matched: always the pair's oldest.
+  const std::vector<int> from1 = {512, 4096, 8192};
+  const std::vector<int> from2 = {256, 3072, 12288};
+  ws::World world(kXt4, one_rank_per_node(3));
+  std::vector<double> durations;
+  world.spawn("rank0", timed_receives(world.ctx(0), 1000.0, {2, 2, 2, 1, 1, 1},
+                                      &durations));
+  world.spawn("rank1", isend_burst(world.ctx(1), from1));
+  world.spawn("rank2", isend_burst(world.ctx(2), from2));
+  world.run();
+
+  std::vector<int> expected = from2;
+  expected.insert(expected.end(), from1.begin(), from1.end());
+  ASSERT_EQ(durations.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k)
+    EXPECT_NEAR(durations[k], recv_after_arrival(expected[k]), 1e-6)
+        << "receive " << k << " should match the " << expected[k]
+        << "-byte message";
+}
+
+TEST(MpiMatching, PostedReceiveIgnoresOtherSources) {
+  // Rank 0 posts a receive for rank 2 before rank 1's message arrives;
+  // rank 2 never sends, so the receive must stay unmatched.
+  auto wait_for_rank2 = [](ws::RankCtx ctx) -> ws::Process {
+    co_await ctx.recv(2);
+  };
+  auto send_once = [](ws::RankCtx ctx) -> ws::Process {
+    co_await ctx.send(0, 256);
+  };
+  auto idle = [](ws::RankCtx) -> ws::Process { co_return; };
+  ws::World world(kXt4, one_rank_per_node(3));
+  world.spawn("rank0", wait_for_rank2(world.ctx(0)));
+  world.spawn("rank1", send_once(world.ctx(1)));
+  world.spawn("rank2", idle(world.ctx(2)));
+  try {
+    world.run();
+    FAIL() << "expected deadlock";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("deadlock: 1 process(es)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rank0"), std::string::npos) << what;
+  }
+  EXPECT_EQ(world.mpi().messages_delivered(), 1u);
 }
 
 TEST(MpiSemantics, ExchangeOverlapsBothDirections) {

@@ -5,6 +5,7 @@
 #include "core/benchmarks.h"
 #include "core/solver.h"
 #include "loggp/registry.h"
+#include "obs/metrics.h"
 #include "workloads/wavefront.h"
 
 namespace wc = wave::core;
@@ -64,6 +65,30 @@ TEST(SimulateWavefront, MessageCountMatchesStructure) {
       spec.tiles_per_stack;
   const std::uint64_t allreduce_msgs = 2ULL * 3ULL * 8ULL;  // 2 ars * log2(8)*8
   EXPECT_EQ(res.messages, 8ULL * per_sweep + allreduce_msgs);
+}
+
+TEST(SimulateWavefront, PaperScaleRecordAtP4096IsPinned) {
+  // Sweep3D 256x256x8 on the dual-core XT4 at P = 4,096 (64 x 64 ranks):
+  // each of the two allreduces swaps with 12 partners per rank, so every
+  // inbox sees collective traffic from 12 sources besides its wavefront
+  // neighbours. Every figure must stay bit for bit; perfbench's
+  // des-paper-scale workload checks the same sim_us, events and messages.
+  wb::Sweep3dConfig cfg;
+  cfg.nx = cfg.ny = 256;
+  cfg.nz = 8;
+  wave::obs::MetricsRegistry metrics;
+  const auto res = ww::simulate_wavefront(wb::sweep3d(cfg), kDual, kReg, 4096,
+                                          1, {.metrics = &metrics});
+  EXPECT_EQ(res.events, 1204224u);
+  EXPECT_EQ(res.messages, 356352u);
+  EXPECT_EQ(res.makespan, 25176.315759998153);
+  EXPECT_EQ(res.mpi_busy_mean, 24715.818053269661);
+  EXPECT_EQ(res.bus_wait, 255134.77468795178);
+  EXPECT_EQ(res.nic_wait, 525804.26885581133);
+  // Matching stays cheap at scale: no send or receive walks a long inbox.
+  const std::int64_t scan = metrics.gauge("sim_max_match_scan").value();
+  EXPECT_GE(scan, 1);
+  EXPECT_LE(scan, 16);
 }
 
 TEST(SimulateWavefront, DeterministicAcrossRuns) {
