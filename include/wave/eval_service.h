@@ -21,8 +21,7 @@
 //     caller observes a fully-formed value;
 //   - the cache is capacity-bounded: reaching `Options::capacity` distinct
 //     scenarios resets the cache generation (counted in Stats::resets) —
-//     a deliberately simple bound that keeps the dense map allocation-free
-//     in steady state;
+//     a deliberately simple bound with no per-entry bookkeeping;
 //   - the cache is sharded (`Options::shards`, key hash → shard, each
 //     shard behind its own mutex), so concurrent hits on distinct shards
 //     never contend — the serving layer (src/serve/) runs one service
@@ -89,11 +88,12 @@ class EvalService {
   ///   dashboard can pay the whole grid once at startup and serve every
   ///   subsequent evaluate() from cache.
   ///
-  ///   Analytic wavefront points are evaluated through one shared
-  ///   batch-solver plan — machine backends and app terms resolve once
-  ///   per unique axis value — and the cached Results are bit-identical
-  ///   to what a cold evaluate() of the same query would store (the batch
-  ///   solver's correctness contract). Already-cached points are skipped.
+  ///   The points run through the same batch route as Study::run(), so
+  ///   analytic wavefront points share one batch-solver plan — machine
+  ///   backends and app terms resolve once per unique axis value — and
+  ///   the cached Results are bit-identical to what a cold evaluate() of
+  ///   the same query would store (the batch solver's correctness
+  ///   contract). Already-cached points are skipped.
   ///
   /// @return The number of scenarios newly added to the cache.
   Expected<std::size_t> warm(const Study& study);

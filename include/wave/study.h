@@ -123,8 +123,8 @@ class Study {
 
  private:
   friend class Context;
-  /// EvalService::warm(Study) replays the axes into concrete queries and
-  /// bulk-populates its cache through the batch solver.
+  /// EvalService::warm(Study) replays the axes into concrete queries (the
+  /// cache keys need them) and evaluates them through BatchRunner.
   friend class EvalService;
   explicit Study(const Context* ctx) : ctx_(ctx) {}
 

@@ -1,6 +1,7 @@
 #include "api/api_internal.h"
 
 #include <typeinfo>
+#include <utility>
 
 #include "common/contracts.h"
 #include "core/benchmarks.h"
@@ -49,6 +50,28 @@ core::AppParams app_preset(const std::string& name) {
   return core::AppParams();  // unreachable; keep the compiler happy
 }
 
+core::AppParams resolve_app(const std::string& preset, double wg, double nx,
+                            double ny, double nz) {
+  core::AppParams app;
+  if (!preset.empty()) app = app_preset(preset);
+  if (wg > 0.0) {
+    // An explicit Wg with no preset applies to the workload subsystem's
+    // canonical default app rather than silently doing nothing.
+    if (app.nx <= 0.0) app = workloads::WorkloadInputs::default_app();
+    app.wg = wg;
+  }
+  if (nx > 0.0) {
+    if (app.nx <= 0.0) app = workloads::WorkloadInputs::default_app();
+    app.nx = nx;
+    app.ny = ny;
+    app.nz = nz;
+  }
+  // No preset and no overrides: the workload subsystem's canonical app
+  // (Sweep3D 64^3), so a bare ctx.query().run() is a valid question.
+  if (app.nx <= 0.0) app = workloads::WorkloadInputs::default_app();
+  return app;
+}
+
 runner::Engine to_runner_engine(Engine engine) {
   return engine == Engine::Model ? runner::Engine::Model
                                  : runner::Engine::Simulation;
@@ -69,22 +92,9 @@ runner::Scenario scenario_from(const Context& ctx, const Query& query) {
     s.comm_model = query.comm_model_name();
   }
 
-  if (!query.app_preset().empty()) s.app = app_preset(query.app_preset());
-  if (query.wg_override() > 0.0) {
-    // An explicit Wg with no preset applies to the workload subsystem's
-    // canonical default app rather than silently doing nothing.
-    if (s.app.nx <= 0.0) s.app = workloads::WorkloadInputs::default_app();
-    s.app.wg = query.wg_override();
-  }
-  if (query.problem_nx() > 0.0) {
-    if (s.app.nx <= 0.0) s.app = workloads::WorkloadInputs::default_app();
-    s.app.nx = query.problem_nx();
-    s.app.ny = query.problem_ny();
-    s.app.nz = query.problem_nz();
-  }
-  // No preset and no overrides: the workload subsystem's canonical app
-  // (Sweep3D 64^3), so a bare ctx.query().run() is a valid question.
-  if (s.app.nx <= 0.0) s.app = workloads::WorkloadInputs::default_app();
+  s.app = resolve_app(query.app_preset(), query.wg_override(),
+                      query.problem_nx(), query.problem_ny(),
+                      query.problem_nz());
   s.app.validate();
 
   WAVE_EXPECTS_MSG(query.processor_count() >= 1,
@@ -106,6 +116,16 @@ runner::Scenario scenario_from(const Context& ctx, const Query& query) {
 
 Result result_from(const Context& ctx, const Query& query,
                    const runner::Scenario& scenario) {
+  return result_from_terms(
+      query, scenario,
+      query.validate_requested()
+          ? runner::workload_model_vs_sim_metrics(ctx, scenario)
+          : runner::evaluate_scenario(ctx, scenario));
+}
+
+Result result_from_terms(const Query& query,
+                         const runner::Scenario& scenario,
+                         runner::Metrics terms) {
   Result out;
   const core::MachineConfig machine = scenario.effective_machine();
   out.workload = scenario.workload;
@@ -113,9 +133,9 @@ Result result_from(const Context& ctx, const Query& query,
   out.comm_model = machine.comm_model;
   out.processors = scenario.processors();
   out.engine = query.engine_choice();
+  out.terms = std::move(terms);
 
   if (query.validate_requested()) {
-    out.terms = runner::workload_model_vs_sim_metrics(ctx, scenario);
     out.validated = true;
     out.model_us = out.term_or("model_us", 0.0);
     out.sim_us = out.term_or("sim_us", 0.0);
@@ -127,7 +147,6 @@ Result result_from(const Context& ctx, const Query& query,
     return out;
   }
 
-  out.terms = runner::evaluate_scenario(ctx, scenario);
   // The first metric of every canned evaluator is the headline
   // per-iteration time (model_iter_us / model_us / sim_iter_us / sim_us).
   if (!out.terms.empty()) out.time_us = out.terms.front().second;

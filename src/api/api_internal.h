@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/app_params.h"
+#include "runner/record.h"
 #include "runner/scenario.h"
 #include "wave/context.h"
 #include "wave/query.h"
@@ -21,16 +22,30 @@ core::AppParams app_preset(const std::string& name);
 /// "a, b, c" — the preset vocabulary for error messages and docs.
 std::string app_preset_names_joined();
 
+/// The application a Query or Optimize describes: the named preset
+/// (empty = none), then the wg and problem overrides (<= 0 = unset). Any
+/// override without a preset, or no input at all, starts from the
+/// workload subsystem's canonical default app. Not validated.
+core::AppParams resolve_app(const std::string& preset, double wg, double nx,
+                            double ny, double nz);
+
 /// Builds the internal scenario a Query describes: resolves the machine
 /// against `ctx`, validates workload and comm-model names, applies the
 /// app preset plus wg/problem overrides. Throws on any unknown name or
 /// domain violation (callers wrap with to_status).
 runner::Scenario scenario_from(const Context& ctx, const Query& query);
 
-/// Maps the evaluated metrics of `scenario` onto the typed Result,
+/// Evaluates `scenario` and maps its metrics onto the typed Result,
 /// including the divergence block when the query asked to validate.
 Result result_from(const Context& ctx, const Query& query,
                    const runner::Scenario& scenario);
+
+/// The Result mapping of result_from over already-evaluated `terms`:
+/// workload_model_vs_sim_metrics when the query asked to validate,
+/// evaluate_scenario's metric set (or a BatchRunner record's) otherwise.
+Result result_from_terms(const Query& query,
+                         const runner::Scenario& scenario,
+                         runner::Metrics terms);
 
 /// The facade's engine enum <-> the runner's.
 runner::Engine to_runner_engine(Engine engine);

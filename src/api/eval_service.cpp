@@ -6,12 +6,11 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "api/api_internal.h"
-#include "common/dense_map.h"
-#include "core/batch_solver.h"
 #include "core/machine.h"
 #include "obs/metrics.h"
 #include "runner/batch_runner.h"
@@ -28,18 +27,6 @@ std::string exact(double value) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", value);
   return buf;
-}
-
-/// FNV-1a 64 over the canonical key text.
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  // The all-ones value is DenseMap64's empty-slot sentinel.
-  if (h == common::DenseMap64<int>::kEmptyKey) h = 0;
-  return h;
 }
 
 /// The canonical scenario identity: every query field that can change the
@@ -69,45 +56,31 @@ std::string key_text(const Query& query,
 }  // namespace
 
 struct EvalService::Impl {
-  struct Entry {
-    std::string key;
-    Result result;
-  };
-
-  /// One cache shard: its own mutex, dense map and counters. Concurrent
+  /// One cache shard: its own mutex, map and counters. Concurrent
   /// operations on distinct shards never touch a shared cache line, so
   /// hit throughput scales with cores (the serve layer's point).
   struct Shard {
     mutable std::mutex mutex;
-    /// hash(key) -> entries with that hash (collision chains stay tiny;
-    /// the full key string disambiguates).
-    common::DenseMap64<std::vector<Entry>> cache;
-    std::size_t size = 0;
+    /// Canonical key text -> the first evaluation's Result.
+    std::unordered_map<std::string, Result> cache;
     std::size_t capacity = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t resets = 0;
     std::uint64_t imported = 0;
 
-    const Result* find_locked(std::uint64_t hash, const std::string& key) {
-      const std::vector<Entry>* chain = cache.find(hash);
-      if (chain == nullptr) return nullptr;
-      for (const Entry& e : *chain)
-        if (e.key == key) return &e.result;
-      return nullptr;
+    const Result* find_locked(const std::string& key) const {
+      const auto it = cache.find(key);
+      return it == cache.end() ? nullptr : &it->second;
     }
 
-    void store_locked(std::uint64_t hash, const std::string& key,
-                      const Result& result) {
-      if (size >= capacity) {
+    void store_locked(const std::string& key, const Result& result) {
+      if (cache.size() >= capacity) {
         // Generation reset: the simple capacity bound (see eval_service.h).
-        cache = common::DenseMap64<std::vector<Entry>>();
-        cache.reserve_keys(capacity);
-        size = 0;
+        cache.clear();
         ++resets;
       }
-      cache[hash].push_back(Entry{key, result});
-      ++size;
+      cache.emplace(key, result);
     }
   };
 
@@ -132,12 +105,8 @@ struct EvalService::Impl {
   std::vector<obs::Histogram*> hit_latency;
   std::vector<obs::Histogram*> miss_latency;
 
-  Shard& shard_for(std::uint64_t hash) {
-    return shards[hash % shards.size()];
-  }
-
-  std::size_t shard_index(std::uint64_t hash) const {
-    return hash % shards.size();
+  std::size_t shard_index(const std::string& key) const {
+    return std::hash<std::string>{}(key) % shards.size();
   }
 
   /// Locks every shard, in index order (the one total order, so two
@@ -161,10 +130,7 @@ EvalService::EvalService(const Context& ctx, Options options)
   // entry so a tiny capacity with many shards still caches something.
   const std::size_t per_shard = std::max<std::size_t>(
       1, impl_->options.capacity / impl_->shards.size());
-  for (Impl::Shard& shard : impl_->shards) {
-    shard.capacity = per_shard;
-    shard.cache.reserve_keys(per_shard);
-  }
+  for (Impl::Shard& shard : impl_->shards) shard.capacity = per_shard;
 }
 
 EvalService::~EvalService() = default;
@@ -193,9 +159,8 @@ Expected<Result> EvalService::evaluate(const Query& query) {
     return api::to_status(e);
   }
   const std::string key = key_text(query, scenario);
-  const std::uint64_t hash = fnv1a(key);
-  Impl::Shard& shard = impl_->shard_for(hash);
-  const std::size_t shard_idx = impl_->shard_index(hash);
+  const std::size_t shard_idx = impl_->shard_index(key);
+  Impl::Shard& shard = impl_->shards[shard_idx];
   const auto elapsed_us = [&t0] {
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now() - t0)
@@ -204,7 +169,7 @@ Expected<Result> EvalService::evaluate(const Query& query) {
 
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (const Result* cached = shard.find_locked(hash, key)) {
+    if (const Result* cached = shard.find_locked(key)) {
       ++shard.hits;
       Result out = *cached;
       impl_->hit_latency[shard_idx]->observe(elapsed_us());
@@ -227,9 +192,9 @@ Expected<Result> EvalService::evaluate(const Query& query) {
   const std::lock_guard<std::mutex> lock(shard.mutex);
   ++shard.misses;
   impl_->miss_latency[shard_idx]->observe(elapsed_us());
-  if (const Result* cached = shard.find_locked(hash, key))
+  if (const Result* cached = shard.find_locked(key))
     return *cached;  // lost the race; the stored copy is authoritative
-  shard.store_locked(hash, key, result);
+  shard.store_locked(key, result);
   return result;
 }
 
@@ -278,13 +243,11 @@ Expected<std::size_t> EvalService::warm(const Study& study) {
 
     // Resolve every query first: a bad axis value fails the whole warm
     // before anything is evaluated or cached.
-    constexpr std::size_t kScalar = static_cast<std::size_t>(-1);
     struct Pending {
       const Query* query;
       runner::Scenario scenario;
       std::string key;
-      std::uint64_t hash;
-      std::size_t batch_index = kScalar;
+      std::size_t shard;
     };
     std::vector<Pending> pending;
     pending.reserve(queries.size());
@@ -293,7 +256,7 @@ Expected<std::size_t> EvalService::warm(const Study& study) {
       p.query = &q;
       p.scenario = api::scenario_from(ctx, q);
       p.key = key_text(q, p.scenario);
-      p.hash = fnv1a(p.key);
+      p.shard = impl_->shard_index(p.key);
       pending.push_back(std::move(p));
     }
 
@@ -302,10 +265,10 @@ Expected<std::size_t> EvalService::warm(const Study& study) {
       std::vector<Pending> fresh;
       fresh.reserve(pending.size());
       for (Pending& p : pending) {
-        Impl::Shard& shard = impl_->shard_for(p.hash);
+        Impl::Shard& shard = impl_->shards[p.shard];
         {
           const std::lock_guard<std::mutex> lock(shard.mutex);
-          if (shard.find_locked(p.hash, p.key) != nullptr) continue;
+          if (shard.find_locked(p.key) != nullptr) continue;
         }
         bool duplicate = false;
         for (const Pending& f : fresh) duplicate |= f.key == p.key;
@@ -314,62 +277,33 @@ Expected<std::size_t> EvalService::warm(const Study& study) {
       pending = std::move(fresh);
     }
 
-    // Compile the analytic wavefront points into one shared batch plan:
-    // each unique machine resolves its comm backend once, each unique app
-    // derives its sweep terms once (the memoized add_app/add_machine).
-    core::BatchEval plan(ctx.comm_model_registry());
-    std::vector<core::BatchPoint> bpoints;
-    for (Pending& p : pending) {
-      const runner::Scenario& s = p.scenario;
-      const bool batchable = s.engine == runner::Engine::Model &&
-                             (s.workload.empty() ||
-                              s.workload == "wavefront") &&
-                             !p.query->validate_requested();
-      if (!batchable) continue;
-      core::BatchPoint bp;
-      bp.app = plan.add_app(s.app);
-      bp.machine = plan.add_machine(s.effective_machine());
-      bp.grid = s.grid;
-      p.batch_index = bpoints.size();
-      bpoints.push_back(bp);
-    }
-
     // Evaluate outside the lock (DES points can take seconds), then store
-    // everything under one lock. Bit-identity with a cold evaluate():
-    // the batch path replays the exact doubles of the scalar solver, and
-    // the Result fields mirror result_from's non-validate branch.
-    core::BatchScratch scratch;
-    core::ModelResult res;
-    std::vector<Result> results;
-    results.reserve(pending.size());
-    for (const Pending& p : pending) {
-      if (p.batch_index == kScalar) {
-        results.push_back(api::result_from(ctx, *p.query, p.scenario));
-        continue;
-      }
-      plan.evaluate_point(bpoints[p.batch_index], scratch, res);
-      Result out;
-      const core::MachineConfig machine = p.scenario.effective_machine();
-      out.workload = p.scenario.workload;
-      out.machine = machine.name;
-      out.comm_model = machine.comm_model;
-      out.processors = p.scenario.processors();
-      out.engine = p.query->engine_choice();
-      out.terms = runner::model_metrics_from(res);
-      if (!out.terms.empty()) out.time_us = out.terms.front().second;
-      out.comm_us = out.term_or("model_iter_comm_us",
-                                out.term_or("model_comm_us", 0.0));
-      results.push_back(std::move(out));
-    }
+    // each Result under its shard's lock. Non-validate points run as one
+    // BatchRunner batch — Study::run's route, which compiles the analytic
+    // wavefront points into one shared batch-solver plan; its records are
+    // byte-identical with evaluate_scenario, so the Results are
+    // bit-identical with a cold evaluate().
+    std::vector<runner::Scenario> points;
+    for (const Pending& p : pending)
+      if (!p.query->validate_requested()) points.push_back(p.scenario);
+    std::vector<runner::RunRecord> records =
+        runner::BatchRunner(ctx, runner::BatchRunner::Options(1)).run(points);
 
     std::size_t added = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      Impl::Shard& shard = impl_->shard_for(pending[i].hash);
+    std::size_t next_record = 0;
+    for (const Pending& p : pending) {
+      const Result result =
+          p.query->validate_requested()
+              ? api::result_from(ctx, *p.query, p.scenario)
+              : api::result_from_terms(
+                    *p.query, p.scenario,
+                    std::move(records[next_record++].metrics));
+      Impl::Shard& shard = impl_->shards[p.shard];
       const std::lock_guard<std::mutex> lock(shard.mutex);
-      if (shard.find_locked(pending[i].hash, pending[i].key) != nullptr)
+      if (shard.find_locked(p.key) != nullptr)
         continue;  // a concurrent evaluate() won the race
       ++shard.misses;
-      shard.store_locked(pending[i].hash, pending[i].key, results[i]);
+      shard.store_locked(p.key, result);
       ++added;
     }
     return added;
@@ -387,7 +321,7 @@ EvalService::Stats EvalService::stats() const {
     out.misses += shard.misses;
     out.resets += shard.resets;
     out.imported += shard.imported;
-    out.size += shard.size;
+    out.size += shard.cache.size();
     out.capacity += shard.capacity;
   }
   out.errors = impl_->errors.load(std::memory_order_relaxed);
@@ -399,11 +333,8 @@ std::vector<EvalService::CacheEntry> EvalService::export_cache() const {
   const auto locks = impl_->lock_all();
   std::vector<CacheEntry> out;
   for (const Impl::Shard& shard : impl_->shards)
-    shard.cache.for_each([&out](std::uint64_t,
-                                const std::vector<Impl::Entry>& chain) {
-      for (const Impl::Entry& e : chain)
-        out.push_back(CacheEntry{e.key, e.result});
-    });
+    for (const auto& [key, result] : shard.cache)
+      out.push_back(CacheEntry{key, result});
   // Deterministic order regardless of insertion history and shard count,
   // so two snapshots of the same cache content are byte-identical.
   std::sort(out.begin(), out.end(),
@@ -416,11 +347,10 @@ std::vector<EvalService::CacheEntry> EvalService::export_cache() const {
 std::size_t EvalService::import_cache(const std::vector<CacheEntry>& entries) {
   std::size_t added = 0;
   for (const CacheEntry& entry : entries) {
-    const std::uint64_t hash = fnv1a(entry.key);
-    Impl::Shard& shard = impl_->shard_for(hash);
+    Impl::Shard& shard = impl_->shards[impl_->shard_index(entry.key)];
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.find_locked(hash, entry.key) != nullptr) continue;
-    shard.store_locked(hash, entry.key, entry.result);
+    if (shard.find_locked(entry.key) != nullptr) continue;
+    shard.store_locked(entry.key, entry.result);
     ++shard.imported;
     ++added;
   }
@@ -429,11 +359,7 @@ std::size_t EvalService::import_cache(const std::vector<CacheEntry>& entries) {
 
 void EvalService::clear() {
   const auto locks = impl_->lock_all();
-  for (Impl::Shard& shard : impl_->shards) {
-    shard.cache = common::DenseMap64<std::vector<Impl::Entry>>();
-    shard.cache.reserve_keys(shard.capacity);
-    shard.size = 0;
-  }
+  for (Impl::Shard& shard : impl_->shards) shard.cache.clear();
 }
 
 }  // namespace wave

@@ -1,5 +1,6 @@
 #include "wave/optimize.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "api/api_internal.h"
@@ -7,37 +8,54 @@
 #include "optimize/optimizer.h"
 #include "optimize/search_space.h"
 #include "wave/context.h"
-#include "workloads/workload.h"
 
 namespace wave {
 
 namespace {
 
-optimize::Objective to_internal(Objective objective) {
-  switch (objective) {
-    case Objective::MinTime: return optimize::Objective::MinTime;
-    case Objective::MinNodeHours: return optimize::Objective::MinNodeHours;
-    case Objective::MaxEfficiency: return optimize::Objective::MaxEfficiency;
-  }
-  return optimize::Objective::MinTime;
+/// A facade enum value and its CLI name.
+template <typename E>
+struct Named {
+  E value;
+  const char* name;
+};
+
+constexpr Named<Objective> kObjectives[] = {
+    {Objective::MinTime, "time"},
+    {Objective::MinNodeHours, "node-hours"},
+    {Objective::MaxEfficiency, "efficiency"},
+};
+
+constexpr Named<SearchStrategy> kStrategies[] = {
+    {SearchStrategy::Auto, "auto"},
+    {SearchStrategy::Exhaustive, "exhaustive"},
+    {SearchStrategy::Beam, "beam"},
+};
+
+template <typename E, std::size_t N>
+std::string name_of(const Named<E> (&table)[N], E value) {
+  for (const Named<E>& e : table)
+    if (e.value == value) return e.name;
+  return table[0].name;
 }
 
-optimize::Strategy to_internal(SearchStrategy strategy) {
-  switch (strategy) {
-    case SearchStrategy::Auto: return optimize::Strategy::Auto;
-    case SearchStrategy::Exhaustive: return optimize::Strategy::Exhaustive;
-    case SearchStrategy::Beam: return optimize::Strategy::Beam;
+template <typename E, std::size_t N>
+bool parse(const Named<E> (&table)[N], const std::string& name, E* out) {
+  for (const Named<E>& e : table) {
+    if (name == e.name) {
+      *out = e.value;
+      return true;
+    }
   }
-  return optimize::Strategy::Auto;
+  return false;
 }
 
-SearchStrategy from_internal(optimize::Strategy strategy) {
-  switch (strategy) {
-    case optimize::Strategy::Auto: return SearchStrategy::Auto;
-    case optimize::Strategy::Exhaustive: return SearchStrategy::Exhaustive;
-    case optimize::Strategy::Beam: return SearchStrategy::Beam;
-  }
-  return SearchStrategy::Auto;
+template <typename E, std::size_t N>
+std::string joined(const Named<E> (&table)[N]) {
+  std::string out;
+  for (const Named<E>& e : table)
+    out += (out.empty() ? "" : ", ") + std::string(e.name);
+  return out;
 }
 
 Recommendation recommendation_from(const optimize::Scored& s) {
@@ -58,42 +76,24 @@ Recommendation recommendation_from(const optimize::Scored& s) {
 }  // namespace
 
 std::string to_string(Objective objective) {
-  return optimize::to_string(to_internal(objective));
+  return name_of(kObjectives, objective);
 }
 
 std::string to_string(SearchStrategy strategy) {
-  return optimize::to_string(to_internal(strategy));
+  return name_of(kStrategies, strategy);
 }
 
 bool parse_objective(const std::string& name, Objective* out) {
-  optimize::Objective internal;
-  if (!optimize::parse_objective(name, &internal)) return false;
-  switch (internal) {
-    case optimize::Objective::MinTime: *out = Objective::MinTime; break;
-    case optimize::Objective::MinNodeHours:
-      *out = Objective::MinNodeHours;
-      break;
-    case optimize::Objective::MaxEfficiency:
-      *out = Objective::MaxEfficiency;
-      break;
-  }
-  return true;
+  return parse(kObjectives, name, out);
 }
 
 bool parse_search_strategy(const std::string& name, SearchStrategy* out) {
-  optimize::Strategy internal;
-  if (!optimize::parse_strategy(name, &internal)) return false;
-  *out = from_internal(internal);
-  return true;
+  return parse(kStrategies, name, out);
 }
 
-std::string objective_names_joined() {
-  return optimize::objective_names_joined();
-}
+std::string objective_names_joined() { return joined(kObjectives); }
 
-std::string search_strategy_names_joined() {
-  return optimize::strategy_names_joined();
-}
+std::string search_strategy_names_joined() { return joined(kStrategies); }
 
 Optimize& Optimize::workload(std::string name) {
   workload_ = std::move(name);
@@ -223,29 +223,16 @@ Expected<OptimizeResult> Optimize::run() const {
         angle_blocks_.empty() ? std::vector<double>{0.0} : angle_blocks_;
 
     // ---- the application (same preset/override rules as Query) ----------
-    core::AppParams app;
-    if (!app_.empty()) app = api::app_preset(app_);
-    if (wg_ > 0.0) {
-      if (app.nx <= 0.0) app = workloads::WorkloadInputs::default_app();
-      app.wg = wg_;
-    }
-    if (nx_ > 0.0) {
-      if (app.nx <= 0.0) app = workloads::WorkloadInputs::default_app();
-      app.nx = nx_;
-      app.ny = ny_;
-      app.nz = nz_;
-    }
-    if (app.nx <= 0.0) app = workloads::WorkloadInputs::default_app();
+    core::AppParams app = api::resolve_app(app_, wg_, nx_, ny_, nz_);
 
     // ---- the search ------------------------------------------------------
     optimize::Options options;
-    options.objective = to_internal(objective_);
-    options.strategy = to_internal(strategy_);
+    options.objective = objective_;
+    options.strategy = strategy_;
     options.budget = budget_;
     options.beam_width = beam_width_;
     options.ranking_size = ranking_size_;
     options.top_k = top_k_;
-    options.rerank = top_k_ > 0;
     options.iterations = iterations_;
     options.threads = threads_;
     options.seed = seed_;
@@ -258,7 +245,7 @@ Expected<OptimizeResult> Optimize::run() const {
     OptimizeResult out;
     out.workload = workload_;
     out.objective = objective_;
-    out.strategy = from_internal(found.strategy_used);
+    out.strategy = found.strategy_used;
     out.space_size = found.space_size;
     out.evaluated = found.evaluated;
     out.seed = seed_;

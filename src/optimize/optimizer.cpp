@@ -26,42 +26,6 @@ constexpr std::size_t kAutoExhaustiveLimit = 4096;
 /// candidate, so this is never reached on realistic spaces).
 constexpr int kMaxRounds = 1000;
 
-struct VocabEntry {
-  const char* name;
-  int value;
-};
-
-constexpr VocabEntry kObjectives[] = {
-    {"time", static_cast<int>(Objective::MinTime)},
-    {"node-hours", static_cast<int>(Objective::MinNodeHours)},
-    {"efficiency", static_cast<int>(Objective::MaxEfficiency)},
-};
-
-constexpr VocabEntry kStrategies[] = {
-    {"auto", static_cast<int>(Strategy::Auto)},
-    {"exhaustive", static_cast<int>(Strategy::Exhaustive)},
-    {"beam", static_cast<int>(Strategy::Beam)},
-};
-
-template <std::size_t N>
-std::string joined(const VocabEntry (&table)[N]) {
-  std::string out;
-  for (const VocabEntry& e : table)
-    out += (out.empty() ? "" : ", ") + std::string(e.name);
-  return out;
-}
-
-template <std::size_t N>
-bool parse(const VocabEntry (&table)[N], const std::string& name, int* out) {
-  for (const VocabEntry& e : table) {
-    if (name == e.name) {
-      *out = e.value;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// One scored candidate in the working pool. The total order used for
 /// every selection is (value, flat index): deterministic regardless of
 /// the scoring schedule.
@@ -77,35 +41,6 @@ bool better(const Entry& a, const Entry& b) {
 }
 
 }  // namespace
-
-std::string to_string(Objective objective) {
-  for (const VocabEntry& e : kObjectives)
-    if (e.value == static_cast<int>(objective)) return e.name;
-  return "time";
-}
-
-std::string to_string(Strategy strategy) {
-  for (const VocabEntry& e : kStrategies)
-    if (e.value == static_cast<int>(strategy)) return e.name;
-  return "auto";
-}
-
-bool parse_objective(const std::string& name, Objective* out) {
-  int value = 0;
-  if (!parse(kObjectives, name, &value)) return false;
-  *out = static_cast<Objective>(value);
-  return true;
-}
-
-bool parse_strategy(const std::string& name, Strategy* out) {
-  int value = 0;
-  if (!parse(kStrategies, name, &value)) return false;
-  *out = static_cast<Strategy>(value);
-  return true;
-}
-
-std::string objective_names_joined() { return joined(kObjectives); }
-std::string strategy_names_joined() { return joined(kStrategies); }
 
 Optimizer::Optimizer(const wave::Context& ctx, std::string workload,
                      core::AppParams app, SearchSpace space, Options options)
@@ -315,15 +250,15 @@ SearchResult Optimizer::run() const {
     if (seen.insert(flat).second) round->push_back(flat);
   };
 
-  Strategy strategy = options_.strategy;
-  if (strategy == Strategy::Auto) {
+  SearchStrategy strategy = options_.strategy;
+  if (strategy == SearchStrategy::Auto) {
     const bool small =
         space_size <= kAutoExhaustiveLimit &&
         (options_.budget == 0 || space_size <= options_.budget);
-    strategy = small ? Strategy::Exhaustive : Strategy::Beam;
+    strategy = small ? SearchStrategy::Exhaustive : SearchStrategy::Beam;
   }
 
-  if (strategy == Strategy::Exhaustive) {
+  if (strategy == SearchStrategy::Exhaustive) {
     std::vector<std::size_t> all(space_size);
     for (std::size_t k = 0; k < space_size; ++k) all[k] = k;
     seen.insert(all.begin(), all.end());
@@ -458,7 +393,7 @@ SearchResult Optimizer::run() const {
   for (std::size_t k = 0; k < top; ++k) out.ranking.push_back(resolve(scored[k]));
 
   // ---- DES re-rank of the finalists -------------------------------------
-  if (options_.rerank && options_.top_k > 0 && !out.ranking.empty()) {
+  if (options_.top_k > 0 && !out.ranking.empty()) {
     const std::size_t k_final = std::min<std::size_t>(
         out.ranking.size(), static_cast<std::size_t>(options_.top_k));
     std::vector<Finalist> finalists(k_final);

@@ -28,6 +28,7 @@
 #include "core/app_params.h"
 #include "optimize/search_space.h"
 #include "topology/grid.h"
+#include "wave/optimize.h"
 
 namespace wave {
 class Context;
@@ -35,23 +36,11 @@ class Context;
 
 namespace wave::optimize {
 
-/// What "best" means. All objectives are minimized internally;
-/// MaxEfficiency minimizes the inverse efficiency P*T(P)/T(1).
-enum class Objective {
-  MinTime,       ///< predicted time per iteration, microseconds
-  MinNodeHours,  ///< time x total ranks (the allocation cost of the run)
-  MaxEfficiency  ///< parallel efficiency T(1) / (P * T(P))
-};
-
-/// How the space is searched. Auto picks Exhaustive for small spaces
-/// (everything fits in the budget) and Beam otherwise.
-enum class Strategy { Auto, Exhaustive, Beam };
-
 /// Search options. Defaults give a deterministic beam search with a
 /// model-ranked top-10 and a DES re-rank of the top 3.
 struct Options {
-  Objective objective = Objective::MinTime;
-  Strategy strategy = Strategy::Auto;
+  Objective objective = Objective::MinTime;  ///< all minimized internally
+  SearchStrategy strategy = SearchStrategy::Auto;
   /// Max unique candidates scored with the model (0 = unlimited). The
   /// budget truncates the deterministic candidate sequence, so larger
   /// budgets always score a superset (monotonicity).
@@ -59,7 +48,6 @@ struct Options {
   int beam_width = 8;    ///< frontier kept per expansion round
   int ranking_size = 10;  ///< model-ranked recommendations reported
   int top_k = 3;          ///< finalists re-ranked with the DES engine
-  bool rerank = true;     ///< run the DES re-rank at all
   int iterations = 1;     ///< DES repetitions per finalist
   int threads = 0;        ///< scoring threads (0 = all cores)
   std::uint64_t seed = 2008;  ///< beam sampling seed
@@ -95,19 +83,8 @@ struct SearchResult {
   std::vector<Finalist> finalists;  ///< top-K re-ranked by simulated time
   std::size_t space_size = 0;
   std::size_t evaluated = 0;  ///< unique candidates the model scored
-  Strategy strategy_used = Strategy::Exhaustive;
+  SearchStrategy strategy_used = SearchStrategy::Exhaustive;
 };
-
-/// "time" / "node-hours" / "efficiency" — the CLI vocabulary.
-std::string to_string(Objective objective);
-/// "auto" / "exhaustive" / "beam".
-std::string to_string(Strategy strategy);
-/// Parses the CLI vocabulary; returns false on unknown names.
-bool parse_objective(const std::string& name, Objective* out);
-bool parse_strategy(const std::string& name, Strategy* out);
-/// The valid CLI values joined as "a, b, c" (for fatal-error messages).
-std::string objective_names_joined();
-std::string strategy_names_joined();
 
 /// The search engine. Binds a context (registries), a workload, the base
 /// application and a validated SearchSpace; run() is const and performs

@@ -278,9 +278,11 @@ TEST(EvalServiceWarm, WarmPopulatesEveryStudyPoint) {
 }
 
 TEST(EvalServiceWarm, WarmedResultsAreBitIdenticalWithColdEvaluation) {
-  // The warm path runs analytic points through the batch solver; the
-  // cached Results must still be bit-identical with what a cold
-  // evaluate() computes through the scalar pipeline.
+  // The warm path runs analytic wavefront points through the batch
+  // solver, DES and registry-workload points through the scalar
+  // evaluators, and validate points through both engines; every cached
+  // Result must still be bit-identical with what a cold evaluate()
+  // computes through the scalar pipeline.
   const wave::Context ctx;
   wave::EvalService warmed(ctx);
   ASSERT_TRUE(warmed
@@ -290,24 +292,55 @@ TEST(EvalServiceWarm, WarmedResultsAreBitIdenticalWithColdEvaluation) {
                             .processors({256, 4096})
                             .values("htile", {1.0, 2.0}))
                   .ok());
+  ASSERT_TRUE(warmed
+                  .warm(ctx.study()
+                            .machine("xt4-single")
+                            .processors({16})
+                            .engines({wave::Engine::Simulation}))
+                  .ok());
+  ASSERT_TRUE(warmed
+                  .warm(ctx.study()
+                            .machine("xt4-single")
+                            .workload("halo2d")
+                            .processors({16, 64}))
+                  .ok());
+  ASSERT_TRUE(
+      warmed.warm(ctx.study().machine("xt4-single").processors({16}).validate())
+          .ok());
 
-  wave::EvalService cold(ctx);
+  std::vector<wave::Query> queries;
   for (const char* machine : {"xt4-dual", "sp2"})
     for (int p : {256, 4096})
-      for (double h : {1.0, 2.0}) {
-        const wave::Query q = ctx.query()
-                                  .app("sweep3d-20m")
-                                  .machine(machine)
-                                  .processors(p)
-                                  .param("htile", h);
-        const auto a = warmed.evaluate(q);
-        const auto b = cold.evaluate(q);
-        ASSERT_TRUE(a.ok());
-        ASSERT_TRUE(b.ok());
-        expect_bit_identical(a.value(), b.value());
-      }
+      for (double h : {1.0, 2.0})
+        queries.push_back(ctx.query()
+                              .app("sweep3d-20m")
+                              .machine(machine)
+                              .processors(p)
+                              .param("htile", h));
+  queries.push_back(ctx.query()
+                        .machine("xt4-single")
+                        .processors(16)
+                        .engine(wave::Engine::Simulation));
+  for (int p : {16, 64})
+    queries.push_back(
+        ctx.query().machine("xt4-single").workload("halo2d").processors(p));
+  queries.push_back(ctx.query().machine("xt4-single").processors(16).validate());
+
+  wave::EvalService cold(ctx);
+  for (const wave::Query& q : queries) {
+    const auto a = warmed.evaluate(q);
+    const auto b = cold.evaluate(q);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    expect_bit_identical(a.value(), b.value());
+    EXPECT_EQ(a.value().processors, b.value().processors);
+    EXPECT_EQ(a.value().engine, b.value().engine);
+    EXPECT_EQ(a.value().validated, b.value().validated);
+    EXPECT_EQ(a.value().within_tolerance, b.value().within_tolerance);
+  }
   // The warmed service never evaluated after the warm.
-  EXPECT_EQ(warmed.stats().hits, 8u);
+  EXPECT_EQ(warmed.stats().hits, queries.size());
+  EXPECT_EQ(warmed.stats().misses, queries.size());
 }
 
 TEST(EvalServiceWarm, WarmSkipsAlreadyCachedAndDuplicatePoints) {

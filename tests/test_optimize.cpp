@@ -256,7 +256,7 @@ TEST(OptimizeRerank, FinalistsDivergeWithinTheWorkloadTolerance) {
   space.decompositions = {wave::topo::Grid(4, 4), wave::topo::Grid(6, 6),
                           wave::topo::Grid(8, 8)};
   wopt::Options options;
-  options.strategy = wopt::Strategy::Exhaustive;
+  options.strategy = wave::SearchStrategy::Exhaustive;
   options.top_k = 2;
   const wopt::Optimizer optimizer(
       ctx, "wavefront", wave::workloads::WorkloadInputs::default_app(), space,
