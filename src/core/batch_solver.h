@@ -13,9 +13,8 @@
 //  * per-machine terms (backend construction, every L/o/g/G-derived
 //    message cost) are resolved once per *unique machine* via
 //    add_machine() and shared by every point that references it;
-//  * per-app terms (validation, ndiag/nfull/nsweeps, tiles-per-stack,
-//    timestep repetition factor) are resolved once per *unique app* via
-//    add_app();
+//  * per-app terms (validation, ndiag/nfull/nsweeps, tiles-per-stack) are
+//    resolved once per *unique app* via add_app();
 //  * per-point, the r2 recurrence runs over a table of eight
 //    pre-evaluated costs — {TotalComm, Receive, Send} x {east-west,
 //    north-south} x {on-chip, off-node} — indexed by two precomputed
@@ -29,9 +28,16 @@
 //    in skewed blocks of eight so each block carries eight independent
 //    west chains, and only the block's last row is stored, into one
 //    (n+1)-entry row buffer. No virtual calls, no divisions, no n*m table;
-//  * the r5 roll-up over a whole batch runs as element-wise loops over
-//    structure-of-arrays doubles (src/kernels/batch_terms.h), which the
-//    compiler vectorizes.
+//  * evaluate_group() runs that recurrence once per *distinct input* among
+//    a group of points. The kernel reads only its FillCosts (ten doubles),
+//    the node shape cx x cy and the grid n x m, and those repeat across
+//    comm backends: loggp and loggps price a message alike unless it is
+//    large enough to rendezvous on a machine with a sync overhead, and
+//    contention equals loggp on single-core nodes. Inputs are compared
+//    bitwise, never with == on doubles, so a shared StartP(1,m)/StartP(n,m)
+//    pair is exactly what the point's own recurrence would produce.
+//    runner::BatchRunner groups the points of a sweep that share an app, a
+//    grid and a machine up to its name and comm backend.
 //
 // Correctness contract: results are BYTE-identical to Solver::evaluate on
 // every point. The plan only pre-evaluates the exact double values the
@@ -42,10 +48,11 @@
 // on pinned grids, on every block edge and on seeded random draws.
 //
 // Thread-safety: add_app()/add_machine() mutate the plan and must finish
-// before evaluation starts; evaluate_point() and evaluate() are const and
-// safe to call concurrently (each caller brings its own BatchScratch).
+// before evaluation starts; evaluate_point() and evaluate_group() are const
+// and safe to call concurrently (each caller brings its own BatchScratch).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -63,47 +70,40 @@ struct BatchPoint {
   topo::Grid grid{1, 1};
 };
 
-/// Reusable per-thread workspace for evaluate_point: the r2 row buffer
-/// (n+1 entries; the recurrence keeps only one row in memory) and the two
-/// placement-parity bitmaps. Keeping it outside the call makes the hot loop
-/// allocation-free after the first (largest-grid) point.
+/// Reusable per-thread workspace for evaluate_point and evaluate_group: the
+/// r2 row buffer (n+1 entries; the recurrence keeps only one row in
+/// memory), the two placement-parity bitmaps and a group's distinct fill
+/// inputs. Keeping it outside the call makes the hot loop allocation-free
+/// after the first (largest-grid) point.
 class BatchScratch {
  public:
   BatchScratch() = default;
 
  private:
   friend class BatchEval;
+
+  /// Everything kernels::fill_recurrence reads. Compared with memcmp, so it
+  /// has no padding bytes (batch_solver.cpp checks the size).
+  struct FillKey {
+    kernels::FillCosts costs;
+    int cx, cy, n, m;
+  };
+  /// StartP(1, m) and StartP(n, m): all of r2 that (r3a)/(r3b) use.
+  struct FillCorners {
+    kernels::FillTime diag, full;
+  };
+
   std::vector<kernels::FillTime> row_;  ///< [i] = StartP(i, current row)
   std::vector<std::uint8_t> col_pair_;  ///< [i] = columns i-1,i share a node
   std::vector<std::uint8_t> row_pair_;  ///< [j] = rows j-1,j share a node
-};
-
-/// Structure-of-arrays results of BatchEval::evaluate: one contiguous
-/// double array per model term lane, so downstream consumers (benches,
-/// sweeps, the r5 kernels themselves) stream them without pointer chasing.
-/// at(k) reconstructs the scalar-identical ModelResult for point k.
-struct BatchResults {
-  std::vector<topo::Grid> grids;
-
-  std::vector<double> w, wpre;                     // r1b / r1a
-  std::vector<int> msg_bytes_ew, msg_bytes_ns;
-  std::vector<double> diag_total, diag_comm;       // r3a
-  std::vector<double> full_total, full_comm;       // r3b
-  std::vector<double> stack_total, stack_comm;     // r4
-  std::vector<double> nonwf_total, nonwf_comm;     // Tnonwavefront
-  std::vector<double> fill_total, fill_comm;       // r5 fill share
-  std::vector<double> iter_total, iter_comm;       // r5
-  std::vector<double> step_total, step_comm;       // timestep roll-up
-  std::vector<int> iterations_per_timestep, energy_groups;
-
-  std::size_t size() const { return grids.size(); }
-  ModelResult at(std::size_t k) const;
+  std::vector<FillKey> keys_;           ///< a group's distinct fill inputs
+  std::vector<FillCorners> corners_;    ///< [k] = the fill of keys_[k]
 };
 
 /// The batch planner/evaluator. Construction binds a comm-model registry
 /// (resolving each unique machine's backend once); add_app/add_machine
 /// grow the plan with memoized per-axis entries; evaluate_point and
-/// evaluate run the compiled fast path.
+/// evaluate_group run the compiled fast path.
 class BatchEval {
  public:
   /// @param registry resolves MachineConfig::comm_model names, exactly as
@@ -143,30 +143,41 @@ class BatchEval {
   void evaluate_point(const BatchPoint& point, BatchScratch& scratch,
                       ModelResult& res) const;
 
-  /// @brief Evaluates every point into structure-of-arrays lanes; the r5
-  ///   roll-ups run vectorized over the whole batch (kernels/batch_terms).
-  BatchResults evaluate(std::span<const BatchPoint> points) const;
+  /// @brief Evaluates points[k] into results[k], each byte-identical to
+  ///   evaluate_point, running the r2 recurrence once per distinct
+  ///   (FillCosts, cx, cy, n, m) input of the group, compared bitwise.
+  ///   Any points may form a group; fills are shared only among points on
+  ///   one grid and node shape whose backends price messages alike.
+  /// @return the number of recurrences run (distinct fill inputs).
+  std::size_t evaluate_group(std::span<const BatchPoint> points,
+                             BatchScratch& scratch,
+                             std::span<ModelResult> results) const;
 
  private:
   struct AppEntry {
     AppParams app;
-    // Sweep/timestep factors hoisted out of the per-point loop; exactly
+    // Sweep factors hoisted out of the per-point loop; exactly
     // the doubles the scalar r5 assembly converts from ints per call.
     double ndiag = 0.0;
     double nfull = 0.0;
     double nsweeps = 0.0;
     double tiles = 0.0;  ///< tiles_per_stack()
-    double reps = 1.0;   ///< iterations_per_timestep * energy_groups
   };
   struct MachineEntry {
     MachineConfig machine;
     std::shared_ptr<const loggp::CommModel> comm;
   };
 
-  /// Everything except the r5 assembly (which evaluate() runs over SoA and
-  /// evaluate_point() runs inline, in the identical operation order).
-  void evaluate_terms(const BatchPoint& point, BatchScratch& scratch,
-                      ModelResult& res) const;
+  /// The terms before r2 — (r1a)/(r1b), message sizes, the result's
+  /// bookkeeping — into `res`; returns the recurrence's inputs.
+  BatchScratch::FillKey fill_input(const BatchPoint& point,
+                                   ModelResult& res) const;
+  /// Runs r2 on `key` in `scratch` and returns its two corners.
+  static BatchScratch::FillCorners run_fill(const BatchScratch::FillKey& key,
+                                            BatchScratch& scratch);
+  /// (r3a)/(r3b) from the fill corners, then (r4), Tnonwavefront and (r5).
+  void finish(const BatchPoint& point, const BatchScratch::FillCorners& fill,
+              ModelResult& res) const;
 
   const loggp::CommModelRegistry* registry_;
   std::vector<AppEntry> apps_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <span>
+#include <tuple>
 
 #include "common/units.h"
 #include "core/solver.h"
@@ -149,16 +152,27 @@ void timed_point(const Scenario& s, RunRecord& r, Eval eval) {
 
 int BatchRunner::threads() const { return ThreadPool(options_.threads).threads(); }
 
+namespace {
+
+/// The chunk for `units` dispatch units: an explicit Options::chunk, else
+/// 1 when any unit `simulates` (a DES point), else ~16 dispatches per
+/// thread, capped so late-start imbalance stays bounded on small grids.
+std::size_t auto_chunk(int chunk, int threads, std::size_t units,
+                       bool simulates) {
+  if (chunk > 0) return static_cast<std::size_t>(chunk);
+  if (simulates) return 1;
+  const auto nthreads = static_cast<std::size_t>(threads);
+  return std::clamp<std::size_t>(units / (nthreads * 16 + 1), 1, 4096);
+}
+
+}  // namespace
+
 std::size_t BatchRunner::chunk_for(const std::vector<Scenario>& points) const {
-  if (options_.chunk > 0) return static_cast<std::size_t>(options_.chunk);
-  for (const Scenario& s : points) {
-    if (s.engine == Engine::Simulation) return 1;
-  }
-  // Pure-analytic sweep: ~16 dispatches per thread, capped so late-start
-  // imbalance stays bounded on small grids.
-  const auto nthreads = static_cast<std::size_t>(threads());
-  const std::size_t chunk = points.size() / (nthreads * 16 + 1);
-  return std::clamp<std::size_t>(chunk, 1, 4096);
+  const bool simulates =
+      std::any_of(points.begin(), points.end(), [](const Scenario& s) {
+        return s.engine == Engine::Simulation;
+      });
+  return auto_chunk(options_.chunk, threads(), points.size(), simulates);
 }
 
 std::vector<RunRecord> BatchRunner::run(const std::vector<Scenario>& points,
@@ -183,6 +197,21 @@ bool batchable(const Scenario& s) {
          (s.workload.empty() || s.workload == "wavefront");
 }
 
+/// A batchable point and the unit it joins: points with equal keys share
+/// an app, a grid and a machine class, so their fill inputs can differ
+/// only through the comm backend.
+struct Member {
+  std::size_t index;  ///< into the scenario list
+  core::BatchPoint point;
+  std::uint32_t machine_class;
+
+  /// Largest grid first, then the unit's identity.
+  auto unit_key() const {
+    return std::tuple(-static_cast<long long>(point.grid.size()), point.app,
+                      machine_class, point.grid.n(), point.grid.m());
+  }
+};
+
 }  // namespace
 
 std::vector<RunRecord> BatchRunner::run(
@@ -195,36 +224,96 @@ std::vector<RunRecord> BatchRunner::run(
   // Compile the analytic wavefront points into one shared plan: each
   // unique machine resolves its comm backend once, each unique app
   // validates and derives its sweep terms once. Runs on the calling
-  // thread so plan errors surface before any worker starts.
-  constexpr std::size_t kScalar = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> plan_index(points.size(), kScalar);
+  // thread so plan errors surface before any worker starts. A plan
+  // machine's class is the machine with its name and comm backend
+  // cleared. evaluate_group shares fills by their exact inputs alone; the
+  // class only splits units, so a sweep over machine parameters at one
+  // grid still spreads over the pool instead of forming one unit.
   core::BatchEval plan(ctx.comm_model_registry());
-  std::vector<core::BatchPoint> bpoints;
+  std::vector<core::MachineConfig> classes;
+  std::vector<std::uint32_t> class_of;  // [plan machine] = class
+  std::vector<Member> members;
+  std::vector<std::size_t> scalar;  // every other point, a unit of its own
+  bool simulates = false;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Scenario& s = points[i];
-    if (!batchable(s)) continue;
-    core::BatchPoint p;
-    p.app = plan.add_app(s.app);
-    p.machine = plan.add_machine(s.effective_machine());
-    p.grid = s.grid;
-    plan_index[i] = bpoints.size();
-    bpoints.push_back(p);
+    if (!batchable(s)) {
+      scalar.push_back(i);
+      simulates = simulates || s.engine == Engine::Simulation;
+      continue;
+    }
+    const core::BatchPoint p{plan.add_app(s.app),
+                             plan.add_machine(s.effective_machine()), s.grid};
+    if (p.machine == class_of.size()) {
+      core::MachineConfig cls = plan.machine(p.machine);
+      cls.name.clear();
+      cls.comm_model.clear();
+      const auto it = std::find(classes.begin(), classes.end(), cls);
+      class_of.push_back(static_cast<std::uint32_t>(it - classes.begin()));
+      if (it == classes.end()) classes.push_back(std::move(cls));
+    }
+    members.push_back({i, p, class_of[p.machine]});
   }
+
+  // Batch units are the runs of equal unit keys, largest grid first;
+  // unit u spans members[unit_begin[u] .. unit_begin[u + 1]) and the same
+  // slice of `batch`. They follow the scalar units in dispatch order.
+  std::stable_sort(members.begin(), members.end(),
+                   [](const Member& a, const Member& b) {
+                     return a.unit_key() < b.unit_key();
+                   });
+  std::vector<core::BatchPoint> batch(members.size());
+  std::vector<std::size_t> unit_begin;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    if (k == 0 || members[k].unit_key() != members[k - 1].unit_key())
+      unit_begin.push_back(k);
+    batch[k] = members[k].point;
+  }
+  unit_begin.push_back(members.size());
+  const std::size_t units = scalar.size() + unit_begin.size() - 1;
 
   std::vector<RunRecord> records(points.size());
   const ThreadPool pool(options_.threads);
-  pool.for_each_chunk(points.size(), chunk_for(points), [&](std::size_t i) {
-    const Scenario& s = points[i];
-    timed_point(s, records[i], [&] {
-      if (plan_index[i] != kScalar) {
-        // Workspace per worker thread, reused across points and runs.
-        thread_local core::BatchScratch scratch;
-        core::ModelResult res;
-        plan.evaluate_point(bpoints[plan_index[i]], scratch, res);
-        return model_metrics_from(res);
-      }
-      return evaluate_scenario(ctx, s);
-    });
+  const std::size_t chunk =
+      auto_chunk(options_.chunk, pool.threads(), units, simulates);
+  pool.for_each_chunk(units, chunk, [&](std::size_t u) {
+    if (u < scalar.size()) {
+      const Scenario& s = points[scalar[u]];
+      timed_point(s, records[scalar[u]],
+                  [&] { return evaluate_scenario(ctx, s); });
+      return;
+    }
+    const std::size_t begin = unit_begin[u - scalar.size()];
+    const std::size_t size = unit_begin[u - scalar.size() + 1] - begin;
+    const std::span<const Member> unit(members.data() + begin, size);
+    const bool observed =
+        std::any_of(unit.begin(), unit.end(), [&](const Member& m) {
+          return points[m.index].metrics != nullptr;
+        });
+    const auto t0 = observed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
+    // Workspace per worker thread, reused across units and runs.
+    thread_local core::BatchScratch scratch;
+    thread_local std::vector<core::ModelResult> results;
+    results.resize(size);
+    plan.evaluate_group({batch.data() + begin, size}, scratch, results);
+    for (std::size_t k = 0; k < size; ++k) {
+      const Scenario& s = points[unit[k].index];
+      RunRecord& r = records[unit[k].index];
+      r.index = s.index;
+      r.labels = s.labels;
+      r.metrics = model_metrics_from(results[k]);
+    }
+    if (!observed) return;
+    // One evaluation served the whole unit: each point reports its share.
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count() /
+                      static_cast<double>(size);
+    for (const Member& m : unit)
+      if (points[m.index].metrics != nullptr)
+        points[m.index].metrics->histogram("runner_point_latency_us")
+            .observe(us);
   });
   return records;
 }

@@ -10,9 +10,15 @@
 // The default (no-PointFn) run() additionally routes analytic wavefront
 // points through the batch solver (core/batch_solver.h): one BatchEval
 // plan is compiled for the whole sweep, so machine backends and app terms
-// resolve once per unique axis value instead of once per point. The
-// records are byte-identical to the scalar path — the batch solver's
-// correctness contract — so routing is on by default (Options::batch).
+// resolve once per unique axis value instead of once per point. The batch
+// points are grouped into units — points sharing an app, a grid and a
+// machine up to its name and comm backend — and each unit is one
+// evaluate_group() call, which runs the pipeline-fill recurrence once per
+// distinct input: sweep points that differ only in a backend that prices
+// the fill alike share one fill. Units go largest grid first; every other
+// point is a unit of its own. The records are byte-identical to the scalar
+// path — the batch solver's correctness contract — so routing is on by
+// default (Options::batch).
 #pragma once
 
 #include <functional>
@@ -80,13 +86,16 @@ class BatchRunner {
  public:
   struct Options {
     int threads;  ///< <= 0 selects hardware concurrency
-    /// Points claimed per pool dispatch. 0 (the default) picks
-    /// automatically: pure-analytic sweeps use a chunk sized so each
-    /// thread sees ~16 dispatches (cheap microsecond points stop paying
-    /// one atomic round-trip each), while any sweep containing a DES
-    /// point keeps chunk = 1 (points are seconds-long; dispatch overhead
-    /// is noise and fine-grained claiming load-balances best). Chunking
-    /// never changes the records — only the execution schedule
+    /// Units claimed per pool dispatch. A unit is one point, except on
+    /// the default run()'s batch route, where it is a group of points
+    /// sharing an app, a grid and a machine up to its name and comm
+    /// backend. 0 (the default) picks automatically: pure-analytic sweeps
+    /// use a chunk sized so each thread sees ~16 dispatches (cheap
+    /// microsecond units stop paying one atomic round-trip each), while
+    /// any sweep containing a DES point keeps chunk = 1 (points are
+    /// seconds-long; dispatch overhead is noise and fine-grained claiming
+    /// load-balances best).
+    /// Chunking never changes the records — only the execution schedule
     /// (tests/test_runner.cpp pins this).
     int chunk;
     /// Route analytic wavefront points of the default run() through the
@@ -110,8 +119,9 @@ class BatchRunner {
 
   int threads() const;
 
-  /// The chunk size `run` will use for `points` (resolves the automatic
-  /// choice; exposed for tests and diagnostics).
+  /// The chunk size run(points, fn) will use for `points` (resolves the
+  /// automatic choice; exposed for tests and diagnostics). The default
+  /// run()'s batch route applies the same rule to its units instead.
   std::size_t chunk_for(const std::vector<Scenario>& points) const;
 
   /// Runs `fn` over every point; records come back in point order
@@ -121,10 +131,13 @@ class BatchRunner {
                              const PointFn& fn) const;
 
   /// Default evaluation: compiles the analytic wavefront points into one
-  /// BatchEval plan (when Options::batch is set) and routes everything
-  /// else through evaluate_scenario. Plan compilation validates every
-  /// batched point's app and machine eagerly, so a bad axis value throws
-  /// here rather than from a worker thread.
+  /// BatchEval plan (when Options::batch is set), evaluates them in
+  /// shared-fill units and routes everything else through
+  /// evaluate_scenario. Plan compilation validates every batched point's
+  /// app and machine eagerly, so a bad axis value throws here rather than
+  /// from a worker thread. A registry attached to a point records the
+  /// point's `runner_point_latency_us` once; points of one unit each
+  /// record an equal share of the unit's wall time.
   std::vector<RunRecord> run(const std::vector<Scenario>& points) const;
   std::vector<RunRecord> run(const SweepGrid& grid, const PointFn& fn) const;
   std::vector<RunRecord> run(const SweepGrid& grid) const;

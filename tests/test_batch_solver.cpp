@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "core/benchmarks.h"
 #include "core/solver.h"
 #include "loggp/registry.h"
+#include "obs/metrics.h"
 #include "runner/reference_grids.h"
 #include "runner/runner.h"
 #include "wave/context.h"
@@ -107,13 +110,13 @@ void expect_grid_identical(const wr::SweepGrid& grid) {
                          std::to_string(s.grid.m()) + ")");
   }
 
-  // The SoA evaluate() reconstructs the same bits through at(k).
-  const wc::BatchResults soa = plan.evaluate(bpoints);
-  ASSERT_EQ(soa.size(), bpoints.size());
+  // The whole grid as one group reproduces every point's bits while
+  // sharing the fills that repeat across backends.
+  std::vector<wc::ModelResult> group(bpoints.size());
+  EXPECT_LE(plan.evaluate_group(bpoints, scratch, group), bpoints.size());
   for (std::size_t i = 0; i < bpoints.size(); ++i) {
     plan.evaluate_point(bpoints[i], scratch, batch);
-    expect_identical(batch, soa.at(i),
-                     "SoA point " + std::to_string(i));
+    expect_identical(batch, group[i], "group point " + std::to_string(i));
   }
 }
 
@@ -207,8 +210,8 @@ TEST(BatchSolver, RandomDrawsMatchScalar) {
   // Seeded draws over every axis that changes which doubles the plan
   // hoists or which cells the skewed schedule visits: grid shape, node
   // rectangle, synchronization terms, non-blocking sends, comm backend and
-  // application. Each draw is compared through evaluate_point and, as one
-  // batch, through evaluate()/at(k).
+  // application. Each draw is compared through evaluate_point and, all
+  // draws as one group, through evaluate_group.
   constexpr int kDraws = 3000;
   wave::common::Rng rng(14);
   const std::vector<std::string> backends =
@@ -261,10 +264,132 @@ TEST(BatchSolver, RandomDrawsMatchScalar) {
     if (HasFailure()) return;  // the first mismatching draw is reported
   }
 
-  const wc::BatchResults soa = plan.evaluate(points);
-  ASSERT_EQ(soa.size(), points.size());
+  std::vector<wc::ModelResult> group(points.size());
+  plan.evaluate_group(points, scratch, group);
   for (std::size_t k = 0; k < points.size() && !HasFailure(); ++k)
-    expect_identical(scalars[k], soa.at(k), labels[k] + " (SoA)");
+    expect_identical(scalars[k], group[k], labels[k] + " (group)");
+}
+
+namespace {
+
+/// The recurrence's whole input as the documented key of evaluate_group:
+/// the bits of the ten fill costs, then cx, cy, n, m. Restated here from
+/// the public plan so the sharing count has an independent oracle.
+std::vector<std::uint64_t> fill_key(const wc::BatchEval& plan,
+                                    const wc::BatchPoint& p,
+                                    const wc::ModelResult& res) {
+  using wave::loggp::Placement;
+  const wc::AppParams& app = plan.app(p.app);
+  const wc::MachineConfig& mc = plan.machine(p.machine);
+  const wave::loggp::CommModel& comm = plan.comm(p.machine);
+  std::vector<double> costs = {res.w, res.wpre};
+  for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
+    double send = comm.send(res.msg_bytes_ew, where);
+    if (app.nonblocking_sends)
+      send = where == Placement::OffNode ? mc.loggp.off.o
+             : comm.is_large(res.msg_bytes_ew) ? mc.loggp.on.o
+                                               : mc.loggp.on.ocopy;
+    costs.insert(costs.end(), {comm.total(res.msg_bytes_ew, where),
+                               comm.recv(res.msg_bytes_ns, where), send,
+                               comm.total(res.msg_bytes_ns, where)});
+  }
+  std::vector<std::uint64_t> key(costs.size());
+  std::memcpy(key.data(), costs.data(), costs.size() * sizeof(double));
+  for (const int v : {mc.cx, mc.cy, p.grid.n(), p.grid.m()})
+    key.push_back(static_cast<std::uint64_t>(v));
+  return key;
+}
+
+/// Evaluates `points` as one group; checks every result against
+/// evaluate_point and the recurrence count against the distinct keys.
+/// Returns the count.
+std::size_t expect_group_shares(const wc::BatchEval& plan,
+                                const std::vector<wc::BatchPoint>& points,
+                                const std::string& what) {
+  wc::BatchScratch scratch;
+  std::vector<wc::ModelResult> group(points.size());
+  const std::size_t runs = plan.evaluate_group(points, scratch, group);
+  std::set<std::vector<std::uint64_t>> keys;
+  wc::ModelResult single;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    plan.evaluate_point(points[k], scratch, single);
+    expect_identical(single, group[k], what + ", point " + std::to_string(k));
+    keys.insert(fill_key(plan, points[k], single));
+  }
+  EXPECT_EQ(runs, keys.size()) << what;
+  return runs;
+}
+
+}  // namespace
+
+TEST(BatchSolver, GroupSharesFillsAndMatchesPointwise) {
+  // Seeded draws of one group each: one app and grid, a machine on a
+  // single-core and a multi-core node under all three backends, with
+  // synchronization terms and non-blocking sends on and off. Sync terms
+  // are added after r2, so they share fills; non-blocking sends change
+  // only the east-west send cost, and the node shape only the parity.
+  constexpr int kDraws = 300;
+  wave::common::Rng rng(17);
+  const std::pair<int, int> shapes[] = {{2, 1}, {1, 2}, {2, 2},
+                                        {4, 1}, {4, 2}, {8, 2}};
+  const wc::MachineConfig bases[] = {wc::MachineConfig::xt4_dual_core(),
+                                     wc::MachineConfig::sp2_single_core()};
+  const wc::AppParams apps[] = {wb::lu(), wb::sweep3d_20m(), wb::chimaera()};
+  auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+
+  wc::BatchEval plan(kCtx.comm_model_registry());
+  std::size_t runs = 0, points_seen = 0;
+  for (int d = 0; d < kDraws && !HasFailure(); ++d) {
+    const wc::AppParams& base_app = apps[pick(std::size(apps))];
+    wc::MachineConfig multi = bases[pick(std::size(bases))];
+    std::tie(multi.cx, multi.cy) = shapes[pick(std::size(shapes))];
+    wc::MachineConfig single = multi;
+    single.cx = single.cy = 1;
+    const wave::topo::Grid grid(static_cast<int>(rng.uniform_int(1, 40)),
+                                static_cast<int>(rng.uniform_int(1, 40)));
+    std::vector<wc::BatchPoint> group;
+    for (const bool nonblocking : {false, true}) {
+      wc::AppParams app = base_app;
+      app.nonblocking_sends = nonblocking;
+      for (wc::MachineConfig machine : {single, multi}) {
+        for (const bool sync : {false, true}) {
+          machine.synchronization_terms = sync;
+          for (const char* backend : {"loggp", "loggps", "contention"}) {
+            machine.comm_model = backend;
+            group.push_back(
+                {plan.add_app(app), plan.add_machine(machine), grid});
+          }
+        }
+      }
+    }
+    runs += expect_group_shares(
+        plan, group,
+        "draw " + std::to_string(d) + ": grid " + std::to_string(grid.n()) +
+            "x" + std::to_string(grid.m()) + ", node " +
+            std::to_string(multi.cx) + "x" + std::to_string(multi.cy));
+    points_seen += group.size();
+  }
+  // Sync terms alone halve the fills; backends share more.
+  EXPECT_LE(2 * runs, points_seen);
+
+  // Pinned: at 256x256 loggp and loggps price the fill alike on the
+  // dual-core XT4, and contention equals them on single-core nodes.
+  const std::uint32_t app = plan.add_app(wb::sweep3d_20m());
+  for (const auto& [machine, fills] :
+       {std::pair{wc::MachineConfig::xt4_dual_core(), std::size_t{2}},
+        std::pair{wc::MachineConfig::xt4_single_core(), std::size_t{1}}}) {
+    std::vector<wc::BatchPoint> group;
+    for (const char* backend : {"loggp", "loggps", "contention"}) {
+      wc::MachineConfig m = machine;
+      m.comm_model = backend;
+      group.push_back({app, plan.add_machine(m), wave::topo::Grid(256, 256)});
+    }
+    EXPECT_EQ(expect_group_shares(plan, group, machine.name), fills)
+        << machine.name;
+  }
 }
 
 TEST(BatchSolver, AddAppAndAddMachineMemoizePerAxisValue) {
@@ -384,4 +509,44 @@ TEST(BatchRunnerRoute, SinglePointSweepBatchRoutes) {
       wr::BatchRunner(kCtx, wr::BatchRunner::Options(1)).run(grid);
   ASSERT_EQ(on.size(), 1u);
   EXPECT_EQ(wr::to_csv(off), wr::to_csv(on));
+}
+
+TEST(BatchRunnerRoute, SharedFillUnitsMatchScalarAtAnyThreadsAndChunk) {
+  // Three machines under three backends with repeated processor counts,
+  // so units hold points that share fills, duplicates and points that do
+  // not; plus one DES point, a unit of its own under the chunk = 1 rule.
+  wc::benchmarks::Sweep3dConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 32;
+  wr::SweepGrid grid;
+  grid.base().app = wb::sweep3d(cfg);
+  grid.machines({{"xt4-dual", wc::MachineConfig::xt4_dual_core()},
+                 {"xt4-single", wc::MachineConfig::xt4_single_core()},
+                 {"sp2", wc::MachineConfig::sp2_single_core()}});
+  grid.comm_models(kCtx, {"loggp", "loggps", "contention"});
+  grid.processors({16, 64, 256, 64, 1024, 16});
+  std::vector<wr::Scenario> points = grid.points();
+  wr::Scenario des = points.front();
+  des.engine = wr::Engine::Simulation;
+  des.grid = wave::topo::Grid(2, 2);
+  des.index = points.size();
+  points.push_back(des);
+
+  wr::BatchRunner::Options scalar(1);
+  scalar.batch = false;
+  const std::string off =
+      wr::to_csv(wr::BatchRunner(kCtx, scalar).run(points));
+  for (const int threads : {1, 3, 8}) {
+    for (const int chunk : {0, 1, 7, 1024}) {
+      const wr::BatchRunner::Options options(threads, chunk);
+      EXPECT_EQ(off, wr::to_csv(wr::BatchRunner(kCtx, options).run(points)))
+          << "threads " << threads << ", chunk " << chunk;
+    }
+  }
+
+  // An attached registry sees each point's latency exactly once.
+  wave::obs::MetricsRegistry registry;
+  for (wr::Scenario& s : points) s.metrics = &registry;
+  wr::BatchRunner(kCtx, wr::BatchRunner::Options(3)).run(points);
+  EXPECT_EQ(registry.histogram("runner_point_latency_us").count(),
+            points.size());
 }
