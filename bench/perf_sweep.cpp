@@ -276,7 +276,7 @@ ObsPerf obs_section(const wave::Context& ctx, bool quick) {
 
 /// The auto-configurator's cost model: every candidate of a pinned
 /// machine x decomposition x Htile space scored two ways — through one
-/// compiled BatchEval plan (the optimizer's path: per-machine backends
+/// compiled BatchEval plan (the batch solver's path: per-machine backends
 /// and per-app sweep terms hoisted once) and through a fresh scalar
 /// Solver per candidate (the pre-batch reference). Both run serially so
 /// candidates/sec gauges the cost model itself, not thread scaling. A
@@ -351,8 +351,8 @@ OptimizePerf optimize_section(const wave::Context& ctx, bool quick) {
     if (sink <= 0.0) std::abort();  // keep the loop observable
   }
 
-  // Batch: the optimizer's path — the plan is compiled once per search
-  // and amortized over every candidate, so it is built once here too
+  // Batch: the compiled-plan path — the plan is compiled once and
+  // amortized over every candidate, so it is built once here too
   // (inside the first timed round, outside the per-candidate loop).
   {
     double sink = 0.0;

@@ -58,21 +58,6 @@ std::string joined(const Named<E> (&table)[N]) {
   return out;
 }
 
-Recommendation recommendation_from(const optimize::Scored& s) {
-  Recommendation r;
-  r.machine = s.machine;
-  r.comm_model = s.comm_model;
-  r.grid_columns = s.grid.n();
-  r.grid_rows = s.grid.m();
-  r.htile = s.htile;
-  r.pz = s.pz;
-  r.angle_blocks = s.angle_blocks;
-  r.ranks = s.ranks;
-  r.model_us = s.model_us;
-  r.objective_value = s.objective_value;
-  return r;
-}
-
 }  // namespace
 
 std::string to_string(Objective objective) {
@@ -239,27 +224,7 @@ Expected<OptimizeResult> Optimize::run() const {
 
     const optimize::Optimizer optimizer(*ctx_, workload_, std::move(app),
                                         std::move(space), options);
-    const optimize::SearchResult found = optimizer.run();
-
-    // ---- the typed result ------------------------------------------------
-    OptimizeResult out;
-    out.workload = workload_;
-    out.objective = objective_;
-    out.strategy = found.strategy_used;
-    out.space_size = found.space_size;
-    out.evaluated = found.evaluated;
-    out.seed = seed_;
-    for (const optimize::Scored& s : found.ranking)
-      out.ranking.push_back(recommendation_from(s));
-    for (const optimize::Finalist& f : found.finalists) {
-      Recommendation r = recommendation_from(f.scored);
-      r.simulated = true;
-      r.sim_us = f.sim_us;
-      r.sim_objective_value = f.sim_objective_value;
-      r.divergence_pct = f.divergence_pct;
-      r.within_tolerance = f.within_tolerance;
-      out.finalists.push_back(std::move(r));
-    }
+    OptimizeResult out = optimizer.run();
     WAVE_EXPECTS_MSG(!out.ranking.empty(),
                      "search produced no scored candidates");
     return out;

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/contracts.h"
-#include "core/batch_solver.h"
 #include "loggp/registry.h"
+#include "runner/batch_runner.h"
 #include "runner/scenario.h"
-#include "runner/thread_pool.h"
 #include "wave/context.h"
 #include "workloads/registry.h"
 
@@ -31,7 +30,7 @@ constexpr int kMaxRounds = 1000;
 /// the scoring schedule.
 struct Entry {
   std::size_t flat = 0;
-  double model_us = 0.0;
+  double time_us = 0.0;
   double value = 0.0;
 };
 
@@ -82,26 +81,11 @@ Optimizer::Optimizer(const wave::Context& ctx, std::string workload,
                        "' has no 'angle_blocks' parameter to search");
 }
 
-SearchResult Optimizer::run() const {
+OptimizeResult Optimizer::run() const {
   const std::size_t space_size = space_.size();
   const std::size_t num_comms = space_.comm_models.size();
-  const auto workload =
-      workloads::get_workload(ctx_->workload_registry(), workload_);
-  const loggp::CommModelRegistry& registry = ctx_->comm_model_registry();
-
-  // ---- resolved per-axis tables -----------------------------------------
-
-  // Effective machine per (machine, comm) pair: the comm-model override
-  // applied, exactly as Scenario::effective_machine does.
-  std::vector<core::MachineConfig> eff(space_.machines.size() * num_comms);
-  for (std::size_t m = 0; m < space_.machines.size(); ++m) {
-    for (std::size_t c = 0; c < num_comms; ++c) {
-      core::MachineConfig machine = space_.machines[m];
-      if (!space_.comm_models[c].empty())
-        machine.comm_model = space_.comm_models[c];
-      eff[m * num_comms + c] = std::move(machine);
-    }
-  }
+  const runner::BatchRunner runner(
+      *ctx_, runner::BatchRunner::Options(options_.threads));
 
   // The app per htile level (0 keeps the base app's Htile).
   std::vector<core::AppParams> apps(space_.htiles.size());
@@ -111,22 +95,30 @@ SearchResult Optimizer::run() const {
     apps[h].validate();
   }
 
-  // The wavefront pipeline scores through the compiled batch plan; every
-  // other workload goes through its own predict() with a pre-built
-  // backend per effective machine.
-  const bool batch_path = workload_ == "wavefront";
-  std::unique_ptr<core::BatchEval> plan;
-  std::vector<std::uint32_t> plan_apps, plan_machines;
-  std::vector<std::shared_ptr<const loggp::CommModel>> backends;
-  if (batch_path) {
-    plan = std::make_unique<core::BatchEval>(registry);
-    for (const core::AppParams& a : apps) plan_apps.push_back(plan->add_app(a));
-    for (const core::MachineConfig& m : eff)
-      plan_machines.push_back(plan->add_machine(m));
-  } else {
-    for (const core::MachineConfig& m : eff)
-      backends.push_back(m.make_comm_model(registry));
-  }
+  // The point a candidate names. A 0 on the pz/angle axes leaves the
+  // workload's default, so only the set knobs become parameters.
+  const auto scenario = [&](const Candidate& c) {
+    runner::Scenario s;
+    s.workload = workload_;
+    s.app = apps[c.htile];
+    s.machine = space_.machines[c.machine];
+    s.comm_model = space_.comm_models[c.comm];
+    s.grid = space_.decompositions[c.decomp];
+    if (takes_pz_ && space_.pz[c.pz] > 0.0) s.params["pz"] = space_.pz[c.pz];
+    if (takes_angle_ && space_.angle_blocks[c.angle] > 0.0)
+      s.params["angle_blocks"] = space_.angle_blocks[c.angle];
+    return s;
+  };
+
+  // Each point's headline time per iteration: its first metric, the same
+  // convention the facade's query results use.
+  const auto headline = [&](const std::vector<runner::Scenario>& points) {
+    std::vector<double> out;
+    out.reserve(points.size());
+    for (const runner::RunRecord& r : runner.run(points))
+      out.push_back(r.metrics.front().second);
+    return out;
+  };
 
   const auto effective_pz = [&](const Candidate& c) {
     if (!takes_pz_) return 1.0;
@@ -138,62 +130,29 @@ SearchResult Optimizer::run() const {
                             effective_pz(c));
   };
 
-  const auto scalar_inputs = [&](const Candidate& c) {
-    workloads::WorkloadInputs in;
-    in.app = apps[c.htile];
-    in.grid = space_.decompositions[c.decomp];
-    if (takes_pz_ && space_.pz[c.pz] > 0.0) in.params["pz"] = space_.pz[c.pz];
-    if (takes_angle_ && space_.angle_blocks[c.angle] > 0.0)
-      in.params["angle_blocks"] = space_.angle_blocks[c.angle];
-    return in;
-  };
-
-  const auto model_time = [&](const Candidate& c,
-                              core::BatchScratch& scratch) {
-    const std::size_t mc = c.machine * num_comms + c.comm;
-    if (batch_path) {
-      core::BatchPoint point{plan_apps[c.htile],
-                             plan_machines[mc],
-                             space_.decompositions[c.decomp]};
-      core::ModelResult res;
-      plan->evaluate_point(point, scratch, res);
-      return res.iteration.total;
-    }
-    return workload->predict(eff[mc], *backends[mc], scalar_inputs(c)).time_us;
-  };
-
   // ---- serial baseline T(1) for the efficiency objective ----------------
   // Keyed by every axis except the decomposition (evaluated at a 1x1 grid
   // with pz forced serial); precomputed so candidate scoring stays a pure
   // function of the candidate. These probes are bookkeeping, not part of
   // the eval budget.
-  runner::ThreadPool pool(options_.threads);
   std::vector<double> t1;
   const std::size_t t1_stride_a = space_.angle_blocks.size();
   const std::size_t t1_stride_h = space_.htiles.size() * t1_stride_a;
   if (options_.objective == Objective::MaxEfficiency) {
-    t1.assign(eff.size() * t1_stride_h, 0.0);
-    pool.for_each_index(t1.size(), [&](std::size_t k) {
-      thread_local core::BatchScratch scratch;
-      const std::size_t mc = k / t1_stride_h;
-      const std::size_t h = (k % t1_stride_h) / t1_stride_a;
-      const std::size_t a = k % t1_stride_a;
-      if (batch_path) {
-        core::BatchPoint point{plan_apps[h], plan_machines[mc],
-                               topo::Grid(1, 1)};
-        core::ModelResult res;
-        plan->evaluate_point(point, scratch, res);
-        t1[k] = res.iteration.total;
-      } else {
-        workloads::WorkloadInputs in;
-        in.app = apps[h];
-        in.grid = topo::Grid(1, 1);
-        if (takes_pz_) in.params["pz"] = 1.0;
-        if (takes_angle_ && space_.angle_blocks[a] > 0.0)
-          in.params["angle_blocks"] = space_.angle_blocks[a];
-        t1[k] = workload->predict(eff[mc], *backends[mc], in).time_us;
-      }
-    });
+    std::vector<runner::Scenario> probes;
+    for (std::size_t k = 0;
+         k < space_.machines.size() * num_comms * t1_stride_h; ++k) {
+      Candidate c;
+      c.machine = static_cast<std::uint32_t>(k / t1_stride_h / num_comms);
+      c.comm = static_cast<std::uint32_t>(k / t1_stride_h % num_comms);
+      c.htile = static_cast<std::uint32_t>(k % t1_stride_h / t1_stride_a);
+      c.angle = static_cast<std::uint32_t>(k % t1_stride_a);
+      runner::Scenario s = scenario(c);
+      s.grid = topo::Grid(1, 1);
+      if (takes_pz_) s.params["pz"] = 1.0;
+      probes.push_back(std::move(s));
+    }
+    t1 = headline(probes);
   }
 
   const auto objective_value = [&](double time_us, const Candidate& c) {
@@ -221,10 +180,10 @@ SearchResult Optimizer::run() const {
   std::unordered_set<std::size_t> seen;  // enqueued flat indices
   bool budget_hit = false;
 
-  // Scores `flats` (already deduped against `seen` by the caller) into
-  // per-candidate slots, truncating at the budget. Returns false once the
-  // budget is exhausted — the caller must stop generating rounds so the
-  // scored set stays a prefix of the budget-independent sequence.
+  // Scores `flats` (already deduped against `seen` by the caller) in
+  // order, truncating at the budget. Returns false once the budget is
+  // exhausted — the caller must stop generating rounds so the scored set
+  // stays a prefix of the budget-independent sequence.
   const auto score_round = [&](const std::vector<std::size_t>& flats) {
     std::size_t take = flats.size();
     if (options_.budget > 0) {
@@ -234,14 +193,14 @@ SearchResult Optimizer::run() const {
         budget_hit = true;
       }
     }
-    std::vector<Entry> results(take);
-    pool.for_each_index(take, [&](std::size_t i) {
-      thread_local core::BatchScratch scratch;
-      const Candidate c = space_.at(flats[i]);
-      const double time_us = model_time(c, scratch);
-      results[i] = Entry{flats[i], time_us, objective_value(time_us, c)};
-    });
-    scored.insert(scored.end(), results.begin(), results.end());
+    std::vector<runner::Scenario> points;
+    points.reserve(take);
+    for (std::size_t i = 0; i < take; ++i)
+      points.push_back(scenario(space_.at(flats[i])));
+    const std::vector<double> times = headline(points);
+    for (std::size_t i = 0; i < take; ++i)
+      scored.push_back(Entry{flats[i], times[i],
+                             objective_value(times[i], space_.at(flats[i]))});
     return !budget_hit;
   };
 
@@ -361,70 +320,75 @@ SearchResult Optimizer::run() const {
 
   // ---- rankings ---------------------------------------------------------
 
-  SearchResult out;
+  OptimizeResult out;
+  out.workload = workload_;
+  out.objective = options_.objective;
+  out.strategy = strategy;
   out.space_size = space_size;
   out.evaluated = scored.size();
-  out.strategy_used = strategy;
+  out.seed = options_.seed;
 
   std::stable_sort(scored.begin(), scored.end(), better);
   const std::size_t top =
       std::min<std::size_t>(scored.size(),
                             static_cast<std::size_t>(options_.ranking_size));
-  const auto resolve = [&](const Entry& e) {
-    const Candidate c = space_.at(e.flat);
-    Scored s;
-    s.candidate = c;
-    s.flat_index = e.flat;
-    s.grid = space_.decompositions[c.decomp];
-    s.machine = eff[c.machine * num_comms + c.comm].name;
-    s.comm_model = eff[c.machine * num_comms + c.comm].comm_model;
-    s.htile = apps[c.htile].htile;
-    s.pz = takes_pz_ ? effective_pz(c) : 0.0;
-    s.angle_blocks =
+  for (std::size_t k = 0; k < top; ++k) {
+    const Candidate c = space_.at(scored[k].flat);
+    const core::MachineConfig machine = scenario(c).effective_machine();
+    Recommendation r;
+    r.machine = machine.name;
+    r.comm_model = machine.comm_model;
+    r.grid_columns = space_.decompositions[c.decomp].n();
+    r.grid_rows = space_.decompositions[c.decomp].m();
+    r.htile = apps[c.htile].htile;
+    r.pz = takes_pz_ ? effective_pz(c) : 0.0;
+    r.angle_blocks =
         takes_angle_ ? (space_.angle_blocks[c.angle] > 0.0
                             ? space_.angle_blocks[c.angle]
                             : angle_fallback_)
                      : 0.0;
-    s.ranks = candidate_ranks(c);
-    s.model_us = e.model_us;
-    s.objective_value = e.value;
-    return s;
-  };
-  for (std::size_t k = 0; k < top; ++k) out.ranking.push_back(resolve(scored[k]));
+    r.ranks = candidate_ranks(c);
+    r.model_us = scored[k].time_us;
+    r.objective_value = scored[k].value;
+    out.ranking.push_back(std::move(r));
+  }
 
   // ---- DES re-rank of the finalists -------------------------------------
-  if (options_.top_k > 0 && !out.ranking.empty()) {
-    const std::size_t k_final = std::min<std::size_t>(
-        out.ranking.size(), static_cast<std::size_t>(options_.top_k));
-    std::vector<Finalist> finalists(k_final);
-    pool.for_each_index(k_final, [&](std::size_t i) {
-      const Scored& s = out.ranking[i];
-      workloads::WorkloadInputs in = scalar_inputs(s.candidate);
-      in.iterations = options_.iterations;
-      const workloads::SimOutput sim = workload->simulate(
-          eff[s.candidate.machine * num_comms + s.candidate.comm], registry,
-          in);
-      Finalist f;
-      f.scored = s;
-      f.sim_us = sim.time_us;
-      f.sim_objective_value =
-          objective_value(sim.time_us, s.candidate);
-      f.divergence_pct = sim.time_us > 0.0
-                             ? 100.0 * std::abs(s.model_us - sim.time_us) /
-                                   sim.time_us
-                             : 0.0;
-      f.within_tolerance =
-          f.divergence_pct <= 100.0 * workload->tolerance();
-      finalists[i] = std::move(f);
-    });
-    std::stable_sort(finalists.begin(), finalists.end(),
-                     [](const Finalist& a, const Finalist& b) {
-                       if (a.sim_objective_value != b.sim_objective_value)
-                         return a.sim_objective_value < b.sim_objective_value;
-                       return a.scored.flat_index < b.scored.flat_index;
-                     });
-    out.finalists = std::move(finalists);
+  // The finalists are ordered by (simulated objective, flat index): the
+  // same total order as the model ranking, on the simulated time.
+  const std::size_t k_final = std::min<std::size_t>(
+      out.ranking.size(), static_cast<std::size_t>(options_.top_k));
+  std::vector<runner::Scenario> runs;
+  for (std::size_t i = 0; i < k_final; ++i) {
+    runner::Scenario s = scenario(space_.at(scored[i].flat));
+    s.engine = runner::Engine::Simulation;
+    s.iterations = options_.iterations;
+    runs.push_back(std::move(s));
   }
+  const std::vector<double> sim_us = headline(runs);
+  const double tolerance_pct =
+      100.0 *
+      workloads::get_workload(ctx_->workload_registry(), workload_)
+          ->tolerance();
+  std::vector<std::pair<Entry, Recommendation>> finalists;
+  for (std::size_t i = 0; i < k_final; ++i) {
+    Recommendation r = out.ranking[i];
+    r.simulated = true;
+    r.sim_us = sim_us[i];
+    r.sim_objective_value =
+        objective_value(sim_us[i], space_.at(scored[i].flat));
+    r.divergence_pct =
+        sim_us[i] > 0.0 ? 100.0 * std::abs(r.model_us - sim_us[i]) / sim_us[i]
+                        : 0.0;
+    r.within_tolerance = r.divergence_pct <= tolerance_pct;
+    finalists.emplace_back(
+        Entry{scored[i].flat, sim_us[i], r.sim_objective_value}, std::move(r));
+  }
+  std::stable_sort(finalists.begin(), finalists.end(),
+                   [](const auto& a, const auto& b) {
+                     return better(a.first, b.first);
+                   });
+  for (auto& f : finalists) out.finalists.push_back(std::move(f.second));
   return out;
 }
 

@@ -2,19 +2,22 @@
 //
 // Inverts the paper's question: instead of "how long does this
 // configuration take?" the Optimizer answers "which configuration is
-// best for this job?". It scores candidates from a SearchSpace with the
-// analytic model — through core::BatchEval for the wavefront pipeline
-// (thousands of candidates per compiled plan), through the registered
-// workload's predict() otherwise — under one of three objectives, then
-// re-ranks the top-K front-runners with the discrete-event engine and
-// reports the model-vs-simulation divergence per finalist.
+// best for this job?". It only searches: each round of candidates from a
+// SearchSpace becomes a list of runner::Scenario points that
+// runner::BatchRunner evaluates — the one module that decides how a
+// point is evaluated (the batch solver for the wavefront pipeline, the
+// registered workload's predict() otherwise). Candidates are ranked
+// under one of three objectives, then the top-K front-runners are
+// re-ranked with the discrete-event engine (the same runner, with the
+// Simulation engine) and each finalist reports its model-vs-simulation
+// divergence.
 //
 // Determinism contract: with a fixed seed the recommendation list is
 // byte-identical at any `threads` value. Candidates are produced in
 // rounds whose composition depends only on fully-scored prior rounds
-// (never on the eval budget or the schedule); scoring writes results to
-// per-candidate slots; all selection is serial with a total order
-// (objective value, then flat candidate index). The budget truncates a
+// (never on the eval budget or the schedule); the runner returns records
+// in point order; all selection is serial with a total order (objective
+// value, then flat candidate index). The budget truncates a
 // budget-independent candidate sequence, so a larger budget scores a
 // superset of candidates and the best objective can never get worse
 // (monotonicity).
@@ -23,11 +26,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/app_params.h"
 #include "optimize/search_space.h"
-#include "topology/grid.h"
 #include "wave/optimize.h"
 
 namespace wave {
@@ -53,39 +54,6 @@ struct Options {
   std::uint64_t seed = 2008;  ///< beam sampling seed
 };
 
-/// One scored configuration, resolved for reporting.
-struct Scored {
-  Candidate candidate;
-  std::size_t flat_index = 0;  ///< index in the space (the tie-break key)
-  topo::Grid grid{1, 1};
-  std::string machine;     ///< resolved machine display name
-  std::string comm_model;  ///< backend that evaluated the candidate
-  double htile = 0.0;      ///< 0 = the app's own Htile
-  double pz = 0.0;         ///< 0 = workload default
-  double angle_blocks = 0.0;
-  int ranks = 0;           ///< total ranks (grid cells x effective pz)
-  double model_us = 0.0;   ///< predicted time per iteration
-  double objective_value = 0.0;  ///< minimized
-};
-
-/// A DES-validated finalist.
-struct Finalist {
-  Scored scored;
-  double sim_us = 0.0;  ///< simulated time per iteration
-  double sim_objective_value = 0.0;
-  double divergence_pct = 0.0;  ///< 100 * |model - sim| / sim
-  bool within_tolerance = false;  ///< inside the workload's declared bound
-};
-
-/// The search outcome: both rankings plus coverage bookkeeping.
-struct SearchResult {
-  std::vector<Scored> ranking;      ///< by model objective, best first
-  std::vector<Finalist> finalists;  ///< top-K re-ranked by simulated time
-  std::size_t space_size = 0;
-  std::size_t evaluated = 0;  ///< unique candidates the model scored
-  SearchStrategy strategy_used = SearchStrategy::Exhaustive;
-};
-
 /// The search engine. Binds a context (registries), a workload, the base
 /// application and a validated SearchSpace; run() is const and performs
 /// the whole search.
@@ -98,11 +66,10 @@ class Optimizer {
   Optimizer(const wave::Context& ctx, std::string workload,
             core::AppParams app, SearchSpace space, Options options);
 
-  const SearchSpace& space() const { return space_; }
-
-  /// Runs the search. Thread-safe and repeatable: same seed, same result,
-  /// at any `threads` value.
-  SearchResult run() const;
+  /// Runs the search: the model ranking, the DES-re-ranked finalists and
+  /// the coverage bookkeeping. Thread-safe and repeatable: same seed,
+  /// same result, at any `threads` value.
+  OptimizeResult run() const;
 
  private:
   const wave::Context* ctx_;

@@ -30,9 +30,8 @@ StormSpec make_storm_spec(const core::MachineConfig& machine,
   spec.ranks = common::floor_pow2(std::max(2, in.grid.size()));
   spec.cores_per_node =
       common::floor_pow2(std::min(machine.cores_per_node(), spec.ranks));
-  spec.count = static_cast<int>(in.param_or("count", 8));
-  spec.bytes = static_cast<int>(
-      in.param_or("bytes", in.app.nonwavefront.allreduce_bytes));
+  spec.count = in.int_param_or("count", 8);
+  spec.bytes = in.int_param_or("bytes", in.app.nonwavefront.allreduce_bytes);
   spec.gap_us = in.param_or("gap_us", 0.0);
   spec.iterations = in.iterations;
   WAVE_EXPECTS_MSG(spec.count >= 1, "allreduce-storm count must be >= 1");

@@ -96,8 +96,8 @@ struct PingPongKnobs {
   bool on_chip;
 
   explicit PingPongKnobs(const WorkloadInputs& in)
-      : bytes(static_cast<int>(in.param_or("bytes", 4096))),
-        reps(static_cast<int>(in.param_or("reps", 10))),
+      : bytes(in.int_param_or("bytes", 4096)),
+        reps(in.int_param_or("reps", 10)),
         on_chip(in.param_or("on_chip", 0) != 0) {
     WAVE_EXPECTS_MSG(bytes >= 0, "pingpong bytes must be >= 0");
     WAVE_EXPECTS_MSG(reps >= 1, "pingpong reps must be >= 1");

@@ -25,7 +25,7 @@ HaloSpec make_halo_spec(const WorkloadInputs& in) {
   WAVE_EXPECTS(in.iterations >= 1);
   HaloSpec spec;
   spec.grid = in.grid;
-  spec.phases = static_cast<int>(in.param_or("phases", 1));
+  spec.phases = in.int_param_or("phases", 1);
   WAVE_EXPECTS_MSG(spec.phases >= 1, "halo2d phases must be >= 1");
   spec.w_block = in.app.wg * (in.app.nx / in.grid.n()) *
                  (in.app.ny / in.grid.m()) * in.app.nz;

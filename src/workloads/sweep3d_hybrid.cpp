@@ -36,8 +36,8 @@ int face_bytes(double per_cell, double cells) {
 HybridSpec make_hybrid_spec(const WorkloadInputs& in) {
   in.app.validate();
   WAVE_EXPECTS(in.iterations >= 1);
-  const int pz = static_cast<int>(in.param_or("pz", 2));
-  const int blocks = static_cast<int>(in.param_or("angle_blocks", 2));
+  const int pz = in.int_param_or("pz", 2);
+  const int blocks = in.int_param_or("angle_blocks", 2);
   WAVE_EXPECTS_MSG(pz >= 1, "sweep3d-hybrid pz must be >= 1");
   WAVE_EXPECTS_MSG(blocks >= 1, "sweep3d-hybrid angle_blocks must be >= 1");
   HybridSpec spec;

@@ -1,5 +1,10 @@
 #include "workloads/workload.h"
 
+#include <charconv>
+#include <cmath>
+#include <limits>
+
+#include "common/contracts.h"
 #include "common/units.h"
 #include "core/benchmarks.h"
 #include "loggp/registry.h"
@@ -11,6 +16,22 @@ core::AppParams WorkloadInputs::default_app() {
   core::benchmarks::Sweep3dConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 64;
   return core::benchmarks::sweep3d(cfg);
+}
+
+int WorkloadInputs::int_param_or(const std::string& name,
+                                 int fallback) const {
+  const double v = param_or(name, fallback);
+  const bool is_int = std::isfinite(v) && v == std::trunc(v) &&
+                      v >= std::numeric_limits<int>::min() &&
+                      v <= std::numeric_limits<int>::max();
+  if (!is_int) {
+    char shown[32];
+    const auto end = std::to_chars(shown, shown + sizeof shown, v).ptr;
+    WAVE_EXPECTS_MSG(is_int, "workload parameter '" + name +
+                                 "' must be an integer in the int range, "
+                                 "got " + std::string(shown, end));
+  }
+  return static_cast<int>(v);
 }
 
 ModelOutput Workload::predict(const core::MachineConfig& machine,

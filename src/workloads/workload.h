@@ -69,6 +69,13 @@ struct WorkloadInputs {
     return it == params.end() ? fallback : it->second;
   }
 
+  /// Integer knob with a fallback (counts, sizes, plane numbers).
+  /// @throws common::contract_error naming the key and the value when it
+  ///   is non-finite, non-integral or outside the int range — the params
+  ///   come from callers, and a silent truncation would evaluate a
+  ///   different point than the one asked for.
+  int int_param_or(const std::string& name, int fallback) const;
+
   /// The subsystem's canonical application input: Sweep3D on a 64^3 grid —
   /// small enough that every workload's DES path runs in milliseconds, big
   /// enough that pipelining and blocking behaviour are exercised.

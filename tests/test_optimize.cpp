@@ -1,17 +1,22 @@
 // The auto-configurator (ROADMAP item 3): the SearchSpace indexing
 // contract, the Optimizer's determinism/monotonicity/quality guarantees,
-// the DES re-rank's divergence accounting, and the facade's Status
-// taxonomy at the wave::Optimize boundary.
+// its scores against the scalar reference evaluators, the DES re-rank's
+// divergence accounting, and the facade's Status taxonomy at the
+// wave::Optimize boundary.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/solver.h"
 #include "optimize/optimizer.h"
 #include "optimize/search_space.h"
 #include "topology/grid.h"
 #include "wave/wave.h"
+#include "workloads/registry.h"
 #include "workloads/workload.h"
 
 namespace wopt = wave::optimize;
@@ -24,21 +29,19 @@ namespace {
 std::string fingerprint(const wave::OptimizeResult& r) {
   std::string out;
   char buf[512];
-  for (const wave::Recommendation& rec : r.ranking) {
-    std::snprintf(buf, sizeof buf, "%s|%s|%dx%d|%a|%a|%a|%d|%a|%a\n",
+  const auto line = [&](const char* tag, const wave::Recommendation& rec) {
+    std::snprintf(buf, sizeof buf,
+                  "%s%s|%s|%dx%d|%a|%a|%a|%d|%a|%a|%d|%a|%a|%a|%d\n", tag,
                   rec.machine.c_str(), rec.comm_model.c_str(),
                   rec.grid_columns, rec.grid_rows, rec.htile, rec.pz,
                   rec.angle_blocks, rec.ranks, rec.model_us,
-                  rec.objective_value);
-    out += buf;
-  }
-  for (const wave::Recommendation& rec : r.finalists) {
-    std::snprintf(buf, sizeof buf, "F %s|%dx%d|%a|%a|%a|%d\n",
-                  rec.machine.c_str(), rec.grid_columns, rec.grid_rows,
-                  rec.model_us, rec.sim_us, rec.divergence_pct,
+                  rec.objective_value, rec.simulated ? 1 : 0, rec.sim_us,
+                  rec.sim_objective_value, rec.divergence_pct,
                   rec.within_tolerance ? 1 : 0);
     out += buf;
-  }
+  };
+  for (const wave::Recommendation& rec : r.ranking) line("", rec);
+  for (const wave::Recommendation& rec : r.finalists) line("F ", rec);
   return out;
 }
 
@@ -53,6 +56,24 @@ wave::Optimize beam_job(const wave::Context& ctx) {
       .strategy(wave::SearchStrategy::Beam)
       .budget(80)
       .top_k(0)
+      .seed(2008);
+}
+
+// A second job for the determinism test: a registry workload (the
+// runner's non-batch route) with a comm axis, the efficiency objective
+// (T(1) probes) and a DES re-rank.
+wave::Optimize hybrid_job(const wave::Context& ctx) {
+  return ctx.optimize()
+      .workload("sweep3d-hybrid")
+      .machines({"xt4-dual", "xt4-single"})
+      .comm_models({"loggp", "loggps"})
+      .processors({16, 32})
+      .pz({0.0, 1.0, 2.0})
+      .angle_blocks({0.0, 2.0})
+      .objective(wave::Objective::MaxEfficiency)
+      .strategy(wave::SearchStrategy::Beam)
+      .budget(40)
+      .top_k(2)
       .seed(2008);
 }
 
@@ -110,18 +131,20 @@ TEST(OptimizeSpace, NeighborsStayInBoundsAndPerturbOneAxis) {
 
 TEST(OptimizeDeterminism, SameSeedByteIdenticalAtAnyThreadCount) {
   const wave::Context ctx;
-  std::string reference;
-  for (int threads : {1, 2, 5}) {
-    auto r = beam_job(ctx).threads(threads).run();
-    ASSERT_TRUE(r.ok()) << r.status().to_string();
-    EXPECT_EQ(r.value().strategy, wave::SearchStrategy::Beam);
-    const std::string fp = fingerprint(r.value());
-    if (reference.empty())
-      reference = fp;
-    else
-      EXPECT_EQ(fp, reference) << "threads=" << threads;
+  for (auto job : {beam_job, hybrid_job}) {
+    std::string reference;
+    for (int threads : {1, 2, 5}) {
+      auto r = job(ctx).threads(threads).run();
+      ASSERT_TRUE(r.ok()) << r.status().to_string();
+      EXPECT_EQ(r.value().strategy, wave::SearchStrategy::Beam);
+      const std::string fp = fingerprint(r.value());
+      if (reference.empty())
+        reference = fp;
+      else
+        EXPECT_EQ(fp, reference) << "threads=" << threads;
+    }
+    ASSERT_FALSE(reference.empty());
   }
-  ASSERT_FALSE(reference.empty());
 }
 
 // The DES re-rank is deterministic: finalists simulated from a 1-thread
@@ -226,6 +249,144 @@ TEST(OptimizeBeam, QualityHoldsAcrossObjectives) {
   }
 }
 
+// ---- scores against the reference evaluators ----------------------------
+
+namespace {
+
+// Re-derives every recommendation of `r` (ranking and finalists) from its
+// own fields and checks the reported numbers bit for bit: model_us
+// against the scalar reference (core::Solver for the wavefront pipeline,
+// Workload::predict otherwise), objective_value against the objective's
+// formula — under MaxEfficiency with T(1) re-evaluated at a 1x1 grid and
+// pz = 1 — and each finalist's sim_us against Workload::simulate.
+void expect_scores_match_reference(const wave::Context& ctx,
+                                   const std::string& workload_name,
+                                   const std::vector<std::string>& machines,
+                                   const wave::OptimizeResult& r) {
+  std::map<std::string, wave::core::MachineConfig> by_display_name;
+  for (const std::string& name : machines) {
+    const wave::core::MachineConfig m = ctx.resolve_machine(name);
+    by_display_name[m.name] = m;
+  }
+  const auto workload =
+      wave::workloads::get_workload(ctx.workload_registry(), workload_name);
+  const bool wavefront = workload_name == "wavefront";
+
+  // Distinct candidates are distinct configurations: a ranking that
+  // collapses an axis (say, a comm override that never applies) repeats
+  // one configuration under several candidates.
+  std::set<std::string> configurations;
+  for (const wave::Recommendation& rec : r.ranking) {
+    char key[256];
+    std::snprintf(key, sizeof key, "%s|%s|%dx%d|%a|%a|%a",
+                  rec.machine.c_str(), rec.comm_model.c_str(),
+                  rec.grid_columns, rec.grid_rows, rec.htile, rec.pz,
+                  rec.angle_blocks);
+    EXPECT_TRUE(configurations.insert(key).second) << "repeated: " << key;
+  }
+
+  std::vector<wave::Recommendation> all = r.ranking;
+  all.insert(all.end(), r.finalists.begin(), r.finalists.end());
+  for (const wave::Recommendation& rec : all) {
+    SCOPED_TRACE(rec.machine + " " + rec.comm_model + " " +
+                 std::to_string(rec.grid_columns) + "x" +
+                 std::to_string(rec.grid_rows));
+    ASSERT_EQ(by_display_name.count(rec.machine), 1u);
+    wave::core::MachineConfig machine = by_display_name.at(rec.machine);
+    machine.comm_model = rec.comm_model;
+    wave::workloads::WorkloadInputs in;
+    in.app.htile = rec.htile;
+    in.grid = wave::topo::Grid(rec.grid_columns, rec.grid_rows);
+    if (rec.pz > 0.0) in.params["pz"] = rec.pz;
+    if (rec.angle_blocks > 0.0) in.params["angle_blocks"] = rec.angle_blocks;
+    const auto model_time = [&](const wave::workloads::WorkloadInputs& at) {
+      if (!wavefront)
+        return workload->predict(machine, ctx.comm_model_registry(), at)
+            .time_us;
+      const wave::core::Solver solver(at.app, machine,
+                                      ctx.comm_model_registry());
+      return solver.evaluate(at.grid).iteration.total;
+    };
+
+    EXPECT_EQ(rec.model_us, model_time(in));
+    EXPECT_EQ(rec.ranks, static_cast<int>(rec.grid_columns * rec.grid_rows *
+                                          (rec.pz > 0.0 ? rec.pz : 1.0)));
+    const auto objective = [&](double time_us) {
+      switch (r.objective) {
+        case wave::Objective::MinTime:
+          return time_us;
+        case wave::Objective::MinNodeHours:
+          return time_us * rec.ranks;
+        case wave::Objective::MaxEfficiency:
+          break;
+      }
+      wave::workloads::WorkloadInputs serial = in;
+      serial.grid = wave::topo::Grid(1, 1);
+      if (rec.pz > 0.0) serial.params["pz"] = 1.0;
+      return rec.ranks * time_us / model_time(serial);
+    };
+    EXPECT_EQ(rec.objective_value, objective(rec.model_us));
+
+    if (!rec.simulated) continue;
+    const double sim_us =
+        workload->simulate(machine, ctx.comm_model_registry(), in).time_us;
+    EXPECT_EQ(rec.sim_us, sim_us);
+    EXPECT_EQ(rec.sim_objective_value, objective(sim_us));
+  }
+}
+
+}  // namespace
+
+TEST(OptimizeScoring, WavefrontScoresEqualTheScalarSolver) {
+  const wave::Context ctx;
+  const std::vector<std::string> machines = {"xt4-dual", "sp2"};
+  for (wave::Objective obj :
+       {wave::Objective::MinTime, wave::Objective::MinNodeHours,
+        wave::Objective::MaxEfficiency}) {
+    auto r = ctx.optimize()
+                 .machines(machines)
+                 .comm_models({"loggp", "loggps", "contention"})
+                 .processors({16, 24})
+                 .htiles({0.0, 1.0, 5.0})
+                 .objective(obj)
+                 .ranking_size(1000)
+                 .top_k(2)
+                 .threads(3)
+                 .run();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    ASSERT_EQ(r.value().ranking.size(), r.value().space_size);
+    ASSERT_EQ(r.value().finalists.size(), 2u);
+    SCOPED_TRACE(wave::to_string(obj));
+    expect_scores_match_reference(ctx, "wavefront", machines, r.value());
+  }
+}
+
+TEST(OptimizeScoring, HybridScoresEqualWorkloadPredict) {
+  const wave::Context ctx;
+  const std::vector<std::string> machines = {"xt4-dual", "xt4-single"};
+  for (wave::Objective obj :
+       {wave::Objective::MinTime, wave::Objective::MinNodeHours,
+        wave::Objective::MaxEfficiency}) {
+    auto r = ctx.optimize()
+                 .workload("sweep3d-hybrid")
+                 .machines(machines)
+                 .comm_models({"loggp", "loggps"})
+                 .processors({16})
+                 .pz({0.0, 1.0, 4.0})
+                 .angle_blocks({0.0, 3.0})
+                 .objective(obj)
+                 .ranking_size(1000)
+                 .top_k(2)
+                 .threads(3)
+                 .run();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    ASSERT_EQ(r.value().ranking.size(), r.value().space_size);
+    ASSERT_EQ(r.value().finalists.size(), 2u);
+    SCOPED_TRACE(wave::to_string(obj));
+    expect_scores_match_reference(ctx, "sweep3d-hybrid", machines, r.value());
+  }
+}
+
 // ---- strategy selection -------------------------------------------------
 
 TEST(OptimizeStrategy, AutoIsExhaustiveOnSmallSpaces) {
@@ -261,12 +422,12 @@ TEST(OptimizeRerank, FinalistsDivergeWithinTheWorkloadTolerance) {
   const wopt::Optimizer optimizer(
       ctx, "wavefront", wave::workloads::WorkloadInputs::default_app(), space,
       options);
-  const wopt::SearchResult result = optimizer.run();
+  const wave::OptimizeResult result = optimizer.run();
   ASSERT_EQ(result.finalists.size(), 2u);
-  for (const wopt::Finalist& f : result.finalists) {
+  for (const wave::Recommendation& f : result.finalists) {
     EXPECT_GT(f.sim_us, 0.0);
     EXPECT_TRUE(f.within_tolerance)
-        << f.scored.grid.n() << "x" << f.scored.grid.m() << " diverged "
+        << f.grid_columns << "x" << f.grid_rows << " diverged "
         << f.divergence_pct << "%";
     EXPECT_LE(f.divergence_pct, 100.0 * 0.12 + 1e-9);  // wavefront bound
   }
@@ -361,6 +522,13 @@ TEST(OptimizeStatus, DomainErrorsAreInvalidArgument) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), wave::StatusCode::kInvalidArgument);
     EXPECT_NE(r.status().message().find("wavefront"), std::string::npos);
+  }
+  {
+    // A fractional plane count is not rounded into some other space.
+    auto r = ctx.optimize().workload("sweep3d-hybrid").pz({2.5}).run();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), wave::StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("'pz'"), std::string::npos);
   }
 }
 

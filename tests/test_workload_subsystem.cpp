@@ -3,7 +3,9 @@
 // pipeline1d, and the cross-workload matrix determinism gate.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <string>
 
 #include "common/contracts.h"
 #include "core/solver.h"
@@ -280,6 +282,44 @@ TEST(Sweep3dHybrid, MorePlanesKeepPipelineBusy) {
   // speedup (not serialize), though less than perfect due to fill.
   EXPECT_LT(t_deep.time_us, t_flat.time_us);
   EXPECT_GT(t_deep.time_us, 0.5 * t_flat.time_us);
+}
+
+// ---- integer parameters -------------------------------------------------
+
+// Integer knobs reach the workloads from outside the program (Query::param,
+// wave-serve's params object). A value that is not an int — fractional,
+// beyond the int range, NaN — is rejected with the key named instead of
+// being truncated into a different point than the one asked for.
+TEST(WorkloadParams, IntegerKeysRejectNonIntegralValues) {
+  const struct {
+    const char* workload;
+    const char* key;
+  } kIntegerKeys[] = {{"sweep3d-hybrid", "pz"}, {"sweep3d-hybrid", "angle_blocks"},
+                      {"halo2d", "phases"},     {"pingpong", "bytes"},
+                      {"pingpong", "reps"},     {"allreduce-storm", "count"},
+                      {"allreduce-storm", "bytes"}};
+  for (const auto& [workload, key] : kIntegerKeys) {
+    for (double bad : {2.5, 1e12, std::nan("")}) {
+      for (wave::Engine engine :
+           {wave::Engine::Model, wave::Engine::Simulation}) {
+        const auto r = kCtx.query()
+                           .workload(workload)
+                           .processors(16)
+                           .engine(engine)
+                           .param(key, bad)
+                           .run();
+        ASSERT_FALSE(r.ok()) << workload << " " << key << "=" << bad;
+        EXPECT_EQ(r.status().code(), wave::StatusCode::kInvalidArgument);
+        EXPECT_NE(r.status().message().find("'" + std::string(key) + "'"),
+                  std::string::npos)
+            << r.status().message();
+      }
+    }
+    const auto integral =
+        kCtx.query().workload(workload).processors(16).param(key, 2.0).run();
+    EXPECT_TRUE(integral.ok()) << workload << " " << key << ": "
+                               << integral.status().to_string();
+  }
 }
 
 // ---- runner integration -----------------------------------------------
