@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,17 +47,37 @@ std::vector<std::string> split_list(const std::string& text) {
   return out;
 }
 
-std::vector<int> split_ints(const std::string& text) {
+/// A numeric list flag that is not wholly numbers is fatal, naming the
+/// flag and its value (the Cli::get_int convention).
+[[noreturn]] void fatal_list(const std::string& name, const std::string& text,
+                             const char* expected) {
+  std::cerr << "error: --" << name << " expects a comma-separated list of "
+            << expected << ", got '" << text << "'\n";
+  std::exit(1);
+}
+
+std::vector<int> split_ints(const common::Cli& cli, const std::string& name) {
+  const std::string text = cli.get(name, "");
   std::vector<int> out;
-  for (const std::string& item : split_list(text))
-    out.push_back(std::atoi(item.c_str()));
+  for (const std::string& item : split_list(text)) {
+    const auto value = common::parse_int(item);
+    if (!value || *value < std::numeric_limits<int>::min() ||
+        *value > std::numeric_limits<int>::max())
+      fatal_list(name, text, "integers");
+    out.push_back(static_cast<int>(*value));
+  }
   return out;
 }
 
-std::vector<double> split_doubles(const std::string& text) {
+std::vector<double> split_doubles(const common::Cli& cli,
+                                  const std::string& name) {
+  const std::string text = cli.get(name, "");
   std::vector<double> out;
-  for (const std::string& item : split_list(text))
-    out.push_back(std::atof(item.c_str()));
+  for (const std::string& item : split_list(text)) {
+    const auto value = common::parse_double(item);
+    if (!value) fatal_list(name, text, "numbers");
+    out.push_back(*value);
+  }
   return out;
 }
 
@@ -110,8 +131,8 @@ int main(int argc, char** argv) {
       .beam_width(static_cast<int>(cli.get_int("beam-width", 8)))
       .top_k(static_cast<int>(cli.get_int("top-k", quick ? 2 : 3)))
       .iterations(static_cast<int>(cli.get_int("iterations", 1)))
-      // Driver convention: garbage or negative thread counts fall back to
-      // "all cores" (0), like the shared runner flags. The facade itself
+      // Driver convention: negative thread counts fall back to "all
+      // cores" (0), like the shared runner flags. The facade itself
       // stays strict — Optimize::run() rejects negatives with a Status.
       .threads(std::max(0, static_cast<int>(cli.get_int("threads", 0))))
       .seed(static_cast<std::uint64_t>(cli.get_int("seed", 2008)));
@@ -120,13 +141,13 @@ int main(int argc, char** argv) {
   if (cli.has("comm-models"))
     search.comm_models(split_list(cli.get("comm-models", "")));
   search.processors(cli.has("processors")
-                        ? split_ints(cli.get("processors", ""))
+                        ? split_ints(cli, "processors")
                         : (quick ? std::vector<int>{64, 128}
                                  : std::vector<int>{256, 512, 1024}));
-  if (cli.has("htiles")) search.htiles(split_doubles(cli.get("htiles", "")));
-  if (cli.has("pz")) search.pz(split_doubles(cli.get("pz", "")));
+  if (cli.has("htiles")) search.htiles(split_doubles(cli, "htiles"));
+  if (cli.has("pz")) search.pz(split_doubles(cli, "pz"));
   if (cli.has("angle-blocks"))
-    search.angle_blocks(split_doubles(cli.get("angle-blocks", "")));
+    search.angle_blocks(split_doubles(cli, "angle-blocks"));
 
   const auto result = search.run();
   if (!result.ok()) {

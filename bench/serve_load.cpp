@@ -13,17 +13,27 @@
 //      thread records per-request latency; reports throughput, p50, p99;
 //   3. overload burst — a flood of expensive DES requests against a
 //      tiny DES queue, half opting into degradation: reports the shed
-//      and degrade rates (both must be > 0 — the within-file gate that
-//      proves bounded admission actually bounds).
+//      and degrade rates.
 //
-// Output is the flat "key": value JSON tools/run_perf.sh consumes into
-// BENCH_pr8.json; tools/check_perf.sh gates the serve section (hardware-
-// thread-gated, like the parallel-engine gate).
+//   serve_load [--quick] [--out=FILE] [--against=BASE]
+//
+// Prints the flat "key": value JSON (and writes it to --out), then gates:
+//   - the overload burst must shed and degrade (both rates > 0) on any
+//     machine — a rate of 0 means bounded admission or the degrade path
+//     broke;
+//   - with --against, the output of an earlier `serve_load --quick --out`
+//     on the same runner (CI measures the base ref first): throughput
+//     >= 0.5x and p99 <= 4x BASE's. Only on >= 8 hardware threads; with
+//     fewer the daemon measurement is the scheduler's, and the gate says
+//     SKIPPED.
+// Exits 1 when a gate fails, 2 on bad flags or an unreadable BASE.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +42,7 @@
 
 #include "common/statistics.h"
 #include "serve/client.h"
+#include "serve/json.h"
 #include "serve/server.h"
 #include "wave/context.h"
 
@@ -53,21 +64,58 @@ std::string eval_line(const std::string& id, int processors, bool expensive,
   return line;
 }
 
+/// The throughput and p99 of an earlier run's --out file.
+struct Reference {
+  double throughput_qps = 0.0;
+  double p99_us = 0.0;
+};
+
+bool load_reference(const std::string& path, Reference& ref) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  wave::serve::JsonValue doc;
+  std::string error;
+  if (!in || !wave::serve::parse_json(text.str(), doc, error)) {
+    std::fprintf(stderr, "serve_load: cannot read %s%s%s\n", path.c_str(),
+                 error.empty() ? "" : ": ", error.c_str());
+    return false;
+  }
+  const wave::serve::JsonValue* tput = doc.find("serve_throughput_qps");
+  const wave::serve::JsonValue* p99 = doc.find("serve_p99_us");
+  if (tput == nullptr || !tput->is_number() || p99 == nullptr ||
+      !p99->is_number()) {
+    std::fprintf(stderr,
+                 "serve_load: %s lacks serve_throughput_qps/serve_p99_us\n",
+                 path.c_str());
+    return false;
+  }
+  ref.throughput_qps = tput->number;
+  ref.p99_us = p99->number;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string out_path;
+  std::string out_path, against_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
+    } else if (std::strncmp(argv[i], "--against=", 10) == 0) {
+      against_path = argv[i] + 10;
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out=FILE]\n", argv[0]);
+      std::fprintf(stderr,
+                   "usage: %s [--quick] [--out=FILE] [--against=BASE]\n",
+                   argv[0]);
       return 2;
     }
   }
+  Reference base;
+  if (!against_path.empty() && !load_reference(against_path, base)) return 2;
 
   const double probe_seconds = quick ? 0.25 : 1.0;
   const double measure_seconds = quick ? 1.0 : 4.0;
@@ -236,5 +284,29 @@ int main(int argc, char** argv) {
     std::fputs(json.c_str(), out);
     std::fclose(out);
   }
-  return 0;
+
+  bool pass = shed_rate > 0.0 && degrade_rate > 0.0;
+  std::printf("overload: shed_rate %.3g, degrade_rate %.3g (both must be "
+              "> 0) %s\n",
+              shed_rate, degrade_rate, pass ? "ok" : "FAIL");
+  if (!against_path.empty()) {
+    constexpr int kMinHardwareThreads = 8;
+    const double tput_ratio = throughput_qps / base.throughput_qps;
+    const double p99_ratio = lat.p99 / base.p99_us;
+    if (hardware_threads >= kMinHardwareThreads) {
+      const bool ok = tput_ratio >= 0.5 && p99_ratio <= 4.0;
+      std::printf("vs %s: throughput %.4gx (min 0.5x), p99 %.4gx (max 4x) "
+                  "%s\n",
+                  against_path.c_str(), tput_ratio, p99_ratio,
+                  ok ? "ok" : "FAIL");
+      pass = pass && ok;
+    } else {
+      std::printf("vs %s: throughput %.4gx, p99 %.4gx — SKIPPED: %d "
+                  "hardware thread(s), the gate needs %d\n",
+                  against_path.c_str(), tput_ratio, p99_ratio,
+                  hardware_threads, kMinHardwareThreads);
+    }
+  }
+  std::printf("%s\n", pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
 }

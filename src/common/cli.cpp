@@ -1,8 +1,39 @@
 #include "common/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <iostream>
 
 namespace wave::common {
+
+std::optional<long long> parse_int(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || *end != '\0') return std::nullopt;
+  return value;
+}
+
+namespace {
+
+[[noreturn]] void fatal_value(const std::string& name, const std::string& value,
+                              const char* expected) {
+  std::cerr << "error: --" << name << " expects " << expected << ", got '"
+            << value << "'\n";
+  std::exit(1);
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -37,13 +68,17 @@ std::string Cli::get(const std::string& name,
 long long Cli::get_int(const std::string& name, long long fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const auto value = parse_int(it->second);
+  if (!value) fatal_value(name, it->second, "an integer");
+  return *value;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const auto value = parse_double(it->second);
+  if (!value) fatal_value(name, it->second, "a number");
+  return *value;
 }
 
 }  // namespace wave::common

@@ -3,10 +3,18 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace wave::common {
+
+/// The whole of `text` as a base-10 integer, or nullopt when any of it is
+/// not (empty, trailing characters, out of range).
+std::optional<long long> parse_int(const std::string& text);
+
+/// The whole of `text` as a double, or nullopt when any of it is not.
+std::optional<double> parse_double(const std::string& text);
 
 /// Parsed command line: boolean flags and key/value options.
 class Cli {
@@ -18,6 +26,10 @@ class Cli {
 
   /// Value of `--name`, or `fallback` when absent.
   std::string get(const std::string& name, const std::string& fallback) const;
+
+  /// Numeric value of `--name`, or `fallback` when absent. A value that is
+  /// not wholly a number is a user error: prints the flag and the value
+  /// on stderr and exits non-zero.
   long long get_int(const std::string& name, long long fallback) const;
   double get_double(const std::string& name, double fallback) const;
 

@@ -217,10 +217,6 @@ struct Member {
 std::vector<RunRecord> BatchRunner::run(
     const std::vector<Scenario>& points) const {
   const wave::Context& ctx = *ctx_;
-  if (!options_.batch)
-    return run(points,
-               [&ctx](const Scenario& s) { return evaluate_scenario(ctx, s); });
-
   // Compile the analytic wavefront points into one shared plan: each
   // unique machine resolves its comm backend once, each unique app
   // validates and derives its sweep terms once. Runs on the calling

@@ -17,8 +17,8 @@
 // distinct input: sweep points that differ only in a backend that prices
 // the fill alike share one fill. Units go largest grid first; every other
 // point is a unit of its own. The records are byte-identical to the scalar
-// path — the batch solver's correctness contract — so routing is on by
-// default (Options::batch).
+// path — the batch solver's correctness contract — so the default run()
+// always routes; run(points, evaluate_scenario) is the scalar reference.
 #pragma once
 
 #include <functional>
@@ -98,14 +98,9 @@ class BatchRunner {
     /// Chunking never changes the records — only the execution schedule
     /// (tests/test_runner.cpp pins this).
     int chunk;
-    /// Route analytic wavefront points of the default run() through the
-    /// batch solver (on by default; records are byte-identical either
-    /// way). Off forces every point through evaluate_scenario — the
-    /// scalar reference the batch tests compare against.
-    bool batch;
-    Options() : threads(0), chunk(0), batch(true) {}
+    Options() : threads(0), chunk(0) {}
     explicit Options(int threads_, int chunk_ = 0)
-        : threads(threads_), chunk(chunk_), batch(true) {}
+        : threads(threads_), chunk(chunk_) {}
   };
 
   /// Computes the metrics of one scenario point.
@@ -131,13 +126,14 @@ class BatchRunner {
                              const PointFn& fn) const;
 
   /// Default evaluation: compiles the analytic wavefront points into one
-  /// BatchEval plan (when Options::batch is set), evaluates them in
-  /// shared-fill units and routes everything else through
-  /// evaluate_scenario. Plan compilation validates every batched point's
-  /// app and machine eagerly, so a bad axis value throws here rather than
-  /// from a worker thread. A registry attached to a point records the
-  /// point's `runner_point_latency_us` once; points of one unit each
-  /// record an equal share of the unit's wall time.
+  /// BatchEval plan, evaluates them in shared-fill units and routes
+  /// everything else through evaluate_scenario. The records equal
+  /// run(points, evaluate_scenario)'s byte for byte. Plan compilation
+  /// validates every batched point's app and machine eagerly, so a bad
+  /// axis value throws here rather than from a worker thread. A registry
+  /// attached to a point records the point's `runner_point_latency_us`
+  /// once; points of one unit each record an equal share of the unit's
+  /// wall time.
   std::vector<RunRecord> run(const std::vector<Scenario>& points) const;
   std::vector<RunRecord> run(const SweepGrid& grid, const PointFn& fn) const;
   std::vector<RunRecord> run(const SweepGrid& grid) const;

@@ -1,0 +1,183 @@
+// Wall-clock performance gates, each a ratio of two runs measured in this
+// one process, so they hold on any machine:
+//
+//   BatchRoute     the default BatchRunner::run(points) — one batch-solver
+//                  plan, shared-fill units — must be >= 10x faster than
+//                  run(points, evaluate_scenario), the per-point scalar
+//                  Solver, on one thread. Two inputs: a model sweep grid
+//                  and the optimizer's candidate stream (the optimizer
+//                  scores candidates through run(points)).
+//   MetricsObserver  a serial 16x16 wavefront DES with an
+//                  obs::MetricsRegistry attached must keep >= 0.90x the
+//                  events/s of the same run without one: the always-on
+//                  metrics surface stays near free.
+//
+// Like the Wg tests beside them, they compare measured durations, so
+// ctest runs them alone (RUN_SERIAL, see CMakeLists.txt) and each side is
+// the fastest of several runs. Unoptimized and sanitized builds measure
+// the instrumentation, not the code, so there the gates skip.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "core/benchmarks.h"
+#include "obs/metrics.h"
+#include "optimize/search_space.h"
+#include "runner/runner.h"
+#include "topology/grid.h"
+#include "wave/context.h"
+#include "workloads/registry.h"
+
+namespace wr = wave::runner;
+namespace wcb = wave::core::benchmarks;
+
+namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+#ifdef NDEBUG
+constexpr bool kOptimized = true;
+#else
+constexpr bool kOptimized = false;
+#endif
+
+#define SKIP_UNLESS_MEASURABLE()                                             \
+  do {                                                                       \
+    if (!kOptimized) GTEST_SKIP() << "unoptimized build (NDEBUG unset)";     \
+    if (kSanitized) GTEST_SKIP() << "sanitized build";                       \
+  } while (0)
+
+template <typename F>
+double seconds(F&& work) {
+  const auto start = std::chrono::steady_clock::now();
+  work();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Fastest of `reps` timings of `a` and of `b`, run alternately so drift
+/// in the machine's speed hits both sides alike.
+template <typename A, typename B>
+std::pair<double, double> fastest_pair(int reps, A&& a, B&& b) {
+  double best_a = 0.0, best_b = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    const double ta = seconds(a), tb = seconds(b);
+    best_a = r == 0 ? ta : std::min(best_a, ta);
+    best_b = r == 0 ? tb : std::min(best_b, tb);
+  }
+  return {best_a, best_b};
+}
+
+/// Two Sweep-style apps x 101 processor counts from 64 to 4,064 x 4 Htile
+/// values on the dual-core XT4: 808 analytic points, where the scalar
+/// Solver's O(P) fill recurrence dominates.
+std::vector<wr::Scenario> model_grid() {
+  std::vector<int> procs;
+  for (int p = 64; p <= 4'096; p += 40) procs.push_back(p);
+  wr::SweepGrid grid;
+  grid.apps({{"Sweep3D", wcb::sweep3d(wcb::Sweep3dConfig{})},
+             {"Chimaera", wcb::chimaera(wcb::ChimaeraConfig{})}});
+  grid.machines({{"XT4 dual", wave::core::MachineConfig::xt4_dual_core()}});
+  grid.processors(procs);
+  grid.values("Htile", {1, 2, 5, 10},
+              [](wr::Scenario& s, double h) { s.app.htile = h; });
+  return grid.points();
+}
+
+/// A pinned optimizer candidate stream, as Optimizer::run() builds its
+/// points: Sweep3D 96^3 on both XT4 nodes x the closest-to-square grid of
+/// 26 processor counts from 512 to 4,012 x 4 Htile values — 208 points.
+std::vector<wr::Scenario> optimize_stream() {
+  wcb::Sweep3dConfig s3;
+  s3.nx = s3.ny = s3.nz = 96;
+  wave::optimize::SearchSpace space;
+  space.machines = {wave::core::MachineConfig::xt4_dual_core(),
+                    wave::core::MachineConfig::xt4_single_core()};
+  for (int p = 512; p <= 4096; p += 140)
+    space.decompositions.push_back(wave::topo::closest_to_square(p));
+  space.htiles = {1, 2, 5, 10};
+  std::vector<wr::Scenario> points;
+  for (std::size_t k = 0; k < space.size(); ++k) {
+    const wave::optimize::Candidate c = space.at(k);
+    wr::Scenario s;
+    s.app = wcb::sweep3d(s3);
+    s.app.htile = space.htiles[c.htile];
+    s.machine = space.machines[c.machine];
+    s.grid = space.decompositions[c.decomp];
+    s.index = k;
+    points.push_back(std::move(s));
+  }
+  return points;
+}
+
+/// Batch-routed vs scalar wall time on one thread, best of 5 each.
+void expect_batch_route_tenfold(const std::vector<wr::Scenario>& points) {
+  const wave::Context ctx;
+  const wr::BatchRunner runner(ctx, wr::BatchRunner::Options(1));
+  const auto scalar = [&](const wr::Scenario& s) {
+    return wr::evaluate_scenario(ctx, s);
+  };
+  const auto [batch_s, scalar_s] =
+      fastest_pair(5, [&] { runner.run(points); },
+                   [&] { runner.run(points, scalar); });
+  ASSERT_GT(batch_s, 0.0);
+  const double speedup = scalar_s / batch_s;
+  std::printf("%zu points: batch %.4f s, scalar %.4f s, %.1fx\n",
+              points.size(), batch_s, scalar_s, speedup);
+  EXPECT_GE(speedup, 10.0) << "the batch route fell toward the scalar path";
+}
+
+}  // namespace
+
+TEST(PerfGate, BatchRouteIsTenfoldScalarOnModelGrid) {
+  SKIP_UNLESS_MEASURABLE();
+  const auto points = model_grid();
+  ASSERT_EQ(points.size(), 808u);
+  expect_batch_route_tenfold(points);
+}
+
+TEST(PerfGate, BatchRouteIsTenfoldScalarOnOptimizeStream) {
+  SKIP_UNLESS_MEASURABLE();
+  const auto points = optimize_stream();
+  ASSERT_EQ(points.size(), 208u);
+  expect_batch_route_tenfold(points);
+}
+
+TEST(PerfGate, MetricsObserverKeepsNinetyPercentOfPlainEventRate) {
+  SKIP_UNLESS_MEASURABLE();
+  const wave::Context ctx;
+  const auto workload =
+      wave::workloads::get_workload(ctx.workload_registry(), "wavefront");
+  const auto machine = wave::core::MachineConfig::xt4_dual_core();
+  // The determinism contract makes both runs event-for-event identical,
+  // so the wall-time ratio is the events/s ratio.
+  const auto simulate = [&](bool with_metrics) {
+    wave::obs::MetricsRegistry registry;
+    wave::workloads::WorkloadInputs in;
+    in.grid = wave::topo::Grid(16, 16);
+    if (with_metrics) in.observers.metrics = &registry;
+    workload->simulate(machine, ctx.comm_model_registry(), in);
+  };
+  const auto [plain_s, metrics_s] =
+      fastest_pair(3, [&] { simulate(false); }, [&] { simulate(true); });
+  ASSERT_GT(metrics_s, 0.0);
+  const double ratio = plain_s / metrics_s;
+  std::printf("16x16 wavefront DES: plain %.4f s, metrics %.4f s, %.3fx\n",
+              plain_s, metrics_s, ratio);
+  EXPECT_GE(ratio, 0.90) << "the metrics observer is no longer near free";
+}

@@ -4,8 +4,9 @@
 // path's virtual calls would return and replays them in the scalar path's
 // operation order, so memcmp on every result field must pass over the full
 // pinned reference grids, every comm backend, and every edge-shaped grid.
-// BatchRunner's default routing rides the same contract: batch-on and
-// batch-off record sets serialize identically at any thread count.
+// BatchRunner's default routing rides the same contract: its record sets
+// serialize identically to run(points, evaluate_scenario)'s at any thread
+// count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -440,14 +441,19 @@ wr::SweepGrid analytic_sweep() {
   return grid;
 }
 
+/// The scalar reference the batch route must match: every point through
+/// evaluate_scenario on one thread.
+std::vector<wr::RunRecord> run_scalar(const std::vector<wr::Scenario>& points) {
+  return wr::BatchRunner(kCtx, wr::BatchRunner::Options(1))
+      .run(points,
+           [](const wr::Scenario& s) { return wr::evaluate_scenario(kCtx, s); });
+}
+
 }  // namespace
 
 TEST(BatchRunnerRoute, BatchOnAndOffSerializeIdentically) {
   const auto points = analytic_sweep().points();
-  wr::BatchRunner::Options scalar(1);
-  scalar.batch = false;
-  const std::string off =
-      wr::to_csv(wr::BatchRunner(kCtx, scalar).run(points));
+  const std::string off = wr::to_csv(run_scalar(points));
   const std::string on = wr::to_csv(
       wr::BatchRunner(kCtx, wr::BatchRunner::Options(1)).run(points));
   EXPECT_EQ(off, on);
@@ -468,9 +474,7 @@ TEST(BatchRunnerRoute, BatchedRouteIsThreadCountInvariant) {
 TEST(BatchRunnerRoute, FilteredGridKeepsIndicesThroughTheBatchedRoute) {
   wr::SweepGrid grid = analytic_sweep();
   grid.filter([](const wr::Scenario& s) { return s.param("Htile") > 1.0; });
-  wr::BatchRunner::Options scalar(1);
-  scalar.batch = false;
-  const auto off = wr::BatchRunner(kCtx, scalar).run(grid);
+  const auto off = run_scalar(grid.points());
   const auto on =
       wr::BatchRunner(kCtx, wr::BatchRunner::Options(2)).run(grid);
   ASSERT_EQ(off.size(), on.size());
@@ -482,7 +486,8 @@ TEST(BatchRunnerRoute, FilteredGridKeepsIndicesThroughTheBatchedRoute) {
 
 TEST(BatchRunnerRoute, MixedEngineSweepRoutesOnlyAnalyticPoints) {
   // DES points must keep the scalar evaluators: a mixed sweep through the
-  // default (batch-routed) runner serializes identically to batch-off.
+  // default (batch-routed) runner serializes identically to the scalar
+  // reference.
   wc::benchmarks::Sweep3dConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 32;
   wr::SweepGrid grid;
@@ -490,10 +495,8 @@ TEST(BatchRunnerRoute, MixedEngineSweepRoutesOnlyAnalyticPoints) {
   grid.base().machine = wc::MachineConfig::xt4_dual_core();
   grid.processors({4, 16});
   grid.engines({wr::Engine::Model, wr::Engine::Simulation});
-  wr::BatchRunner::Options scalar(1);
-  scalar.batch = false;
   EXPECT_EQ(
-      wr::to_csv(wr::BatchRunner(kCtx, scalar).run(grid)),
+      wr::to_csv(run_scalar(grid.points())),
       wr::to_csv(
           wr::BatchRunner(kCtx, wr::BatchRunner::Options(1)).run(grid)));
 }
@@ -502,9 +505,7 @@ TEST(BatchRunnerRoute, SinglePointSweepBatchRoutes) {
   wr::SweepGrid grid;
   grid.base().app = wb::chimaera();
   grid.processors({256});
-  wr::BatchRunner::Options scalar(1);
-  scalar.batch = false;
-  const auto off = wr::BatchRunner(kCtx, scalar).run(grid);
+  const auto off = run_scalar(grid.points());
   const auto on =
       wr::BatchRunner(kCtx, wr::BatchRunner::Options(1)).run(grid);
   ASSERT_EQ(on.size(), 1u);
@@ -531,10 +532,7 @@ TEST(BatchRunnerRoute, SharedFillUnitsMatchScalarAtAnyThreadsAndChunk) {
   des.index = points.size();
   points.push_back(des);
 
-  wr::BatchRunner::Options scalar(1);
-  scalar.batch = false;
-  const std::string off =
-      wr::to_csv(wr::BatchRunner(kCtx, scalar).run(points));
+  const std::string off = wr::to_csv(run_scalar(points));
   for (const int threads : {1, 3, 8}) {
     for (const int chunk : {0, 1, 7, 1024}) {
       const wr::BatchRunner::Options options(threads, chunk);

@@ -147,6 +147,32 @@ TEST(Cli, Fallbacks) {
   EXPECT_DOUBLE_EQ(cli.get_double("missing", 1.5), 1.5);
 }
 
+TEST(Cli, WholeNumbersParse) {
+  const char* argv[] = {"prog", "--n=-12", "--x=2.5e3", "--y", "7"};
+  wc::Cli cli(5, argv);
+  EXPECT_EQ(cli.get_int("n", 0), -12);
+  EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), 2500.0);
+  EXPECT_DOUBLE_EQ(cli.get_double("y", 0.0), 7.0);
+  EXPECT_EQ(wc::parse_int("3x2"), std::nullopt);
+  EXPECT_EQ(wc::parse_int("99999999999999999999"), std::nullopt);
+  EXPECT_EQ(wc::parse_double("1.5.2"), std::nullopt);
+  EXPECT_EQ(wc::parse_double(""), std::nullopt);
+}
+
+// A malformed numeric flag exits non-zero naming the flag and the value,
+// instead of reading as 0 or as its leading digits.
+TEST(CliDeathTest, MalformedNumbersAreFatal) {
+  const char* argv[] = {"prog", "--top-k=two", "--processors=16,3x2",
+                        "--noise", "0.5x"};
+  wc::Cli cli(5, argv);
+  EXPECT_EXIT(cli.get_int("top-k", 2), testing::ExitedWithCode(1),
+              "--top-k.*'two'");
+  EXPECT_EXIT(cli.get_int("processors", 0), testing::ExitedWithCode(1),
+              "--processors.*'16,3x2'");
+  EXPECT_EXIT(cli.get_double("noise", 0.0), testing::ExitedWithCode(1),
+              "--noise.*'0.5x'");
+}
+
 TEST(Contracts, MessagesCarryContext) {
   try {
     WAVE_EXPECTS_MSG(false, "broken invariant");

@@ -17,11 +17,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include <unistd.h>
 
+#include "common/cli.h"
 #include "serve/client.h"
 #include "serve/faults.h"
 #include "serve/server.h"
@@ -70,10 +72,18 @@ bool parse_flag(const char* arg, const char* name, std::string& out) {
   return true;
 }
 
+/// A value that is not wholly an integer is fatal, naming the flag.
 bool parse_flag(const char* arg, const char* name, long& out) {
   std::string text;
   if (!parse_flag(arg, name, text)) return false;
-  out = std::strtol(text.c_str(), nullptr, 10);
+  const auto value = wave::common::parse_int(text);
+  if (!value || *value < std::numeric_limits<long>::min() ||
+      *value > std::numeric_limits<long>::max()) {
+    std::fprintf(stderr, "wave_serve: %s expects an integer, got '%s'\n",
+                 name, text.c_str());
+    std::exit(2);
+  }
+  out = static_cast<long>(*value);
   return true;
 }
 
