@@ -9,7 +9,7 @@
 #include "core/benchmarks.h"
 #include "core/solver.h"
 #include "runner/runner.h"
-#include "workloads/wavefront.h"
+#include "workloads/builtin.h"
 
 using namespace wave;
 
@@ -52,17 +52,15 @@ int main(int argc, char** argv) {
                                                    registry)
                                           .evaluate(s.grid)
                                           .iteration.total;
-            const auto s_block =
-                workloads::simulate_wavefront(s.app, machine, registry,
-                                              s.grid);
-            const auto s_nonblock =
-                workloads::simulate_wavefront(nonblocking, machine, registry,
-                                              s.grid);
+            const auto protocol = workloads::protocol_for(machine, registry);
+            const auto s_block = workloads::simulate_wavefront(
+                s.app, machine, s.grid, 1, protocol);
+            const auto s_nonblock = workloads::simulate_wavefront(
+                nonblocking, machine, s.grid, 1, protocol);
             return runner::Metrics{
                 {"model_gain_pct", 100.0 * (1.0 - m_nonblock / m_block)},
                 {"sim_gain_pct",
-                 100.0 * (1.0 - s_nonblock.time_per_iteration /
-                                    s_block.time_per_iteration)}};
+                 100.0 * (1.0 - s_nonblock.time_us / s_block.time_us)}};
           });
 
   runner::emit(cli, records,

@@ -7,7 +7,7 @@
 #include "core/benchmarks.h"
 #include "core/solver.h"
 #include "runner/runner.h"
-#include "workloads/wavefront.h"
+#include "workloads/builtin.h"
 
 using namespace wave;
 
@@ -54,12 +54,12 @@ int main(int argc, char** argv) {
                                      steps);
                              if (s.processors() <= max_sim_p) {
                                const auto sim = workloads::simulate_wavefront(
-                                   s.app, machine, ctx.comm_model_registry(),
-                                   s.grid);
+                                   s.app, machine, s.grid, 1,
+                                   workloads::protocol_for(
+                                       machine, ctx.comm_model_registry()));
                                const double sim_days =
-                                   common::usec_to_days(
-                                       sim.time_per_iteration * 120.0 *
-                                       30.0) *
+                                   common::usec_to_days(sim.time_us * 120.0 *
+                                                        30.0) *
                                    steps;
                                m.emplace_back("measured_days", sim_days);
                                m.emplace_back(

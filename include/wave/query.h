@@ -108,7 +108,9 @@ class Query {
   Query& problem(double nx, double ny, double nz);
   /// Closest-to-square decomposition of `count` ranks.
   Query& processors(int count);
-  /// Explicit n-columns x m-rows decomposition.
+  /// Explicit n-columns x m-rows decomposition; it replaces processors()
+  /// until processors() is called again. Both sides must be >= 1, else
+  /// run() fails with kInvalidArgument.
   Query& grid(int columns, int rows);
   /// DES repetitions (results are per iteration).
   Query& iterations(int count);
@@ -142,6 +144,8 @@ class Query {
   const std::string& app_preset() const { return app_; }
   double wg_override() const { return wg_; }
   int processor_count() const { return processors_; }
+  /// True once grid() was called (and processors() not called since).
+  bool has_grid() const { return has_grid_; }
   int grid_columns() const { return grid_n_; }
   int grid_rows() const { return grid_m_; }
   int iteration_count() const { return iterations_; }
@@ -168,7 +172,8 @@ class Query {
   double wg_ = 0.0;         // <= 0 = the preset's calibrated value
   double nx_ = 0.0, ny_ = 0.0, nz_ = 0.0;  // <= 0 = the preset's size
   int processors_ = 1;
-  int grid_n_ = 0, grid_m_ = 0;  // 0 = derive from processors_
+  int grid_n_ = 0, grid_m_ = 0;
+  bool has_grid_ = false;  // false = derive the grid from processors_
   int iterations_ = 1;
   int sim_threads_ = 0;
   Engine engine_ = Engine::Model;

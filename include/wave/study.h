@@ -22,7 +22,8 @@
 // suite pins this equivalence.
 //
 // This header is self-contained: it depends only on the C++ standard
-// library, wave/status.h and wave/query.h.
+// library, wave/status.h, wave/query.h and a forward declaration of one
+// internal type.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +34,10 @@
 
 #include "wave/query.h"
 #include "wave/status.h"
+
+namespace wave::runner {
+class SweepGrid;
+}  // namespace wave::runner
 
 namespace wave {
 
@@ -123,10 +128,16 @@ class Study {
 
  private:
   friend class Context;
-  /// EvalService::warm(Study) replays the axes into concrete queries (the
-  /// cache keys need them) and evaluates them through BatchRunner.
+  /// EvalService::warm(Study) evaluates sweep_grid()'s points and keys
+  /// them from base_ and validate_.
   friend class EvalService;
   explicit Study(const Context* ctx) : ctx_(ctx) {}
+
+  /// The study's points: base_ resolved against `ctx`, then each axis in
+  /// declaration order. Every point is the scenario the equivalent Query
+  /// resolves to, up to its labels, seed and index. Throws on an unknown
+  /// name or a bad value.
+  runner::SweepGrid sweep_grid(const Context& ctx) const;
 
   /// One recorded axis, replayed onto the internal SweepGrid in order.
   struct AxisSpec {

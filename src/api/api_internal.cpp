@@ -77,6 +77,10 @@ runner::Engine to_runner_engine(Engine engine) {
                                  : runner::Engine::Simulation;
 }
 
+Engine from_runner_engine(runner::Engine engine) {
+  return engine == runner::Engine::Model ? Engine::Model : Engine::Simulation;
+}
+
 runner::Scenario scenario_from(const Context& ctx, const Query& query) {
   runner::Scenario s;
   s.machine = ctx.resolve_machine(query.machine_name());
@@ -99,7 +103,11 @@ runner::Scenario scenario_from(const Context& ctx, const Query& query) {
 
   WAVE_EXPECTS_MSG(query.processor_count() >= 1,
                    "processors must be >= 1");
-  if (query.grid_columns() > 0 && query.grid_rows() > 0) {
+  if (query.has_grid()) {
+    WAVE_EXPECTS_MSG(query.grid_columns() >= 1 && query.grid_rows() >= 1,
+                     "grid sides must be >= 1, got " +
+                         std::to_string(query.grid_columns()) + "x" +
+                         std::to_string(query.grid_rows()));
     s.grid = topo::Grid(query.grid_columns(), query.grid_rows());
   } else {
     s.set_processors(query.processor_count());
@@ -117,14 +125,23 @@ runner::Scenario scenario_from(const Context& ctx, const Query& query) {
 Result result_from(const Context& ctx, const Query& query,
                    const runner::Scenario& scenario) {
   return result_from_terms(
-      query, scenario,
+      query.validate_requested(), scenario,
       query.validate_requested()
           ? runner::workload_model_vs_sim_metrics(ctx, scenario)
           : runner::evaluate_scenario(ctx, scenario));
 }
 
-Result result_from_terms(const Query& query,
-                         const runner::Scenario& scenario,
+std::vector<runner::RunRecord> run_points(
+    const Context& ctx, const std::vector<runner::Scenario>& points,
+    bool validate, int threads) {
+  const runner::BatchRunner batch(ctx, runner::BatchRunner::Options(threads));
+  if (!validate) return batch.run(points);
+  return batch.run(points, [&ctx](const runner::Scenario& s) {
+    return runner::workload_model_vs_sim_metrics(ctx, s);
+  });
+}
+
+Result result_from_terms(bool validate, const runner::Scenario& scenario,
                          runner::Metrics terms) {
   Result out;
   const core::MachineConfig machine = scenario.effective_machine();
@@ -132,10 +149,10 @@ Result result_from_terms(const Query& query,
   out.machine = machine.name;
   out.comm_model = machine.comm_model;
   out.processors = scenario.processors();
-  out.engine = query.engine_choice();
+  out.engine = from_runner_engine(scenario.engine);
   out.terms = std::move(terms);
 
-  if (query.validate_requested()) {
+  if (validate) {
     out.validated = true;
     out.model_us = out.term_or("model_us", 0.0);
     out.sim_us = out.term_or("sim_us", 0.0);

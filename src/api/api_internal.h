@@ -5,6 +5,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/app_params.h"
 #include "runner/record.h"
@@ -41,14 +42,23 @@ Result result_from(const Context& ctx, const Query& query,
                    const runner::Scenario& scenario);
 
 /// The Result mapping of result_from over already-evaluated `terms`:
-/// workload_model_vs_sim_metrics when the query asked to validate,
-/// evaluate_scenario's metric set (or a BatchRunner record's) otherwise.
-Result result_from_terms(const Query& query,
-                         const runner::Scenario& scenario,
+/// workload_model_vs_sim_metrics when `validate`, evaluate_scenario's
+/// metric set (or a BatchRunner record's) otherwise. The Result's engine
+/// is the scenario's.
+Result result_from_terms(bool validate, const runner::Scenario& scenario,
                          runner::Metrics terms);
+
+/// Evaluates `points` on a BatchRunner with `threads` workers (<= 0 =
+/// hardware concurrency): workload_model_vs_sim_metrics per point when
+/// `validate`, the default batch-routed evaluation otherwise. Records come
+/// back in point order.
+std::vector<runner::RunRecord> run_points(
+    const Context& ctx, const std::vector<runner::Scenario>& points,
+    bool validate, int threads);
 
 /// The facade's engine enum <-> the runner's.
 runner::Engine to_runner_engine(Engine engine);
+Engine from_runner_engine(runner::Engine engine);
 
 /// Translates the internal exception taxonomy onto the Status codes the
 /// facade promises (contract/config errors -> kNotFound or

@@ -7,13 +7,13 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "api/api_internal.h"
 #include "core/machine.h"
 #include "obs/metrics.h"
-#include "runner/batch_runner.h"
 #include "wave/context.h"
 #include "wave/study.h"
 
@@ -29,25 +29,26 @@ std::string exact(double value) {
   return buf;
 }
 
-/// The canonical scenario identity: every query field that can change the
-/// result, plus the fully-serialized machine config (so two catalogs
-/// mapping one name onto different machines never alias).
-std::string key_text(const Query& query,
+/// The canonical scenario identity: every field that can change the
+/// result — the base query's app fields, the validate flag, and the
+/// resolved scenario including the fully-serialized machine config (so
+/// two catalogs mapping one name onto different machines never alias).
+std::string key_text(const Query& base, bool validate,
                      const runner::Scenario& scenario) {
   std::string key = "wave-scenario/2\n";
   key += "workload=" + scenario.workload + "\n";
-  key += "engine=" + to_string(query.engine_choice()) + "\n";
-  key += std::string("validate=") +
-         (query.validate_requested() ? "1" : "0") + "\n";
+  key += "engine=" + to_string(api::from_runner_engine(scenario.engine)) +
+         "\n";
+  key += std::string("validate=") + (validate ? "1" : "0") + "\n";
   key += "grid=" + std::to_string(scenario.grid.n()) + "x" +
          std::to_string(scenario.grid.m()) + "\n";
   key += "iterations=" + std::to_string(scenario.iterations) + "\n";
   key += "comm_override=" + scenario.comm_model + "\n";
-  key += "app=" + query.app_preset() + "\n";
-  key += "wg=" + exact(query.wg_override()) + "\n";
-  key += "problem=" + exact(query.problem_nx()) + "," +
-         exact(query.problem_ny()) + "," + exact(query.problem_nz()) + "\n";
-  for (const auto& [name, value] : query.params())  // std::map: sorted
+  key += "app=" + base.app_preset() + "\n";
+  key += "wg=" + exact(base.wg_override()) + "\n";
+  key += "problem=" + exact(base.problem_nx()) + "," +
+         exact(base.problem_ny()) + "," + exact(base.problem_nz()) + "\n";
+  for (const auto& [name, value] : scenario.params)  // std::map: sorted
     key += "param." + name + "=" + exact(value) + "\n";
   key += "machine:\n" + core::write_machine_config(scenario.machine);
   return key;
@@ -139,7 +140,8 @@ EvalService& EvalService::operator=(EvalService&&) noexcept = default;
 
 std::string EvalService::canonical_key(const Query& query) const {
   try {
-    return key_text(query, api::scenario_from(*impl_->ctx, query));
+    return key_text(query, query.validate_requested(),
+                    api::scenario_from(*impl_->ctx, query));
   } catch (const std::exception& e) {
     // Unresolvable queries have no cache identity; return a diagnostic
     // text (never stored — evaluate() fails before caching).
@@ -158,7 +160,8 @@ Expected<Result> EvalService::evaluate(const Query& query) {
     impl_->errors.fetch_add(1, std::memory_order_relaxed);
     return api::to_status(e);
   }
-  const std::string key = key_text(query, scenario);
+  const std::string key =
+      key_text(query, query.validate_requested(), scenario);
   const std::size_t shard_idx = impl_->shard_index(key);
   Impl::Shard& shard = impl_->shards[shard_idx];
   const auto elapsed_us = [&t0] {
@@ -203,107 +206,49 @@ MetricsSnapshot EvalService::metrics() const { return impl_->registry.snapshot()
 Expected<std::size_t> EvalService::warm(const Study& study) {
   const Context& ctx = *impl_->ctx;
   try {
-    // Expand the study's axes into concrete queries, first axis varying
-    // slowest — the same enumeration order Study::run() produces.
-    std::vector<Query> queries{study.base_};
-    for (const Study::AxisSpec& axis : study.axes_) {
-      std::vector<Query> next;
-      for (const Query& q : queries) {
-        switch (axis.kind) {
-          case Study::AxisSpec::Kind::kMachines:
-            for (const std::string& name : axis.names)
-              next.push_back(Query(q).machine(name));
-            break;
-          case Study::AxisSpec::Kind::kWorkloads:
-            for (const std::string& name : axis.names)
-              next.push_back(Query(q).workload(name));
-            break;
-          case Study::AxisSpec::Kind::kCommModels:
-            for (const std::string& name : axis.names)
-              next.push_back(Query(q).comm_model(name));
-            break;
-          case Study::AxisSpec::Kind::kProcessors:
-            for (const int count : axis.ints)
-              next.push_back(Query(q).processors(count));
-            break;
-          case Study::AxisSpec::Kind::kEngines:
-            for (const Engine engine : axis.engines)
-              next.push_back(Query(q).engine(engine));
-            break;
-          case Study::AxisSpec::Kind::kValues:
-            for (const double value : axis.doubles)
-              next.push_back(Query(q).param(axis.name, value));
-            break;
-        }
-      }
-      queries = std::move(next);
-    }
-    if (study.validate_)
-      for (Query& q : queries) q.validate();
+    // Resolve every point first: a bad axis value fails the whole warm
+    // before anything is evaluated or cached. Points enumerate in
+    // Study::run()'s order; each is the scenario its Query resolves to.
+    const std::vector<runner::Scenario> points =
+        study.sweep_grid(ctx).points();
 
-    // Resolve every query first: a bad axis value fails the whole warm
-    // before anything is evaluated or cached.
+    // Keep the scenarios not cached yet, once each.
     struct Pending {
-      const Query* query;
-      runner::Scenario scenario;
-      std::string key;
-      std::size_t shard;
+      const std::string* key;  // into `keys`: set nodes never move
+      Impl::Shard* shard;
     };
+    std::unordered_set<std::string> keys;
     std::vector<Pending> pending;
-    pending.reserve(queries.size());
-    for (const Query& q : queries) {
-      Pending p;
-      p.query = &q;
-      p.scenario = api::scenario_from(ctx, q);
-      p.key = key_text(q, p.scenario);
-      p.shard = impl_->shard_index(p.key);
-      pending.push_back(std::move(p));
-    }
-
-    // Skip scenarios already cached (and duplicates within this warm).
-    {
-      std::vector<Pending> fresh;
-      fresh.reserve(pending.size());
-      for (Pending& p : pending) {
-        Impl::Shard& shard = impl_->shards[p.shard];
-        {
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          if (shard.find_locked(p.key) != nullptr) continue;
-        }
-        bool duplicate = false;
-        for (const Pending& f : fresh) duplicate |= f.key == p.key;
-        if (!duplicate) fresh.push_back(std::move(p));
+    std::vector<runner::Scenario> fresh;
+    for (const runner::Scenario& s : points) {
+      const auto [it, inserted] =
+          keys.insert(key_text(study.base_, study.validate_, s));
+      if (!inserted) continue;
+      Impl::Shard& shard = impl_->shards[impl_->shard_index(*it)];
+      {
+        const std::lock_guard<std::mutex> lock(shard.mutex);
+        if (shard.find_locked(*it) != nullptr) continue;
       }
-      pending = std::move(fresh);
+      pending.push_back({&*it, &shard});
+      fresh.push_back(s);
     }
 
-    // Evaluate outside the lock (DES points can take seconds), then store
-    // each Result under its shard's lock. Non-validate points run as one
-    // BatchRunner batch — Study::run's route, which compiles the analytic
-    // wavefront points into one shared batch-solver plan; its records are
-    // byte-identical with evaluate_scenario, so the Results are
-    // bit-identical with a cold evaluate().
-    std::vector<runner::Scenario> points;
-    for (const Pending& p : pending)
-      if (!p.query->validate_requested()) points.push_back(p.scenario);
+    // Evaluate outside the lock (DES points can take seconds) on one
+    // thread through Study::run's route, whose records are byte-identical
+    // with evaluate_scenario's, so the Results are bit-identical with a
+    // cold evaluate(). Then store each under its shard's lock.
     std::vector<runner::RunRecord> records =
-        runner::BatchRunner(ctx, runner::BatchRunner::Options(1)).run(points);
-
+        api::run_points(ctx, fresh, study.validate_, 1);
     std::size_t added = 0;
-    std::size_t next_record = 0;
-    for (const Pending& p : pending) {
-      const Result result =
-          p.query->validate_requested()
-              ? api::result_from(ctx, *p.query, p.scenario)
-              : api::result_from_terms(
-                    *p.query, p.scenario,
-                    std::move(records[next_record++].metrics));
-      Impl::Shard& shard = impl_->shards[p.shard];
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      const Result result = api::result_from_terms(
+          study.validate_, fresh[k], std::move(records[k].metrics));
+      Impl::Shard& shard = *pending[k].shard;
       const std::lock_guard<std::mutex> lock(shard.mutex);
-      if (shard.find_locked(p.key) != nullptr)
+      if (shard.find_locked(*pending[k].key) != nullptr)
         continue;  // a concurrent evaluate() won the race
       ++shard.misses;
-      shard.store_locked(p.key, result);
+      shard.store_locked(*pending[k].key, result);
       ++added;
     }
     return added;

@@ -48,12 +48,14 @@ Query& Query::problem(double nx, double ny, double nz) {
 Query& Query::processors(int count) {
   processors_ = count;
   grid_n_ = grid_m_ = 0;
+  has_grid_ = false;
   return *this;
 }
 
 Query& Query::grid(int columns, int rows) {
   grid_n_ = columns;
   grid_m_ = rows;
+  has_grid_ = true;
   return *this;
 }
 

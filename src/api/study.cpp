@@ -5,7 +5,6 @@
 
 #include "api/api_internal.h"
 #include "core/machine.h"
-#include "runner/batch_runner.h"
 #include "runner/record.h"
 #include "runner/sinks.h"
 #include "wave/context.h"
@@ -136,59 +135,62 @@ Study& Study::validate(bool on) {
   return *this;
 }
 
+runner::SweepGrid Study::sweep_grid(const Context& ctx) const {
+  runner::SweepGrid grid(api::scenario_from(ctx, base_));
+  grid.seed(seed_);
+  for (const AxisSpec& axis : axes_) {
+    switch (axis.kind) {
+      case AxisSpec::Kind::kMachines: {
+        std::vector<std::pair<std::string, core::MachineConfig>> machines;
+        machines.reserve(axis.names.size());
+        for (const std::string& spec : axis.names) {
+          core::MachineConfig m = ctx.resolve_machine(spec);
+          machines.emplace_back(m.name, std::move(m));
+        }
+        grid.machines(std::move(machines));
+        break;
+      }
+      case AxisSpec::Kind::kWorkloads:
+        grid.workloads(ctx, axis.names);
+        break;
+      case AxisSpec::Kind::kCommModels:
+        grid.comm_models(ctx, axis.names);
+        break;
+      case AxisSpec::Kind::kProcessors: {
+        // Query::processors sets the decomposition only; SweepGrid's
+        // processors() would also store params["P"], which the equivalent
+        // Query (and so its cache key) does not carry.
+        runner::Axis processors{"P", {}};
+        for (const int p : axis.ints)
+          processors.levels.push_back(
+              {runner::format_value(p),
+               [p](runner::Scenario& s) { s.set_processors(p); }});
+        grid.axis(std::move(processors));
+        break;
+      }
+      case AxisSpec::Kind::kEngines: {
+        std::vector<runner::Engine> engines;
+        engines.reserve(axis.engines.size());
+        for (Engine e : axis.engines)
+          engines.push_back(api::to_runner_engine(e));
+        grid.engines(std::move(engines));
+        break;
+      }
+      case AxisSpec::Kind::kValues:
+        grid.values(axis.name, axis.doubles);
+        break;
+    }
+  }
+  return grid;
+}
+
 Expected<StudyResult> Study::run() const {
   if (ctx_ == nullptr)
     return Status::failed_precondition(
         "study is not bound to a Context (obtain it via Context::study())");
   try {
-    const Context& ctx = *ctx_;
-    runner::SweepGrid grid(api::scenario_from(ctx, base_));
-    grid.seed(seed_);
-
-    for (const AxisSpec& axis : axes_) {
-      switch (axis.kind) {
-        case AxisSpec::Kind::kMachines: {
-          std::vector<std::pair<std::string, core::MachineConfig>> machines;
-          machines.reserve(axis.names.size());
-          for (const std::string& spec : axis.names) {
-            core::MachineConfig m = ctx.resolve_machine(spec);
-            machines.emplace_back(m.name, std::move(m));
-          }
-          grid.machines(std::move(machines));
-          break;
-        }
-        case AxisSpec::Kind::kWorkloads:
-          grid.workloads(ctx, axis.names);
-          break;
-        case AxisSpec::Kind::kCommModels:
-          grid.comm_models(ctx, axis.names);
-          break;
-        case AxisSpec::Kind::kProcessors:
-          grid.processors(axis.ints);
-          break;
-        case AxisSpec::Kind::kEngines: {
-          std::vector<runner::Engine> engines;
-          engines.reserve(axis.engines.size());
-          for (Engine e : axis.engines)
-            engines.push_back(api::to_runner_engine(e));
-          grid.engines(std::move(engines));
-          break;
-        }
-        case AxisSpec::Kind::kValues:
-          grid.values(axis.name, axis.doubles);
-          break;
-      }
-    }
-
-    const runner::BatchRunner batch(ctx,
-                                    runner::BatchRunner::Options(threads_));
-    std::vector<runner::RunRecord> records =
-        validate_ ? batch.run(grid,
-                              [&ctx](const runner::Scenario& s) {
-                                return runner::workload_model_vs_sim_metrics(
-                                    ctx, s);
-                              })
-                  : batch.run(grid);
+    std::vector<runner::RunRecord> records = api::run_points(
+        *ctx_, sweep_grid(*ctx_).points(), validate_, threads_);
 
     StudyResult out;
     out.rows.reserve(records.size());

@@ -35,17 +35,17 @@ Metrics model_metrics(const wave::Context& ctx, const Scenario& s) {
 
 Metrics sim_metrics(const wave::Context& ctx, const Scenario& s) {
   const core::MachineConfig machine = s.effective_machine();
-  const workloads::SimRunResult res = workloads::simulate_wavefront(
+  const workloads::SimOutput res = workloads::simulate_wavefront(
       s.app, machine, s.grid, s.iterations,
       workloads::protocol_for(machine, ctx.comm_model_registry()),
       {s.metrics, s.trace});
-  return {{"sim_iter_us", res.time_per_iteration},
-          {"sim_makespan_us", res.makespan},
+  return {{"sim_iter_us", res.time_us},
+          {"sim_makespan_us", res.makespan_us},
           {"sim_events", static_cast<double>(res.events)},
           {"sim_messages", static_cast<double>(res.messages)},
-          {"sim_bus_wait_us", res.bus_wait},
-          {"sim_nic_wait_us", res.nic_wait},
-          {"sim_mpi_busy_us", res.mpi_busy_mean}};
+          {"sim_bus_wait_us", res.bus_wait_us},
+          {"sim_nic_wait_us", res.nic_wait_us},
+          {"sim_mpi_busy_us", res.mpi_busy_us}};
 }
 
 workloads::WorkloadInputs workload_inputs(const Scenario& s) {
@@ -154,12 +154,10 @@ int BatchRunner::threads() const { return ThreadPool(options_.threads).threads()
 
 namespace {
 
-/// The chunk for `units` dispatch units: an explicit Options::chunk, else
-/// 1 when any unit `simulates` (a DES point), else ~16 dispatches per
-/// thread, capped so late-start imbalance stays bounded on small grids.
-std::size_t auto_chunk(int chunk, int threads, std::size_t units,
-                       bool simulates) {
-  if (chunk > 0) return static_cast<std::size_t>(chunk);
+/// The chunk for `units` dispatch units: 1 when any unit `simulates` (a
+/// DES point), else ~16 dispatches per thread, capped so late-start
+/// imbalance stays bounded on small grids.
+std::size_t auto_chunk(int threads, std::size_t units, bool simulates) {
   if (simulates) return 1;
   const auto nthreads = static_cast<std::size_t>(threads);
   return std::clamp<std::size_t>(units / (nthreads * 16 + 1), 1, 4096);
@@ -172,7 +170,7 @@ std::size_t BatchRunner::chunk_for(const std::vector<Scenario>& points) const {
       std::any_of(points.begin(), points.end(), [](const Scenario& s) {
         return s.engine == Engine::Simulation;
       });
-  return auto_chunk(options_.chunk, threads(), points.size(), simulates);
+  return auto_chunk(threads(), points.size(), simulates);
 }
 
 std::vector<RunRecord> BatchRunner::run(const std::vector<Scenario>& points,
@@ -270,8 +268,7 @@ std::vector<RunRecord> BatchRunner::run(
 
   std::vector<RunRecord> records(points.size());
   const ThreadPool pool(options_.threads);
-  const std::size_t chunk =
-      auto_chunk(options_.chunk, pool.threads(), units, simulates);
+  const std::size_t chunk = auto_chunk(pool.threads(), units, simulates);
   pool.for_each_chunk(units, chunk, [&](std::size_t u) {
     if (u < scalar.size()) {
       const Scenario& s = points[scalar[u]];

@@ -86,21 +86,8 @@ class BatchRunner {
  public:
   struct Options {
     int threads;  ///< <= 0 selects hardware concurrency
-    /// Units claimed per pool dispatch. A unit is one point, except on
-    /// the default run()'s batch route, where it is a group of points
-    /// sharing an app, a grid and a machine up to its name and comm
-    /// backend. 0 (the default) picks automatically: pure-analytic sweeps
-    /// use a chunk sized so each thread sees ~16 dispatches (cheap
-    /// microsecond units stop paying one atomic round-trip each), while
-    /// any sweep containing a DES point keeps chunk = 1 (points are
-    /// seconds-long; dispatch overhead is noise and fine-grained claiming
-    /// load-balances best).
-    /// Chunking never changes the records — only the execution schedule
-    /// (tests/test_runner.cpp pins this).
-    int chunk;
-    Options() : threads(0), chunk(0) {}
-    explicit Options(int threads_, int chunk_ = 0)
-        : threads(threads_), chunk(chunk_) {}
+    Options() : threads(0) {}
+    explicit Options(int threads_) : threads(threads_) {}
   };
 
   /// Computes the metrics of one scenario point.
@@ -114,9 +101,16 @@ class BatchRunner {
 
   int threads() const;
 
-  /// The chunk size run(points, fn) will use for `points` (resolves the
-  /// automatic choice; exposed for tests and diagnostics). The default
-  /// run()'s batch route applies the same rule to its units instead.
+  /// Units claimed per pool dispatch by run(points, fn) — a unit is one
+  /// point there; the default run()'s batch route applies the same rule
+  /// to its units, groups of points sharing an app, a grid and a machine
+  /// up to its name and comm backend. Pure-analytic sweeps get a chunk
+  /// sized so each thread sees ~16 dispatches (cheap microsecond units
+  /// stop paying one atomic round-trip each); any sweep containing a DES
+  /// point gets chunk = 1 (points are seconds-long, dispatch overhead is
+  /// noise and fine-grained claiming load-balances best). Chunking never
+  /// changes the records, only the execution schedule
+  /// (tests/test_runner.cpp pins this). Exposed for tests.
   std::size_t chunk_for(const std::vector<Scenario>& points) const;
 
   /// Runs `fn` over every point; records come back in point order

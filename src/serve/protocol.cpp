@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cmath>
+#include <utility>
 
 #include "serve/json.h"
 #include "wave/context.h"
@@ -131,6 +132,26 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     return false;
   }
 
+  // Present shape fields must be in domain, never silently defaulted.
+  const std::pair<const char*, int> counts[] = {
+      {"processors", out.processors},
+      {"grid_n", out.grid_n},
+      {"grid_m", out.grid_m},
+      {"iterations", out.iterations}};
+  for (const auto& [name, value] : counts) {
+    if (root.find(name) != nullptr && value < 1) {
+      error = std::string("field '") + name + "' must be >= 1";
+      return false;
+    }
+  }
+  if ((root.find("grid_n") == nullptr) != (root.find("grid_m") == nullptr)) {
+    error = "fields 'grid_n' and 'grid_m' must come together";
+    return false;
+  }
+  if (root.find("wg") != nullptr && !(out.wg > 0.0)) {
+    error = "field 'wg' must be > 0";
+    return false;
+  }
   if (out.engine != "model" && out.engine != "sim") {
     error = "field 'engine' must be \"model\" or \"sim\"";
     return false;

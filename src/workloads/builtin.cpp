@@ -33,18 +33,6 @@ sim::ProtocolOptions protocol_for(const core::MachineConfig& machine,
   return protocol;
 }
 
-SimOutput to_sim_output(const SimRunResult& res) {
-  SimOutput out;
-  out.time_us = res.time_per_iteration;
-  out.makespan_us = res.makespan;
-  out.events = res.events;
-  out.messages = res.messages;
-  out.bus_wait_us = res.bus_wait;
-  out.nic_wait_us = res.nic_wait;
-  out.mpi_busy_us = res.mpi_busy_mean;
-  return out;
-}
-
 // ---- wavefront --------------------------------------------------------
 
 const std::string& WavefrontWorkload::name() const {
@@ -80,9 +68,8 @@ ModelOutput WavefrontWorkload::predict(const core::MachineConfig& machine,
 SimOutput WavefrontWorkload::simulate(const core::MachineConfig& machine,
                                       const sim::ProtocolOptions& protocol,
                                       const WorkloadInputs& in) const {
-  return to_sim_output(simulate_wavefront(in.app, machine, in.grid,
-                                          in.iterations, protocol,
-                                          in.observers));
+  return simulate_wavefront(in.app, machine, in.grid, in.iterations,
+                            protocol, in.observers);
 }
 
 // ---- pingpong ---------------------------------------------------------

@@ -65,15 +65,10 @@ std::vector<std::shared_ptr<const Workload>> builtin_workloads();
 ///   makespan by `iterations`, and copies the fabric counters.
 SimOutput collect_run(sim::World& world, int iterations);
 
-/// @brief The wavefront pipeline's result mapped onto the workload
-///   contract's output type (used by every simulate_wavefront-backed
-///   workload).
-SimOutput to_sim_output(const SimRunResult& res);
-
 /// @brief Protocol knobs mirroring the machine's comm backend as resolved
 ///   through `registry` (e.g. LogGPS charges its synchronization cost on
 ///   the rendezvous path), so every workload's "measurement" shares the
-///   model's protocol assumptions the way simulate_wavefront does.
+///   model's protocol assumptions.
 sim::ProtocolOptions protocol_for(const core::MachineConfig& machine,
                                   const loggp::CommModelRegistry& registry);
 

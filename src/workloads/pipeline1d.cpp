@@ -2,7 +2,6 @@
 
 #include "common/contracts.h"
 #include "core/solver.h"
-#include "workloads/builtin.h"
 #include "workloads/wavefront.h"
 
 namespace wave::workloads {
@@ -52,9 +51,8 @@ ModelOutput Pipeline1dWorkload::predict(const core::MachineConfig& machine,
 SimOutput Pipeline1dWorkload::simulate(const core::MachineConfig& machine,
                                        const sim::ProtocolOptions& protocol,
                                        const WorkloadInputs& in) const {
-  return to_sim_output(simulate_wavefront(chain_app(in), machine,
-                                          chain_grid(in), in.iterations,
-                                          protocol, in.observers));
+  return simulate_wavefront(chain_app(in), machine, chain_grid(in),
+                            in.iterations, protocol, in.observers);
 }
 
 }  // namespace wave::workloads

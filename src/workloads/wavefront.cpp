@@ -7,6 +7,7 @@
 
 #include "common/contracts.h"
 #include "topology/node_map.h"
+#include "workloads/builtin.h"
 
 namespace wave::workloads {
 
@@ -96,8 +97,8 @@ sim::Process stencil_exchange(sim::RankCtx ctx, const WavefrontSpec& spec,
                                 spec.msg_bytes_ns);
 }
 
-}  // namespace
-
+/// The rank program: runs `spec.iterations` iterations of all sweeps plus
+/// the non-wavefront phase. `rank` indexes the grid row-major.
 sim::Process wavefront_rank(sim::RankCtx ctx, const WavefrontSpec& spec,
                             int rank) {
   const topo::Coord c = spec.grid.coord_of(rank);
@@ -145,11 +146,13 @@ sim::Process wavefront_rank(sim::RankCtx ctx, const WavefrontSpec& spec,
   }
 }
 
-SimRunResult simulate_wavefront(const core::AppParams& app,
-                                const core::MachineConfig& machine,
-                                const topo::Grid& grid, int iterations,
-                                const sim::ProtocolOptions& protocol,
-                                const sim::Observers& observers) {
+}  // namespace
+
+SimOutput simulate_wavefront(const core::AppParams& app,
+                             const core::MachineConfig& machine,
+                             const topo::Grid& grid, int iterations,
+                             const sim::ProtocolOptions& protocol,
+                             const sim::Observers& observers) {
   machine.validate();
   const WavefrontSpec spec = make_spec(app, grid, iterations);
 
@@ -168,42 +171,7 @@ SimRunResult simulate_wavefront(const core::AppParams& app,
   for (int r = 0; r < grid.size(); ++r)
     world.spawn("rank" + std::to_string(r),
                 wavefront_rank(world.ctx(r), spec, r));
-
-  SimRunResult result;
-  result.makespan = world.run();
-  result.time_per_iteration = result.makespan / iterations;
-  result.events = world.engine().events_processed();
-  result.messages = world.mpi().messages_delivered();
-  result.bus_wait = world.mpi().bus_wait_total();
-  result.nic_wait = world.mpi().nic_wait_total();
-  result.mpi_busy_mean = world.mpi().mpi_busy_mean();
-  return result;
-}
-
-SimRunResult simulate_wavefront(const core::AppParams& app,
-                                const core::MachineConfig& machine,
-                                const loggp::CommModelRegistry& registry,
-                                const topo::Grid& grid, int iterations,
-                                const sim::Observers& observers) {
-  // Mirror the machine's analytic comm-backend assumptions in the
-  // mechanistic protocol (e.g. LogGPS charges its synchronization cost on
-  // the rendezvous path), so "measurement" and model stay comparable.
-  sim::Mpi::ProtocolOptions protocol;
-  protocol.rendezvous_sync =
-      machine.make_comm_model(registry)->rendezvous_sync();
-  return simulate_wavefront(app, machine, grid, iterations, protocol,
-                            observers);
-}
-
-SimRunResult simulate_wavefront(const core::AppParams& app,
-                                const core::MachineConfig& machine,
-                                const loggp::CommModelRegistry& registry,
-                                int processors, int iterations,
-                                const sim::Observers& observers) {
-  WAVE_EXPECTS(processors >= 1);
-  return simulate_wavefront(app, machine, registry,
-                            topo::closest_to_square(processors), iterations,
-                            observers);
+  return collect_run(world, iterations);
 }
 
 }  // namespace wave::workloads

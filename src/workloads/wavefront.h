@@ -19,8 +19,8 @@
 
 #include "core/app_params.h"
 #include "core/machine.h"
-#include "sim/mpi.h"
 #include "topology/grid.h"
+#include "workloads/workload.h"
 
 namespace wave::workloads {
 
@@ -50,50 +50,16 @@ struct WavefrontSpec {
 WavefrontSpec make_spec(const core::AppParams& app, const topo::Grid& grid,
                         int iterations = 1);
 
-/// The rank program: runs `spec.iterations` iterations of all sweeps plus
-/// the non-wavefront phase. `rank` indexes the grid row-major.
-sim::Process wavefront_rank(sim::RankCtx ctx, const WavefrontSpec& spec,
-                            int rank);
-
-/// Result of simulating a wavefront application.
-struct SimRunResult {
-  usec makespan = 0.0;              ///< simulated time for all iterations
-  usec time_per_iteration = 0.0;    ///< makespan / iterations
-  std::uint64_t events = 0;         ///< DES events executed
-  std::uint64_t messages = 0;       ///< MPI messages delivered
-  usec bus_wait = 0.0;              ///< emergent shared-bus contention
-  usec nic_wait = 0.0;              ///< emergent NIC-engine contention
-  /// Mean per-rank time spent inside MPI operations; divided by makespan
-  /// this is the simulator's communication share (cf. Fig 11).
-  usec mpi_busy_mean = 0.0;
-};
-
 /// Builds the world (placing ranks on nodes in cx × cy rectangles) under
 /// the given protocol options — resolved by the caller from the machine's
-/// comm backend (protocol_for in builtin.h) — runs the simulation, and
-/// returns timing plus contention counters. `observers` are inert
-/// instrumentation hooks (sim/observers.h).
-SimRunResult simulate_wavefront(const core::AppParams& app,
-                                const core::MachineConfig& machine,
-                                const topo::Grid& grid, int iterations,
-                                const sim::ProtocolOptions& protocol,
-                                const sim::Observers& observers = {});
-
-/// Convenience: resolves the protocol options from the machine's comm
-/// backend as registered in `registry` (a wave::Context's scoped registry,
-/// usually), then simulates.
-SimRunResult simulate_wavefront(const core::AppParams& app,
-                                const core::MachineConfig& machine,
-                                const loggp::CommModelRegistry& registry,
-                                const topo::Grid& grid, int iterations = 1,
-                                const sim::Observers& observers = {});
-
-/// Convenience: closest-to-square decomposition of `processors`, protocol
-/// resolved from `registry` as above.
-SimRunResult simulate_wavefront(const core::AppParams& app,
-                                const core::MachineConfig& machine,
-                                const loggp::CommModelRegistry& registry,
-                                int processors, int iterations = 1,
-                                const sim::Observers& observers = {});
+/// comm backend via protocol_for(machine, registry) (builtin.h) — runs one
+/// Fig-4 rank program per grid position for `iterations` iterations, and
+/// returns timing plus contention counters through collect_run.
+/// `observers` are inert instrumentation hooks (sim/observers.h).
+SimOutput simulate_wavefront(const core::AppParams& app,
+                             const core::MachineConfig& machine,
+                             const topo::Grid& grid, int iterations,
+                             const sim::ProtocolOptions& protocol,
+                             const sim::Observers& observers = {});
 
 }  // namespace wave::workloads

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/machine.h"
@@ -221,6 +222,27 @@ TEST(ApiQuery, ErrorsAreStatusesNotExceptions) {
   const auto unbound = wave::Query().run();
   ASSERT_FALSE(unbound.ok());
   EXPECT_EQ(unbound.status().code(), wave::StatusCode::kFailedPrecondition);
+}
+
+TEST(ApiQuery, GridSidesBelowOneAreInvalidArgument) {
+  // Once grid() is called it replaces processors(); a side < 1 is a bad
+  // value, never a silent fallback to the processor count.
+  const wave::Context ctx;
+  const std::pair<int, int> bad[] = {{0, 8}, {8, 0}, {-1, 4}, {0, 0}};
+  for (const auto& [n, m] : bad) {
+    const auto r = ctx.query().processors(64).grid(n, m).run();
+    ASSERT_FALSE(r.ok()) << n << "x" << m;
+    EXPECT_EQ(r.status().code(), wave::StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("grid"), std::string::npos);
+  }
+
+  const auto grid = ctx.query().processors(64).grid(4, 2).run();
+  ASSERT_TRUE(grid.ok()) << grid.status().to_string();
+  EXPECT_EQ(grid.value().processors, 8);
+  // A later processors() call drops the grid again.
+  const auto reset = ctx.query().grid(0, 8).processors(16).run();
+  ASSERT_TRUE(reset.ok()) << reset.status().to_string();
+  EXPECT_EQ(reset.value().processors, 16);
 }
 
 // Query::sim_threads is a compatibility shim: every count >= 0 runs the

@@ -146,6 +146,55 @@ TEST(EvalService, DistinctQueriesHaveDistinctKeys) {
   EXPECT_EQ(service.canonical_key(base), base_key);
 }
 
+TEST(EvalService, CanonicalKeyTextIsPinned) {
+  // Every key field set at once. The text is the cache identity (and the
+  // snapshot format's keys), so it must not drift by a byte.
+  const wave::Context ctx;
+  const wave::EvalService service(ctx);
+  const wave::Query q = ctx.query()
+                            .machine("xt4-single")
+                            .grid(4, 2)
+                            .iterations(3)
+                            .comm_model("loggps")
+                            .app("lu")
+                            .wg(0.25)
+                            .problem(64, 48, 32)
+                            .param("bytes", 4096)
+                            .param("alpha", 0.1)
+                            .validate()
+                            .engine(wave::Engine::Simulation);
+  EXPECT_EQ(service.canonical_key(q), R"(wave-scenario/2
+workload=wavefront
+engine=sim
+validate=1
+grid=4x2
+iterations=3
+comm_override=loggps
+app=lu
+wg=0.25
+problem=64,48,32
+param.alpha=0.10000000000000001
+param.bytes=4096
+machine:
+name = xt4-single
+comm_model = loggp
+cx = 1
+cy = 1
+buses_per_node = 1
+synchronization_terms = false
+eager_limit_bytes = 1024
+off.G = 0.0004
+off.L = 0.305
+off.o = 3.92
+off.oh = 0
+off.sync = 0
+on.Gcopy = 0.000789
+on.Gdma = 7.2e-05
+on.o = 3.8
+on.ocopy = 1.98
+)");
+}
+
 TEST(EvalService, CapacityBoundResetsTheGeneration) {
   const wave::Context ctx;
   wave::EvalService service(ctx, wave::EvalService::Options(4));
@@ -341,6 +390,45 @@ TEST(EvalServiceWarm, WarmedResultsAreBitIdenticalWithColdEvaluation) {
   // The warmed service never evaluated after the warm.
   EXPECT_EQ(warmed.stats().hits, queries.size());
   EXPECT_EQ(warmed.stats().misses, queries.size());
+}
+
+TEST(EvalServiceWarm, WorkloadEngineAndValueAxesWarmToBitIdenticalHits) {
+  // Each point's key comes from the study's grid scenario; it must equal
+  // the key of the equivalent Query, so every point hits afterwards.
+  const wave::Context ctx;
+  wave::EvalService warmed(ctx);
+  const auto added = warmed.warm(
+      ctx.study()
+          .machine("xt4-single")
+          .workloads({"wavefront", "halo2d"})
+          .engines({wave::Engine::Model, wave::Engine::Simulation})
+          .values("phases", {1.0, 2.0})
+          .processors({4, 16}));
+  ASSERT_TRUE(added.ok()) << added.status().to_string();
+  EXPECT_EQ(added.value(), 16u);
+
+  wave::EvalService cold(ctx);
+  std::uint64_t queries = 0;
+  for (const char* workload : {"wavefront", "halo2d"})
+    for (const auto engine : {wave::Engine::Model, wave::Engine::Simulation})
+      for (const double phases : {1.0, 2.0})
+        for (const int p : {4, 16}) {
+          const wave::Query q = ctx.query()
+                                    .machine("xt4-single")
+                                    .workload(workload)
+                                    .engine(engine)
+                                    .param("phases", phases)
+                                    .processors(p);
+          const auto a = warmed.evaluate(q);
+          const auto b = cold.evaluate(q);
+          ASSERT_TRUE(a.ok() && b.ok());
+          expect_bit_identical(a.value(), b.value());
+          EXPECT_EQ(a.value().engine, engine);
+          EXPECT_EQ(a.value().processors, p);
+          ++queries;
+        }
+  EXPECT_EQ(warmed.stats().hits, queries);
+  EXPECT_EQ(warmed.stats().misses, queries);  // all from the warm itself
 }
 
 TEST(EvalServiceWarm, WarmSkipsAlreadyCachedAndDuplicatePoints) {

@@ -14,10 +14,12 @@
 #include "loggp/backends.h"
 #include "loggp/contention.h"
 #include "loggp/registry.h"
-#include "workloads/wavefront.h"
+#include "workloads/builtin.h"
 
 namespace wc = wave::core;
 namespace wl = wave::loggp;
+namespace wt = wave::topo;
+namespace ww = wave::workloads;
 
 using wl::Placement;
 
@@ -225,17 +227,20 @@ TEST(SimBackendIntegration, LogGpsSyncSlowsRendezvousHeavySimulation) {
 
   wc::MachineConfig loggps_machine = machine;
   loggps_machine.comm_model = "loggps";
-  const auto plain = wave::workloads::simulate_wavefront(app, machine, kReg, 16);
+  const auto plain = ww::simulate_wavefront(
+      app, machine, wt::Grid(4, 4), 1, ww::protocol_for(machine, kReg));
   const auto synced =
-      wave::workloads::simulate_wavefront(app, loggps_machine, kReg, 16);
-  EXPECT_GT(synced.time_per_iteration, plain.time_per_iteration);
+      ww::simulate_wavefront(app, loggps_machine, wt::Grid(4, 4), 1,
+                             ww::protocol_for(loggps_machine, kReg));
+  EXPECT_GT(synced.time_us, plain.time_us);
 
   // The "loggp" backend ignores off.sync entirely: same machine, sync
   // stripped, identical simulation.
   wc::MachineConfig no_sync = machine;
   no_sync.loggp.off.sync = 0.0;
-  const auto baseline = wave::workloads::simulate_wavefront(app, no_sync, kReg, 16);
-  EXPECT_DOUBLE_EQ(plain.time_per_iteration, baseline.time_per_iteration);
+  const auto baseline = ww::simulate_wavefront(
+      app, no_sync, wt::Grid(4, 4), 1, ww::protocol_for(no_sync, kReg));
+  EXPECT_DOUBLE_EQ(plain.time_us, baseline.time_us);
 }
 
 TEST(CrossBackendRegression, PinnedPredictionsOnFixedScenario) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "common/contracts.h"
-#include "kernels/stencil.h"
 #include "kernels/transport.h"
 
 namespace wk = wave::kernels;
@@ -98,39 +97,4 @@ TEST(TransportTile, RejectsBadConstruction) {
 // lives in the RUN_SERIAL timing binary (tests/serial/test_wg_timing.cpp).
 TEST(MeasureWg, Positive) {
   EXPECT_GT(wk::measure_wg_transport(6, 1000, 2), 0.0);
-}
-
-TEST(StencilPlane, RelaxationReducesResidual) {
-  wk::StencilPlane plane(32, 32);
-  plane.compute_rhs(1.0);
-  const double r0 = plane.relax_lower(1.0);
-  double r_last = r0;
-  for (int it = 0; it < 20; ++it) {
-    plane.relax_lower(1.0);
-    r_last = plane.relax_upper(1.0);
-  }
-  EXPECT_LT(r_last, r0);  // SSOR converges on the model problem
-}
-
-TEST(StencilPlane, ZeroRhsIsFixedPoint) {
-  wk::StencilPlane plane(8, 8);
-  // rhs defaults to zero and u starts at zero: relaxation changes nothing.
-  EXPECT_DOUBLE_EQ(plane.relax_lower(1.5), 0.0);
-  EXPECT_DOUBLE_EQ(plane.relax_upper(1.5), 0.0);
-  EXPECT_DOUBLE_EQ(plane.four_point_stencil(), 0.0);
-}
-
-TEST(StencilPlane, AccessorsBoundsChecked) {
-  wk::StencilPlane plane(4, 4);
-  plane.at(0, 0) = 1.0;
-  EXPECT_DOUBLE_EQ(plane.at(0, 0), 1.0);
-  EXPECT_THROW(plane.at(4, 0), wave::common::contract_error);
-  EXPECT_THROW(plane.at(0, -1), wave::common::contract_error);
-}
-
-TEST(MeasureWgLu, AllComponentsPositive) {
-  const auto m = wk::measure_wg_lu(4096, 2);
-  EXPECT_GT(m.wg, 0.0);
-  EXPECT_GT(m.wg_pre, 0.0);
-  EXPECT_GT(m.stencil_per_cell, 0.0);
 }

@@ -43,6 +43,18 @@ wr::SweepGrid mixed_grid() {
   return grid;
 }
 
+/// 256 analytic points: enough for a chunk > 1 on up to 7 threads.
+wr::SweepGrid analytic_grid() {
+  wr::SweepGrid grid;
+  grid.base().app = tiny_sweep3d();
+  std::vector<double> htiles;
+  for (int h = 1; h <= 32; ++h) htiles.push_back(h);
+  grid.values("Htile", htiles,
+              [](wr::Scenario& s, double h) { s.app.htile = h; });
+  grid.processors({4, 16, 36, 64, 100, 144, 196, 256});
+  return grid;
+}
+
 }  // namespace
 
 TEST(SweepGrid, EnumeratesCartesianProductInDeclarationOrder) {
@@ -360,20 +372,22 @@ TEST(BatchRunner, MachineAndCommAxesStayDeterministicAcrossThreads) {
 }
 
 TEST(BatchRunner, ChunkedSchedulingKeepsRecordsByteIdentical) {
-  // The chunked dispatch (Options::chunk) is a scheduling optimization
-  // only: the serialized record set must not change by a byte across any
-  // combination of chunk size and thread count.
-  const auto points = mixed_grid().points();
-  const auto reference =
-      wr::BatchRunner(kCtx, wr::BatchRunner::Options(1, 1)).run(points);
-  const std::string expected = wr::to_csv(reference);
-  for (int threads : {1, 3, 8}) {
-    for (int chunk : {0, 1, 2, 7, 1024}) {
-      const auto records =
-          wr::BatchRunner(kCtx, wr::BatchRunner::Options(threads, chunk))
-              .run(points);
-      EXPECT_EQ(wr::to_csv(records), expected)
-          << "threads=" << threads << " chunk=" << chunk;
+  // Chunked dispatch is a scheduling optimization only: the serialized
+  // record set must not change by a byte at any thread count, on both
+  // sides of the chunk rule — a sweep with DES points (chunk 1) and a
+  // pure-analytic one (chunk > 1) — through both run() overloads.
+  const auto scalar = [](const wr::Scenario& s) {
+    return wr::evaluate_scenario(kCtx, s);
+  };
+  for (const auto& points : {mixed_grid().points(), analytic_grid().points()}) {
+    const std::string expected = wr::to_csv(
+        wr::BatchRunner(kCtx, wr::BatchRunner::Options(1)).run(points));
+    for (int threads : {1, 3, 8}) {
+      const wr::BatchRunner batch(kCtx, wr::BatchRunner::Options(threads));
+      EXPECT_EQ(wr::to_csv(batch.run(points)), expected)
+          << "threads=" << threads << " chunk=" << batch.chunk_for(points);
+      EXPECT_EQ(wr::to_csv(batch.run(points, scalar)), expected)
+          << "threads=" << threads << " chunk=" << batch.chunk_for(points);
     }
   }
 }
@@ -383,20 +397,9 @@ TEST(BatchRunner, AutoChunkIsOneForSweepsContainingDesPoints) {
   EXPECT_EQ(batch.chunk_for(mixed_grid().points()), 1u);
 
   // A pure-analytic sweep gets a real chunk once it has enough points.
-  wr::SweepGrid analytic;
-  analytic.base().app = tiny_sweep3d();
-  std::vector<double> htiles;
-  for (int h = 1; h <= 32; ++h) htiles.push_back(h);
-  analytic.values("Htile", htiles,
-                  [](wr::Scenario& s, double h) { s.app.htile = h; });
-  analytic.processors({4, 16, 36, 64, 100, 144, 196, 256});
-  const auto points = analytic.points();
-  const std::size_t chunk = batch.chunk_for(points);
+  const std::size_t chunk = batch.chunk_for(analytic_grid().points());
   EXPECT_GT(chunk, 1u);
   EXPECT_LE(chunk, 4096u);
-  // An explicit chunk always wins over the automatic choice.
-  EXPECT_EQ(wr::BatchRunner(kCtx, wr::BatchRunner::Options(4, 5)).chunk_for(points),
-            5u);
 }
 
 TEST(ThreadPool, ChunkedDispatchCoversEveryIndexExactlyOnce) {

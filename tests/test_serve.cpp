@@ -80,7 +80,8 @@ TEST(ServeProtocol, ParsesAFullEvalRequest) {
   ASSERT_TRUE(ws::parse_request(
       R"({"id":"e1","op":"eval","machine":"xt4-dual","workload":"wavefront",)"
       R"("engine":"sim","processors":64,"iterations":2,"deadline_ms":250,)"
-      R"("degrade":true,"params":{"alpha":0.5}})",
+      R"("grid_n":8,"grid_m":8,"wg":0.25,"degrade":true,)"
+      R"("params":{"alpha":0.5}})",
       r, error))
       << error;
   EXPECT_EQ(r.id, "e1");
@@ -89,6 +90,9 @@ TEST(ServeProtocol, ParsesAFullEvalRequest) {
   EXPECT_EQ(r.engine, "sim");
   EXPECT_TRUE(r.expensive());
   EXPECT_EQ(r.processors, 64);
+  EXPECT_EQ(r.grid_n, 8);
+  EXPECT_EQ(r.grid_m, 8);
+  EXPECT_EQ(r.wg, 0.25);
   EXPECT_EQ(r.deadline_ms, 250.0);
   EXPECT_TRUE(r.degrade);
   ASSERT_EQ(r.params.size(), 1u);
@@ -114,6 +118,16 @@ TEST(ServeProtocol, RejectsBadRequestsNamingTheField) {
            {R"({"op":"eval","degrade":"yes"})", "degrade"},
            {R"({"op":"eval","params":{"a":"b"}})", "param 'a'"},
            {R"([1,2,3])", "object"},
+           // Present shape fields are in domain, never silently defaulted.
+           {R"({"op":"eval","processors":0})", "processors"},
+           {R"({"op":"eval","processors":-5})", "processors"},
+           {R"({"op":"eval","iterations":-2})", "iterations"},
+           {R"({"op":"eval","grid_n":0,"grid_m":4})", "grid_n"},
+           {R"({"op":"eval","grid_n":4,"grid_m":-1})", "grid_m"},
+           {R"({"op":"eval","grid_n":16})", "grid_m"},
+           {R"({"op":"eval","grid_m":16})", "grid_n"},
+           {R"({"op":"eval","wg":0})", "wg"},
+           {R"({"op":"eval","wg":-0.5})", "wg"},
        }) {
     ws::Request r;
     std::string error;
@@ -236,6 +250,12 @@ TEST(ServeServer, MalformedOversizedAndUnknownRequestsGetStructuredErrors) {
   r = f.call("{\"id\":\"big\",\"pad\":\"" + std::string(500, 'x') + "\"}");
   EXPECT_EQ(r.error_code, "invalid_request");
   EXPECT_TRUE(f.call(R"({"id":"after","op":"ping"})").ok);
+
+  // Out-of-domain shape fields are a request error, not P = 1.
+  r = f.call(
+      R"({"id":"d","op":"eval","processors":-5,"iterations":-2,"grid_n":16})");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error_code, "invalid_request");
 
   r = f.call(R"({"id":"m","op":"eval","machine":"no-such-machine"})");
   EXPECT_FALSE(r.ok);

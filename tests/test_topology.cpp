@@ -1,10 +1,9 @@
-// Unit tests for wave::topo — grids, node maps (Table 6 rules), torus.
+// Unit tests for wave::topo — grids and node maps (Table 6 rules).
 #include <gtest/gtest.h>
 
 #include "common/contracts.h"
 #include "topology/grid.h"
 #include "topology/node_map.h"
-#include "topology/torus.h"
 
 namespace wt = wave::topo;
 
@@ -133,39 +132,4 @@ TEST(NodeMap, GridEdgeNeverOnNode) {
   const wt::NodeMap map(g, 2, 2);
   EXPECT_FALSE(map.is_on_node({1, 1}, wt::Direction::West));
   EXPECT_FALSE(map.is_on_node({6, 6}, wt::Direction::South));
-}
-
-TEST(Torus, IdCoordRoundTrip) {
-  const wt::Torus3D t(4, 3, 2);
-  EXPECT_EQ(t.node_count(), 24);
-  for (int id = 0; id < t.node_count(); ++id)
-    EXPECT_EQ(t.id_of(t.coord_of(id)), id);
-}
-
-TEST(Torus, WrapAroundDistance) {
-  const wt::Torus3D t(8, 8, 8);
-  EXPECT_EQ(t.hops({0, 0, 0}, {1, 0, 0}), 1);
-  EXPECT_EQ(t.hops({0, 0, 0}, {7, 0, 0}), 1);  // wraps
-  EXPECT_EQ(t.hops({0, 0, 0}, {4, 4, 4}), 12);
-  EXPECT_EQ(t.hops({2, 3, 4}, {2, 3, 4}), 0);
-}
-
-TEST(Torus, FittingIsSufficientAndNearCubic) {
-  for (int nodes : {1, 7, 64, 100, 1024, 5000}) {
-    const wt::Torus3D t = wt::Torus3D::fitting(nodes);
-    EXPECT_GE(t.node_count(), nodes);
-    const int maxd = std::max({t.dx(), t.dy(), t.dz()});
-    const int mind = std::min({t.dx(), t.dy(), t.dz()});
-    EXPECT_LE(maxd - mind, 2) << "nodes=" << nodes;
-  }
-}
-
-TEST(Torus, GridEmbeddingKeepsRowNeighboursAdjacent) {
-  const wt::Torus3D t(8, 8, 8);
-  // Grid nodes in one row map to adjacent torus coordinates.
-  for (int id = 0; id + 1 < 8; ++id) {
-    const auto a = t.embed_grid_node(id, /*grid_nodes_x=*/8);
-    const auto b = t.embed_grid_node(id + 1, 8);
-    EXPECT_EQ(t.hops(a, b), 1);
-  }
 }

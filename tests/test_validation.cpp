@@ -8,11 +8,12 @@
 #include "core/benchmarks.h"
 #include "core/solver.h"
 #include "loggp/registry.h"
-#include "workloads/wavefront.h"
+#include "workloads/builtin.h"
 
 namespace wc = wave::core;
 namespace wb = wave::core::benchmarks;
 namespace ww = wave::workloads;
+namespace wt = wave::topo;
 
 namespace {
 
@@ -22,9 +23,10 @@ double model_vs_sim_error(const wc::AppParams& app,
                           const wc::MachineConfig& machine, int processors) {
   const wc::Solver solver(app, machine, kReg);
   const auto model = solver.evaluate(processors);
-  const auto sim = ww::simulate_wavefront(app, machine, kReg, processors);
-  return wave::common::relative_error(model.iteration.total,
-                                      sim.time_per_iteration);
+  const auto sim =
+      ww::simulate_wavefront(app, machine, wt::closest_to_square(processors),
+                             1, ww::protocol_for(machine, kReg));
+  return wave::common::relative_error(model.iteration.total, sim.time_us);
 }
 
 }  // namespace
@@ -107,9 +109,11 @@ TEST(ModelValidation, FillTimePredictsPipelinedGain) {
   pipe.nonwavefront.allreduce_count = 0;
 
   const auto machine = wc::MachineConfig::xt4_single_core();
-  const auto sim_seq = ww::simulate_wavefront(seq, machine, kReg, 64, 3);
-  const auto sim_pipe = ww::simulate_wavefront(pipe, machine, kReg, 64, 1);
-  const double sim_gain = sim_seq.makespan - sim_pipe.makespan;
+  const auto sim_seq = ww::simulate_wavefront(
+      seq, machine, wt::Grid(8, 8), 3, ww::protocol_for(machine, kReg));
+  const auto sim_pipe = ww::simulate_wavefront(
+      pipe, machine, wt::Grid(8, 8), 1, ww::protocol_for(machine, kReg));
+  const double sim_gain = sim_seq.makespan_us - sim_pipe.makespan_us;
 
   const wc::Solver solver_seq(seq, machine, kReg);
   const wc::Solver solver_pipe(pipe, machine, kReg);
@@ -134,15 +138,15 @@ TEST(ModelValidation, NonblockingSendsVariant) {
   nonblocking.nonblocking_sends = true;
   for (const auto& machine : {wc::MachineConfig::xt4_dual_core(),
                               wc::MachineConfig::sp2_single_core()}) {
-    const auto sim_b = ww::simulate_wavefront(blocking, machine, kReg, 64);
-    const auto sim_n = ww::simulate_wavefront(nonblocking, machine, kReg, 64);
-    EXPECT_LE(sim_n.time_per_iteration,
-              sim_b.time_per_iteration * 1.0001);
+    const auto sim_b = ww::simulate_wavefront(
+        blocking, machine, wt::Grid(8, 8), 1, ww::protocol_for(machine, kReg));
+    const auto sim_n = ww::simulate_wavefront(
+        nonblocking, machine, wt::Grid(8, 8), 1,
+        ww::protocol_for(machine, kReg));
+    EXPECT_LE(sim_n.time_us, sim_b.time_us * 1.0001);
     const auto model_n =
         wc::Solver(nonblocking, machine, kReg).evaluate(64).iteration.total;
-    EXPECT_LT(wave::common::relative_error(model_n,
-                                           sim_n.time_per_iteration),
-              0.10);
+    EXPECT_LT(wave::common::relative_error(model_n, sim_n.time_us), 0.10);
   }
 }
 
@@ -153,10 +157,12 @@ TEST(ModelValidation, BreakdownTracksSimulatedContention) {
   cfg.nx = cfg.ny = cfg.nz = 128;
   const wc::AppParams app = wb::sweep3d(cfg);
   const auto machine = wc::MachineConfig::xt4_dual_core();
-  const auto t64 = ww::simulate_wavefront(app, machine, kReg, 64);
-  const auto t256 = ww::simulate_wavefront(app, machine, kReg, 256);
+  const auto t64 = ww::simulate_wavefront(
+      app, machine, wt::Grid(8, 8), 1, ww::protocol_for(machine, kReg));
+  const auto t256 = ww::simulate_wavefront(
+      app, machine, wt::Grid(16, 16), 1, ww::protocol_for(machine, kReg));
   // Strong scaling: 4x the processors gives < 4x speedup (communication).
-  const double speedup = t64.makespan / t256.makespan;
+  const double speedup = t64.makespan_us / t256.makespan_us;
   EXPECT_GT(speedup, 1.5);
   EXPECT_LT(speedup, 4.0);
 }

@@ -6,11 +6,12 @@
 #include "core/solver.h"
 #include "loggp/registry.h"
 #include "obs/metrics.h"
-#include "workloads/wavefront.h"
+#include "workloads/builtin.h"
 
 namespace wc = wave::core;
 namespace wb = wave::core::benchmarks;
 namespace ww = wave::workloads;
+namespace wt = wave::topo;
 
 namespace {
 const wc::MachineConfig kSingle = wc::MachineConfig::xt4_single_core();
@@ -26,7 +27,7 @@ wc::AppParams small_sweep3d() {
 
 TEST(Spec, DerivesFromTable3) {
   const wc::AppParams app = small_sweep3d();  // Htile = 2
-  const auto spec = ww::make_spec(app, wave::topo::Grid(4, 4));
+  const auto spec = ww::make_spec(app, wt::Grid(4, 4));
   EXPECT_EQ(spec.tiles_per_stack, 32);  // 64 / 2
   EXPECT_DOUBLE_EQ(spec.w_tile, app.wg * 2.0 * 16.0 * 16.0);
   EXPECT_EQ(spec.msg_bytes_ew, app.message_bytes_ew(4, 4));
@@ -36,7 +37,7 @@ TEST(Spec, DerivesFromTable3) {
 
 TEST(Spec, StencilWorkScalesWithLocalCells) {
   const wc::AppParams app = wb::lu();
-  const auto spec = ww::make_spec(app, wave::topo::Grid(9, 9));
+  const auto spec = ww::make_spec(app, wt::Grid(9, 9));
   const double local_cells = (162.0 / 9) * (162.0 / 9) * 162.0;
   EXPECT_DOUBLE_EQ(spec.stencil_compute,
                    app.nonwavefront.stencil_work_per_cell * local_cells);
@@ -44,11 +45,12 @@ TEST(Spec, StencilWorkScalesWithLocalCells) {
 
 TEST(SimulateWavefront, SingleRankIsPureCompute) {
   const wc::AppParams app = small_sweep3d();
-  const auto res = ww::simulate_wavefront(app, kSingle, kReg, 1);
-  const auto spec = ww::make_spec(app, wave::topo::Grid(1, 1));
+  const auto res = ww::simulate_wavefront(
+      app, kSingle, wt::Grid(1, 1), 1, ww::protocol_for(kSingle, kReg));
+  const auto spec = ww::make_spec(app, wt::Grid(1, 1));
   const double expected =
       8.0 * spec.tiles_per_stack * spec.w_tile;  // no comms, no allreduce
-  EXPECT_NEAR(res.makespan, expected, 1e-6);
+  EXPECT_NEAR(res.makespan_us, expected, 1e-6);
   EXPECT_EQ(res.messages, 0u);
 }
 
@@ -59,7 +61,8 @@ TEST(SimulateWavefront, MessageCountMatchesStructure) {
   const wc::AppParams app = small_sweep3d();
   const wave::topo::Grid grid(4, 2);
   const auto spec = ww::make_spec(app, grid);
-  const auto res = ww::simulate_wavefront(app, kSingle, kReg, grid);
+  const auto res = ww::simulate_wavefront(
+      app, kSingle, grid, 1, ww::protocol_for(kSingle, kReg));
   const std::uint64_t per_sweep =
       static_cast<std::uint64_t>((4 - 1) * 2 + 4 * (2 - 1)) *
       spec.tiles_per_stack;
@@ -77,14 +80,16 @@ TEST(SimulateWavefront, PaperScaleRecordAtP4096IsPinned) {
   cfg.nx = cfg.ny = 256;
   cfg.nz = 8;
   wave::obs::MetricsRegistry metrics;
-  const auto res = ww::simulate_wavefront(wb::sweep3d(cfg), kDual, kReg, 4096,
-                                          1, {.metrics = &metrics});
+  const auto res =
+      ww::simulate_wavefront(wb::sweep3d(cfg), kDual, wt::Grid(64, 64), 1,
+                             ww::protocol_for(kDual, kReg),
+                             {.metrics = &metrics});
   EXPECT_EQ(res.events, 1204224u);
   EXPECT_EQ(res.messages, 356352u);
-  EXPECT_EQ(res.makespan, 25176.315759998153);
-  EXPECT_EQ(res.mpi_busy_mean, 24715.818053269661);
-  EXPECT_EQ(res.bus_wait, 255134.77468795178);
-  EXPECT_EQ(res.nic_wait, 525804.26885581133);
+  EXPECT_EQ(res.makespan_us, 25176.315759998153);
+  EXPECT_EQ(res.mpi_busy_us, 24715.818053269661);
+  EXPECT_EQ(res.bus_wait_us, 255134.77468795178);
+  EXPECT_EQ(res.nic_wait_us, 525804.26885581133);
   // Matching stays cheap at scale: no send or receive walks a long inbox.
   const std::int64_t scan = metrics.gauge("sim_max_match_scan").value();
   EXPECT_GE(scan, 1);
@@ -93,30 +98,37 @@ TEST(SimulateWavefront, PaperScaleRecordAtP4096IsPinned) {
 
 TEST(SimulateWavefront, DeterministicAcrossRuns) {
   const wc::AppParams app = small_sweep3d();
-  const auto a = ww::simulate_wavefront(app, kDual, kReg, 16);
-  const auto b = ww::simulate_wavefront(app, kDual, kReg, 16);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+  const auto a = ww::simulate_wavefront(
+      app, kDual, wt::Grid(4, 4), 1, ww::protocol_for(kDual, kReg));
+  const auto b = ww::simulate_wavefront(
+      app, kDual, wt::Grid(4, 4), 1, ww::protocol_for(kDual, kReg));
+  EXPECT_DOUBLE_EQ(a.makespan_us, b.makespan_us);
   EXPECT_EQ(a.events, b.events);
 }
 
 TEST(SimulateWavefront, MoreProcessorsRunFaster) {
   const wc::AppParams app = small_sweep3d();
-  const auto p4 = ww::simulate_wavefront(app, kSingle, kReg, 4);
-  const auto p16 = ww::simulate_wavefront(app, kSingle, kReg, 16);
-  const auto p64 = ww::simulate_wavefront(app, kSingle, kReg, 64);
-  EXPECT_GT(p4.makespan, p16.makespan);
-  EXPECT_GT(p16.makespan, p64.makespan);
+  const auto p4 = ww::simulate_wavefront(
+      app, kSingle, wt::Grid(2, 2), 1, ww::protocol_for(kSingle, kReg));
+  const auto p16 = ww::simulate_wavefront(
+      app, kSingle, wt::Grid(4, 4), 1, ww::protocol_for(kSingle, kReg));
+  const auto p64 = ww::simulate_wavefront(
+      app, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+  EXPECT_GT(p4.makespan_us, p16.makespan_us);
+  EXPECT_GT(p16.makespan_us, p64.makespan_us);
 }
 
 TEST(SimulateWavefront, IterationsScaleLinearly) {
   const wc::AppParams app = small_sweep3d();
-  const auto one = ww::simulate_wavefront(app, kDual, kReg, 16, 1);
-  const auto three = ww::simulate_wavefront(app, kDual, kReg, 16, 3);
+  const auto one = ww::simulate_wavefront(
+      app, kDual, wt::Grid(4, 4), 1, ww::protocol_for(kDual, kReg));
+  const auto three = ww::simulate_wavefront(
+      app, kDual, wt::Grid(4, 4), 3, ww::protocol_for(kDual, kReg));
   // Steady state: iterations pipeline nothing across the iteration
   // boundary (the final sweep fully completes), so time is ~linear.
-  EXPECT_NEAR(three.makespan, 3.0 * one.makespan, 0.02 * three.makespan);
-  EXPECT_NEAR(three.time_per_iteration, one.makespan,
-              0.02 * one.makespan);
+  EXPECT_NEAR(three.makespan_us, 3.0 * one.makespan_us,
+              0.02 * three.makespan_us);
+  EXPECT_NEAR(three.time_us, one.makespan_us, 0.02 * one.makespan_us);
 }
 
 TEST(SimulateWavefront, ContentionCountersAreTracked) {
@@ -124,19 +136,22 @@ TEST(SimulateWavefront, ContentionCountersAreTracked) {
   // packing can only add shared-resource pressure relative to one core
   // per node on the same grid.
   const wc::AppParams app = small_sweep3d();
-  const auto single = ww::simulate_wavefront(app, kSingle, kReg, 16);
-  const auto dual = ww::simulate_wavefront(app, kDual, kReg, 16);
-  EXPECT_GE(single.bus_wait, 0.0);
-  EXPECT_GE(dual.bus_wait + dual.nic_wait,
-            single.bus_wait + single.nic_wait);
+  const auto single = ww::simulate_wavefront(
+      app, kSingle, wt::Grid(4, 4), 1, ww::protocol_for(kSingle, kReg));
+  const auto dual = ww::simulate_wavefront(
+      app, kDual, wt::Grid(4, 4), 1, ww::protocol_for(kDual, kReg));
+  EXPECT_GE(single.bus_wait_us, 0.0);
+  EXPECT_GE(dual.bus_wait_us + dual.nic_wait_us,
+            single.bus_wait_us + single.nic_wait_us);
 }
 
 TEST(SimulateWavefront, LuRunsBothSweepsAndStencil) {
   wb::LuConfig cfg;
   cfg.n = 36;
   const wc::AppParams app = wb::lu(cfg);
-  const auto res = ww::simulate_wavefront(app, kSingle, kReg, 9);
-  EXPECT_GT(res.makespan, 0.0);
+  const auto res = ww::simulate_wavefront(
+      app, kSingle, wt::Grid(3, 3), 1, ww::protocol_for(kSingle, kReg));
+  EXPECT_GT(res.makespan_us, 0.0);
   // 2 sweeps * 36 tiles * EW/NS messages + stencil halo exchanges.
   EXPECT_GT(res.messages, 0u);
 }
@@ -151,9 +166,11 @@ TEST(SimulateWavefront, ChimaeraSlowerThanSweep3dStructure) {
   wc::AppParams sweep = wb::sweep3d(s3);
   wc::AppParams chim = sweep;
   chim.sweeps = wc::SweepStructure::chimaera();
-  const auto t_sweep = ww::simulate_wavefront(sweep, kSingle, kReg, 64);
-  const auto t_chim = ww::simulate_wavefront(chim, kSingle, kReg, 64);
-  EXPECT_GE(t_chim.makespan, t_sweep.makespan - 1e-9);
+  const auto t_sweep = ww::simulate_wavefront(
+      sweep, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+  const auto t_chim = ww::simulate_wavefront(
+      chim, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+  EXPECT_GE(t_chim.makespan_us, t_sweep.makespan_us - 1e-9);
 }
 
 // Emergent sweep precedence: the simulated iteration time of Sweep3D obeys
@@ -178,9 +195,11 @@ TEST(SimulateWavefront, FillCostEmergesFromStructure) {
   sweeps.back().precedence = SweepPrecedence::FullComplete;
   pipelined.sweeps = wc::SweepStructure(std::move(sweeps));
 
-  const auto t_normal = ww::simulate_wavefront(normal, kSingle, kReg, 64);
-  const auto t_pipe = ww::simulate_wavefront(pipelined, kSingle, kReg, 64);
-  EXPECT_LT(t_pipe.makespan, t_normal.makespan);
+  const auto t_normal = ww::simulate_wavefront(
+      normal, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+  const auto t_pipe = ww::simulate_wavefront(
+      pipelined, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+  EXPECT_LT(t_pipe.makespan_us, t_normal.makespan_us);
 }
 
 // Parameterized sweep over grid shapes: the simulation must never deadlock
@@ -192,10 +211,11 @@ TEST_P(GridShapes, RunsAndRespectsWorkLowerBound) {
   const wc::AppParams app = small_sweep3d();
   const wave::topo::Grid grid(n, m);
   const auto spec = ww::make_spec(app, grid);
-  const auto res = ww::simulate_wavefront(app, kDual, kReg, grid);
+  const auto res = ww::simulate_wavefront(
+      app, kDual, grid, 1, ww::protocol_for(kDual, kReg));
   const double lower_bound =
       8.0 * spec.tiles_per_stack * spec.w_tile;  // one rank's compute
-  EXPECT_GE(res.makespan, lower_bound - 1e-6)
+  EXPECT_GE(res.makespan_us, lower_bound - 1e-6)
       << "grid " << n << "x" << m;
 }
 
