@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
             common::Rng rng(s.seed);
             const std::vector<int> sizes = calibrate::default_sizes();
             // Simulated curves draw from the RNG in the fixed off-then-on
-            // order, so the all-simulated default stays byte-identical
-            // with calibrate_machine().
+            // order, so a seed always yields the same pair of curves.
             const calibrate::Curve off =
                 offnode_csv.empty()
                     ? calibrate::measure_curve(truth, /*on_chip=*/false,
@@ -87,12 +86,8 @@ int main(int argc, char** argv) {
                     ? calibrate::measure_curve(truth, /*on_chip=*/true, sizes,
                                                &rng, s.param("noise"))
                     : measured_on;
-            loggp::MachineParams fitted;
-            fitted.eager_limit_bytes = truth.eager_limit_bytes;
-            fitted.off =
-                calibrate::fit_offnode(off, truth.eager_limit_bytes);
-            fitted.on = calibrate::fit_onchip(on, truth.eager_limit_bytes);
-            fitted.validate();
+            const loggp::MachineParams fitted =
+                calibrate::fit_machine(off, on, truth.eager_limit_bytes);
             fitted_params = fitted;
             return runner::Metrics{{"G_off", fitted.off.G},
                                    {"L", fitted.off.L},

@@ -104,17 +104,12 @@ loggp::OnChipParams fit_onchip(const Curve& curve, int eager_limit_bytes,
   return p;
 }
 
-loggp::MachineParams calibrate_machine(const loggp::MachineParams& ground_truth,
-                                       common::Rng* noise, double rel_noise) {
-  const std::vector<int> sizes = default_sizes();
-  const Curve off = measure_curve(ground_truth, /*on_chip=*/false, sizes,
-                                  noise, rel_noise);
-  const Curve on = measure_curve(ground_truth, /*on_chip=*/true, sizes,
-                                 noise, rel_noise);
+loggp::MachineParams fit_machine(const Curve& offnode, const Curve& onchip,
+                                 int eager_limit_bytes) {
   loggp::MachineParams fitted;
-  fitted.eager_limit_bytes = ground_truth.eager_limit_bytes;
-  fitted.off = fit_offnode(off, ground_truth.eager_limit_bytes);
-  fitted.on = fit_onchip(on, ground_truth.eager_limit_bytes);
+  fitted.eager_limit_bytes = eager_limit_bytes;
+  fitted.off = fit_offnode(offnode, eager_limit_bytes);
+  fitted.on = fit_onchip(onchip, eager_limit_bytes);
   fitted.validate();
   return fitted;
 }

@@ -57,11 +57,10 @@ loggp::OffNodeParams fit_offnode(const Curve& curve, int eager_limit_bytes,
 loggp::OnChipParams fit_onchip(const Curve& curve, int eager_limit_bytes,
                                FitQuality* quality = nullptr);
 
-/// Full Table 2 reconstruction: measures both curves on the simulator and
-/// fits all parameters.
-loggp::MachineParams calibrate_machine(const loggp::MachineParams& ground_truth,
-                                       common::Rng* noise = nullptr,
-                                       double rel_noise = 0.0);
+/// Full Table 2 reconstruction: fits every parameter from one off-node
+/// and one on-chip curve (measured or simulated) and validates the result.
+loggp::MachineParams fit_machine(const Curve& offnode, const Curve& onchip,
+                                 int eager_limit_bytes);
 
 /// Parses an externally measured ping-pong curve from CSV text: one
 /// `bytes,time_us` row per line; `#` comments, blank lines and one

@@ -1,29 +1,10 @@
 #include "common/statistics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.h"
-#include "common/units.h"
 
 namespace wave::common {
-
-Summary summarize(std::span<const double> xs) {
-  WAVE_EXPECTS_MSG(!xs.empty(), "summarize needs at least one sample");
-  Summary s;
-  s.count = xs.size();
-  s.min = *std::min_element(xs.begin(), xs.end());
-  s.max = *std::max_element(xs.begin(), xs.end());
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  s.mean = sum / static_cast<double>(xs.size());
-  if (xs.size() > 1) {
-    double ss = 0.0;
-    for (double x : xs) ss += (x - s.mean) * (x - s.mean);
-    s.stddev = std::sqrt(ss / static_cast<double>(xs.size() - 1));
-  }
-  return s;
-}
 
 LineFit fit_line(std::span<const double> xs, std::span<const double> ys) {
   WAVE_EXPECTS(xs.size() == ys.size());
@@ -52,26 +33,6 @@ LineFit fit_line(std::span<const double> xs, std::span<const double> ys) {
   }
   fit.r_squared = ss_tot == 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
   return fit;
-}
-
-double mean_relative_error(std::span<const double> predicted,
-                           std::span<const double> measured) {
-  WAVE_EXPECTS(predicted.size() == measured.size());
-  WAVE_EXPECTS(!predicted.empty());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i)
-    sum += relative_error(predicted[i], measured[i]);
-  return sum / static_cast<double>(predicted.size());
-}
-
-double max_relative_error(std::span<const double> predicted,
-                          std::span<const double> measured) {
-  WAVE_EXPECTS(predicted.size() == measured.size());
-  WAVE_EXPECTS(!predicted.empty());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i)
-    worst = std::max(worst, relative_error(predicted[i], measured[i]));
-  return worst;
 }
 
 std::size_t percentile_rank(std::size_t n, unsigned pct) {

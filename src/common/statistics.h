@@ -1,6 +1,6 @@
-// Small statistics toolkit: summary statistics and ordinary least squares,
-// used by the calibration module to fit LogGP parameters from ping-pong
-// measurements (paper §3) and by tests to quantify model error.
+// Small statistics toolkit: ordinary least squares, used by the
+// calibration module to fit LogGP parameters from ping-pong measurements
+// (paper §3), nearest-rank latency percentiles and power-of-two helpers.
 #pragma once
 
 #include <cstddef>
@@ -8,18 +8,6 @@
 #include <vector>
 
 namespace wave::common {
-
-/// Summary statistics of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation (n-1 denominator)
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Computes summary statistics. Precondition: !xs.empty().
-Summary summarize(std::span<const double> xs);
 
 /// Result of an ordinary-least-squares line fit y = slope * x + intercept.
 struct LineFit {
@@ -31,14 +19,6 @@ struct LineFit {
 /// Fits a line through (xs[i], ys[i]) by ordinary least squares.
 /// Preconditions: xs.size() == ys.size(), at least two distinct x values.
 LineFit fit_line(std::span<const double> xs, std::span<const double> ys);
-
-/// Mean of |pred[i]-meas[i]|/|meas[i]| over all points (paper's error metric).
-double mean_relative_error(std::span<const double> predicted,
-                           std::span<const double> measured);
-
-/// Max of |pred[i]-meas[i]|/|meas[i]| over all points.
-double max_relative_error(std::span<const double> predicted,
-                          std::span<const double> measured);
 
 /// Index of the p-th percentile in a sorted sample of n elements, using
 /// the nearest-rank-floor convention n*pct/100 shared by serve_load and

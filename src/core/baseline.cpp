@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/contracts.h"
 #include "loggp/collectives.h"
 #include "loggp/comm_model.h"
 #include "loggp/stencil.h"
@@ -66,15 +65,6 @@ BaselineResult hoisie_baseline(const AppParams& app,
   res.iteration =
       app.sweeps.nsweeps() * res.sweep_time + res.nonwavefront;
   return res;
-}
-
-BaselineResult hoisie_baseline(const AppParams& app,
-                               const MachineConfig& machine,
-                               const loggp::CommModelRegistry& registry,
-                               int processors) {
-  WAVE_EXPECTS(processors >= 1);
-  return hoisie_baseline(app, machine, registry,
-                         topo::closest_to_square(processors));
 }
 
 }  // namespace wave::core

@@ -41,10 +41,4 @@ BaselineResult hoisie_baseline(const AppParams& app,
                                const loggp::CommModelRegistry& registry,
                                const topo::Grid& grid);
 
-/// Convenience: closest-to-square decomposition of `processors`.
-BaselineResult hoisie_baseline(const AppParams& app,
-                               const MachineConfig& machine,
-                               const loggp::CommModelRegistry& registry,
-                               int processors);
-
 }  // namespace wave::core

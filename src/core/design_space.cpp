@@ -52,25 +52,6 @@ HtileScan scan_htile(AppParams app, const MachineConfig& machine,
   return scan_htile(std::move(app), machine, registry, processors, candidates);
 }
 
-std::vector<DecompositionPoint> scan_decompositions(
-    const AppParams& app, const MachineConfig& machine,
-    const loggp::CommModelRegistry& registry, int processors) {
-  WAVE_EXPECTS(processors >= 1);
-  const Solver solver(app, machine, registry);
-  std::vector<DecompositionPoint> points;
-  for (int m = 1; m * m <= processors; ++m) {
-    if (processors % m != 0) continue;
-    const topo::Grid grid(processors / m, m);
-    points.push_back({grid, solver.evaluate(grid).iteration.total});
-  }
-  std::sort(points.begin(), points.end(),
-            [](const DecompositionPoint& a, const DecompositionPoint& b) {
-              return a.iteration < b.iteration;
-            });
-  WAVE_ENSURES(!points.empty());
-  return points;
-}
-
 int processors_for_deadline(const AppParams& app, const MachineConfig& machine,
                             const loggp::CommModelRegistry& registry,
                             double timestep_seconds, int max_processors) {

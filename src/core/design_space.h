@@ -2,9 +2,6 @@
 //
 // These package the studies of paper §5 as library calls:
 //   * Htile tuning (§5.1, Fig 5),
-//   * data-decomposition shape (the question Mathis et al. [6] explored
-//     with a bespoke model: how does the m×n aspect ratio affect the
-//     sweep?),
 //   * platform sizing (§5.2: the smallest machine meeting a deadline).
 // Each runs the analytic model a handful of times, so full scans cost
 // microseconds — the "rapid evaluation" the paper advertises. Every entry
@@ -45,18 +42,6 @@ HtileScan scan_htile(AppParams app, const MachineConfig& machine,
 /// Default candidate set 1..10, the Fig 5 range.
 HtileScan scan_htile(AppParams app, const MachineConfig& machine,
                      const loggp::CommModelRegistry& registry, int processors);
-
-/// One decomposition candidate.
-struct DecompositionPoint {
-  topo::Grid grid{1, 1};
-  usec iteration = 0.0;
-};
-
-/// Evaluates every n×m factorization of `processors` (n >= m), sorted
-/// fastest first. Quantifies how much the near-square choice matters.
-std::vector<DecompositionPoint> scan_decompositions(
-    const AppParams& app, const MachineConfig& machine,
-    const loggp::CommModelRegistry& registry, int processors);
 
 /// The smallest power-of-two processor count whose modelled time step
 /// meets `timestep_seconds` (or `max_processors` if none does) — the

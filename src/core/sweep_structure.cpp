@@ -1,7 +1,5 @@
 #include "core/sweep_structure.h"
 
-#include <sstream>
-
 #include "common/contracts.h"
 
 namespace wave::core {
@@ -88,13 +86,6 @@ SweepStructure SweepStructure::sweep3d_pipelined_groups(int groups) {
   push_block(SouthWest, NorthEast, DiagonalComplete);
   push_block(SouthEast, NorthWest, FullComplete);
   return SweepStructure(std::move(sweeps));
-}
-
-std::string SweepStructure::describe() const {
-  std::ostringstream os;
-  os << nsweeps() << " sweeps (nfull=" << nfull() << ", ndiag=" << ndiag()
-     << ")";
-  return os.str();
 }
 
 }  // namespace wave::core

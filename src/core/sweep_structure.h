@@ -16,7 +16,6 @@
 #pragma once
 
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace wave::core {
@@ -66,9 +65,6 @@ class SweepStructure {
   /// iteration performs 8*groups sweeps while still paying only the
   /// original nfull = 2 and ndiag = 2 fill penalties.
   static SweepStructure sweep3d_pipelined_groups(int groups);
-
-  /// Human-readable one-line description for reports.
-  std::string describe() const;
 
   bool operator==(const SweepStructure&) const = default;
 

@@ -42,20 +42,4 @@ usec allreduce_time(const CommModel& model, int total_cores, int cores_per_node,
          log_c * c * model.total(message_bytes, Placement::OnChip);
 }
 
-usec barrier_time(const CommModel& model, int total_cores,
-                  int cores_per_node) {
-  return allreduce_time(model, total_cores, cores_per_node, 0);
-}
-
-usec broadcast_time(const CommModel& model, int total_cores, int cores_per_node,
-                    int message_bytes) {
-  check_pair(total_cores, cores_per_node);
-  WAVE_EXPECTS(message_bytes >= 0);
-  const double log_p = ceil_log2(total_cores);
-  const double log_c =
-      common::exact_log2(static_cast<std::size_t>(cores_per_node));
-  return (log_p - log_c) * model.total(message_bytes, Placement::OffNode) +
-         log_c * model.total(message_bytes, Placement::OnChip);
-}
-
 }  // namespace wave::loggp

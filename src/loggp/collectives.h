@@ -18,14 +18,4 @@ namespace wave::loggp {
 usec allreduce_time(const CommModel& model, int total_cores, int cores_per_node,
                     int message_bytes = 8);
 
-/// Barrier modelled as a zero-payload all-reduce (same exchange pattern).
-usec barrier_time(const CommModel& model, int total_cores, int cores_per_node);
-
-/// Broadcast modelled as a binomial tree: log2(P) sequential message sends
-/// down the tree, the last log2(C) of them on-chip. Provided for wavefront
-/// codes whose Tnonwavefront includes a broadcast (none of the three
-/// benchmarks, but the parameter space allows it).
-usec broadcast_time(const CommModel& model, int total_cores, int cores_per_node,
-                    int message_bytes);
-
 }  // namespace wave::loggp

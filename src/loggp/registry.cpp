@@ -74,13 +74,6 @@ std::vector<CommModelInfo> CommModelRegistry::list() const {
   return out;
 }
 
-std::unique_ptr<CommModel> make_comm_model(const CommModelRegistry& registry,
-                                           const std::string& name,
-                                           const MachineParams& params,
-                                           const CommModelOptions& options) {
-  return registry.make(name, params, options);
-}
-
 std::vector<std::string> comm_model_names(const CommModelRegistry& registry) {
   std::vector<std::string> out;
   for (const CommModelInfo& info : registry.list()) out.push_back(info.name);

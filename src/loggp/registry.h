@@ -78,12 +78,6 @@ class CommModelRegistry {
   std::vector<Entry> entries_;
 };
 
-/// @brief Convenience: registry.make(...).
-std::unique_ptr<CommModel> make_comm_model(
-    const CommModelRegistry& registry, const std::string& name,
-    const MachineParams& params,
-    const CommModelOptions& options = CommModelOptions());
-
 /// @brief Names of every backend registered in `registry`, in
 ///   registration order.
 std::vector<std::string> comm_model_names(const CommModelRegistry& registry);

@@ -16,31 +16,11 @@ core::MachineConfig Scenario::effective_machine() const {
   return m;
 }
 
-const std::string& Scenario::label(const std::string& axis) const {
-  for (const auto& [name, value] : labels)
-    if (name == axis) return value;
-  WAVE_EXPECTS_MSG(false, "scenario has no axis named '" + axis + "'");
-  // contract_fail throws; keep the compiler happy.
-  static const std::string empty;
-  return empty;
-}
-
-bool Scenario::has_label(const std::string& axis) const {
-  for (const auto& [name, value] : labels)
-    if (name == axis) return true;
-  return false;
-}
-
 double Scenario::param(const std::string& name) const {
   const auto it = params.find(name);
   WAVE_EXPECTS_MSG(it != params.end(),
                    "scenario has no parameter named '" + name + "'");
   return it->second;
-}
-
-double Scenario::param_or(const std::string& name, double fallback) const {
-  const auto it = params.find(name);
-  return it == params.end() ? fallback : it->second;
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
@@ -78,16 +58,6 @@ SweepGrid& SweepGrid::processors(std::vector<int> counts, std::string name) {
                              s.params["P"] = p;
                              s.set_processors(p);
                            }});
-  return this->axis(std::move(axis));
-}
-
-SweepGrid& SweepGrid::decompositions(std::vector<topo::Grid> grids,
-                                     std::string name) {
-  Axis axis{std::move(name), {}};
-  for (const topo::Grid& g : grids)
-    axis.levels.push_back(
-        {format_value(g.n()) + "x" + format_value(g.m()),
-         [g](Scenario& s) { s.grid = g; }});
   return this->axis(std::move(axis));
 }
 
@@ -217,18 +187,6 @@ std::vector<Scenario> SweepGrid::points() const {
   for (std::size_t index = 0; index < total; ++index)
     if (build_point(index, total, s)) out.push_back(std::move(s));
   return out;
-}
-
-std::size_t SweepGrid::size() const {
-  const std::size_t total = cartesian_size();
-  if (filters_.empty()) return total;
-  // Filters see a fully-built scenario, so each point is still constructed
-  // once — but into one reused slot, not an accumulating vector.
-  std::size_t count = 0;
-  Scenario s;
-  for (std::size_t index = 0; index < total; ++index)
-    if (build_point(index, total, s)) ++count;
-  return count;
 }
 
 }  // namespace wave::runner

@@ -76,13 +76,8 @@ struct Scenario {
   /// Cartesian index of the point in its sweep (pre-filter).
   std::size_t index = 0;
 
-  /// Label of the named axis; throws common::contract_error when absent.
-  const std::string& label(const std::string& axis) const;
-  bool has_label(const std::string& axis) const;
-
-  /// Numeric parameter; throws / returns fallback when absent.
+  /// Numeric parameter; throws common::contract_error when absent.
   double param(const std::string& name) const;
-  double param_or(const std::string& name, double fallback) const;
 
   /// Sets the closest-to-square decomposition of `p` ranks.
   void set_processors(int p) { grid = topo::closest_to_square(p); }
@@ -129,10 +124,6 @@ class SweepGrid {
 
   /// Processor-count axis; each level sets the closest-to-square grid.
   SweepGrid& processors(std::vector<int> counts, std::string name = "P");
-
-  /// Explicit decomposition axis, labelled "n x m".
-  SweepGrid& decompositions(std::vector<topo::Grid> grids,
-                            std::string name = "grid");
 
   /// Application axis.
   SweepGrid& apps(
@@ -188,12 +179,6 @@ class SweepGrid {
 
   /// Enumerates the (filtered) cartesian product.
   std::vector<Scenario> points() const;
-
-  /// Number of points after filtering. An unfiltered grid is the plain
-  /// product of the axis sizes (O(#axes)); a filtered grid applies the
-  /// predicates to one scenario at a time without materializing the
-  /// point vector.
-  std::size_t size() const;
 
  private:
   /// Builds the point at cartesian `index` (labels, seed, axis mutations

@@ -5,6 +5,8 @@
 #include <iostream>
 #include <sstream>
 
+#include "serve/json.h"
+
 namespace wave::runner {
 
 namespace {
@@ -28,28 +30,6 @@ std::string csv_field(const std::string& s) {
     out += c;
   }
   out += '"';
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
   return out;
 }
 
@@ -185,21 +165,25 @@ void write_csv(std::ostream& os, const std::vector<RunRecord>& records) {
 
 void write_json(std::ostream& os, const std::vector<RunRecord>& records) {
   os << "[\n";
+  std::string line;
   for (std::size_t i = 0; i < records.size(); ++i) {
     const RunRecord& r = records[i];
-    os << "  {\"index\": " << r.index << ", \"labels\": {";
+    line = "  {\"index\": " + std::to_string(r.index) + ", \"labels\": {";
     for (std::size_t j = 0; j < r.labels.size(); ++j) {
-      if (j) os << ", ";
-      os << '"' << json_escape(r.labels[j].first) << "\": \""
-         << json_escape(r.labels[j].second) << '"';
+      if (j) line += ", ";
+      serve::append_json_string(line, r.labels[j].first);
+      line += ": ";
+      serve::append_json_string(line, r.labels[j].second);
     }
-    os << "}, \"metrics\": {";
+    line += "}, \"metrics\": {";
     for (std::size_t j = 0; j < r.metrics.size(); ++j) {
-      if (j) os << ", ";
-      os << '"' << json_escape(r.metrics[j].first)
-         << "\": " << roundtrip(r.metrics[j].second);
+      if (j) line += ", ";
+      serve::append_json_string(line, r.metrics[j].first);
+      line += ": ";
+      serve::append_json_number(line, r.metrics[j].second);
     }
-    os << "}}" << (i + 1 < records.size() ? "," : "") << '\n';
+    line += i + 1 < records.size() ? "}},\n" : "}}\n";
+    os << line;
   }
   os << "]\n";
 }

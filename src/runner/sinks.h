@@ -56,7 +56,9 @@ common::Table pivot_table(const std::vector<RunRecord>& records,
 
 /// Machine-readable dumps of the raw record set: every label and every
 /// metric, one record per row/object, in record order. `write_csv` is the
-/// byte-stable serialization the determinism tests compare.
+/// byte-stable serialization the determinism tests compare. `write_json`
+/// writes through the wave-serve JSON writers, so it is valid JSON: a
+/// non-finite metric is null.
 void write_csv(std::ostream& os, const std::vector<RunRecord>& records);
 void write_json(std::ostream& os, const std::vector<RunRecord>& records);
 std::string to_csv(const std::vector<RunRecord>& records);

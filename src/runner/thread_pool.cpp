@@ -15,11 +15,6 @@ ThreadPool::ThreadPool(int threads) : threads_(threads) {
   if (threads_ <= 0) threads_ = 1;
 }
 
-void ThreadPool::for_each_index(
-    std::size_t count, const std::function<void(std::size_t)>& body) const {
-  for_each_chunk(count, 1, body);
-}
-
 void ThreadPool::for_each_chunk(
     std::size_t count, std::size_t chunk,
     const std::function<void(std::size_t)>& body) const {

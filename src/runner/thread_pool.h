@@ -23,18 +23,14 @@ class ThreadPool {
 
   /// Runs body(i) for every i in [0, count), spread over the pool's
   /// threads; blocks until all complete. Execution order is unspecified.
-  /// The first exception thrown by `body` is rethrown here. Fail-fast:
-  /// after any worker throws, unclaimed chunks are never started and
-  /// in-flight chunks abandon their remaining indices (the current
-  /// body(i) call itself runs to completion).
-  void for_each_index(std::size_t count,
-                      const std::function<void(std::size_t)>& body) const;
-
-  /// Same contract, but workers claim `chunk` consecutive indices per
-  /// dispatch (one atomic increment per chunk instead of per index), so
-  /// million-point sweeps of cheap bodies don't serialize on the counter.
-  /// Results must be written to per-index slots as usual — chunking
-  /// changes the schedule, never the output.
+  /// Workers claim `chunk` consecutive indices per dispatch (one atomic
+  /// increment per chunk), so million-point sweeps of cheap bodies don't
+  /// serialize on the counter. Results must be written to per-index slots
+  /// — chunking changes the schedule, never the output. The first
+  /// exception thrown by `body` is rethrown here. Fail-fast: after any
+  /// worker throws, unclaimed chunks are never started and in-flight
+  /// chunks abandon their remaining indices (the current body(i) call
+  /// itself runs to completion).
   void for_each_chunk(std::size_t count, std::size_t chunk,
                       const std::function<void(std::size_t)>& body) const;
 

@@ -24,6 +24,7 @@
 #include "serve/protocol.h"
 #include "serve/snapshot.h"
 #include "wave/context.h"
+#include "wave/eval_service.h"
 
 namespace wave::serve {
 
@@ -816,15 +817,7 @@ void Server::wait() {
   impl_->shutdown_cv.wait(lock, [this] { return impl_->shutdown_requested; });
 }
 
-bool Server::running() const {
-  return impl_->running.load(std::memory_order_acquire);
-}
-
 ServeStats Server::stats() const { return impl_->snapshot_stats(); }
-
-EvalService::Stats Server::cache_stats() const {
-  return impl_->service->stats();
-}
 
 const std::string& Server::socket_path() const {
   return impl_->options.socket_path;

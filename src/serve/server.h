@@ -32,7 +32,6 @@
 #include <memory>
 #include <string>
 
-#include "wave/eval_service.h"
 #include "wave/serve.h"
 #include "wave/status.h"
 
@@ -69,10 +68,7 @@ class Server {
   ///   called from another thread.
   void wait();
 
-  bool running() const;
-
   ServeStats stats() const;
-  EvalService::Stats cache_stats() const;
   const std::string& socket_path() const;
 
  private:

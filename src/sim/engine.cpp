@@ -65,11 +65,4 @@ usec Engine::run() {
   return now_;
 }
 
-usec Engine::run_until(usec limit) {
-  while (!heap_.empty() && entry_time(heap_.front()) <= limit)
-    execute(pop_min());
-  if (now_ < limit && heap_.empty()) now_ = limit;
-  return now_;
-}
-
 }  // namespace wave::sim

@@ -61,18 +61,11 @@ class Engine {
   /// Runs events until the calendar drains. Returns the final clock value.
   usec run();
 
-  /// Runs until the calendar drains or the clock reaches `limit` (events
-  /// after `limit` stay queued). Returns the final clock value.
-  usec run_until(usec limit);
-
   /// Number of events executed so far (performance metric).
   std::uint64_t events_processed() const { return processed_; }
 
   /// High-water mark of pending events (peak calendar occupancy).
   std::size_t max_pending() const { return max_pending_; }
-
-  /// True when no events remain.
-  bool drained() const { return heap_.empty(); }
 
   /// One executed event in a captured trace: the exact simulated time and
   /// the global FIFO sequence number the run loop dispatched. Two engines

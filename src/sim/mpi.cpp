@@ -56,20 +56,10 @@ Mpi::Mpi(Engine& engine, loggp::MachineParams params,
 
 Mpi::~Mpi() = default;
 
-usec Mpi::mpi_busy(int rank) const {
-  WAVE_EXPECTS(rank >= 0 && rank < size());
-  return mpi_busy_[rank];
-}
-
 usec Mpi::mpi_busy_mean() const {
   usec sum = 0.0;
   for (usec t : mpi_busy_) sum += t;
   return sum / static_cast<double>(mpi_busy_.size());
-}
-
-int Mpi::node_of(int rank) const {
-  WAVE_EXPECTS(rank >= 0 && rank < size());
-  return node_of_rank_[rank];
 }
 
 usec Mpi::bus_wait_total() const {

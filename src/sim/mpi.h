@@ -81,10 +81,6 @@ class Mpi {
   ~Mpi();
 
   int size() const { return static_cast<int>(node_of_rank_.size()); }
-  int node_of(int rank) const;
-  bool same_node(int a, int b) const {
-    return node_of(a) == node_of(b);
-  }
   Engine& engine() { return engine_; }
   const loggp::MachineParams& params() const { return params_; }
 
@@ -117,13 +113,11 @@ class Mpi {
                        engine_.now(), engine_.now() + duration});
   }
 
-  /// Time rank r has spent inside MPI operations (µs): the interval from
-  /// each send/receive post to its completion. Concurrent halves of an
-  /// exchange() both count, so this is operation occupancy, not
-  /// wall-clock blockage.
-  usec mpi_busy(int rank) const;
-  /// Mean over ranks of mpi_busy — the simulator's aggregate
-  /// communication share when divided by the makespan (cf. Fig 11).
+  /// Mean over ranks of the time each spent inside MPI operations (µs):
+  /// the interval from each send/receive post to its completion.
+  /// Concurrent halves of an exchange() both count, so this is operation
+  /// occupancy, not wall-clock blockage. Divided by the makespan it is the
+  /// simulator's aggregate communication share (cf. Fig 11).
   usec mpi_busy_mean() const;
 
   // ---- Awaitable operations (used via RankCtx below) ----

@@ -34,11 +34,4 @@ Grid closest_to_square(int processors) {
   return Grid(processors / best_m, best_m);
 }
 
-bool has_balanced_factorization(int processors, double max_aspect) {
-  WAVE_EXPECTS(processors >= 1);
-  WAVE_EXPECTS(max_aspect >= 1.0);
-  const Grid g = closest_to_square(processors);
-  return static_cast<double>(g.n()) / static_cast<double>(g.m()) <= max_aspect;
-}
-
 }  // namespace wave::topo

@@ -60,8 +60,4 @@ class Grid {
 /// P >= 1.
 Grid closest_to_square(int processors);
 
-/// True when `processors` admits a factorization n×m with aspect ratio
-/// n/m <= max_aspect (useful to reject degenerate 1×P layouts in sweeps).
-bool has_balanced_factorization(int processors, double max_aspect);
-
 }  // namespace wave::topo

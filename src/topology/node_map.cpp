@@ -31,19 +31,6 @@ int NodeMap::node_of(Coord c) const {
   return tile_row * tiles_per_row + tile_col;
 }
 
-int NodeMap::core_slot(Coord c) const {
-  WAVE_EXPECTS(grid_.contains(c));
-  const int local_i = (c.i - 1) % cx_;
-  const int local_j = (c.j - 1) % cy_;
-  return local_j * cx_ + local_i;
-}
-
-int NodeMap::node_count() const {
-  const int tiles_per_row = (grid_.n() + cx_ - 1) / cx_;
-  const int tile_rows = (grid_.m() + cy_ - 1) / cy_;
-  return tiles_per_row * tile_rows;
-}
-
 bool NodeMap::is_on_node(Coord c, Direction d) const {
   WAVE_EXPECTS(grid_.contains(c));
   const Coord other = neighbour(c, d);

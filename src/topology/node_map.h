@@ -37,12 +37,6 @@ class NodeMap {
   /// rectangle tiling).
   int node_of(Coord c) const;
 
-  /// Core slot of processor c within its node, in [0, cores_per_node).
-  int core_slot(Coord c) const;
-
-  /// Total number of nodes covering the grid.
-  int node_count() const;
-
   /// True when the message sent by `c` in direction `d` stays on-node.
   /// The four Table 6 rules are special cases of this query:
   ///   SendE on-chip    iff  i mod Cx != 0   (and Cx != 1)

@@ -13,9 +13,11 @@
 //                  metrics surface stays near free.
 //
 // Like the Wg tests beside them, they compare measured durations, so
-// ctest runs them alone (RUN_SERIAL, see CMakeLists.txt) and each side is
-// the fastest of several runs. Unoptimized and sanitized builds measure
-// the instrumentation, not the code, so there the gates skip.
+// ctest runs them alone (RUN_SERIAL, see CMakeLists.txt). BatchRoute
+// compares the fastest of several runs of each side; MetricsObserver,
+// whose bound sits close to the true ratio, takes the median of per-pair
+// ratios. Unoptimized and sanitized builds measure the instrumentation,
+// not the code, so there the gates skip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,6 +83,30 @@ std::pair<double, double> fastest_pair(int reps, A&& a, B&& b) {
     best_b = r == 0 ? tb : std::min(best_b, tb);
   }
   return {best_a, best_b};
+}
+
+/// Median over `pairs` (odd) back-to-back runs of seconds(a) /
+/// seconds(b). The side that runs first alternates from pair to pair, so
+/// neither always meets the warmer cache. One slow run spoils one pair's
+/// ratio, which the median ignores; a best-of comparison instead rests on
+/// the single luckiest run of each side.
+template <typename A, typename B>
+double median_ratio(int pairs, A&& a, B&& b) {
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double ta = 0.0, tb = 0.0;
+    if (p % 2 == 0) {
+      ta = seconds(a);
+      tb = seconds(b);
+    } else {
+      tb = seconds(b);
+      ta = seconds(a);
+    }
+    ratios.push_back(ta / tb);
+  }
+  const auto mid = ratios.begin() + pairs / 2;
+  std::nth_element(ratios.begin(), mid, ratios.end());
+  return *mid;
 }
 
 /// Two Sweep-style apps x 101 processor counts from 64 to 4,064 x 4 Htile
@@ -173,11 +199,11 @@ TEST(PerfGate, MetricsObserverKeepsNinetyPercentOfPlainEventRate) {
     if (with_metrics) in.observers.metrics = &registry;
     workload->simulate(machine, ctx.comm_model_registry(), in);
   };
-  const auto [plain_s, metrics_s] =
-      fastest_pair(3, [&] { simulate(false); }, [&] { simulate(true); });
-  ASSERT_GT(metrics_s, 0.0);
-  const double ratio = plain_s / metrics_s;
-  std::printf("16x16 wavefront DES: plain %.4f s, metrics %.4f s, %.3fx\n",
-              plain_s, metrics_s, ratio);
+  constexpr int kPairs = 11;
+  const double ratio = median_ratio(
+      kPairs, [&] { simulate(false); }, [&] { simulate(true); });
+  std::printf("16x16 wavefront DES: median plain/metrics time over %d "
+              "pairs %.3fx\n",
+              kPairs, ratio);
   EXPECT_GE(ratio, 0.90) << "the metrics observer is no longer near free";
 }

@@ -13,6 +13,7 @@
 
 #include "serve/client.h"
 #include "serve/faults.h"
+#include "serve/json.h"
 #include "serve/server.h"
 #include "wave/context.h"
 
@@ -59,6 +60,24 @@ struct ServerFixture {
     auto response = client.call(line);
     EXPECT_TRUE(response.ok()) << response.status().to_string();
     return response.ok() ? response.value() : wave::serve::Response{};
+  }
+
+  /// One counter of the `stats` op's "cache" object ("hits", "misses", ...).
+  double cache_stat(const char* name) {
+    const wave::serve::Response r = call(R"({"id":"c","op":"stats"})");
+    wave::serve::JsonValue root;
+    std::string error;
+    EXPECT_TRUE(wave::serve::parse_json(r.raw, root, error)) << error;
+    const wave::serve::JsonValue* cache = root.find("cache");
+    const wave::serve::JsonValue* value = cache ? cache->find(name) : nullptr;
+    EXPECT_NE(value, nullptr) << r.raw;
+    return value ? value->number : -1.0;
+  }
+
+  /// True when a fresh client can connect to the server's socket.
+  bool accepts_connections() const {
+    wave::serve::Client probe;
+    return probe.connect(options.socket_path).is_ok();
   }
 };
 

@@ -345,25 +345,3 @@ TEST(ApiStudy, UnknownAxisNameFailsAsStatus) {
   ASSERT_FALSE(study.ok());
   EXPECT_EQ(study.status().code(), wave::StatusCode::kNotFound);
 }
-
-// ---- SweepGrid::size() (satellite) -------------------------------------
-
-TEST(SweepGridSize, UnfilteredSizeIsTheAxisProduct) {
-  wave::runner::SweepGrid grid;
-  grid.processors({1, 2, 4, 8});
-  grid.values("x", {0.5, 1.0, 2.0});
-  EXPECT_EQ(grid.size(), 12u);
-  EXPECT_EQ(grid.points().size(), 12u);
-}
-
-TEST(SweepGridSize, FilteredSizeMatchesPointsWithoutMaterializing) {
-  wave::runner::SweepGrid grid;
-  grid.processors({1, 2, 4, 8, 16, 32});
-  grid.values("x", {1.0, 2.0, 3.0});
-  grid.filter([](const wave::runner::Scenario& s) {
-    return s.processors() * s.param("x") >= 8.0;
-  });
-  EXPECT_EQ(grid.size(), grid.points().size());
-  EXPECT_GT(grid.size(), 0u);
-  EXPECT_LT(grid.size(), 18u);
-}

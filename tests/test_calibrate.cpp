@@ -12,6 +12,20 @@
 namespace wcal = wave::calibrate;
 namespace wl = wave::loggp;
 
+namespace {
+// Fits every parameter from simulated curves of `truth` over the default
+// sizes, drawing noise for the off-node curve first, as
+// table2_calibration does.
+wl::MachineParams calibrate(const wl::MachineParams& truth,
+                            wave::common::Rng* noise = nullptr,
+                            double rel_noise = 0.0) {
+  const auto sizes = wcal::default_sizes();
+  const auto off = wcal::measure_curve(truth, false, sizes, noise, rel_noise);
+  const auto on = wcal::measure_curve(truth, true, sizes, noise, rel_noise);
+  return wcal::fit_machine(off, on, truth.eager_limit_bytes);
+}
+}  // namespace
+
 TEST(Calibrate, NoiseFreeFitRecoversOffNodeExactly) {
   const auto truth = wl::xt4();
   const auto curve = wcal::measure_curve(truth, /*on_chip=*/false,
@@ -38,7 +52,7 @@ TEST(Calibrate, NoiseFreeFitRecoversOnChipExactly) {
 
 TEST(Calibrate, FullMachineRoundTrip) {
   const auto truth = wl::xt4();
-  const auto fitted = wcal::calibrate_machine(truth);
+  const auto fitted = calibrate(truth);
   EXPECT_NEAR(fitted.off.G, truth.off.G, 1e-9);
   EXPECT_NEAR(fitted.off.L, truth.off.L, 1e-6);
   EXPECT_NEAR(fitted.off.o, truth.off.o, 1e-6);
@@ -48,7 +62,7 @@ TEST(Calibrate, FullMachineRoundTrip) {
 TEST(Calibrate, NoisyFitStaysClose) {
   const auto truth = wl::xt4();
   wave::common::Rng rng(2026);
-  const auto fitted = wcal::calibrate_machine(truth, &rng, 0.01);
+  const auto fitted = calibrate(truth, &rng, 0.01);
   // 1% multiplicative timer noise on ~10 µs measurements translates to
   // roughly 10% uncertainty in the fitted slopes and overheads; L is tiny
   // relative to the intercepts so its absolute error matters more than
@@ -98,7 +112,7 @@ TEST_P(CalibrateRoundTrip, RecoversScaledMachines) {
   truth.on.Gdma *= k;
   truth.on.o *= k;
   truth.on.ocopy *= k;
-  const auto fitted = wcal::calibrate_machine(truth);
+  const auto fitted = calibrate(truth);
   EXPECT_NEAR(fitted.off.G / truth.off.G, 1.0, 1e-6);
   EXPECT_NEAR(fitted.off.o / truth.off.o, 1.0, 1e-6);
   EXPECT_NEAR(fitted.on.Gdma / truth.on.Gdma, 1.0, 1e-6);
@@ -197,7 +211,7 @@ TEST(CalibrateEmit, FittedConfigRoundTripsByteStably) {
   // catalog machine's LogGP block with fitted values, serialize, parse.
   wave::core::MachineConfig machine = wave::core::MachineConfig::xt4_dual_core();
   machine.name = "unit-fitted";
-  machine.loggp = wcal::calibrate_machine(wl::xt4());
+  machine.loggp = calibrate(wl::xt4());
 
   const wave::loggp::CommModelRegistry registry;  // builtins only
   const std::string text = wave::core::write_machine_config(machine);

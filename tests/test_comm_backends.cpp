@@ -44,7 +44,7 @@ TEST(CommModelRegistry, ListsTheThreeShippedBackends) {
 
 TEST(CommModelRegistry, MakesBackendsByName) {
   for (const char* name : {"loggp", "loggps", "contention"}) {
-    const auto model = wl::make_comm_model(kReg, name, kXt4);
+    const auto model = kReg.make(name, kXt4);
     ASSERT_NE(model, nullptr);
     EXPECT_EQ(model->name(), name);
     EXPECT_EQ(model->params().off.o, kXt4.off.o);
@@ -53,7 +53,7 @@ TEST(CommModelRegistry, MakesBackendsByName) {
 
 TEST(CommModelRegistry, UnknownNameThrowsListingAlternatives) {
   try {
-    wl::make_comm_model(kReg, "telepathy", kXt4);
+    kReg.make("telepathy", kXt4);
     FAIL() << "expected contract_error";
   } catch (const wave::common::contract_error& e) {
     const std::string what = e.what();
@@ -83,7 +83,7 @@ TEST(CommModelRegistry, CustomBackendsPlugIn) {
         twice.off.L *= 2.0;
         return std::make_unique<wl::LogGpModel>(twice);
       });
-  const auto model = wl::make_comm_model(registry, "test-double-latency", kXt4);
+  const auto model = registry.make("test-double-latency", kXt4);
   const wl::LogGpModel reference(kXt4);
   EXPECT_DOUBLE_EQ(model->total(kSmall, Placement::OffNode),
                    reference.total(kSmall, Placement::OffNode) + kXt4.off.L);

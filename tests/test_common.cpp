@@ -25,20 +25,6 @@ TEST(Units, RelativeError) {
   EXPECT_DOUBLE_EQ(wc::relative_error(100.0, 100.0), 0.0);
 }
 
-TEST(Statistics, Summary) {
-  const double xs[] = {1.0, 2.0, 3.0, 4.0};
-  const auto s = wc::summarize(xs);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_NEAR(s.stddev, 1.2909944, 1e-6);
-}
-
-TEST(Statistics, SummaryRejectsEmpty) {
-  EXPECT_THROW(wc::summarize({}), wc::contract_error);
-}
-
 TEST(Statistics, LineFitExact) {
   const double xs[] = {1.0, 2.0, 3.0, 4.0};
   const double ys[] = {3.0, 5.0, 7.0, 9.0};  // y = 2x + 1
@@ -53,13 +39,6 @@ TEST(Statistics, LineFitRejectsDegenerate) {
   const double ys[] = {1.0, 2.0};
   EXPECT_THROW(wc::fit_line(xs, ys), wc::contract_error);
   EXPECT_THROW(wc::fit_line({}, {}), wc::contract_error);
-}
-
-TEST(Statistics, RelativeErrorAggregates) {
-  const double pred[] = {110.0, 95.0};
-  const double meas[] = {100.0, 100.0};
-  EXPECT_DOUBLE_EQ(wc::mean_relative_error(pred, meas), 0.075);
-  EXPECT_DOUBLE_EQ(wc::max_relative_error(pred, meas), 0.10);
 }
 
 TEST(Statistics, ExactLog2) {

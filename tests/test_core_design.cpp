@@ -2,6 +2,9 @@
 // design-space scans, and the optional synchronization terms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/contracts.h"
 #include "core/baseline.h"
 #include "core/benchmarks.h"
@@ -24,7 +27,8 @@ TEST(Baseline, SingleProcessorMatchesSerialWork) {
   // With one processor there is no fill and no communication: baseline
   // and plug-and-play must agree exactly.
   const wc::AppParams app = wb::chimaera();
-  const auto base = wc::hoisie_baseline(app, kSingle, kReg, 1);
+  const auto base = wc::hoisie_baseline(app, kSingle, kReg,
+                                        wave::topo::closest_to_square(1));
   const auto model = wc::Solver(app, kSingle, kReg).evaluate(1);
   EXPECT_NEAR(base.iteration, model.iteration.total, 1e-6);
 }
@@ -37,7 +41,8 @@ TEST(Baseline, ChargesEverySweepAFullFill) {
   wb::Sweep3dConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 256;
   const wc::AppParams app = wb::sweep3d(cfg);
-  const auto base = wc::hoisie_baseline(app, kDual, kReg, 1024);
+  const auto base = wc::hoisie_baseline(app, kDual, kReg,
+                                        wave::topo::closest_to_square(1024));
   const auto model = wc::Solver(app, kDual, kReg).evaluate(1024);
   EXPECT_GT(base.iteration, model.iteration.total);
   // The excess is roughly (nsweeps - nfull - ndiag) extra fills.
@@ -56,7 +61,9 @@ TEST(Baseline, SweepTimeDecomposition) {
 }
 
 TEST(Baseline, RejectsBadInput) {
-  EXPECT_THROW(wc::hoisie_baseline(wb::lu(), kSingle, kReg, 0),
+  wc::AppParams app = wb::lu();
+  app.htile = app.nz + 1;  // a tile taller than the stack
+  EXPECT_THROW(wc::hoisie_baseline(app, kSingle, kReg, wave::topo::Grid(9, 9)),
                wave::common::contract_error);
 }
 
@@ -87,31 +94,33 @@ TEST(DesignSpace, HtileScanAlwaysIncludesUnitHeight) {
   EXPECT_DOUBLE_EQ(scan.points.front().htile, 1.0);
 }
 
-TEST(DesignSpace, DecompositionsSortedAndComplete) {
-  const auto points = wc::scan_decompositions(wb::chimaera(), kDual, kReg, 64);
-  // 64 = 64x1, 32x2, 16x4, 8x8: four factorizations with n >= m.
-  EXPECT_EQ(points.size(), 4u);
-  for (std::size_t i = 1; i < points.size(); ++i)
-    EXPECT_LE(points[i - 1].iteration, points[i].iteration);
-  for (const auto& p : points) EXPECT_EQ(p.grid.size(), 64);
-}
-
 TEST(DesignSpace, BalancedDecompositionsWin) {
   // Near-balanced grids minimize fill plus message volume (mildly
   // elongated shapes can edge out the square because Tdiagfill follows
   // the shorter m side, but never by much); the degenerate 1-row layout
   // loses badly once communication matters.
-  const auto points = wc::scan_decompositions(wb::chimaera(), kDual, kReg, 4096);
-  const auto& best = points.front().grid;
-  EXPECT_LE(best.n() / best.m(), 4);  // best is near-balanced
-  EXPECT_EQ(points.back().grid.m(), 1);  // worst is the 4096x1 strip
-  EXPECT_GT(points.back().iteration, 1.5 * points.front().iteration);
-  // The square is within a few percent of whatever wins.
-  for (const auto& p : points) {
-    if (p.grid.n() == 64 && p.grid.m() == 64) {
-      EXPECT_LT(p.iteration, 1.05 * points.front().iteration);
-    }
+  const wc::Solver solver(wb::chimaera(), kDual, kReg);
+  struct Point {
+    wave::topo::Grid grid;
+    double iteration;
+  };
+  std::vector<Point> points;  // every n x m factorization of 4096, n >= m
+  for (int m = 1; m * m <= 4096; ++m) {
+    if (4096 % m != 0) continue;
+    const wave::topo::Grid grid(4096 / m, m);
+    points.push_back({grid, solver.evaluate(grid).iteration.total});
   }
+  ASSERT_EQ(points.size(), 7u);  // m = 1, 2, 4, ..., 64
+  const auto best = std::min_element(
+      points.begin(), points.end(),
+      [](const Point& a, const Point& b) { return a.iteration < b.iteration; });
+  EXPECT_LE(best->grid.n() / best->grid.m(), 4);  // best is near-balanced
+  const Point& strip = points.front();            // the 4096x1 strip
+  for (const auto& p : points) EXPECT_LE(p.iteration, strip.iteration);
+  EXPECT_GT(strip.iteration, 1.5 * best->iteration);
+  const Point& square = points.back();  // 64x64
+  ASSERT_EQ(square.grid.n(), 64);
+  EXPECT_LT(square.iteration, 1.05 * best->iteration);
 }
 
 TEST(DesignSpace, ProcessorsForDeadline) {

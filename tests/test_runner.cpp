@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -12,6 +14,7 @@
 #include "common/rng.h"
 #include "core/benchmarks.h"
 #include "runner/runner.h"
+#include "serve/json.h"
 
 namespace wr = wave::runner;
 namespace wc = wave::core;
@@ -63,12 +66,12 @@ TEST(SweepGrid, EnumeratesCartesianProductInDeclarationOrder) {
   grid.values("b", {10, 20, 30});
   const auto points = grid.points();
   ASSERT_EQ(points.size(), 6u);
-  // First axis varies slowest.
-  EXPECT_EQ(points[0].label("a"), "1");
-  EXPECT_EQ(points[0].label("b"), "10");
-  EXPECT_EQ(points[1].label("b"), "20");
-  EXPECT_EQ(points[3].label("a"), "2");
-  EXPECT_EQ(points[5].label("b"), "30");
+  // First axis varies slowest; labels follow axis-declaration order.
+  using Labels = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(points[0].labels, (Labels{{"a", "1"}, {"b", "10"}}));
+  EXPECT_EQ(points[1].labels, (Labels{{"a", "1"}, {"b", "20"}}));
+  EXPECT_EQ(points[3].labels, (Labels{{"a", "2"}, {"b", "10"}}));
+  EXPECT_EQ(points[5].labels, (Labels{{"a", "2"}, {"b", "30"}}));
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(points[i].index, i);
     EXPECT_EQ(points[i].param("b"),
@@ -113,11 +116,9 @@ TEST(SweepGrid, SeedsAvalancheAcrossConsecutiveIndices) {
   EXPECT_NE(wr::derive_seed(7, 0), a);
 }
 
-TEST(Scenario, MissingLabelAndParamThrow) {
+TEST(Scenario, MissingParamThrows) {
   wr::Scenario s;
-  EXPECT_THROW(s.label("nope"), wave::common::contract_error);
   EXPECT_THROW(s.param("nope"), wave::common::contract_error);
-  EXPECT_DOUBLE_EQ(s.param_or("nope", 3.5), 3.5);
 }
 
 TEST(BatchRunner, RecordsComeBackInPointOrder) {
@@ -189,7 +190,7 @@ TEST(BatchRunner, ExceptionsPropagateOutOfTheBatch) {
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(100);
   wr::ThreadPool pool(4);
-  pool.for_each_index(100, [&](std::size_t i) { hits[i]++; });
+  pool.for_each_chunk(100, 1, [&](std::size_t i) { hits[i]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -292,10 +293,27 @@ TEST(Sinks, JsonEscapesStringsAndEmitsAllMetrics) {
   wr::RunRecord r;
   r.labels = {{"name", "say \"hi\""}};
   r.metrics = {{"v", 1.5}};
+  wr::RunRecord odd;  // a carriage return and a NaN: still valid JSON
+  odd.index = 1;
+  odd.labels = {{"line", "a\rb"}};
+  odd.metrics = {{"nan", std::nan("")}, {"w", 2.0}};
   std::ostringstream os;
-  wr::write_json(os, {r});
+  wr::write_json(os, {r, odd});
   EXPECT_NE(os.str().find("\\\"hi\\\""), std::string::npos);
   EXPECT_NE(os.str().find("\"v\": 1.5"), std::string::npos);
+
+  wave::serve::JsonValue root;
+  std::string error;
+  ASSERT_TRUE(wave::serve::parse_json(os.str(), root, error))
+      << error << "\n" << os.str();
+  ASSERT_TRUE(root.is_array());
+  ASSERT_EQ(root.items.size(), 2u);
+  EXPECT_EQ(root.items[0].find("labels")->find("name")->text, "say \"hi\"");
+  const wave::serve::JsonValue& back = root.items[1];
+  EXPECT_EQ(back.find("index")->number, 1.0);
+  EXPECT_EQ(back.find("labels")->find("line")->text, "a\rb");
+  EXPECT_TRUE(back.find("metrics")->find("nan")->is_null());
+  EXPECT_EQ(back.find("metrics")->find("w")->number, 2.0);
 }
 
 #ifndef WAVE_MACHINES_DIR
@@ -307,9 +325,12 @@ TEST(SweepGrid, CommModelAxisComposesWithMachineAxisInEitherOrder) {
   // axis declared after it — declaration order must not matter.
   auto labels_and_models = [](wr::SweepGrid& grid) {
     std::vector<std::pair<std::string, std::string>> out;
-    for (const wr::Scenario& s : grid.points())
-      out.emplace_back(s.label("machine") + "/" + s.label("comm"),
+    for (const wr::Scenario& s : grid.points()) {
+      std::map<std::string, std::string> label(s.labels.begin(),
+                                               s.labels.end());
+      out.emplace_back(label["machine"] + "/" + label["comm"],
                        s.effective_machine().comm_model);
+    }
     return out;
   };
 
@@ -340,8 +361,9 @@ TEST(SweepGrid, MachineFilesAxisLoadsAndLabelsByConfigName) {
   grid.machine_files(kCtx, {dir + "/xt4-dual.cfg", dir + "/sp2.cfg"});
   const auto points = grid.points();
   ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].label("machine"), "xt4-dual");
-  EXPECT_EQ(points[1].label("machine"), "sp2");
+  using Label = std::pair<std::string, std::string>;
+  EXPECT_EQ(points[0].labels, std::vector{Label("machine", "xt4-dual")});
+  EXPECT_EQ(points[1].labels, std::vector{Label("machine", "sp2")});
   EXPECT_TRUE(points[1].machine.synchronization_terms);
   EXPECT_THROW(grid.machine_files(kCtx, {dir + "/missing.cfg"}), wc::ConfigError);
 }

@@ -55,25 +55,6 @@ TEST(Engine, RejectsPastScheduling) {
   EXPECT_TRUE(checked);
 }
 
-TEST(Engine, RunUntilStopsAtLimit) {
-  ws::Engine e;
-  int fired = 0;
-  e.at(1.0, [&] { ++fired; });
-  e.at(5.0, [&] { ++fired; });
-  e.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(e.drained());
-  e.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(e.drained());
-}
-
-TEST(Engine, RunUntilAdvancesClockWhenIdle) {
-  ws::Engine e;
-  e.run_until(7.5);
-  EXPECT_DOUBLE_EQ(e.now(), 7.5);
-}
-
 TEST(Engine, DeterministicAcrossRuns) {
   auto trace = [] {
     ws::Engine e;
@@ -143,14 +124,8 @@ TEST(EngineStress, HundredThousandEventChurnIsExact) {
     });
   }
 
-  // Split the run so run_until's stop-at-limit path is exercised under
-  // load too.
-  e.run_until(1000.0);
-  EXPECT_GT(e.events_processed(), 0u);
-  EXPECT_FALSE(e.drained());
   e.run();
 
-  EXPECT_TRUE(e.drained());
   EXPECT_EQ(e.events_processed(), 100'000u);
   // Chain c's last event fires after (kPerChain - 1) periods; the far
   // band ends at 3031. The last chain event is at 1561 * 1.63 = 2544.43,

@@ -365,27 +365,25 @@ TEST(MpiProtocol, ExactForOtherMachines) {
 
 TEST(MpiStats, BusyCountersTrackOperations) {
   // One eager send: the sender is busy exactly o; the receiver posting
-  // late is busy exactly its processing overhead o.
+  // late is busy exactly its processing overhead o. So is their mean.
   ws::World world(kXt4, {0, 1});
   double send_done = 0, recv_done = 0;
   world.spawn("s", sender_then_done(world.ctx(0), 256, &send_done));
   world.spawn("r", late_receiver(world.ctx(1), 100.0, &recv_done));
   world.run();
-  EXPECT_NEAR(world.mpi().mpi_busy(0), kXt4.off.o, 1e-9);
-  EXPECT_NEAR(world.mpi().mpi_busy(1), kXt4.off.o, 1e-9);
   EXPECT_NEAR(world.mpi().mpi_busy_mean(), kXt4.off.o, 1e-9);
 }
 
 TEST(MpiStats, RendezvousBlockingCountsAsBusy) {
   // A large send to a receiver that posts at t=500 keeps the sender busy
-  // from t=0 until the handshake completes: busy > 500.
+  // from t=0 until the handshake completes: busy > 500, so the mean over
+  // the two ranks exceeds 250.
   ws::World world(kXt4, {0, 1});
   double send_done = 0, recv_done = 0;
   world.spawn("s", sender_then_done(world.ctx(0), 8192, &send_done));
   world.spawn("r", late_receiver(world.ctx(1), 500.0, &recv_done));
   world.run();
-  EXPECT_GT(world.mpi().mpi_busy(0), 500.0);
-  EXPECT_THROW(world.mpi().mpi_busy(7), wave::common::contract_error);
+  EXPECT_GT(world.mpi().mpi_busy_mean(), 250.0);
 }
 
 namespace {
@@ -419,7 +417,7 @@ TEST(MpiIsend, ResumesAfterCpuPhaseOnly) {
 TEST(MpiIsend, WaitIsFreeWhenAlreadyComplete) {
   // Eager isend completes during the 50 µs compute window: the wait
   // returns at once and the operation costs exactly o of busy time plus
-  // zero wait.
+  // zero wait; the late eager receive costs its o too.
   ws::World world(kXt4, {0, 1});
   double resumed = -1.0, wait_done = -1.0, recv_done = -1.0;
   world.spawn("s", isend_then_compute(world.ctx(0), 256, &resumed,
@@ -428,7 +426,7 @@ TEST(MpiIsend, WaitIsFreeWhenAlreadyComplete) {
   world.run();
   EXPECT_NEAR(resumed, kXt4.off.o, 1e-9);
   EXPECT_NEAR(wait_done, kXt4.off.o + 50.0, 1e-9);
-  EXPECT_NEAR(world.mpi().mpi_busy(0), kXt4.off.o, 1e-9);
+  EXPECT_NEAR(world.mpi().mpi_busy_mean(), kXt4.off.o, 1e-9);
 }
 
 TEST(MpiIsend, RejectsNullRequest) {

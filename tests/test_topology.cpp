@@ -1,11 +1,26 @@
 // Unit tests for wave::topo — grids and node maps (Table 6 rules).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/contracts.h"
 #include "topology/grid.h"
 #include "topology/node_map.h"
 
 namespace wt = wave::topo;
+
+namespace {
+// Cores hosted by each node id the map assigns, indexed by node id.
+std::vector<int> cores_per_node_id(const wt::NodeMap& map) {
+  std::vector<int> cores;
+  for (int r = 0; r < map.grid().size(); ++r) {
+    const int node = map.node_of(map.grid().coord_of(r));
+    if (node >= static_cast<int>(cores.size())) cores.resize(node + 1, 0);
+    ++cores[node];
+  }
+  return cores;
+}
+}  // namespace
 
 TEST(Grid, RankCoordRoundTrip) {
   const wt::Grid g(4, 3);
@@ -47,16 +62,10 @@ TEST(Grid, ClosestToSquarePreservesSize) {
     EXPECT_EQ(wt::closest_to_square(p).size(), p) << "P=" << p;
 }
 
-TEST(Grid, BalancedFactorization) {
-  EXPECT_TRUE(wt::has_balanced_factorization(4096, 2.0));
-  EXPECT_TRUE(wt::has_balanced_factorization(8192, 2.0));
-  EXPECT_FALSE(wt::has_balanced_factorization(13, 2.0));
-}
-
 TEST(NodeMap, SingleCoreEverythingOffNode) {
   const wt::Grid g(4, 4);
   const wt::NodeMap map(g, 1, 1);
-  EXPECT_EQ(map.node_count(), 16);
+  EXPECT_EQ(cores_per_node_id(map), std::vector<int>(16, 1));
   for (int r = 0; r < g.size(); ++r) {
     const wt::Coord c = g.coord_of(r);
     for (auto d : {wt::Direction::East, wt::Direction::West,
@@ -91,7 +100,7 @@ TEST(NodeMap, Table6RulesDualCore) {
 TEST(NodeMap, Table6RulesQuadCore) {
   const wt::Grid g(8, 8);
   const wt::NodeMap map(g, /*cx=*/2, /*cy=*/2);
-  EXPECT_EQ(map.node_count(), 16);
+  EXPECT_EQ(cores_per_node_id(map), std::vector<int>(16, 4));
   for (int j = 1; j <= 8; ++j) {
     for (int i = 1; i <= 8; ++i) {
       const wt::Coord c{i, j};
@@ -111,20 +120,12 @@ TEST(NodeMap, Table6RulesQuadCore) {
   }
 }
 
-TEST(NodeMap, CoreSlotsAreDense) {
-  const wt::Grid g(8, 8);
-  const wt::NodeMap map(g, 2, 4);
+TEST(NodeMap, NodeIdsAreDenseAndFull) {
+  // Node ids cover [0, nodes) with no gaps, and every node of a grid the
+  // rectangles tile exactly holds cores_per_node cores.
+  const wt::NodeMap map(wt::Grid(8, 8), 2, 4);
   EXPECT_EQ(map.cores_per_node(), 8);
-  std::vector<int> seen(map.node_count() * 8, 0);
-  for (int r = 0; r < g.size(); ++r) {
-    const wt::Coord c = g.coord_of(r);
-    const int node = map.node_of(c);
-    const int slot = map.core_slot(c);
-    ASSERT_GE(slot, 0);
-    ASSERT_LT(slot, 8);
-    ++seen[node * 8 + slot];
-  }
-  for (int s : seen) EXPECT_EQ(s, 1);
+  EXPECT_EQ(cores_per_node_id(map), std::vector<int>(8, 8));
 }
 
 TEST(NodeMap, GridEdgeNeverOnNode) {

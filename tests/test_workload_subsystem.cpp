@@ -330,7 +330,9 @@ TEST(WorkloadAxis, SweepsRegisteredNamesAndRejectsUnknown) {
   const auto points = grid.points();
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].workload, "pingpong");
-  EXPECT_EQ(points[0].label("workload"), "pingpong");
+  ASSERT_EQ(points[0].labels.size(), 1u);
+  EXPECT_EQ(points[0].labels[0].first, "workload");
+  EXPECT_EQ(points[0].labels[0].second, "pingpong");
   EXPECT_EQ(points[1].workload, "halo2d");
 
   wr::SweepGrid bad;
