@@ -124,7 +124,7 @@ class Context {
 
   /// Resolves a machine by catalog name or machines/*.cfg path. Internal
   /// plumbing (the facade's run() calls wrap it): throws
-  /// common::contract_error / core::ConfigError on failure instead of
+  /// common::unknown_name_error / core::ConfigError on failure instead of
   /// returning a Status.
   core::MachineConfig resolve_machine(const std::string& name_or_path) const;
 

@@ -3,7 +3,7 @@
 #include <typeinfo>
 #include <utility>
 
-#include "common/contracts.h"
+#include "common/registry.h"
 #include "core/benchmarks.h"
 #include "core/machine.h"
 #include "loggp/registry.h"
@@ -44,10 +44,9 @@ std::string app_preset_names_joined() {
 core::AppParams app_preset(const std::string& name) {
   for (const PresetEntry& p : kPresets)
     if (name == p.name) return p.make();
-  WAVE_EXPECTS_MSG(false, "unknown app preset '" + name +
-                              "' (available: " + app_preset_names_joined() +
-                              ")");
-  return core::AppParams();  // unreachable; keep the compiler happy
+  throw common::unknown_name_error("unknown app preset '" + name +
+                                   "' (available: " +
+                                   app_preset_names_joined() + ")");
 }
 
 core::AppParams resolve_app(const std::string& preset, double wg, double nx,
@@ -87,12 +86,11 @@ runner::Scenario scenario_from(const Context& ctx, const Query& query) {
 
   const std::string& workload = query.workload_name();
   WAVE_EXPECTS_MSG(!workload.empty(), "workload name must be non-empty");
-  workloads::require_workload(ctx.workload_registry(), workload);
+  ctx.workload_registry().require(workload);
   s.workload = workload;
 
   if (!query.comm_model_name().empty()) {
-    loggp::require_comm_model(ctx.comm_model_registry(),
-                              query.comm_model_name());
+    ctx.comm_model_registry().require(query.comm_model_name());
     s.comm_model = query.comm_model_name();
   }
 
@@ -173,25 +171,15 @@ Result result_from_terms(bool validate, const runner::Scenario& scenario,
 }
 
 Status to_status(const std::exception& error) {
-  const std::string what = error.what();
-  if (dynamic_cast<const common::contract_error*>(&error) != nullptr) {
-    // The facade's own name-lookup failures (require_workload,
-    // require_comm_model, resolve_machine, app_preset) are kNotFound;
-    // every other contract violation is a bad value. Matched against the
-    // exact error vocabulary those helpers emit, not a loose substring —
-    // a ConfigError about an "unknown machine-config key" is a malformed
-    // file, not a failed lookup.
-    for (const char* lookup :
-         {"unknown workload '", "unknown comm model '", "unknown machine '",
-          "unknown app preset '"}) {
-      if (what.find(lookup) != std::string::npos)
-        return Status::not_found(what);
-    }
-    return Status::invalid_argument(what);
-  }
-  if (dynamic_cast<const core::ConfigError*>(&error) != nullptr)
-    return Status::invalid_argument(what);
-  return Status::internal(what);
+  // Only a failed name lookup is kNotFound. The decision is by type, so a
+  // workload's own contract_error that happens to mention an unknown name
+  // stays a bad value.
+  if (dynamic_cast<const common::unknown_name_error*>(&error) != nullptr)
+    return Status::not_found(error.what());
+  if (dynamic_cast<const common::contract_error*>(&error) != nullptr ||
+      dynamic_cast<const core::ConfigError*>(&error) != nullptr)
+    return Status::invalid_argument(error.what());
+  return Status::internal(error.what());
 }
 
 }  // namespace wave::api

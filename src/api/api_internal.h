@@ -17,7 +17,7 @@
 namespace wave::api {
 
 /// The application presets the facade exposes by name. Throws
-/// common::contract_error (listing the vocabulary) on an unknown name.
+/// common::unknown_name_error (listing the vocabulary) on an unknown name.
 core::AppParams app_preset(const std::string& name);
 
 /// "a, b, c" — the preset vocabulary for error messages and docs.
@@ -61,8 +61,9 @@ runner::Engine to_runner_engine(Engine engine);
 Engine from_runner_engine(runner::Engine engine);
 
 /// Translates the internal exception taxonomy onto the Status codes the
-/// facade promises (contract/config errors -> kNotFound or
-/// kInvalidArgument; anything else -> kInternal).
+/// facade promises (common::unknown_name_error -> kNotFound; any other
+/// contract or config error -> kInvalidArgument; anything else ->
+/// kInternal).
 Status to_status(const std::exception& error);
 
 }  // namespace wave::api

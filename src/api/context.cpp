@@ -4,7 +4,7 @@
 #include <filesystem>
 #include <utility>
 
-#include "common/contracts.h"
+#include "common/registry.h"
 #include "core/machine.h"
 #include "loggp/registry.h"
 #include "workloads/registry.h"
@@ -22,15 +22,19 @@ bool looks_like_path(const std::string& spec) {
          (spec.size() > 4 && spec.compare(spec.size() - 4, 4, ".cfg") == 0);
 }
 
+template <typename T>
+std::vector<EntryInfo> entries_of(const common::Registry<T>& registry) {
+  std::vector<EntryInfo> out;
+  for (const auto& e : registry.list())
+    out.push_back(EntryInfo{e.name, e.description});
+  return out;
+}
+
 }  // namespace
 
 struct Context::Impl {
-  // Owned in the normal case; global() borrows the legacy singletons and
-  // leaves the owned slots empty.
-  std::unique_ptr<loggp::CommModelRegistry> owned_comm;
-  std::unique_ptr<workloads::WorkloadRegistry> owned_workloads;
-  loggp::CommModelRegistry* comm = nullptr;
-  workloads::WorkloadRegistry* workloads = nullptr;
+  loggp::CommModelRegistry comm;
+  workloads::WorkloadRegistry workloads;
 
   struct MachineEntry {
     std::string name;
@@ -77,10 +81,6 @@ struct Context::Impl {
 };
 
 Context::Context() : impl_(std::make_unique<Impl>()) {
-  impl_->owned_comm = std::make_unique<loggp::CommModelRegistry>();
-  impl_->owned_workloads = std::make_unique<workloads::WorkloadRegistry>();
-  impl_->comm = impl_->owned_comm.get();
-  impl_->workloads = impl_->owned_workloads.get();
   impl_->add_machine(core::MachineConfig::xt4_dual_core(), "preset", false);
   impl_->add_machine(core::MachineConfig::xt4_single_core(), "preset", false);
   impl_->add_machine(core::MachineConfig::sp2_single_core(), "preset", false);
@@ -95,17 +95,11 @@ Study Context::study() const { return Study(this); }
 Optimize Context::optimize() const { return Optimize(this); }
 
 std::vector<EntryInfo> Context::workloads() const {
-  std::vector<EntryInfo> out;
-  for (const auto& info : impl_->workloads->list())
-    out.push_back(EntryInfo{info.name, info.description});
-  return out;
+  return entries_of(impl_->workloads);
 }
 
 std::vector<EntryInfo> Context::comm_models() const {
-  std::vector<EntryInfo> out;
-  for (const auto& info : impl_->comm->list())
-    out.push_back(EntryInfo{info.name, info.description});
-  return out;
+  return entries_of(impl_->comm);
 }
 
 std::vector<EntryInfo> Context::machines() const {
@@ -116,11 +110,11 @@ std::vector<EntryInfo> Context::machines() const {
 }
 
 bool Context::has_workload(const std::string& name) const {
-  return impl_->workloads->contains(name);
+  return impl_->workloads.contains(name);
 }
 
 bool Context::has_comm_model(const std::string& name) const {
-  return impl_->comm->contains(name);
+  return impl_->comm.contains(name);
 }
 
 bool Context::has_machine(const std::string& name) const {
@@ -129,7 +123,7 @@ bool Context::has_machine(const std::string& name) const {
 
 Status Context::add_machine_file(const std::string& path) {
   try {
-    return impl_->add_machine(core::load_machine_config(path, *impl_->comm),
+    return impl_->add_machine(core::load_machine_config(path, impl_->comm),
                               path, /*may_shadow_preset=*/true);
   } catch (const core::ConfigError& e) {
     return Status::invalid_argument(e.what());
@@ -160,11 +154,15 @@ Status Context::add_machine_dir(const std::string& dir) {
 
 Status Context::register_workload(
     std::shared_ptr<const workloads::Workload> workload) {
+  // Only a taken name is kAlreadyExists; a null workload or a malformed
+  // name is a bad value.
+  const bool taken = workload != nullptr && has_workload(workload->name());
   try {
-    impl_->workloads->add(std::move(workload));
+    impl_->workloads.add(std::move(workload));
     return Status::ok();
   } catch (const common::contract_error& e) {
-    return Status::already_exists(e.what());
+    return taken ? Status::already_exists(e.what())
+                 : Status::invalid_argument(e.what());
   } catch (const std::exception& e) {
     return Status::internal(e.what());
   }
@@ -176,16 +174,16 @@ Status Context::add_machine(const core::MachineConfig& machine) {
 }
 
 loggp::CommModelRegistry& Context::comm_model_registry() {
-  return *impl_->comm;
+  return impl_->comm;
 }
 const loggp::CommModelRegistry& Context::comm_model_registry() const {
-  return *impl_->comm;
+  return impl_->comm;
 }
 workloads::WorkloadRegistry& Context::workload_registry() {
-  return *impl_->workloads;
+  return impl_->workloads;
 }
 const workloads::WorkloadRegistry& Context::workload_registry() const {
-  return *impl_->workloads;
+  return impl_->workloads;
 }
 
 core::MachineConfig Context::resolve_machine(
@@ -193,13 +191,13 @@ core::MachineConfig Context::resolve_machine(
   if (const auto* entry = impl_->find_machine(name_or_path))
     return entry->config;
   if (looks_like_path(name_or_path))
-    return core::load_machine_config(name_or_path, *impl_->comm);
+    return core::load_machine_config(name_or_path, impl_->comm);
   std::string catalog;
   for (const auto& e : impl_->machines)
     catalog += (catalog.empty() ? "" : ", ") + e.name;
-  throw common::contract_error("unknown machine '" + name_or_path +
-                               "' (catalog: " + catalog +
-                               "; or pass a machines/*.cfg path)");
+  throw common::unknown_name_error("unknown machine '" + name_or_path +
+                                   "' (catalog: " + catalog +
+                                   "; or pass a machines/*.cfg path)");
 }
 
 }  // namespace wave

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -121,7 +122,9 @@ std::string format_number(double value) {
   for (int precision = 1; precision < 17; ++precision) {
     char shorter[64];
     std::snprintf(shorter, sizeof shorter, "%.*g", precision, value);
-    if (std::stod(shorter) == value) return shorter;
+    // strtod, not stod: a shortening that lands in the subnormal range
+    // (2e-308 for 2.3e-308) is a mismatch to skip, not an exception.
+    if (std::strtod(shorter, nullptr) == value) return shorter;
   }
   return buf;
 }
@@ -268,10 +271,11 @@ MachineConfig parse_machine_config(const std::string& text,
   if (!missing.empty())
     config_fail(source, 0, "missing required key(s): " + missing);
 
-  if (!registry.contains(m.comm_model)) {
+  try {
+    registry.require(m.comm_model);
+  } catch (const common::unknown_name_error& e) {
     config_fail(source, seen.count("comm_model") ? seen["comm_model"] : 0,
-                "unknown comm model '" + m.comm_model + "' (registered: " +
-                    loggp::comm_model_names_joined(registry) + ")");
+                e.what());
   }
   try {
     m.validate();

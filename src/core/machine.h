@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cctype>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -94,6 +95,8 @@ struct MachineConfig {
         "machine name must be config-safe: one line, no '#', "
         "no leading/trailing whitespace");
     WAVE_EXPECTS_MSG(cx >= 1 && cy >= 1, "node shape factors must be >= 1");
+    WAVE_EXPECTS_MSG(cx <= std::numeric_limits<int>::max() / cy,
+                     "cores per node (cx * cy) must fit in an int");
     WAVE_EXPECTS_MSG(
         common::is_power_of_two(static_cast<std::size_t>(cores_per_node())),
         "the all-reduce model requires power-of-two cores per node");

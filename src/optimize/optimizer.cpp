@@ -48,11 +48,11 @@ Optimizer::Optimizer(const wave::Context& ctx, std::string workload,
       app_(std::move(app)),
       space_(std::move(space)),
       options_(options) {
-  workloads::require_workload(ctx.workload_registry(), workload_);
+  ctx.workload_registry().require(workload_);
   space_.validate();
   app_.validate();
   for (const std::string& name : space_.comm_models)
-    if (!name.empty()) loggp::require_comm_model(ctx.comm_model_registry(), name);
+    if (!name.empty()) ctx.comm_model_registry().require(name);
 
   WAVE_EXPECTS_MSG(options_.beam_width >= 1, "beam width must be >= 1");
   WAVE_EXPECTS_MSG(options_.ranking_size >= 1, "ranking size must be >= 1");

@@ -34,7 +34,7 @@ SweepGrid workload_matrix_grid(const wave::Context& ctx, bool full) {
   std::vector<int> procs = {16, 64};
   if (full) procs.push_back(256);
 
-  grid.workloads(ctx, workloads::workload_names(ctx.workload_registry()));
+  grid.workloads(ctx, ctx.workload_registry().names());
   grid.machines({{"xt4-single", core::MachineConfig::xt4_single_core()},
                  {"xt4-dual", core::MachineConfig::xt4_dual_core()}});
   grid.comm_models(ctx, {"loggp", "loggps", "contention"});

@@ -99,7 +99,7 @@ SweepGrid& SweepGrid::comm_models(const wave::Context& ctx,
                                   std::string name) {
   Axis axis{std::move(name), {}};
   for (const std::string& model : names) {
-    loggp::require_comm_model(ctx.comm_model_registry(), model);
+    ctx.comm_model_registry().require(model);
     axis.levels.push_back(
         {model, [model](Scenario& s) { s.comm_model = model; }});
   }
@@ -111,7 +111,7 @@ SweepGrid& SweepGrid::workloads(const wave::Context& ctx,
                                 std::string name) {
   Axis axis{std::move(name), {}};
   for (const std::string& workload : names) {
-    workloads::require_workload(ctx.workload_registry(), workload);
+    ctx.workload_registry().require(workload);
     axis.levels.push_back(
         {workload, [workload](Scenario& s) { s.workload = workload; }});
   }

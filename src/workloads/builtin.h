@@ -1,5 +1,5 @@
-// The six shipped workloads, as registered by WorkloadRegistry on first
-// use (registry.h). The first two wrap the repository's original
+// The six shipped workloads, as pre-registered in every WorkloadRegistry
+// (registry.h). The first two wrap the repository's original
 // evaluation pair — the wavefront application family (wavefront.h +
 // core/solver.h) and the calibration ping-pong (pingpong.h) — onto the
 // Workload interface; the other four live in their own headers and

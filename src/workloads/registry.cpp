@@ -5,79 +5,19 @@
 
 namespace wave::workloads {
 
-WorkloadRegistry::WorkloadRegistry() {
+WorkloadRegistry::WorkloadRegistry() : Registry("workload") {
   for (auto& workload : builtin_workloads()) add(std::move(workload));
 }
 
 void WorkloadRegistry::add(std::shared_ptr<const Workload> workload) {
   WAVE_EXPECTS_MSG(workload != nullptr, "workload must be non-null");
-  const std::string& name = workload->name();
-  WAVE_EXPECTS_MSG(!name.empty(), "workload name must be non-empty");
-  // Names appear as CLI flag values and CSV axis labels: keep them single
-  // config-safe tokens (same rule as comm-model names).
-  WAVE_EXPECTS_MSG(name.find_first_of("# \t\r\n=,") == std::string::npos,
-                   "workload name must be a single token without "
-                   "whitespace, '#', '=' or ','");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& e : entries_)
-    WAVE_EXPECTS_MSG(e->name() != name,
-                     "workload '" + name + "' is already registered");
-  entries_.push_back(std::move(workload));
-}
-
-bool WorkloadRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& e : entries_)
-    if (e->name() == name) return true;
-  return false;
-}
-
-std::shared_ptr<const Workload> WorkloadRegistry::get(
-    const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& e : entries_)
-      if (e->name() == name) return e;
-  }
-  // Validate against *this* registry — registries are instance-scoped
-  // now, and consulting the singleton here would miss (or wrongly
-  // accept) names registered elsewhere.
-  require_workload(*this, name);  // throws: not registered
-  return nullptr;                 // unreachable; keep the compiler happy
-}
-
-std::vector<WorkloadInfo> WorkloadRegistry::list() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<WorkloadInfo> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_)
-    out.push_back(WorkloadInfo{e->name(), e->description()});
-  return out;
+  const Workload& w = *workload;  // outlives the move: only the pointer moves
+  Registry::add(w.name(), w.description(), std::move(workload));
 }
 
 std::shared_ptr<const Workload> get_workload(const WorkloadRegistry& registry,
                                              const std::string& name) {
   return registry.get(name);
-}
-
-std::vector<std::string> workload_names(const WorkloadRegistry& registry) {
-  std::vector<std::string> out;
-  for (const WorkloadInfo& info : registry.list()) out.push_back(info.name);
-  return out;
-}
-
-std::string workload_names_joined(const WorkloadRegistry& registry) {
-  std::string out;
-  for (const std::string& n : workload_names(registry))
-    out += (out.empty() ? "" : ", ") + n;
-  return out;
-}
-
-void require_workload(const WorkloadRegistry& registry,
-                      const std::string& name) {
-  WAVE_EXPECTS_MSG(registry.contains(name),
-                   "unknown workload '" + name + "' (registered: " +
-                       workload_names_joined(registry) + ")");
 }
 
 }  // namespace wave::workloads

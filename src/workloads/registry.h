@@ -6,77 +6,40 @@
 // SweepGrid axis sweeps every registered name, and the same batch pipeline
 // evaluates each workload's analytic and DES paths. The six shipped
 // workloads (wavefront, pingpong, halo2d, pipeline1d, sweep3d-hybrid,
-// allreduce-storm) are registered on first use; studies can add their own
-// with WorkloadRegistry::add before building sweeps.
+// allreduce-storm) are pre-registered; studies can add their own with
+// add() before building sweeps.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "workloads/workload.h"
 
 namespace wave::workloads {
 
-/// @brief One registry entry, as listed by WorkloadRegistry::list().
-struct WorkloadInfo {
-  std::string name;         ///< the registered lookup key
-  std::string description;  ///< one-line workload summary
-};
-
-/// @brief Instance-scoped registry of workloads, keyed by name.
+/// @brief Instance-scoped registry of workloads, keyed by name
+///   (common::Registry: name rule, lookups, thread safety).
 ///
-/// Registries are owned — a wave::Context holds one per instance, so two
-/// embedding studies in one process can register different workloads
-/// without interfering. Construction pre-registers the six built-ins.
-///
-/// Thread-safe: lookups may run concurrently from BatchRunner workers;
-/// registration may race with lookups. Registered workloads are shared
-/// immutable instances (every Workload method is const), so one entry
-/// serves any number of concurrent scenario points.
-class WorkloadRegistry {
+/// A wave::Context holds one per instance, so two embedding studies in
+/// one process can register different workloads without interfering.
+/// Registered workloads are shared immutable instances (every Workload
+/// method is const), so one entry serves any number of concurrent
+/// scenario points.
+class WorkloadRegistry
+    : public common::Registry<std::shared_ptr<const Workload>> {
  public:
   /// @brief A fresh registry with the built-in workloads pre-registered.
   WorkloadRegistry();
 
   /// @brief Registers `workload` under its own name().
-  /// @throws common::contract_error when the name is already taken, empty,
-  ///   or not a single config-safe token.
+  /// @throws common::contract_error when `workload` is null or its name
+  ///   is taken or not a config-safe token.
   void add(std::shared_ptr<const Workload> workload);
-
-  /// @brief True when `name` is registered.
-  bool contains(const std::string& name) const;
-
-  /// @brief The named workload (shared immutable instance).
-  /// @throws common::contract_error for unknown names; the message lists
-  ///   the registered alternatives.
-  std::shared_ptr<const Workload> get(const std::string& name) const;
-
-  /// @brief All registered workloads, in registration order.
-  std::vector<WorkloadInfo> list() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::shared_ptr<const Workload>> entries_;
 };
 
 /// @brief Convenience: registry.get(name).
 std::shared_ptr<const Workload> get_workload(const WorkloadRegistry& registry,
                                              const std::string& name);
-
-/// @brief Names of every workload registered in `registry`, in
-///   registration order.
-std::vector<std::string> workload_names(const WorkloadRegistry& registry);
-
-/// @brief The workload names of `registry` joined as "a, b, c" — the shared
-///   vocabulary of every unknown-workload error message.
-std::string workload_names_joined(const WorkloadRegistry& registry);
-
-/// @brief No-op when `name` is registered in `registry`.
-/// @throws common::contract_error naming `name` and listing the registered
-///   workloads otherwise.
-void require_workload(const WorkloadRegistry& registry,
-                      const std::string& name);
 
 }  // namespace wave::workloads

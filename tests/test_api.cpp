@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/contracts.h"
 #include "core/machine.h"
 #include "core/solver.h"
 #include "loggp/backends.h"
@@ -90,6 +91,14 @@ TEST(ApiContext, DuplicateRegistrationIsAStatusNotAnException) {
   EXPECT_FALSE(dup.is_ok());
   EXPECT_EQ(dup.code(), wave::StatusCode::kAlreadyExists);
   EXPECT_NE(dup.message().find("wavefront"), std::string::npos);
+
+  // Only a taken name is kAlreadyExists; a null workload or a name that
+  // breaks the registry's name rule is a bad value.
+  EXPECT_EQ(ctx.register_workload(nullptr).code(),
+            wave::StatusCode::kInvalidArgument);
+  EXPECT_EQ(ctx.register_workload(std::make_shared<StubWorkload>("a b")).code(),
+            wave::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ctx.has_workload("a b"));
 }
 
 TEST(ApiContext, ScopedCommModelIsEvaluatable) {
@@ -215,6 +224,10 @@ TEST(ApiQuery, ErrorsAreStatusesNotExceptions) {
   ASSERT_FALSE(unknown_comm.ok());
   EXPECT_EQ(unknown_comm.status().code(), wave::StatusCode::kNotFound);
 
+  const auto unknown_preset = ctx.query().app("no-such-preset").run();
+  ASSERT_FALSE(unknown_preset.ok());
+  EXPECT_EQ(unknown_preset.status().code(), wave::StatusCode::kNotFound);
+
   const auto bad_domain = ctx.query().processors(0).run();
   ASSERT_FALSE(bad_domain.ok());
   EXPECT_EQ(bad_domain.status().code(), wave::StatusCode::kInvalidArgument);
@@ -222,6 +235,30 @@ TEST(ApiQuery, ErrorsAreStatusesNotExceptions) {
   const auto unbound = wave::Query().run();
   ASSERT_FALSE(unbound.ok());
   EXPECT_EQ(unbound.status().code(), wave::StatusCode::kFailedPrecondition);
+}
+
+TEST(ApiQuery, NotFoundIsDecidedByTypeNotMessageText) {
+  // A workload rejecting its input with text that reads like a failed
+  // lookup is still a bad value: only the registries' own typed error
+  // means kNotFound.
+  class LookalikeWorkload : public StubWorkload {
+   public:
+    LookalikeWorkload() : StubWorkload("lookalike") {}
+    ww::ModelOutput predict(const wave::core::MachineConfig&,
+                            const wave::loggp::CommModel&,
+                            const ww::WorkloadInputs&) const override {
+      throw wave::common::contract_error(
+          "bad input: unknown workload 'x' (registered: none)");
+    }
+  };
+  wave::Context ctx;
+  ASSERT_TRUE(
+      ctx.register_workload(std::make_shared<LookalikeWorkload>()).is_ok());
+  const auto r = ctx.query().workload("lookalike").run();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), wave::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("unknown workload 'x'"),
+            std::string::npos);
 }
 
 TEST(ApiQuery, GridSidesBelowOneAreInvalidArgument) {

@@ -141,7 +141,7 @@ TEST(BatchSolver, ByteIdenticalAcrossBackendsAndSyncTerms) {
   grid.base().app = wb::sweep3d_20m();
   grid.machines({{"dual", wc::MachineConfig::xt4_dual_core()},
                  {"sp2", wc::MachineConfig::sp2_single_core()}});
-  grid.comm_models(kCtx, wave::loggp::comm_model_names(kCtx.comm_model_registry()));
+  grid.comm_models(kCtx, kCtx.comm_model_registry().names());
   grid.values("sync", {0, 1}, [](wr::Scenario& s, double v) {
     s.machine.synchronization_terms = v != 0.0;
   });
@@ -216,7 +216,7 @@ TEST(BatchSolver, RandomDrawsMatchScalar) {
   constexpr int kDraws = 3000;
   wave::common::Rng rng(14);
   const std::vector<std::string> backends =
-      wave::loggp::comm_model_names(kCtx.comm_model_registry());
+      kCtx.comm_model_registry().names();
   const std::pair<int, int> nodes[] = {{1, 1}, {2, 1}, {1, 2}, {2, 2},
                                        {4, 1}, {1, 4}, {4, 2}, {8, 2}};
   const std::pair<const char*, wc::AppParams> apps[] = {

@@ -33,7 +33,7 @@ const wl::CommModelRegistry kReg;
 }  // namespace
 
 TEST(CommModelRegistry, ListsTheThreeShippedBackends) {
-  const auto names = wl::comm_model_names(kReg);
+  const auto names = kReg.names();
   ASSERT_GE(names.size(), 3u);
   EXPECT_EQ(names[0], "loggp");
   EXPECT_EQ(names[1], "loggps");

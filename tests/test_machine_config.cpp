@@ -5,9 +5,14 @@
 // exactly (same solver output as bench/fig06_scaling's preset).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/contracts.h"
+#include "common/rng.h"
 #include "core/benchmarks.h"
 #include "core/machine.h"
 #include "core/solver.h"
@@ -265,4 +270,116 @@ TEST(MachineConfigValidate, RejectsConfigUnsafeNames) {
     m.name = bad;
     EXPECT_THROW(m.validate(), wave::common::contract_error) << bad;
   }
+}
+
+// ---- hostile bytes -----------------------------------------------------
+
+namespace {
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream body;
+  body << in.rdbuf();
+  return body.str();
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+/// One to three stacked edits: a byte flip, a truncation, a duplicated
+/// line or a deleted line.
+std::string mutate(std::string text, wave::common::Rng& rng) {
+  const int edits = static_cast<int>(rng.uniform_int(1, 3));
+  for (int i = 0; i < edits && !text.empty(); ++i) {
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        text[pick(text.size())] ^= static_cast<char>(rng.uniform_int(1, 255));
+        break;
+      case 1:
+        text.resize(pick(text.size()));
+        break;
+      default: {
+        std::vector<std::string> lines = split_lines(text);
+        if (lines.empty()) break;
+        const std::size_t at = pick(lines.size());
+        if (rng.uniform_int(0, 1) == 0)
+          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                       lines[at]);
+        else
+          lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+        text = join_lines(lines);
+      }
+    }
+  }
+  return text;
+}
+
+/// Empty when `text` either parses to a machine that survives
+/// write -> parse unchanged, or fails with a ConfigError naming `source`
+/// first; otherwise what went wrong.
+std::string parse_or_fail_cleanly(const std::string& text,
+                                  const std::string& source) {
+  try {
+    const wc::MachineConfig m = parse(text, source);
+    const std::string written = wc::write_machine_config(m);
+    const wc::MachineConfig back = parse(written, "<rewritten>");
+    if (!(back == m)) return "round trip changed the machine";
+    if (wc::write_machine_config(back) != written)
+      return "round trip changed the written text";
+    return "";
+  } catch (const wc::ConfigError& e) {
+    const std::string what = e.what();
+    if (what.rfind(source, 0) != 0)
+      return "ConfigError does not start with the source: " + what;
+    return "";
+  } catch (const std::exception& e) {
+    return std::string("escaped as another exception: ") + e.what();
+  }
+}
+
+}  // namespace
+
+TEST(MachineConfigFuzz, SeededMutantsParseOrFailNamingTheSource) {
+  wave::common::Rng rng(20081);
+  int mutants = 0;
+  for (const char* file : {"xt4-dual.cfg", "xt4-single.cfg", "sp2.cfg",
+                           "quadcore-shared-bus.cfg", "fatnode-loggps.cfg"}) {
+    const std::string source = shipped(file);
+    const std::string original = slurp(source);
+    ASSERT_FALSE(original.empty()) << source;
+    for (int i = 0; i < 410; ++i, ++mutants) {
+      const std::string text = mutate(original, rng);
+      const std::string problem = parse_or_fail_cleanly(text, source);
+      ASSERT_TRUE(problem.empty())
+          << problem << "\nmutant " << i << " of " << source << ":\n"
+          << text;
+    }
+  }
+  EXPECT_GE(mutants, 2000);
+}
+
+TEST(MachineConfigFuzz, PinnedHostileInputs) {
+  const std::string dir = WAVE_TESTDATA_DIR;
+  const std::string subnormal =
+      dir + "/machine_config_subnormal_shortening.cfg";
+  EXPECT_EQ(parse_or_fail_cleanly(slurp(subnormal), subnormal), "");
+  EXPECT_DOUBLE_EQ(load(subnormal).loggp.off.sync, 2.3e-308);
+
+  const std::string overflow = dir + "/machine_config_core_count_overflow.cfg";
+  EXPECT_EQ(parse_or_fail_cleanly(slurp(overflow), overflow), "");
+  EXPECT_THROW(load(overflow), wc::ConfigError);
 }

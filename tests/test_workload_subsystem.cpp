@@ -63,7 +63,7 @@ TEST(WorkloadRegistry, ServesTheSixBuiltins) {
 TEST(WorkloadRegistry, EveryEntryHasBothPaths) {
   // The subsystem's core contract: each registered workload answers both
   // the analytic and the DES path on the same small inputs.
-  for (const std::string& name : ww::workload_names(kWorkloads)) {
+  for (const std::string& name : kWorkloads.names()) {
     const auto workload = ww::get_workload(kWorkloads, name);
     const ww::WorkloadInputs in = inputs_for(4);
     const ww::ModelOutput model = workload->predict(kSingle, kComm, in);
@@ -85,7 +85,7 @@ TEST(WorkloadRegistry, UnknownNameThrowsListingAlternatives) {
     EXPECT_NE(msg.find("wavefront"), std::string::npos);
     EXPECT_NE(msg.find("allreduce-storm"), std::string::npos);
   }
-  EXPECT_THROW(ww::require_workload(kWorkloads, "nope"), wave::common::contract_error);
+  EXPECT_THROW(kWorkloads.require("nope"), wave::common::contract_error);
   EXPECT_FALSE(kWorkloads.contains(""));
 }
 
@@ -191,7 +191,7 @@ TEST(WorkloadContract, PingpongIsExactUnderLogGp) {
 }
 
 TEST(WorkloadContract, DeterministicAcrossRuns) {
-  for (const std::string& name : ww::workload_names(kWorkloads)) {
+  for (const std::string& name : kWorkloads.names()) {
     const auto workload = ww::get_workload(kWorkloads, name);
     const ww::SimOutput a = workload->simulate(kDual, kComm, inputs_for(8));
     const ww::SimOutput b = workload->simulate(kDual, kComm, inputs_for(8));
