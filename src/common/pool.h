@@ -45,15 +45,6 @@ class SlabPool {
   /// The object is reset lazily at next acquire.
   void release(T* p) { free_.push_back(p); }
 
-  /// Grows the slabs until at least `objects` can be outstanding at once
-  /// without further allocation.
-  void reserve(std::size_t objects) {
-    while (slabs_.size() * kSlabObjects < objects) grow();
-  }
-
-  /// Total objects owned (outstanding + free).
-  std::size_t capacity() const { return slabs_.size() * kSlabObjects; }
-
  private:
   void grow() {
     slabs_.push_back(std::make_unique<T[]>(kSlabObjects));

@@ -4,21 +4,6 @@
 
 namespace wave::sim {
 
-void Engine::reserve(std::size_t events) {
-  heap_.reserve(events);
-  free_slots_.reserve(events);
-  while (task_slots_ < events) {
-    task_chunks_.push_back(std::make_unique<InlineTask[]>(kTaskChunkSize));
-    // Hand the fresh slots out through the free list (highest first, so
-    // early events get ascending slot ids) — reserved chunks must be
-    // usable, not just owned.
-    free_slots_.reserve(task_slots_ + kTaskChunkSize);
-    for (std::size_t i = kTaskChunkSize; i-- > 0;)
-      free_slots_.push_back(static_cast<std::uint32_t>(task_slots_ + i));
-    task_slots_ += kTaskChunkSize;
-  }
-}
-
 std::uint32_t Engine::grow_task_slab() {
   WAVE_EXPECTS_MSG(task_slots_ < kMaxSlots, "too many pending events");
   task_chunks_.push_back(std::make_unique<InlineTask[]>(kTaskChunkSize));

@@ -27,6 +27,7 @@
 
 #include "common/contracts.h"
 #include "common/units.h"
+#include "sim/observers.h"
 #include "sim/task.h"
 
 namespace wave::sim {
@@ -37,8 +38,11 @@ using common::usec;
 class Engine {
  public:
   // Simulations with any concurrency immediately outgrow tiny geometric
-  // doublings, so start with a useful capacity.
-  Engine() { reserve(256); }
+  // doublings, so the heap starts with a useful capacity. Beyond that the
+  // heap and the task slab grow on demand to the run's peak of pending
+  // events, which for a wavefront is about 1.5 per rank
+  // (docs/PERFORMANCE.md, "DES memory per rank").
+  Engine() { heap_.reserve(256); }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -55,9 +59,6 @@ class Engine {
   /// Schedules `fn` `delay` µs from now (delay >= 0).
   void after(usec delay, InlineTask fn);
 
-  /// Pre-allocates capacity for `events` pending events.
-  void reserve(std::size_t events);
-
   /// Runs events until the calendar drains. Returns the final clock value.
   usec run();
 
@@ -66,16 +67,6 @@ class Engine {
 
   /// High-water mark of pending events (peak calendar occupancy).
   std::size_t max_pending() const { return max_pending_; }
-
-  /// One executed event in a captured trace: the exact simulated time and
-  /// the global FIFO sequence number the run loop dispatched. Two engines
-  /// that execute the same (time, seq) stream made identical scheduling
-  /// decisions — this is the determinism contract made checkable.
-  struct TraceEvent {
-    usec time;
-    std::uint64_t seq;
-    friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
-  };
 
   /// Default set_trace() cap: 4M events (64 MB of TraceEvents) — ample for
   /// every shipped trace-equality test, bounded for a P=4096 run that

@@ -346,33 +346,6 @@ void Mpi::complete_receive(Message* msg, Completion recv) {
   messages_.release(msg);
 }
 
-Process allreduce(RankCtx ctx, int bytes) {
-  const int p = ctx.size();
-  // Largest power of two <= p.
-  int p2 = 1;
-  while (p2 * 2 <= p) p2 *= 2;
-  const int rank = ctx.rank();
-
-  // Non-power-of-two rank counts use the standard fold: the excess ranks
-  // first contribute their value to a partner below p2, wait out the
-  // recursive doubling, and receive the final result back.
-  if (rank >= p2) {
-    co_await ctx.send(rank - p2, bytes);
-    co_await ctx.recv(rank - p2);
-    co_return;
-  }
-  if (rank + p2 < p) co_await ctx.recv(rank + p2);
-
-  // Recursive doubling among the power-of-two core: log2(p2) pairwise
-  // overlapped exchanges.
-  for (int bit = 1; bit < p2; bit <<= 1) {
-    const int partner = rank ^ bit;
-    co_await ctx.mpi().exchange(rank, partner, bytes);
-  }
-
-  if (rank + p2 < p) co_await ctx.send(rank + p2, bytes);
-}
-
 World::World(loggp::MachineParams params, std::vector<int> node_of_rank,
              Mpi::ProtocolOptions protocol, Observers observers)
     : observers_(observers),
@@ -404,6 +377,7 @@ usec World::run() {
     observers_.trace->reset();
     mpi_.set_tracer(&observers_.trace->buffer());
   }
+  if (observers_.events != nullptr) engine_.set_trace(observers_.events);
   for (auto& [name, proc] : processes_)
     engine_.at(0.0, [p = &proc] { p->start(); });
   const usec makespan = engine_.run();

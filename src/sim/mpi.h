@@ -38,6 +38,7 @@
 // the longest scan is reported as max_match_scan() (docs/PERFORMANCE.md).
 #pragma once
 
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <string>
@@ -63,6 +64,61 @@ struct ProtocolOptions {
   /// processed (the LogGPS synchronization cost s). 0 = pure LogGP, the
   /// paper's protocol.
   usec rendezvous_sync = 0.0;
+};
+
+/// One step of a collective schedule: the point-to-point operation a rank
+/// posts, and with whom (RankCtx::step awaits it).
+struct CollectiveStep {
+  enum class Op : std::uint8_t { kSend, kRecv, kExchange };
+  Op op = Op::kExchange;
+  int peer = -1;
+};
+
+/// Recursive-doubling MPI_Allreduce as a step schedule: every rank of the
+/// world runs its own schedule with the same payload. A rank program loops
+/// over the steps in its own coroutine frame, so a collective costs no
+/// frame of its own:
+///
+///   for (int s = 0; s < allreduce.steps(); ++s)
+///     co_await ctx.step(allreduce[s], bytes);
+///
+/// The log2(p2) pairwise exchanges run among the largest power-of-two core
+/// p2 <= size. Other world sizes use the standard fold: each excess rank
+/// r >= p2 first sends its value to partner r - p2, waits out the
+/// recursive doubling, and receives the result back.
+class AllreduceSchedule {
+ public:
+  AllreduceSchedule(int rank, int size) : rank_(rank), size_(size) {
+    WAVE_EXPECTS(rank >= 0 && rank < size);
+    while (pow2_ * 2 <= size) pow2_ *= 2;
+  }
+
+  /// Number of steps this rank posts.
+  int steps() const {
+    if (rank_ >= pow2_) return 2;
+    return std::countr_zero(static_cast<unsigned>(pow2_)) + 2 * folds();
+  }
+
+  /// Step `s` of steps(), in posting order.
+  CollectiveStep operator[](int s) const {
+    WAVE_EXPECTS(s >= 0 && s < steps());
+    using Op = CollectiveStep::Op;
+    if (rank_ >= pow2_) return {s == 0 ? Op::kSend : Op::kRecv, rank_ - pow2_};
+    if (folds() == 1) {
+      if (s == 0) return {Op::kRecv, rank_ + pow2_};
+      if (s == steps() - 1) return {Op::kSend, rank_ + pow2_};
+      --s;
+    }
+    return {Op::kExchange, rank_ ^ (1 << s)};
+  }
+
+ private:
+  /// 1 when this rank folds in an excess partner, else 0.
+  int folds() const { return rank_ + pow2_ < size_ ? 1 : 0; }
+
+  int rank_;
+  int size_;
+  int pow2_ = 1;
 };
 
 /// The message-passing fabric. One instance per simulation.
@@ -99,10 +155,28 @@ class Mpi {
   /// Installs (or, with nullptr, removes) a span sink: every awaitable
   /// operation posted through a RankCtx records a timed obs::Span into it
   /// (simulated clock, docs/OBSERVABILITY.md). The sink must outlive the
-  /// simulation. Strictly inert: detached, the cost is a null test per
-  /// operation.
-  void set_tracer(obs::SpanBuffer* tracer) { tracer_ = tracer; }
-  obs::SpanBuffer* tracer() const { return tracer_; }
+  /// simulation and be installed before any rank posts an operation.
+  /// Strictly inert: detached, the cost is a null test per operation.
+  void set_tracer(obs::SpanBuffer* tracer) {
+    tracer_ = tracer;
+    span_start_.assign(tracer != nullptr ? node_of_rank_.size() : 0, 0.0);
+  }
+
+  /// Span bookkeeping of the awaitables below: open_span() notes when
+  /// `rank` posted its operation, close_span() records the span when it
+  /// completes. A rank awaits one operation at a time, so one start time
+  /// per rank suffices, and it is kept here only while a tracer is
+  /// attached: the awaitables, which live in the rank's coroutine frame,
+  /// carry no span state.
+  void open_span(int rank) {
+    if (tracer_ != nullptr) span_start_[rank] = engine_.now();
+  }
+  void close_span(obs::Span::Kind kind, int rank, int peer,
+                  double bytes) const {
+    if (tracer_ != nullptr)
+      tracer_->record({kind, rank, peer, bytes, span_start_[rank],
+                       engine_.now()});
+  }
 
   /// Records `rank`'s upcoming compute interval (compute spans are known
   /// in full when posted, so they record eagerly — the awaitable needs no
@@ -121,6 +195,10 @@ class Mpi {
   usec mpi_busy_mean() const;
 
   // ---- Awaitable operations (used via RankCtx below) ----
+  //
+  // Each one lives in the awaiting coroutine's frame, one slot per
+  // co_await site, for the whole simulation; so they hold only what their
+  // operation needs (span state lives in the Mpi, see open_span()).
 
   struct ComputeAwaitable {
     Engine* engine;
@@ -135,34 +213,26 @@ class Mpi {
   struct SendAwaitable {
     Mpi* mpi;
     int src, dst, bytes;
-    obs::SpanBuffer* tracer = nullptr;  // span capture; null = untraced
-    usec t0 = 0.0;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (tracer != nullptr) t0 = mpi->engine().now();
+      mpi->open_span(src);
       mpi->start_send(src, dst, bytes, h);
     }
     void await_resume() const noexcept {
-      if (tracer != nullptr)
-        tracer->record({obs::Span::Kind::kSend, src, dst,
-                        static_cast<double>(bytes), t0, mpi->engine().now()});
+      mpi->close_span(obs::Span::Kind::kSend, src, dst, bytes);
     }
   };
 
   struct RecvAwaitable {
     Mpi* mpi;
     int dst, src;
-    obs::SpanBuffer* tracer = nullptr;
-    usec t0 = 0.0;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (tracer != nullptr) t0 = mpi->engine().now();
+      mpi->open_span(dst);
       mpi->start_recv(dst, src, h);
     }
     void await_resume() const noexcept {
-      if (tracer != nullptr)
-        tracer->record({obs::Span::Kind::kRecv, dst, src, 0.0, t0,
-                        mpi->engine().now()});
+      mpi->close_span(obs::Span::Kind::kRecv, dst, src, 0.0);
     }
   };
 
@@ -175,7 +245,7 @@ class Mpi {
   struct Request {
     bool done = false;
     std::coroutine_handle<> waiter;
-    usec wait_started = -1.0;
+    usec wait_started = -1.0;  // set when a wait() suspends on it
   };
   /// Non-owning handle into the per-Mpi request pool (see Request).
   using RequestHandle = Request*;
@@ -189,19 +259,15 @@ class Mpi {
     Mpi* mpi;
     int src, dst, bytes;
     RequestHandle request;  // caller-acquired completion token
-    obs::SpanBuffer* tracer = nullptr;
-    usec t0 = 0.0;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (tracer != nullptr) t0 = mpi->engine().now();
+      mpi->open_span(src);
       mpi->start_isend(src, dst, bytes, request, h);
     }
     void await_resume() const noexcept {
       // The isend span covers the CPU injection phase only; the blocked
       // remainder shows up as the matching wait span.
-      if (tracer != nullptr)
-        tracer->record({obs::Span::Kind::kSend, src, dst,
-                        static_cast<double>(bytes), t0, mpi->engine().now()});
+      mpi->close_span(obs::Span::Kind::kSend, src, dst, bytes);
     }
   };
 
@@ -209,21 +275,19 @@ class Mpi {
     Mpi* mpi;
     RequestHandle request;
     int rank = -1;  // the waiting rank; -1 (rankless call) records no span
-    obs::SpanBuffer* tracer = nullptr;
-    usec t0 = -1.0;
     bool await_ready() const noexcept { return request->done; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (tracer != nullptr) t0 = mpi->engine().now();
       request->wait_started = mpi->engine().now();
       request->waiter = h;
     }
     /// Recycles the token: the request must not be touched after wait().
     void await_resume() const noexcept {
-      // t0 >= 0 distinguishes a real suspension from an already-done
-      // request (await_ready short-circuits await_suspend).
-      if (tracer != nullptr && rank >= 0 && t0 >= 0.0)
-        tracer->record({obs::Span::Kind::kWait, rank, -1, 0.0, t0,
-                        mpi->engine().now()});
+      // A request that was already done never suspended (await_ready
+      // short-circuits await_suspend), so it has no wait span.
+      if (rank >= 0 && request->wait_started >= 0.0 &&
+          mpi->tracer_ != nullptr)
+        mpi->tracer_->record({obs::Span::Kind::kWait, rank, -1, 0.0,
+                              request->wait_started, mpi->engine().now()});
       mpi->requests_.release(request);
     }
   };
@@ -238,17 +302,48 @@ class Mpi {
     Mpi* mpi;
     int self, peer, bytes;
     int remaining = 2;
-    obs::SpanBuffer* tracer = nullptr;
-    usec t0 = 0.0;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (tracer != nullptr) t0 = mpi->engine().now();
+      mpi->open_span(self);
       mpi->start_exchange(self, peer, bytes, &remaining, h);
     }
     void await_resume() const noexcept {
-      if (tracer != nullptr)
-        tracer->record({obs::Span::Kind::kExchange, self, peer,
-                        static_cast<double>(bytes), t0, mpi->engine().now()});
+      mpi->close_span(obs::Span::Kind::kExchange, self, peer, bytes);
+    }
+  };
+
+  /// One step of a collective schedule (CollectiveStep), posted as the
+  /// send, receive or exchange it names: a rank program loops over the
+  /// schedule through this single co_await site.
+  struct StepAwaitable {
+    Mpi* mpi;
+    int self;
+    CollectiveStep step;
+    int bytes;
+    int remaining = 2;  // exchange completions still outstanding
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      mpi->open_span(self);
+      switch (step.op) {
+        case CollectiveStep::Op::kSend:
+          mpi->start_send(self, step.peer, bytes, h);
+          break;
+        case CollectiveStep::Op::kRecv:
+          mpi->start_recv(self, step.peer, h);
+          break;
+        case CollectiveStep::Op::kExchange:
+          mpi->start_exchange(self, step.peer, bytes, &remaining, h);
+          break;
+      }
+    }
+    void await_resume() const noexcept {
+      using Op = CollectiveStep::Op;
+      using Kind = obs::Span::Kind;
+      const Kind kind = step.op == Op::kSend   ? Kind::kSend
+                        : step.op == Op::kRecv ? Kind::kRecv
+                                               : Kind::kExchange;
+      mpi->close_span(kind, self, step.peer,
+                      step.op == Op::kRecv ? 0.0 : bytes);
     }
   };
 
@@ -269,8 +364,6 @@ class Mpi {
     int peers[kMaxPeers] = {};
     int bytes[kMaxPeers] = {};
     int remaining = 0;
-    obs::SpanBuffer* tracer = nullptr;
-    usec t0 = 0.0;
 
     /// Adds one peer to the swap; ignored when `peer` is negative (so
     /// callers can pass "neighbour or -1" without branching).
@@ -285,7 +378,7 @@ class Mpi {
 
     bool await_ready() const noexcept { return count == 0; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (tracer != nullptr) t0 = mpi->engine().now();
+      mpi->open_span(self);
       remaining = 2 * count;  // a send and a receive per peer
       for (int idx = 0; idx < count; ++idx)
         mpi->start_exchange(self, peers[idx], bytes[idx], &remaining, h);
@@ -293,12 +386,10 @@ class Mpi {
     void await_resume() const noexcept {
       // One span for the whole swap (peer -1, bytes = total payload): the
       // per-peer halves overlap, so per-peer spans would just stack.
-      if (tracer != nullptr && count > 0) {
-        double total = 0.0;
-        for (int idx = 0; idx < count; ++idx) total += bytes[idx];
-        tracer->record({obs::Span::Kind::kExchange, self, -1, total, t0,
-                        mpi->engine().now()});
-      }
+      if (count == 0) return;
+      double total = 0.0;
+      for (int idx = 0; idx < count; ++idx) total += bytes[idx];
+      mpi->close_span(obs::Span::Kind::kExchange, self, -1, total);
     }
   };
 
@@ -306,28 +397,32 @@ class Mpi {
     return ComputeAwaitable{&engine_, duration};
   }
   SendAwaitable send(int src, int dst, int bytes) {
-    return SendAwaitable{this, src, dst, bytes, tracer_};
+    return SendAwaitable{this, src, dst, bytes};
   }
   RecvAwaitable recv(int dst, int src) {
-    return RecvAwaitable{this, dst, src, tracer_};
+    return RecvAwaitable{this, dst, src};
   }
   ExchangeAwaitable exchange(int self, int peer, int bytes) {
     return ExchangeAwaitable{
-        .mpi = this, .self = self, .peer = peer, .bytes = bytes,
-        .tracer = tracer_};
+        .mpi = this, .self = self, .peer = peer, .bytes = bytes};
+  }
+  /// Posts one collective step for `self` (see StepAwaitable).
+  StepAwaitable step(int self, CollectiveStep step, int bytes) {
+    return StepAwaitable{
+        .mpi = this, .self = self, .step = step, .bytes = bytes};
   }
   /// An empty halo swap for `self`; add() peers, then co_await.
   HaloExchangeAwaitable halo_exchange(int self) {
-    return HaloExchangeAwaitable{.mpi = this, .self = self, .tracer = tracer_};
+    return HaloExchangeAwaitable{.mpi = this, .self = self};
   }
   /// Nonblocking send: resumes the rank after the CPU injection phase and
   /// completes (via `request`) in the background; pass the handle to
   /// wait().
   IsendAwaitable isend(int src, int dst, int bytes, RequestHandle request) {
-    return IsendAwaitable{this, src, dst, bytes, request, tracer_};
+    return IsendAwaitable{this, src, dst, bytes, request};
   }
   WaitAwaitable wait(RequestHandle request, int rank = -1) {
-    return WaitAwaitable{this, request, rank, tracer_};
+    return WaitAwaitable{this, request, rank};
   }
 
  private:
@@ -416,6 +511,7 @@ class Mpi {
   std::uint64_t max_match_scan_ = 0;
   // Optional span sink (see set_tracer); observation-only by contract.
   obs::SpanBuffer* tracer_ = nullptr;
+  std::vector<usec> span_start_;  // per rank, only while tracer_ is set
 };
 
 /// A rank's view of the fabric, passed by value into rank programs.
@@ -451,6 +547,10 @@ class RankCtx {
   Mpi::WaitAwaitable wait(Mpi::RequestHandle request) const {
     return mpi_->wait(request, rank_);
   }
+  /// Posts one step of a collective schedule (e.g. AllreduceSchedule).
+  Mpi::StepAwaitable step(CollectiveStep step, int bytes) const {
+    return mpi_->step(rank_, step, bytes);
+  }
   /// A concurrent multi-neighbour halo swap; add() peers, then co_await.
   Mpi::HaloExchangeAwaitable halo_exchange() const {
     return mpi_->halo_exchange(rank_);
@@ -460,10 +560,6 @@ class RankCtx {
   Mpi* mpi_;
   int rank_;
 };
-
-/// Recursive-doubling MPI_Allreduce as a composable sub-process: every rank
-/// must call this with the same payload. Requires power-of-two world size.
-Process allreduce(RankCtx ctx, int bytes);
 
 /// Convenience owner of the engine, the fabric, and the top-level rank
 /// processes; detects deadlock (unfinished processes after the event

@@ -23,7 +23,6 @@ class Process {
   struct promise_type {
     std::coroutine_handle<> continuation;  // parent awaiting us, if nested
     std::exception_ptr exception;
-    bool finished = false;
 
     Process get_return_object() {
       return Process(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -41,11 +40,8 @@ class Process {
     };
     FinalAwaiter final_suspend() noexcept { return {}; }
 
-    void return_void() { finished = true; }
-    void unhandled_exception() {
-      exception = std::current_exception();
-      finished = true;
-    }
+    void return_void() {}
+    void unhandled_exception() { exception = std::current_exception(); }
   };
 
   Process() = default;
@@ -81,7 +77,9 @@ class Process {
 
   std::coroutine_handle<promise_type> handle() const { return handle_; }
   bool valid() const { return handle_ != nullptr; }
-  bool finished() const { return handle_ && handle_.promise().finished; }
+  /// True once the body has returned or thrown: the coroutine then rests
+  /// at its final suspend point (call only while it is suspended).
+  bool finished() const { return handle_ && handle_.done(); }
   std::exception_ptr exception() const {
     return handle_ ? handle_.promise().exception : nullptr;
   }

@@ -41,10 +41,12 @@ StormSpec make_storm_spec(const core::MachineConfig& machine,
 }
 
 sim::Process storm_rank(sim::RankCtx ctx, const StormSpec& spec) {
+  const sim::AllreduceSchedule allreduce(ctx.rank(), ctx.size());
   for (int iter = 0; iter < spec.iterations; ++iter) {
     for (int r = 0; r < spec.count; ++r) {
       if (spec.gap_us > 0.0) co_await ctx.compute(spec.gap_us);
-      co_await sim::allreduce(ctx, spec.bytes);
+      for (int s = 0; s < allreduce.steps(); ++s)
+        co_await ctx.step(allreduce[s], spec.bytes);
     }
   }
 }

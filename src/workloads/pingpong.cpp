@@ -26,6 +26,13 @@ sim::Process ponger(sim::RankCtx ctx, int bytes, int reps) {
   }
 }
 
+/// One all-reduce of `bytes`, as a rank program of its own.
+sim::Process allreduce_rank(sim::RankCtx ctx, int bytes) {
+  const sim::AllreduceSchedule allreduce(ctx.rank(), ctx.size());
+  for (int s = 0; s < allreduce.steps(); ++s)
+    co_await ctx.step(allreduce[s], bytes);
+}
+
 }  // namespace
 
 usec pingpong_half_rtt(const loggp::MachineParams& params, bool on_chip,
@@ -53,14 +60,16 @@ PingPongRun pingpong_run(const loggp::MachineParams& params,
 }
 
 usec allreduce_sim_time(const loggp::MachineParams& params, int ranks,
-                        int cores_per_node, int bytes) {
+                        int cores_per_node, int bytes,
+                        const sim::Observers& observers) {
   WAVE_EXPECTS(ranks >= 2 && cores_per_node >= 1);
   std::vector<int> placement(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) placement[r] = r / cores_per_node;
-  sim::World world(params, std::move(placement));
+  sim::World world(params, std::move(placement), sim::ProtocolOptions(),
+                   observers);
   for (int r = 0; r < ranks; ++r)
     world.spawn("rank" + std::to_string(r),
-                sim::allreduce(world.ctx(r), bytes));
+                allreduce_rank(world.ctx(r), bytes));
   return world.run();
 }
 

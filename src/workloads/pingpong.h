@@ -41,8 +41,11 @@ PingPongRun pingpong_run(const loggp::MachineParams& params,
                          const sim::Observers& observers = {});
 
 /// Simulated MPI_Allreduce completion time for `ranks` ranks packed
-/// `cores_per_node` per node. Requires power-of-two `ranks`.
+/// `cores_per_node` per node (sim::AllreduceSchedule: recursive doubling,
+/// with the fold for non-power-of-two `ranks`). `observers` are inert
+/// instrumentation hooks (sim/observers.h).
 usec allreduce_sim_time(const loggp::MachineParams& params, int ranks,
-                        int cores_per_node, int bytes = 8);
+                        int cores_per_node, int bytes = 8,
+                        const sim::Observers& observers = {});
 
 }  // namespace wave::workloads

@@ -83,6 +83,7 @@ HybridNeighbours neighbours_for(const topo::Grid3& g, topo::Coord3 c,
 
 sim::Process hybrid_rank(sim::RankCtx ctx, const HybridSpec& spec, int rank) {
   const topo::Coord3 c = spec.grid.coord_of(rank);
+  const sim::AllreduceSchedule allreduce(rank, ctx.size());
   for (int iter = 0; iter < spec.iterations; ++iter) {
     for (const bool forward : {true, false}) {
       const HybridNeighbours nb = neighbours_for(spec.grid, c, forward);
@@ -97,7 +98,8 @@ sim::Process hybrid_rank(sim::RankCtx ctx, const HybridSpec& spec, int rank) {
       }
     }
     for (int r = 0; r < spec.allreduce_count; ++r)
-      co_await sim::allreduce(ctx, spec.allreduce_bytes);
+      for (int s = 0; s < allreduce.steps(); ++s)
+        co_await ctx.step(allreduce[s], spec.allreduce_bytes);
   }
 }
 
@@ -217,7 +219,6 @@ SimOutput Sweep3dHybridWorkload::simulate(const core::MachineConfig& machine,
   for (int r = 0; r < spec.grid.size(); ++r) node_of_rank[r] = r;
   sim::World world(machine.loggp, std::move(node_of_rank), protocol,
                    in.observers);
-  world.engine().reserve(static_cast<std::size_t>(spec.grid.size()) * 8 + 256);
   for (int r = 0; r < spec.grid.size(); ++r)
     world.spawn("rank" + std::to_string(r), hybrid_rank(world.ctx(r), spec, r));
   return collect_run(world, in.iterations);

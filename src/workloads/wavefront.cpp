@@ -1,6 +1,7 @@
 #include "workloads/wavefront.h"
 
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,11 +41,10 @@ WavefrontSpec make_spec(const core::AppParams& app, const topo::Grid& grid,
 namespace {
 
 /// Neighbour ranks of one processor for one sweep direction, -1 if absent.
+/// Index 0 is the x (E/W) axis, index 1 the y (N/S) axis.
 struct SweepNeighbours {
-  int upstream_x = -1;
-  int upstream_y = -1;
-  int downstream_x = -1;
-  int downstream_y = -1;
+  int upstream[2] = {-1, -1};
+  int downstream[2] = {-1, -1};
 };
 
 SweepNeighbours neighbours_for(const topo::Grid& grid, topo::Coord c,
@@ -57,91 +57,93 @@ SweepNeighbours neighbours_for(const topo::Grid& grid, topo::Coord c,
                          origin == SweepOrigin::SouthWest;
   const bool from_north = origin == SweepOrigin::NorthWest ||
                           origin == SweepOrigin::NorthEast;
-  SweepNeighbours nb;
+  const int dx = from_west ? 1 : -1;
+  const int dy = from_north ? 1 : -1;
   auto rank_or_minus1 = [&](topo::Coord other) {
     return grid.contains(other) ? grid.rank_of(other) : -1;
   };
-  if (from_west) {
-    nb.upstream_x = rank_or_minus1({c.i - 1, c.j});
-    nb.downstream_x = rank_or_minus1({c.i + 1, c.j});
-  } else {
-    nb.upstream_x = rank_or_minus1({c.i + 1, c.j});
-    nb.downstream_x = rank_or_minus1({c.i - 1, c.j});
-  }
-  if (from_north) {
-    nb.upstream_y = rank_or_minus1({c.i, c.j - 1});
-    nb.downstream_y = rank_or_minus1({c.i, c.j + 1});
-  } else {
-    nb.upstream_y = rank_or_minus1({c.i, c.j + 1});
-    nb.downstream_y = rank_or_minus1({c.i, c.j - 1});
-  }
+  SweepNeighbours nb;
+  nb.upstream[0] = rank_or_minus1({c.i - dx, c.j});
+  nb.downstream[0] = rank_or_minus1({c.i + dx, c.j});
+  nb.upstream[1] = rank_or_minus1({c.i, c.j - dy});
+  nb.downstream[1] = rank_or_minus1({c.i, c.j + dy});
   return nb;
 }
 
-/// Between-iteration halo exchange of the LU stencil phase: overlapped
-/// sendrecv with each existing neighbour, E/W pair then N/S pair.
-sim::Process stencil_exchange(sim::RankCtx ctx, const WavefrontSpec& spec,
-                              topo::Coord c) {
-  const topo::Grid& g = spec.grid;
-  if (c.i > 1)
-    co_await ctx.mpi().exchange(ctx.rank(), g.rank_of({c.i - 1, c.j}),
-                                spec.msg_bytes_ew);
-  if (c.i < g.n())
-    co_await ctx.mpi().exchange(ctx.rank(), g.rank_of({c.i + 1, c.j}),
-                                spec.msg_bytes_ew);
-  if (c.j > 1)
-    co_await ctx.mpi().exchange(ctx.rank(), g.rank_of({c.i, c.j - 1}),
-                                spec.msg_bytes_ns);
-  if (c.j < g.m())
-    co_await ctx.mpi().exchange(ctx.rank(), g.rank_of({c.i, c.j + 1}),
-                                spec.msg_bytes_ns);
+/// Boundary payload of one face: x (E/W, axis 0) or y (N/S, axis 1).
+int face_bytes(const WavefrontSpec& spec, int axis) {
+  return axis == 0 ? spec.msg_bytes_ew : spec.msg_bytes_ns;
+}
+
+/// Peer `k` of the LU stencil's halo swap, -1 if absent: W, E, N, S.
+int stencil_peer(const topo::Grid& grid, topo::Coord c, int k) {
+  static constexpr int kDi[4] = {-1, 1, 0, 0};
+  static constexpr int kDj[4] = {0, 0, -1, 1};
+  const topo::Coord other{c.i + kDi[k], c.j + kDj[k]};
+  return grid.contains(other) ? grid.rank_of(other) : -1;
 }
 
 /// The rank program: runs `spec.iterations` iterations of all sweeps plus
 /// the non-wavefront phase. `rank` indexes the grid row-major.
+///
+/// One of these frames lives per rank for the whole run, and every
+/// co_await site holds its own awaiter slot in it. So each operation kind
+/// has one site, looping over the x/y pair, and the all-reduces run as a
+/// step schedule in this frame instead of a child coroutine.
 sim::Process wavefront_rank(sim::RankCtx ctx, const WavefrontSpec& spec,
                             int rank) {
   const topo::Coord c = spec.grid.coord_of(rank);
-  // Outstanding isend requests of the previous tile (double buffering:
-  // the new boundary values live in a second buffer, so only the
-  // previous tile's sends must have drained before sending again).
+  const sim::AllreduceSchedule allreduce(rank, ctx.size());
+  // Outstanding isend requests of the previous tile, x then y (double
+  // buffering: the new boundary values live in a second buffer, so only
+  // the previous tile's sends must have drained before sending again).
   // Handles come from the fabric's recycled pool; wait() returns them.
-  sim::Mpi::RequestHandle pending_x = nullptr, pending_y = nullptr;
+  sim::Mpi::RequestHandle pending[2] = {nullptr, nullptr};
   for (int iter = 0; iter < spec.iterations; ++iter) {
-    for (const core::SweepOrigin origin : spec.sweep_origins) {
-      const SweepNeighbours nb = neighbours_for(spec.grid, c, origin);
-      for (int tile = 0; tile < spec.tiles_per_stack; ++tile) {
-        if (spec.w_pre > 0.0) co_await ctx.compute(spec.w_pre);
-        if (nb.upstream_x >= 0) co_await ctx.recv(nb.upstream_x);
-        if (nb.upstream_y >= 0) co_await ctx.recv(nb.upstream_y);
-        co_await ctx.compute(spec.w_tile);
-        if (spec.nonblocking_sends) {
-          if (pending_x) co_await ctx.wait(std::exchange(pending_x, nullptr));
-          if (pending_y) co_await ctx.wait(std::exchange(pending_y, nullptr));
-          if (nb.downstream_x >= 0) {
-            pending_x = ctx.make_request();
-            co_await ctx.isend(nb.downstream_x, spec.msg_bytes_ew, pending_x);
+    for (int sweep = 0; sweep < std::ssize(spec.sweep_origins); ++sweep) {
+      const SweepNeighbours nb =
+          neighbours_for(spec.grid, c, spec.sweep_origins[sweep]);
+      // Tile `tiles_per_stack` is the sweep boundary: it computes and
+      // sends nothing, and only drains the outstanding sends before the
+      // next sweep turns around.
+      for (int tile = 0; tile <= spec.tiles_per_stack; ++tile) {
+        const bool boundary = tile == spec.tiles_per_stack;
+        if (!boundary) {
+          if (spec.w_pre > 0.0) co_await ctx.compute(spec.w_pre);
+          for (int axis = 0; axis < 2; ++axis)
+            if (nb.upstream[axis] >= 0) co_await ctx.recv(nb.upstream[axis]);
+          co_await ctx.compute(spec.w_tile);
+        }
+        for (int axis = 0; axis < 2; ++axis) {
+          if (pending[axis] == nullptr) continue;
+          co_await ctx.wait(pending[axis]);
+          pending[axis] = nullptr;
+        }
+        if (boundary) continue;
+        for (int axis = 0; axis < 2; ++axis) {
+          if (nb.downstream[axis] < 0) continue;
+          if (spec.nonblocking_sends) {
+            pending[axis] = ctx.make_request();
+            co_await ctx.isend(nb.downstream[axis], face_bytes(spec, axis),
+                               pending[axis]);
+          } else {
+            co_await ctx.send(nb.downstream[axis], face_bytes(spec, axis));
           }
-          if (nb.downstream_y >= 0) {
-            pending_y = ctx.make_request();
-            co_await ctx.isend(nb.downstream_y, spec.msg_bytes_ns, pending_y);
-          }
-        } else {
-          if (nb.downstream_x >= 0)
-            co_await ctx.send(nb.downstream_x, spec.msg_bytes_ew);
-          if (nb.downstream_y >= 0)
-            co_await ctx.send(nb.downstream_y, spec.msg_bytes_ns);
         }
       }
-      // Sweep boundary: drain outstanding sends before turning around.
-      if (pending_x) co_await ctx.wait(std::exchange(pending_x, nullptr));
-      if (pending_y) co_await ctx.wait(std::exchange(pending_y, nullptr));
     }
     for (int r = 0; r < spec.allreduce_count; ++r)
-      co_await sim::allreduce(ctx, spec.allreduce_bytes);
+      for (int s = 0; s < allreduce.steps(); ++s)
+        co_await ctx.step(allreduce[s], spec.allreduce_bytes);
     if (spec.has_stencil) {
       co_await ctx.compute(spec.stencil_compute);
-      co_await stencil_exchange(ctx, spec, c);
+      // Between-iteration halo exchange: overlapped sendrecv with each
+      // existing neighbour, E/W pair then N/S pair.
+      for (int k = 0; k < 4; ++k) {
+        const int peer = stencil_peer(spec.grid, c, k);
+        if (peer >= 0)
+          co_await ctx.mpi().exchange(rank, peer, face_bytes(spec, k / 2));
+      }
     }
   }
 }
@@ -163,11 +165,6 @@ SimOutput simulate_wavefront(const core::AppParams& app,
 
   sim::World world(machine.loggp, std::move(node_of_rank), protocol,
                    observers);
-  // Pre-size the calendars from the decomposition: each rank keeps only a
-  // handful of events in flight (receives pending, one protocol step per
-  // outstanding message), so a small multiple of P covers the steady
-  // state and the warm-up never reallocates mid-run.
-  world.engine().reserve(static_cast<std::size_t>(grid.size()) * 8 + 256);
   for (int r = 0; r < grid.size(); ++r)
     world.spawn("rank" + std::to_string(r),
                 wavefront_rank(world.ctx(r), spec, r));

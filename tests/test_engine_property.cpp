@@ -107,8 +107,8 @@ class DualDriver {
 
   /// Pops every model event, returning the expected (time, seq) stream
   /// and spawning children exactly as the engine does on execution.
-  std::vector<ws::Engine::TraceEvent> drain_model_all() {
-    std::vector<ws::Engine::TraceEvent> out;
+  std::vector<ws::TraceEvent> drain_model_all() {
+    std::vector<ws::TraceEvent> out;
     while (!model_.empty()) {
       ModelEvent e = model_.top();
       model_.pop();
@@ -146,8 +146,8 @@ class DualDriver {
   std::uint64_t model_seq_ = 0;
 };
 
-void expect_identical(const std::vector<ws::Engine::TraceEvent>& expected,
-                      const std::vector<ws::Engine::TraceEvent>& trace) {
+void expect_identical(const std::vector<ws::TraceEvent>& expected,
+                      const std::vector<ws::TraceEvent>& trace) {
   ASSERT_EQ(expected.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     ASSERT_EQ(expected[i].seq, trace[i].seq) << "divergence at event " << i;
@@ -167,10 +167,10 @@ void run_shape(Shape shape, std::uint64_t seed, int roots, int depth,
     driver.schedule(t0, next_u64(rng), depth);
   }
 
-  std::vector<ws::Engine::TraceEvent> trace;
+  std::vector<ws::TraceEvent> trace;
   driver.engine().set_trace(&trace);
   driver.engine().run();
-  const std::vector<ws::Engine::TraceEvent> expected =
+  const std::vector<ws::TraceEvent> expected =
       driver.drain_model_all();
 
   ASSERT_GE(trace.size(), min_events)

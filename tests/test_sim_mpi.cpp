@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "loggp/collectives.h"
@@ -341,6 +342,29 @@ TEST(MpiAllreduce, NonPowerOfTwoFoldsAndCompletes) {
   EXPECT_GT(p5, p4);
   // The fold costs about two extra message times over the p=4 schedule.
   EXPECT_LT(p5, p8 + 2.0 * kModel.total(8, wl::Placement::OffNode));
+}
+
+TEST(MpiAllreduce, ScheduleFoldsExcessRanksAroundTheDoubling) {
+  using Op = ws::CollectiveStep::Op;
+  auto steps = [](int rank, int size) {
+    const ws::AllreduceSchedule schedule(rank, size);
+    std::vector<std::pair<Op, int>> out;
+    for (int s = 0; s < schedule.steps(); ++s)
+      out.emplace_back(schedule[s].op, schedule[s].peer);
+    return out;
+  };
+  using Steps = std::vector<std::pair<Op, int>>;
+  // Six ranks: a power-of-two core of four; ranks 4 and 5 fold into 0, 1.
+  EXPECT_EQ(steps(5, 6), (Steps{{Op::kSend, 1}, {Op::kRecv, 1}}));
+  EXPECT_EQ(steps(1, 6), (Steps{{Op::kRecv, 5},
+                                {Op::kExchange, 0},
+                                {Op::kExchange, 3},
+                                {Op::kSend, 5}}));
+  EXPECT_EQ(steps(2, 6), (Steps{{Op::kExchange, 3}, {Op::kExchange, 0}}));
+  EXPECT_EQ(steps(3, 8), (Steps{{Op::kExchange, 2},
+                                {Op::kExchange, 1},
+                                {Op::kExchange, 7}}));
+  EXPECT_TRUE(steps(0, 1).empty());
 }
 
 TEST(MpiWorld, RunIsDeterministic) {

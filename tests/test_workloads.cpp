@@ -2,11 +2,18 @@
 // of the rank programs, and emergent sweep structure.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/benchmarks.h"
 #include "core/solver.h"
 #include "loggp/registry.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "workloads/allreduce_storm.h"
 #include "workloads/builtin.h"
+#include "workloads/pingpong.h"
 
 namespace wc = wave::core;
 namespace wb = wave::core::benchmarks;
@@ -224,3 +231,122 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 1}, std::pair{2, 1}, std::pair{1, 2},
                       std::pair{2, 2}, std::pair{4, 2}, std::pair{3, 3},
                       std::pair{8, 4}, std::pair{5, 7}));
+
+// ---- event-stream pins ------------------------------------------------------
+//
+// Each pin is an FNV-1a hash of the executed (time, seq) stream, captured
+// through Observers::events (Engine::set_trace), and for traced runs of
+// the recorded span stream too. Equal totals can hide a reordering; equal
+// hashes mean every rank posted the same operations at the same simulated
+// times, in the same order. They cover the collective step schedule (its
+// fold for non-powers of two included), the LU halo swap and the
+// nonblocking-send drain.
+
+namespace {
+
+struct Digest {
+  std::size_t count = 0;
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
+
+  void mix(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;  // FNV-1a prime
+    }
+  }
+};
+
+Digest digest(const std::vector<wave::sim::TraceEvent>& events) {
+  Digest d;
+  for (const wave::sim::TraceEvent& e : events) {
+    d.mix(std::bit_cast<std::uint64_t>(e.time));
+    d.mix(e.seq);
+  }
+  d.count = events.size();
+  return d;
+}
+
+Digest digest(const wave::obs::SpanCapture& capture) {
+  Digest d;
+  for (const wave::obs::Span& s : capture.buffer().spans()) {
+    d.mix(static_cast<std::uint64_t>(s.kind));
+    d.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.rank)));
+    d.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.peer)));
+    d.mix(std::bit_cast<std::uint64_t>(s.bytes));
+    d.mix(std::bit_cast<std::uint64_t>(s.begin_us));
+    d.mix(std::bit_cast<std::uint64_t>(s.end_us));
+  }
+  d.count = capture.buffer().spans().size();
+  return d;
+}
+
+Digest storm_stream(int n, int m) {
+  std::vector<wave::sim::TraceEvent> events;
+  ww::WorkloadInputs in;
+  in.grid = wt::Grid(n, m);
+  in.observers.events = &events;
+  ww::AllreduceStormWorkload().simulate(kDual, ww::protocol_for(kDual, kReg),
+                                        in);
+  return digest(events);
+}
+
+Digest allreduce_stream(int ranks) {
+  std::vector<wave::sim::TraceEvent> events;
+  ww::allreduce_sim_time(kDual.loggp, ranks, 2, 8, {.events = &events});
+  return digest(events);
+}
+
+struct TracedRun {
+  Digest events, spans;
+};
+
+TracedRun wavefront_stream(const wc::AppParams& app, const wt::Grid& grid) {
+  std::vector<wave::sim::TraceEvent> events;
+  wave::obs::SpanCapture capture;
+  ww::simulate_wavefront(app, kDual, grid, 2, ww::protocol_for(kDual, kReg),
+                         {.trace = &capture, .events = &events});
+  EXPECT_FALSE(capture.truncated());
+  return {digest(events), digest(capture)};
+}
+
+}  // namespace
+
+TEST(EventStreamPin, AllreduceStormAtP64) {
+  const Digest d = storm_stream(8, 8);
+  EXPECT_EQ(d.count, 9280u);
+  EXPECT_EQ(d.hash, 12620992168662183013u);
+}
+
+TEST(EventStreamPin, AllreduceStormAtP12RunsItsPowerOfTwoCore) {
+  // The storm rounds its world down to a power of two: 8 ranks here.
+  const Digest d = storm_stream(3, 4);
+  EXPECT_EQ(d.count, 584u);
+  EXPECT_EQ(d.hash, 1060982762843124325u);
+}
+
+TEST(EventStreamPin, AllreduceSimTimeFoldsNonPowerOfTwo) {
+  const Digest fold = allreduce_stream(12);  // 4 excess ranks fold in
+  EXPECT_EQ(fold.count, 108u);
+  EXPECT_EQ(fold.hash, 36875259806428749u);
+  const Digest pow2 = allreduce_stream(64);
+  EXPECT_EQ(pow2.count, 1216u);
+  EXPECT_EQ(pow2.hash, 10283951572290627109u);
+}
+
+TEST(EventStreamPin, LuStencilPhase) {
+  const TracedRun run = wavefront_stream(wb::lu(), wt::Grid(3, 3));
+  EXPECT_EQ(run.events.count, 46899u);
+  EXPECT_EQ(run.events.hash, 11538973354886500586u);
+  EXPECT_EQ(run.spans.count, 27282u);
+  EXPECT_EQ(run.spans.hash, 11306153826717825260u);
+}
+
+TEST(EventStreamPin, NonblockingSweep3dWithFoldedAllreduces) {
+  wc::AppParams app = small_sweep3d();
+  app.nonblocking_sends = true;
+  const TracedRun run = wavefront_stream(app, wt::Grid(4, 3));
+  EXPECT_EQ(run.events.count, 54668u);
+  EXPECT_EQ(run.events.hash, 16969732432566408903u);
+  EXPECT_EQ(run.spans.count, 24014u);
+  EXPECT_EQ(run.spans.hash, 10673407972877500901u);
+}
