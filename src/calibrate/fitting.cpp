@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/contracts.h"
@@ -182,10 +184,15 @@ Curve parse_curve_csv(const std::string& text, const std::string& source) {
                "malformed row '" + line + "': both columns must be numeric");
     }
     saw_data = true;
-    if (bytes < 1.0 || bytes != static_cast<double>(static_cast<int>(bytes)))
-      csv_fail(source, line_no, "message size must be a whole byte count >= 1");
-    if (!(time_us > 0.0))
-      csv_fail(source, line_no, "measured time must be > 0 us");
+    // Range-checked before the cast: converting a double outside int's
+    // range (1e10, inf, nan) to int is undefined behaviour.
+    if (!(bytes >= 1.0 && bytes <= std::numeric_limits<int>::max()) ||
+        bytes != std::floor(bytes))
+      csv_fail(source, line_no,
+               "message size must be a whole byte count in 1.." +
+                   std::to_string(std::numeric_limits<int>::max()));
+    if (!(time_us > 0.0 && std::isfinite(time_us)))
+      csv_fail(source, line_no, "measured time must be finite and > 0 us");
     curve.push_back({static_cast<int>(bytes), time_us});
   }
   if (curve.empty())

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/contracts.h"
 #include "common/statistics.h"
@@ -117,17 +118,21 @@ BatchScratch::FillCorners BatchEval::run_fill(const BatchScratch::FillKey& key,
   // same cx-wide tile column; within one column, rows j-1 and j share a
   // node iff they fall in the same cy-tall tile row. Every on-chip/off-node
   // decision of the recurrence is one of these pairs. A counter that wraps
-  // at cx (cy) marks the tile boundaries, so no division is needed.
-  auto fill_parity = [](std::vector<std::uint8_t>& pair, int count,
-                        int tile) {
+  // at cx (cy) marks the tile boundaries, so no division is needed. A
+  // bitmap is rebuilt only when its (count, tile) changes: every fill of a
+  // group shares n, m, cx and cy.
+  auto fill_parity = [](std::vector<std::uint8_t>& pair,
+                        std::pair<int, int>& built, int count, int tile) {
+    if (built == std::pair{count, tile}) return;
+    built = {count, tile};
     pair.resize(static_cast<std::size_t>(count) + 1);
     for (int k = 2, pos = 0; k <= count; ++k) {
       if (++pos == tile) pos = 0;
       pair[k] = pos != 0;  // == ((k - 2) / tile == (k - 1) / tile)
     }
   };
-  fill_parity(scratch.col_pair_, key.n, key.cx);
-  fill_parity(scratch.row_pair_, key.m, key.cy);
+  fill_parity(scratch.col_pair_, scratch.col_shape_, key.n, key.cx);
+  fill_parity(scratch.row_pair_, scratch.row_shape_, key.m, key.cy);
 
   // (r2a)/(r2b): the pipeline-fill recurrence as a wavefront of skewed row
   // blocks (kernels/fill_recurrence.h); the buffer ends holding row m.

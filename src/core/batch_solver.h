@@ -22,12 +22,13 @@
 //    east/west placement of a message depends only on which column pair
 //    it crosses and the north/south placement only on which row pair
 //    (topology/node_map.h). The bitmaps are built with a wrapping counter,
-//    not a division per column;
+//    not a division per column, and only when n, m, cx or cy changes;
 //  * the recurrence itself runs as a wavefront (src/kernels/
 //    fill_recurrence.h): row 1 is one register-held chain, rows 2..m go
-//    in skewed blocks of eight so each block carries eight independent
-//    west chains, and only the block's last row is stored, into one
-//    (n+1)-entry row buffer. No virtual calls, no divisions, no n*m table;
+//    in skewed blocks of six so each block carries six independent west
+//    chains, each a packed {total, comm} vector, and only the block's last
+//    row is stored, into one (n+1)-entry row buffer. No virtual calls, no
+//    divisions, no n*m table;
 //  * evaluate_group() runs that recurrence once per *distinct input* among
 //    a group of points. The kernel reads only its FillCosts (ten doubles),
 //    the node shape cx x cy and the grid n x m, and those repeat across
@@ -56,6 +57,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/solver.h"
@@ -74,7 +76,9 @@ struct BatchPoint {
 /// r2 row buffer (n+1 entries; the recurrence keeps only one row in
 /// memory), the two placement-parity bitmaps and a group's distinct fill
 /// inputs. Keeping it outside the call makes the hot loop allocation-free
-/// after the first (largest-grid) point.
+/// after the first (largest-grid) point. Each bitmap remembers the shape it
+/// was built for and is rebuilt only when that shape changes, so the fills
+/// of one group, which share n, m, cx and cy, build it once.
 class BatchScratch {
  public:
   BatchScratch() = default;
@@ -93,11 +97,13 @@ class BatchScratch {
     kernels::FillTime diag, full;
   };
 
-  std::vector<kernels::FillTime> row_;  ///< [i] = StartP(i, current row)
-  std::vector<std::uint8_t> col_pair_;  ///< [i] = columns i-1,i share a node
-  std::vector<std::uint8_t> row_pair_;  ///< [j] = rows j-1,j share a node
-  std::vector<FillKey> keys_;           ///< a group's distinct fill inputs
-  std::vector<FillCorners> corners_;    ///< [k] = the fill of keys_[k]
+  std::vector<kernels::FillTime> row_;   ///< [i] = StartP(i, current row)
+  std::vector<std::uint8_t> col_pair_;   ///< [i] = columns i-1,i share a node
+  std::vector<std::uint8_t> row_pair_;   ///< [j] = rows j-1,j share a node
+  std::pair<int, int> col_shape_{0, 0};  ///< the (n, cx) of col_pair_
+  std::pair<int, int> row_shape_{0, 0};  ///< the (m, cy) of row_pair_
+  std::vector<FillKey> keys_;            ///< a group's distinct fill inputs
+  std::vector<FillCorners> corners_;     ///< [k] = the fill of keys_[k]
 };
 
 /// The batch planner/evaluator. Construction binds a comm-model registry

@@ -12,26 +12,35 @@
 // row r-1 produced one step earlier, so only the block's last row is
 // written back to memory.
 //
+// With the chains independent, the kernel is bound by add throughput, not
+// latency. So each value is one 2-lane vector {total, comm}: the tile's
+// work is one add of {w, 0.0} and a message cost t one add of {t, t}, five
+// vector adds per cell where the scalar form needs ten. When every cost is
+// >= 0, the west candidate's compare with the -1.0 sentinel, which it
+// then always wins, is skipped.
+//
 // The kernel sees plain doubles and the two placement-parity bitmaps, so
 // src/kernels/ stays independent of core/. It lives here so the
 // WAVE_NATIVE_SIMD build (see CMakeLists.txt) compiles it with
 // -march=native -ffp-contract=off like the other kernels; it does only
 // adds and compares, which no contraction can touch.
 //
-// Bit identity: every cell performs the scalar solver's TimeSplit adds in
-// the scalar operand order, starts from the same -1.0 sentinel and keeps
-// the strict `>` (on a tie the west candidate wins). The schedule only
-// changes which cells are computed when, never what a cell computes.
+// Bit identity: every lane performs the scalar solver's TimeSplit adds in
+// the scalar operand order. Every cell starts from the same -1.0 sentinel
+// and picks its winner on the total lane with the strict `>` (on a tie
+// the west candidate wins). The schedule only changes which cells are
+// computed when, never what a cell computes.
 #pragma once
 
 #include <cstdint>
 
 namespace wave::kernels {
 
-/// Rows per skewed block: one independent west chain per row. A block is
-/// never taller than the grid is wide, since at most n rows can be at
-/// distinct columns.
-inline constexpr int kFillRows = 8;
+/// Rows per skewed block: one independent west chain per row. With packed
+/// lanes six ran 5-10% faster than eight on tall grids and as fast as five
+/// (docs/PERFORMANCE.md). A block is never taller than the grid is wide,
+/// since at most n rows can be at distinct columns.
+inline constexpr int kFillRows = 6;
 
 /// A start time and its communication share (core::TimeSplit's layout).
 struct FillTime {

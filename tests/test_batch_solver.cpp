@@ -9,9 +9,13 @@
 // count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -22,10 +26,12 @@
 #include "core/batch_solver.h"
 #include "core/benchmarks.h"
 #include "core/solver.h"
+#include "loggp/backends.h"
 #include "loggp/registry.h"
 #include "obs/metrics.h"
 #include "runner/reference_grids.h"
 #include "runner/runner.h"
+#include "topology/grid.h"
 #include "wave/context.h"
 
 namespace wc = wave::core;
@@ -273,29 +279,125 @@ TEST(BatchSolver, RandomDrawsMatchScalar) {
 
 namespace {
 
-/// The recurrence's whole input as the documented key of evaluate_group:
-/// the bits of the ten fill costs, then cx, cy, n, m. Restated here from
-/// the public plan so the sharing count has an independent oracle.
-std::vector<std::uint64_t> fill_key(const wc::BatchEval& plan,
+/// LogGP with every per-message cost moved by `shift` us, or made NaN on
+/// chip: costs no validated machine yields. Below zero a candidate can
+/// lose to the recurrence's -1.0 sentinel, and a NaN loses every compare,
+/// so the kernel's compares must match the scalar solver's exactly.
+class OffsetLogGp : public wave::loggp::CommModel {
+ public:
+  OffsetLogGp(const wave::loggp::MachineParams& p, double shift,
+              bool nan_on_chip)
+      : CommModel(p), base_(p), shift_(shift), nan_on_chip_(nan_on_chip) {}
+  const std::string& name() const override { return name_; }
+  double total(int bytes, wave::loggp::Placement where) const override {
+    return offset(base_.total(bytes, where), where);
+  }
+  double send(int bytes, wave::loggp::Placement where) const override {
+    return offset(base_.send(bytes, where), where);
+  }
+  double recv(int bytes, wave::loggp::Placement where) const override {
+    return offset(base_.recv(bytes, where), where);
+  }
+
+ private:
+  double offset(double t, wave::loggp::Placement where) const {
+    if (nan_on_chip_ && where == wave::loggp::Placement::OnChip)
+      return std::numeric_limits<double>::quiet_NaN();
+    return t + shift_;
+  }
+
+  const std::string name_ = "offset-loggp";
+  wave::loggp::LogGpModel base_;
+  double shift_;
+  bool nan_on_chip_;
+};
+
+}  // namespace
+
+TEST(BatchSolver, NegativeAndNanCostsMatchScalar) {
+  // Non-negative costs always beat the -1.0 sentinel. These backends do
+  // not, and the kernel must still reproduce the scalar solver bit for bit.
+  wave::loggp::CommModelRegistry registry;
+  for (const auto& [name, shift, nan] :
+       {std::tuple{"minus-5us", -5.0, false},
+        std::tuple{"minus-1ms", -1000.0, false},
+        std::tuple{"nan-on-chip", 0.0, true}}) {
+    registry.add(name, "test backend",
+                 [shift, nan](const wave::loggp::MachineParams& p,
+                              const wave::loggp::CommModelOptions&) {
+                   return std::make_unique<OffsetLogGp>(p, shift, nan);
+                 });
+  }
+  wc::BatchEval plan(registry);
+  wc::BatchScratch scratch;
+  wc::ModelResult batch;
+  for (const char* backend : {"minus-5us", "minus-1ms", "nan-on-chip"}) {
+    for (const auto& [cx, cy] :
+         {std::pair{1, 1}, std::pair{2, 1}, std::pair{2, 2}}) {
+      wc::MachineConfig machine = wc::MachineConfig::xt4_dual_core();
+      machine.cx = cx;
+      machine.cy = cy;
+      machine.comm_model = backend;
+      for (const wc::AppParams& app : {wb::lu(), wb::chimaera()}) {
+        for (const wave::topo::Grid grid :
+             {wave::topo::Grid(1, 9), wave::topo::Grid(9, 1),
+              wave::topo::Grid(7, 8), wave::topo::Grid(40, 17)}) {
+          const wc::ModelResult scalar =
+              wc::Solver(app, machine, registry).evaluate(grid);
+          plan.evaluate_point(
+              {plan.add_app(app), plan.add_machine(machine), grid}, scratch,
+              batch);
+          expect_identical(scalar, batch,
+                           std::string(backend) + " grid " +
+                               std::to_string(grid.n()) + "x" +
+                               std::to_string(grid.m()) + " on " +
+                               std::to_string(cx) + "x" + std::to_string(cy) +
+                               " nodes");
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+/// The ten fill costs of a point, restated from the public plan so the
+/// tests below have an oracle independent of BatchEval's own.
+wave::kernels::FillCosts fill_costs(const wc::BatchEval& plan,
                                     const wc::BatchPoint& p,
                                     const wc::ModelResult& res) {
   using wave::loggp::Placement;
   const wc::AppParams& app = plan.app(p.app);
   const wc::MachineConfig& mc = plan.machine(p.machine);
   const wave::loggp::CommModel& comm = plan.comm(p.machine);
-  std::vector<double> costs = {res.w, res.wpre};
+  wave::kernels::FillCosts k;
+  k.w = res.w;
+  k.wpre = res.wpre;
   for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
+    const int on_chip = where == Placement::OnChip;
     double send = comm.send(res.msg_bytes_ew, where);
     if (app.nonblocking_sends)
       send = where == Placement::OffNode ? mc.loggp.off.o
              : comm.is_large(res.msg_bytes_ew) ? mc.loggp.on.o
                                                : mc.loggp.on.ocopy;
-    costs.insert(costs.end(), {comm.total(res.msg_bytes_ew, where),
-                               comm.recv(res.msg_bytes_ns, where), send,
-                               comm.total(res.msg_bytes_ns, where)});
+    k.total_ew[on_chip] = comm.total(res.msg_bytes_ew, where);
+    k.recv_ns[on_chip] = comm.recv(res.msg_bytes_ns, where);
+    k.send_ew[on_chip] = send;
+    k.total_ns[on_chip] = comm.total(res.msg_bytes_ns, where);
   }
-  std::vector<std::uint64_t> key(costs.size());
-  std::memcpy(key.data(), costs.data(), costs.size() * sizeof(double));
+  return k;
+}
+
+/// The recurrence's whole input as the documented key of evaluate_group:
+/// the bits of the ten fill costs, then cx, cy, n, m.
+std::vector<std::uint64_t> fill_key(const wc::BatchEval& plan,
+                                    const wc::BatchPoint& p,
+                                    const wc::ModelResult& res) {
+  const wave::kernels::FillCosts costs = fill_costs(plan, p, res);
+  static_assert(sizeof costs == 10 * sizeof(std::uint64_t));
+  std::vector<std::uint64_t> key(10);
+  std::memcpy(key.data(), &costs, sizeof costs);
+  const wc::MachineConfig& mc = plan.machine(p.machine);
   for (const int v : {mc.cx, mc.cy, p.grid.n(), p.grid.m()})
     key.push_back(static_cast<std::uint64_t>(v));
   return key;
@@ -422,6 +524,146 @@ TEST(BatchSolver, RejectsInvalidAxisValuesAtPlanTime) {
   wc::MachineConfig unknown = wc::MachineConfig::xt4_dual_core();
   unknown.comm_model = "telepathy";
   EXPECT_THROW(plan.add_machine(unknown), wave::common::contract_error);
+}
+
+// ---- the full fill as a best staircase (a test oracle) -----------------
+
+namespace {
+
+/// StartP(n, m).total as the longest monotone path from (1,1) to (n,m)
+/// with at most three turns: east to column a, south to row b, east to
+/// column n, south to row m, or the same with south first. An east step
+/// into column i on row j costs w + total_ew(i) + recv_ns(j), with no
+/// receive on row 1; a south step into row j on column i costs
+/// w + send_ew(i+1) + total_ns(j), with no send on column n. Those are the
+/// recurrence's two candidates, so StartP(n, m) is the longest of all
+/// paths. On nodes one processor wide or tall, min(cx, cy) = 1, three
+/// turns suffice. Each path's length comes from prefix sums in long
+/// double: O(1) per path, O(n * m) per grid.
+double best_staircase(const wave::kernels::FillCosts& k, int cx, int cy,
+                      int n, int m) {
+  using LD = long double;
+  const auto col_on = [cx](int i) { return (i - 2) / cx == (i - 1) / cx; };
+  const auto row_on = [cy](int j) { return (j - 2) / cy == (j - 1) / cy; };
+  // east[i]: the column parts of the east steps into columns 2..i;
+  // recv[j]: the row part of an east step on row j. south[j] and send[i]
+  // are the same for south steps.
+  std::vector<LD> east(n + 1, 0.0L), send(n + 1, 0.0L);
+  std::vector<LD> south(m + 1, 0.0L), recv(m + 1, 0.0L);
+  for (int i = 2; i <= n; ++i)
+    east[i] = east[i - 1] + k.w + k.total_ew[col_on(i)];
+  for (int i = 1; i < n; ++i) send[i] = k.send_ew[col_on(i + 1)];
+  for (int j = 2; j <= m; ++j) {
+    south[j] = south[j - 1] + k.w + k.total_ns[row_on(j)];
+    recv[j] = k.recv_ns[row_on(j)];
+  }
+  // Along row j from column a to b, and down column i from row a to b.
+  const auto along = [&](int j, int a, int b) {
+    return east[b] - east[a] + (b - a) * recv[j];
+  };
+  const auto down = [&](int i, int a, int b) {
+    return south[b] - south[a] + (b - a) * send[i];
+  };
+  LD best = -std::numeric_limits<LD>::infinity();
+  for (int a = 1; a <= n; ++a) {
+    for (int b = 1; b <= m; ++b) {
+      best = std::max(best, along(1, 1, a) + down(a, 1, b) + along(b, a, n) +
+                                down(n, b, m));
+      best = std::max(best, down(1, 1, b) + along(b, 1, a) + down(a, b, m) +
+                                along(m, a, n));
+    }
+  }
+  return static_cast<double>(k.wpre + best);
+}
+
+/// The kernel's StartP(n, m).total for `point` (t_fullfill without sync
+/// terms) and the staircase oracle's.
+std::pair<double, double> full_fill_and_staircase(const wc::BatchEval& plan,
+                                                  const wc::BatchPoint& point,
+                                                  wc::BatchScratch& scratch) {
+  wc::ModelResult res;
+  plan.evaluate_point(point, scratch, res);
+  const wc::MachineConfig& mc = plan.machine(point.machine);
+  return {res.t_fullfill.total,
+          best_staircase(fill_costs(plan, point, res), mc.cx, mc.cy,
+                         point.grid.n(), point.grid.m())};
+}
+
+/// 1e-12 relative, or the recurrence's own rounding bound when that is
+/// larger: StartP(n, m).total sums at most 3 (n + m - 2) + 1 non-negative
+/// doubles, each add rounding by at most 2^-53 relative. Only the one-row
+/// grids of a prime P near 65,536 reach past 1e-12.
+bool close_to(double kernel, double oracle, const wave::topo::Grid& grid) {
+  const double adds = 3.0 * (grid.n() + grid.m() - 2) + 1.0;
+  const double rel = std::max(1e-12, adds * std::ldexp(1.0, -53));
+  return std::abs(kernel - oracle) <= rel * std::abs(kernel);
+}
+
+}  // namespace
+
+TEST(FillStaircase, MatchesStartPOnSeededDrawsOfOneWideNodes) {
+  wave::common::Rng rng(24);
+  const std::pair<int, int> nodes[] = {{1, 1}, {2, 1}, {1, 2}, {4, 1},
+                                       {1, 4}, {8, 1}, {1, 8}};
+  const wc::MachineConfig bases[] = {wc::MachineConfig::xt4_dual_core(),
+                                     wc::MachineConfig::xt4_single_core(),
+                                     wc::MachineConfig::sp2_single_core()};
+  const wc::AppParams apps[] = {wb::lu(), wb::sweep3d_20m(), wb::chimaera()};
+  const char* backends[] = {"loggp", "loggps", "contention"};
+  auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  wc::BatchEval plan(kCtx.comm_model_registry());
+  wc::BatchScratch scratch;
+  for (int d = 0; d < 2000; ++d) {
+    wc::AppParams app = apps[pick(std::size(apps))];
+    app.nonblocking_sends = rng.uniform_int(0, 1) != 0;
+    wc::MachineConfig machine = bases[pick(std::size(bases))];
+    std::tie(machine.cx, machine.cy) = nodes[pick(std::size(nodes))];
+    machine.synchronization_terms = false;
+    machine.comm_model = backends[pick(std::size(backends))];
+    const wave::topo::Grid grid(static_cast<int>(rng.uniform_int(1, 40)),
+                                static_cast<int>(rng.uniform_int(1, 40)));
+    const auto [kernel, oracle] = full_fill_and_staircase(
+        plan, {plan.add_app(app), plan.add_machine(machine), grid}, scratch);
+    ASSERT_TRUE(close_to(kernel, oracle, grid))
+        << "draw " << d << ": " << app.name << " " << grid.n() << "x"
+        << grid.m() << " on " << machine.cx << "x" << machine.cy << " "
+        << machine.name << "/" << machine.comm_model << ": kernel "
+        << kernel << ", staircase " << oracle;
+  }
+}
+
+TEST(FillStaircase, MatchesStartPOnShippedOneWideMachinesUpToP65536) {
+  wc::BatchEval plan(kCtx.comm_model_registry());
+  wc::BatchScratch scratch;
+  int checked = 0;
+  for (wc::MachineConfig machine : {wc::MachineConfig::xt4_single_core(),
+                                    wc::MachineConfig::xt4_dual_core(),
+                                    wc::MachineConfig::sp2_single_core()}) {
+    machine.synchronization_terms = false;
+    const std::uint32_t mid = plan.add_machine(machine);
+    for (const wc::AppParams& app :
+         {wb::lu(), wb::sweep3d_20m(), wb::chimaera()}) {
+      const std::uint32_t aid = plan.add_app(app);
+      for (const int p : {1, 2, 17, 64, 1000, 1024, 4096, 6400, 16384,
+                          65521, 65536}) {
+        const wave::topo::Grid square = wave::topo::closest_to_square(p);
+        for (const wave::topo::Grid grid :
+             {square, wave::topo::Grid(square.m(), square.n())}) {
+          const auto [kernel, oracle] =
+              full_fill_and_staircase(plan, {aid, mid, grid}, scratch);
+          EXPECT_TRUE(close_to(kernel, oracle, grid))
+              << app.name << " P = " << p << " (" << grid.n() << "x"
+              << grid.m() << ") on " << machine.name << ": kernel " << kernel
+              << ", staircase " << oracle;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3 * 3 * 11 * 2);
 }
 
 namespace {

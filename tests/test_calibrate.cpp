@@ -1,12 +1,15 @@
 // Tests for LogGP parameter fitting (the §3 derivation of Table 2).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 
 #include "calibrate/fitting.h"
 #include "common/contracts.h"
+#include "common/rng.h"
 #include "core/machine.h"
+#include "fuzz_util.h"
 #include "loggp/registry.h"
 
 namespace wcal = wave::calibrate;
@@ -202,6 +205,76 @@ TEST(CalibrateCsv, CsvCurveFitsLikeTheInMemoryCurve) {
   EXPECT_EQ(fit_direct.G, fit_parsed.G);
   EXPECT_EQ(fit_direct.L, fit_parsed.L);
   EXPECT_EQ(fit_direct.o, fit_parsed.o);
+}
+
+TEST(CalibrateCsv, NonFiniteTimesAndOversizedByteCountsNameTheLine) {
+  // A parsed `inf` time used to reach fit_machine and abort with a
+  // contract_error; a byte count outside int's range was cast to int
+  // before its range check, which is undefined behaviour.
+  const std::string dir = WAVE_TESTDATA_DIR;
+  const std::string inf_time = dir + "/curve_csv_infinite_time.csv";
+  EXPECT_NE(config_error_of([&] { wcal::load_curve_csv(inf_time); })
+                .find(inf_time + ":5: measured time must be finite"),
+            std::string::npos);
+  const std::string big = dir + "/curve_csv_byte_count_overflow.csv";
+  EXPECT_NE(config_error_of([&] { wcal::load_curve_csv(big); })
+                .find(big + ":5: message size must be a whole byte count"),
+            std::string::npos);
+
+  for (const char* row : {"64,nan", "64,-inf", "64,1e999"}) {
+    const std::string err =
+        config_error_of([&] { wcal::parse_curve_csv(row, "time.csv"); });
+    EXPECT_EQ(err.rfind("time.csv:1: measured time", 0), 0u) << row;
+  }
+  for (const char* row : {"inf,3.0", "nan,3.0", "-inf,3.0", "2147483648,3.0",
+                          "1e10,3.0", "64.5,3.0"}) {
+    const std::string err =
+        config_error_of([&] { wcal::parse_curve_csv(row, "bytes.csv"); });
+    EXPECT_EQ(err.rfind("bytes.csv:1: message size", 0), 0u) << row;
+  }
+  EXPECT_EQ(wcal::parse_curve_csv("2147483647,3.0", "max.csv")[0].bytes,
+            2147483647);
+}
+
+TEST(CurveCsvFuzz, SeededMutantsParseOrFailNamingTheSource) {
+  // A valid measured curve, as a user would write it: a comment, a header
+  // and full-precision rows. Every seeded mutant (byte flips, truncations,
+  // duplicated and deleted lines) must parse to finite, positive samples
+  // or throw a ConfigError that starts with the source.
+  std::string original = "# off-node ping-pong, XT4\nbytes,time_us\n";
+  for (const auto& s : wcal::measure_curve(wl::xt4(), /*on_chip=*/false,
+                                           wcal::default_sizes())) {
+    char row[64];
+    std::snprintf(row, sizeof row, "%d,%.17g\n", s.bytes, s.time);
+    original += row;
+  }
+  const std::string source = "measured.csv";
+  wave::common::Rng rng(20082);
+  int parsed = 0, rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = fuzz_test::mutate(original, rng);
+    try {
+      const wcal::Curve curve = wcal::parse_curve_csv(text, source);
+      for (const wcal::Sample& s : curve)
+        ASSERT_TRUE(s.bytes >= 1 && std::isfinite(s.time) && s.time > 0.0)
+            << "mutant " << i << " parsed to (" << s.bytes << ", " << s.time
+            << "):\n"
+            << text;
+      ++parsed;
+    } catch (const wave::core::ConfigError& e) {
+      const std::string what = e.what();
+      ASSERT_EQ(what.rfind(source, 0), 0u)
+          << "ConfigError does not start with the source: " << what;
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << i << " escaped as another exception: "
+             << e.what() << "\n"
+             << text;
+    }
+  }
+  // Both outcomes occur, so the mutants reach past the first line.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // ---- fitted-config emission (PR 10: calibrate -> optimize) -------------

@@ -5,17 +5,14 @@
 // exactly (same solver output as bench/fig06_scaling's preset).
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/contracts.h"
 #include "common/rng.h"
 #include "core/benchmarks.h"
 #include "core/machine.h"
 #include "core/solver.h"
+#include "fuzz_util.h"
 #include "loggp/registry.h"
 
 namespace wc = wave::core;
@@ -276,57 +273,8 @@ TEST(MachineConfigValidate, RejectsConfigUnsafeNames) {
 
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream body;
-  body << in.rdbuf();
-  return body.str();
-}
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream is(text);
-  for (std::string line; std::getline(is, line);) lines.push_back(line);
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const std::string& line : lines) out += line + "\n";
-  return out;
-}
-
-/// One to three stacked edits: a byte flip, a truncation, a duplicated
-/// line or a deleted line.
-std::string mutate(std::string text, wave::common::Rng& rng) {
-  const int edits = static_cast<int>(rng.uniform_int(1, 3));
-  for (int i = 0; i < edits && !text.empty(); ++i) {
-    const auto pick = [&rng](std::size_t n) {
-      return static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    };
-    switch (rng.uniform_int(0, 3)) {
-      case 0:
-        text[pick(text.size())] ^= static_cast<char>(rng.uniform_int(1, 255));
-        break;
-      case 1:
-        text.resize(pick(text.size()));
-        break;
-      default: {
-        std::vector<std::string> lines = split_lines(text);
-        if (lines.empty()) break;
-        const std::size_t at = pick(lines.size());
-        if (rng.uniform_int(0, 1) == 0)
-          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
-                       lines[at]);
-        else
-          lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
-        text = join_lines(lines);
-      }
-    }
-  }
-  return text;
-}
+using fuzz_test::mutate;
+using fuzz_test::slurp;
 
 /// Empty when `text` either parses to a machine that survives
 /// write -> parse unchanged, or fails with a ConfigError naming `source`
