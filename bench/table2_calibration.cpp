@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "calibrate/fitting.h"
+#include "common/contracts.h"
 #include "common/rng.h"
 #include "core/machine.h"
 #include "runner/runner.h"
@@ -18,15 +19,29 @@ using namespace wave;
 
 namespace {
 
-/// Eagerly loads a measured-curve CSV; malformed files are user errors
-/// (file:line diagnostics), fatal before the sweep starts.
-calibrate::Curve load_csv_or_die(const std::string& path) {
+/// Eagerly loads a measured-curve CSV and fits it alone. Malformed files
+/// (file:line diagnostics) and curves the fit cannot use are user errors,
+/// fatal before the sweep starts.
+calibrate::Curve load_csv_or_die(const std::string& path, bool on_chip,
+                                 const loggp::MachineParams& truth) {
   try {
-    return calibrate::load_curve_csv(path);
+    const calibrate::Curve curve = calibrate::load_curve_csv(path);
+    // This side's fit with the other side's ground truth: the two sides'
+    // domain checks are independent, so the sweep's fit_machine fails on
+    // this curve exactly when this does.
+    loggp::MachineParams fitted = truth;
+    if (on_chip)
+      fitted.on = calibrate::fit_onchip(curve, truth.eager_limit_bytes);
+    else
+      fitted.off = calibrate::fit_offnode(curve, truth.eager_limit_bytes);
+    fitted.validate();
+    return curve;
   } catch (const core::ConfigError& e) {
     std::cerr << "error: " << e.what() << "\n";
-    std::exit(1);
+  } catch (const common::contract_error& e) {
+    std::cerr << "error: " << path << ": " << e.what() << "\n";
   }
+  std::exit(1);
 }
 
 }  // namespace
@@ -55,12 +70,14 @@ int main(int argc, char** argv) {
 
   // Externally measured curves replace the simulated ones side-by-side:
   // a CSV off-node curve still composes with a simulated on-chip one.
-  // Loaded eagerly so a bad file fails before the sweep.
+  // Loaded and fitted eagerly so a bad file fails before the sweep.
   const std::string offnode_csv = cli.get("offnode-csv", "");
   const std::string onchip_csv = cli.get("onchip-csv", "");
   calibrate::Curve measured_off, measured_on;
-  if (!offnode_csv.empty()) measured_off = load_csv_or_die(offnode_csv);
-  if (!onchip_csv.empty()) measured_on = load_csv_or_die(onchip_csv);
+  if (!offnode_csv.empty())
+    measured_off = load_csv_or_die(offnode_csv, /*on_chip=*/false, truth);
+  if (!onchip_csv.empty())
+    measured_on = load_csv_or_die(onchip_csv, /*on_chip=*/true, truth);
 
   // A one-point sweep: the calibration is a single (machine, noise, seed)
   // scenario whose deterministic RNG seed comes from the sweep.

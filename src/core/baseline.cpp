@@ -1,10 +1,7 @@
 #include "core/baseline.h"
 
-#include <algorithm>
-
-#include "loggp/collectives.h"
+#include "core/solver.h"
 #include "loggp/comm_model.h"
-#include "loggp/stencil.h"
 
 namespace wave::core {
 
@@ -23,8 +20,9 @@ BaselineResult hoisie_baseline(const AppParams& app,
 
   BaselineResult res;
   const double cells_per_tile = app.htile * (app.nx / n) * (app.ny / m);
-  const int ew = app.message_bytes_ew(n, m);
-  const int ns = app.message_bytes_ns(n, m);
+  const ModelResult r1 = evaluate_r1(app, grid);
+  const int ew = r1.msg_bytes_ew;
+  const int ns = r1.msg_bytes_ns;
 
   // Per-step cost: all the work for one tile plus one send and one receive
   // in each grid direction, everything off-node.
@@ -43,23 +41,8 @@ BaselineResult hoisie_baseline(const AppParams& app,
   res.fill_time = fill_steps * res.step_cost;
   res.sweep_time = (fill_steps + tiles) * res.step_cost;
 
-  // Between-iteration phase, same sub-models as the plug-and-play solver.
-  const int total = grid.size();
-  int c_eff = 1;
-  while (c_eff * 2 <= std::min(machine.cores_per_node(), total)) c_eff *= 2;
-  const auto& nwf = app.nonwavefront;
-  if (nwf.allreduce_count > 0)
-    res.nonwavefront += nwf.allreduce_count *
-                        loggp::allreduce_time(comm, total, c_eff,
-                                              nwf.allreduce_bytes);
-  if (nwf.has_stencil) {
-    loggp::StencilPhase phase;
-    phase.cells_per_processor = (app.nx / n) * (app.ny / m) * app.nz;
-    phase.work_per_cell = nwf.stencil_work_per_cell;
-    phase.msg_bytes_ew = n > 1 ? ew : 0;
-    phase.msg_bytes_ns = m > 1 ? ns : 0;
-    res.nonwavefront += loggp::stencil_time(comm, phase);
-  }
+  // Between-iteration phase, the plug-and-play solver's own term.
+  res.nonwavefront = nonwavefront_time(app, machine, comm, r1).total;
 
   // The naive reuse: every sweep pays its own full fill and drain.
   res.iteration =

@@ -1,11 +1,14 @@
 // Batch evaluation path through the analytic solver (the "schedule" half
 // of a Halide-style algorithm/schedule split).
 //
-// core/solver.h stays the readable reference implementation of the paper's
-// closed forms: every Table 1/2/6 term is a virtual call into the comm
-// backend at its point of use. That costs ~4 virtual dispatches plus two
-// node-map integer divisions per cell of the O(n*m) pipeline-fill
-// recurrence — fine for one evaluation, ruinous for a million-point sweep.
+// Every term of the model but the r2 fill is core/solver.h's shared code:
+// evaluate_r1 before the fill, evaluate_r3_r5 after it, send_cost for the
+// message costs. Solver::evaluate stays the readable reference for r2
+// itself: a row-major loop making a virtual call into the comm backend at
+// each point of use. That costs ~4 virtual dispatches plus two node-map
+// integer divisions per cell of the O(n*m) pipeline-fill recurrence — fine
+// for one evaluation, ruinous for a million-point sweep. Only the r2
+// schedule below is a replay of the scalar path.
 //
 // BatchEval compiles a sweep into a plan first and then evaluates points
 // against the plan:
@@ -13,8 +16,7 @@
 //  * per-machine terms (backend construction, every L/o/g/G-derived
 //    message cost) are resolved once per *unique machine* via
 //    add_machine() and shared by every point that references it;
-//  * per-app terms (validation, ndiag/nfull/nsweeps, tiles-per-stack) are
-//    resolved once per *unique app* via add_app();
+//  * apps are validated once per *unique app* via add_app();
 //  * per-point, the r2 recurrence runs over a table of eight
 //    pre-evaluated costs — {TotalComm, Receive, Send} x {east-west,
 //    north-south} x {on-chip, off-node} — indexed by two precomputed
@@ -41,12 +43,13 @@
 //    grid and a machine up to its name and comm backend.
 //
 // Correctness contract: results are BYTE-identical to Solver::evaluate on
-// every point. The plan only pre-evaluates the exact double values the
-// scalar path's virtual calls would return and replays them in the scalar
-// path's exact TimeSplit operation order; no term is algebraically
-// reassociated. The wavefront schedule changes when each cell runs, never
-// what it computes. tests/test_batch_solver.cpp enforces this with memcmp,
-// on pinned grids, on every block edge and on seeded random draws.
+// every point. The r1 and r3-r5 terms are the same code; for r2 the plan
+// only pre-evaluates the exact double values the scalar loop's virtual
+// calls would return and replays them in the scalar loop's exact
+// TimeSplit operation order; no term is algebraically reassociated. The
+// wavefront schedule changes when each cell runs, never what it computes.
+// tests/test_batch_solver.cpp enforces this with memcmp, on pinned grids,
+// on every block edge and on seeded random draws.
 //
 // Thread-safety: add_app()/add_machine() mutate the plan and must finish
 // before evaluation starts; evaluate_point() and evaluate_group() are const
@@ -116,9 +119,9 @@ class BatchEval {
   ///   the registry-taking Solver constructor does. Must outlive the plan.
   explicit BatchEval(const loggp::CommModelRegistry& registry);
 
-  /// @brief Interns `app` into the plan: validates it and derives the
-  ///   sweep-structure counts once. Returns the existing id when an equal
-  ///   app was already added (memoized on the app axis).
+  /// @brief Interns `app` into the plan, validating it once. Returns the
+  ///   existing id when an equal app was already added (memoized on the
+  ///   app axis).
   /// @throws common::contract_error when the app is out of domain.
   std::uint32_t add_app(const AppParams& app);
 
@@ -134,7 +137,7 @@ class BatchEval {
 
   /// The interned values and the backend a plan machine resolved to
   /// (shared with every point referencing it).
-  const AppParams& app(std::uint32_t id) const { return apps_[id].app; }
+  const AppParams& app(std::uint32_t id) const { return apps_[id]; }
   const MachineConfig& machine(std::uint32_t id) const {
     return machines_[id].machine;
   }
@@ -160,33 +163,23 @@ class BatchEval {
                              std::span<ModelResult> results) const;
 
  private:
-  struct AppEntry {
-    AppParams app;
-    // Sweep factors hoisted out of the per-point loop; exactly
-    // the doubles the scalar r5 assembly converts from ints per call.
-    double ndiag = 0.0;
-    double nfull = 0.0;
-    double nsweeps = 0.0;
-    double tiles = 0.0;  ///< tiles_per_stack()
-  };
   struct MachineEntry {
     MachineConfig machine;
     std::shared_ptr<const loggp::CommModel> comm;
   };
 
-  /// The terms before r2 — (r1a)/(r1b), message sizes, the result's
-  /// bookkeeping — into `res`; returns the recurrence's inputs.
+  /// evaluate_r1 into `res`; returns the recurrence's inputs.
   BatchScratch::FillKey fill_input(const BatchPoint& point,
                                    ModelResult& res) const;
   /// Runs r2 on `key` in `scratch` and returns its two corners.
   static BatchScratch::FillCorners run_fill(const BatchScratch::FillKey& key,
                                             BatchScratch& scratch);
-  /// (r3a)/(r3b) from the fill corners, then (r4), Tnonwavefront and (r5).
+  /// evaluate_r3_r5 from the fill corners.
   void finish(const BatchPoint& point, const BatchScratch::FillCorners& fill,
               ModelResult& res) const;
 
   const loggp::CommModelRegistry* registry_;
-  std::vector<AppEntry> apps_;
+  std::vector<AppParams> apps_;
   std::vector<MachineEntry> machines_;
 };
 

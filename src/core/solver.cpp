@@ -58,36 +58,128 @@ TimeSplit comm_term(usec t) { return TimeSplit{t, t}; }
 
 }  // namespace
 
+ModelResult evaluate_r1(const AppParams& app, const topo::Grid& grid) {
+  const int n = grid.n();
+  const int m = grid.m();
+  ModelResult res;
+  res.grid = grid;
+  res.iterations_per_timestep = app.iterations_per_timestep;
+  res.energy_groups = app.energy_groups;
+
+  // (r1a)/(r1b): per-tile work before/after the boundary receives.
+  const double cells_per_tile = app.htile * (app.nx / n) * (app.ny / m);
+  res.wpre = app.wg_pre * cells_per_tile;
+  res.w = app.wg * cells_per_tile;
+
+  res.msg_bytes_ew = app.message_bytes_ew(n, m);
+  res.msg_bytes_ns = app.message_bytes_ns(n, m);
+  return res;
+}
+
+usec send_cost(const AppParams& app, const MachineConfig& machine,
+               const loggp::CommModel& comm, int bytes, Placement where) {
+  if (app.nonblocking_sends && where == Placement::OffNode)
+    return machine.loggp.off.o;
+  if (app.nonblocking_sends && where == Placement::OnChip)
+    return comm.is_large(bytes) ? machine.loggp.on.o : machine.loggp.on.ocopy;
+  return comm.send(bytes, where);
+}
+
+TimeSplit nonwavefront_time(const AppParams& app,
+                            const MachineConfig& machine,
+                            const loggp::CommModel& comm,
+                            const ModelResult& r1) {
+  const int n = r1.grid.n();
+  const int m = r1.grid.m();
+  const int total_cores = r1.grid.size();
+  const int c_eff =
+      common::floor_pow2(std::min(machine.cores_per_node(), total_cores));
+  const auto& nwf = app.nonwavefront;
+  TimeSplit t_nwf;
+  if (nwf.allreduce_count > 0) {
+    const usec one =
+        loggp::allreduce_time(comm, total_cores, c_eff, nwf.allreduce_bytes);
+    t_nwf += comm_term(nwf.allreduce_count * one);
+  }
+  if (nwf.has_stencil) {
+    loggp::StencilPhase phase;
+    phase.cells_per_processor = (app.nx / n) * (app.ny / m) * app.nz;
+    phase.work_per_cell = nwf.stencil_work_per_cell;
+    phase.msg_bytes_ew = n > 1 ? r1.msg_bytes_ew : 0;
+    phase.msg_bytes_ns = m > 1 ? r1.msg_bytes_ns : 0;
+    const usec t = loggp::stencil_time(comm, phase);
+    const usec compute = phase.cells_per_processor * phase.work_per_cell;
+    t_nwf += TimeSplit{t, t - compute};
+  }
+  return t_nwf;
+}
+
+void evaluate_r3_r5(const AppParams& app, const MachineConfig& machine,
+                    const loggp::CommModel& comm, const TimeSplit& diag_fill,
+                    const TimeSplit& full_fill, ModelResult& res) {
+  const int n = res.grid.n();
+  const int m = res.grid.m();
+
+  // (r3a)/(r3b): fill times to the main-diagonal corner and the far corner.
+  res.t_diagfill = diag_fill;
+  res.t_fullfill = full_fill;
+  if (machine.synchronization_terms) {
+    // Handshake back-propagation ([3] eqs. s3/s4): replies ripple back
+    // along the pipeline, one L per hop to the main diagonal and along
+    // both edges to the far corner.
+    res.t_diagfill += comm_term((m - 1) * machine.loggp.off.L);
+    res.t_fullfill +=
+        comm_term(((m - 1) + std::max(0, n - 2)) * machine.loggp.off.L);
+  }
+
+  // (r4): stack-drain time. All communications are off-node ("the
+  // processing of the stack of tiles occurs at the rate of the slowest
+  // communication in each direction"), plus the shared-bus contention
+  // additions of Table 6 — unless the comm backend already folds bus
+  // interference into every message cost, in which case adding the
+  // multipliers would charge contention twice. Degenerate
+  // single-row/column grids have no neighbours in the collapsed
+  // direction, so those terms vanish.
+  const auto mult = comm.models_bus_contention()
+                        ? loggp::ContentionMultipliers{}
+                        : loggp::contention_multipliers(machine.cx, machine.cy,
+                                                        machine.buses_per_node);
+  const usec i_ew = loggp::interference_unit(machine.loggp, res.msg_bytes_ew);
+  const usec i_ns = loggp::interference_unit(machine.loggp, res.msg_bytes_ns);
+  usec recv_w = 0.0, send_e = 0.0, recv_n = 0.0, send_s = 0.0;
+  if (n > 1) {
+    recv_w = comm.recv(res.msg_bytes_ew, Placement::OffNode) +
+             mult.recv_west * i_ew;
+    send_e =
+        send_cost(app, machine, comm, res.msg_bytes_ew, Placement::OffNode) +
+        mult.send_east * i_ew;
+  }
+  if (m > 1) {
+    recv_n = comm.recv(res.msg_bytes_ns, Placement::OffNode) +
+             mult.recv_north * i_ns;
+    send_s =
+        send_cost(app, machine, comm, res.msg_bytes_ns, Placement::OffNode) +
+        mult.send_south * i_ns;
+  }
+  const double tiles = app.tiles_per_stack();
+  const usec per_tile_comm = recv_w + recv_n + send_e + send_s;
+  res.t_stack.total = (per_tile_comm + res.w + res.wpre) * tiles - res.wpre;
+  res.t_stack.comm = per_tile_comm * tiles;
+
+  res.t_nonwavefront = nonwavefront_time(app, machine, comm, res);
+
+  // (r5): one iteration.
+  const double ndiag = app.sweeps.ndiag();
+  const double nfull = app.sweeps.nfull();
+  const double nsweeps = app.sweeps.nsweeps();
+  res.fill = ndiag * res.t_diagfill + nfull * res.t_fullfill;
+  res.iteration = res.fill + nsweeps * res.t_stack + res.t_nonwavefront;
+}
+
 ModelResult Solver::evaluate(const topo::Grid& grid) const {
   const int n = grid.n();
   const int m = grid.m();
-
-  // Sender-side cost of one boundary send. With the nonblocking-sends
-  // design variant the rendezvous handshake overlaps the next tile's
-  // computation, so only the CPU injection overhead remains on the
-  // critical path.
-  auto send_cost = [&](int bytes, Placement where) -> usec {
-    if (app_.nonblocking_sends && where == Placement::OffNode)
-      return machine_.loggp.off.o;
-    if (app_.nonblocking_sends && where == Placement::OnChip)
-      return comm_->is_large(bytes) ? machine_.loggp.on.o
-                                    : machine_.loggp.on.ocopy;
-    return comm_->send(bytes, where);
-  };
-
-  ModelResult res;
-  res.grid = grid;
-  res.iterations_per_timestep = app_.iterations_per_timestep;
-  res.energy_groups = app_.energy_groups;
-
-  // (r1a)/(r1b): per-tile work before/after the boundary receives.
-  const double cells_per_tile =
-      app_.htile * (app_.nx / n) * (app_.ny / m);
-  res.wpre = app_.wg_pre * cells_per_tile;
-  res.w = app_.wg * cells_per_tile;
-
-  res.msg_bytes_ew = app_.message_bytes_ew(n, m);
-  res.msg_bytes_ns = app_.message_bytes_ns(n, m);
+  ModelResult res = evaluate_r1(app_, grid);
 
   // Per-direction communication costs for both placements. On a
   // single-core-per-node mapping everything is off-node (§4.2); on CMP
@@ -137,7 +229,7 @@ ModelResult Solver::evaluate(const topo::Grid& grid) const {
         TimeSplit cand = start_at(i, j - 1) + w_term;
         if (i < n) {
           cand += comm_term(send_cost(
-              res.msg_bytes_ew,
+              app_, machine_, *comm_, res.msg_bytes_ew,
               placed(node_map.is_on_node(sender, topo::Direction::East))));
         }
         cand += comm_term(comm_->total(
@@ -149,79 +241,7 @@ ModelResult Solver::evaluate(const topo::Grid& grid) const {
     }
   }
 
-  // (r3a)/(r3b): fill times to the main-diagonal corner and the far corner.
-  res.t_diagfill = start_at(1, m);
-  res.t_fullfill = start_at(n, m);
-  if (machine_.synchronization_terms) {
-    // Handshake back-propagation ([3] eqs. s3/s4): replies ripple back
-    // along the pipeline, one L per hop to the main diagonal and along
-    // both edges to the far corner.
-    res.t_diagfill += comm_term((m - 1) * machine_.loggp.off.L);
-    res.t_fullfill +=
-        comm_term(((m - 1) + std::max(0, n - 2)) * machine_.loggp.off.L);
-  }
-
-  // (r4): stack-drain time. All communications are off-node ("the
-  // processing of the stack of tiles occurs at the rate of the slowest
-  // communication in each direction"), plus the shared-bus contention
-  // additions of Table 6 — unless the comm backend already folds bus
-  // interference into every message cost, in which case adding the
-  // multipliers would charge contention twice. Degenerate
-  // single-row/column grids have no neighbours in the collapsed
-  // direction, so those terms vanish.
-  const auto mult = comm_->models_bus_contention()
-                        ? loggp::ContentionMultipliers{}
-                        : loggp::contention_multipliers(
-                              machine_.cx, machine_.cy,
-                              machine_.buses_per_node);
-  const usec i_ew = loggp::interference_unit(machine_.loggp, res.msg_bytes_ew);
-  const usec i_ns = loggp::interference_unit(machine_.loggp, res.msg_bytes_ns);
-  usec recv_w = 0.0, send_e = 0.0, recv_n = 0.0, send_s = 0.0;
-  if (n > 1) {
-    recv_w = comm_->recv(res.msg_bytes_ew, Placement::OffNode) +
-             mult.recv_west * i_ew;
-    send_e = send_cost(res.msg_bytes_ew, Placement::OffNode) +
-             mult.send_east * i_ew;
-  }
-  if (m > 1) {
-    recv_n = comm_->recv(res.msg_bytes_ns, Placement::OffNode) +
-             mult.recv_north * i_ns;
-    send_s = send_cost(res.msg_bytes_ns, Placement::OffNode) +
-             mult.send_south * i_ns;
-  }
-  const double tiles = app_.tiles_per_stack();
-  const usec per_tile_comm = recv_w + recv_n + send_e + send_s;
-  res.t_stack.total =
-      (per_tile_comm + res.w + res.wpre) * tiles - res.wpre;
-  res.t_stack.comm = per_tile_comm * tiles;
-
-  // Tnonwavefront: the application's between-iteration phase.
-  const int total_cores = grid.size();
-  const int c_eff =
-      common::floor_pow2(std::min(machine_.cores_per_node(), total_cores));
-  const auto& nwf = app_.nonwavefront;
-  if (nwf.allreduce_count > 0) {
-    const usec one = loggp::allreduce_time(*comm_, total_cores, c_eff,
-                                           nwf.allreduce_bytes);
-    res.t_nonwavefront += comm_term(nwf.allreduce_count * one);
-  }
-  if (nwf.has_stencil) {
-    loggp::StencilPhase phase;
-    phase.cells_per_processor = (app_.nx / n) * (app_.ny / m) * app_.nz;
-    phase.work_per_cell = nwf.stencil_work_per_cell;
-    phase.msg_bytes_ew = n > 1 ? res.msg_bytes_ew : 0;
-    phase.msg_bytes_ns = m > 1 ? res.msg_bytes_ns : 0;
-    const usec t = loggp::stencil_time(*comm_, phase);
-    const usec compute = phase.cells_per_processor * phase.work_per_cell;
-    res.t_nonwavefront += TimeSplit{t, t - compute};
-  }
-
-  // (r5): one iteration.
-  const double ndiag = app_.sweeps.ndiag();
-  const double nfull = app_.sweeps.nfull();
-  const double nsweeps = app_.sweeps.nsweeps();
-  res.fill = ndiag * res.t_diagfill + nfull * res.t_fullfill;
-  res.iteration = res.fill + nsweeps * res.t_stack + res.t_nonwavefront;
+  evaluate_r3_r5(app_, machine_, *comm_, start_at(1, m), start_at(n, m), res);
   return res;
 }
 

@@ -82,6 +82,39 @@ struct ModelResult {
   int energy_groups = 1;
 };
 
+// The model's terms around r2. Solver::evaluate runs the r2 fill as a
+// readable row-major loop and BatchEval (batch_solver.h) as a wavefront
+// kernel; both wrap it in these functions, so every other term has one
+// copy. The batch fast path calls them per point: keep them free of
+// allocation and virtual calls beyond the backend's own.
+
+/// @brief (r1a)/(r1b), the two message sizes and the result's bookkeeping
+///   for `grid`: a fresh result holding everything the model derives
+///   before the r2 fill.
+ModelResult evaluate_r1(const AppParams& app, const topo::Grid& grid);
+
+/// @brief Sender-side cost of one boundary send. With the nonblocking-sends
+///   design variant the rendezvous handshake overlaps the next tile's
+///   computation, so only the CPU injection overhead remains on the
+///   critical path.
+usec send_cost(const AppParams& app, const MachineConfig& machine,
+               const loggp::CommModel& comm, int bytes,
+               loggp::Placement where);
+
+/// @brief Tnonwavefront, the between-iteration phase, on the grid and
+///   message sizes of `r1` (an evaluate_r1 result).
+TimeSplit nonwavefront_time(const AppParams& app,
+                            const MachineConfig& machine,
+                            const loggp::CommModel& comm,
+                            const ModelResult& r1);
+
+/// @brief Completes `res` (an evaluate_r1 result) from the two r2 corners
+///   StartP(1, m) and StartP(n, m): (r3a)/(r3b) with the synchronization
+///   terms, (r4), Tnonwavefront and (r5).
+void evaluate_r3_r5(const AppParams& app, const MachineConfig& machine,
+                    const loggp::CommModel& comm, const TimeSplit& diag_fill,
+                    const TimeSplit& full_fill, ModelResult& res);
+
 /// Evaluates the plug-and-play model. Immutable after construction; cheap
 /// to copy (copies share the immutable comm backend); evaluate() is const
 /// and thread-safe.

@@ -1,8 +1,6 @@
 #include "workloads/pipeline1d.h"
 
-#include "common/contracts.h"
-#include "core/solver.h"
-#include "workloads/wavefront.h"
+#include "workloads/builtin.h"
 
 namespace wave::workloads {
 
@@ -35,17 +33,10 @@ const std::string& Pipeline1dWorkload::description() const {
 ModelOutput Pipeline1dWorkload::predict(const core::MachineConfig& machine,
                                         const loggp::CommModel& comm,
                                         const WorkloadInputs& in) const {
-  // Evaluate through the backend the caller resolved (non-owning; `comm`
-  // outlives this scope), keeping the registry choice with the caller
-  // instead of the process-wide singleton.
-  const core::Solver solver(chain_app(in), machine, comm);
-  const core::ModelResult res = solver.evaluate(chain_grid(in));
-  ModelOutput out;
-  out.time_us = res.iteration.total;
-  out.comm_us = res.iteration.comm;
-  out.extra = {{"model_fill_us", res.fill.total},
-               {"model_stack_us", res.t_stack.total}};
-  return out;
+  WorkloadInputs chain = in;
+  chain.app = chain_app(in);
+  chain.grid = chain_grid(in);
+  return WavefrontWorkload{}.predict(machine, comm, chain);
 }
 
 SimOutput Pipeline1dWorkload::simulate(const core::MachineConfig& machine,

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/contracts.h"
+#include "core/solver.h"
 #include "topology/node_map.h"
 #include "workloads/builtin.h"
 
@@ -20,12 +21,12 @@ WavefrontSpec make_spec(const core::AppParams& app, const topo::Grid& grid,
   spec.grid = grid;
   spec.tiles_per_stack =
       std::max(1, static_cast<int>(std::llround(app.tiles_per_stack())));
-  const double cells_per_tile =
-      app.htile * (app.nx / grid.n()) * (app.ny / grid.m());
-  spec.w_tile = app.wg * cells_per_tile;
-  spec.w_pre = app.wg_pre * cells_per_tile;
-  spec.msg_bytes_ew = app.message_bytes_ew(grid.n(), grid.m());
-  spec.msg_bytes_ns = app.message_bytes_ns(grid.n(), grid.m());
+  // The model's own (r1a)/(r1b) and message sizes.
+  const core::ModelResult r1 = core::evaluate_r1(app, grid);
+  spec.w_tile = r1.w;
+  spec.w_pre = r1.wpre;
+  spec.msg_bytes_ew = r1.msg_bytes_ew;
+  spec.msg_bytes_ns = r1.msg_bytes_ns;
   for (const core::Sweep& s : app.sweeps.sweeps())
     spec.sweep_origins.push_back(s.origin);
   spec.allreduce_count = app.nonwavefront.allreduce_count;

@@ -1,9 +1,13 @@
 // The batch solver's correctness contract: BYTE-identical to the scalar
-// Solver on every point — not approximately equal, bit-for-bit. The plan
+// Solver on every point — not approximately equal, bit-for-bit. The two
+// paths share every term but r2 (core/solver.h's evaluate_r1 and
+// evaluate_r3_r5), so what these tests check is the r2 schedule: the plan
 // (core/batch_solver.h) only pre-evaluates the exact doubles the scalar
-// path's virtual calls would return and replays them in the scalar path's
+// loop's virtual calls would return and replays them in the scalar loop's
 // operation order, so memcmp on every result field must pass over the full
 // pinned reference grids, every comm backend, and every edge-shaped grid.
+// The shared terms themselves are pinned by closed-form tests
+// (tests/test_core_solver.cpp) and the pinned record fixtures.
 // BatchRunner's default routing rides the same contract: its record sets
 // serialize identically to run(points, evaluate_scenario)'s at any thread
 // count.

@@ -236,6 +236,33 @@ TEST(CalibrateCsv, NonFiniteTimesAndOversizedByteCountsNameTheLine) {
             2147483647);
 }
 
+TEST(CalibrateCsv, WellFormedCurvesTheFitCannotUseThrowContractError) {
+  // Both files parse; their fits fail. table2_calibration aborted on them
+  // with an uncaught contract_error before it fitted CSV curves eagerly.
+  const std::string dir = WAVE_TESTDATA_DIR;
+  const wl::MachineParams truth = wl::xt4();
+  const auto on = wcal::measure_curve(truth, true, wcal::default_sizes());
+  const struct {
+    const char* file;
+    const char* reason;
+  } cases[] = {
+      {"curve_csv_no_rendezvous_rows.csv",
+       "need at least two rendezvous-size measurements"},
+      {"curve_csv_negative_slope.csv",
+       "off-node LogGP parameters out of domain"},
+  };
+  for (const auto& c : cases) {
+    const auto off = wcal::load_curve_csv(dir + "/" + c.file);
+    try {
+      wcal::fit_machine(off, on, truth.eager_limit_bytes);
+      ADD_FAILURE() << c.file << " fitted";
+    } catch (const wave::common::contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.reason), std::string::npos)
+          << c.file << ": " << e.what();
+    }
+  }
+}
+
 TEST(CurveCsvFuzz, SeededMutantsParseOrFailNamingTheSource) {
   // A valid measured curve, as a user would write it: a comment, a header
   // and full-precision rows. Every seeded mutant (byte flips, truncations,

@@ -187,6 +187,74 @@ TEST(Solver, LuPrecomputeAppearsOnceInFill) {
                    (10.0 * cells + 5.0 * cells) * 4.0 - 5.0 * cells);
 }
 
+TEST(Solver, StackDrainChargesEachDirectionItsOwnInterference) {
+  // (r4) on 2x2 nodes, one bus: Table 6 adds one interference unit
+  // I(bytes) = odma + bytes * Gdma to each of the four stack operations,
+  // sized by that direction's message. A 4x2 grid makes the east-west
+  // message (32 B) differ from the north-south one (16 B); both are
+  // eager, so each off-node send and receive costs o.
+  const wc::MachineConfig quad = wc::MachineConfig::xt4_with_cores(4);
+  const auto res =
+      wc::Solver(tiny_app(), quad, kReg).evaluate(wave::topo::Grid(4, 2));
+  ASSERT_EQ(res.msg_bytes_ew, 32);
+  ASSERT_EQ(res.msg_bytes_ns, 16);
+  const auto& p = quad.loggp;
+  const double i_ew = (p.on.o - p.on.ocopy) + 32 * p.on.Gdma;
+  const double i_ns = (p.on.o - p.on.ocopy) + 16 * p.on.Gdma;
+  const double comm = 4 * p.off.o + 2 * i_ew + 2 * i_ns;
+  const double w = 10.0 * (8.0 / 4.0) * (8.0 / 2.0);
+  EXPECT_DOUBLE_EQ(res.t_stack.total, (comm + w) * 4.0);
+  EXPECT_DOUBLE_EQ(res.t_stack.comm, comm * 4.0);
+}
+
+TEST(Solver, NonblockingSendsPayOnlyTheOverheadInTheStack) {
+  // (r4) with the nonblocking-sends variant: rendezvous-size messages
+  // (2,048 B > the 1,024 B eager limit) still cost a full receive,
+  // 2L + 2o + bytes * G, but each send costs only o — no handshake.
+  wc::AppParams app = tiny_app();
+  app.nx = app.ny = 512;
+  app.wg = 1e-3;
+  app.nonblocking_sends = true;
+  const auto res =
+      wc::Solver(app, kSingle, kReg).evaluate(wave::topo::Grid(2, 2));
+  ASSERT_EQ(res.msg_bytes_ew, 2048);
+  ASSERT_EQ(res.msg_bytes_ns, 2048);
+  const auto& p = kSingle.loggp.off;
+  const double recv = 2 * p.L + 2 * p.o + 2048 * p.G;
+  const double comm = 2 * recv + 2 * p.o;
+  EXPECT_DOUBLE_EQ(res.t_stack.comm, comm * 4.0);
+  EXPECT_DOUBLE_EQ(res.t_stack.total, (comm + res.w) * 4.0);
+}
+
+TEST(Solver, StencilPhaseSplitsComputeFromComm) {
+  // Tnonwavefront for a stencil phase: per-rank compute
+  // Nx/n * Ny/m * Nz * work, then per direction pair one send (o, eager)
+  // plus one message's TotalComm (2o + bytes * G + L). Everything past
+  // the compute is communication. A grid with one row has no north-south
+  // neighbours, so that pair exchanges 0 bytes.
+  wc::AppParams app = tiny_app();
+  app.nonwavefront.has_stencil = true;
+  app.nonwavefront.stencil_work_per_cell = 0.5;
+  const auto& p = kSingle.loggp.off;
+  const auto pair = [&](int bytes) {
+    return p.o + 2 * p.o + bytes * p.G + p.L;
+  };
+  const wc::Solver solver(app, kSingle, kReg);
+
+  const auto two_rows = solver.evaluate(wave::topo::Grid(4, 2));
+  const double compute2 = (8.0 / 4.0) * (8.0 / 2.0) * 4.0 * 0.5;
+  const double t2 = compute2 + pair(32) + pair(16);
+  EXPECT_DOUBLE_EQ(two_rows.t_nonwavefront.total, t2);
+  EXPECT_DOUBLE_EQ(two_rows.t_nonwavefront.comm, t2 - compute2);
+
+  const auto one_row = solver.evaluate(wave::topo::Grid(4, 1));
+  ASSERT_GT(one_row.msg_bytes_ns, 0);
+  const double compute1 = (8.0 / 4.0) * (8.0 / 1.0) * 4.0 * 0.5;
+  const double t1 = compute1 + pair(one_row.msg_bytes_ew) + pair(0);
+  EXPECT_DOUBLE_EQ(one_row.t_nonwavefront.total, t1);
+  EXPECT_DOUBLE_EQ(one_row.t_nonwavefront.comm, t1 - compute1);
+}
+
 TEST(Solver, RejectsBadInputs) {
   EXPECT_THROW(wc::Solver(wb::chimaera(), kDual, kReg).evaluate(0),
                wave::common::contract_error);

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "fuzz_util.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "serve_test_util.h"
@@ -135,6 +138,64 @@ TEST(ServeProtocol, RejectsBadRequestsNamingTheField) {
     EXPECT_NE(error.find(c.needle), std::string::npos)
         << c.line << " -> " << error;
   }
+}
+
+namespace {
+
+/// Every number in `v`, depth first.
+void collect_numbers(const ws::JsonValue& v, std::vector<double>& out) {
+  if (v.is_number()) out.push_back(v.number);
+  for (const auto& member : v.members) collect_numbers(member.second, out);
+  for (const auto& item : v.items) collect_numbers(item, out);
+}
+
+}  // namespace
+
+TEST(ServeJsonFuzz, SeededMutantsParseOrFailWithPosition) {
+  // Valid eval, ping and stats lines, mutated by byte flips, truncations
+  // and duplicated or deleted lines. Each mutant must parse or fail with a
+  // message (positioned, for the JSON layer), and every number it yields
+  // must survive the protocol's render and re-parse with the same bits.
+  const std::vector<std::string> originals = {
+      R"({"id":"e1","op":"eval","machine":"xt4-dual","workload":"wavefront",)"
+      R"("engine":"sim","processors":64,"iterations":2,"deadline_ms":250,)"
+      R"("grid_n":8,"grid_m":8,"wg":0.25,"degrade":true,)"
+      R"("params":{"alpha":0.5,"beta":-6.25e-3}})",
+      R"({"id":"p1","op":"ping"})",
+      R"({"id":"s1","op":"stats"})",
+  };
+  wave::common::Rng rng(20083);
+  int parsed = 0, rejected = 0, numbers = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = fuzz_test::mutate(originals[i % 3], rng);
+    ws::JsonValue v;
+    std::string error;
+    if (ws::parse_json(text, v, error)) {
+      ++parsed;
+      std::vector<double> values;
+      collect_numbers(v, values);
+      for (const double d : values) {
+        ++numbers;
+        std::string rendered;
+        ws::append_json_number(rendered, d);
+        ws::JsonValue back;
+        ASSERT_TRUE(ws::parse_json(rendered, back, error)) << rendered;
+        ASSERT_TRUE(back.is_number()) << rendered;
+        EXPECT_EQ(std::memcmp(&back.number, &d, sizeof d), 0) << rendered;
+      }
+    } else {
+      ++rejected;
+      EXPECT_EQ(error.rfind("offset ", 0), 0u) << text << " -> " << error;
+    }
+    ws::Request r;
+    error.clear();
+    if (!ws::parse_request(text, r, error))
+      EXPECT_FALSE(error.empty()) << text;
+  }
+  // The mutator must exercise both outcomes and reach the numbers.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
+  EXPECT_GT(numbers, 200);
 }
 
 // ---- the live server --------------------------------------------------------
