@@ -7,7 +7,6 @@
 #include "common/statistics.h"
 #include "loggp/collectives.h"
 #include "loggp/contention.h"
-#include "loggp/stencil.h"
 #include "topology/node_map.h"
 
 namespace wave::core {
@@ -85,12 +84,26 @@ usec send_cost(const AppParams& app, const MachineConfig& machine,
   return comm.send(bytes, where);
 }
 
+usec halo_time(const MachineConfig& machine, const loggp::CommModel& comm,
+               const topo::Grid& grid, int bytes_ew, int bytes_ns) {
+  usec t = 0.0;
+  if (grid.n() > 1) {
+    const Placement ew =
+        grid.n() <= machine.cx ? Placement::OnChip : Placement::OffNode;
+    t += comm.send(bytes_ew, ew) + comm.total(bytes_ew, ew);
+  }
+  if (grid.m() > 1) {
+    const Placement ns =
+        grid.m() <= machine.cy ? Placement::OnChip : Placement::OffNode;
+    t += comm.send(bytes_ns, ns) + comm.total(bytes_ns, ns);
+  }
+  return t;
+}
+
 TimeSplit nonwavefront_time(const AppParams& app,
                             const MachineConfig& machine,
                             const loggp::CommModel& comm,
                             const ModelResult& r1) {
-  const int n = r1.grid.n();
-  const int m = r1.grid.m();
   const int total_cores = r1.grid.size();
   const int c_eff =
       common::floor_pow2(std::min(machine.cores_per_node(), total_cores));
@@ -102,14 +115,12 @@ TimeSplit nonwavefront_time(const AppParams& app,
     t_nwf += comm_term(nwf.allreduce_count * one);
   }
   if (nwf.has_stencil) {
-    loggp::StencilPhase phase;
-    phase.cells_per_processor = (app.nx / n) * (app.ny / m) * app.nz;
-    phase.work_per_cell = nwf.stencil_work_per_cell;
-    phase.msg_bytes_ew = n > 1 ? r1.msg_bytes_ew : 0;
-    phase.msg_bytes_ns = m > 1 ? r1.msg_bytes_ns : 0;
-    const usec t = loggp::stencil_time(comm, phase);
-    const usec compute = phase.cells_per_processor * phase.work_per_cell;
-    t_nwf += TimeSplit{t, t - compute};
+    // LU's four-point stencil over the local sub-grid, then its halo swap.
+    const double cells =
+        (app.nx / r1.grid.n()) * (app.ny / r1.grid.m()) * app.nz;
+    const usec halo = halo_time(machine, comm, r1.grid, r1.msg_bytes_ew,
+                                r1.msg_bytes_ns);
+    t_nwf += TimeSplit{cells * nwf.stencil_work_per_cell + halo, halo};
   }
   return t_nwf;
 }

@@ -101,6 +101,16 @@ usec send_cost(const AppParams& app, const MachineConfig& machine,
                const loggp::CommModel& comm, int bytes,
                loggp::Placement where);
 
+/// @brief One bulk-synchronous halo swap on `grid` (LU's between-iteration
+///   stencil, the halo2d workload). Every rank swaps with all its
+///   neighbours at once, so an interior rank's critical path pays one
+///   Send plus the opposite message's TotalComm per direction pair:
+///   E/W with `bytes_ew`, N/S with `bytes_ns`. A direction with no
+///   neighbour (one column, or one row) is free, and one that fits inside
+///   a node's cx × cy rectangle (n <= cx, or m <= cy) is on-chip.
+usec halo_time(const MachineConfig& machine, const loggp::CommModel& comm,
+               const topo::Grid& grid, int bytes_ew, int bytes_ns);
+
 /// @brief Tnonwavefront, the between-iteration phase, on the grid and
 ///   message sizes of `r1` (an evaluate_r1 result).
 TimeSplit nonwavefront_time(const AppParams& app,

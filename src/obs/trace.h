@@ -28,7 +28,7 @@ namespace wave::obs {
 /// @brief One timed interval of a rank's life, in simulated microseconds.
 struct Span {
   enum class Kind : std::uint8_t {
-    kCompute,   ///< Mpi::compute busy time
+    kCompute,   ///< RankCtx::compute busy time
     kSend,      ///< blocking send (post to completion)
     kRecv,      ///< blocking receive (post to delivery)
     kWait,      ///< MPI_Wait on an outstanding isend/irecv request

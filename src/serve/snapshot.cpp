@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -155,13 +156,18 @@ Expected<std::vector<EvalService::CacheEntry>> decode_snapshot(
 
   Reader header{image.data() + sizeof kMagic, kHeaderBytes - sizeof kMagic};
   const std::uint32_t version = header.u32();
-  header.u32();  // reserved
+  const std::uint32_t reserved = header.u32();
   const std::uint64_t count = header.u64();
   const std::uint64_t checksum = header.u64();
   if (version != kSnapshotVersion)
     return corrupt("unsupported version " + std::to_string(version) +
                    " (this build reads version " +
                    std::to_string(kSnapshotVersion) + ")");
+  // The checksum covers only the payload, so the header words are checked
+  // one by one: a reserved word the writer never sets means a corrupt or
+  // foreign header, not an entry to accept and re-encode differently.
+  if (reserved != 0)
+    return corrupt("nonzero reserved header word " + std::to_string(reserved));
 
   const char* payload = image.data() + kHeaderBytes;
   const std::size_t payload_size = image.size() - kHeaderBytes;
@@ -178,17 +184,30 @@ Expected<std::vector<EvalService::CacheEntry>> decode_snapshot(
     res.machine = r.str();
     res.comm_model = r.str();
     res.processors = static_cast<int>(r.u32());
-    res.engine = r.u32() == 1 ? Engine::Simulation : Engine::Model;
+    const std::uint32_t engine = r.u32();
     res.time_us = r.f64();
     res.comm_us = r.f64();
-    res.validated = r.u32() == 1;
+    const std::uint32_t validated = r.u32();
     res.model_us = r.f64();
     res.sim_us = r.f64();
     res.divergence_pct = r.f64();
-    res.within_tolerance = r.u32() == 1;
+    const std::uint32_t within_tolerance = r.u32();
     const std::uint64_t terms = r.u64();
     if (!r.ok || terms > payload_size)  // each term needs >= 1 payload byte
       return corrupt("malformed entry framing at entry " + std::to_string(i));
+    // The writer stores each flag as 0 or 1. Any other value would decode
+    // silently and re-encode as 0: a different entry.
+    for (const auto& [field, value] :
+         {std::pair{"engine", engine}, std::pair{"validated", validated},
+          std::pair{"within_tolerance", within_tolerance}}) {
+      if (value > 1)
+        return corrupt(std::string(field) + " flag " + std::to_string(value) +
+                       " at entry " + std::to_string(i) +
+                       " (must be 0 or 1)");
+    }
+    res.engine = engine == 1 ? Engine::Simulation : Engine::Model;
+    res.validated = validated == 1;
+    res.within_tolerance = within_tolerance == 1;
     res.terms.reserve(terms);
     for (std::uint64_t t = 0; t < terms; ++t) {
       std::string name = r.str();

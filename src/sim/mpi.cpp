@@ -131,9 +131,9 @@ void Mpi::start_recv(int dst, int src, std::coroutine_handle<> h) {
 
 void Mpi::start_exchange(int self, int peer, int bytes, int* remaining,
                          std::coroutine_handle<> h) {
-  // Post both halves at once; resume when the second completes. The
-  // counter lives in the exchange awaitable (the awaiting coroutine's
-  // frame), which outlives both completions.
+  // Post both halves at once; resume when the last outstanding half
+  // completes. The counter lives in the awaitable (the awaiting
+  // coroutine's frame), which outlives every completion.
   auto arm = [remaining, h] {
     if (--*remaining == 0) h.resume();
   };
@@ -347,7 +347,7 @@ void Mpi::complete_receive(Message* msg, Completion recv) {
 }
 
 World::World(loggp::MachineParams params, std::vector<int> node_of_rank,
-             Mpi::ProtocolOptions protocol, Observers observers)
+             ProtocolOptions protocol, Observers observers)
     : observers_(observers),
       mpi_(engine_, params, std::move(node_of_rank), protocol) {}
 

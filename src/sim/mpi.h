@@ -124,9 +124,6 @@ class AllreduceSchedule {
 /// The message-passing fabric. One instance per simulation.
 class Mpi {
  public:
-  /// Nested alias kept for discoverability: Mpi::ProtocolOptions.
-  using ProtocolOptions = sim::ProtocolOptions;
-
   /// `node_of_rank[r]` places rank r on a node; ranks on the same node
   /// communicate on-chip. Node ids must be dense in [0, max+1).
   Mpi(Engine& engine, loggp::MachineParams params,
@@ -189,12 +186,13 @@ class Mpi {
 
   /// Mean over ranks of the time each spent inside MPI operations (µs):
   /// the interval from each send/receive post to its completion.
-  /// Concurrent halves of an exchange() both count, so this is operation
-  /// occupancy, not wall-clock blockage. Divided by the makespan it is the
-  /// simulator's aggregate communication share (cf. Fig 11).
+  /// The concurrent halves of a halo swap or an exchange step all count,
+  /// so this is operation occupancy, not wall-clock blockage. Divided by
+  /// the makespan it is the simulator's aggregate communication share
+  /// (cf. Fig 11).
   usec mpi_busy_mean() const;
 
-  // ---- Awaitable operations (used via RankCtx below) ----
+  // ---- Awaitable operations (built only by RankCtx below) ----
   //
   // Each one lives in the awaiting coroutine's frame, one slot per
   // co_await site, for the whole simulation; so they hold only what their
@@ -274,7 +272,7 @@ class Mpi {
   struct WaitAwaitable {
     Mpi* mpi;
     RequestHandle request;
-    int rank = -1;  // the waiting rank; -1 (rankless call) records no span
+    int rank;  // the waiting rank
     bool await_ready() const noexcept { return request->done; }
     void await_suspend(std::coroutine_handle<> h) {
       request->wait_started = mpi->engine().now();
@@ -284,31 +282,10 @@ class Mpi {
     void await_resume() const noexcept {
       // A request that was already done never suspended (await_ready
       // short-circuits await_suspend), so it has no wait span.
-      if (rank >= 0 && request->wait_started >= 0.0 &&
-          mpi->tracer_ != nullptr)
+      if (request->wait_started >= 0.0 && mpi->tracer_ != nullptr)
         mpi->tracer_->record({obs::Span::Kind::kWait, rank, -1, 0.0,
                               request->wait_started, mpi->engine().now()});
       mpi->requests_.release(request);
-    }
-  };
-
-  /// Concurrent send + receive with the same peer (MPI_Sendrecv): both
-  /// operations are posted at once and the awaiter resumes when both
-  /// complete. This is the exchange step of recursive-doubling collectives.
-  /// The completion counter lives in the awaitable itself — i.e. in the
-  /// awaiting coroutine's frame, which outlives the suspension — so no
-  /// shared state is allocated per exchange.
-  struct ExchangeAwaitable {
-    Mpi* mpi;
-    int self, peer, bytes;
-    int remaining = 2;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      mpi->open_span(self);
-      mpi->start_exchange(self, peer, bytes, &remaining, h);
-    }
-    void await_resume() const noexcept {
-      mpi->close_span(obs::Span::Kind::kExchange, self, peer, bytes);
     }
   };
 
@@ -320,7 +297,7 @@ class Mpi {
     int self;
     CollectiveStep step;
     int bytes;
-    int remaining = 2;  // exchange completions still outstanding
+    int remaining = 2;  // exchange halves still outstanding
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       mpi->open_span(self);
@@ -352,78 +329,48 @@ class Mpi {
   /// alltoall-style): every half of every exchange is posted before any
   /// completes, so the peers' transfers overlap instead of cascading rank
   /// by rank. Build with add(), then co_await; awaiting with no peers
-  /// completes immediately. The completion counter lives in the awaiting
-  /// coroutine's frame, like ExchangeAwaitable's.
+  /// completes immediately. A one-peer swap is a plain MPI_Sendrecv.
   struct HaloExchangeAwaitable {
-    /// 6 covers a full 3-D face-neighbour halo (±x, ±y, ±z).
-    static constexpr int kMaxPeers = 6;
+    /// 4 covers a 2-D face-neighbour halo (W, E, N, S).
+    static constexpr int kMaxPeers = 4;
 
     Mpi* mpi;
     int self;
-    int count = 0;
-    int peers[kMaxPeers] = {};
-    int bytes[kMaxPeers] = {};
+    /// Two halves (a send and a receive) per added peer; the completions
+    /// count it down to 0. It lives in the awaiting coroutine's frame,
+    /// which outlives them, so a swap allocates no shared state.
     int remaining = 0;
+    int peers[kMaxPeers] = {-1, -1, -1, -1};
+    int bytes[kMaxPeers] = {};  // 0 in unused slots
 
     /// Adds one peer to the swap; ignored when `peer` is negative (so
     /// callers can pass "neighbour or -1" without branching).
     void add(int peer, int message_bytes) {
       if (peer < 0) return;
-      WAVE_EXPECTS_MSG(count < kMaxPeers,
-                       "halo exchange supports at most 6 peers");
-      peers[count] = peer;
-      bytes[count] = message_bytes;
-      ++count;
+      const int slot = remaining / 2;
+      WAVE_EXPECTS_MSG(slot < kMaxPeers,
+                       "halo exchange supports at most 4 peers");
+      peers[slot] = peer;
+      bytes[slot] = message_bytes;
+      remaining += 2;
     }
 
-    bool await_ready() const noexcept { return count == 0; }
+    bool await_ready() const noexcept { return remaining == 0; }
     void await_suspend(std::coroutine_handle<> h) {
       mpi->open_span(self);
-      remaining = 2 * count;  // a send and a receive per peer
-      for (int idx = 0; idx < count; ++idx)
-        mpi->start_exchange(self, peers[idx], bytes[idx], &remaining, h);
+      const int count = remaining / 2;
+      for (int slot = 0; slot < count; ++slot)
+        mpi->start_exchange(self, peers[slot], bytes[slot], &remaining, h);
     }
     void await_resume() const noexcept {
       // One span for the whole swap (peer -1, bytes = total payload): the
       // per-peer halves overlap, so per-peer spans would just stack.
-      if (count == 0) return;
+      if (peers[0] < 0) return;  // no peers: nothing was posted
       double total = 0.0;
-      for (int idx = 0; idx < count; ++idx) total += bytes[idx];
+      for (const int b : bytes) total += b;
       mpi->close_span(obs::Span::Kind::kExchange, self, -1, total);
     }
   };
-
-  ComputeAwaitable compute(usec duration) {
-    return ComputeAwaitable{&engine_, duration};
-  }
-  SendAwaitable send(int src, int dst, int bytes) {
-    return SendAwaitable{this, src, dst, bytes};
-  }
-  RecvAwaitable recv(int dst, int src) {
-    return RecvAwaitable{this, dst, src};
-  }
-  ExchangeAwaitable exchange(int self, int peer, int bytes) {
-    return ExchangeAwaitable{
-        .mpi = this, .self = self, .peer = peer, .bytes = bytes};
-  }
-  /// Posts one collective step for `self` (see StepAwaitable).
-  StepAwaitable step(int self, CollectiveStep step, int bytes) {
-    return StepAwaitable{
-        .mpi = this, .self = self, .step = step, .bytes = bytes};
-  }
-  /// An empty halo swap for `self`; add() peers, then co_await.
-  HaloExchangeAwaitable halo_exchange(int self) {
-    return HaloExchangeAwaitable{.mpi = this, .self = self};
-  }
-  /// Nonblocking send: resumes the rank after the CPU injection phase and
-  /// completes (via `request`) in the background; pass the handle to
-  /// wait().
-  IsendAwaitable isend(int src, int dst, int bytes, RequestHandle request) {
-    return IsendAwaitable{this, src, dst, bytes, request};
-  }
-  WaitAwaitable wait(RequestHandle request, int rank = -1) {
-    return WaitAwaitable{this, request, rank};
-  }
 
  private:
   struct Message;
@@ -528,32 +475,34 @@ class RankCtx {
     // ComputeAwaitable is engine-only (no rank), so its span is recorded
     // eagerly here where the rank is known; the end time is deterministic.
     mpi_->note_compute_span(rank_, duration);
-    return mpi_->compute(duration);
+    return {&mpi_->engine(), duration};
   }
   /// Blocking MPI_Send of `bytes` to `dst`.
   Mpi::SendAwaitable send(int dst, int bytes) const {
-    return mpi_->send(rank_, dst, bytes);
+    return {mpi_, rank_, dst, bytes};
   }
   /// Blocking MPI_Recv from `src`.
-  Mpi::RecvAwaitable recv(int src) const { return mpi_->recv(rank_, src); }
+  Mpi::RecvAwaitable recv(int src) const { return {mpi_, rank_, src}; }
   /// A pooled isend completion token (see Mpi::make_request).
   Mpi::RequestHandle make_request() const { return mpi_->make_request(); }
-  /// Nonblocking MPI_Isend; resume after the CPU injection phase.
+  /// Nonblocking MPI_Isend: resumes after the CPU injection phase and
+  /// completes (via `request`) in the background; pass it to wait().
   Mpi::IsendAwaitable isend(int dst, int bytes,
                             Mpi::RequestHandle request) const {
-    return mpi_->isend(rank_, dst, bytes, request);
+    return {mpi_, rank_, dst, bytes, request};
   }
   /// MPI_Wait on an isend request (recycles the token on resume).
   Mpi::WaitAwaitable wait(Mpi::RequestHandle request) const {
-    return mpi_->wait(request, rank_);
+    return {mpi_, request, rank_};
   }
   /// Posts one step of a collective schedule (e.g. AllreduceSchedule).
   Mpi::StepAwaitable step(CollectiveStep step, int bytes) const {
-    return mpi_->step(rank_, step, bytes);
+    return {.mpi = mpi_, .self = rank_, .step = step, .bytes = bytes};
   }
-  /// A concurrent multi-neighbour halo swap; add() peers, then co_await.
+  /// An empty concurrent multi-neighbour halo swap; add() peers, then
+  /// co_await.
   Mpi::HaloExchangeAwaitable halo_exchange() const {
-    return mpi_->halo_exchange(rank_);
+    return {.mpi = mpi_, .self = rank_};
   }
 
  private:
@@ -567,7 +516,7 @@ class RankCtx {
 class World {
  public:
   World(loggp::MachineParams params, std::vector<int> node_of_rank,
-        Mpi::ProtocolOptions protocol = Mpi::ProtocolOptions(),
+        ProtocolOptions protocol = ProtocolOptions(),
         Observers observers = Observers());
 
   Engine& engine() { return engine_; }

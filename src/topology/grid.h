@@ -39,6 +39,8 @@ class Grid {
   bool contains(Coord c) const {
     return c.i >= 1 && c.i <= n_ && c.j >= 1 && c.j <= m_;
   }
+  /// rank_of(c) inside the grid, -1 outside it (an absent neighbour).
+  int rank_at(Coord c) const { return contains(c) ? rank_of(c) : -1; }
 
   /// The four corners of the grid, the possible sweep origins (Fig 2).
   Coord corner_nw() const { return {1, 1}; }

@@ -43,6 +43,8 @@ class Grid3 {
   bool contains(Coord3 c) const {
     return plane_.contains({c.i, c.j}) && c.k >= 1 && c.k <= q_;
   }
+  /// rank_of(c) inside the grid, -1 outside it (an absent neighbour).
+  int rank_at(Coord3 c) const { return contains(c) ? rank_of(c) : -1; }
 
  private:
   Grid plane_;

@@ -25,6 +25,18 @@ SimOutput collect_run(sim::World& world, int iterations) {
   return out;
 }
 
+sim::Mpi::HaloExchangeAwaitable face_halo(sim::RankCtx ctx,
+                                          const topo::Grid& grid,
+                                          topo::Coord c, int bytes_ew,
+                                          int bytes_ns) {
+  auto halo = ctx.halo_exchange();
+  halo.add(grid.rank_at({c.i - 1, c.j}), bytes_ew);
+  halo.add(grid.rank_at({c.i + 1, c.j}), bytes_ew);
+  halo.add(grid.rank_at({c.i, c.j - 1}), bytes_ns);
+  halo.add(grid.rank_at({c.i, c.j + 1}), bytes_ns);
+  return halo;
+}
+
 sim::ProtocolOptions protocol_for(const core::MachineConfig& machine,
                                   const loggp::CommModelRegistry& registry) {
   sim::ProtocolOptions protocol;

@@ -65,6 +65,15 @@ std::vector<std::shared_ptr<const Workload>> builtin_workloads();
 ///   makespan by `iterations`, and copies the fabric counters.
 SimOutput collect_run(sim::World& world, int iterations);
 
+/// @brief The halo swap of a 2-D stencil phase (halo2d's, and LU's between
+///   iterations): one concurrent exchange with each of `c`'s existing W,
+///   E, N and S neighbours, in that order, ready to co_await. The model
+///   prices it with core::halo_time.
+sim::Mpi::HaloExchangeAwaitable face_halo(sim::RankCtx ctx,
+                                          const topo::Grid& grid,
+                                          topo::Coord c, int bytes_ew,
+                                          int bytes_ns);
+
 /// @brief Protocol knobs mirroring the machine's comm backend as resolved
 ///   through `registry` (e.g. LogGPS charges its synchronization cost on
 ///   the rendezvous path), so every workload's "measurement" shares the

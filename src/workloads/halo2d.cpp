@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/contracts.h"
+#include "core/solver.h"
 #include "topology/node_map.h"
 #include "workloads/builtin.h"
 
@@ -36,24 +37,13 @@ HaloSpec make_halo_spec(const WorkloadInputs& in) {
 }
 
 sim::Process halo_rank(sim::RankCtx ctx, const HaloSpec& spec, int rank) {
-  const topo::Grid& g = spec.grid;
-  const topo::Coord c = g.coord_of(rank);
-  auto rank_or_minus1 = [&](topo::Coord other) {
-    return g.contains(other) ? g.rank_of(other) : -1;
-  };
-  const int west = rank_or_minus1({c.i - 1, c.j});
-  const int east = rank_or_minus1({c.i + 1, c.j});
-  const int north = rank_or_minus1({c.i, c.j - 1});
-  const int south = rank_or_minus1({c.i, c.j + 1});
+  const topo::Coord c = spec.grid.coord_of(rank);
   for (int iter = 0; iter < spec.iterations; ++iter) {
     for (int phase = 0; phase < spec.phases; ++phase) {
       co_await ctx.compute(spec.w_block);
       // Bulk-synchronous swap: all four faces in flight at once.
-      auto halo = ctx.halo_exchange();
-      halo.add(west, spec.msg_bytes_ew);
-      halo.add(east, spec.msg_bytes_ew);
-      halo.add(north, spec.msg_bytes_ns);
-      halo.add(south, spec.msg_bytes_ns);
+      auto halo = face_halo(ctx, spec.grid, c, spec.msg_bytes_ew,
+                            spec.msg_bytes_ns);
       co_await halo;
     }
   }
@@ -82,24 +72,8 @@ ModelOutput Halo2dWorkload::predict(const core::MachineConfig& machine,
                                     const loggp::CommModel& comm,
                                     const WorkloadInputs& in) const {
   const HaloSpec spec = make_halo_spec(in);
-  const int n = in.grid.n();
-  const int m = in.grid.m();
-  // The critical path runs through an interior rank, whose neighbours are
-  // off-node unless the whole direction fits inside one node's cx × cy
-  // rectangle of the processor grid.
-  const loggp::Placement ew = n <= machine.cx ? loggp::Placement::OnChip
-                                              : loggp::Placement::OffNode;
-  const loggp::Placement ns = m <= machine.cy ? loggp::Placement::OnChip
-                                              : loggp::Placement::OffNode;
-  // One Send + TotalComm per exchanged direction pair (loggp/stencil.h's
-  // abstraction), with degenerate single-row/column directions free.
-  usec exchange = 0.0;
-  if (n > 1)
-    exchange += comm.send(spec.msg_bytes_ew, ew) +
-                comm.total(spec.msg_bytes_ew, ew);
-  if (m > 1)
-    exchange += comm.send(spec.msg_bytes_ns, ns) +
-                comm.total(spec.msg_bytes_ns, ns);
+  const usec exchange = core::halo_time(machine, comm, in.grid,
+                                       spec.msg_bytes_ew, spec.msg_bytes_ns);
   ModelOutput out;
   out.time_us = spec.phases * (spec.w_block + exchange);
   out.comm_us = spec.phases * exchange;

@@ -6,7 +6,7 @@
 // no precedence chains: an iteration's critical path is simply
 //   compute + one E/W exchange + one N/S exchange,
 // which is exactly the repository's LU stencil-phase model
-// (loggp/stencil.h), now promoted to a standalone workload. It exercises
+// (core::halo_time), now promoted to a standalone workload. It exercises
 // the per-pair Send + TotalComm terms of a comm backend with *none* of
 // the fill/stack machinery — the opposite corner of the model space from
 // the wavefront family.

@@ -68,16 +68,13 @@ struct HybridNeighbours {
 HybridNeighbours neighbours_for(const topo::Grid3& g, topo::Coord3 c,
                                 bool forward) {
   const int s = forward ? 1 : -1;
-  auto rank_or_minus1 = [&](topo::Coord3 other) {
-    return g.contains(other) ? g.rank_of(other) : -1;
-  };
   HybridNeighbours nb;
-  nb.up_x = rank_or_minus1({c.i - s, c.j, c.k});
-  nb.down_x = rank_or_minus1({c.i + s, c.j, c.k});
-  nb.up_y = rank_or_minus1({c.i, c.j - s, c.k});
-  nb.down_y = rank_or_minus1({c.i, c.j + s, c.k});
-  nb.up_z = rank_or_minus1({c.i, c.j, c.k - s});
-  nb.down_z = rank_or_minus1({c.i, c.j, c.k + s});
+  nb.up_x = g.rank_at({c.i - s, c.j, c.k});
+  nb.down_x = g.rank_at({c.i + s, c.j, c.k});
+  nb.up_y = g.rank_at({c.i, c.j - s, c.k});
+  nb.down_y = g.rank_at({c.i, c.j + s, c.k});
+  nb.up_z = g.rank_at({c.i, c.j, c.k - s});
+  nb.down_z = g.rank_at({c.i, c.j, c.k + s});
   return nb;
 }
 

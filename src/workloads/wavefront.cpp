@@ -60,28 +60,17 @@ SweepNeighbours neighbours_for(const topo::Grid& grid, topo::Coord c,
                           origin == SweepOrigin::NorthEast;
   const int dx = from_west ? 1 : -1;
   const int dy = from_north ? 1 : -1;
-  auto rank_or_minus1 = [&](topo::Coord other) {
-    return grid.contains(other) ? grid.rank_of(other) : -1;
-  };
   SweepNeighbours nb;
-  nb.upstream[0] = rank_or_minus1({c.i - dx, c.j});
-  nb.downstream[0] = rank_or_minus1({c.i + dx, c.j});
-  nb.upstream[1] = rank_or_minus1({c.i, c.j - dy});
-  nb.downstream[1] = rank_or_minus1({c.i, c.j + dy});
+  nb.upstream[0] = grid.rank_at({c.i - dx, c.j});
+  nb.downstream[0] = grid.rank_at({c.i + dx, c.j});
+  nb.upstream[1] = grid.rank_at({c.i, c.j - dy});
+  nb.downstream[1] = grid.rank_at({c.i, c.j + dy});
   return nb;
 }
 
 /// Boundary payload of one face: x (E/W, axis 0) or y (N/S, axis 1).
 int face_bytes(const WavefrontSpec& spec, int axis) {
   return axis == 0 ? spec.msg_bytes_ew : spec.msg_bytes_ns;
-}
-
-/// Peer `k` of the LU stencil's halo swap, -1 if absent: W, E, N, S.
-int stencil_peer(const topo::Grid& grid, topo::Coord c, int k) {
-  static constexpr int kDi[4] = {-1, 1, 0, 0};
-  static constexpr int kDj[4] = {0, 0, -1, 1};
-  const topo::Coord other{c.i + kDi[k], c.j + kDj[k]};
-  return grid.contains(other) ? grid.rank_of(other) : -1;
 }
 
 /// The rank program: runs `spec.iterations` iterations of all sweeps plus
@@ -138,13 +127,11 @@ sim::Process wavefront_rank(sim::RankCtx ctx, const WavefrontSpec& spec,
         co_await ctx.step(allreduce[s], spec.allreduce_bytes);
     if (spec.has_stencil) {
       co_await ctx.compute(spec.stencil_compute);
-      // Between-iteration halo exchange: overlapped sendrecv with each
-      // existing neighbour, E/W pair then N/S pair.
-      for (int k = 0; k < 4; ++k) {
-        const int peer = stencil_peer(spec.grid, c, k);
-        if (peer >= 0)
-          co_await ctx.mpi().exchange(rank, peer, face_bytes(spec, k / 2));
-      }
+      // Between-iteration halo swap with every existing neighbour at
+      // once, as halo2d's.
+      auto halo = face_halo(ctx, spec.grid, c, spec.msg_bytes_ew,
+                            spec.msg_bytes_ns);
+      co_await halo;
     }
   }
 }

@@ -231,7 +231,7 @@ TEST(Solver, StencilPhaseSplitsComputeFromComm) {
   // Nx/n * Ny/m * Nz * work, then per direction pair one send (o, eager)
   // plus one message's TotalComm (2o + bytes * G + L). Everything past
   // the compute is communication. A grid with one row has no north-south
-  // neighbours, so that pair exchanges 0 bytes.
+  // neighbours, so that pair is free.
   wc::AppParams app = tiny_app();
   app.nonwavefront.has_stencil = true;
   app.nonwavefront.stencil_work_per_cell = 0.5;
@@ -250,9 +250,24 @@ TEST(Solver, StencilPhaseSplitsComputeFromComm) {
   const auto one_row = solver.evaluate(wave::topo::Grid(4, 1));
   ASSERT_GT(one_row.msg_bytes_ns, 0);
   const double compute1 = (8.0 / 4.0) * (8.0 / 1.0) * 4.0 * 0.5;
-  const double t1 = compute1 + pair(one_row.msg_bytes_ew) + pair(0);
-  EXPECT_DOUBLE_EQ(one_row.t_nonwavefront.total, t1);
-  EXPECT_DOUBLE_EQ(one_row.t_nonwavefront.comm, t1 - compute1);
+  const double comm1 = pair(one_row.msg_bytes_ew);
+  EXPECT_DOUBLE_EQ(one_row.t_nonwavefront.total, compute1 + comm1);
+  EXPECT_DOUBLE_EQ(one_row.t_nonwavefront.comm, comm1);
+}
+
+TEST(Solver, HaloPairInsideOneNodeIsOnChip) {
+  // xt4-dual stacks its two cores vertically (cx = 1, cy = 2): on a
+  // two-row grid every N/S neighbour shares the node, so that pair is
+  // priced on-chip while the E/W pair stays off-node.
+  const auto comm = kDual.make_comm_model(kReg);
+  const auto pair = [&](int bytes, wl::Placement where) {
+    return comm->send(bytes, where) + comm->total(bytes, where);
+  };
+  const wave::topo::Grid grid(4, 2);
+  EXPECT_DOUBLE_EQ(wc::halo_time(kDual, *comm, grid, 32, 16),
+                   pair(32, wl::Placement::OffNode) +
+                       pair(16, wl::Placement::OnChip));
+  EXPECT_EQ(wc::halo_time(kDual, *comm, wave::topo::Grid(1, 1), 32, 16), 0.0);
 }
 
 TEST(Solver, RejectsBadInputs) {

@@ -1,7 +1,8 @@
 // Crash-safe cache snapshots: bit-identical round-trips, the versioned
 // checksummed header, loud rejection of every corruption class (empty,
 // truncated, bad magic, wrong version, flipped payload bits, trailing
-// bytes), write atomicity under injected failures, and the full
+// bytes, out-of-range flags and reserved words), a seeded mutation
+// fuzzer, write atomicity under injected failures, and the full
 // stop-the-daemon / restart-warm cycle.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "fuzz_util.h"
 #include "serve/faults.h"
 #include "serve/snapshot.h"
 #include "serve_test_util.h"
@@ -45,6 +48,22 @@ std::string read_file(const std::string& path) {
   std::string out((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   return out;
+}
+
+/// `image` with its header checksum recomputed over the (doctored)
+/// payload: FNV-1a 64 over the bytes after the 32-byte header, stored at
+/// offset 24, same constants as the writer. Shorter images are returned
+/// unchanged.
+std::string reseal(std::string image) {
+  if (image.size() < 32) return image;
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 32; i < image.size(); ++i) {
+    h ^= static_cast<unsigned char>(image[i]);
+    h *= 1099511628211ull;
+  }
+  for (int i = 0; i < 8; ++i)
+    image[24 + i] = static_cast<char>(h >> (8 * i));
+  return image;
 }
 
 void expect_rejected(const std::string& image, const char* needle) {
@@ -110,6 +129,11 @@ TEST(ServeSnapshot, EveryCorruptionClassIsRejectedWithItsOwnDiagnosis) {
   version_one[8] = 1;
   expect_rejected(version_one, "unsupported version 1 ");
 
+  // The reserved u32 follows the version; the checksum does not cover it.
+  std::string bad_reserved = image;
+  bad_reserved[12] = 7;
+  expect_rejected(bad_reserved, "nonzero reserved header word 7");
+
   std::string flipped = image;
   flipped[flipped.size() - 1] ^= 0x40;  // payload bit flip
   expect_rejected(flipped, "checksum mismatch");
@@ -132,16 +156,7 @@ TEST(ServeSnapshot, FramingLiesInsideAValidChecksumAreStillRejected) {
   image[32] = static_cast<char>(0xff);
   image[33] = static_cast<char>(0xff);
   image[34] = static_cast<char>(0xff);
-  // Recompute the checksum over the doctored payload (FNV-1a 64, same
-  // constants as the writer) and patch it into the header.
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 32; i < image.size(); ++i) {
-    h ^= static_cast<unsigned char>(image[i]);
-    h *= 1099511628211ull;
-  }
-  for (int i = 0; i < 8; ++i)
-    image[24 + i] = static_cast<char>(h >> (8 * i));
-  expect_rejected(image, "malformed entry framing");
+  expect_rejected(reseal(image), "malformed entry framing");
 }
 
 TEST(ServeSnapshot, MissingFileIsACleanColdStartNotAnError) {
@@ -223,4 +238,62 @@ TEST(ServeSnapshot, CorruptSnapshotColdStartsLoudlyAndServesOn) {
   ASSERT_TRUE(healed.ok()) << healed.status().to_string();
   EXPECT_EQ(healed.value().size(), 1u);
   std::remove(snapshot.c_str());
+}
+
+namespace {
+
+/// "" when `image` decodes to entries that re-encode to the same bytes,
+/// or is rejected as kInvalidArgument with a diagnosis; else what went
+/// wrong.
+std::string round_trips_or_is_rejected(const std::string& image) {
+  const auto decoded = ws::decode_snapshot(image);
+  if (decoded.ok())
+    return ws::encode_snapshot(decoded.value()) == image
+               ? ""
+               : "accepted, but re-encodes to different bytes";
+  const std::string& why = decoded.status().message();
+  if (decoded.status().code() != wave::StatusCode::kInvalidArgument)
+    return "rejected with the wrong code: " + decoded.status().to_string();
+  if (why.rfind("snapshot rejected: ", 0) != 0 || why.size() < 24)
+    return "rejected without a diagnosis: " + why;
+  return "";
+}
+
+}  // namespace
+
+TEST(SnapshotFuzz, SeededMutantsRoundTripOrAreRejected) {
+  // Raw mutants mostly die at the checksum, so each one is also tried
+  // re-sealed: that reaches the entry decoder with every field the
+  // mutation touched.
+  const std::string original = ws::encode_snapshot(sample_entries());
+  wave::common::Rng rng(20083);
+  constexpr int kMutants = 2000;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string raw = fuzz_test::mutate(original, rng);
+    for (const std::string& image : {raw, reseal(raw)}) {
+      const std::string problem = round_trips_or_is_rejected(image);
+      ASSERT_TRUE(problem.empty()) << problem << " (mutant " << i << ", "
+                                   << image.size() << " bytes)";
+    }
+  }
+}
+
+TEST(SnapshotFuzz, PinnedHostileInputs) {
+  // Inputs the fuzzer found. Each is well-framed and correctly sealed, so
+  // only the field checks can reject it.
+  const std::string dir = WAVE_TESTDATA_DIR;
+  struct Pinned {
+    const char* file;
+    const char* diagnosis;
+  };
+  for (const Pinned& p : {
+           Pinned{"snapshot_engine_flag.bin", "engine flag 20481 at entry 2"},
+           Pinned{"snapshot_validated_flag.bin", "validated flag 3774873600"},
+           Pinned{"snapshot_within_tolerance_flag.bin",
+                  "within_tolerance flag 191 at entry 2"},
+       }) {
+    const std::string image = fuzz_test::slurp(dir + "/" + p.file);
+    ASSERT_FALSE(image.empty()) << p.file;
+    expect_rejected(image, p.diagnosis);
+  }
 }

@@ -264,10 +264,12 @@ TEST(MpiMatching, PostedReceiveIgnoresOtherSources) {
 }
 
 TEST(MpiSemantics, ExchangeOverlapsBothDirections) {
-  // A pairwise exchange completes in about one total-comm time, not two:
-  // the overlapped halves share the wire window.
+  // A pairwise exchange (a one-peer halo swap) completes in about one
+  // total-comm time, not two: the overlapped halves share the wire window.
   auto exchanger = [](ws::RankCtx ctx, int peer, double* done) -> ws::Process {
-    co_await ctx.mpi().exchange(ctx.rank(), peer, 512);
+    auto halo = ctx.halo_exchange();
+    halo.add(peer, 512);
+    co_await halo;
     *done = ctx.mpi().engine().now();
   };
   ws::World world(kXt4, {0, 1});
@@ -482,7 +484,7 @@ TEST(MpiHaloExchange, ChainSwapsOverlapInsteadOfCascading) {
   };
 
   auto halo_rank = [](ws::RankCtx ctx) -> ws::Process {
-    auto halo = ctx.mpi().halo_exchange(ctx.rank());
+    auto halo = ctx.halo_exchange();
     if (ctx.rank() > 0) halo.add(ctx.rank() - 1, kBytes);
     if (ctx.rank() + 1 < ctx.size()) halo.add(ctx.rank() + 1, kBytes);
     co_await halo;
@@ -493,14 +495,15 @@ TEST(MpiHaloExchange, ChainSwapsOverlapInsteadOfCascading) {
                      halo_rank(concurrent.ctx(r)));
   const double t_concurrent = concurrent.run();
 
-  // The same swap as sequential pairwise exchanges: rank r's West
+  // The same swap as two sequential one-peer swaps: rank r's West
   // exchange can only match once r-1 has finished its own West exchange
   // and posted East, so completion ripples down the chain.
   auto sequential_rank = [](ws::RankCtx ctx) -> ws::Process {
-    if (ctx.rank() > 0)
-      co_await ctx.mpi().exchange(ctx.rank(), ctx.rank() - 1, kBytes);
-    if (ctx.rank() + 1 < ctx.size())
-      co_await ctx.mpi().exchange(ctx.rank(), ctx.rank() + 1, kBytes);
+    for (const int peer : {ctx.rank() - 1, ctx.rank() + 1}) {
+      auto halo = ctx.halo_exchange();
+      if (peer < ctx.size()) halo.add(peer, kBytes);  // add() skips -1
+      co_await halo;
+    }
   };
   ws::World sequential(kXt4, chain_placement());
   for (int r = 0; r < kRanks; ++r)
@@ -521,7 +524,7 @@ TEST(MpiHaloExchange, ChainSwapsOverlapInsteadOfCascading) {
 // plain exchange.
 TEST(MpiHaloExchange, EmptySwapIsFree) {
   auto lonely = [](ws::RankCtx ctx) -> ws::Process {
-    auto halo = ctx.mpi().halo_exchange(ctx.rank());
+    auto halo = ctx.halo_exchange();
     co_await halo;  // no peers added
     co_await ctx.compute(5.0);
   };
@@ -530,4 +533,11 @@ TEST(MpiHaloExchange, EmptySwapIsFree) {
   world.spawn("lonely", lonely(world.ctx(0)));
   world.spawn("idle", idle(world.ctx(1)));
   EXPECT_NEAR(world.run(), 5.0, 1e-9);
+}
+
+TEST(MpiHaloExchange, RejectsAFifthPeer) {
+  ws::World world(kXt4, {0, 1, 2, 3, 4, 5});
+  auto halo = world.ctx(0).halo_exchange();
+  for (int peer = 1; peer <= 4; ++peer) halo.add(peer, 8);
+  EXPECT_THROW(halo.add(5, 8), wave::common::contract_error);
 }

@@ -94,6 +94,26 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.name;
     });
 
+TEST(ModelValidation, LuStencilHaloAgreesWithinOnePercent) {
+  // The model prices LU's between-iteration halo as one concurrent E/W
+  // pair plus one N/S pair. The DES must swap all four faces at once for
+  // that to hold: sequential pairwise swaps cascade along every row and
+  // column, and their cost grows with the grid (11.7% off at nz = 8 on
+  // a 32 x 32 grid).
+  struct Case {
+    double nz;
+    int processors;
+  };
+  for (const Case c : {Case{8, 64}, Case{8, 1024}, Case{162, 64}}) {
+    wc::AppParams app = wb::lu();  // 162 x 162 in x and y, stencil on
+    app.nz = c.nz;
+    EXPECT_LT(model_vs_sim_error(app, wc::MachineConfig::xt4_single_core(),
+                                 c.processors),
+              0.01)
+        << "nz = " << c.nz << ", P = " << c.processors;
+  }
+}
+
 TEST(ModelValidation, FillTimePredictsPipelinedGain) {
   // §5.5 / Fig 12 logic: the model's fill term should predict the
   // simulated speedup from pipelining energy groups (fewer fills per
