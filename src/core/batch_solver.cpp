@@ -91,7 +91,7 @@ BatchScratch::FillCorners BatchEval::run_fill(const BatchScratch::FillKey& key,
   scratch.row_.resize(static_cast<std::size_t>(key.n) + 1);
   kernels::fill_recurrence(key.costs, scratch.col_pair_.data(),
                            scratch.row_pair_.data(), key.n, key.m,
-                           scratch.row_.data());
+                           scratch.lanes_, scratch.row_.data());
   return {scratch.row_[1], scratch.row_[key.n]};
 }
 

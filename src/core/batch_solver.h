@@ -27,10 +27,11 @@
 //    not a division per column, and only when n, m, cx or cy changes;
 //  * the recurrence itself runs as a wavefront (src/kernels/
 //    fill_recurrence.h): row 1 is one register-held chain, rows 2..m go
-//    in skewed blocks of six so each block carries six independent west
-//    chains, each a packed {total, comm} vector, and only the block's last
-//    row is stored, into one (n+1)-entry row buffer. No virtual calls, no
-//    divisions, no n*m table;
+//    in skewed blocks of independent west chains, and only the block's
+//    last row is stored, into one (n+1)-entry row buffer. On AVX-512 CPUs
+//    a grid with n, m >= 12 runs blocks of up to 24 rows, one row per
+//    vector lane; elsewhere blocks of six rows, each a packed
+//    {total, comm} vector. No virtual calls, no divisions, no n*m table;
 //  * evaluate_group() runs that recurrence once per *distinct input* among
 //    a group of points. The kernel reads only its FillCosts (ten doubles),
 //    the node shape cx x cy and the grid n x m, and those repeat across
@@ -77,9 +78,10 @@ struct BatchPoint {
 
 /// Reusable per-thread workspace for evaluate_point and evaluate_group: the
 /// r2 row buffer (n+1 entries; the recurrence keeps only one row in
-/// memory), the two placement-parity bitmaps and a group's distinct fill
-/// inputs. Keeping it outside the call makes the hot loop allocation-free
-/// after the first (largest-grid) point. Each bitmap remembers the shape it
+/// memory), the two placement-parity bitmaps, the row-lane kernel's
+/// reversed cost arrays and a group's distinct fill inputs. Keeping it
+/// outside the call makes the hot loop allocation-free after the first
+/// (largest-grid) point. Each bitmap remembers the shape it
 /// was built for and is rebuilt only when that shape changes, so the fills
 /// of one group, which share n, m, cx and cy, build it once.
 class BatchScratch {
@@ -107,6 +109,7 @@ class BatchScratch {
   std::pair<int, int> row_shape_{0, 0};  ///< the (m, cy) of row_pair_
   std::vector<FillKey> keys_;            ///< a group's distinct fill inputs
   std::vector<FillCorners> corners_;     ///< [k] = the fill of keys_[k]
+  kernels::FillRowLanes lanes_;          ///< the row-lane schedule's buffers
 };
 
 /// The batch planner/evaluator. Construction binds a comm-model registry

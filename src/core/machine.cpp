@@ -22,8 +22,16 @@ MachineConfig MachineConfig::xt4_with_cores(int cores, int buses) {
   // vertical so that 2 cores -> 1x2 and 8 cores -> 2x4, matching Table 6.
   const topo::Grid shape = topo::closest_to_square(cores);
   MachineConfig m;
-  m.name = "xt4-" + std::to_string(cores) + "core" +
-           (buses > 1 ? "-" + std::to_string(buses) + "bus" : "");
+  // Appended piece by piece: GCC 12 reports a false -Wrestrict on
+  // `"literal" + std::to_string(...)` concatenations.
+  m.name = "xt4-";
+  m.name += std::to_string(cores);
+  m.name += "core";
+  if (buses > 1) {
+    m.name += '-';
+    m.name += std::to_string(buses);
+    m.name += "bus";
+  }
   m.cx = shape.m();
   m.cy = shape.n();
   m.buses_per_node = buses;

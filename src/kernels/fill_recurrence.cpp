@@ -1,8 +1,18 @@
 #include "kernels/fill_recurrence.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <iterator>
 #include <utility>
+
+// The row lanes need GCC/Clang's target attribute and the x86 intrinsics;
+// elsewhere fill_recurrence always runs the packed lanes.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define WAVE_ROW_LANES 1
+#include <immintrin.h>
+#else
+#define WAVE_ROW_LANES 0
+#endif
 
 namespace wave::kernels {
 
@@ -131,11 +141,10 @@ void block_of(int rows, const Terms& k, const std::uint8_t* col_pair,
   block<kNonNegative, R>(k, col_pair, row_pair, n, j0, row);
 }
 
+/// Row 1: one west chain, held in a register (no north neighbour).
 template <bool kNonNegative>
-void run(const FillCosts& costs, const std::uint8_t* col_pair,
-         const std::uint8_t* row_pair, int n, int m, FillTime* row) {
-  const Terms k(costs);
-  // Row 1: one west chain, held in a register (no north neighbour).
+void first_row(const Terms& k, const FillCosts& costs,
+               const std::uint8_t* col_pair, int n, FillTime* row) {
   Lanes cur{costs.wpre, 0.0};
   row[1] = store(cur);
   for (int i = 2; i <= n; ++i) {
@@ -143,9 +152,16 @@ void run(const FillCosts& costs, const std::uint8_t* col_pair,
                              Lanes{}, Lanes{}, Lanes{});
     row[i] = store(cur);
   }
-  // Rows 2..m in skewed blocks. A block taller than the grid is wide would
-  // only add idle ramp slots: at most n rows can be at distinct columns.
-  for (int j0 = 2; j0 <= m;) {
+}
+
+/// Rows j0..m in skewed blocks; row[] holds row j0-1 on entry, row m on
+/// return. A block taller than the grid is wide would only add idle ramp
+/// slots: at most n rows can be at distinct columns.
+template <bool kNonNegative>
+void packed_blocks(const Terms& k, const std::uint8_t* col_pair,
+                   const std::uint8_t* row_pair, int n, int j0, int m,
+                   FillTime* row) {
+  while (j0 <= m) {
     const int rows = std::min({kFillRows, m - j0 + 1, n});
     block_of<kNonNegative, kFillRows>(rows, k, col_pair, row_pair, n, j0,
                                       row);
@@ -153,22 +169,246 @@ void run(const FillCosts& costs, const std::uint8_t* col_pair,
   }
 }
 
+template <bool kNonNegative>
+void run(const FillCosts& costs, const std::uint8_t* col_pair,
+         const std::uint8_t* row_pair, int n, int m, FillTime* row) {
+  const Terms k(costs);
+  first_row<kNonNegative>(k, costs, col_pair, n, row);
+  packed_blocks<kNonNegative>(k, col_pair, row_pair, n, 2, m, row);
+}
+
+/// True when ok(c) holds for each of the ten costs.
+bool all_costs(const FillCosts& k, bool (*ok)(double)) {
+  const double all[] = {k.w,           k.wpre,          k.total_ew[0],
+                        k.total_ew[1], k.recv_ns[0],    k.recv_ns[1],
+                        k.send_ew[0],  k.send_ew[1],    k.total_ns[0],
+                        k.total_ns[1]};
+  return std::all_of(std::begin(all), std::end(all), ok);
+}
+
+// `c >= 0.0` is false for a NaN, so a NaN cost is neither.
+bool non_negative(double c) { return c >= 0.0; }
+bool finite_non_negative(double c) { return c >= 0.0 && c <= DBL_MAX; }
+
+#if WAVE_ROW_LANES
+
+#define WAVE_AVX512 __attribute__((target("avx512f,avx512vl")))
+#define WAVE_AVX512_INLINE WAVE_AVX512 inline __attribute__((always_inline))
+
+constexpr int kWidth = kRowLaneWidth;
+constexpr int kMaxRows = kRowLaneWidth * kRowLaneVectors;
+/// Padding on each side of the reversed cost arrays: a lane reads columns
+/// up to kMaxRows - 1 outside 1..n.
+constexpr int kPad = kMaxRows;
+/// The fewest rows a row-lane block takes. One to three vector pairs cost
+/// about the same per step (the step waits on its chain of adds), so a
+/// block must hold enough rows to beat the packed lanes per row.
+constexpr int kMinBlockRows = kRowLanesMinRows - 1;
+static_assert(kMinBlockRows > kWidth && kMaxRows <= 3 * kWidth,
+              "a block is two or three vector pairs");
+
+// The last row's cell is stored as one 16-byte {total, comm} pair.
+static_assert(sizeof(FillTime) == 2 * sizeof(double));
+
+/// The registers of one row-lane block of V vector pairs. Lane r of vector
+/// v is block row 8v+r: own_* is its latest cell plus {w, 0.0}, its west
+/// input at the next step and the next row's north input.
+template <int V>
+struct RowLaneState {
+  __m512d own_total[V], own_comm[V];
+  __m512d recv_ns[V], total_ns[V];  ///< the row's costs, per lane
+};
+
+/// Vector v of step t of a row-lane block, then vectors v-1..0: lane r of
+/// vector v computes column t-8v-r. Vectors update last-first, so vector v
+/// still reads vector v-1's value from the previous step. `total_ew` and
+/// `send_ew` point at column 0 of the reversed cost arrays (column c at
+/// [-c]); `above_*` broadcast the row above the block at column t, plus
+/// {w, 0.0}. kRamp: some row is outside 2..n. A row at column 1 has no
+/// west neighbour, so its lane takes the north candidate, as it does
+/// against the scalar -1.0 sentinel; the last row is stored only from
+/// column 1 on.
+template <int V, bool kRamp, int v>
+WAVE_AVX512_INLINE void row_lane_vector(RowLaneState<V>& s, int t, int rows,
+                                        __m512d w, __m512d above_total,
+                                        __m512d above_comm,
+                                        const double* total_ew,
+                                        const double* send_ew, FillTime* row) {
+  // Lane 0 takes the previous vector's lane 7 (for the first vector, the
+  // row above), lane k its own lane k-1: index bit 3 picks the second
+  // source of _mm512_permutex2var_pd.
+  const __m512i up = _mm512_set_epi64(6, 5, 4, 3, 2, 1, 0, 15);
+  __m512d from_total = above_total, from_comm = above_comm;
+  if constexpr (v > 0) {
+    from_total = s.own_total[v - 1];
+    from_comm = s.own_comm[v - 1];
+  }
+  const __m512d north_w_t =
+      _mm512_permutex2var_pd(s.own_total[v], up, from_total);
+  const __m512d north_w_c =
+      _mm512_permutex2var_pd(s.own_comm[v], up, from_comm);
+  const __m512d ew = _mm512_loadu_pd(total_ew - t + kWidth * v);
+  const __m512d send = _mm512_loadu_pd(send_ew - t + kWidth * v);
+  // The scalar order: (own + TotalComm_ew) + Receive_ns for west,
+  // (north + Send_ew) + TotalComm_ns for north.
+  const __m512d west_t =
+      _mm512_add_pd(_mm512_add_pd(s.own_total[v], ew), s.recv_ns[v]);
+  const __m512d west_c =
+      _mm512_add_pd(_mm512_add_pd(s.own_comm[v], ew), s.recv_ns[v]);
+  const __m512d north_t =
+      _mm512_add_pd(_mm512_add_pd(north_w_t, send), s.total_ns[v]);
+  const __m512d north_c =
+      _mm512_add_pd(_mm512_add_pd(north_w_c, send), s.total_ns[v]);
+  __mmask8 pick = _mm512_cmp_pd_mask(north_t, west_t, _CMP_GT_OQ);
+  if constexpr (kRamp) {
+    const int lane = t - 1 - kWidth * v;
+    if (lane >= 0 && lane < kWidth)
+      pick = static_cast<__mmask8>(pick | (1u << lane));
+  }
+  const __m512d best_t = _mm512_mask_blend_pd(pick, west_t, north_t);
+  const __m512d best_c = _mm512_mask_blend_pd(pick, west_c, north_c);
+  if constexpr (v == V - 1) {
+    // The last row's cell, at column t-(rows-1): its two lanes as one pair.
+    const int last = rows - 1 - kWidth * v;
+    const int col = t - (rows - 1);
+    if (!kRamp || col >= 1) {
+      const __m512d pair = _mm512_permutex2var_pd(
+          best_t, _mm512_set_epi64(0, 0, 0, 0, 0, 0, kWidth + last, last),
+          best_c);
+      _mm512_mask_storeu_pd(&row[col].total, 0x3, pair);
+    }
+  }
+  s.own_total[v] = _mm512_add_pd(best_t, w);
+  s.own_comm[v] = _mm512_add_pd(best_c, _mm512_setzero_pd());
+  if constexpr (v > 0)
+    row_lane_vector<V, kRamp, v - 1>(s, t, rows, w, above_total, above_comm,
+                                     total_ew, send_ew, row);
+}
+
+/// One whole step t of a row-lane block.
+template <int V, bool kRamp>
+WAVE_AVX512_INLINE void row_lane_step(RowLaneState<V>& s, int t, int n,
+                                      int rows, double w, __m512d wv,
+                                      const double* total_ew,
+                                      const double* send_ew, FillTime* row) {
+  // Past column n the first row is idle; any finite value will do.
+  const FillTime& above = row[kRamp ? std::min(t, n) : t];
+  row_lane_vector<V, kRamp, V - 1>(
+      s, t, rows, wv, _mm512_set1_pd(above.total + w),
+      _mm512_set1_pd(above.comm + 0.0), total_ew, send_ew, row);
+}
+
+/// Rows j0..j0+rows-1 as V = ceil(rows / 8) vector pairs. row[] holds row
+/// j0-1 on entry and row j0+rows-1 on return.
+template <int V>
+WAVE_AVX512 void row_lane_block(const FillCosts& k,
+                                const std::uint8_t* row_pair, int n, int j0,
+                                int rows, const double* total_ew,
+                                const double* send_ew, FillTime* row) {
+  RowLaneState<V> s;
+  // Lanes past the block's last row compute on zero costs; no row reads
+  // them.
+  double recv_ns[kWidth * V], total_ns[kWidth * V];
+  for (int r = 0; r < kWidth * V; ++r) {
+    recv_ns[r] = r < rows ? k.recv_ns[row_pair[j0 + r]] : 0.0;
+    total_ns[r] = r < rows ? k.total_ns[row_pair[j0 + r]] : 0.0;
+  }
+  for (int v = 0; v < V; ++v) {
+    s.own_total[v] = s.own_comm[v] = _mm512_setzero_pd();
+    s.recv_ns[v] = _mm512_loadu_pd(recv_ns + kWidth * v);
+    s.total_ns[v] = _mm512_loadu_pd(total_ns + kWidth * v);
+  }
+  const __m512d w = _mm512_set1_pd(k.w);
+  // Ramp steps: some row is at column 1 or has not started (t <= rows), or
+  // the first row is past column n (t > n).
+  const int steps = n + rows - 1;
+  int t = 1;
+  for (; t <= std::min(rows, n); ++t)
+    row_lane_step<V, true>(s, t, n, rows, k.w, w, total_ew, send_ew, row);
+  for (; t <= n; ++t)
+    row_lane_step<V, false>(s, t, n, rows, k.w, w, total_ew, send_ew, row);
+  for (; t <= steps; ++t)
+    row_lane_step<V, true>(s, t, n, rows, k.w, w, total_ew, send_ew, row);
+}
+
+#endif  // WAVE_ROW_LANES
+
 }  // namespace
 
-void fill_recurrence(const FillCosts& costs, const std::uint8_t* col_pair,
-                     const std::uint8_t* row_pair, int n, int m,
-                     FillTime* row) {
-  // `c >= 0.0` is false for a NaN, so a NaN cost takes the general path.
-  const double all[] = {costs.w,           costs.wpre,
-                        costs.total_ew[0], costs.total_ew[1],
-                        costs.recv_ns[0],  costs.recv_ns[1],
-                        costs.send_ew[0],  costs.send_ew[1],
-                        costs.total_ns[0], costs.total_ns[1]};
-  if (std::all_of(std::begin(all), std::end(all),
-                  [](double c) { return c >= 0.0; }))
+void fill_packed_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
+                       const std::uint8_t* row_pair, int n, int m,
+                       FillTime* row) {
+  if (all_costs(costs, non_negative))
     run<true>(costs, col_pair, row_pair, n, m, row);
   else
     run<false>(costs, col_pair, row_pair, n, m, row);
+}
+
+bool has_row_lanes() {
+#if WAVE_ROW_LANES
+  static const bool has = __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512vl");
+  return has;
+#else
+  return false;
+#endif
+}
+
+void fill_row_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
+                    const std::uint8_t* row_pair, int n, int m,
+                    FillRowLanes& lanes, FillTime* row) {
+  const Terms k(costs);
+  first_row<true>(k, costs, col_pair, n, row);
+  int j0 = 2;
+#if WAVE_ROW_LANES
+  if (m - 1 >= kMinBlockRows) {
+    // Column c of a reversed array sits at [n + kPad - c], so the eight
+    // lanes of a vector, at columns t-8v .. t-8v-7, are one contiguous
+    // load. Columns outside 1..n cost 0.0; column 1's east-west cost is
+    // never picked.
+    const auto size = static_cast<std::size_t>(n + 2 * kPad);
+    lanes.total_ew.resize(size);
+    lanes.send_ew.resize(size);
+    double* const total_ew = lanes.total_ew.data() + n + kPad;
+    double* const send_ew = lanes.send_ew.data() + n + kPad;
+    const double ew[2] = {costs.total_ew[0], costs.total_ew[1]};
+    const double send[2] = {costs.send_ew[0], costs.send_ew[1]};
+    std::fill(total_ew - n - kPad, total_ew - n, 0.0);
+    std::fill(send_ew - n - kPad, send_ew - n, 0.0);
+    std::fill(total_ew - 1, total_ew + kPad, 0.0);
+    std::fill(send_ew, send_ew + kPad, 0.0);
+    for (int i = 2; i <= n; ++i) total_ew[-i] = ew[col_pair[i]];
+    for (int i = 1; i < n; ++i) send_ew[-i] = send[col_pair[i + 1]];
+    send_ew[-n] = -0.0;  // no east neighbour: x + -0.0 == x
+    // Full blocks of kMaxRows rows, then one shorter block while it holds
+    // kMinBlockRows rows. The packed lanes run what is left.
+    for (int left = m - 1; left >= kMinBlockRows; left = m - j0 + 1) {
+      const int rows = std::min(kMaxRows, left);
+      if (rows > 2 * kWidth)
+        row_lane_block<3>(costs, row_pair, n, j0, rows, total_ew, send_ew,
+                          row);
+      else
+        row_lane_block<2>(costs, row_pair, n, j0, rows, total_ew, send_ew,
+                          row);
+      j0 += rows;
+    }
+  }
+#else
+  (void)lanes;
+#endif
+  packed_blocks<true>(k, col_pair, row_pair, n, j0, m, row);
+}
+
+void fill_recurrence(const FillCosts& costs, const std::uint8_t* col_pair,
+                     const std::uint8_t* row_pair, int n, int m,
+                     FillRowLanes& lanes, FillTime* row) {
+  // A row-lane block holds up to 24 rows, which a narrow grid leaves
+  // mostly idle: its rows reach distinct columns only n at a time.
+  if (std::min(n, m) >= kRowLanesMinRows && has_row_lanes() &&
+      all_costs(costs, finite_non_negative))
+    fill_row_lanes(costs, col_pair, row_pair, n, m, lanes, row);
+  else
+    fill_packed_lanes(costs, col_pair, row_pair, n, m, row);
 }
 
 }  // namespace wave::kernels

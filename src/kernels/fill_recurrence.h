@@ -6,18 +6,31 @@
 // the north-south message (core/solver.cpp is the readable reference). A
 // row-major walk makes every cell wait on its west neighbour's chain of
 // dependent adds. Here row 1 runs as one chain held in registers, and rows
-// 2..m run in blocks of up to kFillRows rows skewed by one column per row:
-// at step t, row j0+r of the block computes column t-r. The rows of a
-// block are independent west chains, and row r's north input is the value
-// row r-1 produced one step earlier, so only the block's last row is
-// written back to memory.
+// 2..m run in blocks of rows skewed by one column per row: at step t, row
+// j0+r of the block computes column t-r. The rows of a block are
+// independent west chains, and row r's north input is the value row r-1
+// produced one step earlier, so only the block's last row is written back
+// to memory.
 //
-// With the chains independent, the kernel is bound by add throughput, not
-// latency. So each value is one 2-lane vector {total, comm}: the tile's
-// work is one add of {w, 0.0} and a message cost t one add of {t, t}, five
-// vector adds per cell where the scalar form needs ten. When every cost is
-// >= 0, the west candidate's compare with the -1.0 sentinel, which it
-// then always wins, is skipped.
+// Two schedules share that wavefront and differ in what a vector lane
+// holds:
+//
+//  * packed lanes (any CPU): each value is one 2-lane vector
+//    {total, comm}, and a block has up to kFillRows rows. The tile's work
+//    is one add of {w, 0.0} and a message cost t one add of {t, t}, five
+//    vector adds per cell where the scalar form needs ten. When every
+//    cost is >= 0, the west candidate's compare with the -1.0 sentinel,
+//    which it then always wins, is skipped;
+//  * row lanes (AVX-512F/VL, picked at run time): one 8-lane vector holds
+//    the totals of eight consecutive rows and a second their comm shares,
+//    and a block has up to kRowLaneVectors such pairs. Lanes sit at
+//    different columns, so the per-column costs are read from reversed
+//    arrays, and a row's north input is its neighbour lane from the
+//    previous step, shifted in with one lane shuffle. The step waits on
+//    its chain of adds, so two or three vector pairs cost about what one
+//    does, and one row-lane cell costs about half a packed one. It runs
+//    only when every cost is finite and >= 0, on grids with n and m at
+//    least kRowLanesMinRows.
 //
 // The kernel sees plain doubles and the two placement-parity bitmaps, so
 // src/kernels/ stays independent of core/. It lives here so the
@@ -26,21 +39,39 @@
 // adds and compares, which no contraction can touch.
 //
 // Bit identity: every lane performs the scalar solver's TimeSplit adds in
-// the scalar operand order. Every cell starts from the same -1.0 sentinel
-// and picks its winner on the total lane with the strict `>` (on a tie
-// the west candidate wins). The schedule only changes which cells are
-// computed when, never what a cell computes.
+// the scalar operand order. Every cell picks its winner on the total with
+// the strict `>`, so on a tie the west candidate wins; a cell with no west
+// neighbour takes its north candidate, as it does against the scalar
+// solver's -1.0 sentinel when costs are >= 0. The row lanes pad the absent
+// east send of column n with -0.0 (x + -0.0 == x for every x), select
+// column 1's north candidate with a lane mask, and let idle ramp lanes
+// compute on padding that no active lane reads. A schedule only changes
+// which cells are computed when, never what a cell computes.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace wave::kernels {
 
-/// Rows per skewed block: one independent west chain per row. With packed
-/// lanes six ran 5-10% faster than eight on tall grids and as fast as five
-/// (docs/PERFORMANCE.md). A block is never taller than the grid is wide,
-/// since at most n rows can be at distinct columns.
+/// Rows per skewed block of the packed schedule: one independent west
+/// chain per row. With packed lanes six ran 5-10% faster than eight on
+/// tall grids and as fast as five (docs/PERFORMANCE.md). A block is never
+/// taller than the grid is wide, since at most n rows can be at distinct
+/// columns.
 inline constexpr int kFillRows = 6;
+
+/// Doubles per row-lane vector, and vector pairs per row-lane block: a
+/// block holds up to 8 x 3 = 24 rows.
+inline constexpr int kRowLaneWidth = 8;
+inline constexpr int kRowLaneVectors = 3;
+
+/// The fewest rows m (and columns n) for which fill_recurrence picks the
+/// row lanes. fill_row_lanes runs blocks of at least kRowLanesMinRows - 1
+/// rows, two or three vector pairs; fewer rows go to the packed lanes. At
+/// m = 12 the row lanes read 1.1x the packed lanes per cell, at m >= 15
+/// 1.4x and more (docs/PERFORMANCE.md).
+inline constexpr int kRowLanesMinRows = 12;
 
 /// A start time and its communication share (core::TimeSplit's layout).
 struct FillTime {
@@ -59,13 +90,43 @@ struct FillCosts {
   double total_ns[2] = {0.0, 0.0};  ///< TotalComm of a north-south message
 };
 
-/// @brief Runs (r2) over an n x m grid.
+/// The row-lane schedule's workspace, reused across calls: the per-column
+/// east-west costs in reverse column order, padded on both sides, so that
+/// the eight lanes of a vector, at columns t, t-1, ..., t-7, read their
+/// costs with one load. The buffers grow to the widest grid seen and never
+/// shrink, so calls after the largest allocate nothing.
+struct FillRowLanes {
+  std::vector<double> total_ew;  ///< TotalComm of the message into column i
+  std::vector<double> send_ew;   ///< Send of the message east of column i
+};
+
+/// @brief Runs (r2) over an n x m grid, on the row lanes when this CPU
+///   has AVX-512F/VL, n and m are both >= kRowLanesMinRows and every cost
+///   is finite and >= 0, and on the packed lanes otherwise. Both give the
+///   same bits.
 /// @param col_pair [i] for 2 <= i <= n: columns i-1 and i share a node.
 /// @param row_pair [j] for 2 <= j <= m: rows j-1 and j share a node.
+/// @param lanes the row-lane workspace (untouched on the packed path).
 /// @param row n+1 entries of workspace; on return row[i] = StartP(i, m)
 ///   for 1 <= i <= n (row[0] is not used).
 void fill_recurrence(const FillCosts& costs, const std::uint8_t* col_pair,
                      const std::uint8_t* row_pair, int n, int m,
-                     FillTime* row);
+                     FillRowLanes& lanes, FillTime* row);
+
+/// @brief The packed-lane schedule alone, for any costs.
+void fill_packed_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
+                       const std::uint8_t* row_pair, int n, int m,
+                       FillTime* row);
+
+/// True when this CPU runs fill_row_lanes (AVX-512F and AVX-512VL),
+/// checked once per process.
+bool has_row_lanes();
+
+/// @brief The row-lane schedule alone, on any grid: row 1 and the rows
+///   left after its blocks run on the packed lanes.
+/// @pre has_row_lanes(), and every cost is >= 0 (+inf allowed, NaN not).
+void fill_row_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
+                    const std::uint8_t* row_pair, int n, int m,
+                    FillRowLanes& lanes, FillTime* row);
 
 }  // namespace wave::kernels

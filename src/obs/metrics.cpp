@@ -159,7 +159,9 @@ std::string to_json(const MetricsSnapshot& snapshot) {
       first_bucket = false;
       out.push_back('[');
       append_bound(out, bound);
-      out += "," + std::to_string(n) + "]";
+      out.push_back(',');
+      out += std::to_string(n);  // not `"," + ...`: a false GCC 12 -Wrestrict
+      out.push_back(']');
     }
     out += "]}";
   }

@@ -164,6 +164,7 @@ bool SweepGrid::build_point(std::size_t index, std::size_t total,
   out.seed = derive_seed(base_seed_, index);
 
   // Decompose row-major: the first axis varies slowest.
+  out.labels.reserve(base_.labels.size() + axes_.size());
   std::size_t rest = index;
   std::size_t stride = total;
   for (const Axis& axis : axes_) {

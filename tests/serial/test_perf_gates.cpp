@@ -7,26 +7,35 @@
 //                  Solver, on one thread. Two inputs: a model sweep grid
 //                  and the optimizer's candidate stream (the optimizer
 //                  scores candidates through run(points)).
+//   FillRowLanes   the r2 fill kernel on AVX-512 row lanes must take
+//                  <= 1/1.5 the time per cell of the packed-lane kernel at
+//                  256x256 and 1024x64, on xt4-dual costs. Skipped where
+//                  the CPU lacks AVX-512F/VL.
 //   MetricsObserver  a serial 16x16 wavefront DES with an
 //                  obs::MetricsRegistry attached must keep >= 0.90x the
 //                  events/s of the same run without one: the always-on
 //                  metrics surface stays near free.
 //
 // Like the Wg tests beside them, they compare measured durations, so
-// ctest runs them alone (RUN_SERIAL, see CMakeLists.txt). BatchRoute
-// compares the fastest of several runs of each side; MetricsObserver,
-// whose bound sits close to the true ratio, takes the median of per-pair
-// ratios. Unoptimized and sanitized builds measure the instrumentation,
+// ctest runs them alone (RUN_SERIAL, see CMakeLists.txt). BatchRoute and
+// FillRowLanes compare the fastest of several runs of each side;
+// MetricsObserver, whose bound sits close to the true ratio, takes the
+// median of per-pair ratios. Unoptimized and sanitized builds measure the instrumentation,
 // not the code, so there the gates skip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/benchmarks.h"
+#include "core/solver.h"
+#include "kernels/fill_recurrence.h"
+#include "loggp/comm_model.h"
 #include "obs/metrics.h"
 #include "optimize/search_space.h"
 #include "runner/runner.h"
@@ -182,6 +191,74 @@ TEST(PerfGate, BatchRouteIsTenfoldScalarOnOptimizeStream) {
   const auto points = optimize_stream();
   ASSERT_EQ(points.size(), 208u);
   expect_batch_route_tenfold(points);
+}
+
+namespace {
+
+/// Packed-lane vs row-lane time per cell of the fill at n x m: Sweep3D
+/// 20M-cell costs on the dual-core XT4 (1x2 nodes), the fastest of 30
+/// alternating rounds of each kernel. Both kernels' rows are also compared
+/// bit for bit.
+void expect_row_lanes_faster(int n, int m, double bound) {
+  namespace wk = wave::kernels;
+  using wave::loggp::Placement;
+  const wave::Context ctx;
+  const auto machine = wave::core::MachineConfig::xt4_dual_core();
+  const auto comm = machine.make_comm_model(ctx.comm_model_registry());
+  const auto app = wcb::sweep3d_20m();
+  const wave::topo::Grid grid(n, m);
+  const wave::core::ModelResult r1 = wave::core::evaluate_r1(app, grid);
+  wk::FillCosts k;
+  k.w = r1.w;
+  k.wpre = r1.wpre;
+  for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
+    const int on_chip = where == Placement::OnChip;
+    k.total_ew[on_chip] = comm->total(r1.msg_bytes_ew, where);
+    k.recv_ns[on_chip] = comm->recv(r1.msg_bytes_ns, where);
+    k.send_ew[on_chip] = wave::core::send_cost(app, machine, *comm,
+                                               r1.msg_bytes_ew, where);
+    k.total_ns[on_chip] = comm->total(r1.msg_bytes_ns, where);
+  }
+  auto parity = [](int count, int tile) {
+    std::vector<std::uint8_t> pair(static_cast<std::size_t>(count) + 1, 0);
+    for (int i = 2; i <= count; ++i)
+      pair[i] = (i - 2) / tile == (i - 1) / tile;
+    return pair;
+  };
+  const auto cols = parity(n, machine.cx), rows = parity(m, machine.cy);
+  std::vector<wk::FillTime> packed(static_cast<std::size_t>(n) + 1);
+  std::vector<wk::FillTime> lanes_row(packed.size());
+  wk::FillRowLanes lanes;
+  const auto [packed_s, lanes_s] = fastest_pair(
+      30,
+      [&] {
+        wk::fill_packed_lanes(k, cols.data(), rows.data(), n, m,
+                              packed.data());
+      },
+      [&] {
+        wk::fill_row_lanes(k, cols.data(), rows.data(), n, m, lanes,
+                           lanes_row.data());
+      });
+  ASSERT_EQ(std::memcmp(packed.data() + 1, lanes_row.data() + 1,
+                        static_cast<std::size_t>(n) * sizeof(wk::FillTime)),
+            0);
+  ASSERT_GT(lanes_s, 0.0);
+  const double cells = static_cast<double>(n) * m;
+  const double speedup = packed_s / lanes_s;
+  std::printf("%dx%d fill: packed %.3f ns/cell, row lanes %.3f ns/cell, "
+              "%.2fx\n",
+              n, m, packed_s / cells * 1e9, lanes_s / cells * 1e9, speedup);
+  EXPECT_GE(speedup, bound) << "the row lanes fell toward the packed lanes";
+}
+
+}  // namespace
+
+TEST(PerfGate, FillRowLanesBeatPackedLanesPerCell) {
+  SKIP_UNLESS_MEASURABLE();
+  if (!wave::kernels::has_row_lanes())
+    GTEST_SKIP() << "this CPU lacks AVX-512F/VL";
+  expect_row_lanes_faster(256, 256, 1.5);
+  expect_row_lanes_faster(1024, 64, 1.5);
 }
 
 TEST(PerfGate, MetricsObserverKeepsNinetyPercentOfPlainEventRate) {

@@ -30,6 +30,7 @@
 #include "core/batch_solver.h"
 #include "core/benchmarks.h"
 #include "core/solver.h"
+#include "kernels/fill_recurrence.h"
 #include "loggp/backends.h"
 #include "loggp/registry.h"
 #include "obs/metrics.h"
@@ -163,9 +164,10 @@ TEST(BatchSolver, ByteIdenticalOnEdgeGrids) {
   // Degenerate decompositions: a single processor (no fill, no comm), a
   // one-row pipeline, a one-column stack, and a tall-node machine where
   // the row-parity table does the work. The recurrence runs in skewed
-  // blocks of kernels::kFillRows rows, so the rest hit every block
-  // remainder, both ramps and grids narrower than a block, on node
-  // rectangles up to 4x2, with blocking and non-blocking sends.
+  // blocks of kernels::kFillRows rows, or of up to 24 row lanes, so the
+  // rest hit every block remainder, both ramps and grids narrower than a
+  // block, on node rectangles up to 4x2, with blocking and non-blocking
+  // sends.
   wc::BatchEval plan(kCtx.comm_model_registry());
   std::vector<std::uint32_t> apps;
   for (const bool nonblocking : {false, true}) {
@@ -195,7 +197,10 @@ TEST(BatchSolver, ByteIdenticalOnEdgeGrids) {
             wave::topo::Grid(128, 32), wave::topo::Grid(1, 17),
             wave::topo::Grid(3, 17), wave::topo::Grid(7, 8),
             wave::topo::Grid(8, 9), wave::topo::Grid(9, 8),
-            wave::topo::Grid(2, 10), wave::topo::Grid(40, 17)}) {
+            wave::topo::Grid(2, 10), wave::topo::Grid(40, 17),
+            wave::topo::Grid(40, 23), wave::topo::Grid(30, 24),
+            wave::topo::Grid(9, 25), wave::topo::Grid(50, 26),
+            wave::topo::Grid(20, 49)}) {
         wc::BatchPoint p;
         p.app = app;
         p.machine = machine;
@@ -360,6 +365,180 @@ TEST(BatchSolver, NegativeAndNanCostsMatchScalar) {
         }
       }
     }
+  }
+}
+
+namespace {
+
+/// LogGP with the on-chip Receive replaced by one value: a single extreme
+/// cost next to finite ones, which no validated machine yields.
+class OneCostLogGp : public wave::loggp::CommModel {
+ public:
+  OneCostLogGp(const wave::loggp::MachineParams& p, double on_chip_recv)
+      : CommModel(p), base_(p), on_chip_recv_(on_chip_recv) {}
+  const std::string& name() const override { return name_; }
+  double total(int bytes, wave::loggp::Placement where) const override {
+    return base_.total(bytes, where);
+  }
+  double send(int bytes, wave::loggp::Placement where) const override {
+    return base_.send(bytes, where);
+  }
+  double recv(int bytes, wave::loggp::Placement where) const override {
+    return where == wave::loggp::Placement::OnChip ? on_chip_recv_
+                                                   : base_.recv(bytes, where);
+  }
+
+ private:
+  const std::string name_ = "one-cost-loggp";
+  wave::loggp::LogGpModel base_;
+  double on_chip_recv_;
+};
+
+}  // namespace
+
+TEST(BatchSolver, ExtremeCostsMatchScalarOnRowLaneGrids) {
+  // Grids tall enough for the row lanes (m >= kernels::kRowLanesMinRows).
+  // +inf, NaN and a negative cost keep the packed lanes; DBL_MAX is finite,
+  // so it runs on the row lanes and its sums overflow to +inf mid-grid.
+  wave::loggp::CommModelRegistry registry;
+  const std::pair<const char*, double> cases[] = {
+      {"plus-inf", std::numeric_limits<double>::infinity()},
+      {"nan", std::numeric_limits<double>::quiet_NaN()},
+      {"negative", -3.0},
+      {"dbl-max", std::numeric_limits<double>::max()}};
+  for (const auto& [name, value] : cases) {
+    const double v = value;
+    registry.add(name, "test backend",
+                 [v](const wave::loggp::MachineParams& p,
+                     const wave::loggp::CommModelOptions&) {
+                   return std::make_unique<OneCostLogGp>(p, v);
+                 });
+  }
+  wc::BatchEval plan(registry);
+  wc::BatchScratch scratch;
+  wc::ModelResult batch;
+  for (const auto& [backend, value] : cases) {
+    for (const auto& [cx, cy] : {std::pair{1, 2}, std::pair{2, 2}}) {
+      wc::MachineConfig machine = wc::MachineConfig::xt4_dual_core();
+      machine.cx = cx;
+      machine.cy = cy;
+      machine.comm_model = backend;
+      std::vector<wc::BatchPoint> points;
+      std::vector<wc::ModelResult> scalars;
+      for (const wave::topo::Grid grid :
+           {wave::topo::Grid(13, 12), wave::topo::Grid(64, 30),
+            wave::topo::Grid(30, 64), wave::topo::Grid(100, 49)}) {
+        scalars.push_back(wc::Solver(wb::lu(), machine, registry).evaluate(grid));
+        points.push_back(
+            {plan.add_app(wb::lu()), plan.add_machine(machine), grid});
+        plan.evaluate_point(points.back(), scratch, batch);
+        expect_identical(scalars.back(), batch,
+                         std::string(backend) + " grid " +
+                             std::to_string(grid.n()) + "x" +
+                             std::to_string(grid.m()) + " on " +
+                             std::to_string(cx) + "x" + std::to_string(cy) +
+                             " nodes");
+      }
+      std::vector<wc::ModelResult> group(points.size());
+      plan.evaluate_group(points, scratch, group);
+      for (std::size_t k = 0; k < points.size(); ++k)
+        expect_identical(scalars[k], group[k],
+                         std::string(backend) + " group point " +
+                             std::to_string(k));
+    }
+  }
+}
+
+// ---- the two fill schedules, run directly -------------------------------
+
+namespace {
+
+namespace wk = wave::kernels;
+
+/// A placement-parity bitmap as BatchEval builds it: [k] for 2 <= k <=
+/// count says whether k-1 and k fall on one `tile`-wide node.
+std::vector<std::uint8_t> parity(int count, int tile) {
+  std::vector<std::uint8_t> pair(static_cast<std::size_t>(count) + 1, 0);
+  for (int k = 2; k <= count; ++k) pair[k] = (k - 2) / tile == (k - 1) / tile;
+  return pair;
+}
+
+/// Seeded fill costs >= 0. Tie-heavy draws take every cost from {0, 1, 2},
+/// so whole families of paths tie; some draws hold a -0.0, +inf or DBL_MAX.
+wk::FillCosts draw_costs(wave::common::Rng& rng) {
+  const bool ties = rng.uniform_int(0, 3) == 0;
+  auto cost = [&] {
+    return ties ? static_cast<double>(rng.uniform_int(0, 2))
+                : rng.uniform(0.0, 50.0);
+  };
+  wk::FillCosts k;
+  double* all[] = {&k.w,           &k.wpre,       &k.total_ew[0],
+                   &k.total_ew[1], &k.recv_ns[0], &k.recv_ns[1],
+                   &k.send_ew[0],  &k.send_ew[1], &k.total_ns[0],
+                   &k.total_ns[1]};
+  for (double* c : all) *c = cost();
+  double* odd = all[rng.uniform_int(0, 9)];
+  switch (rng.uniform_int(0, 15)) {
+    case 0: *odd = -0.0; break;
+    case 1: *odd = std::numeric_limits<double>::infinity(); break;
+    case 2: *odd = std::numeric_limits<double>::max(); break;
+    default: break;
+  }
+  return k;
+}
+
+/// row[1..n] of two runs, bit for bit.
+::testing::AssertionResult same_row(const std::vector<wk::FillTime>& a,
+                                    const std::vector<wk::FillTime>& b,
+                                    int n) {
+  for (int i = 1; i <= n; ++i)
+    if (std::memcmp(&a[i], &b[i], sizeof a[i]) != 0)
+      return ::testing::AssertionFailure()
+             << "column " << i << ": {" << a[i].total << ", " << a[i].comm
+             << "} vs {" << b[i].total << ", " << b[i].comm << "}";
+  return ::testing::AssertionSuccess();
+}
+
+/// The packed and the row-lane schedule on one input, whole rows compared.
+::testing::AssertionResult lanes_match(const wk::FillCosts& k, int n, int m,
+                                       int cx, int cy,
+                                       wk::FillRowLanes& lanes) {
+  const std::vector<std::uint8_t> col = parity(n, cx), row = parity(m, cy);
+  std::vector<wk::FillTime> packed(static_cast<std::size_t>(n) + 1);
+  std::vector<wk::FillTime> rows(packed.size());
+  wk::fill_packed_lanes(k, col.data(), row.data(), n, m, packed.data());
+  wk::fill_row_lanes(k, col.data(), row.data(), n, m, lanes, rows.data());
+  return same_row(packed, rows, n) << " on a " << n << "x" << m << " grid, "
+                                   << cx << "x" << cy << " nodes";
+}
+
+}  // namespace
+
+TEST(FillKernels, RowLanesMatchPackedLanesBitForBit) {
+  if (!wk::has_row_lanes())
+    GTEST_SKIP() << "this CPU lacks AVX-512F/VL, so the row-lane schedule "
+                    "cannot run here";
+  wk::FillRowLanes lanes;
+  wave::common::Rng rng(28);
+  // Every block height 1-24 and its remainders after full blocks (m - 1 =
+  // 24q + r), on grids narrower than, as wide as and wider than a block.
+  for (int m = 1; m <= 3 * 24 + 2; ++m)
+    for (const int n : {1, 2, 7, 23, 24, 25, 61})
+      ASSERT_TRUE(lanes_match(draw_costs(rng), n, m, 2, 1, lanes));
+  // Every cost -0.0: every total stays -0.0 and every cell's candidates
+  // tie, so each cell must go west with the sign bit the scalar adds give.
+  const wk::FillCosts zeros{-0.0,         -0.0,         {-0.0, -0.0},
+                            {-0.0, -0.0}, {-0.0, -0.0}, {-0.0, -0.0}};
+  for (const int m : {12, 24, 25, 49})
+    ASSERT_TRUE(lanes_match(zeros, 30, m, 2, 2, lanes));
+  // Seeded draws over grid, node shape and costs.
+  for (int d = 0; d < 3000; ++d) {
+    const wk::FillCosts k = draw_costs(rng);
+    const int n = static_cast<int>(rng.uniform_int(1, 300));
+    const int m = static_cast<int>(rng.uniform_int(1, 90));
+    const int cx = static_cast<int>(rng.uniform_int(1, 4));
+    const int cy = static_cast<int>(rng.uniform_int(1, 4));
+    ASSERT_TRUE(lanes_match(k, n, m, cx, cy, lanes)) << "draw " << d;
   }
 }
 
