@@ -7,6 +7,7 @@
 #include "core/machine.h"
 #include "runner/record.h"
 #include "runner/sinks.h"
+#include "topology/grid.h"
 #include "wave/context.h"
 
 namespace wave {
@@ -160,11 +161,14 @@ runner::SweepGrid Study::sweep_grid(const Context& ctx) const {
         // Query::processors sets the decomposition only; SweepGrid's
         // processors() would also store params["P"], which the equivalent
         // Query (and so its cache key) does not carry.
+        // The grid is computed once per level, not once per point.
         runner::Axis processors{"P", {}};
         for (const int p : axis.ints)
           processors.levels.push_back(
               {runner::format_value(p),
-               [p](runner::Scenario& s) { s.set_processors(p); }});
+               [grid = topo::closest_to_square(p)](runner::Scenario& s) {
+                 s.grid = grid;
+               }});
         grid.axis(std::move(processors));
         break;
       }

@@ -1,5 +1,6 @@
 #include "core/batch_solver.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -46,25 +47,26 @@ BatchScratch::FillKey BatchEval::fill_input(const BatchPoint& point,
   // pre-evaluated for both placements, indexed [off-node=0, on-chip=1]:
   // exactly the doubles the scalar path's virtual calls return.
   BatchScratch::FillKey key{};
-  key.costs.w = res.w;
-  key.costs.wpre = res.wpre;
+  kernels::FillCosts& costs = key.fill.costs;
+  costs.w = res.w;
+  costs.wpre = res.wpre;
   for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
     const int on_chip = where == Placement::OnChip;
-    key.costs.total_ew[on_chip] = me.comm->total(res.msg_bytes_ew, where);
-    key.costs.recv_ns[on_chip] = me.comm->recv(res.msg_bytes_ns, where);
-    key.costs.send_ew[on_chip] =
+    costs.total_ew[on_chip] = me.comm->total(res.msg_bytes_ew, where);
+    costs.recv_ns[on_chip] = me.comm->recv(res.msg_bytes_ns, where);
+    costs.send_ew[on_chip] =
         send_cost(app, me.machine, *me.comm, res.msg_bytes_ew, where);
-    key.costs.total_ns[on_chip] = me.comm->total(res.msg_bytes_ns, where);
+    costs.total_ns[on_chip] = me.comm->total(res.msg_bytes_ns, where);
   }
-  key.cx = me.machine.cx;
-  key.cy = me.machine.cy;
+  key.fill.cx = me.machine.cx;
+  key.fill.cy = me.machine.cy;
   key.n = point.grid.n();
   key.m = point.grid.m();
   return key;
 }
 
-BatchScratch::FillCorners BatchEval::run_fill(const BatchScratch::FillKey& key,
-                                              BatchScratch& scratch) {
+kernels::FillCorners BatchEval::run_fill(const BatchScratch::FillKey& key,
+                                         BatchScratch& scratch) {
   // Placement parity — all of topology/node_map.h reduced to two bitmaps.
   // Within one row, columns i-1 and i share a node iff they fall in the
   // same cx-wide tile column; within one column, rows j-1 and j share a
@@ -83,20 +85,61 @@ BatchScratch::FillCorners BatchEval::run_fill(const BatchScratch::FillKey& key,
       pair[k] = pos != 0;  // == ((k - 2) / tile == (k - 1) / tile)
     }
   };
-  fill_parity(scratch.col_pair_, scratch.col_shape_, key.n, key.cx);
-  fill_parity(scratch.row_pair_, scratch.row_shape_, key.m, key.cy);
+  fill_parity(scratch.col_pair_, scratch.col_shape_, key.n, key.fill.cx);
+  fill_parity(scratch.row_pair_, scratch.row_shape_, key.m, key.fill.cy);
 
   // (r2a)/(r2b): the pipeline-fill recurrence as a wavefront of skewed row
   // blocks (kernels/fill_recurrence.h); the buffer ends holding row m.
   scratch.row_.resize(static_cast<std::size_t>(key.n) + 1);
-  kernels::fill_recurrence(key.costs, scratch.col_pair_.data(),
+  kernels::fill_recurrence(key.fill.costs, scratch.col_pair_.data(),
                            scratch.row_pair_.data(), key.n, key.m,
-                           scratch.lanes_, scratch.row_.data());
+                           scratch.row_lanes_, scratch.row_.data());
   return {scratch.row_[1], scratch.row_[key.n]};
 }
 
+void BatchEval::run_fills(BatchScratch& scratch) {
+  const std::vector<BatchScratch::FillKey>& keys = scratch.keys_;
+  scratch.corners_.resize(keys.size());
+  // A thin grid's fill is one long chain of dependent adds, and the fills
+  // of a group are independent: with AVX-512 they run side by side, one
+  // per vector lane (kernels/fill_recurrence.h). Everything else runs one
+  // at a time.
+  const bool lanes = kernels::has_row_lanes();
+  scratch.thin_.clear();
+  for (std::uint32_t k = 0; k < keys.size(); ++k) {
+    if (lanes && std::min(keys[k].n, keys[k].m) < kernels::kRowLanesMinRows)
+      scratch.thin_.push_back(k);
+    else
+      scratch.corners_[k] = run_fill(keys[k], scratch);
+  }
+  // A point-lane batch is up to kPointLanesMaxFills thin keys on one
+  // grid; the first waiting key picks the grid.
+  std::vector<std::uint32_t>& thin = scratch.thin_;
+  while (!thin.empty()) {
+    const BatchScratch::FillKey& first = keys[thin.front()];
+    const kernels::FillPoint* fills[kernels::kPointLanesMaxFills];
+    std::uint32_t batch[kernels::kPointLanesMaxFills];
+    int count = 0;
+    auto left = thin.begin();
+    for (const std::uint32_t k : thin) {
+      if (count < kernels::kPointLanesMaxFills && keys[k].n == first.n &&
+          keys[k].m == first.m) {
+        fills[count] = &keys[k].fill;
+        batch[count++] = k;
+      } else {
+        *left++ = k;
+      }
+    }
+    thin.erase(left, thin.end());
+    kernels::FillCorners out[kernels::kPointLanesMaxFills];
+    kernels::fill_point_lanes(fills, count, first.n, first.m,
+                              scratch.point_lanes_, out);
+    for (int c = 0; c < count; ++c) scratch.corners_[batch[c]] = out[c];
+  }
+}
+
 void BatchEval::finish(const BatchPoint& point,
-                       const BatchScratch::FillCorners& fill,
+                       const kernels::FillCorners& fill,
                        ModelResult& res) const {
   const MachineEntry& me = machines_[point.machine];
   evaluate_r3_r5(apps_[point.app], me.machine, *me.comm,
@@ -121,19 +164,19 @@ std::size_t BatchEval::evaluate_group(std::span<const BatchPoint> points,
                 sizeof(kernels::FillCosts) + 4 * sizeof(int));
   static_assert(sizeof(kernels::FillCosts) == 10 * sizeof(double));
   scratch.keys_.clear();
-  scratch.corners_.clear();
+  scratch.key_of_.resize(points.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
     const BatchScratch::FillKey key = fill_input(points[k], results[k]);
-    std::size_t j = 0;
+    std::uint32_t j = 0;
     while (j < scratch.keys_.size() &&
            std::memcmp(&scratch.keys_[j], &key, sizeof key) != 0)
       ++j;
-    if (j == scratch.keys_.size()) {
-      scratch.keys_.push_back(key);
-      scratch.corners_.push_back(run_fill(key, scratch));
-    }
-    finish(points[k], scratch.corners_[j], results[k]);
+    if (j == scratch.keys_.size()) scratch.keys_.push_back(key);
+    scratch.key_of_[k] = j;
   }
+  run_fills(scratch);
+  for (std::size_t k = 0; k < points.size(); ++k)
+    finish(points[k], scratch.corners_[scratch.key_of_[k]], results[k]);
   return scratch.keys_.size();
 }
 

@@ -39,9 +39,15 @@
 //    large enough to rendezvous on a machine with a sync overhead, and
 //    contention equals loggp on single-core nodes. Inputs are compared
 //    bitwise, never with == on doubles, so a shared StartP(1,m)/StartP(n,m)
-//    pair is exactly what the point's own recurrence would produce.
-//    runner::BatchRunner groups the points of a sweep that share an app, a
-//    grid and a machine up to its name and comm backend.
+//    pair is exactly what the point's own recurrence would produce;
+//  * on AVX-512 CPUs, evaluate_group() then runs the distinct inputs of a
+//    thin grid (min(n, m) < kernels::kRowLanesMinRows) side by side, up to
+//    sixteen fills that share n x m per call, one fill per vector lane
+//    (kernels::fill_point_lanes). A thin grid's fill is one long chain of
+//    dependent adds that neither wavefront schedule can spread over a
+//    vector, and the distinct fills of a group are independent chains.
+//    runner::BatchRunner groups the points of a sweep that share an app
+//    and a grid, so a group holds every machine and backend at one grid.
 //
 // Correctness contract: results are BYTE-identical to Solver::evaluate on
 // every point. The r1 and r3-r5 terms are the same code; for r2 the plan
@@ -79,10 +85,11 @@ struct BatchPoint {
 /// Reusable per-thread workspace for evaluate_point and evaluate_group: the
 /// r2 row buffer (n+1 entries; the recurrence keeps only one row in
 /// memory), the two placement-parity bitmaps, the row-lane kernel's
-/// reversed cost arrays and a group's distinct fill inputs. Keeping it
-/// outside the call makes the hot loop allocation-free after the first
-/// (largest-grid) point. Each bitmap remembers the shape it
-/// was built for and is rebuilt only when that shape changes, so the fills
+/// reversed cost arrays, the point-lane kernel's cost tables and a group's
+/// distinct fill inputs. Keeping it outside the call makes the hot loop
+/// allocation-free after the first (largest-grid) point. Each bitmap
+/// remembers the shape it was built for and is rebuilt only when that
+/// shape changes, so the fills
 /// of one group, which share n, m, cx and cy, build it once.
 class BatchScratch {
  public:
@@ -91,15 +98,11 @@ class BatchScratch {
  private:
   friend class BatchEval;
 
-  /// Everything kernels::fill_recurrence reads. Compared with memcmp, so it
-  /// has no padding bytes (batch_solver.cpp checks the size).
+  /// Everything the fill kernels read. Compared with memcmp, so it has no
+  /// padding bytes (batch_solver.cpp checks the size).
   struct FillKey {
-    kernels::FillCosts costs;
-    int cx, cy, n, m;
-  };
-  /// StartP(1, m) and StartP(n, m): all of r2 that (r3a)/(r3b) use.
-  struct FillCorners {
-    kernels::FillTime diag, full;
+    kernels::FillPoint fill;  ///< the costs and the node shape cx x cy
+    int n, m;
   };
 
   std::vector<kernels::FillTime> row_;   ///< [i] = StartP(i, current row)
@@ -108,8 +111,11 @@ class BatchScratch {
   std::pair<int, int> col_shape_{0, 0};  ///< the (n, cx) of col_pair_
   std::pair<int, int> row_shape_{0, 0};  ///< the (m, cy) of row_pair_
   std::vector<FillKey> keys_;            ///< a group's distinct fill inputs
-  std::vector<FillCorners> corners_;     ///< [k] = the fill of keys_[k]
-  kernels::FillRowLanes lanes_;          ///< the row-lane schedule's buffers
+  std::vector<std::uint32_t> key_of_;    ///< [k] = point k's index in keys_
+  std::vector<std::uint32_t> thin_;      ///< keys waiting for point lanes
+  std::vector<kernels::FillCorners> corners_;  ///< [k] = fill of keys_[k]
+  kernels::FillRowLanes row_lanes_;      ///< the row-lane schedule's buffers
+  kernels::FillPointLanes point_lanes_;  ///< the point-lane cost tables
 };
 
 /// The batch planner/evaluator. Construction binds a comm-model registry
@@ -175,10 +181,12 @@ class BatchEval {
   BatchScratch::FillKey fill_input(const BatchPoint& point,
                                    ModelResult& res) const;
   /// Runs r2 on `key` in `scratch` and returns its two corners.
-  static BatchScratch::FillCorners run_fill(const BatchScratch::FillKey& key,
-                                            BatchScratch& scratch);
+  static kernels::FillCorners run_fill(const BatchScratch::FillKey& key,
+                                       BatchScratch& scratch);
+  /// Fills every scratch.corners_[k] from scratch.keys_[k].
+  static void run_fills(BatchScratch& scratch);
   /// evaluate_r3_r5 from the fill corners.
-  void finish(const BatchPoint& point, const BatchScratch::FillCorners& fill,
+  void finish(const BatchPoint& point, const kernels::FillCorners& fill,
               ModelResult& res) const;
 
   const loggp::CommModelRegistry* registry_;

@@ -5,13 +5,15 @@
 #include <iterator>
 #include <utility>
 
-// The row lanes need GCC/Clang's target attribute and the x86 intrinsics;
-// elsewhere fill_recurrence always runs the packed lanes.
+#include "common/contracts.h"
+
+// The row and point lanes need GCC/Clang's target attribute and the x86
+// intrinsics; elsewhere fill_recurrence always runs the packed lanes.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define WAVE_ROW_LANES 1
+#define WAVE_AVX512_LANES 1
 #include <immintrin.h>
 #else
-#define WAVE_ROW_LANES 0
+#define WAVE_AVX512_LANES 0
 #endif
 
 namespace wave::kernels {
@@ -190,7 +192,7 @@ bool all_costs(const FillCosts& k, bool (*ok)(double)) {
 bool non_negative(double c) { return c >= 0.0; }
 bool finite_non_negative(double c) { return c >= 0.0 && c <= DBL_MAX; }
 
-#if WAVE_ROW_LANES
+#if WAVE_AVX512_LANES
 
 #define WAVE_AVX512 __attribute__((target("avx512f,avx512vl")))
 #define WAVE_AVX512_INLINE WAVE_AVX512 inline __attribute__((always_inline))
@@ -331,7 +333,261 @@ WAVE_AVX512 void row_lane_block(const FillCosts& k,
     row_lane_step<V, true>(s, t, n, rows, k.w, w, total_ew, send_ew, row);
 }
 
-#endif  // WAVE_ROW_LANES
+/// Eight fills' values at one cell, one fill per lane: their totals and
+/// their comm shares.
+struct PointLanes {
+  __m512d total, comm;
+};
+
+WAVE_AVX512_INLINE __m512d lane_load(const FillLaneValues& v) {
+  return _mm512_load_pd(v.lane);
+}
+
+/// A value plus {w, 0.0}: its west input to the next column and its north
+/// input to the next row.
+WAVE_AVX512_INLINE PointLanes plus_work(PointLanes v, __m512d w) {
+  return {_mm512_add_pd(v.total, w),
+          _mm512_add_pd(v.comm, _mm512_setzero_pd())};
+}
+
+/// A candidate plus a message cost t on both lanes, as {t, t}.
+WAVE_AVX512_INLINE PointLanes plus_comm(PointLanes v, __m512d t) {
+  return {_mm512_add_pd(v.total, t), _mm512_add_pd(v.comm, t)};
+}
+
+/// Per lane, `cand` where its total is later than best's (a strict `>`,
+/// so a tie keeps best), else best.
+WAVE_AVX512_INLINE PointLanes later_of(PointLanes best, PointLanes cand) {
+  const __mmask8 later = _mm512_cmp_pd_mask(cand.total, best.total,
+                                            _CMP_GT_OQ);
+  return {_mm512_mask_blend_pd(later, best.total, cand.total),
+          _mm512_mask_blend_pd(later, best.comm, cand.comm)};
+}
+
+/// cell() on eight fills at once: the same adds in the same order, the
+/// winner picked per lane on the total with a strict `>`. `west` and
+/// `north` are the neighbours plus {w, 0.0}.
+template <bool kNonNegative, bool kWest, bool kEast, bool kNorth>
+WAVE_AVX512_INLINE PointLanes point_cell(PointLanes west, PointLanes north,
+                                         __m512d total_ew, __m512d recv_ns,
+                                         __m512d send_ew, __m512d total_ns) {
+  PointLanes best{_mm512_set1_pd(-1.0), _mm512_setzero_pd()};
+  if constexpr (kWest) {
+    PointLanes cand = plus_comm(west, total_ew);
+    if constexpr (kNorth) cand = plus_comm(cand, recv_ns);
+    best = kNonNegative ? cand : later_of(best, cand);
+  }
+  if constexpr (kNorth) {
+    PointLanes cand = north;
+    if constexpr (kEast) cand = plus_comm(cand, send_ew);
+    best = later_of(best, plus_comm(cand, total_ns));
+  }
+  return best;
+}
+
+/// A batch's per-lane costs. Column i's east-west message costs sit in
+/// period-table entry (i - 1) & col_mask, row j's north-south costs in
+/// entry (j - 1) & row_mask (see period_table).
+struct PointInputs {
+  FillLaneValues w, wpre;
+  const FillLaneValues* cols;  ///< [2k] TotalComm_ew, [2k + 1] Send_ew
+  const FillLaneValues* rows;  ///< [2k] Receive_ns, [2k + 1] TotalComm_ns
+  int col_mask, row_mask;
+};
+
+/// PointInputs inside the walk, with w and wpre held in registers.
+struct PointTables {
+  __m512d w, wpre;
+  const FillLaneValues* cols;
+  const FillLaneValues* rows;
+  int col_mask, row_mask;
+
+  WAVE_AVX512_INLINE explicit PointTables(const PointInputs& in)
+      : w(lane_load(in.w)),
+        wpre(lane_load(in.wpre)),
+        cols(in.cols),
+        rows(in.rows),
+        col_mask(in.col_mask),
+        row_mask(in.row_mask) {}
+
+  /// TotalComm of the message into column i; Send of the one east of it.
+  WAVE_AVX512_INLINE __m512d total_ew(int i) const {
+    return lane_load(cols[2 * ((i - 1) & col_mask)]);
+  }
+  WAVE_AVX512_INLINE __m512d send_ew(int i) const {
+    return lane_load(cols[2 * (i & col_mask) + 1]);
+  }
+  /// Receive and TotalComm of the message into row j.
+  WAVE_AVX512_INLINE __m512d recv_ns(int j) const {
+    return lane_load(rows[2 * ((j - 1) & row_mask)]);
+  }
+  WAVE_AVX512_INLINE __m512d total_ns(int j) const {
+    return lane_load(rows[2 * ((j - 1) & row_mask) + 1]);
+  }
+};
+
+/// Row j + 1 of column i on a grid of S rows, the short side. own[r]
+/// holds column i-1's cell at row r + 1 plus {w, 0.0} on entry, column i's
+/// on return; own[j - 1] already holds column i's cell at row j.
+template <bool kNonNegative, bool kWest, bool kEast, int j>
+WAVE_AVX512_INLINE PointLanes column_cell(const PointTables& k,
+                                          __m512d total_ew, __m512d send_ew,
+                                          PointLanes* own) {
+  const __m512d zero = _mm512_setzero_pd();
+  // Column 1 has no west input, so own[j] is not read there.
+  const PointLanes none{zero, zero};
+  PointLanes v{k.wpre, zero};
+  if constexpr (j == 0) {
+    if constexpr (kWest)
+      v = point_cell<kNonNegative, true, kEast, false>(own[0], none, total_ew,
+                                                       zero, zero, zero);
+  } else {
+    v = point_cell<kNonNegative, kWest, kEast, true>(
+        kWest ? own[j] : none, own[j - 1], total_ew, k.recv_ns(j + 1),
+        send_ew, k.total_ns(j + 1));
+  }
+  own[j] = plus_work(v, k.w);
+  return v;
+}
+
+/// Column i, rows 1..S; returns StartP(i, S).
+template <bool kNonNegative, bool kWest, bool kEast, int... j>
+WAVE_AVX512_INLINE PointLanes point_column(const PointTables& k, int i,
+                                           PointLanes* own,
+                                           std::integer_sequence<int, j...>) {
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d total_ew = kWest ? k.total_ew(i) : zero;
+  const __m512d send_ew = kEast ? k.send_ew(i) : zero;
+  PointLanes v{zero, zero};
+  ((v = column_cell<kNonNegative, kWest, kEast, j>(k, total_ew, send_ew, own)),
+   ...);
+  return v;
+}
+
+/// Column c + 1 of row j on a grid of S columns, the short side. own[c]
+/// holds row j-1's cell at column c + 1 plus {w, 0.0} on entry, row j's on
+/// return; own[c - 1] already holds row j's cell at column c.
+template <bool kNonNegative, bool kNorth, int S, int c>
+WAVE_AVX512_INLINE PointLanes row_cell(const PointTables& k, __m512d recv_ns,
+                                       __m512d total_ns, PointLanes* own) {
+  constexpr bool kWest = c > 0, kEast = c < S - 1;
+  const __m512d zero = _mm512_setzero_pd();
+  PointLanes v{k.wpre, zero};
+  if constexpr (kWest || kNorth) {
+    // Row 1 has no north input, so own[c] is not read there.
+    const PointLanes none{zero, zero};
+    v = point_cell<kNonNegative, kWest, kEast, kNorth>(
+        kWest ? own[c - 1] : none, kNorth ? own[c] : none,
+        kWest ? k.total_ew(c + 1) : zero, recv_ns,
+        kEast ? k.send_ew(c + 1) : zero, total_ns);
+  }
+  own[c] = plus_work(v, k.w);
+  return v;
+}
+
+/// Row j, columns 1..S; writes StartP(1, j) and StartP(S, j).
+template <bool kNonNegative, bool kNorth, int S, int... c>
+WAVE_AVX512_INLINE void point_row(const PointTables& k, int j,
+                                  PointLanes* own, PointLanes& first,
+                                  PointLanes& last,
+                                  std::integer_sequence<int, c...>) {
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d recv_ns = kNorth ? k.recv_ns(j) : zero;
+  const __m512d total_ns = kNorth ? k.total_ns(j) : zero;
+  const PointLanes row[] = {
+      row_cell<kNonNegative, kNorth, S, c>(k, recv_ns, total_ns, own)...};
+  first = row[0];
+  last = row[S - 1];
+}
+
+/// The whole grid, its short side S innermost: the latest S cells of the
+/// walk, plus {w, 0.0}, stay in registers. V vectors of fills, in[0] and
+/// in[V - 1], run interleaved: each cell waits on its west and north
+/// neighbours' chains of adds, and a second vector's independent cells
+/// fill the wait (1.7x at S = 1, 1.1-1.2x at S = 3..5, no loss on the
+/// larger S). Stores vector v's StartP(1, m) to corner[4v] (totals) and
+/// corner[4v + 1] (comm shares), its StartP(n, m) to corner[4v + 2] and
+/// corner[4v + 3].
+template <bool kNonNegative, int S, int V>
+WAVE_AVX512 void point_walk(const PointInputs* in, int n, int m,
+                            FillLaneValues* corner) {
+  static_assert(V == 1 || V == 2);
+  const PointTables k0(in[0]), k1(in[V - 1]);
+  const auto cells = std::make_integer_sequence<int, S>{};
+  PointLanes own0[S], own1[S];
+  PointLanes diag[2], full[2];
+  // Column-major while m is the short side; a single column (n = 1,
+  // so m = 1 too) runs as one row.
+  if (m == S && n > 1) {
+    diag[0] = point_column<kNonNegative, false, true>(k0, 1, own0, cells);
+    if constexpr (V == 2)
+      diag[1] = point_column<kNonNegative, false, true>(k1, 1, own1, cells);
+    for (int i = 2; i < n; ++i) {
+      point_column<kNonNegative, true, true>(k0, i, own0, cells);
+      if constexpr (V == 2)
+        point_column<kNonNegative, true, true>(k1, i, own1, cells);
+    }
+    full[0] = point_column<kNonNegative, true, false>(k0, n, own0, cells);
+    if constexpr (V == 2)
+      full[1] = point_column<kNonNegative, true, false>(k1, n, own1, cells);
+  } else {
+    point_row<kNonNegative, false, S>(k0, 1, own0, diag[0], full[0], cells);
+    if constexpr (V == 2)
+      point_row<kNonNegative, false, S>(k1, 1, own1, diag[1], full[1],
+                                        cells);
+    for (int j = 2; j <= m; ++j) {
+      point_row<kNonNegative, true, S>(k0, j, own0, diag[0], full[0], cells);
+      if constexpr (V == 2)
+        point_row<kNonNegative, true, S>(k1, j, own1, diag[1], full[1],
+                                         cells);
+    }
+  }
+  for (int v = 0; v < V; ++v) {
+    _mm512_store_pd(corner[4 * v].lane, diag[v].total);
+    _mm512_store_pd(corner[4 * v + 1].lane, diag[v].comm);
+    _mm512_store_pd(corner[4 * v + 2].lane, full[v].total);
+    _mm512_store_pd(corner[4 * v + 3].lane, full[v].comm);
+  }
+}
+
+/// Runs point_walk for S = min(n, m): the short side is a template
+/// argument so its cells stay in registers. Two vectors run interleaved
+/// when every cost is >= 0. With the sentinel compare, which only
+/// negative or NaN costs need, they run one after the other: a rare path
+/// does not need a second set of instantiations (kernel text 243 -> 166
+/// KB).
+template <bool kNonNegative, int S>
+void point_walk_of(const PointInputs* in, int vectors, int n, int m,
+                   FillLaneValues* corner) {
+  if constexpr (S > 1) {
+    if (std::min(n, m) < S)
+      return point_walk_of<kNonNegative, S - 1>(in, vectors, n, m, corner);
+  }
+  if constexpr (kNonNegative) {
+    if (vectors == 2) return point_walk<true, S, 2>(in, n, m, corner);
+  }
+  for (int v = 0; v < vectors; ++v)
+    point_walk<kNonNegative, S, 1>(in + v, n, m, corner + 4 * v);
+}
+
+/// One axis's period table, entries [2k] and [2k + 1] for k < size: per
+/// lane, the costs a[p] and b[p] at placement p = ((k & (tile - 1)) != 0).
+/// For a power-of-two tile that is nonzero exactly when indices k and
+/// k + 1 fall on one tile, so the entry at (i - 1) & (period - 1) serves
+/// index i for any period that is a multiple of every lane's tile.
+void period_table(const FillPoint* const* lane, int size,
+                  int FillPoint::*tile, double (FillCosts::*a)[2],
+                  double (FillCosts::*b)[2], FillLaneValues* out) {
+  for (int k = 0; k < size; ++k)
+    for (int l = 0; l < kPointLaneWidth; ++l) {
+      const FillPoint& f = *lane[l];
+      const int p = (k & (f.*tile - 1)) != 0;
+      out[2 * k].lane[l] = (f.costs.*a)[p];
+      out[2 * k + 1].lane[l] = (f.costs.*b)[p];
+    }
+}
+
+#endif  // WAVE_AVX512_LANES
 
 }  // namespace
 
@@ -345,7 +601,7 @@ void fill_packed_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
 }
 
 bool has_row_lanes() {
-#if WAVE_ROW_LANES
+#if WAVE_AVX512_LANES
   static const bool has = __builtin_cpu_supports("avx512f") &&
                           __builtin_cpu_supports("avx512vl");
   return has;
@@ -360,7 +616,7 @@ void fill_row_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
   const Terms k(costs);
   first_row<true>(k, costs, col_pair, n, row);
   int j0 = 2;
-#if WAVE_ROW_LANES
+#if WAVE_AVX512_LANES
   if (m - 1 >= kMinBlockRows) {
     // Column c of a reversed array sits at [n + kPad - c], so the eight
     // lanes of a vector, at columns t-8v .. t-8v-7, are one contiguous
@@ -409,6 +665,72 @@ void fill_recurrence(const FillCosts& costs, const std::uint8_t* col_pair,
     fill_row_lanes(costs, col_pair, row_pair, n, m, lanes, row);
   else
     fill_packed_lanes(costs, col_pair, row_pair, n, m, row);
+}
+
+void fill_point_lanes(const FillPoint* const* fills, int count, int n, int m,
+                      FillPointLanes& lanes, FillCorners* out) {
+  WAVE_EXPECTS(has_row_lanes() && count >= 1 &&
+               count <= kPointLanesMaxFills &&
+               std::min(n, m) < kRowLanesMinRows);
+#if WAVE_AVX512_LANES
+  // Fill f runs in lane f % 8 of vector f / 8. Unused lanes of the last
+  // vector run its first fill; nothing reads them.
+  constexpr int kVectors = kPointLanesMaxFills / kPointLaneWidth;
+  const int vectors = (count + kPointLaneWidth - 1) / kPointLaneWidth;
+  const FillPoint* lane[kPointLanesMaxFills];
+  PointInputs in[kVectors];
+  bool costs_non_negative = true;
+  std::size_t table_size = 0;
+  int cols[kVectors], rows[kVectors];
+  for (int v = 0; v < vectors; ++v) {
+    const FillPoint** vec = lane + kPointLaneWidth * v;
+    int col_period = 1, row_period = 1;
+    for (int l = 0; l < kPointLaneWidth; ++l) {
+      const int f = kPointLaneWidth * v + l;
+      vec[l] = fills[f < count ? f : kPointLaneWidth * v];
+      in[v].w.lane[l] = vec[l]->costs.w;
+      in[v].wpre.lane[l] = vec[l]->costs.wpre;
+      col_period = std::max(col_period, vec[l]->cx);
+      row_period = std::max(row_period, vec[l]->cy);
+      costs_non_negative =
+          costs_non_negative && all_costs(vec[l]->costs, non_negative);
+    }
+    in[v].col_mask = col_period - 1;
+    in[v].row_mask = row_period - 1;
+    // Column i reads entry (i - 1) or i masked by the period, both < n;
+    // row j reads entry (j - 1), < m.
+    cols[v] = std::min(col_period, n);
+    rows[v] = std::min(row_period, m);
+    table_size += 2 * static_cast<std::size_t>(cols[v] + rows[v]);
+  }
+  lanes.costs.resize(table_size);
+  FillLaneValues* table = lanes.costs.data();
+  for (int v = 0; v < vectors; ++v) {
+    const FillPoint* const* vec = lane + kPointLaneWidth * v;
+    in[v].cols = table;
+    period_table(vec, cols[v], &FillPoint::cx, &FillCosts::total_ew,
+                 &FillCosts::send_ew, table);
+    table += 2 * cols[v];
+    in[v].rows = table;
+    period_table(vec, rows[v], &FillPoint::cy, &FillCosts::recv_ns,
+                 &FillCosts::total_ns, table);
+    table += 2 * rows[v];
+  }
+
+  constexpr int kMaxShort = kRowLanesMinRows - 1;
+  FillLaneValues corner[4 * kVectors];
+  if (costs_non_negative)
+    point_walk_of<true, kMaxShort>(in, vectors, n, m, corner);
+  else
+    point_walk_of<false, kMaxShort>(in, vectors, n, m, corner);
+  for (int f = 0; f < count; ++f) {
+    const FillLaneValues* c = corner + 4 * (f / kPointLaneWidth);
+    const int l = f % kPointLaneWidth;
+    out[f] = {{c[0].lane[l], c[1].lane[l]}, {c[2].lane[l], c[3].lane[l]}};
+  }
+#else
+  (void)fills, (void)n, (void)m, (void)lanes, (void)out;
+#endif
 }
 
 }  // namespace wave::kernels

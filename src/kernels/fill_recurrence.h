@@ -12,8 +12,9 @@
 // produced one step earlier, so only the block's last row is written back
 // to memory.
 //
-// Two schedules share that wavefront and differ in what a vector lane
-// holds:
+// Three schedules run the recurrence. The first two share that wavefront
+// and differ in what a vector lane holds; the third runs several fills
+// side by side:
 //
 //  * packed lanes (any CPU): each value is one 2-lane vector
 //    {total, comm}, and a block has up to kFillRows rows. The tile's work
@@ -30,7 +31,15 @@
 //    its chain of adds, so two or three vector pairs cost about what one
 //    does, and one row-lane cell costs about half a packed one. It runs
 //    only when every cost is finite and >= 0, on grids with n and m at
-//    least kRowLanesMinRows.
+//    least kRowLanesMinRows;
+//  * point lanes (AVX-512F/VL): up to kPointLanesMaxFills independent
+//    fills that share n x m run together, one fill per lane of one or two
+//    interleaved 8-lane vector pairs, each with its own costs and node
+//    shape. Every lane has the same n and m, so control flow stays
+//    uniform. The walk is plain, not skewed: the short side runs innermost
+//    and its latest cells stay in registers. It serves the thin grids
+//    (min(n, m) < kRowLanesMinRows), where a skewed block has too few rows
+//    to fill a vector and each fill is one long chain of dependent adds.
 //
 // The kernel sees plain doubles and the two placement-parity bitmaps, so
 // src/kernels/ stays independent of core/. It lives here so the
@@ -45,8 +54,14 @@
 // solver's -1.0 sentinel when costs are >= 0. The row lanes pad the absent
 // east send of column n with -0.0 (x + -0.0 == x for every x), select
 // column 1's north candidate with a lane mask, and let idle ramp lanes
-// compute on padding that no active lane reads. A schedule only changes
-// which cells are computed when, never what a cell computes.
+// compute on padding that no active lane reads. The point lanes read a
+// lane's placement from period tables instead of the bitmaps (cx and cy
+// are powers of two, so columns i-1 and i share a node exactly when
+// ((i - 1) & (cx - 1)) != 0), make no add for column n's absent east send
+// (every lane is at the same column), keep the -1.0 sentinel compare
+// unless every lane's costs are >= 0, and give unused lanes the inputs of
+// their vector's first lane. A schedule only changes which cells are
+// computed when, never what a cell computes.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +88,20 @@ inline constexpr int kRowLaneVectors = 3;
 /// 1.4x and more (docs/PERFORMANCE.md).
 inline constexpr int kRowLanesMinRows = 12;
 
+/// Fills per point-lane vector, one per lane, and per fill_point_lanes
+/// call: two vectors.
+inline constexpr int kPointLaneWidth = 8;
+inline constexpr int kPointLanesMaxFills = 2 * kPointLaneWidth;
+
 /// A start time and its communication share (core::TimeSplit's layout).
 struct FillTime {
   double total = 0.0;
   double comm = 0.0;
+};
+
+/// StartP(1, m) and StartP(n, m): all of a fill that (r3a)/(r3b) use.
+struct FillCorners {
+  FillTime diag, full;
 };
 
 /// The per-point inputs of the recurrence. Each cost pair is indexed
@@ -88,6 +113,28 @@ struct FillCosts {
   double recv_ns[2] = {0.0, 0.0};   ///< Receive of a north-south message
   double send_ew[2] = {0.0, 0.0};   ///< Send of an east-west message
   double total_ns[2] = {0.0, 0.0};  ///< TotalComm of a north-south message
+};
+
+/// One fill of a point-lane batch: everything it reads but the grid.
+struct FillPoint {
+  FillCosts costs;
+  int cx = 1;  ///< node columns, a power of two
+  int cy = 1;  ///< node rows, a power of two
+};
+
+/// Eight doubles, one per point lane: one vector load.
+struct alignas(64) FillLaneValues {
+  double lane[kPointLaneWidth];
+};
+
+/// The point-lane schedule's workspace, reused across calls: the per-lane
+/// costs by column and by row placement, period tables of one entry per
+/// column (row) of the widest (tallest) node. The walk's latest cells
+/// along the grid's short side stay in registers. The buffer grows to the
+/// largest need seen and never shrinks, so calls after the largest
+/// allocate nothing.
+struct FillPointLanes {
+  std::vector<FillLaneValues> costs;
 };
 
 /// The row-lane schedule's workspace, reused across calls: the per-column
@@ -118,8 +165,8 @@ void fill_packed_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
                        const std::uint8_t* row_pair, int n, int m,
                        FillTime* row);
 
-/// True when this CPU runs fill_row_lanes (AVX-512F and AVX-512VL),
-/// checked once per process.
+/// True when this CPU runs fill_row_lanes and fill_point_lanes (AVX-512F
+/// and AVX-512VL), checked once per process.
 bool has_row_lanes();
 
 /// @brief The row-lane schedule alone, on any grid: row 1 and the rows
@@ -128,5 +175,17 @@ bool has_row_lanes();
 void fill_row_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
                     const std::uint8_t* row_pair, int n, int m,
                     FillRowLanes& lanes, FillTime* row);
+
+/// @brief The point-lane schedule on a thin grid: fills[k]'s corners into
+///   out[k], for k < count, each bit-identical to fill_packed_lanes on
+///   that fill's costs and the parity bitmaps of its node shape. Fills
+///   beyond the first eight take a second vector, which runs interleaved
+///   with the first when every cost is >= 0.
+/// @pre has_row_lanes(), 1 <= count <= kPointLanesMaxFills,
+///   min(n, m) < kRowLanesMinRows, and every cx and cy a power of two.
+///   Any costs; the sentinel compare is skipped only when every fill's ten
+///   costs are >= 0.
+void fill_point_lanes(const FillPoint* const* fills, int count, int n, int m,
+                      FillPointLanes& lanes, FillCorners* out);
 
 }  // namespace wave::kernels

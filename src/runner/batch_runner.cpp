@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <span>
 #include <tuple>
 
@@ -18,13 +17,19 @@
 namespace wave::runner {
 
 Metrics model_metrics_from(const core::ModelResult& res) {
+  // Built in place from the literals: an initializer_list would build each
+  // name and then copy it, two allocations per name too long for the
+  // short-string buffer.
   const core::TimeSplit step = res.timestep_split();
-  return {{"model_iter_us", res.iteration.total},
-          {"model_iter_comm_us", res.iteration.comm},
-          {"model_timestep_us", step.total},
-          {"model_timestep_comm_us", step.comm},
-          {"model_fill_us", res.fill.total},
-          {"model_fill_comm_us", res.fill.comm}};
+  Metrics out;
+  out.reserve(6);
+  out.emplace_back("model_iter_us", res.iteration.total);
+  out.emplace_back("model_iter_comm_us", res.iteration.comm);
+  out.emplace_back("model_timestep_us", step.total);
+  out.emplace_back("model_timestep_comm_us", step.comm);
+  out.emplace_back("model_fill_us", res.fill.total);
+  out.emplace_back("model_fill_comm_us", res.fill.comm);
+  return out;
 }
 
 Metrics model_metrics(const wave::Context& ctx, const Scenario& s) {
@@ -195,18 +200,23 @@ bool batchable(const Scenario& s) {
          (s.workload.empty() || s.workload == "wavefront");
 }
 
+/// The most points in one batch unit. A unit holds the points of one app
+/// and grid, whose distinct fills evaluate_group runs side by side; the
+/// cap splits a long machine-parameter sweep at one grid into units that
+/// spread over the pool. Sixteen holds the 15 points of five machines
+/// under three backends, about nine distinct fills.
+constexpr std::size_t kMaxUnitPoints = 16;
+
 /// A batchable point and the unit it joins: points with equal keys share
-/// an app, a grid and a machine class, so their fill inputs can differ
-/// only through the comm backend.
+/// an app and a grid, so their fills share n x m.
 struct Member {
   std::size_t index;  ///< into the scenario list
   core::BatchPoint point;
-  std::uint32_t machine_class;
 
   /// Largest grid first, then the unit's identity.
   auto unit_key() const {
     return std::tuple(-static_cast<long long>(point.grid.size()), point.app,
-                      machine_class, point.grid.n(), point.grid.m());
+                      point.grid.n(), point.grid.m());
   }
 };
 
@@ -218,14 +228,8 @@ std::vector<RunRecord> BatchRunner::run(
   // Compile the analytic wavefront points into one shared plan: each
   // unique machine resolves its comm backend once, each unique app
   // validates and derives its sweep terms once. Runs on the calling
-  // thread so plan errors surface before any worker starts. A plan
-  // machine's class is the machine with its name and comm backend
-  // cleared. evaluate_group shares fills by their exact inputs alone; the
-  // class only splits units, so a sweep over machine parameters at one
-  // grid still spreads over the pool instead of forming one unit.
+  // thread so plan errors surface before any worker starts.
   core::BatchEval plan(ctx.comm_model_registry());
-  std::vector<core::MachineConfig> classes;
-  std::vector<std::uint32_t> class_of;  // [plan machine] = class
   std::vector<Member> members;
   std::vector<std::size_t> scalar;  // every other point, a unit of its own
   bool simulates = false;
@@ -236,22 +240,15 @@ std::vector<RunRecord> BatchRunner::run(
       simulates = simulates || s.engine == Engine::Simulation;
       continue;
     }
-    const core::BatchPoint p{plan.add_app(s.app),
-                             plan.add_machine(s.effective_machine()), s.grid};
-    if (p.machine == class_of.size()) {
-      core::MachineConfig cls = plan.machine(p.machine);
-      cls.name.clear();
-      cls.comm_model.clear();
-      const auto it = std::find(classes.begin(), classes.end(), cls);
-      class_of.push_back(static_cast<std::uint32_t>(it - classes.begin()));
-      if (it == classes.end()) classes.push_back(std::move(cls));
-    }
-    members.push_back({i, p, class_of[p.machine]});
+    members.push_back({i,
+                       {plan.add_app(s.app),
+                        plan.add_machine(s.effective_machine()), s.grid}});
   }
 
-  // Batch units are the runs of equal unit keys, largest grid first;
-  // unit u spans members[unit_begin[u] .. unit_begin[u + 1]) and the same
-  // slice of `batch`. They follow the scalar units in dispatch order.
+  // Batch units are the runs of equal unit keys, largest grid first, cut
+  // into pieces of at most kMaxUnitPoints; unit u spans
+  // members[unit_begin[u] .. unit_begin[u + 1]) and the same slice of
+  // `batch`. They follow the scalar units in dispatch order.
   std::stable_sort(members.begin(), members.end(),
                    [](const Member& a, const Member& b) {
                      return a.unit_key() < b.unit_key();
@@ -259,7 +256,8 @@ std::vector<RunRecord> BatchRunner::run(
   std::vector<core::BatchPoint> batch(members.size());
   std::vector<std::size_t> unit_begin;
   for (std::size_t k = 0; k < members.size(); ++k) {
-    if (k == 0 || members[k].unit_key() != members[k - 1].unit_key())
+    if (k == 0 || members[k].unit_key() != members[k - 1].unit_key() ||
+        k - unit_begin.back() == kMaxUnitPoints)
       unit_begin.push_back(k);
     batch[k] = members[k].point;
   }

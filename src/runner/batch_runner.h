@@ -11,11 +11,13 @@
 // points through the batch solver (core/batch_solver.h): one BatchEval
 // plan is compiled for the whole sweep, so machine backends and app terms
 // resolve once per unique axis value instead of once per point. The batch
-// points are grouped into units — points sharing an app, a grid and a
-// machine up to its name and comm backend — and each unit is one
-// evaluate_group() call, which runs the pipeline-fill recurrence once per
-// distinct input: sweep points that differ only in a backend that prices
-// the fill alike share one fill. Units go largest grid first; every other
+// points are grouped into units — points sharing an app and a grid, at
+// most 16 to a unit — and each unit is one evaluate_group() call, which
+// runs the pipeline-fill recurrence once per distinct input: sweep points
+// that differ only in a backend that prices the fill alike share one
+// fill, and on thin grids the distinct fills run side by side, one per
+// vector lane. The cap keeps a long sweep of machine parameters at one
+// grid spread over the pool. Units go largest grid first; every other
 // point is a unit of its own. The records are byte-identical to the scalar
 // path — the batch solver's correctness contract — so the default run()
 // always routes; run(points, evaluate_scenario) is the scalar reference.
@@ -103,9 +105,9 @@ class BatchRunner {
 
   /// Units claimed per pool dispatch by run(points, fn) — a unit is one
   /// point there; the default run()'s batch route applies the same rule
-  /// to its units, groups of points sharing an app, a grid and a machine
-  /// up to its name and comm backend. Pure-analytic sweeps get a chunk
-  /// sized so each thread sees ~16 dispatches (cheap microsecond units
+  /// to its units, groups of up to 16 points sharing an app and a grid.
+  /// Pure-analytic sweeps get a chunk sized so each thread sees ~16
+  /// dispatches (cheap microsecond units
   /// stop paying one atomic round-trip each); any sweep containing a DES
   /// point gets chunk = 1 (points are seconds-long, dispatch overhead is
   /// noise and fine-grained claiming load-balances best). Chunking never

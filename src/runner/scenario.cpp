@@ -53,11 +53,13 @@ SweepGrid& SweepGrid::axis(std::string name, std::vector<Axis::Level> levels) {
 
 SweepGrid& SweepGrid::processors(std::vector<int> counts, std::string name) {
   Axis axis{std::move(name), {}};
+  // The grid is computed once per level, not once per point.
   for (int p : counts)
-    axis.levels.push_back({format_value(p), [p](Scenario& s) {
-                             s.params["P"] = p;
-                             s.set_processors(p);
-                           }});
+    axis.levels.push_back(
+        {format_value(p), [p, grid = topo::closest_to_square(p)](Scenario& s) {
+           s.params["P"] = p;
+           s.grid = grid;
+         }});
   return this->axis(std::move(axis));
 }
 

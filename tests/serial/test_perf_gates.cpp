@@ -11,6 +11,11 @@
 //                  <= 1/1.5 the time per cell of the packed-lane kernel at
 //                  256x256 and 1024x64, on xt4-dual costs. Skipped where
 //                  the CPU lacks AVX-512F/VL.
+//   FillPointLanes the distinct fills of one what-if (app, grid) on the
+//                  AVX-512 point lanes, side by side, must take
+//                  <= 1/2 the time per fill-cell of the same fills run one
+//                  at a time, at 4871x1 and 4871x8. Skipped where the CPU
+//                  lacks AVX-512F/VL.
 //   MetricsObserver  a serial 16x16 wavefront DES with an
 //                  obs::MetricsRegistry attached must keep >= 0.90x the
 //                  events/s of the same run without one: the always-on
@@ -18,7 +23,7 @@
 //
 // Like the Wg tests beside them, they compare measured durations, so
 // ctest runs them alone (RUN_SERIAL, see CMakeLists.txt). BatchRoute and
-// FillRowLanes compare the fastest of several runs of each side;
+// the Fill gates compare the fastest of several runs of each side;
 // MetricsObserver, whose bound sits close to the true ratio, takes the
 // median of per-pair ratios. Unoptimized and sanitized builds measure the instrumentation,
 // not the code, so there the gates skip.
@@ -45,6 +50,10 @@
 
 namespace wr = wave::runner;
 namespace wcb = wave::core::benchmarks;
+
+#ifndef WAVE_MACHINES_DIR
+#define WAVE_MACHINES_DIR "machines"
+#endif
 
 namespace {
 
@@ -195,36 +204,49 @@ TEST(PerfGate, BatchRouteIsTenfoldScalarOnOptimizeStream) {
 
 namespace {
 
+/// The fill inputs of a point: its ten costs and node shape.
+wave::kernels::FillPoint fill_point(const wave::core::AppParams& app,
+                                    const wave::core::MachineConfig& machine,
+                                    const wave::loggp::CommModel& comm,
+                                    const wave::topo::Grid& grid) {
+  using wave::loggp::Placement;
+  const wave::core::ModelResult r1 = wave::core::evaluate_r1(app, grid);
+  wave::kernels::FillPoint f;
+  f.costs.w = r1.w;
+  f.costs.wpre = r1.wpre;
+  for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
+    const int on_chip = where == Placement::OnChip;
+    f.costs.total_ew[on_chip] = comm.total(r1.msg_bytes_ew, where);
+    f.costs.recv_ns[on_chip] = comm.recv(r1.msg_bytes_ns, where);
+    f.costs.send_ew[on_chip] = wave::core::send_cost(app, machine, comm,
+                                                     r1.msg_bytes_ew, where);
+    f.costs.total_ns[on_chip] = comm.total(r1.msg_bytes_ns, where);
+  }
+  f.cx = machine.cx;
+  f.cy = machine.cy;
+  return f;
+}
+
+/// A placement-parity bitmap as BatchEval builds it: [i] for 2 <= i <=
+/// count says whether i-1 and i fall on one `tile`-wide node.
+std::vector<std::uint8_t> parity(int count, int tile) {
+  std::vector<std::uint8_t> pair(static_cast<std::size_t>(count) + 1, 0);
+  for (int i = 2; i <= count; ++i) pair[i] = (i - 2) / tile == (i - 1) / tile;
+  return pair;
+}
+
 /// Packed-lane vs row-lane time per cell of the fill at n x m: Sweep3D
 /// 20M-cell costs on the dual-core XT4 (1x2 nodes), the fastest of 30
 /// alternating rounds of each kernel. Both kernels' rows are also compared
 /// bit for bit.
 void expect_row_lanes_faster(int n, int m, double bound) {
   namespace wk = wave::kernels;
-  using wave::loggp::Placement;
   const wave::Context ctx;
   const auto machine = wave::core::MachineConfig::xt4_dual_core();
   const auto comm = machine.make_comm_model(ctx.comm_model_registry());
-  const auto app = wcb::sweep3d_20m();
-  const wave::topo::Grid grid(n, m);
-  const wave::core::ModelResult r1 = wave::core::evaluate_r1(app, grid);
-  wk::FillCosts k;
-  k.w = r1.w;
-  k.wpre = r1.wpre;
-  for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
-    const int on_chip = where == Placement::OnChip;
-    k.total_ew[on_chip] = comm->total(r1.msg_bytes_ew, where);
-    k.recv_ns[on_chip] = comm->recv(r1.msg_bytes_ns, where);
-    k.send_ew[on_chip] = wave::core::send_cost(app, machine, *comm,
-                                               r1.msg_bytes_ew, where);
-    k.total_ns[on_chip] = comm->total(r1.msg_bytes_ns, where);
-  }
-  auto parity = [](int count, int tile) {
-    std::vector<std::uint8_t> pair(static_cast<std::size_t>(count) + 1, 0);
-    for (int i = 2; i <= count; ++i)
-      pair[i] = (i - 2) / tile == (i - 1) / tile;
-    return pair;
-  };
+  const wk::FillCosts k =
+      fill_point(wcb::sweep3d_20m(), machine, *comm, wave::topo::Grid(n, m))
+          .costs;
   const auto cols = parity(n, machine.cx), rows = parity(m, machine.cy);
   std::vector<wk::FillTime> packed(static_cast<std::size_t>(n) + 1);
   std::vector<wk::FillTime> lanes_row(packed.size());
@@ -259,6 +281,81 @@ TEST(PerfGate, FillRowLanesBeatPackedLanesPerCell) {
     GTEST_SKIP() << "this CPU lacks AVX-512F/VL";
   expect_row_lanes_faster(256, 256, 1.5);
   expect_row_lanes_faster(1024, 64, 1.5);
+}
+
+namespace {
+
+/// One at a time vs point lanes per fill-cell at n x m on the distinct
+/// fills of Sweep3D 20M cells under the five shipped machines and three
+/// backends (the what-if Study's points at one grid), the fastest of 100
+/// alternating rounds of each side (a round takes about a millisecond).
+/// Both sides' corners are also compared bit for bit.
+void expect_point_lanes_faster(int n, int m, double bound) {
+  namespace wk = wave::kernels;
+  wave::Context ctx;
+  ASSERT_TRUE(ctx.add_machine_dir(WAVE_MACHINES_DIR).is_ok());
+  const auto app = wcb::sweep3d_20m();
+  const wave::topo::Grid grid(n, m);
+  std::vector<wk::FillPoint> fills;
+  for (const char* name : {"xt4-dual", "xt4-single", "sp2", "fatnode-loggps",
+                           "quadcore-shared-bus"})
+    for (const char* backend : {"loggp", "loggps", "contention"}) {
+      wave::core::MachineConfig machine = ctx.resolve_machine(name);
+      machine.comm_model = backend;
+      const auto comm = machine.make_comm_model(ctx.comm_model_registry());
+      const wk::FillPoint f = fill_point(app, machine, *comm, grid);
+      if (std::none_of(fills.begin(), fills.end(), [&](const auto& g) {
+            return std::memcmp(&f, &g, sizeof f) == 0;
+          }))
+        fills.push_back(f);
+    }
+  ASSERT_GE(fills.size(), 9u);
+  ASSERT_LE(fills.size(), 15u);
+  std::vector<std::vector<std::uint8_t>> cols, rows;
+  for (const wk::FillPoint& f : fills) {
+    cols.push_back(parity(n, f.cx));
+    rows.push_back(parity(m, f.cy));
+  }
+  std::vector<wk::FillTime> row(static_cast<std::size_t>(n) + 1);
+  std::vector<wk::FillCorners> one(fills.size()), side(fills.size());
+  wk::FillRowLanes row_lanes;
+  wk::FillPointLanes point_lanes;
+  const auto [one_s, lanes_s] = fastest_pair(
+      100,
+      [&] {
+        for (std::size_t f = 0; f < fills.size(); ++f) {
+          wk::fill_recurrence(fills[f].costs, cols[f].data(), rows[f].data(),
+                              n, m, row_lanes, row.data());
+          one[f] = {row[1], row[n]};
+        }
+      },
+      [&] {
+        const wk::FillPoint* batch[wk::kPointLanesMaxFills];
+        for (std::size_t f = 0; f < fills.size(); ++f) batch[f] = &fills[f];
+        wk::fill_point_lanes(batch, static_cast<int>(fills.size()), n, m,
+                             point_lanes, side.data());
+      });
+  ASSERT_EQ(std::memcmp(one.data(), side.data(),
+                        one.size() * sizeof(wk::FillCorners)),
+            0);
+  ASSERT_GT(lanes_s, 0.0);
+  const double cells = static_cast<double>(n) * m * fills.size();
+  const double speedup = one_s / lanes_s;
+  std::printf("%dx%d, %zu fills: one at a time %.3f ns/fill-cell, point "
+              "lanes %.3f ns/fill-cell, %.2fx\n",
+              n, m, fills.size(), one_s / cells * 1e9,
+              lanes_s / cells * 1e9, speedup);
+  EXPECT_GE(speedup, bound) << "the point lanes fell toward one at a time";
+}
+
+}  // namespace
+
+TEST(PerfGate, FillPointLanesBeatOneAtATimePerFillCell) {
+  SKIP_UNLESS_MEASURABLE();
+  if (!wave::kernels::has_row_lanes())
+    GTEST_SKIP() << "this CPU lacks AVX-512F/VL";
+  expect_point_lanes_faster(4871, 1, 2.0);
+  expect_point_lanes_faster(4871, 8, 2.0);
 }
 
 TEST(PerfGate, MetricsObserverKeepsNinetyPercentOfPlainEventRate) {

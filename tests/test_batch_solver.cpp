@@ -465,8 +465,7 @@ std::vector<std::uint8_t> parity(int count, int tile) {
 
 /// Seeded fill costs >= 0. Tie-heavy draws take every cost from {0, 1, 2},
 /// so whole families of paths tie; some draws hold a -0.0, +inf or DBL_MAX.
-wk::FillCosts draw_costs(wave::common::Rng& rng) {
-  const bool ties = rng.uniform_int(0, 3) == 0;
+wk::FillCosts draw_costs(wave::common::Rng& rng, bool ties) {
   auto cost = [&] {
     return ties ? static_cast<double>(rng.uniform_int(0, 2))
                 : rng.uniform(0.0, 50.0);
@@ -485,6 +484,11 @@ wk::FillCosts draw_costs(wave::common::Rng& rng) {
     default: break;
   }
   return k;
+}
+
+/// A quarter of the draws are tie-heavy.
+wk::FillCosts draw_costs(wave::common::Rng& rng) {
+  return draw_costs(rng, rng.uniform_int(0, 3) == 0);
 }
 
 /// row[1..n] of two runs, bit for bit.
@@ -540,6 +544,113 @@ TEST(FillKernels, RowLanesMatchPackedLanesBitForBit) {
     const int cy = static_cast<int>(rng.uniform_int(1, 4));
     ASSERT_TRUE(lanes_match(k, n, m, cx, cy, lanes)) << "draw " << d;
   }
+}
+
+namespace {
+
+/// The point-lane schedule on one grid's fills, in calls of up to
+/// kPointLanesMaxFills as BatchEval makes them, against the packed lanes
+/// one fill at a time: both corners of every fill, bit for bit.
+::testing::AssertionResult point_lanes_match(
+    const std::vector<wk::FillPoint>& fills, int n, int m,
+    wk::FillPointLanes& lanes) {
+  std::vector<wk::FillTime> row(static_cast<std::size_t>(n) + 1);
+  for (std::size_t f0 = 0; f0 < fills.size();
+       f0 += wk::kPointLanesMaxFills) {
+    const int count = static_cast<int>(std::min<std::size_t>(
+        wk::kPointLanesMaxFills, fills.size() - f0));
+    const wk::FillPoint* batch[wk::kPointLanesMaxFills];
+    for (int c = 0; c < count; ++c) batch[c] = &fills[f0 + c];
+    wk::FillCorners got[wk::kPointLanesMaxFills];
+    wk::fill_point_lanes(batch, count, n, m, lanes, got);
+    for (int c = 0; c < count; ++c) {
+      const wk::FillPoint& f = *batch[c];
+      const std::vector<std::uint8_t> col = parity(n, f.cx),
+                                      rows = parity(m, f.cy);
+      wk::fill_packed_lanes(f.costs, col.data(), rows.data(), n, m,
+                            row.data());
+      const wk::FillCorners want{row[1], row[n]};
+      if (std::memcmp(&want, &got[c], sizeof want) != 0)
+        return ::testing::AssertionFailure()
+               << "fill " << f0 + c << " on a " << n << "x" << m
+               << " grid, " << f.cx << "x" << f.cy << " nodes: {"
+               << want.diag.total << ", " << want.diag.comm << "} {"
+               << want.full.total << ", " << want.full.comm << "} vs {"
+               << got[c].diag.total << ", " << got[c].diag.comm << "} {"
+               << got[c].full.total << ", " << got[c].full.comm << "}";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(FillKernels, PointLanesMatchOneAtATimeBitForBit) {
+  if (!wk::has_row_lanes())
+    GTEST_SKIP() << "this CPU lacks AVX-512F/VL, so the point-lane schedule "
+                    "cannot run here";
+  wk::FillPointLanes lanes;
+  wave::common::Rng rng(29);
+  // Node shapes with cx * cy <= 8, mixed within a group.
+  std::vector<std::pair<int, int>> shapes;
+  for (const int cx : {1, 2, 4, 8})
+    for (const int cy : {1, 2, 4, 8})
+      if (cx * cy <= 8) shapes.emplace_back(cx, cy);
+  auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  auto group = [&](bool ties, std::size_t size) {
+    std::vector<wk::FillPoint> fills(size);
+    for (wk::FillPoint& f : fills) {
+      f.costs = draw_costs(rng, ties);
+      std::tie(f.cx, f.cy) = shapes[pick(shapes.size())];
+    }
+    return fills;
+  };
+  // Every cost -0.0: every cell's candidates tie, so each must go west
+  // with the sign bit the scalar adds give; one lane with all costs -0.0
+  // next to others.
+  const wk::FillCosts zeros{-0.0,         -0.0,         {-0.0, -0.0},
+                            {-0.0, -0.0}, {-0.0, -0.0}, {-0.0, -0.0}};
+  for (const auto& [n, m] : {std::pair{30, 1}, std::pair{30, 7},
+                             std::pair{5, 20}}) {
+    std::vector<wk::FillPoint> fills = group(false, 5);
+    fills[2].costs = zeros;
+    ASSERT_TRUE(point_lanes_match(fills, n, m, lanes));
+    ASSERT_TRUE(point_lanes_match({{zeros, 2, 2}}, n, m, lanes));
+  }
+  // Seeded groups: every short side 1..kRowLanesMinRows - 1, as m on grids
+  // at least as wide and as n on taller grids with m >= 12. A quarter are
+  // tie-heavy; a quarter put a NaN or a negative cost in one lane, which
+  // keeps the sentinel compare for the whole batch.
+  constexpr int kGroups = 3300;
+  int with_odd_lane = 0;
+  for (int d = 0; d < kGroups; ++d) {
+    const int short_side = 1 + d % (wk::kRowLanesMinRows - 1);
+    const int across = static_cast<int>(rng.uniform_int(short_side, 300));
+    const bool tall = d % 3 == 2;
+    const int n = tall ? short_side : across;
+    const int m = tall ? static_cast<int>(rng.uniform_int(
+                             wk::kRowLanesMinRows, 90))
+                       : short_side;
+    std::vector<wk::FillPoint> fills =
+        group(rng.uniform_int(0, 3) == 0,
+              static_cast<std::size_t>(rng.uniform_int(1, 16)));
+    if (rng.uniform_int(0, 3) == 0) {
+      wk::FillCosts& odd = fills[pick(fills.size())].costs;
+      double* all[] = {&odd.w,           &odd.wpre,       &odd.total_ew[0],
+                       &odd.total_ew[1], &odd.recv_ns[0], &odd.recv_ns[1],
+                       &odd.send_ew[0],  &odd.send_ew[1], &odd.total_ns[0],
+                       &odd.total_ns[1]};
+      *all[pick(std::size(all))] =
+          rng.uniform_int(0, 1) == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                     : -rng.uniform(0.0, 50.0);
+      ++with_odd_lane;
+    }
+    ASSERT_TRUE(point_lanes_match(fills, n, m, lanes)) << "group " << d;
+  }
+  EXPECT_GT(with_odd_lane, kGroups / 5);
 }
 
 namespace {
@@ -676,6 +787,40 @@ TEST(BatchSolver, GroupSharesFillsAndMatchesPointwise) {
     EXPECT_EQ(expect_group_shares(plan, group, machine.name), fills)
         << machine.name;
   }
+
+  // One group of every shipped machine under every backend on three thin
+  // grids: more distinct fills per grid than one point-lane batch holds,
+  // on mixed node shapes, each point equal to the scalar Solver too.
+  wave::Context shipped;
+  ASSERT_TRUE(shipped.add_machine_dir(WAVE_MACHINES_DIR).is_ok());
+  const char* const machines[] = {"xt4-dual", "xt4-single", "sp2",
+                                  "fatnode-loggps", "quadcore-shared-bus"};
+  wc::BatchEval shipped_plan(shipped.comm_model_registry());
+  std::vector<wc::BatchPoint> thin;
+  std::vector<wc::MachineConfig> configs;
+  for (const wave::topo::Grid grid :
+       {wave::topo::Grid(83, 1), wave::topo::Grid(83, 2),
+        wave::topo::Grid(4871, 8)})
+    for (const char* name : machines)
+      for (const char* backend : {"loggp", "loggps", "contention"}) {
+        wc::MachineConfig machine = shipped.resolve_machine(name);
+        machine.comm_model = backend;
+        configs.push_back(machine);
+        thin.push_back({shipped_plan.add_app(wb::sweep3d_20m()),
+                        shipped_plan.add_machine(machine), grid});
+      }
+  expect_group_shares(shipped_plan, thin, "shipped machines, thin grids");
+  wc::BatchScratch scratch;
+  std::vector<wc::ModelResult> results(thin.size());
+  shipped_plan.evaluate_group(thin, scratch, results);
+  for (std::size_t k = 0; k < thin.size(); ++k)
+    expect_identical(
+        wc::Solver(wb::sweep3d_20m(), configs[k], shipped.comm_model_registry())
+            .evaluate(thin[k].grid),
+        results[k],
+        configs[k].name + "/" + configs[k].comm_model + " on " +
+            std::to_string(thin[k].grid.n()) + "x" +
+            std::to_string(thin[k].grid.m()));
 }
 
 TEST(BatchSolver, AddAppAndAddMachineMemoizePerAxisValue) {
@@ -967,4 +1112,30 @@ TEST(BatchRunnerRoute, SharedFillUnitsMatchScalarAtAnyThreadsAndChunk) {
   wr::BatchRunner(kCtx, wr::BatchRunner::Options(3)).run(points);
   EXPECT_EQ(registry.histogram("runner_point_latency_us").count(),
             points.size());
+
+  // A 40-level machine-parameter sweep at one thin grid (4871 x 8): one
+  // app and grid, so the route cuts it into capped units.
+  wr::SweepGrid sweep;
+  sweep.base().app = wb::sweep3d(cfg);
+  sweep.base().machine = wc::MachineConfig::xt4_dual_core();
+  sweep.processors({4871 * 8});
+  std::vector<double> latencies;
+  for (int k = 0; k < 40; ++k) latencies.push_back(0.1 + 0.05 * k);
+  sweep.values("L", latencies,
+               [](wr::Scenario& s, double l) { s.machine.loggp.off.L = l; });
+  std::vector<wr::Scenario> levels = sweep.points();
+  ASSERT_EQ(levels.size(), 40u);
+  ASSERT_EQ(levels.front().grid.m(), 8);
+  const std::string scalar = wr::to_csv(run_scalar(levels));
+  for (const int threads : {1, 3, 8}) {
+    wave::obs::MetricsRegistry sweep_registry;
+    for (wr::Scenario& s : levels) s.metrics = &sweep_registry;
+    EXPECT_EQ(scalar, wr::to_csv(wr::BatchRunner(
+                                     kCtx, wr::BatchRunner::Options(threads))
+                                     .run(levels)))
+        << "threads " << threads;
+    EXPECT_EQ(sweep_registry.histogram("runner_point_latency_us").count(),
+              levels.size())
+        << "threads " << threads;
+  }
 }
