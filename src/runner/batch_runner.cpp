@@ -220,6 +220,33 @@ struct Member {
   }
 };
 
+/// Everything simulate_wavefront reads of a point that sim_metrics
+/// evaluates. Two points with equal inputs simulate the same event stream
+/// and get bit-identical metrics, so they can share one run.
+struct SimInputs {
+  core::AppParams app;
+  int n = 0;
+  int m = 0;
+  int iterations = 0;
+  loggp::MachineParams loggp;
+  int cx = 0;
+  int cy = 0;
+  common::usec rendezvous_sync = 0.0;  ///< protocol_for's one option
+
+  bool operator==(const SimInputs&) const = default;
+};
+static_assert(sizeof(sim::ProtocolOptions) == sizeof(common::usec),
+              "SimInputs must hold every ProtocolOptions field");
+
+/// A DES point whose run others may share: the wavefront simulation with
+/// no observer attached (a registry or span capture sees one run, so an
+/// observed point always simulates on its own).
+bool shareable(const Scenario& s) {
+  return s.engine == Engine::Simulation &&
+         (s.workload.empty() || s.workload == "wavefront") &&
+         s.metrics == nullptr && s.trace == nullptr;
+}
+
 }  // namespace
 
 std::vector<RunRecord> BatchRunner::run(
@@ -229,15 +256,44 @@ std::vector<RunRecord> BatchRunner::run(
   // unique machine resolves its comm backend once, each unique app
   // validates and derives its sweep terms once. Runs on the calling
   // thread so plan errors surface before any worker starts.
+  //
+  // Unobserved DES points with equal simulation inputs share one run: the
+  // first is a scalar unit, each later one copies its metrics. Keying
+  // validates the machine and resolves its backend here too.
   core::BatchEval plan(ctx.comm_model_registry());
   std::vector<Member> members;
   std::vector<std::size_t> scalar;  // every other point, a unit of its own
+  std::vector<std::pair<SimInputs, std::size_t>> runs;  // inputs, point
+  std::vector<std::pair<std::size_t, std::size_t>> sharers;  // point, run's
   bool simulates = false;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Scenario& s = points[i];
     if (!batchable(s)) {
-      scalar.push_back(i);
       simulates = simulates || s.engine == Engine::Simulation;
+      if (shareable(s)) {
+        const core::MachineConfig machine = s.effective_machine();
+        machine.validate();
+        SimInputs in{
+            .app = s.app,
+            .n = s.grid.n(),
+            .m = s.grid.m(),
+            .iterations = s.iterations,
+            .loggp = machine.loggp,
+            .cx = machine.cx,
+            .cy = machine.cy,
+            .rendezvous_sync =
+                workloads::protocol_for(machine, ctx.comm_model_registry())
+                    .rendezvous_sync};
+        const auto same = std::find_if(
+            runs.begin(), runs.end(),
+            [&](const auto& run) { return run.first == in; });
+        if (same != runs.end()) {
+          sharers.emplace_back(i, same->second);
+          continue;
+        }
+        runs.emplace_back(std::move(in), i);
+      }
+      scalar.push_back(i);
       continue;
     }
     members.push_back({i,
@@ -306,6 +362,11 @@ std::vector<RunRecord> BatchRunner::run(
         points[m.index].metrics->histogram("runner_point_latency_us")
             .observe(us);
   });
+  for (const auto& [point, run] : sharers) {
+    records[point].index = points[point].index;
+    records[point].labels = points[point].labels;
+    records[point].metrics = records[run].metrics;
+  }
   return records;
 }
 

@@ -9,20 +9,23 @@
 // set_trace() records the executed (time, seq) stream so tests can prove
 // two schedules identical.
 //
-// Steady-state scheduling is allocation-free and O(log pending) per event:
-// callbacks are InlineTask (fixed inline storage, task.h) kept in a slab
-// of recycled slots, and the pending set is a binary heap
-// (std::push_heap/pop_heap) of 16-byte integer keys that name their slab
-// slot, so heap sifts move keys, never tasks (docs/PERFORMANCE.md has the
-// measurements).
+// Steady-state scheduling is allocation-free: callbacks are InlineTask
+// (fixed inline storage, task.h) constructed straight into a slab of
+// recycled slots, and the pending set is a radix heap (Ahuja, Mehlhorn,
+// Orlin & Tarjan, JACM 1990) over the 64 bits of each event's time: 65
+// FIFO buckets of 16-byte integer keys that name their slab slot, so the
+// calendar moves keys, never tasks, and equal times keep schedule order
+// with no seq compare (docs/PERFORMANCE.md has the measurements).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -37,27 +40,30 @@ using common::usec;
 /// Event calendar and simulated clock.
 class Engine {
  public:
-  // Simulations with any concurrency immediately outgrow tiny geometric
-  // doublings, so the heap starts with a useful capacity. Beyond that the
-  // heap and the task slab grow on demand to the run's peak of pending
-  // events, which for a wavefront is about 1.5 per rank
+  // The task slab and the bucket blocks grow on demand to the run's peak
+  // of pending events, which for a wavefront is about 1.5 per rank
   // (docs/PERFORMANCE.md, "DES memory per rank").
-  Engine() { heap_.reserve(256); }
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time (µs).
   usec now() const { return now_; }
 
-  /// Schedules `fn` at absolute simulated time `time` (>= now()). The
-  /// callback is moved into a recycled slab slot — captured state is never
-  /// copied, and in steady state never allocated, on the hot path.
-  /// (Defined inline below so callers construct the task straight into
-  /// its slab slot.)
-  void at(usec time, InlineTask fn);
+  /// Schedules `fn` at absolute simulated time `time` (>= now()). A
+  /// callable is constructed straight into a recycled slab slot (an
+  /// InlineTask is moved there) — captured state is never copied, and in
+  /// steady state never allocated, on the hot path. (Defined inline below
+  /// so the whole schedule path compiles into the caller.)
+  template <typename F>
+  void at(usec time, F&& fn);
 
   /// Schedules `fn` `delay` µs from now (delay >= 0).
-  void after(usec delay, InlineTask fn);
+  template <typename F>
+  void after(usec delay, F&& fn) {
+    WAVE_EXPECTS_MSG(delay >= 0.0, "delay must be non-negative");
+    at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Runs events until the calendar drains. Returns the final clock value.
   usec run();
@@ -90,28 +96,20 @@ class Engine {
   bool trace_truncated() const { return trace_truncated_; }
 
  private:
-  // One pending event: 16 bytes, totally ordered by a single 128-bit
-  // integer compare. The high 64 bits are the event time's IEEE-754
-  // pattern — non-negative doubles order identically to their bit patterns
-  // as unsigned integers, and simulated time never goes negative (at()
-  // rejects t < now, now starts at 0; +0.0 normalizes a -0.0 input). The
-  // low 64 bits pack the FIFO tie-break sequence number (high 40 bits)
-  // over the task-slab slot (low 24 bits): equal-time events order by
-  // sequence, and the slot rides along for free. 2^24 bounds *pending*
-  // events (not total), 2^40 bounds events ever scheduled — both checked
-  // where they could overflow.
+  // One pending event: 16 bytes. The high 64 bits are the event time's
+  // IEEE-754 pattern — non-negative doubles order identically to their
+  // bit patterns as unsigned integers, and simulated time never goes
+  // negative (at() rejects t < now, now starts at 0; + 0.0 normalizes a
+  // -0.0 input). The low 64 bits pack the FIFO sequence number (high 40
+  // bits, reported by set_trace) over the task-slab slot (low 24 bits).
+  // 2^24 bounds *pending* events (not total), 2^40 bounds events ever
+  // scheduled — both checked where they could overflow.
   using Entry = unsigned __int128;
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
 
-  static Entry pack(usec time, std::uint64_t key) {
-    // + 0.0 turns a -0.0 input into +0.0 so the bit pattern orders right.
-    return static_cast<Entry>(std::bit_cast<std::uint64_t>(time + 0.0))
-               << 64 |
-           key;
-  }
-  static usec entry_time(Entry e) {
-    return std::bit_cast<usec>(static_cast<std::uint64_t>(e >> 64));
+  static std::uint64_t entry_time(Entry e) {
+    return static_cast<std::uint64_t>(e >> 64);
   }
   static std::uint32_t entry_slot(Entry e) {
     return static_cast<std::uint32_t>(e) & (kMaxSlots - 1);
@@ -120,9 +118,66 @@ class Engine {
     return static_cast<std::uint64_t>(e) >> kSlotBits;
   }
 
-  /// Cold path of at(): adds a task chunk; returns the first fresh slot.
-  std::uint32_t grow_task_slab();
-  /// Removes and returns the earliest pending entry (heap must be non-empty).
+  // The pending set, a radix heap keyed on the time bits. `last_` is the
+  // time of the most recent pop. An event at time t waits in bucket
+  // bit_width(t ^ last_): bucket 0 holds the events at exactly last_,
+  // bucket b >= 1 those whose highest bit differing from last_ is bit
+  // b - 1. Since t >= last_, every event in bucket b is earlier than every
+  // event in bucket b + 1, and equal times always share a bucket. Each
+  // bucket is a FIFO of entries, appended in schedule order, so (time,
+  // seq) order — FIFO ties included — needs no seq compare: pop serves
+  // bucket 0 in order; when it runs dry, refill() moves the lowest
+  // non-empty bucket's minimum into last_ and redistributes that bucket,
+  // in its stored order, over the buckets below it.
+  //
+  // A bucket is a chain of fixed blocks drawn from one shared free list,
+  // so entries move in contiguous runs and the storage stays bounded by
+  // the pending count plus two partly used blocks per bucket. Every
+  // bucket always owns a tail block with room for one more entry, so
+  // push() stores without a branch: the hot path of a redistribution,
+  // whose destinations are unpredictable, never mispredicts on an empty
+  // or full bucket.
+  static constexpr int kBuckets = 65;
+  static constexpr std::uint32_t kBlockEntries = 31;
+  struct Block {
+    Entry entries[kBlockEntries];
+    Block* next;
+  };
+  struct Bucket {
+    Block* head;  // entries [begin, ...) of head are pending
+    Block* tail;  // entries [..., end) of tail are pending
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint64_t least = ~std::uint64_t{0};  // smallest time bits held
+  };
+
+  /// Cold path of at(): adds a task chunk and frees its slots.
+  void grow_task_slab();
+  /// A block from the free list, or a new one.
+  Block* new_block();
+  void free_block(Block* block) {
+    block->next = free_blocks_;
+    free_blocks_ = block;
+  }
+  /// Appends `e` to the tail of its bucket.
+  void push(Entry e) {
+    const std::uint64_t time = entry_time(e);
+    const int b = std::bit_width(time ^ last_);
+    Bucket& bucket = buckets_[b];
+    bucket.least = std::min(bucket.least, time);
+    occupied_ |= std::uint64_t{b != 0} << ((b - 1) & 63);  // bucket 0: no bit
+    bucket.tail->entries[bucket.end] = e;
+    if (++bucket.end == kBlockEntries) [[unlikely]] {
+      Block* block = new_block();
+      bucket.tail->next = block;
+      bucket.tail = block;
+      bucket.end = 0;
+    }
+  }
+  /// Empties the lowest non-empty bucket into the ones below it
+  /// (bucket 0 must be empty and some event pending).
+  void refill();
+  /// Removes and returns the earliest pending entry (some must be pending).
   Entry pop_min();
   /// Advances the clock to `e` and runs its task in place.
   void execute(Entry e);
@@ -138,13 +193,16 @@ class Engine {
                        [slot & (kTaskChunkSize - 1)];
   }
 
-  // The pending set: a min-heap (std::greater) of entries, so heap_[0] is
-  // the exact (time, seq) minimum. The InlineTask callables live in a slab
-  // indexed by recycled slot ids; heap operations never move a task.
-  std::vector<Entry> heap_;
   std::vector<std::unique_ptr<InlineTask[]>> task_chunks_;
   std::size_t task_slots_ = 0;  // slots ever created (chunks * chunk size)
   std::vector<std::uint32_t> free_slots_;
+  std::array<Bucket, kBuckets> buckets_;
+  std::uint64_t occupied_ = 0;  // bit b - 1 set <=> bucket b >= 1 non-empty
+  std::uint64_t last_ = 0;      // time bits of the latest pop (+0.0 at first)
+  Block* free_blocks_ = nullptr;
+  std::unique_ptr<Block[]> first_blocks_;  // one per bucket, in one piece
+  std::vector<std::unique_ptr<Block>> blocks_;  // owns every later block
+  std::size_t pending_ = 0;
   usec now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
@@ -162,35 +220,33 @@ class Engine {
       if (!trace_truncated_) note_trace_truncated();
       return;
     }
-    trace_->push_back({entry_time(e), entry_seq(e)});
+    trace_->push_back({now_, entry_seq(e)});
   }
 };
 
 // ---- inline hot path --------------------------------------------------------
 // at() is inline so call sites (the MPI protocol above all else) construct
-// each InlineTask directly into its slab slot and the whole schedule path
+// each callable directly into its slab slot and the whole schedule path
 // compiles into the caller — no per-event indirect relocation.
 
-[[gnu::always_inline]] inline void Engine::at(usec time, InlineTask fn) {
+template <typename F>
+[[gnu::always_inline]] inline void Engine::at(usec time, F&& fn) {
   WAVE_EXPECTS_MSG(time >= now_, "cannot schedule events in the past");
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = grow_task_slab();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  task(slot) = std::move(fn);
   WAVE_EXPECTS_MSG(next_seq_ < (std::uint64_t{1} << (64 - kSlotBits)),
                    "event sequence number overflow");
-  heap_.push_back(pack(time, next_seq_++ << kSlotBits | slot));
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  max_pending_ = std::max(max_pending_, heap_.size());
-}
-
-inline void Engine::after(usec delay, InlineTask fn) {
-  WAVE_EXPECTS_MSG(delay >= 0.0, "delay must be non-negative");
-  at(now_ + delay, std::move(fn));
+  if (free_slots_.empty()) grow_task_slab();
+  // The slot leaves the free list only once its task is in place, so a
+  // callable whose copy throws leaves the engine as it was.
+  const std::uint32_t slot = free_slots_.back();
+  if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineTask>)
+    task(slot) = std::forward<F>(fn);
+  else
+    task(slot).emplace(std::forward<F>(fn));
+  free_slots_.pop_back();
+  // + 0.0 turns a -0.0 input into +0.0 so the bit pattern orders right.
+  push(static_cast<Entry>(std::bit_cast<std::uint64_t>(time + 0.0)) << 64 |
+       (next_seq_++ << kSlotBits | slot));
+  max_pending_ = std::max(max_pending_, ++pending_);
 }
 
 }  // namespace wave::sim

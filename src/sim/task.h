@@ -39,16 +39,7 @@ class InlineTask {
             typename = std::enable_if_t<
                 !std::is_same_v<std::remove_cvref_t<F>, InlineTask>>>
   InlineTask(F&& fn) {  // NOLINT: implicit by design, mirrors std::function
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kCapacity,
-                  "capture too large for InlineTask: shrink the capture or "
-                  "deliberately raise InlineTask::kCapacity");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned captures are not supported");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "hot-path callables must be nothrow-movable");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-    ops_ = &kOps<Fn>;
+    emplace(std::forward<F>(fn));
   }
 
   InlineTask(InlineTask&& other) noexcept : ops_(other.ops_) {
@@ -87,6 +78,26 @@ class InlineTask {
 
   /// True when a callable is stored.
   explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+  /// Replaces the stored callable with `fn`, constructed in place — no
+  /// temporary task and no relocation (Engine::at builds each scheduled
+  /// callable straight into its slab slot this way).
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::remove_cvref_t<F>, InlineTask>>>
+  void emplace(F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "capture too large for InlineTask: shrink the capture or "
+                  "deliberately raise InlineTask::kCapacity");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "over-aligned captures are not supported");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "hot-path callables must be nothrow-movable");
+    reset();
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+    ops_ = &kOps<Fn>;
+  }
 
   /// Destroys the stored callable, leaving the task empty.
   void reset() noexcept {

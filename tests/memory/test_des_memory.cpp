@@ -82,7 +82,7 @@ namespace ww = wave::workloads;
 // The paper-scale point of SimulateWavefront.PaperScaleRecordAtP4096IsPinned
 // (Sweep3D 256x256x8 on the dual-core XT4, 64 x 64 ranks). Per rank it
 // holds a coroutine frame, its share of the task slab and the message and
-// posted-receive pools, the pending-event heap and the per-rank fabric
+// posted-receive pools, the pending-event buckets and the per-rank fabric
 // state (docs/PERFORMANCE.md, "DES memory per rank").
 constexpr double kMaxBytesPerRank = 1000.0;
 

@@ -16,24 +16,34 @@
 //                  <= 1/2 the time per fill-cell of the same fills run one
 //                  at a time, at 4871x1 and 4871x8. Skipped where the CPU
 //                  lacks AVX-512F/VL.
+//   Calendar       sim::Engine's radix-heap calendar must run a hold model
+//                  at the wavefront's pending depth and delay mix >= 1.2x
+//                  faster than the binary heap it replaced
+//                  (std::push_heap/pop_heap over the same task slab), on
+//                  the same event stream.
 //   MetricsObserver  a serial 16x16 wavefront DES with an
 //                  obs::MetricsRegistry attached must keep >= 0.90x the
 //                  events/s of the same run without one: the always-on
 //                  metrics surface stays near free.
 //
 // Like the Wg tests beside them, they compare measured durations, so
-// ctest runs them alone (RUN_SERIAL, see CMakeLists.txt). BatchRoute and
-// the Fill gates compare the fastest of several runs of each side;
+// ctest runs them alone (RUN_SERIAL, see CMakeLists.txt). BatchRoute,
+// Calendar and the Fill gates compare the fastest of several runs of each
+// side;
 // MetricsObserver, whose bound sits close to the true ratio, takes the
 // median of per-pair ratios. Unoptimized and sanitized builds measure the instrumentation,
 // not the code, so there the gates skip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,6 +54,7 @@
 #include "obs/metrics.h"
 #include "optimize/search_space.h"
 #include "runner/runner.h"
+#include "sim/engine.h"
 #include "topology/grid.h"
 #include "wave/context.h"
 #include "workloads/registry.h"
@@ -356,6 +367,127 @@ TEST(PerfGate, FillPointLanesBeatOneAtATimePerFillCell) {
     GTEST_SKIP() << "this CPU lacks AVX-512F/VL";
   expect_point_lanes_faster(4871, 1, 2.0);
   expect_point_lanes_faster(4871, 8, 2.0);
+}
+
+namespace {
+
+/// The calendar sim::Engine used before its radix heap, as the Calendar
+/// gate's reference: the same slot per pending task, the callable built in
+/// place, and the pending set a binary heap (std::push_heap/pop_heap) of
+/// 128-bit keys — time bits, then a FIFO sequence number over the slot.
+class HeapCalendar {
+ public:
+  double now() const { return now_; }
+
+  template <typename F>
+  void after(double delay, F&& fn) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(tasks_.size());
+      tasks_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    tasks_[slot].emplace(std::forward<F>(fn));
+    const auto bits = std::bit_cast<std::uint64_t>(now_ + delay);
+    heap_.push_back(static_cast<Key>(bits) << 64 | (seq_++ << 24 | slot));
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
+  void run() {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const Key top = heap_.back();
+      heap_.pop_back();
+      now_ = std::bit_cast<double>(static_cast<std::uint64_t>(top >> 64));
+      const auto slot = static_cast<std::uint32_t>(top) & 0xffffffu;
+      tasks_[slot].consume();
+      free_.push_back(slot);
+    }
+  }
+
+ private:
+  using Key = unsigned __int128;
+  std::vector<Key> heap_;
+  std::deque<wave::sim::InlineTask> tasks_;  // stable while a task runs
+  std::vector<std::uint32_t> free_;
+  std::uint64_t seq_ = 0;
+  double now_ = 0.0;
+};
+
+/// Delays with the wavefront DES's mix: at P = 4,096 (Sweep3D 256x256x8
+/// on xt4-dual) 6 / 40 / 36 / 7 / 11% of them fall in the octaves
+/// 1-2 / 2-4 / 4-8 / 8-16 / 16-32 us. Log-uniform within an octave,
+/// from a fixed seed.
+std::vector<double> wavefront_delays() {
+  constexpr double kShare[] = {0.06, 0.40, 0.36, 0.07, 0.11};
+  std::uint64_t state = 0x5eedca1e;
+  const auto uniform = [&state] {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<double>((z ^ (z >> 31)) >> 11) * 0x1.0p-53;
+  };
+  std::vector<double> delays(std::size_t{1} << 16);
+  for (double& d : delays) {
+    double pick = uniform();
+    int octave = 0;
+    while (octave < 4 && pick >= kShare[octave]) pick -= kShare[octave++];
+    d = std::exp2(octave + uniform());
+  }
+  return delays;
+}
+
+/// Hold model: `depth` pending events, each of which reschedules one
+/// successor after the next delay of the table until `events` have run.
+/// Returns the final clock, which both calendars must agree on.
+template <typename Calendar>
+double hold(int depth, long long events, const std::vector<double>& delays) {
+  struct State {
+    Calendar calendar;
+    const std::vector<double>* delays;
+    std::size_t next = 0;
+    long long remaining = 0;
+  };
+  struct Hold {
+    State* s;
+    void operator()() const {
+      if (--s->remaining < 0) return;
+      const std::vector<double>& d = *s->delays;
+      s->calendar.after(d[s->next++ & (d.size() - 1)], Hold{s});
+    }
+  };
+  const auto state = std::make_unique<State>();
+  state->delays = &delays;
+  state->remaining = events - depth;
+  for (int i = 0; i < depth; ++i)
+    state->calendar.after(delays[state->next++], Hold{state.get()});
+  state->calendar.run();
+  return state->calendar.now();
+}
+
+}  // namespace
+
+TEST(PerfGate, CalendarBeatsBinaryHeapAtWavefrontDepth) {
+  SKIP_UNLESS_MEASURABLE();
+  // The pending peak of the serial wavefront at P = 16,384 (24,211).
+  constexpr int kDepth = 24'576;
+  constexpr long long kEvents = 300'000;
+  const std::vector<double> delays = wavefront_delays();
+  double radix_end = 0.0, heap_end = 0.0;
+  const auto [radix_s, heap_s] = fastest_pair(
+      9,
+      [&] { radix_end = hold<wave::sim::Engine>(kDepth, kEvents, delays); },
+      [&] { heap_end = hold<HeapCalendar>(kDepth, kEvents, delays); });
+  ASSERT_EQ(radix_end, heap_end) << "the two calendars ran different streams";
+  ASSERT_GT(radix_s, 0.0);
+  const double speedup = heap_s / radix_s;
+  std::printf("hold model, depth %d: binary heap %.1f ns/event, radix heap "
+              "%.1f ns/event, %.2fx\n",
+              kDepth, heap_s / kEvents * 1e9, radix_s / kEvents * 1e9,
+              speedup);
+  EXPECT_GE(speedup, 1.2) << "the radix calendar fell toward the heap";
 }
 
 TEST(PerfGate, MetricsObserverKeepsNinetyPercentOfPlainEventRate) {

@@ -1079,6 +1079,56 @@ TEST(BatchRunnerRoute, SinglePointSweepBatchRoutes) {
   EXPECT_EQ(wr::to_csv(off), wr::to_csv(on));
 }
 
+TEST(BatchRunnerRoute, EqualDesPointsShareOneRunAndMatchScalar) {
+  // DES points under three backends, with a repeated processor count. On
+  // xt4-single the backends hand simulate_wavefront equal inputs, so each
+  // processor count simulates once. On sp2, with every message above the
+  // eager limit, loggps charges its rendezvous sync cost s, so its points
+  // simulate on their own and must not take loggp's result.
+  wc::benchmarks::Sweep3dConfig cfg;
+  cfg.nx = cfg.ny = cfg.nz = 32;
+  wc::MachineConfig sp2 = wc::MachineConfig::sp2_single_core();
+  sp2.loggp.eager_limit_bytes = 1;
+  ASSERT_GT(sp2.loggp.off.sync, 0.0);
+  wr::SweepGrid grid;
+  grid.base().app = wb::sweep3d(cfg);
+  grid.base().engine = wr::Engine::Simulation;
+  grid.machines({{"xt4-single", wc::MachineConfig::xt4_single_core()},
+                 {"sp2", sp2}});
+  grid.comm_models(kCtx, {"loggp", "loggps", "contention"});
+  grid.processors({16, 4, 16});
+  std::vector<wr::Scenario> points = grid.points();
+  ASSERT_EQ(points.size(), 18u);
+
+  const std::vector<wr::RunRecord> off = run_scalar(points);
+  for (const int threads : {1, 3, 8}) {
+    const wr::BatchRunner::Options options(threads);
+    EXPECT_EQ(wr::to_csv(off),
+              wr::to_csv(wr::BatchRunner(kCtx, options).run(points)))
+        << "threads " << threads;
+  }
+  const auto sim_us = [&](const std::string& machine,
+                          const std::string& comm) {
+    for (const wr::RunRecord& r : off)
+      if (r.label("machine") == machine && r.label("comm") == comm &&
+          r.label("P") == "16")
+        return r.metric("sim_iter_us");
+    ADD_FAILURE() << machine << " " << comm << " not in the sweep";
+    return 0.0;
+  };
+  EXPECT_EQ(sim_us("xt4-single", "loggp"), sim_us("xt4-single", "loggps"));
+  EXPECT_NE(sim_us("sp2", "loggp"), sim_us("sp2", "loggps"));
+
+  // A point with a registry attached never shares: its own run publishes
+  // the engine's counters into it.
+  wave::obs::MetricsRegistry registry;
+  points.back().metrics = &registry;
+  EXPECT_EQ(wr::to_csv(off),
+            wr::to_csv(wr::BatchRunner(kCtx, wr::BatchRunner::Options(3))
+                           .run(points)));
+  EXPECT_GT(registry.counter("sim_events_total").value(), 0u);
+}
+
 TEST(BatchRunnerRoute, SharedFillUnitsMatchScalarAtAnyThreadsAndChunk) {
   // Three machines under three backends with repeated processor counts,
   // so units hold points that share fills, duplicates and points that do

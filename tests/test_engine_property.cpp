@@ -1,31 +1,45 @@
-// Property tests for the heap-ordered Engine against a trivially-correct
-// reference: a std::priority_queue ordered by (time, seq).
+// Property tests for the Engine's radix-heap calendar against a
+// trivially-correct reference: a std::priority_queue ordered by (time, seq).
 //
 // The engine's ordering contract — events pop in exact (time,
 // insertion-seq) order, equal times FIFO by seq — is what every layer
 // above leans on, up to the pinned fixtures' bitwise-determinism
-// guarantee. The engine earns that contract through a packed 128-bit key
-// (time bits | seq | slab slot) and a task slab indexed by that slot, so
+// guarantee. The engine earns that contract without ever comparing seqs:
+// pending events wait in buckets keyed on the bits of their time, and
+// each bucket keeps schedule order through every redistribution. So
 // these tests drive it in lockstep with a model whose correctness is
 // obvious and require the two to agree on every single event.
 //
 // The generator grows a random event tree: roots are scheduled up front,
 // and every executed event spawns 0-2 children at times derived from its
-// own rng state, so the tree's shape depends only on the seed — never on
-// traversal order — and both executors replay the identical schedule. The
-// engine spawns on execution, the model on pop; both assign the next seq
-// in their own spawn order, so any ordering divergence desynchronizes the
-// (time, seq) streams and fails loudly at the first differing event.
-// Four stream shapes stress distinct key patterns:
+// own time and rng state, so the tree's shape depends only on the seed —
+// never on traversal order — and both executors replay the identical
+// schedule. The engine spawns on execution, the model on pop; both assign
+// the next seq in their own spawn order, so any ordering divergence
+// desynchronizes the (time, seq) streams and fails loudly at the first
+// differing event. The stream shapes stress distinct key patterns:
 //   - uniform:    deltas spread over a wide time range (steady advance)
 //   - clustered:  dense bursts + occasional jumps (near-equal times)
 //   - equal-time: zero deltas (FIFO tie-breaking by seq alone)
 //   - far-future: rare ~1e12 deltas (large exponents in the time bits)
+// and four aimed at the radix layout:
+//   - binade:     times a few ulps either side of a power of two, where
+//                 the highest differing bit jumps from the exponent down
+//                 into the mantissa
+//   - grid:       times on a coarse grid, each one scheduled both from
+//                 far away (a high bucket, redistributed on the way down)
+//                 and from close by, after those redistributions
+//   - tiny:       roots at +0.0, -0.0 and subnormal times, children up
+//                 into the normal range
+//   - huge-jump:  a rare jump to ~1e300, where small deltas vanish into
+//                 the ulp and every later event ties
 // Two deep inputs schedule 65,536 roots up front, so the pending depth
 // exceeds what the serial wavefront reaches at P = 16,384 (~24k events).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -47,24 +61,81 @@ double unit(std::uint64_t& state) {
   return static_cast<double>(next_u64(state) >> 11) * 0x1.0p-53;
 }
 
-enum class Shape { kUniform, kClustered, kEqualTime, kFarFuture };
+enum class Shape {
+  kUniform,
+  kClustered,
+  kEqualTime,
+  kFarFuture,
+  kBinade,
+  kGrid,
+  kTiny,
+  kHugeJump
+};
 
-/// The child-delay distribution: one per stream shape. Shared by
-/// both executors, so they consume the rng stream identically.
-double delta_for(Shape shape, std::uint64_t& rng) {
+/// A root's time: one per stream shape, drawn when it is scheduled.
+double root_time(Shape shape, std::uint64_t& rng) {
+  const double u = unit(rng);
+  if (shape != Shape::kTiny) return u * 1000.0;
+  // +0.0, -0.0, a few subnormals, or the smallest normals.
+  constexpr double kTiniest = std::numeric_limits<double>::denorm_min();
+  constexpr double kSmallestNormal = std::numeric_limits<double>::min();
+  switch (next_u64(rng) % 4) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return static_cast<double>(next_u64(rng) % 8) * kTiniest;
+    default:
+      return kSmallestNormal + static_cast<double>(next_u64(rng) % 4) *
+                                   kTiniest;
+  }
+}
+
+/// A child's time, from its parent's time `now`: one distribution per
+/// stream shape. Shared by both executors, so they consume the rng
+/// stream identically and compute bit-identical times.
+double child_time(Shape shape, double now, std::uint64_t& rng) {
   const double select = unit(rng);
   const double u = unit(rng);
   switch (shape) {
     case Shape::kUniform:
-      return u * 100.0;
+      return now + u * 100.0;
     case Shape::kClustered:
-      return select < 0.9 ? u * 1e-3 : 50.0 + u * 100.0;
+      return now + (select < 0.9 ? u * 1e-3 : 50.0 + u * 100.0);
     case Shape::kEqualTime:
-      return select < 0.4 ? 0.0 : u * 10.0;
+      return now + (select < 0.4 ? 0.0 : u * 10.0);
     case Shape::kFarFuture:
-      return select < 0.02 ? 1e12 * (0.5 + u) : u;
+      return now + (select < 0.02 ? 1e12 * (0.5 + u) : u);
+    case Shape::kBinade: {
+      // The next power of two above now (or one a few binades up), then
+      // up to 4 ulps either side of it, never before now.
+      int exp = 0;
+      std::frexp(now, &exp);
+      const double edge = std::ldexp(1.0, exp + static_cast<int>(u * 3.0));
+      double t = edge;
+      const int ulps = static_cast<int>(next_u64(rng) % 9) - 4;
+      for (int k = 0; k < std::abs(ulps); ++k)
+        t = std::nextafter(t, ulps < 0 ? 0.0 : edge * 2.0);
+      return std::max(now, select < 0.2 ? now + u : t);
+    }
+    case Shape::kGrid:
+      // A point of the 0.375 grid up to 40 ahead: far events park in high
+      // buckets, near ones schedule onto the same times later.
+      return std::max(now, std::ceil((now + u * (select < 0.5 ? 40.0 : 1.0)) /
+                                     0.375) *
+                               0.375);
+    case Shape::kTiny: {
+      constexpr double kTiniest = std::numeric_limits<double>::denorm_min();
+      if (select < 0.45)
+        return now + static_cast<double>(next_u64(rng) % 4) * kTiniest;
+      if (select < 0.9) return now + u * 1e-310;  // still subnormal
+      return now + u * 1e-300;
+    }
+    case Shape::kHugeJump:
+      return select < 0.001 ? std::max(now, 1e300 * (1.0 + u)) : now + u;
   }
-  return 0.0;
+  return now;
 }
 
 /// 0-2 children with mean 1 (critical branching): chains neither die out
@@ -118,7 +189,7 @@ class DualDriver {
       const int kids = kids_for(rng);
       for (int k = 0; k < kids; ++k) {
         const std::uint64_t child_rng = next_u64(rng);
-        model_.push({e.time + delta_for(shape_, rng), model_seq_++,
+        model_.push({child_time(shape_, e.time, rng), model_seq_++,
                      child_rng, e.depth - 1});
       }
     }
@@ -133,7 +204,7 @@ class DualDriver {
     const int kids = kids_for(rng);
     for (int k = 0; k < kids; ++k) {
       const std::uint64_t child_rng = next_u64(rng);
-      const double t = engine_.now() + delta_for(shape_, rng);
+      const double t = child_time(shape_, engine_.now(), rng);
       engine_.at(t, [this, child_rng, depth] {
         engine_spawn(child_rng, depth - 1);
       });
@@ -163,7 +234,7 @@ void run_shape(Shape shape, std::uint64_t seed, int roots, int depth,
   DualDriver driver(shape);
   std::uint64_t rng = seed;
   for (int r = 0; r < roots; ++r) {
-    const double t0 = unit(rng) * 1000.0;
+    const double t0 = root_time(shape, rng);
     driver.schedule(t0, next_u64(rng), depth);
   }
 
@@ -203,4 +274,20 @@ TEST(EngineProperty, DeepUniformStreamMatchesPriorityQueue) {
 
 TEST(EngineProperty, DeepEqualTimeBurstsMatchPriorityQueue) {
   run_shape(Shape::kEqualTime, 0x5eed0007, 1 << 16, 8, 400000);
+}
+
+TEST(EngineProperty, BinadeStraddlingTimesMatchPriorityQueue) {
+  run_shape(Shape::kBinade, 0x5eed0008, 20000, 63, 300000);
+}
+
+TEST(EngineProperty, GridTimesScheduledFarAndNearMatchPriorityQueue) {
+  run_shape(Shape::kGrid, 0x5eed0009, 20000, 63, 300000);
+}
+
+TEST(EngineProperty, ZeroAndSubnormalTimesMatchPriorityQueue) {
+  run_shape(Shape::kTiny, 0x5eed000a, 20000, 63, 300000);
+}
+
+TEST(EngineProperty, JumpToHugeTimesMatchesPriorityQueue) {
+  run_shape(Shape::kHugeJump, 0x5eed000b, 20000, 63, 300000);
 }

@@ -4,7 +4,7 @@
 // (std::function events, shared_ptr messages, unordered_map channels, a
 // binary heap of 56-byte events) on the reference sweeps of
 // runner/reference_grids.h. The pooled implementation — slab-recycled
-// tasks under a binary heap of 16-byte packed keys — must reproduce them
+// tasks under a radix heap of 16-byte packed keys — must reproduce them
 // to the byte: every simulated timestamp, contention counter and event
 // count — not approximately, exactly. This is the
 // determinism contract of docs/ARCHITECTURE.md applied across
