@@ -9,7 +9,7 @@
 #include "core/benchmarks.h"
 #include "core/solver.h"
 #include "runner/runner.h"
-#include "workloads/builtin.h"
+#include "workloads/wavefront.h"
 
 using namespace wave;
 
@@ -52,11 +52,11 @@ int main(int argc, char** argv) {
                                                    registry)
                                           .evaluate(s.grid)
                                           .iteration.total;
-            const auto protocol = workloads::protocol_for(machine, registry);
-            const auto s_block = workloads::simulate_wavefront(
-                s.app, machine, s.grid, 1, protocol);
-            const auto s_nonblock = workloads::simulate_wavefront(
-                nonblocking, machine, s.grid, 1, protocol);
+            const auto sim = workloads::sim_machine(machine, registry);
+            const auto s_block =
+                workloads::simulate_wavefront(s.app, sim, s.grid, 1);
+            const auto s_nonblock =
+                workloads::simulate_wavefront(nonblocking, sim, s.grid, 1);
             return runner::Metrics{
                 {"model_gain_pct", 100.0 * (1.0 - m_nonblock / m_block)},
                 {"sim_gain_pct",

@@ -7,7 +7,7 @@
 #include "core/benchmarks.h"
 #include "core/solver.h"
 #include "runner/runner.h"
-#include "workloads/builtin.h"
+#include "workloads/wavefront.h"
 
 using namespace wave;
 
@@ -54,9 +54,10 @@ int main(int argc, char** argv) {
                                      steps);
                              if (s.processors() <= max_sim_p) {
                                const auto sim = workloads::simulate_wavefront(
-                                   s.app, machine, s.grid, 1,
-                                   workloads::protocol_for(
-                                       machine, ctx.comm_model_registry()));
+                                   s.app,
+                                   workloads::sim_machine(
+                                       machine, ctx.comm_model_registry()),
+                                   s.grid, 1);
                                const double sim_days =
                                    common::usec_to_days(sim.time_us * 120.0 *
                                                         30.0) *

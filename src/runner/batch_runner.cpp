@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "runner/thread_pool.h"
 #include "wave/context.h"
-#include "workloads/builtin.h"
 #include "workloads/registry.h"
 #include "workloads/wavefront.h"
 
@@ -38,12 +37,21 @@ Metrics model_metrics(const wave::Context& ctx, const Scenario& s) {
   return model_metrics_from(solver.evaluate(s.grid));
 }
 
+namespace {
+
+/// The machine a scenario's DES runs on.
+workloads::SimMachine sim_machine_of(const wave::Context& ctx,
+                                     const Scenario& s) {
+  return workloads::sim_machine(s.effective_machine(),
+                                ctx.comm_model_registry());
+}
+
+}  // namespace
+
 Metrics sim_metrics(const wave::Context& ctx, const Scenario& s) {
-  const core::MachineConfig machine = s.effective_machine();
-  const workloads::SimOutput res = workloads::simulate_wavefront(
-      s.app, machine, s.grid, s.iterations,
-      workloads::protocol_for(machine, ctx.comm_model_registry()),
-      {s.metrics, s.trace});
+  const workloads::SimOutput res =
+      workloads::simulate_wavefront(s.app, sim_machine_of(ctx, s), s.grid,
+                                    s.iterations, {s.metrics, s.trace});
   return {{"sim_iter_us", res.time_us},
           {"sim_makespan_us", res.makespan_us},
           {"sim_events", static_cast<double>(res.events)},
@@ -220,23 +228,18 @@ struct Member {
   }
 };
 
-/// Everything simulate_wavefront reads of a point that sim_metrics
-/// evaluates. Two points with equal inputs simulate the same event stream
+/// The arguments sim_metrics hands simulate_wavefront, bar the inert
+/// observers. Two points with equal keys simulate the same event stream
 /// and get bit-identical metrics, so they can share one run.
-struct SimInputs {
+struct SimKey {
   core::AppParams app;
   int n = 0;
   int m = 0;
   int iterations = 0;
-  loggp::MachineParams loggp;
-  int cx = 0;
-  int cy = 0;
-  common::usec rendezvous_sync = 0.0;  ///< protocol_for's one option
+  workloads::SimMachine machine;
 
-  bool operator==(const SimInputs&) const = default;
+  bool operator==(const SimKey&) const = default;
 };
-static_assert(sizeof(sim::ProtocolOptions) == sizeof(common::usec),
-              "SimInputs must hold every ProtocolOptions field");
 
 /// A DES point whose run others may share: the wavefront simulation with
 /// no observer attached (a registry or span capture sees one run, so an
@@ -263,7 +266,7 @@ std::vector<RunRecord> BatchRunner::run(
   core::BatchEval plan(ctx.comm_model_registry());
   std::vector<Member> members;
   std::vector<std::size_t> scalar;  // every other point, a unit of its own
-  std::vector<std::pair<SimInputs, std::size_t>> runs;  // inputs, point
+  std::vector<std::pair<SimKey, std::size_t>> runs;  // key, point
   std::vector<std::pair<std::size_t, std::size_t>> sharers;  // point, run's
   bool simulates = false;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -271,27 +274,16 @@ std::vector<RunRecord> BatchRunner::run(
     if (!batchable(s)) {
       simulates = simulates || s.engine == Engine::Simulation;
       if (shareable(s)) {
-        const core::MachineConfig machine = s.effective_machine();
-        machine.validate();
-        SimInputs in{
-            .app = s.app,
-            .n = s.grid.n(),
-            .m = s.grid.m(),
-            .iterations = s.iterations,
-            .loggp = machine.loggp,
-            .cx = machine.cx,
-            .cy = machine.cy,
-            .rendezvous_sync =
-                workloads::protocol_for(machine, ctx.comm_model_registry())
-                    .rendezvous_sync};
+        SimKey key{s.app, s.grid.n(), s.grid.m(), s.iterations,
+                   sim_machine_of(ctx, s)};
         const auto same = std::find_if(
             runs.begin(), runs.end(),
-            [&](const auto& run) { return run.first == in; });
+            [&](const auto& run) { return run.first == key; });
         if (same != runs.end()) {
           sharers.emplace_back(i, same->second);
           continue;
         }
-        runs.emplace_back(std::move(in), i);
+        runs.emplace_back(std::move(key), i);
       }
       scalar.push_back(i);
       continue;

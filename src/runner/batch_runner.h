@@ -19,8 +19,8 @@
 // vector lane. The cap keeps a long sweep of machine parameters at one
 // grid spread over the pool. Units go largest grid first; every other
 // point is a unit of its own, except that unobserved wavefront DES points
-// with equal simulation inputs (say, one machine under two backends that
-// price no rendezvous sync) share one run. The records are byte-identical
+// with equal app, grid, iterations and workloads::SimMachine (say, one
+// machine under two backends that price no rendezvous sync) share one run. The records are byte-identical
 // to the scalar path — the batch solver's correctness contract — so the
 // default run() always routes; run(points, evaluate_scenario) is the
 // scalar reference.
@@ -127,13 +127,13 @@ class BatchRunner {
   /// Default evaluation: compiles the analytic wavefront points into one
   /// BatchEval plan, evaluates them in shared-fill units and routes
   /// everything else through evaluate_scenario. Wavefront DES points with
-  /// no registry or span capture attached run once per distinct input to
-  /// simulate_wavefront (app, grid, iterations, LogGP parameters, node
-  /// shape and protocol options); the others copy that run's metrics. The
-  /// records equal run(points, evaluate_scenario)'s byte for byte. Plan
-  /// compilation and DES keying validate every batched point's app and
-  /// every shared DES point's machine eagerly, so a bad axis value throws
-  /// here rather than from a worker thread. A registry
+  /// no registry or span capture attached run once per distinct app,
+  /// grid, iterations and workloads::SimMachine, built by the
+  /// sim_machine call sim_metrics makes; the others copy that run's
+  /// metrics. The records equal run(points, evaluate_scenario)'s byte for
+  /// byte. Plan compilation and DES keying validate every batched point's
+  /// app and every shared DES point's machine eagerly, so a bad axis value
+  /// throws here rather than from a worker thread. A registry
   /// attached to a point records the point's `runner_point_latency_us`
   /// once; points of one unit each record an equal share of the unit's
   /// wall time.

@@ -64,6 +64,8 @@ struct ProtocolOptions {
   /// processed (the LogGPS synchronization cost s). 0 = pure LogGP, the
   /// paper's protocol.
   usec rendezvous_sync = 0.0;
+
+  bool operator==(const ProtocolOptions&) const = default;
 };
 
 /// One step of a collective schedule: the point-to-point operation a rank

@@ -23,13 +23,12 @@ struct StormSpec {
   int iterations = 1;
 };
 
-StormSpec make_storm_spec(const core::MachineConfig& machine,
-                          const WorkloadInputs& in) {
+StormSpec make_storm_spec(int cores_per_node, const WorkloadInputs& in) {
   WAVE_EXPECTS(in.iterations >= 1);
   StormSpec spec;
   spec.ranks = common::floor_pow2(std::max(2, in.grid.size()));
   spec.cores_per_node =
-      common::floor_pow2(std::min(machine.cores_per_node(), spec.ranks));
+      common::floor_pow2(std::min(cores_per_node, spec.ranks));
   spec.count = in.int_param_or("count", 8);
   spec.bytes = in.int_param_or("bytes", in.app.nonwavefront.allreduce_bytes);
   spec.gap_us = in.param_or("gap_us", 0.0);
@@ -75,7 +74,7 @@ std::vector<ParamSpec> AllreduceStormWorkload::parameters() const {
 ModelOutput AllreduceStormWorkload::predict(const core::MachineConfig& machine,
                                             const loggp::CommModel& comm,
                                             const WorkloadInputs& in) const {
-  const StormSpec spec = make_storm_spec(machine, in);
+  const StormSpec spec = make_storm_spec(machine.cores_per_node(), in);
   const usec one =
       loggp::allreduce_time(comm, spec.ranks, spec.cores_per_node, spec.bytes);
   ModelOutput out;
@@ -86,14 +85,12 @@ ModelOutput AllreduceStormWorkload::predict(const core::MachineConfig& machine,
   return out;
 }
 
-SimOutput AllreduceStormWorkload::simulate(const core::MachineConfig& machine,
-                                           const sim::ProtocolOptions& protocol,
+SimOutput AllreduceStormWorkload::simulate(const SimMachine& machine,
                                            const WorkloadInputs& in) const {
-  machine.validate();
-  const StormSpec spec = make_storm_spec(machine, in);
+  const StormSpec spec = make_storm_spec(machine.cx * machine.cy, in);
   std::vector<int> node_of_rank(static_cast<std::size_t>(spec.ranks));
   for (int r = 0; r < spec.ranks; ++r) node_of_rank[r] = r / spec.cores_per_node;
-  sim::World world(machine.loggp, std::move(node_of_rank), protocol,
+  sim::World world(machine.loggp, std::move(node_of_rank), machine.protocol,
                    in.observers);
   for (int r = 0; r < spec.ranks; ++r)
     world.spawn("rank" + std::to_string(r), storm_rank(world.ctx(r), spec));

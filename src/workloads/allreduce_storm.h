@@ -29,8 +29,7 @@ class AllreduceStormWorkload : public Workload {
                       const loggp::CommModel& comm,
                       const WorkloadInputs& in) const override;
   using Workload::simulate;
-  SimOutput simulate(const core::MachineConfig& machine,
-                     const sim::ProtocolOptions& protocol,
+  SimOutput simulate(const SimMachine& machine,
                      const WorkloadInputs& in) const override;
 };
 

@@ -2,7 +2,7 @@
 
 #include "common/contracts.h"
 #include "core/solver.h"
-#include "loggp/registry.h"
+#include "topology/node_map.h"
 #include "workloads/allreduce_storm.h"
 #include "workloads/halo2d.h"
 #include "workloads/pingpong.h"
@@ -37,12 +37,13 @@ sim::Mpi::HaloExchangeAwaitable face_halo(sim::RankCtx ctx,
   return halo;
 }
 
-sim::ProtocolOptions protocol_for(const core::MachineConfig& machine,
-                                  const loggp::CommModelRegistry& registry) {
-  sim::ProtocolOptions protocol;
-  protocol.rendezvous_sync =
-      machine.make_comm_model(registry)->rendezvous_sync();
-  return protocol;
+std::vector<int> place_ranks(const topo::Grid& grid,
+                             const SimMachine& machine) {
+  const topo::NodeMap node_map(grid, machine.cx, machine.cy);
+  std::vector<int> node_of_rank(static_cast<std::size_t>(grid.size()));
+  for (int r = 0; r < grid.size(); ++r)
+    node_of_rank[r] = node_map.node_of(grid.coord_of(r));
+  return node_of_rank;
 }
 
 // ---- wavefront --------------------------------------------------------
@@ -77,11 +78,10 @@ ModelOutput WavefrontWorkload::predict(const core::MachineConfig& machine,
   return out;
 }
 
-SimOutput WavefrontWorkload::simulate(const core::MachineConfig& machine,
-                                      const sim::ProtocolOptions& protocol,
+SimOutput WavefrontWorkload::simulate(const SimMachine& machine,
                                       const WorkloadInputs& in) const {
   return simulate_wavefront(in.app, machine, in.grid, in.iterations,
-                            protocol, in.observers);
+                            in.observers);
 }
 
 // ---- pingpong ---------------------------------------------------------
@@ -141,13 +141,12 @@ ModelOutput PingpongWorkload::predict(const core::MachineConfig& machine,
   return out;
 }
 
-SimOutput PingpongWorkload::simulate(const core::MachineConfig& machine,
-                                     const sim::ProtocolOptions& protocol,
+SimOutput PingpongWorkload::simulate(const SimMachine& machine,
                                      const WorkloadInputs& in) const {
   const PingPongKnobs knobs(in);
   const PingPongRun run =
-      pingpong_run(machine.loggp, protocol, knobs.on_chip, knobs.bytes,
-                   knobs.reps, in.observers);
+      pingpong_run(machine.loggp, machine.protocol, knobs.on_chip,
+                   knobs.bytes, knobs.reps, in.observers);
   SimOutput out;
   out.time_us = run.half_rtt;  // per-message, the quantity the model predicts
   out.makespan_us = run.makespan;

@@ -32,8 +32,7 @@ class WavefrontWorkload : public Workload {
                       const loggp::CommModel& comm,
                       const WorkloadInputs& in) const override;
   using Workload::simulate;
-  SimOutput simulate(const core::MachineConfig& machine,
-                     const sim::ProtocolOptions& protocol,
+  SimOutput simulate(const SimMachine& machine,
                      const WorkloadInputs& in) const override;
 };
 
@@ -52,8 +51,7 @@ class PingpongWorkload : public Workload {
                       const loggp::CommModel& comm,
                       const WorkloadInputs& in) const override;
   using Workload::simulate;
-  SimOutput simulate(const core::MachineConfig& machine,
-                     const sim::ProtocolOptions& protocol,
+  SimOutput simulate(const SimMachine& machine,
                      const WorkloadInputs& in) const override;
 };
 
@@ -65,6 +63,10 @@ std::vector<std::shared_ptr<const Workload>> builtin_workloads();
 ///   makespan by `iterations`, and copies the fabric counters.
 SimOutput collect_run(sim::World& world, int iterations);
 
+/// @brief Node of every rank of `grid`, row-major, with each node's cores
+///   on one machine.cx × machine.cy rectangle of the grid (topo::NodeMap).
+std::vector<int> place_ranks(const topo::Grid& grid, const SimMachine& machine);
+
 /// @brief The halo swap of a 2-D stencil phase (halo2d's, and LU's between
 ///   iterations): one concurrent exchange with each of `c`'s existing W,
 ///   E, N and S neighbours, in that order, ready to co_await. The model
@@ -73,12 +75,5 @@ sim::Mpi::HaloExchangeAwaitable face_halo(sim::RankCtx ctx,
                                           const topo::Grid& grid,
                                           topo::Coord c, int bytes_ew,
                                           int bytes_ns);
-
-/// @brief Protocol knobs mirroring the machine's comm backend as resolved
-///   through `registry` (e.g. LogGPS charges its synchronization cost on
-///   the rendezvous path), so every workload's "measurement" shares the
-///   model's protocol assumptions.
-sim::ProtocolOptions protocol_for(const core::MachineConfig& machine,
-                                  const loggp::CommModelRegistry& registry);
 
 }  // namespace wave::workloads

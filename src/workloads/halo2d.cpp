@@ -4,7 +4,6 @@
 
 #include "common/contracts.h"
 #include "core/solver.h"
-#include "topology/node_map.h"
 #include "workloads/builtin.h"
 
 namespace wave::workloads {
@@ -81,17 +80,11 @@ ModelOutput Halo2dWorkload::predict(const core::MachineConfig& machine,
   return out;
 }
 
-SimOutput Halo2dWorkload::simulate(const core::MachineConfig& machine,
-                                   const sim::ProtocolOptions& protocol,
+SimOutput Halo2dWorkload::simulate(const SimMachine& machine,
                                    const WorkloadInputs& in) const {
-  machine.validate();
   const HaloSpec spec = make_halo_spec(in);
-  const topo::NodeMap node_map(in.grid, machine.cx, machine.cy);
-  std::vector<int> node_of_rank(static_cast<std::size_t>(in.grid.size()));
-  for (int r = 0; r < in.grid.size(); ++r)
-    node_of_rank[r] = node_map.node_of(in.grid.coord_of(r));
-  sim::World world(machine.loggp, std::move(node_of_rank), protocol,
-                   in.observers);
+  sim::World world(machine.loggp, place_ranks(in.grid, machine),
+                   machine.protocol, in.observers);
   for (int r = 0; r < in.grid.size(); ++r)
     world.spawn("rank" + std::to_string(r), halo_rank(world.ctx(r), spec, r));
   return collect_run(world, in.iterations);

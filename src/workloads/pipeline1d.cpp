@@ -39,11 +39,10 @@ ModelOutput Pipeline1dWorkload::predict(const core::MachineConfig& machine,
   return WavefrontWorkload{}.predict(machine, comm, chain);
 }
 
-SimOutput Pipeline1dWorkload::simulate(const core::MachineConfig& machine,
-                                       const sim::ProtocolOptions& protocol,
+SimOutput Pipeline1dWorkload::simulate(const SimMachine& machine,
                                        const WorkloadInputs& in) const {
   return simulate_wavefront(chain_app(in), machine, chain_grid(in),
-                            in.iterations, protocol, in.observers);
+                            in.iterations, in.observers);
 }
 
 }  // namespace wave::workloads

@@ -29,8 +29,7 @@ class Pipeline1dWorkload : public Workload {
                       const loggp::CommModel& comm,
                       const WorkloadInputs& in) const override;
   using Workload::simulate;
-  SimOutput simulate(const core::MachineConfig& machine,
-                     const sim::ProtocolOptions& protocol,
+  SimOutput simulate(const SimMachine& machine,
                      const WorkloadInputs& in) const override;
 
   /// @brief The 1×P chain and single-sweep AppParams this workload

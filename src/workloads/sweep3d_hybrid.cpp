@@ -204,17 +204,15 @@ ModelOutput Sweep3dHybridWorkload::predict(const core::MachineConfig& machine,
   return out;
 }
 
-SimOutput Sweep3dHybridWorkload::simulate(const core::MachineConfig& machine,
-                                          const sim::ProtocolOptions& protocol,
+SimOutput Sweep3dHybridWorkload::simulate(const SimMachine& machine,
                                           const WorkloadInputs& in) const {
-  machine.validate();
   const HybridSpec spec = make_hybrid_spec(in);
   // One rank per node: the hybrid decomposition studies inter-node
   // pipeline shape, so the machine's cx × cy packing is deliberately not
   // applied (the model assumes all faces off-node for the same reason).
   std::vector<int> node_of_rank(static_cast<std::size_t>(spec.grid.size()));
   for (int r = 0; r < spec.grid.size(); ++r) node_of_rank[r] = r;
-  sim::World world(machine.loggp, std::move(node_of_rank), protocol,
+  sim::World world(machine.loggp, std::move(node_of_rank), machine.protocol,
                    in.observers);
   for (int r = 0; r < spec.grid.size(); ++r)
     world.spawn("rank" + std::to_string(r), hybrid_rank(world.ctx(r), spec, r));

@@ -2,13 +2,10 @@
 
 #include <cmath>
 #include <iterator>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "common/contracts.h"
 #include "core/solver.h"
-#include "topology/node_map.h"
 #include "workloads/builtin.h"
 
 namespace wave::workloads {
@@ -139,20 +136,12 @@ sim::Process wavefront_rank(sim::RankCtx ctx, const WavefrontSpec& spec,
 }  // namespace
 
 SimOutput simulate_wavefront(const core::AppParams& app,
-                             const core::MachineConfig& machine,
+                             const SimMachine& machine,
                              const topo::Grid& grid, int iterations,
-                             const sim::ProtocolOptions& protocol,
                              const sim::Observers& observers) {
-  machine.validate();
   const WavefrontSpec spec = make_spec(app, grid, iterations);
-
-  const topo::NodeMap node_map(grid, machine.cx, machine.cy);
-  std::vector<int> node_of_rank(static_cast<std::size_t>(grid.size()));
-  for (int r = 0; r < grid.size(); ++r)
-    node_of_rank[r] = node_map.node_of(grid.coord_of(r));
-
-  sim::World world(machine.loggp, std::move(node_of_rank), protocol,
-                   observers);
+  sim::World world(machine.loggp, place_ranks(grid, machine),
+                   machine.protocol, observers);
   for (int r = 0; r < grid.size(); ++r)
     world.spawn("rank" + std::to_string(r),
                 wavefront_rank(world.ctx(r), spec, r));

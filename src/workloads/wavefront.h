@@ -18,7 +18,6 @@
 #pragma once
 
 #include "core/app_params.h"
-#include "core/machine.h"
 #include "topology/grid.h"
 #include "workloads/workload.h"
 
@@ -50,16 +49,15 @@ struct WavefrontSpec {
 WavefrontSpec make_spec(const core::AppParams& app, const topo::Grid& grid,
                         int iterations = 1);
 
-/// Builds the world (placing ranks on nodes in cx × cy rectangles) under
-/// the given protocol options — resolved by the caller from the machine's
-/// comm backend via protocol_for(machine, registry) (builtin.h) — runs one
-/// Fig-4 rank program per grid position for `iterations` iterations, and
-/// returns timing plus contention counters through collect_run.
-/// `observers` are inert instrumentation hooks (sim/observers.h).
+/// Builds the world for `machine` (sim_machine's output, workload.h),
+/// runs one Fig-4 rank program per grid position for `iterations`
+/// iterations, and returns timing plus contention counters through
+/// collect_run. The result is a function of (app, grid, iterations,
+/// machine) alone: `observers` are inert instrumentation hooks
+/// (sim/observers.h).
 SimOutput simulate_wavefront(const core::AppParams& app,
-                             const core::MachineConfig& machine,
+                             const SimMachine& machine,
                              const topo::Grid& grid, int iterations,
-                             const sim::ProtocolOptions& protocol,
                              const sim::Observers& observers = {});
 
 }  // namespace wave::workloads

@@ -8,9 +8,18 @@
 #include "common/units.h"
 #include "core/benchmarks.h"
 #include "loggp/registry.h"
-#include "workloads/builtin.h"
 
 namespace wave::workloads {
+
+SimMachine sim_machine(const core::MachineConfig& machine,
+                       const loggp::CommModelRegistry& registry) {
+  machine.validate();
+  const auto comm = machine.make_comm_model(registry);
+  return {.loggp = machine.loggp,
+          .cx = machine.cx,
+          .cy = machine.cy,
+          .protocol = {.rendezvous_sync = comm->rendezvous_sync()}};
+}
 
 core::AppParams WorkloadInputs::default_app() {
   core::benchmarks::Sweep3dConfig cfg;
@@ -43,7 +52,7 @@ ModelOutput Workload::predict(const core::MachineConfig& machine,
 SimOutput Workload::simulate(const core::MachineConfig& machine,
                              const loggp::CommModelRegistry& registry,
                              const WorkloadInputs& in) const {
-  return simulate(machine, protocol_for(machine, registry), in);
+  return simulate(sim_machine(machine, registry), in);
 }
 
 ValidationReport Workload::validate(const core::MachineConfig& machine,

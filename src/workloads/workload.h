@@ -30,16 +30,14 @@
 #include "core/app_params.h"
 #include "core/machine.h"
 #include "loggp/comm_model.h"
+#include "loggp/params.h"
+#include "sim/mpi.h"
 #include "sim/observers.h"
 #include "topology/grid.h"
 
 namespace wave::loggp {
 class CommModelRegistry;
 }  // namespace wave::loggp
-
-namespace wave::sim {
-struct ProtocolOptions;
-}  // namespace wave::sim
 
 namespace wave::workloads {
 
@@ -48,6 +46,30 @@ using common::usec;
 /// @brief Named numeric side outputs of a workload evaluation, in insertion
 ///   order (the shape runner/record.h serializes).
 using MetricList = std::vector<std::pair<std::string, double>>;
+
+/// @brief Everything the DES reads of a machine: its LogGP parameters, the
+///   cx × cy node rectangle ranks are packed in, and the protocol knobs
+///   of its resolved comm backend. Two machines with equal SimMachines
+///   simulate the same event stream; every other MachineConfig field
+///   (name, buses_per_node, synchronization_terms, the backend's name)
+///   only reaches the model (docs/MODEL.md, "What each side reads").
+struct SimMachine {
+  loggp::MachineParams loggp;
+  int cx = 1;
+  int cy = 1;
+  sim::ProtocolOptions protocol;
+
+  bool operator==(const SimMachine&) const = default;
+};
+
+/// @brief Validates `machine` and resolves its comm backend through
+///   `registry` once, keeping what the DES reads (e.g. LogGPS charges its
+///   synchronization cost on the rendezvous path, so every workload's
+///   "measurement" shares the model's protocol assumptions).
+/// @throws common::contract_error when the machine is invalid or its
+///   backend is not registered.
+SimMachine sim_machine(const core::MachineConfig& machine,
+                       const loggp::CommModelRegistry& registry);
 
 /// @brief The inputs every workload evaluates: the Table-3 application
 ///   parameters (wavefront-family workloads read them; others ignore most),
@@ -146,13 +168,10 @@ class Workload {
 
   /// @brief DES path: builds a sim::World (engine + MPI fabric) for the
   ///   machine, runs the workload's rank programs, and reports timing plus
-  ///   fabric counters. `protocol` carries the machine's resolved
-  ///   comm-backend assumptions (e.g. the LogGPS rendezvous sync cost) so
-  ///   the "measurement" shares the model's protocol — callers resolve it
-  ///   once via protocol_for(machine, registry) (builtin.h) and the
-  ///   registry choice stays with the caller, not a process-wide global.
-  virtual SimOutput simulate(const core::MachineConfig& machine,
-                             const sim::ProtocolOptions& protocol,
+  ///   fabric counters. The machine arrives as the SimMachine that
+  ///   sim_machine(machine, registry) built, so the registry choice stays
+  ///   with the caller, not a process-wide global.
+  virtual SimOutput simulate(const SimMachine& machine,
                              const WorkloadInputs& in) const = 0;
 
   // ---- conveniences over the two hooks ---------------------------------
@@ -163,7 +182,7 @@ class Workload {
                       const loggp::CommModelRegistry& registry,
                       const WorkloadInputs& in) const;
 
-  /// @brief Resolves the protocol options from `registry`, then simulates.
+  /// @brief Builds the SimMachine through `registry`, then simulates.
   SimOutput simulate(const core::MachineConfig& machine,
                      const loggp::CommModelRegistry& registry,
                      const WorkloadInputs& in) const;

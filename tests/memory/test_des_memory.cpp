@@ -94,13 +94,12 @@ TEST(DesMemory, PaperScaleWavefrontPeakBytesPerRank) {
   const wave::core::MachineConfig dual =
       wave::core::MachineConfig::xt4_dual_core();
   const wave::loggp::CommModelRegistry registry;
-  const wave::sim::ProtocolOptions protocol = ww::protocol_for(dual, registry);
+  const ww::SimMachine machine = ww::sim_machine(dual, registry);
   const wave::topo::Grid grid(64, 64);
 
   const std::size_t before = g_live.load();
   g_peak.store(before);
-  const ww::SimOutput res =
-      ww::simulate_wavefront(app, dual, grid, 1, protocol);
+  const ww::SimOutput res = ww::simulate_wavefront(app, machine, grid, 1);
   const double per_rank =
       static_cast<double>(g_peak.load() - before) / grid.size();
 

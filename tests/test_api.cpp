@@ -38,8 +38,7 @@ class StubWorkload : public ww::Workload {
                           const ww::WorkloadInputs&) const override {
     return {42.0, 21.0, {{"model_stub_term", 7.0}}};
   }
-  ww::SimOutput simulate(const wave::core::MachineConfig&,
-                         const wave::sim::ProtocolOptions&,
+  ww::SimOutput simulate(const ww::SimMachine&,
                          const ww::WorkloadInputs&) const override {
     ww::SimOutput out;
     out.time_us = 42.0;

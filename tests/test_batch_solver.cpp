@@ -38,6 +38,7 @@
 #include "runner/runner.h"
 #include "topology/grid.h"
 #include "wave/context.h"
+#include "workloads/workload.h"
 
 namespace wc = wave::core;
 namespace wb = wave::core::benchmarks;
@@ -1081,9 +1082,9 @@ TEST(BatchRunnerRoute, SinglePointSweepBatchRoutes) {
 
 TEST(BatchRunnerRoute, EqualDesPointsShareOneRunAndMatchScalar) {
   // DES points under three backends, with a repeated processor count. On
-  // xt4-single the backends hand simulate_wavefront equal inputs, so each
-  // processor count simulates once. On sp2, with every message above the
-  // eager limit, loggps charges its rendezvous sync cost s, so its points
+  // xt4-single the backends build equal SimMachines, so each processor
+  // count simulates once. On sp2, with every message above the eager
+  // limit, loggps charges its rendezvous sync cost s, so its points
   // simulate on their own and must not take loggp's result.
   wc::benchmarks::Sweep3dConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 32;
@@ -1099,6 +1100,35 @@ TEST(BatchRunnerRoute, EqualDesPointsShareOneRunAndMatchScalar) {
   grid.processors({16, 4, 16});
   std::vector<wr::Scenario> points = grid.points();
   ASSERT_EQ(points.size(), 18u);
+
+  // fatnode-loggps (2 x 4 cores, two buses) and two twins. The DES gives
+  // a node one bus whatever buses_per_node says, so the one-bus twin
+  // builds an equal SimMachine and shares the shipped machine's run; the
+  // model's Table 6 multipliers still tell the two apart. The cx = 1
+  // twin packs ranks on other nodes and simulates on its own.
+  wave::Context shipped;
+  ASSERT_TRUE(shipped.add_machine_dir(WAVE_MACHINES_DIR).is_ok());
+  const wc::MachineConfig fat = shipped.resolve_machine("fatnode-loggps");
+  wc::MachineConfig one_bus = fat;
+  one_bus.buses_per_node = 1;
+  wc::MachineConfig narrow = fat;
+  narrow.cx = 1;
+  const auto sim_machine = [](const wc::MachineConfig& m) {
+    return wave::workloads::sim_machine(m, kCtx.comm_model_registry());
+  };
+  ASSERT_NE(fat.buses_per_node, 1);
+  ASSERT_TRUE(sim_machine(fat) == sim_machine(one_bus));
+  wr::SweepGrid fat_grid;
+  fat_grid.base() = grid.base();
+  fat_grid.machines(
+      {{"fatnode", fat}, {"fatnode-1bus", one_bus}, {"fatnode-cx1", narrow}});
+  fat_grid.processors({16});
+  const std::size_t first_fat = points.size();
+  for (wr::Scenario s : fat_grid.points()) {
+    s.index = points.size();
+    points.push_back(std::move(s));
+  }
+  ASSERT_EQ(points.size(), 21u);
 
   const std::vector<wr::RunRecord> off = run_scalar(points);
   for (const int threads : {1, 3, 8}) {
@@ -1118,6 +1148,13 @@ TEST(BatchRunnerRoute, EqualDesPointsShareOneRunAndMatchScalar) {
   };
   EXPECT_EQ(sim_us("xt4-single", "loggp"), sim_us("xt4-single", "loggps"));
   EXPECT_NE(sim_us("sp2", "loggp"), sim_us("sp2", "loggps"));
+  EXPECT_EQ(off[first_fat].metrics, off[first_fat + 1].metrics);
+  EXPECT_NE(off[first_fat].metric("sim_iter_us"),
+            off[first_fat + 2].metric("sim_iter_us"));
+  std::vector<wr::Scenario> models(points.begin() + first_fat, points.end());
+  for (wr::Scenario& s : models) s.engine = wr::Engine::Model;
+  const std::vector<wr::RunRecord> model = run_scalar(models);
+  EXPECT_NE(model[0].metric("model_iter_us"), model[1].metric("model_iter_us"));
 
   // A point with a registry attached never shares: its own run publishes
   // the engine's counters into it.

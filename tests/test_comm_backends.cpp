@@ -228,10 +228,9 @@ TEST(SimBackendIntegration, LogGpsSyncSlowsRendezvousHeavySimulation) {
   wc::MachineConfig loggps_machine = machine;
   loggps_machine.comm_model = "loggps";
   const auto plain = ww::simulate_wavefront(
-      app, machine, wt::Grid(4, 4), 1, ww::protocol_for(machine, kReg));
-  const auto synced =
-      ww::simulate_wavefront(app, loggps_machine, wt::Grid(4, 4), 1,
-                             ww::protocol_for(loggps_machine, kReg));
+      app, ww::sim_machine(machine, kReg), wt::Grid(4, 4), 1);
+  const auto synced = ww::simulate_wavefront(
+      app, ww::sim_machine(loggps_machine, kReg), wt::Grid(4, 4), 1);
   EXPECT_GT(synced.time_us, plain.time_us);
 
   // The "loggp" backend ignores off.sync entirely: same machine, sync
@@ -239,7 +238,7 @@ TEST(SimBackendIntegration, LogGpsSyncSlowsRendezvousHeavySimulation) {
   wc::MachineConfig no_sync = machine;
   no_sync.loggp.off.sync = 0.0;
   const auto baseline = ww::simulate_wavefront(
-      app, no_sync, wt::Grid(4, 4), 1, ww::protocol_for(no_sync, kReg));
+      app, ww::sim_machine(no_sync, kReg), wt::Grid(4, 4), 1);
   EXPECT_DOUBLE_EQ(plain.time_us, baseline.time_us);
 }
 

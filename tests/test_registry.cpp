@@ -37,8 +37,7 @@ class NamedWorkload : public ww::Workload {
                           const ww::WorkloadInputs&) const override {
     return {1.0, 0.0, {}};
   }
-  ww::SimOutput simulate(const wave::core::MachineConfig&,
-                         const wave::sim::ProtocolOptions&,
+  ww::SimOutput simulate(const ww::SimMachine&,
                          const ww::WorkloadInputs&) const override {
     return {};
   }

@@ -23,9 +23,8 @@ double model_vs_sim_error(const wc::AppParams& app,
                           const wc::MachineConfig& machine, int processors) {
   const wc::Solver solver(app, machine, kReg);
   const auto model = solver.evaluate(processors);
-  const auto sim =
-      ww::simulate_wavefront(app, machine, wt::closest_to_square(processors),
-                             1, ww::protocol_for(machine, kReg));
+  const auto sim = ww::simulate_wavefront(app, ww::sim_machine(machine, kReg),
+                                          wt::closest_to_square(processors), 1);
   return wave::common::relative_error(model.iteration.total, sim.time_us);
 }
 
@@ -130,9 +129,9 @@ TEST(ModelValidation, FillTimePredictsPipelinedGain) {
 
   const auto machine = wc::MachineConfig::xt4_single_core();
   const auto sim_seq = ww::simulate_wavefront(
-      seq, machine, wt::Grid(8, 8), 3, ww::protocol_for(machine, kReg));
+      seq, ww::sim_machine(machine, kReg), wt::Grid(8, 8), 3);
   const auto sim_pipe = ww::simulate_wavefront(
-      pipe, machine, wt::Grid(8, 8), 1, ww::protocol_for(machine, kReg));
+      pipe, ww::sim_machine(machine, kReg), wt::Grid(8, 8), 1);
   const double sim_gain = sim_seq.makespan_us - sim_pipe.makespan_us;
 
   const wc::Solver solver_seq(seq, machine, kReg);
@@ -159,10 +158,9 @@ TEST(ModelValidation, NonblockingSendsVariant) {
   for (const auto& machine : {wc::MachineConfig::xt4_dual_core(),
                               wc::MachineConfig::sp2_single_core()}) {
     const auto sim_b = ww::simulate_wavefront(
-        blocking, machine, wt::Grid(8, 8), 1, ww::protocol_for(machine, kReg));
+        blocking, ww::sim_machine(machine, kReg), wt::Grid(8, 8), 1);
     const auto sim_n = ww::simulate_wavefront(
-        nonblocking, machine, wt::Grid(8, 8), 1,
-        ww::protocol_for(machine, kReg));
+        nonblocking, ww::sim_machine(machine, kReg), wt::Grid(8, 8), 1);
     EXPECT_LE(sim_n.time_us, sim_b.time_us * 1.0001);
     const auto model_n =
         wc::Solver(nonblocking, machine, kReg).evaluate(64).iteration.total;
@@ -178,9 +176,9 @@ TEST(ModelValidation, BreakdownTracksSimulatedContention) {
   const wc::AppParams app = wb::sweep3d(cfg);
   const auto machine = wc::MachineConfig::xt4_dual_core();
   const auto t64 = ww::simulate_wavefront(
-      app, machine, wt::Grid(8, 8), 1, ww::protocol_for(machine, kReg));
+      app, ww::sim_machine(machine, kReg), wt::Grid(8, 8), 1);
   const auto t256 = ww::simulate_wavefront(
-      app, machine, wt::Grid(16, 16), 1, ww::protocol_for(machine, kReg));
+      app, ww::sim_machine(machine, kReg), wt::Grid(16, 16), 1);
   // Strong scaling: 4x the processors gives < 4x speedup (communication).
   const double speedup = t64.makespan_us / t256.makespan_us;
   EXPECT_GT(speedup, 1.5);

@@ -117,8 +117,7 @@ TEST(WorkloadRegistry, AddAndLookUpACustomWorkload) {
                             const ww::WorkloadInputs&) const override {
       return {1.0, 0.0, {}};
     }
-    ww::SimOutput simulate(const wc::MachineConfig&,
-                           const wave::sim::ProtocolOptions&,
+    ww::SimOutput simulate(const ww::SimMachine&,
                            const ww::WorkloadInputs&) const override {
       ww::SimOutput out;
       out.time_us = 1.0;

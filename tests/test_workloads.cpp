@@ -2,8 +2,14 @@
 // of the rank programs, and emergent sweep structure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <iomanip>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/benchmarks.h"
@@ -19,6 +25,10 @@ namespace wc = wave::core;
 namespace wb = wave::core::benchmarks;
 namespace ww = wave::workloads;
 namespace wt = wave::topo;
+
+#ifndef WAVE_MACHINES_DIR
+#define WAVE_MACHINES_DIR "machines"
+#endif
 
 namespace {
 const wc::MachineConfig kSingle = wc::MachineConfig::xt4_single_core();
@@ -53,7 +63,7 @@ TEST(Spec, StencilWorkScalesWithLocalCells) {
 TEST(SimulateWavefront, SingleRankIsPureCompute) {
   const wc::AppParams app = small_sweep3d();
   const auto res = ww::simulate_wavefront(
-      app, kSingle, wt::Grid(1, 1), 1, ww::protocol_for(kSingle, kReg));
+      app, ww::sim_machine(kSingle, kReg), wt::Grid(1, 1), 1);
   const auto spec = ww::make_spec(app, wt::Grid(1, 1));
   const double expected =
       8.0 * spec.tiles_per_stack * spec.w_tile;  // no comms, no allreduce
@@ -69,7 +79,7 @@ TEST(SimulateWavefront, MessageCountMatchesStructure) {
   const wave::topo::Grid grid(4, 2);
   const auto spec = ww::make_spec(app, grid);
   const auto res = ww::simulate_wavefront(
-      app, kSingle, grid, 1, ww::protocol_for(kSingle, kReg));
+      app, ww::sim_machine(kSingle, kReg), grid, 1);
   const std::uint64_t per_sweep =
       static_cast<std::uint64_t>((4 - 1) * 2 + 4 * (2 - 1)) *
       spec.tiles_per_stack;
@@ -87,10 +97,9 @@ TEST(SimulateWavefront, PaperScaleRecordAtP4096IsPinned) {
   cfg.nx = cfg.ny = 256;
   cfg.nz = 8;
   wave::obs::MetricsRegistry metrics;
-  const auto res =
-      ww::simulate_wavefront(wb::sweep3d(cfg), kDual, wt::Grid(64, 64), 1,
-                             ww::protocol_for(kDual, kReg),
-                             {.metrics = &metrics});
+  const auto res = ww::simulate_wavefront(
+      wb::sweep3d(cfg), ww::sim_machine(kDual, kReg), wt::Grid(64, 64), 1,
+      {.metrics = &metrics});
   EXPECT_EQ(res.events, 1204224u);
   EXPECT_EQ(res.messages, 356352u);
   EXPECT_EQ(res.makespan_us, 25176.315759998153);
@@ -106,9 +115,9 @@ TEST(SimulateWavefront, PaperScaleRecordAtP4096IsPinned) {
 TEST(SimulateWavefront, DeterministicAcrossRuns) {
   const wc::AppParams app = small_sweep3d();
   const auto a = ww::simulate_wavefront(
-      app, kDual, wt::Grid(4, 4), 1, ww::protocol_for(kDual, kReg));
+      app, ww::sim_machine(kDual, kReg), wt::Grid(4, 4), 1);
   const auto b = ww::simulate_wavefront(
-      app, kDual, wt::Grid(4, 4), 1, ww::protocol_for(kDual, kReg));
+      app, ww::sim_machine(kDual, kReg), wt::Grid(4, 4), 1);
   EXPECT_DOUBLE_EQ(a.makespan_us, b.makespan_us);
   EXPECT_EQ(a.events, b.events);
 }
@@ -116,11 +125,11 @@ TEST(SimulateWavefront, DeterministicAcrossRuns) {
 TEST(SimulateWavefront, MoreProcessorsRunFaster) {
   const wc::AppParams app = small_sweep3d();
   const auto p4 = ww::simulate_wavefront(
-      app, kSingle, wt::Grid(2, 2), 1, ww::protocol_for(kSingle, kReg));
+      app, ww::sim_machine(kSingle, kReg), wt::Grid(2, 2), 1);
   const auto p16 = ww::simulate_wavefront(
-      app, kSingle, wt::Grid(4, 4), 1, ww::protocol_for(kSingle, kReg));
+      app, ww::sim_machine(kSingle, kReg), wt::Grid(4, 4), 1);
   const auto p64 = ww::simulate_wavefront(
-      app, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+      app, ww::sim_machine(kSingle, kReg), wt::Grid(8, 8), 1);
   EXPECT_GT(p4.makespan_us, p16.makespan_us);
   EXPECT_GT(p16.makespan_us, p64.makespan_us);
 }
@@ -128,9 +137,9 @@ TEST(SimulateWavefront, MoreProcessorsRunFaster) {
 TEST(SimulateWavefront, IterationsScaleLinearly) {
   const wc::AppParams app = small_sweep3d();
   const auto one = ww::simulate_wavefront(
-      app, kDual, wt::Grid(4, 4), 1, ww::protocol_for(kDual, kReg));
+      app, ww::sim_machine(kDual, kReg), wt::Grid(4, 4), 1);
   const auto three = ww::simulate_wavefront(
-      app, kDual, wt::Grid(4, 4), 3, ww::protocol_for(kDual, kReg));
+      app, ww::sim_machine(kDual, kReg), wt::Grid(4, 4), 3);
   // Steady state: iterations pipeline nothing across the iteration
   // boundary (the final sweep fully completes), so time is ~linear.
   EXPECT_NEAR(three.makespan_us, 3.0 * one.makespan_us,
@@ -144,9 +153,9 @@ TEST(SimulateWavefront, ContentionCountersAreTracked) {
   // per node on the same grid.
   const wc::AppParams app = small_sweep3d();
   const auto single = ww::simulate_wavefront(
-      app, kSingle, wt::Grid(4, 4), 1, ww::protocol_for(kSingle, kReg));
+      app, ww::sim_machine(kSingle, kReg), wt::Grid(4, 4), 1);
   const auto dual = ww::simulate_wavefront(
-      app, kDual, wt::Grid(4, 4), 1, ww::protocol_for(kDual, kReg));
+      app, ww::sim_machine(kDual, kReg), wt::Grid(4, 4), 1);
   EXPECT_GE(single.bus_wait_us, 0.0);
   EXPECT_GE(dual.bus_wait_us + dual.nic_wait_us,
             single.bus_wait_us + single.nic_wait_us);
@@ -157,7 +166,7 @@ TEST(SimulateWavefront, LuRunsBothSweepsAndStencil) {
   cfg.n = 36;
   const wc::AppParams app = wb::lu(cfg);
   const auto res = ww::simulate_wavefront(
-      app, kSingle, wt::Grid(3, 3), 1, ww::protocol_for(kSingle, kReg));
+      app, ww::sim_machine(kSingle, kReg), wt::Grid(3, 3), 1);
   EXPECT_GT(res.makespan_us, 0.0);
   // 2 sweeps * 36 tiles * EW/NS messages + stencil halo exchanges.
   EXPECT_GT(res.messages, 0u);
@@ -174,9 +183,9 @@ TEST(SimulateWavefront, ChimaeraSlowerThanSweep3dStructure) {
   wc::AppParams chim = sweep;
   chim.sweeps = wc::SweepStructure::chimaera();
   const auto t_sweep = ww::simulate_wavefront(
-      sweep, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+      sweep, ww::sim_machine(kSingle, kReg), wt::Grid(8, 8), 1);
   const auto t_chim = ww::simulate_wavefront(
-      chim, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+      chim, ww::sim_machine(kSingle, kReg), wt::Grid(8, 8), 1);
   EXPECT_GE(t_chim.makespan_us, t_sweep.makespan_us - 1e-9);
 }
 
@@ -203,9 +212,9 @@ TEST(SimulateWavefront, FillCostEmergesFromStructure) {
   pipelined.sweeps = wc::SweepStructure(std::move(sweeps));
 
   const auto t_normal = ww::simulate_wavefront(
-      normal, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+      normal, ww::sim_machine(kSingle, kReg), wt::Grid(8, 8), 1);
   const auto t_pipe = ww::simulate_wavefront(
-      pipelined, kSingle, wt::Grid(8, 8), 1, ww::protocol_for(kSingle, kReg));
+      pipelined, ww::sim_machine(kSingle, kReg), wt::Grid(8, 8), 1);
   EXPECT_LT(t_pipe.makespan_us, t_normal.makespan_us);
 }
 
@@ -219,7 +228,7 @@ TEST_P(GridShapes, RunsAndRespectsWorkLowerBound) {
   const wave::topo::Grid grid(n, m);
   const auto spec = ww::make_spec(app, grid);
   const auto res = ww::simulate_wavefront(
-      app, kDual, grid, 1, ww::protocol_for(kDual, kReg));
+      app, ww::sim_machine(kDual, kReg), grid, 1);
   const double lower_bound =
       8.0 * spec.tiles_per_stack * spec.w_tile;  // one rank's compute
   EXPECT_GE(res.makespan_us, lower_bound - 1e-6)
@@ -285,8 +294,7 @@ Digest storm_stream(int n, int m) {
   ww::WorkloadInputs in;
   in.grid = wt::Grid(n, m);
   in.observers.events = &events;
-  ww::AllreduceStormWorkload().simulate(kDual, ww::protocol_for(kDual, kReg),
-                                        in);
+  ww::AllreduceStormWorkload().simulate(ww::sim_machine(kDual, kReg), in);
   return digest(events);
 }
 
@@ -303,7 +311,7 @@ struct TracedRun {
 TracedRun wavefront_stream(const wc::AppParams& app, const wt::Grid& grid) {
   std::vector<wave::sim::TraceEvent> events;
   wave::obs::SpanCapture capture;
-  ww::simulate_wavefront(app, kDual, grid, 2, ww::protocol_for(kDual, kReg),
+  ww::simulate_wavefront(app, ww::sim_machine(kDual, kReg), grid, 2,
                          {.trace = &capture, .events = &events});
   EXPECT_FALSE(capture.truncated());
   return {digest(events), digest(capture)};
@@ -349,4 +357,114 @@ TEST(EventStreamPin, NonblockingSweep3dWithFoldedAllreduces) {
   EXPECT_EQ(run.events.hash, 16969732432566408903u);
   EXPECT_EQ(run.spans.count, 24014u);
   EXPECT_EQ(run.spans.hash, 10673407972877500901u);
+}
+
+// ---- what each side reads ---------------------------------------------------
+//
+// Every key write_machine_config emits, perturbed one at a time on
+// fatnode-loggps (2 x 4 cores, loggps, two all-reduces per iteration, E/W
+// messages below the eager limit and N/S ones above it): the simulated
+// time moves exactly when sim_machine's output does, and the predicted
+// time moves for every key but the model-inert ones. A key the lists
+// below do not name must reach both sides, so a new key fails here until
+// someone decides which side reads it.
+
+namespace {
+
+/// Keys neither side reads.
+const std::vector<std::string> kModelInert = {"name"};
+
+/// Keys only the model reads (ROADMAP item 3): the DES gives every node
+/// one bus whatever buses_per_node says, and runs no [3]-style
+/// synchronization terms.
+const std::vector<std::string> kModelOnly = {"buses_per_node",
+                                             "synchronization_terms"};
+
+bool listed(const std::vector<std::string>& keys, const std::string& key) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
+}
+
+/// A valid other value for one config key: the other backend, a flipped
+/// switch, a doubled integer, a non-integer times 1.25 (doubling on.ocopy
+/// would pass on.o) or a longer name.
+std::string perturbed(const std::string& key, const std::string& value) {
+  if (key == "comm_model") return value == "loggp" ? "loggps" : "loggp";
+  if (value == "true" || value == "false")
+    return value == "true" ? "false" : "true";
+  double v = 0.0;
+  const char* end = value.data() + value.size();
+  const auto parsed = std::from_chars(value.data(), end, v);
+  if (parsed.ec == std::errc() && parsed.ptr == end) {
+    std::ostringstream os;
+    os << std::setprecision(17) << (v == std::trunc(v) ? 2.0 : 1.25) * v;
+    return os.str();
+  }
+  return value + "-b";
+}
+
+/// The config text with `key`'s value replaced.
+std::string with_value(const std::string& config, const std::string& key,
+                       const std::string& value) {
+  std::istringstream in(config);
+  std::string out;
+  for (std::string line; std::getline(in, line);)
+    out += (line.rfind(key + " = ", 0) == 0 ? key + " = " + value : line) +
+           "\n";
+  return out;
+}
+
+}  // namespace
+
+TEST(SimMachine, SimTimeMovesExactlyWhenSimMachineDoes) {
+  const wc::MachineConfig base = wc::load_machine_config(
+      std::string(WAVE_MACHINES_DIR) + "/fatnode-loggps.cfg", kReg);
+  ASSERT_EQ(base.cores_per_node(), 8);
+  wb::Sweep3dConfig cfg;  // Htile = 2, 48 boundary bytes per cell
+  cfg.nx = 128;
+  cfg.ny = 64;
+  cfg.nz = 8;
+  ww::WorkloadInputs in;
+  in.app = wb::sweep3d(cfg);
+  in.grid = wt::Grid(8, 8);
+  ASSERT_GT(in.app.nonwavefront.allreduce_count, 0);
+  ASSERT_LT(in.app.message_bytes_ew(8, 8), base.loggp.eager_limit_bytes);
+  ASSERT_GT(in.app.message_bytes_ns(8, 8), base.loggp.eager_limit_bytes);
+
+  const ww::WavefrontWorkload impl;
+  const ww::Workload& wavefront = impl;
+  const double model_us = wavefront.predict(base, kReg, in).time_us;
+  const double sim_us = wavefront.simulate(base, kReg, in).time_us;
+  const ww::SimMachine sim = ww::sim_machine(base, kReg);
+
+  const std::string config = wc::write_machine_config(base);
+  std::istringstream lines(config);
+  std::size_t named = 0;  // keys of the two lists seen
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t eq = line.find(" = ");
+    ASSERT_NE(eq, std::string::npos) << line;
+    const std::string key = line.substr(0, eq);
+    const std::string value = perturbed(key, line.substr(eq + 3));
+    const wc::MachineConfig machine = wc::parse_machine_config(
+        with_value(config, key, value), "<perturbed>", kReg);
+    ASSERT_NE(machine, base) << key << " = " << value;
+
+    const bool sim_moved =
+        wavefront.simulate(machine, kReg, in).time_us != sim_us;
+    const bool machine_moved = ww::sim_machine(machine, kReg) != sim;
+    const bool model_moved =
+        wavefront.predict(machine, kReg, in).time_us != model_us;
+    EXPECT_EQ(sim_moved, machine_moved) << key << " = " << value;
+    named += listed(kModelInert, key) || listed(kModelOnly, key);
+    if (listed(kModelInert, key)) {
+      EXPECT_FALSE(model_moved) << key << " = " << value;
+      EXPECT_FALSE(machine_moved) << key << " = " << value;
+    } else if (listed(kModelOnly, key)) {
+      EXPECT_TRUE(model_moved) << key << " = " << value;
+      EXPECT_FALSE(machine_moved) << key << " = " << value;
+    } else {
+      EXPECT_TRUE(model_moved) << key << " = " << value;
+      EXPECT_TRUE(machine_moved) << key << " = " << value;
+    }
+  }
+  EXPECT_EQ(named, kModelInert.size() + kModelOnly.size());
 }
