@@ -12,7 +12,8 @@ Engine::Engine()
 
 void Engine::grow_task_slab() {
   WAVE_EXPECTS_MSG(task_slots_ < kMaxSlots, "too many pending events");
-  task_chunks_.push_back(std::make_unique<InlineTask[]>(kTaskChunkSize));
+  task_chunks_.push_back(
+      std::make_unique_for_overwrite<Task[]>(kTaskChunkSize));
   free_slots_.reserve(task_slots_ + kTaskChunkSize);
   // Highest first, so the chunk's slots are handed out in index order.
   for (std::size_t i = kTaskChunkSize; i-- > 0;)
@@ -84,10 +85,10 @@ void Engine::execute(Entry e) {
   ++processed_;
   record(e);
   // Invoke in place (chunk addresses are stable even if the callback grows
-  // the slab) with a fused invoke+destroy — one dispatch per event, no
-  // per-event task move. The slot is recycled only after the callback
-  // returns, so a reschedule cannot overwrite a running task.
-  task(slot).consume();
+  // the slab): one indirect call per event, no copy and no destructor.
+  // The slot is recycled only after the callback returns, so a reschedule
+  // cannot overwrite a running task.
+  task(slot)();
   free_slots_.push_back(slot);
 }
 

@@ -9,33 +9,72 @@
 // set_trace() records the executed (time, seq) stream so tests can prove
 // two schedules identical.
 //
-// Steady-state scheduling is allocation-free: callbacks are InlineTask
-// (fixed inline storage, task.h) constructed straight into a slab of
-// recycled slots, and the pending set is a radix heap (Ahuja, Mehlhorn,
-// Orlin & Tarjan, JACM 1990) over the 64 bits of each event's time: 65
-// FIFO buckets of 16-byte integer keys that name their slab slot, so the
-// calendar moves keys, never tasks, and equal times keep schedule order
-// with no seq compare (docs/PERFORMANCE.md has the measurements).
+// Steady-state scheduling is allocation-free: each callback is a Task — a
+// function pointer plus a trivially copyable capture of at most 24 bytes,
+// held inline — written straight into a slab of recycled slots, and the
+// pending set is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990)
+// over the 64 bits of each event's time: 65 FIFO buckets of 16-byte
+// integer keys that name their slab slot, so the calendar moves keys,
+// never tasks, and equal times keep schedule order with no seq compare
+// (docs/PERFORMANCE.md has the measurements). A callable that does not
+// fit — one that owns state, such as a std::function or a shared_ptr
+// capture — does not compile.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
 #include "common/units.h"
 #include "sim/observers.h"
-#include "sim/task.h"
 
 namespace wave::sim {
 
 using common::usec;
+
+/// Largest capture a scheduled callable may hold (bytes): the MPI fabric's
+/// completion event, {this, Completion}, is 24.
+inline constexpr std::size_t kTaskPayloadBytes = 24;
+
+/// A callable the engine can hold: invocable with no arguments, trivially
+/// copyable (so moving a task is a copy and nothing is ever destroyed),
+/// and within kTaskPayloadBytes at pointer alignment.
+template <typename F>
+concept Schedulable = std::invocable<F&> && std::is_trivially_copyable_v<F> &&
+                      sizeof(F) <= kTaskPayloadBytes &&
+                      alignof(F) <= alignof(void*);
+
+/// One scheduled callback: a function pointer and the callable's bytes.
+class Task {
+ public:
+  Task() = default;
+  template <Schedulable F>
+  explicit Task(const F& fn) noexcept : invoke_(&call<F>) {
+    ::new (static_cast<void*>(payload_)) F(fn);
+  }
+
+  /// Runs the callable (a Task must hold one).
+  void operator()() { invoke_(payload_); }
+
+ private:
+  template <typename F>
+  static void call(void* payload) {
+    (*std::launder(static_cast<F*>(payload)))();
+  }
+
+  void (*invoke_)(void*) = nullptr;
+  alignas(void*) unsigned char payload_[kTaskPayloadBytes];
+};
+static_assert(std::is_trivially_copyable_v<Task> && sizeof(Task) == 32,
+              "a task is a function pointer and 24 payload bytes");
 
 /// Event calendar and simulated clock.
 class Engine {
@@ -50,19 +89,18 @@ class Engine {
   /// Current simulated time (µs).
   usec now() const { return now_; }
 
-  /// Schedules `fn` at absolute simulated time `time` (>= now()). A
-  /// callable is constructed straight into a recycled slab slot (an
-  /// InlineTask is moved there) — captured state is never copied, and in
-  /// steady state never allocated, on the hot path. (Defined inline below
-  /// so the whole schedule path compiles into the caller.)
-  template <typename F>
-  void at(usec time, F&& fn);
+  /// Schedules `fn` at absolute simulated time `time` (>= now()): its
+  /// bytes are written straight into a recycled slab slot, which in steady
+  /// state never allocates. (Defined inline below so the whole schedule
+  /// path compiles into the caller.)
+  template <Schedulable F>
+  void at(usec time, const F& fn);
 
   /// Schedules `fn` `delay` µs from now (delay >= 0).
-  template <typename F>
-  void after(usec delay, F&& fn) {
+  template <Schedulable F>
+  void after(usec delay, const F& fn) {
     WAVE_EXPECTS_MSG(delay >= 0.0, "delay must be non-negative");
-    at(now_ + delay, std::forward<F>(fn));
+    at(now_ + delay, fn);
   }
 
   /// Runs events until the calendar drains. Returns the final clock value.
@@ -183,17 +221,17 @@ class Engine {
   void execute(Entry e);
 
   /// The task slab: chunked so addresses are stable while a task runs —
-  /// the run loop invokes tasks in place (no per-event move) and recycles
+  /// the run loop invokes tasks in place (no per-event copy) and recycles
   /// the slot only after the callback returns.
   static constexpr std::size_t kTaskChunkShift = 9;
   static constexpr std::size_t kTaskChunkSize = std::size_t{1}
                                                << kTaskChunkShift;
-  InlineTask& task(std::uint32_t slot) {
+  Task& task(std::uint32_t slot) {
     return task_chunks_[slot >> kTaskChunkShift]
                        [slot & (kTaskChunkSize - 1)];
   }
 
-  std::vector<std::unique_ptr<InlineTask[]>> task_chunks_;
+  std::vector<std::unique_ptr<Task[]>> task_chunks_;
   std::size_t task_slots_ = 0;  // slots ever created (chunks * chunk size)
   std::vector<std::uint32_t> free_slots_;
   std::array<Bucket, kBuckets> buckets_;
@@ -225,24 +263,19 @@ class Engine {
 };
 
 // ---- inline hot path --------------------------------------------------------
-// at() is inline so call sites (the MPI protocol above all else) construct
-// each callable directly into its slab slot and the whole schedule path
-// compiles into the caller — no per-event indirect relocation.
+// at() is inline so call sites (the MPI protocol above all else) write each
+// callable directly into its slab slot and the whole schedule path
+// compiles into the caller — no indirect call.
 
-template <typename F>
-[[gnu::always_inline]] inline void Engine::at(usec time, F&& fn) {
+template <Schedulable F>
+[[gnu::always_inline]] inline void Engine::at(usec time, const F& fn) {
   WAVE_EXPECTS_MSG(time >= now_, "cannot schedule events in the past");
   WAVE_EXPECTS_MSG(next_seq_ < (std::uint64_t{1} << (64 - kSlotBits)),
                    "event sequence number overflow");
   if (free_slots_.empty()) grow_task_slab();
-  // The slot leaves the free list only once its task is in place, so a
-  // callable whose copy throws leaves the engine as it was.
   const std::uint32_t slot = free_slots_.back();
-  if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineTask>)
-    task(slot) = std::forward<F>(fn);
-  else
-    task(slot).emplace(std::forward<F>(fn));
   free_slots_.pop_back();
+  task(slot) = Task(fn);
   // + 0.0 turns a -0.0 input into +0.0 so the bit pattern orders right.
   push(static_cast<Entry>(std::bit_cast<std::uint64_t>(time + 0.0)) << 64 |
        (next_seq_++ << kSlotBits | slot));

@@ -37,29 +37,31 @@ Mpi::Mpi(Engine& engine, loggp::MachineParams params,
     : engine_(engine),
       params_(params),
       protocol_(protocol),
-      node_of_rank_(std::move(node_of_rank)) {
+      ranks_(node_of_rank.size()) {
+  static_assert(sizeof(Message) == 88,
+                "the protocol state and two 16-byte completions");
   params_.validate();
   WAVE_EXPECTS_MSG(protocol_.rendezvous_sync >= 0,
                    "rendezvous sync must be non-negative");
-  WAVE_EXPECTS_MSG(!node_of_rank_.empty(), "need at least one rank");
+  WAVE_EXPECTS_MSG(!node_of_rank.empty(), "need at least one rank");
   int max_node = 0;
-  for (int node : node_of_rank_) {
+  for (std::size_t r = 0; r < node_of_rank.size(); ++r) {
+    const int node = node_of_rank[r];
     WAVE_EXPECTS_MSG(node >= 0, "node ids must be non-negative");
     max_node = std::max(max_node, node);
+    ranks_[r].node = node;
   }
   tx_bus_.resize(static_cast<std::size_t>(max_node) + 1);
   rx_bus_.resize(static_cast<std::size_t>(max_node) + 1);
   nic_.resize(static_cast<std::size_t>(max_node) + 1);
-  mpi_busy_.assign(node_of_rank_.size(), 0.0);
-  inbox_.resize(node_of_rank_.size());
 }
 
 Mpi::~Mpi() = default;
 
 usec Mpi::mpi_busy_mean() const {
   usec sum = 0.0;
-  for (usec t : mpi_busy_) sum += t;
-  return sum / static_cast<double>(mpi_busy_.size());
+  for (const Rank& r : ranks_) sum += r.busy;
+  return sum / static_cast<double>(ranks_.size());
 }
 
 usec Mpi::bus_wait_total() const {
@@ -99,46 +101,13 @@ usec Mpi::recv_overhead(const Message& msg) const {
   return msg.on_chip ? params_.on.ocopy : params_.off.o;
 }
 
-void Mpi::start_send(int src, int dst, int bytes, std::coroutine_handle<> h) {
-  post_send(src, dst, bytes, with_busy(src, [h] { h.resume(); }));
-}
-
-void Mpi::start_isend(int src, int dst, int bytes, RequestHandle request,
-                      std::coroutine_handle<> h) {
+void Mpi::start_isend(int src, int dst, int bytes, RequestHandle request) {
   WAVE_EXPECTS_MSG(request != nullptr, "isend needs a Request token");
-  post_send(
-      src, dst, bytes,
-      // Protocol completion: fulfil the request and wake a waiter. Time a
-      // rank spends blocked in wait() counts as MPI occupancy.
-      [this, src, req = request] {
-        req->done = true;
-        if (req->waiter) {
-          if (req->wait_started >= 0.0)
-            mpi_busy_[src] += engine_.now() - req->wait_started;
-          auto w = req->waiter;
-          req->waiter = nullptr;
-          w.resume();
-        }
-      },
-      // CPU injection phase done: the rank resumes and may compute while
-      // the protocol continues in the background.
-      with_busy(src, [h] { h.resume(); }));
-}
-
-void Mpi::start_recv(int dst, int src, std::coroutine_handle<> h) {
-  post_recv(dst, src, [h] { h.resume(); });
-}
-
-void Mpi::start_exchange(int self, int peer, int bytes, int* remaining,
-                         std::coroutine_handle<> h) {
-  // Post both halves at once; resume when the last outstanding half
-  // completes. The counter lives in the awaitable (the awaiting
-  // coroutine's frame), which outlives every completion.
-  auto arm = [remaining, h] {
-    if (--*remaining == 0) h.resume();
-  };
-  post_recv(self, peer, arm);
-  post_send(self, peer, bytes, with_busy(self, arm));
+  // The protocol completion fulfils the request and wakes a waiter: time
+  // a rank spends blocked in wait() counts as MPI occupancy. The CPU
+  // injection phase completes the isend itself, so the rank resumes and
+  // may compute while the protocol continues in the background.
+  post_send(src, dst, bytes, {&ranks_[src], request}, op_done(src));
 }
 
 void Mpi::post_send(int src, int dst, int bytes, Completion done,
@@ -147,14 +116,14 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
   WAVE_EXPECTS_MSG(src != dst, "self-sends are not modelled");
   WAVE_EXPECTS(bytes >= 0);
 
-  // Dirty acquire + explicit init of every field: a recycled message's
-  // sender/receiver tasks are always empty (complete_receive moved them
-  // out before release), so no InlineTask reset machinery runs here.
+  // Dirty acquire + explicit init of every field. A recycled message
+  // still holds its last life's completions, so both are cleared here:
+  // deliver() fires `receiver` whenever it is set.
   Message* msg = messages_.acquire_dirty();
   msg->src = src;
   msg->dst = dst;
-  msg->src_node = node_of_rank_[src];
-  msg->dst_node = node_of_rank_[dst];
+  msg->src_node = ranks_[src].node;
+  msg->dst_node = ranks_[dst].node;
   msg->bytes = bytes;
   msg->on_chip = msg->src_node == msg->dst_node;
   msg->large = bytes > params_.eager_limit_bytes;
@@ -165,6 +134,8 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
   msg->dma_started = false;
   msg->send_ready = 0.0;
   msg->match_time = 0.0;
+  msg->sender = Completion();
+  msg->receiver = Completion();
 
   const usec now = engine_.now();
   if (msg->on_chip) {
@@ -175,8 +146,8 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
       const usec ocopy = params_.on.ocopy;
       const usec inject_done =
           tx_bus_[msg->src_node].reserve(now, ocopy) + ocopy;
-      if (cpu_done) engine_.at(inject_done, std::move(cpu_done));
-      engine_.at(inject_done, std::move(done));
+      if (cpu_done) complete_at(inject_done, cpu_done);
+      complete_at(inject_done, done);
       const usec ready =
           inject_done + static_cast<double>(bytes) * params_.on.Gcopy;
       engine_.at(ready, [this, msg] { deliver(msg); });
@@ -184,9 +155,9 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
       // Large on-chip: sender pays o = ocopy + odma (eq. 8a), then the DMA
       // waits for the receive to be posted (shared-memory rendezvous with
       // negligible handshake cost).
-      msg->sender = std::move(done);
+      msg->sender = done;
       msg->send_ready = now + params_.on.o;
-      if (cpu_done) engine_.at(msg->send_ready, std::move(cpu_done));
+      if (cpu_done) complete_at(msg->send_ready, cpu_done);
       // If a receive is already posted, the match at the bottom of this
       // function starts the DMA.
     }
@@ -196,14 +167,14 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
     FifoResource& nic = nic_[msg->src_node];
     const usec inject_done =
         nic.reserve(now, params_.off.o) + params_.off.o;
-    if (cpu_done) engine_.at(inject_done, std::move(cpu_done));
+    if (cpu_done) complete_at(inject_done, cpu_done);
     if (!msg->large) {
       // Eager: MPI_Send returns after o (eq. 3); the payload departs then.
-      engine_.at(inject_done, std::move(done));
+      complete_at(inject_done, done);
       schedule_offnode_data(msg, inject_done);
     } else {
       // Rendezvous: request goes out after o; MPI_Send blocks for the ACK.
-      msg->sender = std::move(done);
+      msg->sender = done;
       engine_.at(inject_done + params_.off.L + params_.off.oh, [this, msg] {
         msg->req_arrived = true;
         maybe_ack(msg);
@@ -213,35 +184,28 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
 
   // Match the oldest receive already posted for this source, if any;
   // otherwise the message waits in the receiver's inbox.
-  Inbox& inbox = inbox_[dst];
-  if (PostedRecv* posted = take_oldest(inbox.posted, src)) {
-    Completion recv = std::move(posted->done);
+  Rank& receiver = ranks_[dst];
+  if (PostedRecv* posted = take_oldest(receiver.posted, src)) {
+    const Completion recv = posted->done;
     posted_recvs_.release(posted);
-    match(msg, std::move(recv), now);
+    match(msg, recv, now);
   } else {
-    inbox.unmatched.push_back(msg);
+    receiver.unmatched.push_back(msg);
   }
 }
 
-template <typename F>
-void Mpi::post_recv(int dst, int src, F done) {
+void Mpi::post_recv(int dst, int src) {
   WAVE_EXPECTS(src >= 0 && src < size() && dst >= 0 && dst < size());
-  // Charge the post-to-completion span to the receiver's MPI occupancy.
-  // Wrapped before type erasure so the capture fits InlineTask's budget.
-  auto busy_done = [this, dst, t0 = engine_.now(),
-                    inner = std::move(done)]() mutable {
-    mpi_busy_[dst] += engine_.now() - t0;
-    inner();
-  };
-  Inbox& inbox = inbox_[dst];
-  if (Message* msg = take_oldest(inbox.unmatched, src)) {
-    match(msg, std::move(busy_done), engine_.now());
+  // The receive completes dst's open operation, which charges the
+  // post-to-completion span to its MPI occupancy.
+  Rank& receiver = ranks_[dst];
+  if (Message* msg = take_oldest(receiver.unmatched, src)) {
+    match(msg, op_done(dst), engine_.now());
   } else {
-    // Dirty acquire: a released node's completion was moved out.
     PostedRecv* posted = posted_recvs_.acquire_dirty();
     posted->src = src;
-    posted->done = std::move(busy_done);
-    inbox.posted.push_back(posted);
+    posted->done = op_done(dst);
+    receiver.posted.push_back(posted);
   }
 }
 
@@ -249,11 +213,10 @@ void Mpi::match(Message* msg, Completion recv, usec time) {
   WAVE_ENSURES(!msg->matched);
   msg->matched = true;
   msg->match_time = time;
-  msg->receiver = std::move(recv);
+  msg->receiver = recv;
   if (msg->delivered) {
     // Payload already queued at the receiver: pay the receive processing.
-    Completion r = std::move(msg->receiver);
-    complete_receive(msg, std::move(r));
+    complete_receive(msg, recv);
     return;
   }
   if (msg->large) {
@@ -274,11 +237,10 @@ void Mpi::maybe_ack(Message* msg) {
   // A LogGPS-style protocol additionally charges the synchronization cost
   // s to this sender-side CPU phase (backends.h).
   engine_.after(params_.off.L + params_.off.oh, [this, msg] {
-    Completion sender = std::move(msg->sender);
     const usec hold = params_.off.o + protocol_.rendezvous_sync;
     FifoResource& nic = nic_[msg->src_node];
     const usec cpu_done = nic.reserve(engine_.now(), hold) + hold;
-    engine_.at(cpu_done, std::move(sender));
+    complete_at(cpu_done, msg->sender);
     schedule_offnode_data(msg, cpu_done);
   });
 }
@@ -307,8 +269,7 @@ void Mpi::start_onchip_dma(Message* msg) {
   const usec start = std::max(msg->send_ready, msg->match_time);
   engine_.at(start, [this, msg] {
     // MPI_Send returns once the DMA is handed off (eq. 8a).
-    Completion sender = std::move(msg->sender);
-    if (sender) sender();
+    complete(msg->sender);
     FifoResource& dbus = tx_bus_[msg->src_node];
     const usec hold = static_cast<double>(msg->bytes) * params_.on.Gdma;
     const usec done = dbus.reserve(engine_.now(), hold) + hold;
@@ -320,8 +281,7 @@ void Mpi::deliver(Message* msg) {
   msg->delivered = true;
   ++delivered_;
   if (!msg->receiver) return;  // receive not yet posted
-  Completion recv = std::move(msg->receiver);
-  complete_receive(msg, std::move(recv));
+  complete_receive(msg, msg->receiver);
 }
 
 void Mpi::complete_receive(Message* msg, Completion recv) {
@@ -331,15 +291,15 @@ void Mpi::complete_receive(Message* msg, Completion recv) {
       const usec ocopy = params_.on.ocopy;
       const usec done =
           tx_bus_[msg->dst_node].reserve(engine_.now(), ocopy) + ocopy;
-      engine_.at(done, std::move(recv));
+      complete_at(done, recv);
     } else {
-      engine_.after(recv_overhead(*msg), std::move(recv));
+      complete_at(engine_.now() + recv_overhead(*msg), recv);
     }
   } else {
     FifoResource& nic = nic_[msg->dst_node];
     const usec done =
         nic.reserve(engine_.now(), params_.off.o) + params_.off.o;
-    engine_.at(done, std::move(recv));
+    complete_at(done, recv);
   }
   // The receive completion is scheduled and every sender-side event has
   // been issued: nothing references the message any more — recycle it.

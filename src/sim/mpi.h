@@ -28,10 +28,15 @@
 // faithfully.
 //
 // The fabric is allocation-free in steady state: messages, posted
-// receives and isend requests are recycled through per-Mpi slab pools, and
-// protocol completions are InlineTask (task.h) instead of std::function.
-// Matching works like a real MPI library's: each destination rank has one
-// inbox holding an unexpected-message FIFO and a posted-receive FIFO, both
+// receives and isend requests are recycled through per-Mpi slab pools.
+// Each rank owns one 64-byte record holding everything its protocol events
+// touch: its inbox, its MPI busy total, and its open operation — the
+// coroutine blocked in it, its post time and how many completions it
+// still awaits. A rank awaits one operation at a time, so a protocol
+// completion is just {rank record, isend request}: 16 trivially copyable
+// bytes that charge the busy time and count the operation down when they
+// run. Matching works like a real MPI library's: each destination rank's
+// inbox holds an unexpected-message FIFO and a posted-receive FIFO, both
 // intrusive lists. A send takes the oldest posted receive for its source,
 // a receive the oldest unmatched message from its source, so every
 // (src, dst) pair stays FIFO. Wavefront traffic keeps both lists short;
@@ -53,7 +58,6 @@
 #include "sim/observers.h"
 #include "sim/process.h"
 #include "sim/resource.h"
-#include "sim/task.h"
 
 namespace wave::sim {
 
@@ -135,7 +139,7 @@ class Mpi {
   // pool's destructor instantiates.
   ~Mpi();
 
-  int size() const { return static_cast<int>(node_of_rank_.size()); }
+  int size() const { return static_cast<int>(ranks_.size()); }
   Engine& engine() { return engine_; }
   const loggp::MachineParams& params() const { return params_; }
 
@@ -156,24 +160,14 @@ class Mpi {
   /// (simulated clock, docs/OBSERVABILITY.md). The sink must outlive the
   /// simulation and be installed before any rank posts an operation.
   /// Strictly inert: detached, the cost is a null test per operation.
-  void set_tracer(obs::SpanBuffer* tracer) {
-    tracer_ = tracer;
-    span_start_.assign(tracer != nullptr ? node_of_rank_.size() : 0, 0.0);
-  }
+  void set_tracer(obs::SpanBuffer* tracer) { tracer_ = tracer; }
 
-  /// Span bookkeeping of the awaitables below: open_span() notes when
-  /// `rank` posted its operation, close_span() records the span when it
-  /// completes. A rank awaits one operation at a time, so one start time
-  /// per rank suffices, and it is kept here only while a tracer is
-  /// attached: the awaitables, which live in the rank's coroutine frame,
-  /// carry no span state.
-  void open_span(int rank) {
-    if (tracer_ != nullptr) span_start_[rank] = engine_.now();
-  }
+  /// Records the span of `rank`'s operation that just completed, from its
+  /// post time (the awaitables below call this from await_resume).
   void close_span(obs::Span::Kind kind, int rank, int peer,
                   double bytes) const {
     if (tracer_ != nullptr)
-      tracer_->record({kind, rank, peer, bytes, span_start_[rank],
+      tracer_->record({kind, rank, peer, bytes, ranks_[rank].op_start,
                        engine_.now()});
   }
 
@@ -198,7 +192,8 @@ class Mpi {
   //
   // Each one lives in the awaiting coroutine's frame, one slot per
   // co_await site, for the whole simulation; so they hold only what their
-  // operation needs (span state lives in the Mpi, see open_span()).
+  // operation needs. await_suspend opens the operation in the rank's
+  // record (begin()), which also keeps its span start and countdown.
 
   struct ComputeAwaitable {
     Engine* engine;
@@ -215,8 +210,8 @@ class Mpi {
     int src, dst, bytes;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      mpi->open_span(src);
-      mpi->start_send(src, dst, bytes, h);
+      mpi->begin(src, h, 1);
+      mpi->start_send(src, dst, bytes);
     }
     void await_resume() const noexcept {
       mpi->close_span(obs::Span::Kind::kSend, src, dst, bytes);
@@ -228,8 +223,8 @@ class Mpi {
     int dst, src;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      mpi->open_span(dst);
-      mpi->start_recv(dst, src, h);
+      mpi->begin(dst, h, 1);
+      mpi->post_recv(dst, src);
     }
     void await_resume() const noexcept {
       mpi->close_span(obs::Span::Kind::kRecv, dst, src, 0.0);
@@ -244,8 +239,7 @@ class Mpi {
   /// completes in the background.
   struct Request {
     bool done = false;
-    std::coroutine_handle<> waiter;
-    usec wait_started = -1.0;  // set when a wait() suspends on it
+    bool waited = false;  // a wait() suspended on it
   };
   /// Non-owning handle into the per-Mpi request pool (see Request).
   using RequestHandle = Request*;
@@ -261,8 +255,8 @@ class Mpi {
     RequestHandle request;  // caller-acquired completion token
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      mpi->open_span(src);
-      mpi->start_isend(src, dst, bytes, request, h);
+      mpi->begin(src, h, 1);
+      mpi->start_isend(src, dst, bytes, request);
     }
     void await_resume() const noexcept {
       // The isend span covers the CPU injection phase only; the blocked
@@ -277,16 +271,15 @@ class Mpi {
     int rank;  // the waiting rank
     bool await_ready() const noexcept { return request->done; }
     void await_suspend(std::coroutine_handle<> h) {
-      request->wait_started = mpi->engine().now();
-      request->waiter = h;
+      request->waited = true;
+      mpi->begin(rank, h, 1);
     }
     /// Recycles the token: the request must not be touched after wait().
     void await_resume() const noexcept {
       // A request that was already done never suspended (await_ready
       // short-circuits await_suspend), so it has no wait span.
-      if (request->wait_started >= 0.0 && mpi->tracer_ != nullptr)
-        mpi->tracer_->record({obs::Span::Kind::kWait, rank, -1, 0.0,
-                              request->wait_started, mpi->engine().now()});
+      if (request->waited)
+        mpi->close_span(obs::Span::Kind::kWait, rank, -1, 0.0);
       mpi->requests_.release(request);
     }
   };
@@ -299,19 +292,20 @@ class Mpi {
     int self;
     CollectiveStep step;
     int bytes;
-    int remaining = 2;  // exchange halves still outstanding
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      mpi->open_span(self);
       switch (step.op) {
         case CollectiveStep::Op::kSend:
-          mpi->start_send(self, step.peer, bytes, h);
+          mpi->begin(self, h, 1);
+          mpi->start_send(self, step.peer, bytes);
           break;
         case CollectiveStep::Op::kRecv:
-          mpi->start_recv(self, step.peer, h);
+          mpi->begin(self, h, 1);
+          mpi->post_recv(self, step.peer);
           break;
         case CollectiveStep::Op::kExchange:
-          mpi->start_exchange(self, step.peer, bytes, &remaining, h);
+          mpi->begin(self, h, 2);
+          mpi->start_exchange(self, step.peer, bytes);
           break;
       }
     }
@@ -338,10 +332,7 @@ class Mpi {
 
     Mpi* mpi;
     int self;
-    /// Two halves (a send and a receive) per added peer; the completions
-    /// count it down to 0. It lives in the awaiting coroutine's frame,
-    /// which outlives them, so a swap allocates no shared state.
-    int remaining = 0;
+    int count = 0;  // peers added
     int peers[kMaxPeers] = {-1, -1, -1, -1};
     int bytes[kMaxPeers] = {};  // 0 in unused slots
 
@@ -349,25 +340,24 @@ class Mpi {
     /// callers can pass "neighbour or -1" without branching).
     void add(int peer, int message_bytes) {
       if (peer < 0) return;
-      const int slot = remaining / 2;
-      WAVE_EXPECTS_MSG(slot < kMaxPeers,
+      WAVE_EXPECTS_MSG(count < kMaxPeers,
                        "halo exchange supports at most 4 peers");
-      peers[slot] = peer;
-      bytes[slot] = message_bytes;
-      remaining += 2;
+      peers[count] = peer;
+      bytes[count] = message_bytes;
+      ++count;
     }
 
-    bool await_ready() const noexcept { return remaining == 0; }
+    bool await_ready() const noexcept { return count == 0; }
     void await_suspend(std::coroutine_handle<> h) {
-      mpi->open_span(self);
-      const int count = remaining / 2;
+      // Two halves (a send and a receive) per peer count the swap down.
+      mpi->begin(self, h, 2 * count);
       for (int slot = 0; slot < count; ++slot)
-        mpi->start_exchange(self, peers[slot], bytes[slot], &remaining, h);
+        mpi->start_exchange(self, peers[slot], bytes[slot]);
     }
     void await_resume() const noexcept {
       // One span for the whole swap (peer -1, bytes = total payload): the
       // per-peer halves overlap, so per-peer spans would just stack.
-      if (peers[0] < 0) return;  // no peers: nothing was posted
+      if (count == 0) return;  // no peers: nothing was posted
       double total = 0.0;
       for (const int b : bytes) total += b;
       mpi->close_span(obs::Span::Kind::kExchange, self, -1, total);
@@ -376,15 +366,7 @@ class Mpi {
 
  private:
   struct Message;
-  /// Type-erased protocol continuation; inline storage keeps the hot path
-  /// out of the allocator (task.h static_asserts every capture fits).
-  using Completion = InlineTask;
-  /// A receive posted before its message arrived.
-  struct PostedRecv {
-    int src = -1;
-    PostedRecv* next = nullptr;
-    Completion done;
-  };
+  struct PostedRecv;
   /// Intrusive singly linked FIFO over nodes with `src` and `next` fields.
   template <typename Node>
   struct Fifo {
@@ -396,36 +378,83 @@ class Mpi {
       tail = node;
     }
   };
-  /// One destination rank's matching state. At most one of the two lists
-  /// holds entries for any given source.
-  struct Inbox {
-    Fifo<Message> unmatched;   // sent, no receive posted yet; send order
-    Fifo<PostedRecv> posted;   // posted, no message yet; post order
+  /// One rank's record: everything a protocol event touches for the rank,
+  /// in one cache line.
+  struct alignas(64) Rank {
+    // The inbox. At most one of the two lists holds entries for any
+    // given source.
+    Fifo<Message> unmatched;  // sent here, no receive posted yet; send order
+    Fifo<PostedRecv> posted;  // posted, no message yet; post order
+    // The open operation (begin()): a rank awaits one at a time.
+    std::coroutine_handle<> waiter;  // the coroutine blocked in it
+    usec op_start = 0.0;             // its post time
+    int remaining = 0;               // completions it still awaits
+    int node = 0;                    // the node the rank runs on
+    usec busy = 0.0;  // total MPI-operation occupancy (mpi_busy_mean)
   };
+  static_assert(sizeof(Rank) == 64, "a rank's record is one cache line");
 
-  void start_send(int src, int dst, int bytes, std::coroutine_handle<> h);
-  void start_recv(int dst, int src, std::coroutine_handle<> h);
-  void start_exchange(int self, int peer, int bytes, int* remaining,
-                      std::coroutine_handle<> h);
-  void start_isend(int src, int dst, int bytes, RequestHandle request,
-                   std::coroutine_handle<> h);
-  void post_send(int src, int dst, int bytes, Completion done,
-                 Completion cpu_done = Completion());
+  /// A protocol completion, run by complete(). It charges the span since
+  /// `rank`'s open operation was posted to the rank's busy time and counts
+  /// the operation down, resuming the rank at zero. An isend's background
+  /// completion also names its `request`: it marks the request done and
+  /// does the above only if a wait() is blocked on it. Empty when `rank`
+  /// is null.
+  struct Completion {
+    Rank* rank = nullptr;
+    Request* request = nullptr;
+    explicit operator bool() const { return rank != nullptr; }
+  };
+  /// A receive posted before its message arrived.
+  struct PostedRecv {
+    int src = -1;
+    PostedRecv* next = nullptr;
+    Completion done;
+  };
+  static_assert(sizeof(PostedRecv) == 32);
 
-  /// Wraps a small completion so the span from now to execution is charged
-  /// to `rank`'s MPI occupancy. Applied before type erasure so the wrapper
-  /// capture (this + rank + t0 + inner) stays within InlineTask's budget.
-  template <typename F>
-  auto with_busy(int rank, F inner) {
-    return [this, rank, t0 = engine_.now(),
-            inner = std::move(inner)]() mutable {
-      mpi_busy_[rank] += engine_.now() - t0;
-      inner();
-    };
+  /// Opens `rank`'s next operation: `h` resumes once `completions`
+  /// completions of it have run.
+  void begin(int rank, std::coroutine_handle<> h, int completions) {
+    WAVE_EXPECTS(rank >= 0 && rank < size());
+    Rank& r = ranks_[rank];
+    WAVE_EXPECTS_MSG(r.remaining == 0,
+                     "a rank awaits one operation at a time");
+    r.waiter = h;
+    r.op_start = engine_.now();
+    r.remaining = completions;
+  }
+  /// The completion of `rank`'s open operation.
+  Completion op_done(int rank) { return {&ranks_[rank], nullptr}; }
+  /// Runs `c` (see Completion).
+  void complete(Completion c) {
+    if (c.request != nullptr) {
+      c.request->done = true;
+      if (!c.request->waited) return;
+    }
+    Rank& r = *c.rank;
+    r.busy += engine_.now() - r.op_start;
+    if (--r.remaining == 0) r.waiter.resume();
+  }
+  /// Schedules complete(c) at `time`.
+  void complete_at(usec time, Completion c) {
+    engine_.at(time, [this, c] { complete(c); });
   }
 
-  template <typename F>
-  void post_recv(int dst, int src, F done);
+  void start_send(int src, int dst, int bytes) {
+    post_send(src, dst, bytes, op_done(src), Completion());
+  }
+  void start_isend(int src, int dst, int bytes, RequestHandle request);
+  /// Posts both halves of one sendrecv with `peer`.
+  void start_exchange(int self, int peer, int bytes) {
+    post_recv(self, peer);
+    post_send(self, peer, bytes, op_done(self), Completion());
+  }
+  /// Posts a send whose protocol completion is `done`; a nonempty
+  /// `cpu_done` also runs when the sender's CPU injection phase ends.
+  void post_send(int src, int dst, int bytes, Completion done,
+                 Completion cpu_done);
+  void post_recv(int dst, int src);
   void match(Message* msg, Completion recv, usec time);
   void maybe_ack(Message* msg);
   void schedule_offnode_data(Message* msg, usec departure_ready);
@@ -441,7 +470,7 @@ class Mpi {
   Engine& engine_;
   loggp::MachineParams params_;
   ProtocolOptions protocol_;
-  std::vector<int> node_of_rank_;
+  std::vector<Rank> ranks_;
   // Per-node DMA engines. The shared bus of a CMP node serializes the
   // cores' concurrent transfers (Table 6's contention source); transmit and
   // receive directions have independent DMA queues as on real NICs, so a
@@ -450,17 +479,14 @@ class Mpi {
   std::vector<FifoResource> tx_bus_;
   std::vector<FifoResource> rx_bus_;
   std::vector<FifoResource> nic_;  // per node: NIC/MPI engine (CPU o phases)
-  std::vector<Inbox> inbox_;  // per destination rank
   // Recycled protocol objects (see pool.h): allocation-free after warm-up.
   common::SlabPool<Message> messages_;
   common::SlabPool<PostedRecv> posted_recvs_;
   common::SlabPool<Request> requests_;
-  std::vector<usec> mpi_busy_;  // per rank: total MPI-operation occupancy
   std::uint64_t delivered_ = 0;
   std::uint64_t max_match_scan_ = 0;
   // Optional span sink (see set_tracer); observation-only by contract.
   obs::SpanBuffer* tracer_ = nullptr;
-  std::vector<usec> span_start_;  // per rank, only while tracer_ is set
 };
 
 /// A rank's view of the fabric, passed by value into rank programs.

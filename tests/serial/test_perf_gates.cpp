@@ -372,15 +372,15 @@ TEST(PerfGate, FillPointLanesBeatOneAtATimePerFillCell) {
 namespace {
 
 /// The calendar sim::Engine used before its radix heap, as the Calendar
-/// gate's reference: the same slot per pending task, the callable built in
-/// place, and the pending set a binary heap (std::push_heap/pop_heap) of
+/// gate's reference: the same slot per pending task holding the same
+/// sim::Task, and the pending set a binary heap (std::push_heap/pop_heap) of
 /// 128-bit keys — time bits, then a FIFO sequence number over the slot.
 class HeapCalendar {
  public:
   double now() const { return now_; }
 
   template <typename F>
-  void after(double delay, F&& fn) {
+  void after(double delay, const F& fn) {
     std::uint32_t slot;
     if (free_.empty()) {
       slot = static_cast<std::uint32_t>(tasks_.size());
@@ -389,7 +389,7 @@ class HeapCalendar {
       slot = free_.back();
       free_.pop_back();
     }
-    tasks_[slot].emplace(std::forward<F>(fn));
+    tasks_[slot] = wave::sim::Task(fn);
     const auto bits = std::bit_cast<std::uint64_t>(now_ + delay);
     heap_.push_back(static_cast<Key>(bits) << 64 | (seq_++ << 24 | slot));
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
@@ -402,7 +402,7 @@ class HeapCalendar {
       heap_.pop_back();
       now_ = std::bit_cast<double>(static_cast<std::uint64_t>(top >> 64));
       const auto slot = static_cast<std::uint32_t>(top) & 0xffffffu;
-      tasks_[slot].consume();
+      tasks_[slot]();
       free_.push_back(slot);
     }
   }
@@ -410,7 +410,7 @@ class HeapCalendar {
  private:
   using Key = unsigned __int128;
   std::vector<Key> heap_;
-  std::deque<wave::sim::InlineTask> tasks_;  // stable while a task runs
+  std::deque<wave::sim::Task> tasks_;  // stable while a task runs
   std::vector<std::uint32_t> free_;
   std::uint64_t seq_ = 0;
   double now_ = 0.0;

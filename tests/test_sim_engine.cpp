@@ -1,8 +1,9 @@
 // Tests for the discrete-event engine: ordering, determinism, limits.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -100,22 +101,27 @@ TEST(EngineStress, HundredThousandEventChurnIsExact) {
   constexpr int kChains = 64;
   constexpr int kPerChain = 1562;           // 64 * 1562 = 99'968
   constexpr int kFarEvents = 32;            // ... + 32 = 100'000
-  struct Chain {
+  struct Probe {
     ws::Engine* engine;
+    double last_seen = 0.0;  // monotonicity probe
+  };
+  struct Chain {
+    Probe* probe;
     int* remaining;
     double period;
-    double* last_seen;  // monotonicity probe
     void operator()() const {
-      EXPECT_GE(engine->now(), *last_seen);
-      *last_seen = engine->now();
+      ws::Engine* engine = probe->engine;
+      EXPECT_GE(engine->now(), probe->last_seen);
+      probe->last_seen = engine->now();
       if (--*remaining > 0) engine->after(period, *this);
     }
   };
   int remaining[kChains];
-  double last_seen = 0.0;
+  Probe probe{&e};
+  double& last_seen = probe.last_seen;
   for (int c = 0; c < kChains; ++c) {
     remaining[c] = kPerChain;
-    e.at(0.0, Chain{&e, &remaining[c], 1.0 + 0.01 * c, &last_seen});
+    e.at(0.0, Chain{&probe, &remaining[c], 1.0 + 0.01 * c});
   }
   for (int i = 0; i < kFarEvents; ++i) {
     e.at(3000.0 + i, [&e, &last_seen] {
@@ -151,26 +157,29 @@ TEST(EngineStress, EqualTimeBurstPreservesFifoAtScale) {
   EXPECT_DOUBLE_EQ(e.now(), 7.5);
 }
 
-TEST(InlineTask, MoveInvokeConsumeAndReset) {
+TEST(Task, CopiesAndInvokes) {
+  // A task is a function pointer and the callable's bytes: a copy runs
+  // the same callable on its own copy of the captures.
   int hits = 0;
-  ws::InlineTask task([&hits] { ++hits; });
-  EXPECT_TRUE(static_cast<bool>(task));
-
-  ws::InlineTask moved = std::move(task);
-  EXPECT_FALSE(static_cast<bool>(task));
-  ASSERT_TRUE(static_cast<bool>(moved));
-  moved();
-  EXPECT_EQ(hits, 1);
-
-  moved.consume();  // second dispatch, then empties the task
+  int sum = 0;
+  ws::Task task([&hits, &sum, step = 7] {
+    ++hits;
+    sum += step;
+  });
+  ws::Task copy = task;
+  task();
+  copy();
   EXPECT_EQ(hits, 2);
-  EXPECT_FALSE(static_cast<bool>(moved));
-
-  // reset destroys the capture exactly once.
-  auto counter = std::make_shared<int>(0);
-  ws::InlineTask holder([counter] { (void)counter; });
-  EXPECT_EQ(counter.use_count(), 2);
-  holder.reset();
-  EXPECT_EQ(counter.use_count(), 1);
-  EXPECT_FALSE(static_cast<bool>(holder));
+  EXPECT_EQ(sum, 14);
 }
+
+// What Engine::at accepts: small trivially copyable callables only, so no
+// scheduled event can own state that would need moving or destroying.
+template <typename F>
+constexpr bool kSchedulable = requires(ws::Engine& e, const F& fn) {
+  e.at(0.0, fn);
+};
+static_assert(kSchedulable<decltype([] {})>);
+static_assert(!kSchedulable<std::function<void()>>);
+static_assert(!kSchedulable<decltype([p = std::shared_ptr<int>()] {})>);
+static_assert(!kSchedulable<decltype([bytes = std::array<char, 25>()] {})>);

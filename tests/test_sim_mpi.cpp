@@ -2,6 +2,7 @@
 // blocking semantics, contention emergence, deadlock detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -453,6 +454,165 @@ TEST(MpiIsend, WaitIsFreeWhenAlreadyComplete) {
   EXPECT_NEAR(resumed, kXt4.off.o, 1e-9);
   EXPECT_NEAR(wait_done, kXt4.off.o + 50.0, 1e-9);
   EXPECT_NEAR(world.mpi().mpi_busy_mean(), kXt4.off.o, 1e-9);
+}
+
+namespace {
+
+// Post times of every operation in BusyMeanIsTheHandSummedTable1Spans.
+struct BusyScript {
+  double eager = 0, rendezvous = 0, recv = 0, halo = 0, step = 0, isend = 0,
+         wait = 0;  // rank 0
+  double p2_recv = 0, p4_recv = 0, p1_send = 0, p6_recv = 0;
+  double p1_step = 0;
+  double halo_at[8] = {};  // each peer's half of rank 0's halo swap
+};
+
+// Computes until simulated time `t`.
+ws::Process idle_until(ws::RankCtx ctx, double t) {
+  co_await ctx.compute(t - ctx.mpi().engine().now());
+}
+
+double now_of(ws::RankCtx ctx) { return ctx.mpi().engine().now(); }
+
+ws::Process busy_rank0(ws::RankCtx ctx, BusyScript* s) {
+  s->eager = now_of(ctx);
+  co_await ctx.send(2, 512);
+  co_await ctx.compute(1000.0);
+  s->rendezvous = now_of(ctx);
+  co_await ctx.send(4, 4096);
+  co_await ctx.compute(1000.0);
+  s->recv = now_of(ctx);
+  co_await ctx.recv(1);
+  co_await ctx.compute(1000.0);
+  s->halo = now_of(ctx);
+  auto halo = ctx.halo_exchange();
+  for (int peer : {1, 2, 4, 6}) halo.add(peer, 512);
+  co_await halo;
+  co_await ctx.compute(1000.0);
+  s->step = now_of(ctx);
+  co_await ctx.step(ws::AllreduceSchedule(0, ctx.size())[0], 8);
+  co_await ctx.compute(1000.0);
+  s->isend = now_of(ctx);
+  auto request = ctx.make_request();
+  co_await ctx.isend(6, 4096, request);
+  s->wait = now_of(ctx);
+  co_await ctx.wait(request);
+}
+
+// This rank's side of rank 0's halo swap, posted at time `at`.
+ws::Process halo_partner(ws::RankCtx ctx, double at, BusyScript* s) {
+  co_await idle_until(ctx, at);
+  s->halo_at[ctx.rank()] = now_of(ctx);
+  auto halo = ctx.halo_exchange();
+  halo.add(0, 512);
+  co_await halo;
+}
+
+ws::Process busy_rank1(ws::RankCtx ctx, BusyScript* s) {
+  co_await idle_until(ctx, 3000.0);
+  s->p1_send = now_of(ctx);
+  co_await ctx.send(0, 256);
+  co_await halo_partner(ctx, 4500.0, s);
+  co_await idle_until(ctx, 6500.0);
+  s->p1_step = now_of(ctx);
+  co_await ctx.step(ws::AllreduceSchedule(1, ctx.size())[0], 8);
+}
+
+ws::Process busy_rank2(ws::RankCtx ctx, BusyScript* s) {
+  co_await idle_until(ctx, 500.0);
+  s->p2_recv = now_of(ctx);
+  co_await ctx.recv(0);
+  co_await halo_partner(ctx, 4600.0, s);
+}
+
+ws::Process busy_rank4(ws::RankCtx ctx, BusyScript* s) {
+  co_await idle_until(ctx, 1500.0);
+  s->p4_recv = now_of(ctx);
+  co_await ctx.recv(0);
+  co_await halo_partner(ctx, 4700.0, s);
+}
+
+ws::Process busy_rank6(ws::RankCtx ctx, BusyScript* s) {
+  co_await halo_partner(ctx, 4800.0, s);
+  co_await idle_until(ctx, 8500.0);
+  s->p6_recv = now_of(ctx);
+  co_await ctx.recv(0);
+}
+
+}  // namespace
+
+TEST(MpiStats, BusyMeanIsTheHandSummedTable1Spans) {
+  // Two-core XT4 nodes, 2 x 2 of them. Rank 0 runs one of each operation,
+  // 1000 µs apart, and every partner posts late, so no NIC or bus ever
+  // queues: each span is a Table 1 term measured from its post time. The
+  // sums follow the simulator's charge order per rank, so the mean must
+  // match bit for bit.
+  ws::World world(kXt4, {0, 0, 1, 1, 2, 2, 3, 3});
+  BusyScript s;
+  world.spawn("rank0", busy_rank0(world.ctx(0), &s));
+  world.spawn("rank1", busy_rank1(world.ctx(1), &s));
+  world.spawn("rank2", busy_rank2(world.ctx(2), &s));
+  world.spawn("rank4", busy_rank4(world.ctx(4), &s));
+  world.spawn("rank6", busy_rank6(world.ctx(6), &s));
+  world.run();
+
+  const double o = kXt4.off.o, L = kXt4.off.L, oh = kXt4.off.oh;
+  const double ocopy = kXt4.on.ocopy;
+  // Off-node: the payload departs after the sender's o (eager) or the
+  // handshake (rendezvous) and lands after S*G + L, its receive-side DMA
+  // window I = odma + S*Gdma ending at the tail (eq. 1).
+  const auto arrival = [&](double departure, int bytes) {
+    const double tail = departure + bytes * kXt4.off.G + L;
+    const double dma = kXt4.on.odma() + bytes * kXt4.on.Gdma;
+    return std::max(std::max(0.0, tail - dma) + dma, tail);
+  };
+  // Rendezvous: the receive posted at `post` sends the ACK (L + oh); the
+  // sender's NIC copy o follows (eq. 4a).
+  const auto ack_done = [&](double post) { return post + (L + oh) + o; };
+  // On-chip eager: ocopy to inject, S*Gcopy to copy (eq. 7).
+  const auto copied = [&](double inject, int bytes) {
+    return inject + bytes * kXt4.on.Gcopy;
+  };
+
+  double busy[8] = {};
+  // Rank 0, in completion order.
+  busy[0] += (s.eager + o) - s.eager;
+  busy[0] += ack_done(s.p4_recv) - s.rendezvous;
+  busy[0] += (copied(s.p1_send + ocopy, 256) + ocopy) - s.recv;
+  busy[0] += (s.halo + ocopy) - s.halo;  // the four send halves
+  busy[0] += (s.halo + o) - s.halo;
+  busy[0] += (s.halo + o + o) - s.halo;
+  busy[0] += (s.halo + o + o + o) - s.halo;
+  const double q1 = s.halo_at[1];
+  busy[0] += (copied(q1 + ocopy + ocopy, 512) + ocopy) - s.halo;
+  for (int peer : {2, 4, 6}) {
+    const double q = s.halo_at[peer];
+    busy[0] += (arrival(q + o + o, 512) + o) - s.halo;
+  }
+  busy[0] += (s.step + ocopy) - s.step;
+  busy[0] += (copied(s.p1_step + ocopy + ocopy, 8) + ocopy) - s.step;
+  busy[0] += (s.isend + o) - s.isend;
+  busy[0] += ack_done(s.p6_recv) - s.wait;
+  // Rank 1: the send, then each exchange's receive and send halves.
+  busy[1] += (s.p1_send + ocopy) - s.p1_send;
+  busy[1] += (q1 + ocopy) - q1;
+  busy[1] += (q1 + ocopy + ocopy) - q1;
+  busy[1] += (s.p1_step + ocopy) - s.p1_step;
+  busy[1] += (s.p1_step + ocopy + ocopy) - s.p1_step;
+  // Ranks 2, 4, 6: their late receives, and their exchange halves.
+  busy[2] += (s.p2_recv + o) - s.p2_recv;
+  busy[4] += (arrival(ack_done(s.p4_recv), 4096) + o) - s.p4_recv;
+  for (int peer : {2, 4, 6}) {
+    const double q = s.halo_at[peer];
+    busy[peer] += (q + o) - q;
+    busy[peer] += (q + o + o) - q;
+  }
+  busy[6] += (arrival(ack_done(s.p6_recv), 4096) + o) - s.p6_recv;
+
+  double sum = 0.0;
+  for (double b : busy) sum += b;
+  EXPECT_EQ(world.mpi().mpi_busy_mean(), sum / 8.0);
+  EXPECT_GT(s.wait, s.isend);  // the isend returned before the handshake
 }
 
 TEST(MpiIsend, RejectsNullRequest) {
