@@ -88,9 +88,9 @@ class EvalService {
   ///   dashboard can pay the whole grid once at startup and serve every
   ///   subsequent evaluate() from cache.
   ///
-  ///   The points run through the same batch route as Study::run(), so
-  ///   analytic wavefront points share one batch-solver plan — machine
-  ///   backends and app terms resolve once per unique axis value — and
+  ///   The uncached points run through the unit scheduler Study::run()
+  ///   uses, so analytic wavefront points share one batch-solver plan —
+  ///   machine backends and app terms resolve once per unique value — and
   ///   the cached Results are bit-identical to what a cold evaluate() of
   ///   the same query would store (the batch solver's correctness
   ///   contract). Already-cached points are skipped.

@@ -122,7 +122,7 @@ class Expected {
 
 /// @brief The facade's semantic version; bumped per the policy in
 ///   docs/API.md (major = breaking, minor = additive).
-#define WAVE_API_VERSION_MAJOR 1
+#define WAVE_API_VERSION_MAJOR 2
 #define WAVE_API_VERSION_MINOR 0
 #define WAVE_API_VERSION_PATCH 0
 

@@ -11,10 +11,18 @@
 //                 .comm_models({"loggp", "loggps"})
 //                 .processors({256, 1024, 4096})
 //                 .run();
-//   for (const auto& row : sr.value().rows)
+//   const wave::StudyRows& rows = sr.value().rows;
+//   for (const auto& row : rows)  // a StudyRow, built on access
 //     std::cout << row.label_or("machine", "?") << " P="
 //               << row.label_or("P", "?") << " -> "
 //               << row.metric_or("model_iter_us", 0) << " us\n";
+//   std::cout << rows.size() << " rows; row 0 has "
+//             << rows[0].metrics.size() << " metrics\n";
+//
+// A StudyResult stores its rows as columns: the axis and metric names
+// once, a level id per axis and a double per metric per row. `rows`
+// yields each row as a StudyRow by value (API version 2; version 1 held a
+// std::vector<StudyRow>).
 //
 // Axes enumerate in declaration order (the first declared varies
 // slowest), exactly like the internal SweepGrid, so a Study's CSV is
@@ -28,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,10 +75,64 @@ struct StudyRow {
   }
 };
 
-/// @brief All rows of a study, in point order (deterministic at any
-///   thread count — randomness comes only from per-point derived seeds).
+/// @brief The rows of a study, stored as columns. Each access builds the
+///   row's StudyRow by value; rows come in point order (deterministic at
+///   any thread count — randomness comes only from per-point derived
+///   seeds).
+class StudyRows {
+ public:
+  /// Yields StudyRow values (an input iterator).
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = StudyRow;
+    using difference_type = std::ptrdiff_t;
+    using reference = StudyRow;
+    using pointer = void;
+
+    iterator() = default;
+    StudyRow operator*() const { return (*rows_)[row_]; }
+    iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++row_;
+      return before;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    friend class StudyRows;
+    iterator(const StudyRows* rows, std::size_t row) : rows_(rows), row_(row) {}
+    const StudyRows* rows_ = nullptr;
+    std::size_t row_ = 0;
+  };
+
+  std::size_t size() const { return schema_.size(); }
+  bool empty() const { return schema_.empty(); }
+  /// Row `row` (< size()); its index is `row`.
+  StudyRow operator[](std::size_t row) const;
+  iterator begin() const { return {this, 0}; }
+  iterator end() const { return {this, size()}; }
+
+ private:
+  friend class Study;
+  friend struct StudyResult;
+
+  std::vector<std::string> axes_;                 ///< axis names, in order
+  std::vector<std::vector<std::string>> levels_;  ///< [axis] level labels
+  std::vector<std::vector<std::string>> schemas_;  ///< metric name lists
+  std::vector<std::uint32_t> level_ids_;  ///< [row * axes + axis]
+  std::vector<std::uint32_t> schema_;     ///< [row] -> schemas_
+  std::vector<double> values_;            ///< [row * width_ + metric]
+  std::size_t width_ = 0;                 ///< the longest schema
+};
+
+/// @brief All rows of a study, in point order.
 struct StudyResult {
-  std::vector<StudyRow> rows;
+  StudyRows rows;
 
   /// The byte-stable CSV serialization of the row set (identical to the
   /// internal runner's record CSV for an equivalent sweep).
@@ -118,12 +181,14 @@ class Study {
   ///   the bound Context; failures surface as a Status, never an
   ///   exception.
   ///
-  ///   Analytic wavefront points take the batched fast path: the runner
-  ///   compiles them into one shared batch-solver plan (machine backends
-  ///   and app terms resolve once per unique axis value, not once per
-  ///   point), so wide model sweeps cost a fraction of the scalar path.
-  ///   The rows are byte-identical either way — batching is a scheduling
-  ///   choice, never a semantic one.
+  ///   Analytic wavefront points take the batched fast path: the study
+  ///   compiles one shared batch-solver plan per axis level (the app
+  ///   once, a machine backend once per machine and comm-model level
+  ///   pair, a grid once per processor level), builds no scenario for
+  ///   them and writes their metrics straight into the result's columns.
+  ///   Only DES, registry-workload and validate() points build a
+  ///   scenario, one at a time. The rows are byte-identical either way —
+  ///   batching is a scheduling choice, never a semantic one.
   Expected<StudyResult> run() const;
 
  private:
@@ -133,10 +198,15 @@ class Study {
   friend class EvalService;
   explicit Study(const Context* ctx) : ctx_(ctx) {}
 
-  /// The study's points: base_ resolved against `ctx`, then each axis in
+  /// The study resolved against `ctx`: its SweepGrid and the values of
+  /// each axis level (defined in study.cpp). Throws on an unknown name or
+  /// a bad value.
+  struct Plan;
+  Plan plan(const Context& ctx) const;
+
+  /// plan(ctx)'s points: base_ resolved against `ctx`, then each axis in
   /// declaration order. Every point is the scenario the equivalent Query
-  /// resolves to, up to its labels, seed and index. Throws on an unknown
-  /// name or a bad value.
+  /// resolves to, up to its labels, seed and index.
   runner::SweepGrid sweep_grid(const Context& ctx) const;
 
   /// One recorded axis, replayed onto the internal SweepGrid in order.

@@ -129,16 +129,6 @@ Result result_from(const Context& ctx, const Query& query,
           : runner::evaluate_scenario(ctx, scenario));
 }
 
-std::vector<runner::RunRecord> run_points(
-    const Context& ctx, const std::vector<runner::Scenario>& points,
-    bool validate, int threads) {
-  const runner::BatchRunner batch(ctx, runner::BatchRunner::Options(threads));
-  if (!validate) return batch.run(points);
-  return batch.run(points, [&ctx](const runner::Scenario& s) {
-    return runner::workload_model_vs_sim_metrics(ctx, s);
-  });
-}
-
 Result result_from_terms(bool validate, const runner::Scenario& scenario,
                          runner::Metrics terms) {
   Result out;

@@ -48,14 +48,6 @@ Result result_from(const Context& ctx, const Query& query,
 Result result_from_terms(bool validate, const runner::Scenario& scenario,
                          runner::Metrics terms);
 
-/// Evaluates `points` on a BatchRunner with `threads` workers (<= 0 =
-/// hardware concurrency): workload_model_vs_sim_metrics per point when
-/// `validate`, the default batch-routed evaluation otherwise. Records come
-/// back in point order.
-std::vector<runner::RunRecord> run_points(
-    const Context& ctx, const std::vector<runner::Scenario>& points,
-    bool validate, int threads);
-
 /// The facade's engine enum <-> the runner's.
 runner::Engine to_runner_engine(Engine engine);
 Engine from_runner_engine(runner::Engine engine);

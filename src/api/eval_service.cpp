@@ -14,6 +14,7 @@
 #include "api/api_internal.h"
 #include "core/machine.h"
 #include "obs/metrics.h"
+#include "runner/batch_runner.h"
 #include "wave/context.h"
 #include "wave/study.h"
 
@@ -206,11 +207,11 @@ MetricsSnapshot EvalService::metrics() const { return impl_->registry.snapshot()
 Expected<std::size_t> EvalService::warm(const Study& study) {
   const Context& ctx = *impl_->ctx;
   try {
-    // Resolve every point first: a bad axis value fails the whole warm
-    // before anything is evaluated or cached. Points enumerate in
-    // Study::run()'s order; each is the scenario its Query resolves to.
-    const std::vector<runner::Scenario> points =
-        study.sweep_grid(ctx).points();
+    // Resolve every axis first: a bad axis value fails the whole warm
+    // before anything is evaluated or cached. Points are built by index,
+    // in Study::run()'s order, into one reused scenario; each is the
+    // scenario its Query resolves to.
+    const runner::SweepGrid grid = study.sweep_grid(ctx);
 
     // Keep the scenarios not cached yet, once each.
     struct Pending {
@@ -220,9 +221,11 @@ Expected<std::size_t> EvalService::warm(const Study& study) {
     std::unordered_set<std::string> keys;
     std::vector<Pending> pending;
     std::vector<runner::Scenario> fresh;
-    for (const runner::Scenario& s : points) {
+    runner::Scenario point;
+    for (std::size_t index = 0; index < grid.cartesian_size(); ++index) {
+      grid.build_point(index, point);
       const auto [it, inserted] =
-          keys.insert(key_text(study.base_, study.validate_, s));
+          keys.insert(key_text(study.base_, study.validate_, point));
       if (!inserted) continue;
       Impl::Shard& shard = impl_->shards[impl_->shard_index(*it)];
       {
@@ -230,15 +233,22 @@ Expected<std::size_t> EvalService::warm(const Study& study) {
         if (shard.find_locked(*it) != nullptr) continue;
       }
       pending.push_back({&*it, &shard});
-      fresh.push_back(s);
+      fresh.push_back(point);
     }
 
     // Evaluate outside the lock (DES points can take seconds) on one
-    // thread through Study::run's route, whose records are byte-identical
-    // with evaluate_scenario's, so the Results are bit-identical with a
-    // cold evaluate(). Then store each under its shard's lock.
+    // thread through BatchRunner's unit scheduler, the one Study::run
+    // uses; its records are byte-identical with evaluate_scenario's, so
+    // the Results are bit-identical with a cold evaluate(). Then store
+    // each under its shard's lock.
+    const runner::BatchRunner batch(ctx, runner::BatchRunner::Options(1));
     std::vector<runner::RunRecord> records =
-        api::run_points(ctx, fresh, study.validate_, 1);
+        study.validate_
+            ? batch.run(fresh,
+                        [&ctx](const runner::Scenario& s) {
+                          return runner::workload_model_vs_sim_metrics(ctx, s);
+                        })
+            : batch.run(fresh);
     std::size_t added = 0;
     for (std::size_t k = 0; k < pending.size(); ++k) {
       const Result result = api::result_from_terms(

@@ -15,19 +15,26 @@
 
 namespace wave::runner {
 
+void model_metric_values(const core::ModelResult& res, double* out) {
+  const core::TimeSplit step = res.timestep_split();
+  out[0] = res.iteration.total;
+  out[1] = res.iteration.comm;
+  out[2] = step.total;
+  out[3] = step.comm;
+  out[4] = res.fill.total;
+  out[5] = res.fill.comm;
+}
+
 Metrics model_metrics_from(const core::ModelResult& res) {
   // Built in place from the literals: an initializer_list would build each
   // name and then copy it, two allocations per name too long for the
   // short-string buffer.
-  const core::TimeSplit step = res.timestep_split();
+  double values[kModelMetricNames.size()];
+  model_metric_values(res, values);
   Metrics out;
-  out.reserve(6);
-  out.emplace_back("model_iter_us", res.iteration.total);
-  out.emplace_back("model_iter_comm_us", res.iteration.comm);
-  out.emplace_back("model_timestep_us", step.total);
-  out.emplace_back("model_timestep_comm_us", step.comm);
-  out.emplace_back("model_fill_us", res.fill.total);
-  out.emplace_back("model_fill_comm_us", res.fill.comm);
+  out.reserve(kModelMetricNames.size());
+  for (std::size_t k = 0; k < kModelMetricNames.size(); ++k)
+    out.emplace_back(kModelMetricNames[k], values[k]);
   return out;
 }
 
@@ -141,73 +148,6 @@ Metrics model_vs_sim_metrics(const wave::Context& ctx, const Scenario& s) {
 
 namespace {
 
-/// Evaluates one point, recording its wall-clock latency into the point's
-/// attached registry (if any) as `runner_point_latency_us`. The timing is
-/// taken only when a registry is attached, so unobserved sweeps pay one
-/// pointer test per point.
-template <typename Eval>
-void timed_point(const Scenario& s, RunRecord& r, Eval eval) {
-  r.index = s.index;
-  r.labels = s.labels;
-  if (s.metrics == nullptr) {
-    r.metrics = eval();
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  r.metrics = eval();
-  const double us = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  s.metrics->histogram("runner_point_latency_us").observe(us);
-}
-
-}  // namespace
-
-int BatchRunner::threads() const { return ThreadPool(options_.threads).threads(); }
-
-namespace {
-
-/// The chunk for `units` dispatch units: 1 when any unit `simulates` (a
-/// DES point), else ~16 dispatches per thread, capped so late-start
-/// imbalance stays bounded on small grids.
-std::size_t auto_chunk(int threads, std::size_t units, bool simulates) {
-  if (simulates) return 1;
-  const auto nthreads = static_cast<std::size_t>(threads);
-  return std::clamp<std::size_t>(units / (nthreads * 16 + 1), 1, 4096);
-}
-
-}  // namespace
-
-std::size_t BatchRunner::chunk_for(const std::vector<Scenario>& points) const {
-  const bool simulates =
-      std::any_of(points.begin(), points.end(), [](const Scenario& s) {
-        return s.engine == Engine::Simulation;
-      });
-  return auto_chunk(threads(), points.size(), simulates);
-}
-
-std::vector<RunRecord> BatchRunner::run(const std::vector<Scenario>& points,
-                                        const PointFn& fn) const {
-  std::vector<RunRecord> records(points.size());
-  const ThreadPool pool(options_.threads);
-  pool.for_each_chunk(points.size(), chunk_for(points), [&](std::size_t i) {
-    const Scenario& s = points[i];
-    timed_point(points[i], records[i], [&] { return fn(s); });
-  });
-  return records;
-}
-
-namespace {
-
-/// A point the default run() can evaluate through the batch solver: the
-/// analytic engine on the wavefront pipeline (the pair model_metrics
-/// serves). Everything else — DES points, registry workloads — keeps the
-/// scalar evaluators.
-bool batchable(const Scenario& s) {
-  return s.engine == Engine::Model &&
-         (s.workload.empty() || s.workload == "wavefront");
-}
-
 /// The most points in one batch unit. A unit holds the points of one app
 /// and grid, whose distinct fills evaluate_group runs side by side; the
 /// cap splits a long machine-parameter sweep at one grid into units that
@@ -215,42 +155,172 @@ bool batchable(const Scenario& s) {
 /// under three backends, about nine distinct fills.
 constexpr std::size_t kMaxUnitPoints = 16;
 
-/// A batchable point and the unit it joins: points with equal keys share
-/// an app and a grid, so their fills share n x m.
-struct Member {
-  std::size_t index;  ///< into the scenario list
-  core::BatchPoint point;
-
-  /// Largest grid first, then the unit's identity.
-  auto unit_key() const {
-    return std::tuple(-static_cast<long long>(point.grid.size()), point.app,
-                      point.grid.n(), point.grid.m());
-  }
-};
-
-/// The arguments sim_metrics hands simulate_wavefront, bar the inert
-/// observers. Two points with equal keys simulate the same event stream
-/// and get bit-identical metrics, so they can share one run.
-struct SimKey {
-  core::AppParams app;
-  int n = 0;
-  int m = 0;
-  int iterations = 0;
-  workloads::SimMachine machine;
-
-  bool operator==(const SimKey&) const = default;
-};
-
-/// A DES point whose run others may share: the wavefront simulation with
-/// no observer attached (a registry or span capture sees one run, so an
-/// observed point always simulates on its own).
-bool shareable(const Scenario& s) {
-  return s.engine == Engine::Simulation &&
-         (s.workload.empty() || s.workload == "wavefront") &&
-         s.metrics == nullptr && s.trace == nullptr;
+/// Largest grid first, then the unit's identity: members with equal keys
+/// share an app and a grid, so their fills share n x m.
+auto unit_key(const core::BatchPoint& p) {
+  return std::tuple(-static_cast<long long>(p.grid.size()), p.app,
+                    p.grid.n(), p.grid.m());
 }
 
+double elapsed_us(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// The sink of run(points) and run(points, fn): one RunRecord per
+/// scenario, scalar points evaluated by `fn`.
+class RecordSink final : public BatchSink {
+ public:
+  RecordSink(const std::vector<Scenario>& points, const BatchRunner::PointFn& fn)
+      : points_(points), fn_(fn), records_(points.size()) {}
+
+  void model(std::size_t point, const core::ModelResult& res) override {
+    RunRecord& r = start(point);
+    r.metrics = model_metrics_from(res);
+  }
+
+  void scalar(std::size_t point) override {
+    // The latency is taken only when a registry is attached, so
+    // unobserved sweeps pay one pointer test per point.
+    const Scenario& s = points_[point];
+    RunRecord& r = start(point);
+    if (s.metrics == nullptr) {
+      r.metrics = fn_(s);
+      return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    r.metrics = fn_(s);
+    s.metrics->histogram("runner_point_latency_us").observe(elapsed_us(t0));
+  }
+
+  void share(std::size_t point, std::size_t run) override {
+    start(point).metrics = records_[run].metrics;
+  }
+
+  obs::MetricsRegistry* observer(std::size_t point) const override {
+    return points_[point].metrics;
+  }
+
+  std::vector<RunRecord> take() { return std::move(records_); }
+
+ private:
+  RunRecord& start(std::size_t point) {
+    RunRecord& r = records_[point];
+    r.index = points_[point].index;
+    r.labels = points_[point].labels;
+    return r;
+  }
+
+  const std::vector<Scenario>& points_;
+  const BatchRunner::PointFn& fn_;
+  std::vector<RunRecord> records_;
+};
+
 }  // namespace
+
+Route route(Engine engine, const std::string& workload, bool observed) {
+  if (!workload.empty() && workload != "wavefront") return Route::kScalar;
+  if (engine == Engine::Model) return Route::kBatched;
+  return observed ? Route::kScalar : Route::kSharedSim;
+}
+
+BatchPlan::BatchPlan(const wave::Context& ctx)
+    : eval_(ctx.comm_model_registry()) {}
+
+void BatchPlan::add_batched(std::size_t point, const core::BatchPoint& p) {
+  members_.push_back({point, p});
+}
+
+void BatchPlan::add_shared_sim(std::size_t point, SimKey key) {
+  simulates_ = true;
+  const auto same = std::find_if(runs_.begin(), runs_.end(),
+                                 [&](const auto& run) { return run.first == key; });
+  if (same != runs_.end()) {
+    sharers_.emplace_back(point, same->second);
+    return;
+  }
+  runs_.emplace_back(std::move(key), point);
+  scalar_.push_back(point);
+}
+
+void BatchPlan::add_scalar(std::size_t point, bool simulates) {
+  simulates_ = simulates_ || simulates;
+  scalar_.push_back(point);
+}
+
+std::size_t BatchRunner::chunk_for(std::size_t units, bool simulates) const {
+  if (simulates) return 1;
+  const auto threads =
+      static_cast<std::size_t>(ThreadPool(options_.threads).threads());
+  // Capped so late-start imbalance stays bounded on small grids.
+  return std::clamp<std::size_t>(units / (threads * 16 + 1), 1, 4096);
+}
+
+void BatchRunner::run(BatchPlan& plan, BatchSink& sink) const {
+  // Batch units are the runs of equal unit keys, largest grid first, cut
+  // into pieces of at most kMaxUnitPoints; unit u spans
+  // members[unit_begin[u] .. unit_begin[u + 1]) and the same slice of
+  // `batch`. They follow the scalar units in dispatch order.
+  std::vector<BatchPlan::Member>& members = plan.members_;
+  std::stable_sort(members.begin(), members.end(),
+                   [](const BatchPlan::Member& a, const BatchPlan::Member& b) {
+                     return unit_key(a.batch) < unit_key(b.batch);
+                   });
+  std::vector<core::BatchPoint> batch(members.size());
+  std::vector<std::size_t> unit_begin;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    if (k == 0 || unit_key(members[k].batch) != unit_key(members[k - 1].batch) ||
+        k - unit_begin.back() == kMaxUnitPoints)
+      unit_begin.push_back(k);
+    batch[k] = members[k].batch;
+  }
+  unit_begin.push_back(members.size());
+  const std::vector<std::size_t>& scalar = plan.scalar_;
+  const std::size_t units = scalar.size() + unit_begin.size() - 1;
+
+  const core::BatchEval& eval = plan.eval_;
+  const ThreadPool pool(options_.threads);
+  const std::size_t chunk = chunk_for(units, plan.simulates_);
+  pool.for_each_chunk(units, chunk, [&](std::size_t u) {
+    if (u < scalar.size()) {
+      sink.scalar(scalar[u]);
+      return;
+    }
+    const std::size_t begin = unit_begin[u - scalar.size()];
+    const std::size_t size = unit_begin[u - scalar.size() + 1] - begin;
+    const std::span<const BatchPlan::Member> unit(members.data() + begin, size);
+    const bool observed = std::any_of(
+        unit.begin(), unit.end(), [&](const BatchPlan::Member& m) {
+          return sink.observer(m.point) != nullptr;
+        });
+    const auto t0 = observed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
+    // Workspace per worker thread, reused across units and runs.
+    thread_local core::BatchScratch scratch;
+    thread_local std::vector<core::ModelResult> results;
+    results.resize(size);
+    eval.evaluate_group({batch.data() + begin, size}, scratch, results);
+    for (std::size_t k = 0; k < size; ++k) sink.model(unit[k].point, results[k]);
+    if (!observed) return;
+    // One evaluation served the whole unit: each point reports its share.
+    const double us = elapsed_us(t0) / static_cast<double>(size);
+    for (const BatchPlan::Member& m : unit)
+      if (obs::MetricsRegistry* registry = sink.observer(m.point))
+        registry->histogram("runner_point_latency_us").observe(us);
+  });
+  for (const auto& [point, run] : plan.sharers_) sink.share(point, run);
+}
+
+std::vector<RunRecord> BatchRunner::run(const std::vector<Scenario>& points,
+                                        const PointFn& fn) const {
+  BatchPlan plan(*ctx_);
+  for (std::size_t i = 0; i < points.size(); ++i)
+    plan.add_scalar(i, points[i].engine == Engine::Simulation);
+  RecordSink sink(points, fn);
+  run(plan, sink);
+  return sink.take();
+}
 
 std::vector<RunRecord> BatchRunner::run(
     const std::vector<Scenario>& points) const {
@@ -263,103 +333,31 @@ std::vector<RunRecord> BatchRunner::run(
   // Unobserved DES points with equal simulation inputs share one run: the
   // first is a scalar unit, each later one copies its metrics. Keying
   // validates the machine and resolves its backend here too.
-  core::BatchEval plan(ctx.comm_model_registry());
-  std::vector<Member> members;
-  std::vector<std::size_t> scalar;  // every other point, a unit of its own
-  std::vector<std::pair<SimKey, std::size_t>> runs;  // key, point
-  std::vector<std::pair<std::size_t, std::size_t>> sharers;  // point, run's
-  bool simulates = false;
+  BatchPlan plan(ctx);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Scenario& s = points[i];
-    if (!batchable(s)) {
-      simulates = simulates || s.engine == Engine::Simulation;
-      if (shareable(s)) {
-        SimKey key{s.app, s.grid.n(), s.grid.m(), s.iterations,
-                   sim_machine_of(ctx, s)};
-        const auto same = std::find_if(
-            runs.begin(), runs.end(),
-            [&](const auto& run) { return run.first == key; });
-        if (same != runs.end()) {
-          sharers.emplace_back(i, same->second);
-          continue;
-        }
-        runs.emplace_back(std::move(key), i);
-      }
-      scalar.push_back(i);
-      continue;
+    switch (route(s.engine, s.workload,
+                  s.metrics != nullptr || s.trace != nullptr)) {
+      case Route::kBatched:
+        plan.add_batched(i, {plan.eval().add_app(s.app),
+                             plan.eval().add_machine(s.effective_machine()),
+                             s.grid});
+        break;
+      case Route::kSharedSim:
+        plan.add_shared_sim(i, {s.app, s.grid.n(), s.grid.m(), s.iterations,
+                                sim_machine_of(ctx, s)});
+        break;
+      case Route::kScalar:
+        plan.add_scalar(i, s.engine == Engine::Simulation);
+        break;
     }
-    members.push_back({i,
-                       {plan.add_app(s.app),
-                        plan.add_machine(s.effective_machine()), s.grid}});
   }
-
-  // Batch units are the runs of equal unit keys, largest grid first, cut
-  // into pieces of at most kMaxUnitPoints; unit u spans
-  // members[unit_begin[u] .. unit_begin[u + 1]) and the same slice of
-  // `batch`. They follow the scalar units in dispatch order.
-  std::stable_sort(members.begin(), members.end(),
-                   [](const Member& a, const Member& b) {
-                     return a.unit_key() < b.unit_key();
-                   });
-  std::vector<core::BatchPoint> batch(members.size());
-  std::vector<std::size_t> unit_begin;
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    if (k == 0 || members[k].unit_key() != members[k - 1].unit_key() ||
-        k - unit_begin.back() == kMaxUnitPoints)
-      unit_begin.push_back(k);
-    batch[k] = members[k].point;
-  }
-  unit_begin.push_back(members.size());
-  const std::size_t units = scalar.size() + unit_begin.size() - 1;
-
-  std::vector<RunRecord> records(points.size());
-  const ThreadPool pool(options_.threads);
-  const std::size_t chunk = auto_chunk(pool.threads(), units, simulates);
-  pool.for_each_chunk(units, chunk, [&](std::size_t u) {
-    if (u < scalar.size()) {
-      const Scenario& s = points[scalar[u]];
-      timed_point(s, records[scalar[u]],
-                  [&] { return evaluate_scenario(ctx, s); });
-      return;
-    }
-    const std::size_t begin = unit_begin[u - scalar.size()];
-    const std::size_t size = unit_begin[u - scalar.size() + 1] - begin;
-    const std::span<const Member> unit(members.data() + begin, size);
-    const bool observed =
-        std::any_of(unit.begin(), unit.end(), [&](const Member& m) {
-          return points[m.index].metrics != nullptr;
-        });
-    const auto t0 = observed ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
-    // Workspace per worker thread, reused across units and runs.
-    thread_local core::BatchScratch scratch;
-    thread_local std::vector<core::ModelResult> results;
-    results.resize(size);
-    plan.evaluate_group({batch.data() + begin, size}, scratch, results);
-    for (std::size_t k = 0; k < size; ++k) {
-      const Scenario& s = points[unit[k].index];
-      RunRecord& r = records[unit[k].index];
-      r.index = s.index;
-      r.labels = s.labels;
-      r.metrics = model_metrics_from(results[k]);
-    }
-    if (!observed) return;
-    // One evaluation served the whole unit: each point reports its share.
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count() /
-                      static_cast<double>(size);
-    for (const Member& m : unit)
-      if (points[m.index].metrics != nullptr)
-        points[m.index].metrics->histogram("runner_point_latency_us")
-            .observe(us);
-  });
-  for (const auto& [point, run] : sharers) {
-    records[point].index = points[point].index;
-    records[point].labels = points[point].labels;
-    records[point].metrics = records[run].metrics;
-  }
-  return records;
+  const PointFn fn = [&ctx](const Scenario& s) {
+    return evaluate_scenario(ctx, s);
+  };
+  RecordSink sink(points, fn);
+  run(plan, sink);
+  return sink.take();
 }
 
 std::vector<RunRecord> BatchRunner::run(const SweepGrid& grid,

@@ -159,8 +159,7 @@ std::size_t SweepGrid::cartesian_size() const {
   return total;
 }
 
-bool SweepGrid::build_point(std::size_t index, std::size_t total,
-                            Scenario& out) const {
+bool SweepGrid::build_point(std::size_t index, Scenario& out) const {
   out = base_;
   out.index = index;
   out.seed = derive_seed(base_seed_, index);
@@ -168,7 +167,7 @@ bool SweepGrid::build_point(std::size_t index, std::size_t total,
   // Decompose row-major: the first axis varies slowest.
   out.labels.reserve(base_.labels.size() + axes_.size());
   std::size_t rest = index;
-  std::size_t stride = total;
+  std::size_t stride = cartesian_size();
   for (const Axis& axis : axes_) {
     stride /= axis.levels.size();
     const Axis::Level& level = axis.levels[rest / stride];
@@ -188,7 +187,7 @@ std::vector<Scenario> SweepGrid::points() const {
   out.reserve(total);
   Scenario s;
   for (std::size_t index = 0; index < total; ++index)
-    if (build_point(index, total, s)) out.push_back(std::move(s));
+    if (build_point(index, s)) out.push_back(std::move(s));
   return out;
 }
 

@@ -180,14 +180,18 @@ class SweepGrid {
   /// Enumerates the (filtered) cartesian product.
   std::vector<Scenario> points() const;
 
- private:
-  /// Builds the point at cartesian `index` (labels, seed, axis mutations
-  /// applied); returns false when a filter rejects it.
-  bool build_point(std::size_t index, std::size_t total, Scenario& out) const;
+  /// The axes, in declaration order.
+  const std::vector<Axis>& axes() const { return axes_; }
 
   /// Product of the axis level counts (the pre-filter point count).
   std::size_t cartesian_size() const;
 
+  /// Builds the point at cartesian `index` < cartesian_size() into `out`
+  /// (labels, seed, axis mutations applied), reusing its storage; returns
+  /// false when a filter rejects it. points() is this over every index.
+  bool build_point(std::size_t index, Scenario& out) const;
+
+ private:
   Scenario base_;
   std::vector<Axis> axes_;
   std::vector<std::function<bool(const Scenario&)>> filters_;

@@ -3,12 +3,16 @@
 // contract at the API boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/api_internal.h"
 #include "common/contracts.h"
 #include "core/machine.h"
 #include "core/solver.h"
@@ -380,4 +384,216 @@ TEST(ApiStudy, UnknownAxisNameFailsAsStatus) {
   const auto study = ctx.study().workloads({"wavefront", "typo"}).run();
   ASSERT_FALSE(study.ok());
   EXPECT_EQ(study.status().code(), wave::StatusCode::kNotFound);
+}
+
+// ---- Columnar Study results against the scalar reference ---------------
+
+namespace {
+
+namespace wr = wave::runner;
+
+/// A processor axis as Study::processors builds it: the decomposition
+/// only, no params["P"].
+wr::Axis processors_axis(const std::vector<int>& counts) {
+  wr::Axis axis{"P", {}};
+  for (const int p : counts)
+    axis.levels.push_back(
+        {wr::format_value(p), [g = wave::topo::closest_to_square(p)](
+                                  wr::Scenario& s) { s.grid = g; }});
+  return axis;
+}
+
+/// Machine-axis levels resolved through `ctx`, labelled as Study labels
+/// them.
+std::vector<std::pair<std::string, wave::core::MachineConfig>> resolved(
+    const wave::Context& ctx, const std::vector<std::string>& names) {
+  std::vector<std::pair<std::string, wave::core::MachineConfig>> out;
+  for (const std::string& name : names) {
+    wave::core::MachineConfig m = ctx.resolve_machine(name);
+    out.emplace_back(m.name, std::move(m));
+  }
+  return out;
+}
+
+/// The study's CSV, and every row it materializes (by range-for and by
+/// index), equal the scalar reference records field by field, with the
+/// doubles compared bit for bit.
+void expect_rows_equal(const wave::StudyResult& study,
+                       const std::vector<wr::RunRecord>& reference) {
+  EXPECT_EQ(study.csv(), wr::to_csv(reference));
+  ASSERT_EQ(study.rows.size(), reference.size());
+  std::size_t k = 0;
+  for (const auto& row : study.rows) {
+    const wr::RunRecord& r = reference[k];
+    const wave::StudyRow indexed = study.rows[k];
+    ++k;
+    for (const wave::StudyRow* got : {&row, &indexed}) {
+      EXPECT_EQ(got->index, r.index);
+      EXPECT_EQ(got->labels, r.labels) << "row " << r.index;
+      ASSERT_EQ(got->metrics.size(), r.metrics.size()) << "row " << r.index;
+      for (std::size_t j = 0; j < r.metrics.size(); ++j) {
+        EXPECT_EQ(got->metrics[j].first, r.metrics[j].first);
+        EXPECT_EQ(std::memcmp(&got->metrics[j].second, &r.metrics[j].second,
+                              sizeof(double)),
+                  0)
+            << "row " << r.index << " " << r.metrics[j].first;
+      }
+    }
+  }
+  EXPECT_EQ(k, reference.size());
+}
+
+std::vector<wr::RunRecord> scalar_reference(const wave::Context& ctx,
+                                            const wr::SweepGrid& grid,
+                                            bool validate = false) {
+  return wr::BatchRunner(ctx, wr::BatchRunner::Options(0))
+      .run(grid.points(), [&](const wr::Scenario& s) {
+        return validate ? wr::workload_model_vs_sim_metrics(ctx, s)
+                        : wr::evaluate_scenario(ctx, s);
+      });
+}
+
+/// A workload that counts its evaluations.
+class CountingWorkload : public StubWorkload {
+ public:
+  CountingWorkload() : StubWorkload("counting") {}
+  ww::ModelOutput predict(const wave::core::MachineConfig& machine,
+                          const wave::loggp::CommModel& comm,
+                          const ww::WorkloadInputs& in) const override {
+    ++calls;
+    return StubWorkload::predict(machine, comm, in);
+  }
+  ww::SimOutput simulate(const ww::SimMachine& machine,
+                         const ww::WorkloadInputs& in) const override {
+    ++calls;
+    return StubWorkload::simulate(machine, in);
+  }
+  mutable std::atomic<int> calls{0};
+};
+
+}  // namespace
+
+TEST(ApiStudy, WhatIfStudiesMatchTheScalarReference) {
+  // perfbench's what-if sweep: four apps, each over five machines, three
+  // backends and 81 processor counts, all batched.
+  wave::Context ctx;
+  ASSERT_TRUE(ctx.add_machine_dir(WAVE_MACHINES_DIR).is_ok());
+  const std::vector<std::string> machines = {
+      "xt4-dual", "xt4-single", "sp2", "fatnode-loggps",
+      "quadcore-shared-bus"};
+  const std::vector<std::string> comms = {"loggp", "loggps", "contention"};
+  std::vector<int> procs;  // 64 .. 65,536, eight per octave
+  for (int k = 0; k <= 80; ++k)
+    procs.push_back(static_cast<int>(std::lround(64 * std::exp2(k / 8.0))));
+  for (const std::string app : {"sweep3d-20m", "sweep3d-1g", "lu", "chimaera"}) {
+    const auto study = ctx.study()
+                           .app(app)
+                           .machines(machines)
+                           .comm_models(comms)
+                           .processors(procs)
+                           .run();
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    ASSERT_EQ(study.value().rows.size(), 1215u);
+
+    wr::SweepGrid grid;
+    grid.base().app = wave::api::app_preset(app);
+    grid.machines(resolved(ctx, machines));
+    grid.comm_models(ctx, comms);
+    grid.axis(processors_axis(procs));
+    SCOPED_TRACE(app);
+    expect_rows_equal(study.value(), scalar_reference(ctx, grid));
+  }
+}
+
+TEST(ApiStudy, LastMachineAxisWinsAsInTheScalarReference) {
+  // Both axes label each row; the CSV shows the first "machine" label,
+  // while the point evaluates the second axis's machine.
+  const wave::Context ctx;
+  const auto study = ctx.study()
+                         .machines({"xt4-dual", "sp2"})
+                         .comm_models({"loggp", "loggps"})
+                         .machines({"xt4-single", "xt4-dual"})
+                         .processors({16, 256})
+                         .run();
+  ASSERT_TRUE(study.ok()) << study.status().to_string();
+  ASSERT_EQ(study.value().rows.size(), 16u);
+  EXPECT_EQ(study.value().rows[0].labels.size(), 4u);
+
+  wr::SweepGrid grid;
+  grid.base().app = ww::WorkloadInputs::default_app();
+  grid.machines(resolved(ctx, {"xt4-dual", "sp2"}));
+  grid.comm_models(ctx, {"loggp", "loggps"});
+  grid.machines(resolved(ctx, {"xt4-single", "xt4-dual"}));
+  grid.axis(processors_axis({16, 256}));
+  expect_rows_equal(study.value(), scalar_reference(ctx, grid));
+}
+
+TEST(ApiStudy, HeterogeneousRowsMatchTheScalarReference) {
+  // Four metric lists: the batched wavefront model, the wavefront DES
+  // (whose "bytes" levels share one run), and pingpong's model and DES.
+  const wave::Context ctx;
+  for (const bool validate : {false, true}) {
+    const auto study = ctx.study()
+                           .machine("xt4-single")
+                           .engines({wave::Engine::Model,
+                                     wave::Engine::Simulation})
+                           .workloads({"wavefront", "pingpong"})
+                           .values("bytes", {64, 8192})
+                           .processors({4, 16})
+                           .validate(validate)
+                           .run();
+    ASSERT_TRUE(study.ok()) << study.status().to_string();
+    ASSERT_EQ(study.value().rows.size(), 16u);
+
+    wr::SweepGrid grid;
+    grid.base().app = ww::WorkloadInputs::default_app();
+    grid.base().machine = wave::core::MachineConfig::xt4_single_core();
+    grid.engines({wr::Engine::Model, wr::Engine::Simulation});
+    grid.workloads(ctx, {"wavefront", "pingpong"});
+    grid.values("bytes", {64, 8192});
+    grid.axis(processors_axis({4, 16}));
+    const auto reference = scalar_reference(ctx, grid, validate);
+    std::vector<std::vector<std::string>> schemas;
+    for (const wr::RunRecord& r : reference) {
+      std::vector<std::string> names;
+      for (const auto& [name, value] : r.metrics) names.push_back(name);
+      if (std::find(schemas.begin(), schemas.end(), names) == schemas.end())
+        schemas.push_back(std::move(names));
+    }
+    EXPECT_EQ(schemas.size(), validate ? 2u : 4u);
+    SCOPED_TRACE(validate ? "validate" : "dispatch");
+    expect_rows_equal(study.value(), reference);
+  }
+}
+
+TEST(ApiStudy, BadAxisValueFailsBeforeAnyEvaluation) {
+  wave::Context ctx;
+  const auto counting = std::make_shared<CountingWorkload>();
+  ASSERT_TRUE(ctx.register_workload(counting).is_ok());
+
+  const auto unknown = ctx.study()
+                           .workloads({"counting"})
+                           .processors({4})
+                           .machines({"xt4-single", "no-such-machine"})
+                           .run();
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), wave::StatusCode::kNotFound);
+
+  const auto empty = ctx.study()
+                         .workloads({"counting"})
+                         .engines({wave::Engine::Model})
+                         .values("bytes", {})
+                         .run();
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), wave::StatusCode::kInvalidArgument);
+  EXPECT_EQ(counting->calls.load(), 0);
+
+  // The same study with good values evaluates every point once.
+  const auto good = ctx.study()
+                        .workloads({"counting"})
+                        .processors({4})
+                        .machines({"xt4-single", "xt4-dual"})
+                        .run();
+  ASSERT_TRUE(good.ok()) << good.status().to_string();
+  EXPECT_EQ(counting->calls.load(), 2);
 }

@@ -2,6 +2,7 @@
 // batch execution determinism across thread counts, and result sinks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -393,6 +394,20 @@ TEST(BatchRunner, MachineAndCommAxesStayDeterministicAcrossThreads) {
   EXPECT_EQ(wr::to_csv(one), wr::to_csv(many));
 }
 
+namespace {
+
+/// The scheduler's chunk for a plan of `points` as scalar units.
+std::size_t chunk_of(const wr::BatchRunner& batch,
+                     const std::vector<wr::Scenario>& points) {
+  const bool simulates =
+      std::any_of(points.begin(), points.end(), [](const wr::Scenario& s) {
+        return s.engine == wr::Engine::Simulation;
+      });
+  return batch.chunk_for(points.size(), simulates);
+}
+
+}  // namespace
+
 TEST(BatchRunner, ChunkedSchedulingKeepsRecordsByteIdentical) {
   // Chunked dispatch is a scheduling optimization only: the serialized
   // record set must not change by a byte at any thread count, on both
@@ -407,19 +422,19 @@ TEST(BatchRunner, ChunkedSchedulingKeepsRecordsByteIdentical) {
     for (int threads : {1, 3, 8}) {
       const wr::BatchRunner batch(kCtx, wr::BatchRunner::Options(threads));
       EXPECT_EQ(wr::to_csv(batch.run(points)), expected)
-          << "threads=" << threads << " chunk=" << batch.chunk_for(points);
+          << "threads=" << threads << " chunk=" << chunk_of(batch, points);
       EXPECT_EQ(wr::to_csv(batch.run(points, scalar)), expected)
-          << "threads=" << threads << " chunk=" << batch.chunk_for(points);
+          << "threads=" << threads << " chunk=" << chunk_of(batch, points);
     }
   }
 }
 
 TEST(BatchRunner, AutoChunkIsOneForSweepsContainingDesPoints) {
   const wr::BatchRunner batch{kCtx, wr::BatchRunner::Options(4)};
-  EXPECT_EQ(batch.chunk_for(mixed_grid().points()), 1u);
+  EXPECT_EQ(chunk_of(batch, mixed_grid().points()), 1u);
 
   // A pure-analytic sweep gets a real chunk once it has enough points.
-  const std::size_t chunk = batch.chunk_for(analytic_grid().points());
+  const std::size_t chunk = chunk_of(batch, analytic_grid().points());
   EXPECT_GT(chunk, 1u);
   EXPECT_LE(chunk, 4096u);
 }
