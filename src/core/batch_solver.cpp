@@ -44,20 +44,10 @@ BatchScratch::FillKey BatchEval::fill_input(const BatchPoint& point,
   res = evaluate_r1(app, point.grid);  // res is reused across points
 
   // The Table 1/2/6 message costs the r2 recurrence can touch,
-  // pre-evaluated for both placements, indexed [off-node=0, on-chip=1]:
-  // exactly the doubles the scalar path's virtual calls return.
+  // pre-evaluated for both placements: exactly the doubles the scalar
+  // path's virtual calls return.
   BatchScratch::FillKey key{};
-  kernels::FillCosts& costs = key.fill.costs;
-  costs.w = res.w;
-  costs.wpre = res.wpre;
-  for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
-    const int on_chip = where == Placement::OnChip;
-    costs.total_ew[on_chip] = me.comm->total(res.msg_bytes_ew, where);
-    costs.recv_ns[on_chip] = me.comm->recv(res.msg_bytes_ns, where);
-    costs.send_ew[on_chip] =
-        send_cost(app, me.machine, *me.comm, res.msg_bytes_ew, where);
-    costs.total_ns[on_chip] = me.comm->total(res.msg_bytes_ns, where);
-  }
+  key.fill.costs = fill_costs(app, me.machine, *me.comm, res);
   key.fill.cx = me.machine.cx;
   key.fill.cy = me.machine.cy;
   key.n = point.grid.n();
@@ -67,6 +57,10 @@ BatchScratch::FillKey BatchEval::fill_input(const BatchPoint& point,
 
 kernels::FillCorners BatchEval::run_fill(const BatchScratch::FillKey& key,
                                          BatchScratch& scratch) {
+  // Single-core nodes take the closed form, as Solver::evaluate does.
+  if (kernels::closed_form_applies(key.fill.costs, key.fill.cx, key.fill.cy))
+    return kernels::fill_closed_form(key.fill.costs, key.n, key.m);
+
   // Placement parity — all of topology/node_map.h reduced to two bitmaps.
   // Within one row, columns i-1 and i share a node iff they fall in the
   // same cx-wide tile column; within one column, rows j-1 and j share a
@@ -102,12 +96,15 @@ void BatchEval::run_fills(BatchScratch& scratch) {
   scratch.corners_.resize(keys.size());
   // A thin grid's fill is one long chain of dependent adds, and the fills
   // of a group are independent: with AVX-512 they run side by side, one
-  // per vector lane (kernels/fill_recurrence.h). Everything else runs one
-  // at a time.
+  // per vector lane (kernels/fill_recurrence.h). Fills on single-core
+  // nodes never join them: run_fill gives their O(1) closed form. Every
+  // other fill runs its recurrence there, one at a time.
   const bool lanes = kernels::has_row_lanes();
   scratch.thin_.clear();
   for (std::uint32_t k = 0; k < keys.size(); ++k) {
-    if (lanes && std::min(keys[k].n, keys[k].m) < kernels::kRowLanesMinRows)
+    const kernels::FillPoint& fill = keys[k].fill;
+    if (lanes && !kernels::closed_form_applies(fill.costs, fill.cx, fill.cy) &&
+        std::min(keys[k].n, keys[k].m) < kernels::kRowLanesMinRows)
       scratch.thin_.push_back(k);
     else
       scratch.corners_[k] = run_fill(keys[k], scratch);

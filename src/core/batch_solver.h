@@ -3,12 +3,14 @@
 //
 // Every term of the model but the r2 fill is core/solver.h's shared code:
 // evaluate_r1 before the fill, evaluate_r3_r5 after it, send_cost for the
-// message costs. Solver::evaluate stays the readable reference for r2
-// itself: a row-major loop making a virtual call into the comm backend at
-// each point of use. That costs ~4 virtual dispatches plus two node-map
-// integer divisions per cell of the O(n*m) pipeline-fill recurrence — fine
-// for one evaluation, ruinous for a million-point sweep. Only the r2
-// schedule below is a replay of the scalar path.
+// message costs (fill_costs), and on single-core nodes the r2 fill as
+// well (kernels::fill_closed_form). Elsewhere Solver::evaluate stays the
+// readable reference for r2 itself: a row-major loop making a virtual
+// call into the comm backend at each point of use. That costs ~4 virtual
+// dispatches plus two node-map integer divisions per cell of the O(n*m)
+// pipeline-fill recurrence — fine for one evaluation, ruinous for a
+// million-point sweep. Only the r2 schedule below is a replay of the
+// scalar path.
 //
 // BatchEval compiles a sweep into a plan first and then evaluates points
 // against the plan:
@@ -17,7 +19,9 @@
 //    message cost) are resolved once per *unique machine* via
 //    add_machine() and shared by every point that references it;
 //  * apps are validated once per *unique app* via add_app();
-//  * per-point, the r2 recurrence runs over a table of eight
+//  * per-point on single-core nodes, r2 is the O(1) closed form
+//    (kernels::fill_closed_form): every message is off-node;
+//  * per-point elsewhere, the r2 recurrence runs over a table of eight
 //    pre-evaluated costs — {TotalComm, Receive, Send} x {east-west,
 //    north-south} x {on-chip, off-node} — indexed by two precomputed
 //    placement-parity bitmaps, because on a cx x cy node rectangle the
@@ -50,13 +54,17 @@
 //    and a grid, so a group holds every machine and backend at one grid.
 //
 // Correctness contract: results are BYTE-identical to Solver::evaluate on
-// every point. The r1 and r3-r5 terms are the same code; for r2 the plan
-// only pre-evaluates the exact double values the scalar loop's virtual
-// calls would return and replays them in the scalar loop's exact
-// TimeSplit operation order; no term is algebraically reassociated. The
-// wavefront schedule changes when each cell runs, never what it computes.
-// tests/test_batch_solver.cpp enforces this with memcmp, on pinned grids,
-// on every block edge and on seeded random draws.
+// every point. The r1 and r3-r5 terms are the same code, and so are the
+// fill's costs (fill_costs). On single-core nodes with finite, >= 0
+// off-node costs (kernels::closed_form_applies) both solvers take r2 from
+// the same out-of-line closed form, kernels::fill_closed_form, compiled
+// once in the kernel TU. Elsewhere the plan only pre-evaluates the exact
+// double values the scalar loop's virtual calls would return and replays
+// them in the scalar loop's exact TimeSplit operation order; no term is
+// algebraically reassociated. The wavefront schedule changes when each
+// cell runs, never what it computes. tests/test_batch_solver.cpp enforces
+// this with memcmp, on pinned grids, on every block edge and on seeded
+// random draws.
 //
 // Thread-safety: add_app()/add_machine() mutate the plan and must finish
 // before evaluation starts; evaluate_point() and evaluate_group() are const

@@ -84,6 +84,25 @@ usec send_cost(const AppParams& app, const MachineConfig& machine,
   return comm.send(bytes, where);
 }
 
+kernels::FillCosts fill_costs(const AppParams& app,
+                              const MachineConfig& machine,
+                              const loggp::CommModel& comm,
+                              const ModelResult& r1) {
+  // Indexed [off-node = 0, on-chip = 1].
+  kernels::FillCosts costs;
+  costs.w = r1.w;
+  costs.wpre = r1.wpre;
+  for (const Placement where : {Placement::OffNode, Placement::OnChip}) {
+    const int on_chip = where == Placement::OnChip;
+    costs.total_ew[on_chip] = comm.total(r1.msg_bytes_ew, where);
+    costs.recv_ns[on_chip] = comm.recv(r1.msg_bytes_ns, where);
+    costs.send_ew[on_chip] =
+        send_cost(app, machine, comm, r1.msg_bytes_ew, where);
+    costs.total_ns[on_chip] = comm.total(r1.msg_bytes_ns, where);
+  }
+  return costs;
+}
+
 usec halo_time(const MachineConfig& machine, const loggp::CommModel& comm,
                const topo::Grid& grid, int bytes_ew, int bytes_ns) {
   usec t = 0.0;
@@ -191,6 +210,17 @@ ModelResult Solver::evaluate(const topo::Grid& grid) const {
   const int n = grid.n();
   const int m = grid.m();
   ModelResult res = evaluate_r1(app_, grid);
+
+  // (r2) on single-core nodes: every message is off-node, and the fill's
+  // two corners have a closed form (kernels/fill_recurrence.h).
+  const kernels::FillCosts costs = fill_costs(app_, machine_, *comm_, res);
+  if (kernels::closed_form_applies(costs, machine_.cx, machine_.cy)) {
+    const kernels::FillCorners fill = kernels::fill_closed_form(costs, n, m);
+    evaluate_r3_r5(app_, machine_, *comm_,
+                   TimeSplit{fill.diag.total, fill.diag.comm},
+                   TimeSplit{fill.full.total, fill.full.comm}, res);
+    return res;
+  }
 
   // Per-direction communication costs for both placements. On a
   // single-core-per-node mapping everything is off-node (§4.2); on CMP

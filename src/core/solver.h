@@ -5,7 +5,8 @@
 //   r1a/r1b — per-tile work Wpre and W,
 //   r2a/r2b — the pipeline-fill recurrence StartP over the m×n grid, with
 //             per-position on-chip/off-node communication costs on
-//             multi-core nodes (Table 6 top),
+//             multi-core nodes (Table 6 top); on single-core nodes, where
+//             every message is off-node, its two corners in closed form,
 //   r3a/r3b — Tdiagfill = StartP(1,m), Tfullfill = StartP(n,m),
 //   r4      — Tstack, the time to drain a stack of tiles, using off-node
 //             costs plus the shared-bus contention additions (Table 6
@@ -25,6 +26,7 @@
 
 #include "core/app_params.h"
 #include "core/machine.h"
+#include "kernels/fill_recurrence.h"
 #include "loggp/comm_model.h"
 #include "topology/grid.h"
 
@@ -82,11 +84,14 @@ struct ModelResult {
   int energy_groups = 1;
 };
 
-// The model's terms around r2. Solver::evaluate runs the r2 fill as a
-// readable row-major loop and BatchEval (batch_solver.h) as a wavefront
-// kernel; both wrap it in these functions, so every other term has one
-// copy. The batch fast path calls them per point: keep them free of
-// allocation and virtual calls beyond the backend's own.
+// The model's terms around r2. On single-core nodes (cx = cy = 1) every
+// message is off-node, and Solver::evaluate and BatchEval (batch_solver.h)
+// both take the fill from one O(1) closed form (kernels::fill_closed_form,
+// under kernels::closed_form_applies). On other nodes Solver::evaluate
+// runs the r2 fill as a readable row-major loop and BatchEval as a
+// wavefront kernel. Both wrap it in these functions, so every other term
+// has one copy. The batch fast path calls them per point: keep them free
+// of allocation and virtual calls beyond the backend's own.
 
 /// @brief (r1a)/(r1b), the two message sizes and the result's bookkeeping
 ///   for `grid`: a fresh result holding everything the model derives
@@ -100,6 +105,15 @@ ModelResult evaluate_r1(const AppParams& app, const topo::Grid& grid);
 usec send_cost(const AppParams& app, const MachineConfig& machine,
                const loggp::CommModel& comm, int bytes,
                loggp::Placement where);
+
+/// @brief The ten inputs of the r2 fill for `r1`'s grid (an evaluate_r1
+///   result): w, wpre, and TotalComm_ew, Receive_ns, Send_ew (send_cost)
+///   and TotalComm_ns for both placements, exactly the doubles the
+///   recurrence's backend calls return.
+kernels::FillCosts fill_costs(const AppParams& app,
+                              const MachineConfig& machine,
+                              const loggp::CommModel& comm,
+                              const ModelResult& r1);
 
 /// @brief One bulk-synchronous halo swap on `grid` (LU's between-iteration
 ///   stencil, the halo2d workload). Every rank swaps with all its

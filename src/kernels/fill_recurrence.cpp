@@ -600,6 +600,39 @@ void fill_packed_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
     run<false>(costs, col_pair, row_pair, n, m, row);
 }
 
+bool closed_form_applies(const FillCosts& k, int cx, int cy) {
+  const double off_node[] = {k.w,          k.wpre,        k.total_ew[0],
+                             k.recv_ns[0], k.send_ew[0], k.total_ns[0]};
+  return cx == 1 && cy == 1 &&
+         std::all_of(std::begin(off_node), std::end(off_node),
+                     finite_non_negative);
+}
+
+FillCorners fill_closed_form(const FillCosts& k, int n, int m) {
+  const double a1 = k.total_ew[0];
+  const double a = a1 + k.recv_ns[0];
+  const double bn = k.total_ns[0];
+  const double b = k.send_ew[0] + bn;
+  const double work = k.wpre + (n + m - 2) * k.w;
+  // The path with `east` hops in row 1 and `south` hops in column n.
+  auto path = [&](int east, int south) {
+    const double comm = east * a1 + (n - 1 - east) * a + south * bn +
+                        (m - 1 - south) * b;
+    return FillTime{work + comm, comm};
+  };
+  FillTime full = path(n - 1, m - 1);
+  if (n > 1 && m > 1) {
+    for (const auto& [east, south] :
+         {std::pair{0, 0}, std::pair{0, m - 2}, std::pair{n - 2, 0},
+          std::pair{n - 2, m - 2}}) {
+      const FillTime t = path(east, south);
+      if (t.total > full.total) full = t;
+    }
+  }
+  const double diag = (m - 1) * (n > 1 ? b : bn);
+  return {{k.wpre + (m - 1) * k.w + diag, diag}, full};
+}
+
 bool has_row_lanes() {
 #if WAVE_AVX512_LANES
   static const bool has = __builtin_cpu_supports("avx512f") &&

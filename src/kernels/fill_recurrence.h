@@ -41,11 +41,17 @@
 //    (min(n, m) < kRowLanesMinRows), where a skewed block has too few rows
 //    to fill a vector and each fill is one long chain of dependent adds.
 //
+// On single-core nodes (cx = cy = 1) neither solver runs the recurrence:
+// fill_closed_form gives its two corners in O(1), and core::Solver and
+// core::BatchEval both call it under closed_form_applies.
+//
 // The kernel sees plain doubles and the two placement-parity bitmaps, so
 // src/kernels/ stays independent of core/. It lives here so the
 // WAVE_NATIVE_SIMD build (see CMakeLists.txt) compiles it with
-// -march=native -ffp-contract=off like the other kernels; it does only
-// adds and compares, which no contraction can touch.
+// -march=native -ffp-contract=off like the other kernels. The recurrence
+// does only adds and compares, which no contraction can touch; the closed
+// form multiplies, and it is one out-of-line function in this TU, so no
+// caller can contract its multiply-adds differently from another.
 //
 // Bit identity: every lane performs the scalar solver's TimeSplit adds in
 // the scalar operand order. Every cell picks its winner on the total with
@@ -146,6 +152,29 @@ struct FillRowLanes {
   std::vector<double> total_ew;  ///< TotalComm of the message into column i
   std::vector<double> send_ew;   ///< Send of the message east of column i
 };
+
+/// True when fill_closed_form gives a fill's corners: single-core nodes
+/// (cx = cy = 1), and the six inputs it reads (w, wpre and the four
+/// off-node costs) finite and >= 0. core::Solver and core::BatchEval both
+/// route through this test, so a point takes the same route on both.
+bool closed_form_applies(const FillCosts& costs, int cx, int cy);
+
+/// @brief StartP(1, m) and StartP(n, m) of (r2) on single-core nodes, in
+///   O(1). Every message is off-node, so a path's length is linear in two
+///   counts: its east hops in row 1 (k) and its south hops in column n
+///   (l). With a1 = TotalComm_ew, a = a1 + Receive_ns, bn = TotalComm_ns
+///   and b = Send_ew + bn, a path takes wpre + (n + m - 2) * w of work and
+///   k * a1 + (n - 1 - k) * a + l * bn + (m - 1 - l) * b of communication.
+///   The path along row 1 and down column n is (n - 1, m - 1); every other
+///   path has k <= n - 2 and l <= m - 2, and each such pair is a path, so
+///   the longest lies at a corner of that box. StartP(n, m) is the longest
+///   of (n - 1, m - 1), (0, 0), (0, m - 2), (n - 2, 0) and (n - 2, m - 2),
+///   the first in that order on a tie. StartP(1, m) is the one path down
+///   column 1, (m - 1) * b of communication (bn when n = 1).
+///   The recurrence sums each path hop by hop, so the two agree within its
+///   rounding, (3 (n + m - 2) + 1) * 2^-53 relative, not bit for bit.
+/// @pre closed_form_applies(costs, 1, 1); the on-chip costs are not read.
+FillCorners fill_closed_form(const FillCosts& costs, int n, int m);
 
 /// @brief Runs (r2) over an n x m grid, on the row lanes when this CPU
 ///   has AVX-512F/VL, n and m are both >= kRowLanesMinRows and every cost

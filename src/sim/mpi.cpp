@@ -27,9 +27,9 @@ struct Mpi::Message {
   bool dma_started = false;    // on-chip large transfer kicked off
   usec send_ready = 0.0;       // sender-side CPU phase completion time
   usec match_time = 0.0;
-
-  Completion sender;    // blocked sender's completion (rendezvous paths)
-  Completion receiver;  // matched, blocked receiver's completion
+  // A rendezvous send completes src's open operation, or this isend
+  // request (send_done); a matched receive completes dst's.
+  Request* request = nullptr;
 };
 
 Mpi::Mpi(Engine& engine, loggp::MachineParams params,
@@ -38,8 +38,7 @@ Mpi::Mpi(Engine& engine, loggp::MachineParams params,
       params_(params),
       protocol_(protocol),
       ranks_(node_of_rank.size()) {
-  static_assert(sizeof(Message) == 88,
-                "the protocol state and two 16-byte completions");
+  static_assert(sizeof(Message) == 64, "a message is one cache line");
   params_.validate();
   WAVE_EXPECTS_MSG(protocol_.rendezvous_sync >= 0,
                    "rendezvous sync must be non-negative");
@@ -107,18 +106,20 @@ void Mpi::start_isend(int src, int dst, int bytes, RequestHandle request) {
   // a rank spends blocked in wait() counts as MPI occupancy. The CPU
   // injection phase completes the isend itself, so the rank resumes and
   // may compute while the protocol continues in the background.
-  post_send(src, dst, bytes, {&ranks_[src], request}, op_done(src));
+  post_send(src, dst, bytes, request);
 }
 
-void Mpi::post_send(int src, int dst, int bytes, Completion done,
-                    Completion cpu_done) {
+Mpi::Completion Mpi::send_done(const Message& msg) {
+  return {&ranks_[msg.src], msg.request};
+}
+
+void Mpi::post_send(int src, int dst, int bytes, Request* request) {
   WAVE_EXPECTS(src >= 0 && src < size() && dst >= 0 && dst < size());
   WAVE_EXPECTS_MSG(src != dst, "self-sends are not modelled");
   WAVE_EXPECTS(bytes >= 0);
 
-  // Dirty acquire + explicit init of every field. A recycled message
-  // still holds its last life's completions, so both are cleared here:
-  // deliver() fires `receiver` whenever it is set.
+  // Dirty acquire + explicit init of every field: a recycled message
+  // still holds its last life's state.
   Message* msg = messages_.acquire_dirty();
   msg->src = src;
   msg->dst = dst;
@@ -134,8 +135,10 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
   msg->dma_started = false;
   msg->send_ready = 0.0;
   msg->match_time = 0.0;
-  msg->sender = Completion();
-  msg->receiver = Completion();
+  msg->request = request;
+  const Completion done = send_done(*msg);
+  // An isend resumes its rank when the CPU injection phase ends.
+  const Completion cpu_done = request != nullptr ? op_done(src) : Completion();
 
   const usec now = engine_.now();
   if (msg->on_chip) {
@@ -155,7 +158,6 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
       // Large on-chip: sender pays o = ocopy + odma (eq. 8a), then the DMA
       // waits for the receive to be posted (shared-memory rendezvous with
       // negligible handshake cost).
-      msg->sender = done;
       msg->send_ready = now + params_.on.o;
       if (cpu_done) complete_at(msg->send_ready, cpu_done);
       // If a receive is already posted, the match at the bottom of this
@@ -174,7 +176,6 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
       schedule_offnode_data(msg, inject_done);
     } else {
       // Rendezvous: request goes out after o; MPI_Send blocks for the ACK.
-      msg->sender = done;
       engine_.at(inject_done + params_.off.L + params_.off.oh, [this, msg] {
         msg->req_arrived = true;
         maybe_ack(msg);
@@ -186,9 +187,8 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
   // otherwise the message waits in the receiver's inbox.
   Rank& receiver = ranks_[dst];
   if (PostedRecv* posted = take_oldest(receiver.posted, src)) {
-    const Completion recv = posted->done;
     posted_recvs_.release(posted);
-    match(msg, recv, now);
+    match(msg, now);
   } else {
     receiver.unmatched.push_back(msg);
   }
@@ -196,32 +196,29 @@ void Mpi::post_send(int src, int dst, int bytes, Completion done,
 
 void Mpi::post_recv(int dst, int src) {
   WAVE_EXPECTS(src >= 0 && src < size() && dst >= 0 && dst < size());
-  // The receive completes dst's open operation, which charges the
-  // post-to-completion span to its MPI occupancy.
   Rank& receiver = ranks_[dst];
   if (Message* msg = take_oldest(receiver.unmatched, src)) {
-    match(msg, op_done(dst), engine_.now());
+    match(msg, engine_.now());
   } else {
     PostedRecv* posted = posted_recvs_.acquire_dirty();
     posted->src = src;
-    posted->done = op_done(dst);
     receiver.posted.push_back(posted);
   }
 }
 
-void Mpi::match(Message* msg, Completion recv, usec time) {
+void Mpi::match(Message* msg, usec time) {
   WAVE_ENSURES(!msg->matched);
   msg->matched = true;
   msg->match_time = time;
-  msg->receiver = recv;
   if (msg->delivered) {
     // Payload already queued at the receiver: pay the receive processing.
-    complete_receive(msg, recv);
+    complete_receive(msg);
     return;
   }
   if (msg->large) {
     if (msg->on_chip) {
-      if (msg->sender) start_onchip_dma(msg);
+      // The send was posted first, so its CPU phase is under way.
+      start_onchip_dma(msg);
     } else {
       maybe_ack(msg);
     }
@@ -240,7 +237,7 @@ void Mpi::maybe_ack(Message* msg) {
     const usec hold = params_.off.o + protocol_.rendezvous_sync;
     FifoResource& nic = nic_[msg->src_node];
     const usec cpu_done = nic.reserve(engine_.now(), hold) + hold;
-    complete_at(cpu_done, msg->sender);
+    complete_at(cpu_done, send_done(*msg));
     schedule_offnode_data(msg, cpu_done);
   });
 }
@@ -269,7 +266,7 @@ void Mpi::start_onchip_dma(Message* msg) {
   const usec start = std::max(msg->send_ready, msg->match_time);
   engine_.at(start, [this, msg] {
     // MPI_Send returns once the DMA is handed off (eq. 8a).
-    complete(msg->sender);
+    complete(send_done(*msg));
     FifoResource& dbus = tx_bus_[msg->src_node];
     const usec hold = static_cast<double>(msg->bytes) * params_.on.Gdma;
     const usec done = dbus.reserve(engine_.now(), hold) + hold;
@@ -280,11 +277,13 @@ void Mpi::start_onchip_dma(Message* msg) {
 void Mpi::deliver(Message* msg) {
   msg->delivered = true;
   ++delivered_;
-  if (!msg->receiver) return;  // receive not yet posted
-  complete_receive(msg, msg->receiver);
+  if (msg->matched) complete_receive(msg);  // else no receive posted yet
 }
 
-void Mpi::complete_receive(Message* msg, Completion recv) {
+void Mpi::complete_receive(Message* msg) {
+  // The receive completes dst's open operation, which charges the
+  // post-to-completion span to its MPI occupancy.
+  const Completion recv = op_done(msg->dst);
   if (msg->on_chip) {
     if (!msg->large) {
       // The receive-side copy shares the memory bus like the send side.

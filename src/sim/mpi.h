@@ -35,7 +35,10 @@
 // still awaits. A rank awaits one operation at a time, so a protocol
 // completion is just {rank record, isend request}: 16 trivially copyable
 // bytes that charge the busy time and count the operation down when they
-// run. Matching works like a real MPI library's: each destination rank's
+// run. Messages and posted receives store none: a receive completes its
+// own rank's operation, and a send its sender's or its isend request, so
+// a message is one 64-byte cache line and a posted receive 16 bytes.
+// Matching works like a real MPI library's: each destination rank's
 // inbox holds an unexpected-message FIFO and a posted-receive FIFO, both
 // intrusive lists. A send takes the oldest posted receive for its source,
 // a receive the oldest unmatched message from its source, so every
@@ -405,13 +408,13 @@ class Mpi {
     Request* request = nullptr;
     explicit operator bool() const { return rank != nullptr; }
   };
-  /// A receive posted before its message arrived.
+  /// A receive posted before its message arrived. Only post_recv posts
+  /// one, so its completion is always op_done(dst) of the inbox it is in.
   struct PostedRecv {
     int src = -1;
     PostedRecv* next = nullptr;
-    Completion done;
   };
-  static_assert(sizeof(PostedRecv) == 32);
+  static_assert(sizeof(PostedRecv) == 16);
 
   /// Opens `rank`'s next operation: `h` resumes once `completions`
   /// completions of it have run.
@@ -442,25 +445,28 @@ class Mpi {
   }
 
   void start_send(int src, int dst, int bytes) {
-    post_send(src, dst, bytes, op_done(src), Completion());
+    post_send(src, dst, bytes, nullptr);
   }
   void start_isend(int src, int dst, int bytes, RequestHandle request);
   /// Posts both halves of one sendrecv with `peer`.
   void start_exchange(int self, int peer, int bytes) {
     post_recv(self, peer);
-    post_send(self, peer, bytes, op_done(self), Completion());
+    post_send(self, peer, bytes, nullptr);
   }
-  /// Posts a send whose protocol completion is `done`; a nonempty
-  /// `cpu_done` also runs when the sender's CPU injection phase ends.
-  void post_send(int src, int dst, int bytes, Completion done,
-                 Completion cpu_done);
+  /// Posts a send. Its protocol completion completes src's open operation
+  /// or, for an isend, `request`; an isend's CPU injection phase then
+  /// completes src's open operation.
+  void post_send(int src, int dst, int bytes, Request* request);
   void post_recv(int dst, int src);
-  void match(Message* msg, Completion recv, usec time);
+  void match(Message* msg, usec time);
   void maybe_ack(Message* msg);
   void schedule_offnode_data(Message* msg, usec departure_ready);
   void start_onchip_dma(Message* msg);
   void deliver(Message* msg);
-  void complete_receive(Message* msg, Completion recv);
+  void complete_receive(Message* msg);
+  /// The completion of `msg`'s rendezvous send (op_done(src), or its isend
+  /// request's).
+  Completion send_done(const Message& msg);
   usec recv_overhead(const Message& msg) const;
   usec interference(int bytes) const;
   /// Unlinks and returns the oldest node from `src`, or nullptr.

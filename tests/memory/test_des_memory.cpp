@@ -26,7 +26,7 @@ using wave::testing::g_peak;
 // holds a coroutine frame, its share of the task slab and the message and
 // posted-receive pools, the pending-event buckets and the per-rank fabric
 // state (docs/PERFORMANCE.md, "DES memory per rank").
-constexpr double kMaxBytesPerRank = 820.0;
+constexpr double kMaxBytesPerRank = 779.0;
 
 TEST(DesMemory, PaperScaleWavefrontPeakBytesPerRank) {
   wb::Sweep3dConfig cfg;

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -42,6 +43,7 @@
 
 namespace wc = wave::core;
 namespace wb = wave::core::benchmarks;
+namespace wk = wave::kernels;
 namespace wr = wave::runner;
 
 #ifndef WAVE_MACHINES_DIR
@@ -90,6 +92,24 @@ void expect_identical(const wc::ModelResult& a, const wc::ModelResult& b,
   EXPECT_EQ(a.energy_groups, b.energy_groups) << what;
   EXPECT_TRUE(split_equal(a.timestep_split(), b.timestep_split()))
       << what << " (timestep)";
+}
+
+/// A placement-parity bitmap as BatchEval builds it: [k] for 2 <= k <=
+/// count says whether k-1 and k fall on one `tile`-wide node.
+std::vector<std::uint8_t> parity(int count, int tile) {
+  std::vector<std::uint8_t> pair(static_cast<std::size_t>(count) + 1, 0);
+  for (int k = 2; k <= count; ++k) pair[k] = (k - 2) / tile == (k - 1) / tile;
+  return pair;
+}
+
+/// StartP(1, m) and StartP(n, m) from the recurrence itself (the packed
+/// lanes, which run on every CPU) on cx x cy nodes.
+wk::FillCorners recurrence_corners(const wk::FillCosts& costs, int n, int m,
+                                   int cx, int cy) {
+  const std::vector<std::uint8_t> col = parity(n, cx), row = parity(m, cy);
+  std::vector<wk::FillTime> out(static_cast<std::size_t>(n) + 1);
+  wk::fill_packed_lanes(costs, col.data(), row.data(), n, m, out.data());
+  return {out[1], out[n]};
 }
 
 /// Runs every analytic point of `grid` through both paths and compares.
@@ -289,15 +309,20 @@ TEST(BatchSolver, RandomDrawsMatchScalar) {
 
 namespace {
 
-/// LogGP with every per-message cost moved by `shift` us, or made NaN on
-/// chip: costs no validated machine yields. Below zero a candidate can
-/// lose to the recurrence's -1.0 sentinel, and a NaN loses every compare,
-/// so the kernel's compares must match the scalar solver's exactly.
+/// LogGP with every per-message cost moved by `shift` us, or made NaN at
+/// one placement: costs no validated machine yields. Below zero a
+/// candidate can lose to the recurrence's -1.0 sentinel, and a NaN loses
+/// every compare, so the kernel's compares must match the scalar solver's
+/// exactly.
 class OffsetLogGp : public wave::loggp::CommModel {
  public:
   OffsetLogGp(const wave::loggp::MachineParams& p, double shift,
-              bool nan_on_chip)
-      : CommModel(p), base_(p), shift_(shift), nan_on_chip_(nan_on_chip) {}
+              bool nan_on_chip, bool nan_off_node)
+      : CommModel(p),
+        base_(p),
+        shift_(shift),
+        nan_on_chip_(nan_on_chip),
+        nan_off_node_(nan_off_node) {}
   const std::string& name() const override { return name_; }
   double total(int bytes, wave::loggp::Placement where) const override {
     return offset(base_.total(bytes, where), where);
@@ -311,7 +336,8 @@ class OffsetLogGp : public wave::loggp::CommModel {
 
  private:
   double offset(double t, wave::loggp::Placement where) const {
-    if (nan_on_chip_ && where == wave::loggp::Placement::OnChip)
+    if (where == wave::loggp::Placement::OnChip ? nan_on_chip_
+                                                : nan_off_node_)
       return std::numeric_limits<double>::quiet_NaN();
     return t + shift_;
   }
@@ -320,6 +346,7 @@ class OffsetLogGp : public wave::loggp::CommModel {
   wave::loggp::LogGpModel base_;
   double shift_;
   bool nan_on_chip_;
+  bool nan_off_node_;
 };
 
 }  // namespace
@@ -327,21 +354,29 @@ class OffsetLogGp : public wave::loggp::CommModel {
 TEST(BatchSolver, NegativeAndNanCostsMatchScalar) {
   // Non-negative costs always beat the -1.0 sentinel. These backends do
   // not, and the kernel must still reproduce the scalar solver bit for bit.
+  // On single-core nodes both paths also take the same route: the closed
+  // form when the six off-node inputs are finite and >= 0 (the on-chip
+  // costs, never used there, may be NaN), the recurrence otherwise.
   wave::loggp::CommModelRegistry registry;
-  for (const auto& [name, shift, nan] :
-       {std::tuple{"minus-5us", -5.0, false},
-        std::tuple{"minus-1ms", -1000.0, false},
-        std::tuple{"nan-on-chip", 0.0, true}}) {
+  for (const auto& [name, shift, nan_on_chip, nan_off_node] :
+       {std::tuple{"minus-5us", -5.0, false, false},
+        std::tuple{"minus-1ms", -1000.0, false, false},
+        std::tuple{"nan-on-chip", 0.0, true, false},
+        std::tuple{"nan-off-node", 0.0, false, true}}) {
     registry.add(name, "test backend",
-                 [shift, nan](const wave::loggp::MachineParams& p,
-                              const wave::loggp::CommModelOptions&) {
-                   return std::make_unique<OffsetLogGp>(p, shift, nan);
+                 [shift, nan_on_chip, nan_off_node](
+                     const wave::loggp::MachineParams& p,
+                     const wave::loggp::CommModelOptions&) {
+                   return std::make_unique<OffsetLogGp>(p, shift, nan_on_chip,
+                                                        nan_off_node);
                  });
   }
   wc::BatchEval plan(registry);
   wc::BatchScratch scratch;
   wc::ModelResult batch;
-  for (const char* backend : {"minus-5us", "minus-1ms", "nan-on-chip"}) {
+  std::map<std::string, int> closed_forms;  // per backend, on 1x1 nodes
+  for (const char* backend :
+       {"minus-5us", "minus-1ms", "nan-on-chip", "nan-off-node"}) {
     for (const auto& [cx, cy] :
          {std::pair{1, 1}, std::pair{2, 1}, std::pair{2, 2}}) {
       wc::MachineConfig machine = wc::MachineConfig::xt4_dual_core();
@@ -352,21 +387,46 @@ TEST(BatchSolver, NegativeAndNanCostsMatchScalar) {
         for (const wave::topo::Grid grid :
              {wave::topo::Grid(1, 9), wave::topo::Grid(9, 1),
               wave::topo::Grid(7, 8), wave::topo::Grid(40, 17)}) {
+          const std::string what =
+              std::string(backend) + " grid " + std::to_string(grid.n()) +
+              "x" + std::to_string(grid.m()) + " on " + std::to_string(cx) +
+              "x" + std::to_string(cy) + " nodes";
           const wc::ModelResult scalar =
               wc::Solver(app, machine, registry).evaluate(grid);
-          plan.evaluate_point(
-              {plan.add_app(app), plan.add_machine(machine), grid}, scratch,
-              batch);
-          expect_identical(scalar, batch,
-                           std::string(backend) + " grid " +
-                               std::to_string(grid.n()) + "x" +
-                               std::to_string(grid.m()) + " on " +
-                               std::to_string(cx) + "x" + std::to_string(cy) +
-                               " nodes");
+          const wc::BatchPoint point{plan.add_app(app),
+                                     plan.add_machine(machine), grid};
+          plan.evaluate_point(point, scratch, batch);
+          expect_identical(scalar, batch, what);
+
+          // The result each route gives, from its kernel called directly.
+          const wave::loggp::CommModel& comm = plan.comm(point.machine);
+          wc::ModelResult want = wc::evaluate_r1(app, grid);
+          const wk::FillCosts k = wc::fill_costs(app, machine, comm, want);
+          const double off_node[] = {k.w,          k.wpre,
+                                     k.total_ew[0], k.recv_ns[0],
+                                     k.send_ew[0],  k.total_ns[0]};
+          const bool closed =
+              cx == 1 && cy == 1 &&
+              std::all_of(std::begin(off_node), std::end(off_node),
+                          [](double c) { return std::isfinite(c) && c >= 0; });
+          const wk::FillCorners fill =
+              closed ? wk::fill_closed_form(k, grid.n(), grid.m())
+                     : recurrence_corners(k, grid.n(), grid.m(), cx, cy);
+          wc::evaluate_r3_r5(app, machine, comm,
+                             {fill.diag.total, fill.diag.comm},
+                             {fill.full.total, fill.full.comm}, want);
+          expect_identical(want, scalar,
+                           what + (closed ? " (closed form)" : " (recurrence)"));
+          closed_forms[backend] += closed;
         }
       }
     }
   }
+  // Every 1x1 point of the NaN-on-chip backend takes the closed form; no
+  // point of the NaN-off-node or the -1 ms backend does.
+  EXPECT_EQ(closed_forms["nan-on-chip"], 8);
+  EXPECT_EQ(closed_forms["nan-off-node"], 0);
+  EXPECT_EQ(closed_forms["minus-1ms"], 0);
 }
 
 namespace {
@@ -453,16 +513,6 @@ TEST(BatchSolver, ExtremeCostsMatchScalarOnRowLaneGrids) {
 // ---- the two fill schedules, run directly -------------------------------
 
 namespace {
-
-namespace wk = wave::kernels;
-
-/// A placement-parity bitmap as BatchEval builds it: [k] for 2 <= k <=
-/// count says whether k-1 and k fall on one `tile`-wide node.
-std::vector<std::uint8_t> parity(int count, int tile) {
-  std::vector<std::uint8_t> pair(static_cast<std::size_t>(count) + 1, 0);
-  for (int k = 2; k <= count; ++k) pair[k] = (k - 2) / tile == (k - 1) / tile;
-  return pair;
-}
 
 /// Seeded fill costs >= 0. Tie-heavy draws take every cost from {0, 1, 2},
 /// so whole families of paths tie; some draws hold a -0.0, +inf or DBL_MAX.
@@ -905,17 +955,21 @@ double best_staircase(const wave::kernels::FillCosts& k, int cx, int cy,
   return static_cast<double>(k.wpre + best);
 }
 
-/// The kernel's StartP(n, m).total for `point` (t_fullfill without sync
-/// terms) and the staircase oracle's.
+/// The recurrence's StartP(n, m).total for `point` and the staircase
+/// oracle's. The recurrence kernel is called directly: BatchEval takes the
+/// closed form on 1x1 nodes, and the oracle checks the recurrence there.
 std::pair<double, double> full_fill_and_staircase(const wc::BatchEval& plan,
                                                   const wc::BatchPoint& point,
-                                                  wc::BatchScratch& scratch) {
-  wc::ModelResult res;
-  plan.evaluate_point(point, scratch, res);
+                                                  wk::FillRowLanes& lanes) {
+  const wk::FillCosts costs = fill_costs(
+      plan, point, wc::evaluate_r1(plan.app(point.app), point.grid));
   const wc::MachineConfig& mc = plan.machine(point.machine);
-  return {res.t_fullfill.total,
-          best_staircase(fill_costs(plan, point, res), mc.cx, mc.cy,
-                         point.grid.n(), point.grid.m())};
+  const int n = point.grid.n(), m = point.grid.m();
+  const std::vector<std::uint8_t> col = parity(n, mc.cx), row = parity(m, mc.cy);
+  std::vector<wk::FillTime> start(static_cast<std::size_t>(n) + 1);
+  wk::fill_recurrence(costs, col.data(), row.data(), n, m, lanes,
+                      start.data());
+  return {start[n].total, best_staircase(costs, mc.cx, mc.cy, n, m)};
 }
 
 /// 1e-12 relative, or the recurrence's own rounding bound when that is
@@ -944,7 +998,7 @@ TEST(FillStaircase, MatchesStartPOnSeededDrawsOfOneWideNodes) {
         rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
   };
   wc::BatchEval plan(kCtx.comm_model_registry());
-  wc::BatchScratch scratch;
+  wk::FillRowLanes lanes;
   for (int d = 0; d < 2000; ++d) {
     wc::AppParams app = apps[pick(std::size(apps))];
     app.nonblocking_sends = rng.uniform_int(0, 1) != 0;
@@ -955,7 +1009,7 @@ TEST(FillStaircase, MatchesStartPOnSeededDrawsOfOneWideNodes) {
     const wave::topo::Grid grid(static_cast<int>(rng.uniform_int(1, 40)),
                                 static_cast<int>(rng.uniform_int(1, 40)));
     const auto [kernel, oracle] = full_fill_and_staircase(
-        plan, {plan.add_app(app), plan.add_machine(machine), grid}, scratch);
+        plan, {plan.add_app(app), plan.add_machine(machine), grid}, lanes);
     ASSERT_TRUE(close_to(kernel, oracle, grid))
         << "draw " << d << ": " << app.name << " " << grid.n() << "x"
         << grid.m() << " on " << machine.cx << "x" << machine.cy << " "
@@ -966,7 +1020,7 @@ TEST(FillStaircase, MatchesStartPOnSeededDrawsOfOneWideNodes) {
 
 TEST(FillStaircase, MatchesStartPOnShippedOneWideMachinesUpToP65536) {
   wc::BatchEval plan(kCtx.comm_model_registry());
-  wc::BatchScratch scratch;
+  wk::FillRowLanes lanes;
   int checked = 0;
   for (wc::MachineConfig machine : {wc::MachineConfig::xt4_single_core(),
                                     wc::MachineConfig::xt4_dual_core(),
@@ -982,7 +1036,7 @@ TEST(FillStaircase, MatchesStartPOnShippedOneWideMachinesUpToP65536) {
         for (const wave::topo::Grid grid :
              {square, wave::topo::Grid(square.m(), square.n())}) {
           const auto [kernel, oracle] =
-              full_fill_and_staircase(plan, {aid, mid, grid}, scratch);
+              full_fill_and_staircase(plan, {aid, mid, grid}, lanes);
           EXPECT_TRUE(close_to(kernel, oracle, grid))
               << app.name << " P = " << p << " (" << grid.n() << "x"
               << grid.m() << ") on " << machine.name << ": kernel " << kernel
@@ -993,6 +1047,148 @@ TEST(FillStaircase, MatchesStartPOnShippedOneWideMachinesUpToP65536) {
     }
   }
   EXPECT_EQ(checked, 3 * 3 * 11 * 2);
+}
+
+// ---- the closed-form fill on single-core nodes -------------------------
+
+namespace {
+
+/// Both corners of the closed form against the recurrence's (the packed
+/// lanes on all-off-node bitmaps): totals and comm shares, within the
+/// recurrence's own rounding (close_to).
+::testing::AssertionResult closed_form_matches(const wk::FillCosts& k, int n,
+                                               int m) {
+  const wk::FillCorners closed = wk::fill_closed_form(k, n, m);
+  const wk::FillCorners recurrence = recurrence_corners(k, n, m, 1, 1);
+  const std::pair<const char*, std::pair<double, double>> values[] = {
+      {"diagonal total", {closed.diag.total, recurrence.diag.total}},
+      {"diagonal comm", {closed.diag.comm, recurrence.diag.comm}},
+      {"full total", {closed.full.total, recurrence.full.total}},
+      {"full comm", {closed.full.comm, recurrence.full.comm}}};
+  for (const auto& [what, v] : values)
+    if (!close_to(v.first, v.second, wave::topo::Grid(n, m)))
+      return ::testing::AssertionFailure()
+             << what << " on " << n << "x" << m << ": closed form "
+             << v.first << ", recurrence " << v.second;
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(FillClosedForm, MatchesTheRecurrenceOnSeededDraws) {
+  // Grids up to 300 x 300, a third of them 1 x P or P x 1 lines, on the
+  // single-core machines' costs under every backend, with blocking and
+  // non-blocking sends. A quarter of the draws take every cost from
+  // {0, 1, 2}, so whole families of paths tie exactly; another quarter
+  // zero the Receive or the Send, so a row-1 hop costs what any east hop
+  // does (or a column-n hop what any south hop does).
+  wave::common::Rng rng(34);
+  const wc::MachineConfig bases[] = {wc::MachineConfig::xt4_single_core(),
+                                     wc::MachineConfig::sp2_single_core()};
+  const wc::AppParams apps[] = {wb::lu(), wb::sweep3d_20m(), wb::chimaera()};
+  const char* backends[] = {"loggp", "loggps", "contention"};
+  auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  wc::BatchEval plan(kCtx.comm_model_registry());
+  constexpr int kDraws = 2400;
+  int lines = 0, tied = 0, nonblocking = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    wc::AppParams app = apps[pick(std::size(apps))];
+    app.nonblocking_sends = rng.uniform_int(0, 1) != 0;
+    wc::MachineConfig machine = bases[pick(std::size(bases))];
+    machine.comm_model = backends[pick(std::size(backends))];
+    int n = static_cast<int>(rng.uniform_int(1, 300));
+    int m = static_cast<int>(rng.uniform_int(1, 300));
+    switch (rng.uniform_int(0, 5)) {
+      case 0: n = 1; break;
+      case 1: m = 1; break;
+      default: break;
+    }
+    const wc::BatchPoint point{plan.add_app(app), plan.add_machine(machine),
+                               wave::topo::Grid(n, m)};
+    wk::FillCosts k =
+        fill_costs(plan, point, wc::evaluate_r1(app, point.grid));
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        for (double* c : {&k.w, &k.wpre, &k.total_ew[0], &k.recv_ns[0],
+                          &k.send_ew[0], &k.total_ns[0]})
+          *c = static_cast<double>(rng.uniform_int(0, 2));
+        ++tied;
+        break;
+      case 1:
+        (rng.uniform_int(0, 1) == 0 ? k.recv_ns[0] : k.send_ew[0]) = 0.0;
+        ++tied;
+        break;
+      default: break;
+    }
+    lines += n == 1 || m == 1;
+    nonblocking += app.nonblocking_sends;
+    ASSERT_TRUE(wk::closed_form_applies(k, 1, 1)) << "draw " << d;
+    ASSERT_TRUE(closed_form_matches(k, n, m))
+        << "draw " << d << ": " << app.name << " on " << machine.name << "/"
+        << machine.comm_model << ", nonblocking " << app.nonblocking_sends;
+  }
+  EXPECT_GT(lines, kDraws / 5);
+  EXPECT_GT(tied, kDraws / 3);
+  EXPECT_GT(nonblocking, kDraws / 3);
+}
+
+TEST(FillClosedForm, IsTheRouteOfShippedSingleCoreMachinesUpToP65536) {
+  // The shipped single-core machines under every backend: the closed form
+  // agrees with the recurrence, and the scalar Solver and BatchEval both
+  // return its corners bit for bit (synchronization terms off, so
+  // t_diagfill and t_fullfill are the corners themselves).
+  wave::Context shipped;
+  ASSERT_TRUE(shipped.add_machine_dir(WAVE_MACHINES_DIR).is_ok());
+  const wave::loggp::CommModelRegistry& registry =
+      shipped.comm_model_registry();
+  wc::BatchEval plan(registry);
+  wc::BatchScratch scratch;
+  wc::ModelResult batch;
+  int checked = 0;
+  for (const char* name : {"xt4-single", "sp2"}) {
+    for (const char* backend : {"loggp", "loggps", "contention"}) {
+      wc::MachineConfig machine = shipped.resolve_machine(name);
+      ASSERT_EQ(machine.cx * machine.cy, 1) << name;
+      machine.comm_model = backend;
+      machine.synchronization_terms = false;
+      const std::uint32_t mid = plan.add_machine(machine);
+      for (const wc::AppParams& app :
+           {wb::lu(), wb::sweep3d_20m(), wb::chimaera()}) {
+        const std::uint32_t aid = plan.add_app(app);
+        for (const int p : {1, 2, 17, 64, 1024, 65521, 65536}) {
+          const wave::topo::Grid square = wave::topo::closest_to_square(p);
+          for (const wave::topo::Grid grid :
+               {square, wave::topo::Grid(square.m(), square.n())}) {
+            const std::string what = app.name + " P = " + std::to_string(p) +
+                                     " (" + std::to_string(grid.n()) + "x" +
+                                     std::to_string(grid.m()) + ") on " +
+                                     name + "/" + backend;
+            const wk::FillCosts k = fill_costs(
+                plan, {aid, mid, grid}, wc::evaluate_r1(app, grid));
+            EXPECT_TRUE(closed_form_matches(k, grid.n(), grid.m())) << what;
+            const wk::FillCorners closed =
+                wk::fill_closed_form(k, grid.n(), grid.m());
+            const wc::ModelResult scalar =
+                wc::Solver(app, machine, registry).evaluate(grid);
+            plan.evaluate_point({aid, mid, grid}, scratch, batch);
+            for (const wc::ModelResult* r : {&scalar, &std::as_const(batch)}) {
+              EXPECT_TRUE(split_equal(r->t_diagfill,
+                                      {closed.diag.total, closed.diag.comm}))
+                  << what;
+              EXPECT_TRUE(split_equal(r->t_fullfill,
+                                      {closed.full.total, closed.full.comm}))
+                  << what;
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * 3 * 3 * 7 * 2);
 }
 
 namespace {

@@ -15,6 +15,12 @@
 // protocol fix), regenerate the fixtures by running the sweeps through
 // runner::write_csv and committing the new files — with the change called
 // out in review, never silently.
+//
+// One such re-pin: the model columns of the single-core machines (XT4
+// single, sp2) come from the closed-form r2 fill
+// (kernels::fill_closed_form), which sums each path in a different order
+// from the recurrence. Those columns moved by at most 8 ulp (1.1e-15
+// relative); every simulated column and every multi-core row is unchanged.
 #include <gtest/gtest.h>
 
 #include <fstream>
