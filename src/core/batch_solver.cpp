@@ -57,9 +57,10 @@ BatchScratch::FillKey BatchEval::fill_input(const BatchPoint& point,
 
 kernels::FillCorners BatchEval::run_fill(const BatchScratch::FillKey& key,
                                          BatchScratch& scratch) {
-  // Single-core nodes take the closed form, as Solver::evaluate does.
+  // Single-core and 2-D nodes skip the recurrence, as Solver::evaluate does.
   if (kernels::closed_form_applies(key.fill.costs, key.fill.cx, key.fill.cy))
-    return kernels::fill_closed_form(key.fill.costs, key.n, key.m);
+    return kernels::fill_without_recurrence(key.fill.costs, key.fill.cx,
+                                            key.fill.cy, key.n, key.m);
 
   // Placement parity — all of topology/node_map.h reduced to two bitmaps.
   // Within one row, columns i-1 and i share a node iff they fall in the
@@ -96,9 +97,10 @@ void BatchEval::run_fills(BatchScratch& scratch) {
   scratch.corners_.resize(keys.size());
   // A thin grid's fill is one long chain of dependent adds, and the fills
   // of a group are independent: with AVX-512 they run side by side, one
-  // per vector lane (kernels/fill_recurrence.h). Fills on single-core
-  // nodes never join them: run_fill gives their O(1) closed form. Every
-  // other fill runs its recurrence there, one at a time.
+  // per vector lane (kernels/fill_recurrence.h). Fills that
+  // closed_form_applies admits never join them: run_fill gives their
+  // corners without the recurrence. Every other fill runs its recurrence
+  // there, one at a time.
   const bool lanes = kernels::has_row_lanes();
   scratch.thin_.clear();
   for (std::uint32_t k = 0; k < keys.size(); ++k) {

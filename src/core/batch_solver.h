@@ -3,8 +3,9 @@
 //
 // Every term of the model but the r2 fill is core/solver.h's shared code:
 // evaluate_r1 before the fill, evaluate_r3_r5 after it, send_cost for the
-// message costs (fill_costs), and on single-core nodes the r2 fill as
-// well (kernels::fill_closed_form). Elsewhere Solver::evaluate stays the
+// message costs (fill_costs), and on single-core and 2-D nodes the r2
+// fill as well (kernels::fill_without_recurrence: the closed form, or the
+// candidate-column DP). Elsewhere Solver::evaluate stays the
 // readable reference for r2 itself: a row-major loop making a virtual
 // call into the comm backend at each point of use. That costs ~4 virtual
 // dispatches plus two node-map integer divisions per cell of the O(n*m)
@@ -21,13 +22,16 @@
 //  * apps are validated once per *unique app* via add_app();
 //  * per-point on single-core nodes, r2 is the O(1) closed form
 //    (kernels::fill_closed_form): every message is off-node;
-//  * per-point elsewhere, the r2 recurrence runs over a table of eight
-//    pre-evaluated costs — {TotalComm, Receive, Send} x {east-west,
-//    north-south} x {on-chip, off-node} — indexed by two precomputed
-//    placement-parity bitmaps, because on a cx x cy node rectangle the
-//    east/west placement of a message depends only on which column pair
-//    it crosses and the north/south placement only on which row pair
-//    (topology/node_map.h). The bitmaps are built with a wrapping counter,
+//  * per-point on 2-D nodes (cx, cy >= 2), r2 is a DP over rows on at
+//    most 2 cx + 2 candidate columns (kernels::fill_candidate_columns),
+//    O(m * cx): some longest path turns only near the grid's edges;
+//  * per-point on 1 x P and P x 1 nodes, the r2 recurrence runs over a
+//    table of eight pre-evaluated costs — {TotalComm, Receive, Send} x
+//    {east-west, north-south} x {on-chip, off-node} — indexed by two
+//    precomputed placement-parity bitmaps, because on a cx x cy node
+//    rectangle the east/west placement of a message depends only on
+//    which column pair it crosses and the north/south placement only on
+//    which row pair (topology/node_map.h). The bitmaps are built with a wrapping counter,
 //    not a division per column, and only when n, m, cx or cy changes;
 //  * the recurrence itself runs as a wavefront (src/kernels/
 //    fill_recurrence.h): row 1 is one register-held chain, rows 2..m go
@@ -55,9 +59,10 @@
 //
 // Correctness contract: results are BYTE-identical to Solver::evaluate on
 // every point. The r1 and r3-r5 terms are the same code, and so are the
-// fill's costs (fill_costs). On single-core nodes with finite, >= 0
-// off-node costs (kernels::closed_form_applies) both solvers take r2 from
-// the same out-of-line closed form, kernels::fill_closed_form, compiled
+// fill's costs (fill_costs). Where kernels::closed_form_applies admits a
+// fill (single-core nodes with finite, >= 0 off-node costs; 2-D nodes
+// with all ten costs so) both solvers take r2 from the same out-of-line
+// kernel function, the closed form or the candidate columns, compiled
 // once in the kernel TU. Elsewhere the plan only pre-evaluates the exact
 // double values the scalar loop's virtual calls would return and replays
 // them in the scalar loop's exact TimeSplit operation order; no term is

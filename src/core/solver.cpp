@@ -211,11 +211,12 @@ ModelResult Solver::evaluate(const topo::Grid& grid) const {
   const int m = grid.m();
   ModelResult res = evaluate_r1(app_, grid);
 
-  // (r2) on single-core nodes: every message is off-node, and the fill's
-  // two corners have a closed form (kernels/fill_recurrence.h).
+  // (r2) on single-core and 2-D nodes: the fill's two corners come from
+  // its longest paths without the recurrence (kernels/fill_recurrence.h).
   const kernels::FillCosts costs = fill_costs(app_, machine_, *comm_, res);
   if (kernels::closed_form_applies(costs, machine_.cx, machine_.cy)) {
-    const kernels::FillCorners fill = kernels::fill_closed_form(costs, n, m);
+    const kernels::FillCorners fill = kernels::fill_without_recurrence(
+        costs, machine_.cx, machine_.cy, n, m);
     evaluate_r3_r5(app_, machine_, *comm_,
                    TimeSplit{fill.diag.total, fill.diag.comm},
                    TimeSplit{fill.full.total, fill.full.comm}, res);

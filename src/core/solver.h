@@ -84,14 +84,17 @@ struct ModelResult {
   int energy_groups = 1;
 };
 
-// The model's terms around r2. On single-core nodes (cx = cy = 1) every
-// message is off-node, and Solver::evaluate and BatchEval (batch_solver.h)
-// both take the fill from one O(1) closed form (kernels::fill_closed_form,
-// under kernels::closed_form_applies). On other nodes Solver::evaluate
-// runs the r2 fill as a readable row-major loop and BatchEval as a
-// wavefront kernel. Both wrap it in these functions, so every other term
-// has one copy. The batch fast path calls them per point: keep them free
-// of allocation and virtual calls beyond the backend's own.
+// The model's terms around r2. On single-core nodes (cx = cy = 1) and on
+// 2-D nodes (cx, cy >= 2) Solver::evaluate and BatchEval (batch_solver.h)
+// both take the fill's corners from one kernel function without the
+// recurrence (kernels::fill_without_recurrence, under
+// kernels::closed_form_applies): an O(1) closed form on single-core
+// nodes, a DP on at most 2 cx + 2 candidate columns, O(m * cx), on 2-D
+// ones. On 1 x P and P x 1 nodes Solver::evaluate runs the r2 fill as a
+// readable row-major loop and BatchEval as a wavefront kernel. Both wrap
+// it in these functions, so every other term has one copy. The batch
+// fast path calls them per point: keep them free of allocation and
+// virtual calls beyond the backend's own.
 
 /// @brief (r1a)/(r1b), the two message sizes and the result's bookkeeping
 ///   for `grid`: a fresh result holding everything the model derives

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cfloat>
+#include <cmath>
 #include <iterator>
 #include <utility>
 
@@ -601,6 +602,11 @@ void fill_packed_lanes(const FillCosts& costs, const std::uint8_t* col_pair,
 }
 
 bool closed_form_applies(const FillCosts& k, int cx, int cy) {
+  // 1 x 2 nodes (xt4-dual) stay on the recurrence until its pinned model
+  // values may move (ROADMAP item 1(a)); fill_candidate_columns is exact
+  // for them too.
+  if (cx >= 2 && cy >= 2)
+    return cx <= kCandidateMaxCx && all_costs(k, finite_non_negative);
   const double off_node[] = {k.w,          k.wpre,        k.total_ew[0],
                              k.recv_ns[0], k.send_ew[0], k.total_ns[0]};
   return cx == 1 && cy == 1 &&
@@ -631,6 +637,46 @@ FillCorners fill_closed_form(const FillCosts& k, int n, int m) {
   }
   const double diag = (m - 1) * (n > 1 ? b : bn);
   return {{k.wpre + (m - 1) * k.w + diag, diag}, full};
+}
+
+FillCorners fill_candidate_columns(const FillCosts& k, int cx, int cy, int n,
+                                   int m) {
+  // Costs every path pays: the work of its n + m - 2 hops, one TotalComm
+  // per column boundary and one per row boundary, off-node where the
+  // boundary is a node's edge.
+  const int ew_off = (n - 1) / cx, ns_off = (m - 1) / cy;
+  const double ew = ew_off * k.total_ew[0] + (n - 1 - ew_off) * k.total_ew[1];
+  const double ns = ns_off * k.total_ns[0] + (m - 1 - ns_off) * k.total_ns[1];
+  // The route's own costs: f(j) per east hop in row j, the north message's
+  // Receive; g(i) per south hop in column i, the Send east before it.
+  auto f = [&](int j) { return j == 1 ? 0.0 : k.recv_ns[(j - 1) % cy != 0]; };
+  auto g = [&](int i) { return i == n ? 0.0 : k.send_ew[i % cx != 0]; };
+
+  // Candidate columns, ascending: 1..cx+1 and n-cx..n.
+  int col[2 * kCandidateMaxCx + 2];
+  int cols = 0;
+  for (int x = 1; x <= n; ++x) {
+    if (x == cx + 2 && n - cx > x) x = n - cx;
+    col[cols++] = x;
+  }
+  // u[c]: the longest route to column col[c] of the current row, just
+  // after its south hop into that row; only column 1 starts row 1.
+  double u[2 * kCandidateMaxCx + 2];
+  u[0] = 0.0;
+  std::fill(u + 1, u + cols, -HUGE_VAL);
+  double run = 0.0;  // ends at column n of row m
+  for (int j = 1; j <= m; ++j) {
+    const double east = f(j);
+    run = u[0];
+    for (int c = 0; c < cols; ++c) {
+      if (c > 0) run = std::max(run + east * (col[c] - col[c - 1]), u[c]);
+      u[c] = run + g(col[c]);
+    }
+  }
+  const double full = ew + ns + run;
+  const double diag = (m - 1) * g(1) + ns;
+  return {{k.wpre + (m - 1) * k.w + diag, diag},
+          {k.wpre + (n + m - 2) * k.w + full, full}};
 }
 
 bool has_row_lanes() {

@@ -41,17 +41,21 @@
 //    (min(n, m) < kRowLanesMinRows), where a skewed block has too few rows
 //    to fill a vector and each fill is one long chain of dependent adds.
 //
-// On single-core nodes (cx = cy = 1) neither solver runs the recurrence:
-// fill_closed_form gives its two corners in O(1), and core::Solver and
-// core::BatchEval both call it under closed_form_applies.
+// Neither solver runs the recurrence on single-core nodes (cx = cy = 1),
+// where fill_closed_form gives its two corners in O(1), nor on 2-D nodes
+// (cx, cy >= 2), where fill_candidate_columns gives them in O(m * cx).
+// core::Solver and core::BatchEval both call fill_without_recurrence under
+// closed_form_applies. Only 1 x P and P x 1 nodes (xt4-dual) and costs
+// outside that test (negative, NaN, infinite) still run a schedule below.
 //
 // The kernel sees plain doubles and the two placement-parity bitmaps, so
 // src/kernels/ stays independent of core/. It lives here so the
 // WAVE_NATIVE_SIMD build (see CMakeLists.txt) compiles it with
 // -march=native -ffp-contract=off like the other kernels. The recurrence
 // does only adds and compares, which no contraction can touch; the closed
-// form multiplies, and it is one out-of-line function in this TU, so no
-// caller can contract its multiply-adds differently from another.
+// form and the candidate columns multiply, and each is one out-of-line
+// function in this TU, so no caller can contract its multiply-adds
+// differently from another.
 //
 // Bit identity: every lane performs the scalar solver's TimeSplit adds in
 // the scalar operand order. Every cell picks its winner on the total with
@@ -153,10 +157,17 @@ struct FillRowLanes {
   std::vector<double> send_ew;   ///< Send of the message east of column i
 };
 
-/// True when fill_closed_form gives a fill's corners: single-core nodes
-/// (cx = cy = 1), and the six inputs it reads (w, wpre and the four
-/// off-node costs) finite and >= 0. core::Solver and core::BatchEval both
-/// route through this test, so a point takes the same route on both.
+/// The widest node fill_candidate_columns takes: its column set lives on
+/// the stack, 2 * kCandidateMaxCx + 2 entries.
+inline constexpr int kCandidateMaxCx = 64;
+
+/// True when a fill's corners come without the recurrence
+/// (fill_without_recurrence): single-core nodes (cx = cy = 1) whose six
+/// off-node inputs (w, wpre and the four off-node costs) are finite and
+/// >= 0, or 2-D nodes (cx, cy >= 2, cx <= kCandidateMaxCx) whose ten
+/// inputs are. core::Solver and core::BatchEval both route through this
+/// test, so a point takes the same route on both. 1 x P and P x 1 nodes
+/// keep the recurrence (see the definition).
 bool closed_form_applies(const FillCosts& costs, int cx, int cy);
 
 /// @brief StartP(1, m) and StartP(n, m) of (r2) on single-core nodes, in
@@ -175,6 +186,33 @@ bool closed_form_applies(const FillCosts& costs, int cx, int cy);
 ///   rounding, (3 (n + m - 2) + 1) * 2^-53 relative, not bit for bit.
 /// @pre closed_form_applies(costs, 1, 1); the on-chip costs are not read.
 FillCorners fill_closed_form(const FillCosts& costs, int n, int m);
+
+/// @brief StartP(1, m) and StartP(n, m) of (r2) on any cx x cy node, in
+///   O(m * cx). Every path pays wpre + (n + m - 2) * w, one TotalComm_ew per
+///   column boundary and one TotalComm_ns per row boundary (off-node at a
+///   node's edge). The rest depends on the route: f(j) per east hop in
+///   row j (Receive_ns of row pair j, 0 in row 1) and g(i) per south hop in
+///   column i (Send_ew of column pair i + 1, 0 in column n). With x_j the
+///   column where the path leaves row j, that part telescopes to
+///   sum_j (f(j) - f(j + 1)) * x_j + g(x_j), and g has period cx on
+///   columns 1..n-1, so moving a run of rows that share a turn column by
+///   +-cx leaves every g as it was and changes the sum linearly: some
+///   longest path turns only in columns <= cx + 1 or >= n - cx. A DP over
+///   rows on those at most 2 cx + 2 columns finds it (docs/MODEL.md).
+///   StartP(1, m) is the one path down column 1. With dyadic costs every
+///   sum is exact and the corners equal the recurrence's bit for bit;
+///   otherwise they agree within its rounding.
+/// @pre closed_form_applies(costs, cx, cy).
+FillCorners fill_candidate_columns(const FillCosts& costs, int cx, int cy,
+                                   int n, int m);
+
+/// The corners on the route closed_form_applies admits: the five-path
+/// closed form on single-core nodes, the candidate columns elsewhere.
+inline FillCorners fill_without_recurrence(const FillCosts& costs, int cx,
+                                           int cy, int n, int m) {
+  return cx == 1 && cy == 1 ? fill_closed_form(costs, n, m)
+                            : fill_candidate_columns(costs, cx, cy, n, m);
+}
 
 /// @brief Runs (r2) over an n x m grid, on the row lanes when this CPU
 ///   has AVX-512F/VL, n and m are both >= kRowLanesMinRows and every cost

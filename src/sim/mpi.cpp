@@ -310,10 +310,10 @@ World::World(loggp::MachineParams params, std::vector<int> node_of_rank,
     : observers_(observers),
       mpi_(engine_, params, std::move(node_of_rank), protocol) {}
 
-void World::spawn(std::string name, Process process) {
+void World::spawn(Process process) {
   WAVE_EXPECTS_MSG(!started_, "cannot spawn after run()");
   WAVE_EXPECTS_MSG(process.valid(), "cannot spawn an empty process");
-  processes_.emplace_back(std::move(name), std::move(process));
+  processes_.push_back(std::move(process));
 }
 
 void World::publish_metrics() {
@@ -337,18 +337,19 @@ usec World::run() {
     mpi_.set_tracer(&observers_.trace->buffer());
   }
   if (observers_.events != nullptr) engine_.set_trace(observers_.events);
-  for (auto& [name, proc] : processes_)
+  for (Process& proc : processes_)
     engine_.at(0.0, [p = &proc] { p->start(); });
   const usec makespan = engine_.run();
   if (observers_.metrics != nullptr) publish_metrics();
-  for (auto& [name, proc] : processes_) {
+  for (Process& proc : processes_) {
     if (proc.exception()) std::rethrow_exception(proc.exception());
   }
   std::ostringstream blocked;
   int blocked_count = 0;
-  for (auto& [name, proc] : processes_) {
-    if (!proc.finished()) {
-      if (blocked_count < 8) blocked << (blocked_count ? ", " : "") << name;
+  for (std::size_t rank = 0; rank < processes_.size(); ++rank) {
+    if (!processes_[rank].finished()) {
+      if (blocked_count < 8)
+        blocked << (blocked_count ? ", " : "") << "rank" << rank;
       ++blocked_count;
     }
   }

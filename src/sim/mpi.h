@@ -558,10 +558,11 @@ class World {
   RankCtx ctx(int rank) { return RankCtx(mpi_, rank); }
 
   /// Registers a top-level process, started at time 0 in spawn order.
-  void spawn(std::string name, Process process);
+  void spawn(Process process);
 
   /// Runs to completion. Returns the simulated makespan (µs). Throws
-  /// std::runtime_error naming blocked processes on deadlock, and rethrows
+  /// std::runtime_error naming blocked processes on deadlock
+  /// (`rank<spawn index>`: workloads spawn rank r r-th), and rethrows
   /// the first process exception if any occurred.
   usec run();
 
@@ -573,7 +574,7 @@ class World {
   Observers observers_;
   Engine engine_;
   Mpi mpi_;
-  std::vector<std::pair<std::string, Process>> processes_;
+  std::vector<Process> processes_;
   bool started_ = false;
 };
 

@@ -93,7 +93,7 @@ SimOutput AllreduceStormWorkload::simulate(const SimMachine& machine,
   sim::World world(machine.loggp, std::move(node_of_rank), machine.protocol,
                    in.observers);
   for (int r = 0; r < spec.ranks; ++r)
-    world.spawn("rank" + std::to_string(r), storm_rank(world.ctx(r), spec));
+    world.spawn(storm_rank(world.ctx(r), spec));
   return collect_run(world, in.iterations);
 }
 

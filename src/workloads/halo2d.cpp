@@ -86,7 +86,7 @@ SimOutput Halo2dWorkload::simulate(const SimMachine& machine,
   sim::World world(machine.loggp, place_ranks(in.grid, machine),
                    machine.protocol, in.observers);
   for (int r = 0; r < in.grid.size(); ++r)
-    world.spawn("rank" + std::to_string(r), halo_rank(world.ctx(r), spec, r));
+    world.spawn(halo_rank(world.ctx(r), spec, r));
   return collect_run(world, in.iterations);
 }
 

@@ -51,8 +51,8 @@ PingPongRun pingpong_run(const loggp::MachineParams& params,
       on_chip ? std::vector<int>{0, 0} : std::vector<int>{0, 1};
   sim::World world(params, placement, protocol, observers);
   PingPongRun run;
-  world.spawn("ping", pinger(world.ctx(0), bytes, reps, &run.half_rtt));
-  world.spawn("pong", ponger(world.ctx(1), bytes, reps));
+  world.spawn(pinger(world.ctx(0), bytes, reps, &run.half_rtt));
+  world.spawn(ponger(world.ctx(1), bytes, reps));
   run.makespan = world.run();
   run.events = world.engine().events_processed();
   run.messages = world.mpi().messages_delivered();
@@ -68,8 +68,7 @@ usec allreduce_sim_time(const loggp::MachineParams& params, int ranks,
   sim::World world(params, std::move(placement), sim::ProtocolOptions(),
                    observers);
   for (int r = 0; r < ranks; ++r)
-    world.spawn("rank" + std::to_string(r),
-                allreduce_rank(world.ctx(r), bytes));
+    world.spawn(allreduce_rank(world.ctx(r), bytes));
   return world.run();
 }
 

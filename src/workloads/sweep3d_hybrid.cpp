@@ -215,7 +215,7 @@ SimOutput Sweep3dHybridWorkload::simulate(const SimMachine& machine,
   sim::World world(machine.loggp, std::move(node_of_rank), machine.protocol,
                    in.observers);
   for (int r = 0; r < spec.grid.size(); ++r)
-    world.spawn("rank" + std::to_string(r), hybrid_rank(world.ctx(r), spec, r));
+    world.spawn(hybrid_rank(world.ctx(r), spec, r));
   return collect_run(world, in.iterations);
 }
 

@@ -143,8 +143,7 @@ SimOutput simulate_wavefront(const core::AppParams& app,
   sim::World world(machine.loggp, place_ranks(grid, machine),
                    machine.protocol, observers);
   for (int r = 0; r < grid.size(); ++r)
-    world.spawn("rank" + std::to_string(r),
-                wavefront_rank(world.ctx(r), spec, r));
+    world.spawn(wavefront_rank(world.ctx(r), spec, r));
   return collect_run(world, iterations);
 }
 

@@ -1191,6 +1191,177 @@ TEST(FillClosedForm, IsTheRouteOfShippedSingleCoreMachinesUpToP65536) {
   EXPECT_EQ(checked, 2 * 3 * 3 * 7 * 2);
 }
 
+// ---- the candidate-column fill on 2-D nodes ------------------------------
+
+namespace {
+
+/// Both corners of fill_candidate_columns against the recurrence's (the
+/// packed lanes on the node's parity bitmaps): bit for bit when `exact`
+/// (dyadic costs, so every sum of both is exact), else within close_to.
+::testing::AssertionResult candidate_columns_match(const wk::FillCosts& k,
+                                                   int cx, int cy, int n,
+                                                   int m, bool exact) {
+  const wk::FillCorners route = wk::fill_candidate_columns(k, cx, cy, n, m);
+  const wk::FillCorners recurrence = recurrence_corners(k, n, m, cx, cy);
+  const std::pair<const char*, std::pair<double, double>> values[] = {
+      {"diagonal total", {route.diag.total, recurrence.diag.total}},
+      {"diagonal comm", {route.diag.comm, recurrence.diag.comm}},
+      {"full total", {route.full.total, recurrence.full.total}},
+      {"full comm", {route.full.comm, recurrence.full.comm}}};
+  for (const auto& [what, v] : values) {
+    const bool ok = exact ? static_cast<bool>(bits_equal(v.first, v.second))
+                          : close_to(v.first, v.second, wave::topo::Grid(n, m));
+    if (!ok)
+      return ::testing::AssertionFailure()
+             << what << " on " << n << "x" << m << " (" << cx << "x" << cy
+             << " nodes): candidate columns " << v.first << ", recurrence "
+             << v.second;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(FillCandidateColumns, MatchesTheRecurrenceOnSeededDraws) {
+  // 2-D nodes (cx, cy in {2, 4, 8}) on grids up to 300 x 300, a third of
+  // them 1 x P or P x 1 lines, with the costs of every backend under
+  // blocking and non-blocking sends. A third of the draws take all ten
+  // costs from {0, 1, 2}: dyadic, so both corners must match the
+  // recurrence bit for bit while whole families of paths tie. Another
+  // quarter zero the Receive or the Send on both placements, so row 1's
+  // east hops (or column n's south hops) cost what the others do.
+  wave::common::Rng rng(35);
+  const int sides[] = {2, 4, 8};
+  const wc::AppParams apps[] = {wb::lu(), wb::sweep3d_20m(), wb::chimaera()};
+  const char* backends[] = {"loggp", "loggps", "contention"};
+  auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  wc::BatchEval plan(kCtx.comm_model_registry());
+  constexpr int kDraws = 1000;
+  int lines = 0, exact = 0, zeroed = 0, nonblocking = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    wc::AppParams app = apps[pick(std::size(apps))];
+    app.nonblocking_sends = rng.uniform_int(0, 1) != 0;
+    wc::MachineConfig machine = wc::MachineConfig::xt4_dual_core();
+    machine.cx = sides[pick(std::size(sides))];
+    machine.cy = sides[pick(std::size(sides))];
+    machine.comm_model = backends[pick(std::size(backends))];
+    int n = static_cast<int>(rng.uniform_int(1, 300));
+    int m = static_cast<int>(rng.uniform_int(1, 300));
+    switch (rng.uniform_int(0, 5)) {
+      case 0: n = 1; break;
+      case 1: m = 1; break;
+      default: break;
+    }
+    const wc::BatchPoint point{plan.add_app(app), plan.add_machine(machine),
+                               wave::topo::Grid(n, m)};
+    wk::FillCosts k =
+        fill_costs(plan, point, wc::evaluate_r1(app, point.grid));
+    bool dyadic = false;
+    switch (rng.uniform_int(0, 11)) {
+      case 0: case 1: case 2: case 3:
+        for (double* c : {&k.w, &k.wpre, &k.total_ew[0], &k.total_ew[1],
+                          &k.recv_ns[0], &k.recv_ns[1], &k.send_ew[0],
+                          &k.send_ew[1], &k.total_ns[0], &k.total_ns[1]})
+          *c = static_cast<double>(rng.uniform_int(0, 2));
+        dyadic = true;
+        ++exact;
+        break;
+      case 4: case 5: case 6:
+        for (double& c : rng.uniform_int(0, 1) == 0 ? k.recv_ns : k.send_ew)
+          c = 0.0;
+        ++zeroed;
+        break;
+      default: break;
+    }
+    lines += n == 1 || m == 1;
+    nonblocking += app.nonblocking_sends;
+    ASSERT_TRUE(wk::closed_form_applies(k, machine.cx, machine.cy))
+        << "draw " << d;
+    ASSERT_TRUE(
+        candidate_columns_match(k, machine.cx, machine.cy, n, m, dyadic))
+        << "draw " << d << ": " << app.name << " on " << machine.comm_model
+        << ", nonblocking " << app.nonblocking_sends;
+  }
+  EXPECT_GT(lines, kDraws / 5);
+  EXPECT_GT(exact, kDraws / 4);
+  EXPECT_GT(zeroed, kDraws / 6);
+  EXPECT_GT(nonblocking, kDraws / 3);
+}
+
+TEST(FillCandidateColumns, IsTheRouteOfShippedTwoDMachinesUpToP65536) {
+  // The shipped 2-D machines under every backend: the candidate columns
+  // agree with the recurrence, and the scalar Solver and BatchEval both
+  // return their corners bit for bit (synchronization terms off, so
+  // t_diagfill and t_fullfill are the corners themselves). xt4-dual's
+  // 1 x 2 nodes still take the recurrence (checked up to P = 1,024: the
+  // scalar recurrence at P = 65,536 is FillStaircase's to time).
+  wave::Context shipped;
+  ASSERT_TRUE(shipped.add_machine_dir(WAVE_MACHINES_DIR).is_ok());
+  const wave::loggp::CommModelRegistry& registry =
+      shipped.comm_model_registry();
+  wc::BatchEval plan(registry);
+  wc::BatchScratch scratch;
+  wc::ModelResult batch;
+  int checked = 0, recurrences = 0;
+  for (const char* name :
+       {"fatnode-loggps", "quadcore-shared-bus", "xt4-dual"}) {
+    for (const char* backend : {"loggp", "loggps", "contention"}) {
+      wc::MachineConfig machine = shipped.resolve_machine(name);
+      machine.comm_model = backend;
+      machine.synchronization_terms = false;
+      const bool two_d = machine.cx >= 2 && machine.cy >= 2;
+      const std::uint32_t mid = plan.add_machine(machine);
+      for (const wc::AppParams& app :
+           {wb::lu(), wb::sweep3d_20m(), wb::chimaera()}) {
+        const std::uint32_t aid = plan.add_app(app);
+        for (const int p : {1, 2, 17, 64, 1024, 65521, 65536}) {
+          if (!two_d && p > 1024) continue;
+          const wave::topo::Grid square = wave::topo::closest_to_square(p);
+          for (const wave::topo::Grid grid :
+               {square, wave::topo::Grid(square.m(), square.n())}) {
+            const int n = grid.n(), m = grid.m();
+            const std::string what = app.name + " P = " + std::to_string(p) +
+                                     " (" + std::to_string(n) + "x" +
+                                     std::to_string(m) + ") on " + name +
+                                     "/" + backend;
+            const wk::FillCosts k =
+                fill_costs(plan, {aid, mid, grid}, wc::evaluate_r1(app, grid));
+            ASSERT_EQ(wk::closed_form_applies(k, machine.cx, machine.cy),
+                      two_d)
+                << what;
+            const wk::FillCorners want =
+                two_d ? wk::fill_candidate_columns(k, machine.cx, machine.cy,
+                                                   n, m)
+                      : recurrence_corners(k, n, m, machine.cx, machine.cy);
+            if (two_d)
+              EXPECT_TRUE(candidate_columns_match(k, machine.cx, machine.cy,
+                                                  n, m, false))
+                  << what;
+            const wc::ModelResult scalar =
+                wc::Solver(app, machine, registry).evaluate(grid);
+            plan.evaluate_point({aid, mid, grid}, scratch, batch);
+            for (const wc::ModelResult* r : {&scalar, &std::as_const(batch)}) {
+              EXPECT_TRUE(split_equal(r->t_diagfill,
+                                      {want.diag.total, want.diag.comm}))
+                  << what;
+              EXPECT_TRUE(split_equal(r->t_fullfill,
+                                      {want.full.total, want.full.comm}))
+                  << what;
+            }
+            ++checked;
+            recurrences += !two_d;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, (2 * 7 + 5) * 3 * 3 * 2);
+  EXPECT_EQ(recurrences, 5 * 3 * 3 * 2);
+}
+
 namespace {
 
 /// An analytic sweep with repeated axis values (exercising plan

@@ -64,8 +64,8 @@ TEST(MpiSemantics, EagerSendReturnsWithoutReceiver) {
   // is posted much later (eq. 3).
   ws::World world(kXt4, {0, 1});
   double send_done = -1.0, recv_done = -1.0;
-  world.spawn("s", sender_then_done(world.ctx(0), 512, &send_done));
-  world.spawn("r", late_receiver(world.ctx(1), 1000.0, &recv_done));
+  world.spawn(sender_then_done(world.ctx(0), 512, &send_done));
+  world.spawn(late_receiver(world.ctx(1), 1000.0, &recv_done));
   world.run();
   EXPECT_NEAR(send_done, kXt4.off.o, 1e-9);
   // The receive still pays its processing overhead o after posting.
@@ -77,8 +77,8 @@ TEST(MpiSemantics, RendezvousSendBlocksForLateReceiver) {
   // before the ACK, which the receiver only triggers at post time.
   ws::World world(kXt4, {0, 1});
   double send_done = -1.0, recv_done = -1.0;
-  world.spawn("s", sender_then_done(world.ctx(0), 8192, &send_done));
-  world.spawn("r", late_receiver(world.ctx(1), 500.0, &recv_done));
+  world.spawn(sender_then_done(world.ctx(0), 8192, &send_done));
+  world.spawn(late_receiver(world.ctx(1), 500.0, &recv_done));
   world.run();
   EXPECT_GT(send_done, 500.0);  // blocked on the handshake
   // Receiver occupancy from post time follows eq. (4b): the ACK round
@@ -106,8 +106,8 @@ TEST(MpiSemantics, MessagesMatchInOrder) {
     probe.second = ctx.mpi().engine().now();
   };
   ws::World world(kXt4, {0, 1});
-  world.spawn("s", sender(world.ctx(0)));
-  world.spawn("r", receiver(world.ctx(1)));
+  world.spawn(sender(world.ctx(0)));
+  world.spawn(receiver(world.ctx(1)));
   world.run();
   EXPECT_GT(probe.first, 0.0);
   EXPECT_GT(probe.second, probe.first);
@@ -119,8 +119,8 @@ TEST(MpiSemantics, DeadlockIsDetectedAndNamed) {
     co_await ctx.recv(peer);
   };
   ws::World world(kXt4, {0, 1});
-  world.spawn("rank0", stuck(world.ctx(0), 1));
-  world.spawn("rank1", stuck(world.ctx(1), 0));
+  world.spawn(stuck(world.ctx(0), 1));
+  world.spawn(stuck(world.ctx(1), 0));
   try {
     world.run();
     FAIL() << "expected deadlock";
@@ -193,11 +193,9 @@ TEST(MpiMatching, FanInMatchesEachSourceInSendOrder) {
     sources.push_back(src);
   }
   std::vector<double> durations;
-  world.spawn("rank0",
-              timed_receives(world.ctx(0), 1000.0, sources, &durations));
+  world.spawn(timed_receives(world.ctx(0), 1000.0, sources, &durations));
   for (int src = 1; src <= kSenders; ++src)
-    world.spawn("rank" + std::to_string(src),
-                isend_burst(world.ctx(src), {kEager, rendezvous_bytes(src)}));
+    world.spawn(isend_burst(world.ctx(src), {kEager, rendezvous_bytes(src)}));
   world.run();
 
   ASSERT_EQ(durations.size(), sources.size());  // every receive completed
@@ -223,10 +221,10 @@ TEST(MpiMatching, InterleavedSourcesStayFifoPerPair) {
   const std::vector<int> from2 = {256, 3072, 12288};
   ws::World world(kXt4, one_rank_per_node(3));
   std::vector<double> durations;
-  world.spawn("rank0", timed_receives(world.ctx(0), 1000.0, {2, 2, 2, 1, 1, 1},
+  world.spawn(timed_receives(world.ctx(0), 1000.0, {2, 2, 2, 1, 1, 1},
                                       &durations));
-  world.spawn("rank1", isend_burst(world.ctx(1), from1));
-  world.spawn("rank2", isend_burst(world.ctx(2), from2));
+  world.spawn(isend_burst(world.ctx(1), from1));
+  world.spawn(isend_burst(world.ctx(2), from2));
   world.run();
 
   std::vector<int> expected = from2;
@@ -249,9 +247,9 @@ TEST(MpiMatching, PostedReceiveIgnoresOtherSources) {
   };
   auto idle = [](ws::RankCtx) -> ws::Process { co_return; };
   ws::World world(kXt4, one_rank_per_node(3));
-  world.spawn("rank0", wait_for_rank2(world.ctx(0)));
-  world.spawn("rank1", send_once(world.ctx(1)));
-  world.spawn("rank2", idle(world.ctx(2)));
+  world.spawn(wait_for_rank2(world.ctx(0)));
+  world.spawn(send_once(world.ctx(1)));
+  world.spawn(idle(world.ctx(2)));
   try {
     world.run();
     FAIL() << "expected deadlock";
@@ -275,8 +273,8 @@ TEST(MpiSemantics, ExchangeOverlapsBothDirections) {
   };
   ws::World world(kXt4, {0, 1});
   double d0 = 0, d1 = 0;
-  world.spawn("a", exchanger(world.ctx(0), 1, &d0));
-  world.spawn("b", exchanger(world.ctx(1), 0, &d1));
+  world.spawn(exchanger(world.ctx(0), 1, &d0));
+  world.spawn(exchanger(world.ctx(1), 0, &d1));
   world.run();
   const double total = kModel.total(512, wl::Placement::OffNode);
   EXPECT_LT(d0, 1.8 * total);
@@ -287,7 +285,7 @@ TEST(MpiSemantics, ExchangeOverlapsBothDirections) {
 TEST(MpiSemantics, SelfSendRejected) {
   auto bad = [](ws::RankCtx ctx) -> ws::Process { co_await ctx.send(0, 8); };
   ws::World world(kXt4, {0, 1});
-  world.spawn("bad", bad(world.ctx(0)));
+  world.spawn(bad(world.ctx(0)));
   EXPECT_THROW(world.run(), wave::common::contract_error);
 }
 
@@ -303,10 +301,10 @@ TEST(MpiContention, SharedBusDelaysConcurrentLargeTransfers) {
   };
   auto run_with = [&](std::vector<int> placement) {
     ws::World world(kXt4, std::move(placement));
-    world.spawn("s0", burst(world.ctx(0), 2));
-    world.spawn("s1", burst(world.ctx(1), 3));
-    world.spawn("r2", sink(world.ctx(2), 0));
-    world.spawn("r3", sink(world.ctx(3), 1));
+    world.spawn(burst(world.ctx(0), 2));
+    world.spawn(burst(world.ctx(1), 3));
+    world.spawn(sink(world.ctx(2), 0));
+    world.spawn(sink(world.ctx(3), 1));
     world.run();
     return world.mpi().bus_wait_total();
   };
@@ -395,8 +393,8 @@ TEST(MpiStats, BusyCountersTrackOperations) {
   // late is busy exactly its processing overhead o. So is their mean.
   ws::World world(kXt4, {0, 1});
   double send_done = 0, recv_done = 0;
-  world.spawn("s", sender_then_done(world.ctx(0), 256, &send_done));
-  world.spawn("r", late_receiver(world.ctx(1), 100.0, &recv_done));
+  world.spawn(sender_then_done(world.ctx(0), 256, &send_done));
+  world.spawn(late_receiver(world.ctx(1), 100.0, &recv_done));
   world.run();
   EXPECT_NEAR(world.mpi().mpi_busy_mean(), kXt4.off.o, 1e-9);
 }
@@ -407,8 +405,8 @@ TEST(MpiStats, RendezvousBlockingCountsAsBusy) {
   // the two ranks exceeds 250.
   ws::World world(kXt4, {0, 1});
   double send_done = 0, recv_done = 0;
-  world.spawn("s", sender_then_done(world.ctx(0), 8192, &send_done));
-  world.spawn("r", late_receiver(world.ctx(1), 500.0, &recv_done));
+  world.spawn(sender_then_done(world.ctx(0), 8192, &send_done));
+  world.spawn(late_receiver(world.ctx(1), 500.0, &recv_done));
   world.run();
   EXPECT_GT(world.mpi().mpi_busy_mean(), 250.0);
 }
@@ -433,9 +431,9 @@ TEST(MpiIsend, ResumesAfterCpuPhaseOnly) {
   // has triggered the ACK.
   ws::World world(kXt4, {0, 1});
   double resumed = -1.0, wait_done = -1.0, recv_done = -1.0;
-  world.spawn("s", isend_then_compute(world.ctx(0), 8192, &resumed,
+  world.spawn(isend_then_compute(world.ctx(0), 8192, &resumed,
                                       &wait_done));
-  world.spawn("r", late_receiver(world.ctx(1), 200.0, &recv_done));
+  world.spawn(late_receiver(world.ctx(1), 200.0, &recv_done));
   world.run();
   EXPECT_NEAR(resumed, kXt4.off.o, 1e-9);   // not blocked on the ACK
   EXPECT_GT(wait_done, 200.0);              // ACK needed the receive post
@@ -447,9 +445,9 @@ TEST(MpiIsend, WaitIsFreeWhenAlreadyComplete) {
   // zero wait; the late eager receive costs its o too.
   ws::World world(kXt4, {0, 1});
   double resumed = -1.0, wait_done = -1.0, recv_done = -1.0;
-  world.spawn("s", isend_then_compute(world.ctx(0), 256, &resumed,
+  world.spawn(isend_then_compute(world.ctx(0), 256, &resumed,
                                       &wait_done));
-  world.spawn("r", late_receiver(world.ctx(1), 500.0, &recv_done));
+  world.spawn(late_receiver(world.ctx(1), 500.0, &recv_done));
   world.run();
   EXPECT_NEAR(resumed, kXt4.off.o, 1e-9);
   EXPECT_NEAR(wait_done, kXt4.off.o + 50.0, 1e-9);
@@ -549,11 +547,11 @@ TEST(MpiStats, BusyMeanIsTheHandSummedTable1Spans) {
   // match bit for bit.
   ws::World world(kXt4, {0, 0, 1, 1, 2, 2, 3, 3});
   BusyScript s;
-  world.spawn("rank0", busy_rank0(world.ctx(0), &s));
-  world.spawn("rank1", busy_rank1(world.ctx(1), &s));
-  world.spawn("rank2", busy_rank2(world.ctx(2), &s));
-  world.spawn("rank4", busy_rank4(world.ctx(4), &s));
-  world.spawn("rank6", busy_rank6(world.ctx(6), &s));
+  world.spawn(busy_rank0(world.ctx(0), &s));
+  world.spawn(busy_rank1(world.ctx(1), &s));
+  world.spawn(busy_rank2(world.ctx(2), &s));
+  world.spawn(busy_rank4(world.ctx(4), &s));
+  world.spawn(busy_rank6(world.ctx(6), &s));
   world.run();
 
   const double o = kXt4.off.o, L = kXt4.off.L, oh = kXt4.off.oh;
@@ -620,13 +618,13 @@ TEST(MpiIsend, RejectsNullRequest) {
     co_await ctx.isend(1, 8, nullptr);
   };
   ws::World world(kXt4, {0, 1});
-  world.spawn("bad", bad(world.ctx(0)));
+  world.spawn(bad(world.ctx(0)));
   EXPECT_THROW(world.run(), wave::common::contract_error);
 }
 
 TEST(MpiWorld, RejectsEmptyProcess) {
   ws::World world(kXt4, {0, 1});
-  EXPECT_THROW(world.spawn("p", ws::Process{}),
+  EXPECT_THROW(world.spawn(ws::Process{}),
                wave::common::contract_error);
 }
 
@@ -651,8 +649,7 @@ TEST(MpiHaloExchange, ChainSwapsOverlapInsteadOfCascading) {
   };
   ws::World concurrent(kXt4, chain_placement());
   for (int r = 0; r < kRanks; ++r)
-    concurrent.spawn("rank" + std::to_string(r),
-                     halo_rank(concurrent.ctx(r)));
+    concurrent.spawn(halo_rank(concurrent.ctx(r)));
   const double t_concurrent = concurrent.run();
 
   // The same swap as two sequential one-peer swaps: rank r's West
@@ -667,8 +664,7 @@ TEST(MpiHaloExchange, ChainSwapsOverlapInsteadOfCascading) {
   };
   ws::World sequential(kXt4, chain_placement());
   for (int r = 0; r < kRanks; ++r)
-    sequential.spawn("rank" + std::to_string(r),
-                     sequential_rank(sequential.ctx(r)));
+    sequential.spawn(sequential_rank(sequential.ctx(r)));
   const double t_sequential = sequential.run();
 
   // Concurrent must beat the cascade decisively, and must cost only a
@@ -690,8 +686,8 @@ TEST(MpiHaloExchange, EmptySwapIsFree) {
   };
   ws::World world(kXt4, {0, 1});
   auto idle = [](ws::RankCtx) -> ws::Process { co_return; };
-  world.spawn("lonely", lonely(world.ctx(0)));
-  world.spawn("idle", idle(world.ctx(1)));
+  world.spawn(lonely(world.ctx(0)));
+  world.spawn(idle(world.ctx(1)));
   EXPECT_NEAR(world.run(), 5.0, 1e-9);
 }
 
